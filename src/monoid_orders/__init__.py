@@ -50,8 +50,10 @@ from .orders import (
 )
 from .qpoly import (
     QPolynomial,
+    QProduct,
     div_exact,
     eval_big,
+    expand,
     gaussian_binomial,
     is_palindromic,
 )

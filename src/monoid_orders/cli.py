@@ -22,6 +22,7 @@ from .crosssection import (
 )
 from .errors import (
     GroupTooLarge,
+    InvariantViolation,
     MonoidOrdersError,
     NotJIrreducible,
     UnsupportedType,
@@ -135,8 +136,49 @@ def _parse_qs(values: list[str], parser_error) -> list[int]:
                 parser_error(f"bad q value {part!r}")
             if q0 < 2:
                 parser_error(f"q values must be >= 2, got {q0}")
+            if not _is_prime_power(q0):
+                parser_error(f"q values must be prime powers, got {q0}")
             qs.append(q0)
     return qs
+
+
+# Miller-Rabin with these witnesses is exact below 3.3 * 10^24.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    for p in _WITNESSES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _is_prime_power(n: int) -> bool:
+    """True iff n = p^k for a prime p and k >= 1, without factoring n."""
+    for k in range(n.bit_length(), 0, -1):
+        lo, hi = 1, 1 << (n.bit_length() // k + 1)  # lo^k <= n < hi^k
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if mid**k <= n else (lo, mid)
+        if lo**k == n:
+            # the largest such k leaves a root that is no perfect power
+            return _is_prime(lo)
+    return False
 
 
 def _resolve_lattice(args) -> CrossSectionLattice:
@@ -292,30 +334,39 @@ def _cmd_hpoly(args) -> int:
     return EXIT_OK
 
 
-def _strata_rows(args) -> tuple[str, list[tuple[str, QPolynomial]]]:
+def _strata_rows(args) -> tuple[str, list[tuple[str, QPolynomial]], QPolynomial]:
+    """Title, stratum rows and their sum; for type C the sum must equal the
+    closed-form total computed through the H-polynomial."""
     if not args.type:
         raise UnsupportedType("--type is required")
     ct = CartanType.parse(args.type)
     if args.preset == "first-fundamental" and ct.family == "A":
         n = ct.rank + 1
-        return f"matrix monoid M_{n}", [
-            (f"M^{r}", gl_strata(n, r)) for r in range(n + 1)
-        ]
-    if args.preset == "last-fundamental" and ct.family == "C":
+        title = f"matrix monoid M_{n}"
+        rows = [(f"M^{r}", gl_strata(n, r)) for r in range(n + 1)]
+        report = None
+    elif args.preset == "last-fundamental" and ct.family == "C":
+        title = f"symplectic monoid on 2*{ct.rank} dimensions"
         report = symplectic_order(ct.rank)
-        return f"symplectic monoid on 2*{ct.rank} dimensions", list(report.terms)
-    raise UnsupportedType(
-        "strata formulas cover type A with first-fundamental and "
-        "type C with last-fundamental"
-    )
-
-
-def _cmd_strata(args) -> int:
-    title, rows = _strata_rows(args)
-    qs = _parse_qs(args.q, _usage_error)
+        rows = list(report.terms)
+    else:
+        raise UnsupportedType(
+            "strata formulas cover type A with first-fundamental and "
+            "type C with last-fundamental"
+        )
     total = QPolynomial()
     for _, term in rows:
         total = total + term
+    if report is not None and total != report.total:
+        raise InvariantViolation(
+            f"{ct} strata sum differs from the closed-form total"
+        )
+    return title, rows, total
+
+
+def _cmd_strata(args) -> int:
+    title, rows, total = _strata_rows(args)
+    qs = _parse_qs(args.q, _usage_error)
     if args.format == "json":
         print(
             json.dumps(

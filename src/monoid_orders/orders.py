@@ -5,7 +5,7 @@ Four independent routes to the same total, all exact polynomials in q:
   order_thm31  orbit sizes |G|^2 / (|P(e)||K(e)||U(e)|), every group order
                derived from brute-force Weyl enumeration;
   order_thm33  coset-representative length sums [T:T(e)] q^{N*} D(e) D_*(e),
-               cross-asserting enumerated sums against exact quotients;
+               cross-checking enumerated sums against exact quotients;
   order_thm34  invariant-degree products only, no enumeration;
   order_thm41  the closed form for weight-support (J-irreducible) lattices.
 
@@ -28,15 +28,17 @@ from .qpoly import (
     ONE,
     Q_MINUS_ONE,
     QPolynomial,
+    QProduct,
     div_exact,
     eval_big,
-    gaussian_binomial,
-    q_power_minus_one,
+    expand,
+    gaussian_factors,
 )
 from .rootsystem import (
     CartanType,
     connected_components,
     degrees,
+    poincare_factors,
     poincare_product,
     positive_count_of_subset,
     subset_poincare,
@@ -219,10 +221,8 @@ def order_thm33(
     def coset_sum(J: frozenset[int]) -> QPolynomial:
         if J not in quotients:
             value = div_exact(p_w, subset_poincare(rs, J))
-            if group is not None:
-                assert value == coset_length_poly(group, J), (
-                    f"coset sum mismatch for J={sorted(J)}"
-                )
+            if group is not None and value != coset_length_poly(group, J):
+                raise InvariantViolation(f"coset sum mismatch for J={sorted(J)}")
             quotients[J] = value
         return quotients[J]
 
@@ -245,24 +245,22 @@ def order_thm33(
 def order_thm34(lat: CrossSectionLattice) -> OrderReport:
     """Order by invariant-degree products; no group enumeration at all."""
     rs = lat.root_system
-    p_w_squared = poincare_product(rs.cartan_type) ** 2
+    p_w_squared = poincare_factors(rs.cartan_type) ** 2
     terms = []
     for entry in lat.entries:
         if lat.is_zero(entry):
             terms.append((entry.label, ONE))
             continue
-        denom = ONE
+        denom = QProduct()
         for _, ct in connected_components(rs, entry.lambda_substar):
-            denom = denom * poincare_product(ct) ** 2
+            denom = denom * poincare_factors(ct) ** 2
         for _, ct in connected_components(rs, entry.lambda_star):
-            denom = denom * poincare_product(ct)
-        n_star = positive_count_of_subset(rs, entry.lambda_star)
-        term = (
-            Q_MINUS_ONE**entry.torus_index_exponent
-            * QPolynomial.monomial(n_star)
-            * div_exact(p_w_squared, denom)
+            denom = denom * poincare_factors(ct)
+        torus = QProduct.of(
+            [1] * entry.torus_index_exponent,
+            shift=positive_count_of_subset(rs, entry.lambda_star),
         )
-        terms.append((entry.label, term))
+        terms.append((entry.label, expand(torus * (p_w_squared / denom))))
     return _finish("thm34", lat, terms)
 
 
@@ -281,36 +279,37 @@ def order_thm41(lat: CrossSectionLattice) -> OrderReport:
             "lattice torus-index exponents do not follow the |lambda*|+1 rule"
         )
     rs = lat.root_system
-    l = rs.rank
-    ambient = ONE
-    for d in degrees(rs.cartan_type):
-        ambient = ambient * q_power_minus_one(d) ** 2
+    ambient = QProduct.of(degrees(rs.cartan_type)) ** 2
     terms = []
     for entry in lat.entries:
         if lat.is_zero(entry):
             terms.append((entry.label, ONE))
             continue
-        numer = ambient * QPolynomial.monomial(
-            positive_count_of_subset(rs, entry.lambda_star)
+        # the (q-1)^{2(|lambda(e)|-l)+1} factor, split across both sides
+        numer = ambient * QProduct.of(
+            [1] * (2 * len(entry.lambda_union) + 1),
+            shift=positive_count_of_subset(rs, entry.lambda_star),
         )
-        denom = ONE
+        denom = QProduct.of([1] * (2 * rs.rank))
         for _, ct in connected_components(rs, entry.lambda_substar):
-            for d in degrees(ct):
-                denom = denom * q_power_minus_one(d) ** 2
+            denom = denom * QProduct.of(degrees(ct)) ** 2
         for _, ct in connected_components(rs, entry.lambda_star):
-            for d in degrees(ct):
-                denom = denom * q_power_minus_one(d)
-        exponent = 2 * (len(entry.lambda_union) - l) + 1
-        if exponent >= 0:
-            numer = numer * Q_MINUS_ONE**exponent
-        else:
-            denom = denom * Q_MINUS_ONE ** (-exponent)
-        terms.append((entry.label, div_exact(numer, denom)))
+            denom = denom * QProduct.of(degrees(ct))
+        terms.append((entry.label, expand(numer / denom)))
     return _finish("thm41", lat, terms)
 
 
-def _q_power_plus_one(i: int) -> QPolynomial:
-    return QPolynomial.monomial(i) + ONE
+def _q_power_plus_one(i: int) -> QProduct:
+    return QProduct.of([2 * i]) / QProduct.of([i])
+
+
+def _symplectic_factors(l: int, r: int) -> QProduct:
+    """q^{r^2} [l, r]_{q^2}^2 prod_{i<=r} (q^{2i}-1) prod_{i<=l-r} (q^i+1)^2."""
+    term = QProduct.of((2 * i for i in range(1, r + 1)), shift=r * r)
+    term = term * gaussian_factors(l, r, 2) ** 2
+    for i in range(1, l - r + 1):
+        term = term * _q_power_plus_one(i) ** 2
+    return term
 
 
 def symplectic_h_polynomial(l: int) -> QPolynomial:
@@ -319,12 +318,7 @@ def symplectic_h_polynomial(l: int) -> QPolynomial:
         raise ValueError("need l >= 2")
     total = QPolynomial()
     for r in range(l + 1):
-        term = QPolynomial.monomial(r * r) * gaussian_binomial(l, r, 2) ** 2
-        for i in range(1, r + 1):
-            term = term * q_power_minus_one(2 * i)
-        for i in range(1, l - r + 1):
-            term = term * _q_power_plus_one(i) ** 2
-        total = total + term
+        total = total + expand(_symplectic_factors(l, r))
     return total
 
 
@@ -334,16 +328,7 @@ def symplectic_stratum(l: int, r: int) -> QPolynomial:
         raise IndexOutOfRange(f"need 0 <= r <= l+1, got l={l}, r={r}")
     if r == 0:
         return ONE
-    term = (
-        Q_MINUS_ONE
-        * QPolynomial.monomial((r - 1) ** 2)
-        * gaussian_binomial(l, r - 1, 2) ** 2
-    )
-    for i in range(1, r):
-        term = term * q_power_minus_one(2 * i)
-    for i in range(1, l - r + 2):
-        term = term * _q_power_plus_one(i) ** 2
-    return term
+    return expand(QProduct.of([1]) * _symplectic_factors(l, r - 1))
 
 
 def symplectic_order(l: int) -> OrderReport:
@@ -367,10 +352,8 @@ def gl_strata(n: int, r: int) -> QPolynomial:
     """Number of n-by-n matrices of rank r over a q-element field."""
     if r < 0 or r > n:
         raise IndexOutOfRange(f"need 0 <= r <= n, got n={n}, r={r}")
-    term = QPolynomial.monomial(r * (r - 1) // 2) * gaussian_binomial(n, r) ** 2
-    for i in range(1, r + 1):
-        term = term * q_power_minus_one(i)
-    return term
+    term = QProduct.of(range(1, r + 1), shift=r * (r - 1) // 2)
+    return expand(term * gaussian_factors(n, r) ** 2)
 
 
 def h_polynomial(order_total: QPolynomial) -> QPolynomial:

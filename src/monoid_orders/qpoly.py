@@ -1,13 +1,26 @@
 """Exact arithmetic on integer-coefficient polynomials in the indeterminate q.
 
-Polynomials are stored densely: coeffs[i] is the coefficient of q^i, with no
-trailing zero (the zero polynomial has an empty coefficient tuple).  All
-coefficients are Python ints, so arithmetic is exact at any size.  Values are
-immutable; every operation returns a fresh polynomial.
+Two representations.  QPolynomial is dense: coeffs[i] is the coefficient of
+q^i, with no trailing zero (the zero polynomial has an empty coefficient
+tuple).  QProduct is factored: q^shift times a product of cyclotomic
+polynomials Phi_n with exponents e_n, which covers every closed form built
+from (q^d - 1) factors, since q^d - 1 = prod over n | d of Phi_n.
+
+Exactness is checked literally in both.  Dense division raises on a nonzero
+remainder.  Factored division subtracts exponents and raises as soon as a
+Phi exponent or the shift would go negative; expanding a product to dense
+coefficients then divides by the (q^d - 1) factors its Phi exponents imply,
+with a sparse division that raises on a nonzero remainder as well.
+
+All coefficients are Python ints, so arithmetic is exact at any size.  Values
+are immutable; every operation returns a fresh value.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from itertools import accumulate
+from math import isqrt
 from typing import Iterable
 
 from .errors import IndexOutOfRange, NonExactDivision
@@ -74,10 +87,14 @@ class QPolynomial:
         if not a or not b:
             return QPolynomial()
         out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
+        sparse = [(i, c) for i, c in enumerate(a) if c]
+        other_terms = [(j, c) for j, c in enumerate(b) if c]
+        if len(other_terms) < len(sparse):
+            sparse, b = other_terms, a
+        # one pass over the denser operand per nonzero term of the sparser one
+        width = len(b)
+        for i, c in sparse:
+            out[i : i + width] = [o + c * cb for o, cb in zip(out[i : i + width], b)]
         return QPolynomial(out)
 
     def __pow__(self, n: int) -> "QPolynomial":
@@ -181,25 +198,144 @@ def eval_big(p: QPolynomial, q0: int) -> int:
     return acc
 
 
-def gaussian_binomial(n: int, r: int, base_power: int = 1) -> QPolynomial:
-    """q-binomial [n, r] in the variable q^base_power.
+def _divisors(n: int) -> list[int]:
+    small = [i for i in range(1, isqrt(n) + 1) if n % i == 0]
+    return small + [n // i for i in reversed(small) if i * i != n]
 
-    Counts r-dimensional subspaces of an n-dimensional space over a field
-    with q^base_power elements.  Computed by exact division of the defining
-    quotient of (Q^i - 1) factors; the result always has nonnegative
-    coefficients.
+
+def _mobius(n: int) -> int:
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
+
+
+def _times_binomial(coeffs: list[int], d: int) -> list[int]:
+    """coeffs * (q^d - 1) by one shift-subtract."""
+    return [a - b for a, b in zip([0] * d + coeffs, coeffs + [0] * d)]
+
+
+def _over_binomial(coeffs: list[int], d: int) -> list[int]:
+    """coeffs / (q^d - 1), raising NonExactDivision on a nonzero remainder.
+
+    With coeffs = c * (q^d - 1), c_k = -(coeffs_k + coeffs_{k-d} + ...), and
+    the remainder is zero iff those running sums vanish on the top d powers.
+    """
+    sums = coeffs[:]
+    for j in range(d):
+        sums[j::d] = accumulate(coeffs[j::d])
+    top = len(coeffs) - d
+    if top < 1 or any(sums[top:]):
+        raise NonExactDivision(
+            f"degree-{len(coeffs) - 1} polynomial is not divisible by (q^{d} - 1)"
+        )
+    return [-s for s in sums[:top]]
+
+
+@dataclass(frozen=True)
+class QProduct:
+    """q^shift * prod over n of Phi_n(q)^e_n, every e_n >= 0.
+
+    Phi_n is the n-th cyclotomic polynomial.  ``phi`` holds the (n, e_n)
+    pairs with e_n > 0 in increasing n, so equal products compare equal.
+    Build values with ``QProduct.of``; multiplication adds exponents,
+    exact division subtracts them, and ``expand`` gives the dense form.
+    """
+
+    shift: int = 0
+    phi: tuple[tuple[int, int], ...] = ()
+
+    @classmethod
+    def of(cls, degrees: Iterable[int] = (), shift: int = 0) -> "QProduct":
+        """q^shift * prod of (q^d - 1) over the multiset ``degrees``."""
+        if shift < 0:
+            raise ValueError("negative power")
+        phi: dict[int, int] = {}
+        for d in degrees:
+            if d < 1:
+                raise ValueError(f"q^{d} - 1 is not a cyclotomic product")
+            for n in _divisors(d):
+                phi[n] = phi.get(n, 0) + 1
+        return cls(shift, tuple(sorted(phi.items())))
+
+    def _combine(self, other: "QProduct", sign: int) -> "QProduct":
+        phi = dict(self.phi)
+        for n, e in other.phi:
+            phi[n] = phi.get(n, 0) + sign * e
+        shift = self.shift + sign * other.shift
+        if shift < 0 or any(e < 0 for e in phi.values()):
+            raise NonExactDivision(f"({self}) is not divisible by ({other})")
+        return QProduct(shift, tuple(sorted((n, e) for n, e in phi.items() if e)))
+
+    def __mul__(self, other: "QProduct") -> "QProduct":
+        return self._combine(other, 1)
+
+    def __truediv__(self, other: "QProduct") -> "QProduct":
+        """Exact quotient; NonExactDivision unless every exponent stays >= 0."""
+        return self._combine(other, -1)
+
+    def __pow__(self, k: int) -> "QProduct":
+        if k < 0:
+            raise ValueError("negative exponent")
+        if k == 0:
+            return QProduct()
+        return QProduct(self.shift * k, tuple((n, e * k) for n, e in self.phi))
+
+    def __str__(self) -> str:
+        factors = [f"q^{self.shift}"] if self.shift else []
+        factors += [f"Phi_{n}^{e}" if e > 1 else f"Phi_{n}" for n, e in self.phi]
+        return " * ".join(factors) or "1"
+
+
+def expand(product: QProduct) -> QPolynomial:
+    """Dense coefficients of a factored product, expanded once.
+
+    Moebius inversion of q^d - 1 = prod_{n | d} Phi_n rewrites the Phi
+    exponents as (q^d - 1) exponents.  The positive ones are multiplied in
+    by shift-subtract, then the negative ones divided out by sparse exact
+    division, each O(degree).
+    """
+    power: dict[int, int] = {}
+    for n, e in product.phi:
+        for d in _divisors(n):
+            power[d] = power.get(d, 0) + _mobius(n // d) * e
+    coeffs = [1]
+    for d in sorted(power):
+        for _ in range(power[d]):
+            coeffs = _times_binomial(coeffs, d)
+    for d in sorted(power, reverse=True):
+        for _ in range(-power[d]):
+            coeffs = _over_binomial(coeffs, d)
+    return QPolynomial([0] * product.shift + coeffs)
+
+
+def gaussian_factors(n: int, r: int, base_power: int = 1) -> QProduct:
+    """q-binomial [n, r] in the variable q^base_power, in factored form.
+
+    The defining quotient prod (Q^{n-r+i} - 1) / (Q^i - 1) over i = 1..r,
+    with Q = q^base_power, divided exactly.
     """
     if base_power < 1:
         raise ValueError("base_power must be >= 1")
     if r < 0 or n < 0 or r > n:
         raise IndexOutOfRange(f"need 0 <= r <= n, got n={n}, r={r}")
-    acc = ONE
-    for i in range(1, r + 1):
-        acc = div_exact(
-            acc * q_power_minus_one(base_power * (n - r + i)),
-            q_power_minus_one(base_power * i),
-        )
-    return acc
+    top = QProduct.of(base_power * (n - r + i) for i in range(1, r + 1))
+    return top / QProduct.of(base_power * i for i in range(1, r + 1))
+
+
+def gaussian_binomial(n: int, r: int, base_power: int = 1) -> QPolynomial:
+    """q-binomial [n, r] in the variable q^base_power.
+
+    Counts r-dimensional subspaces of an n-dimensional space over a field
+    with q^base_power elements; the result always has nonnegative
+    coefficients.
+    """
+    return expand(gaussian_factors(n, r, base_power))
 
 
 def is_palindromic(p: QPolynomial) -> bool:

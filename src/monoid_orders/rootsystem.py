@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 
-from .errors import ClassificationFailure, UnsupportedType
-from .qpoly import ONE, QPolynomial, div_exact, q_power_minus_one
+from .errors import ClassificationFailure, InvariantViolation, UnsupportedType
+from .qpoly import QPolynomial, QProduct, expand
 
 Root = tuple[int, ...]
 
@@ -198,7 +198,11 @@ def build(ct: CartanType) -> RootSystemData:
         (r for r in seen if all(a >= 0 for a in r)),
         key=lambda r: (sum(r), r),
     )
-    assert len(positive) == positive_root_count(ct)
+    if len(positive) != positive_root_count(ct):
+        raise InvariantViolation(
+            f"{ct} closure gave {len(positive)} positive roots, "
+            f"expected {positive_root_count(ct)}"
+        )
     return RootSystemData(ct, cartan, simple, tuple(positive))
 
 
@@ -312,17 +316,21 @@ def connected_components(
     return [(comp, _classify(rs, comp)) for comp in _component_indices(rs, X)]
 
 
+def poincare_factors(ct: CartanType) -> QProduct:
+    """Length generating polynomial of the Weyl group, as the factored
+    degree product prod (q^d - 1)/(q - 1)."""
+    ds = degrees(ct)
+    return QProduct.of(ds) / QProduct.of([1] * len(ds))
+
+
 def poincare_product(ct: CartanType) -> QPolynomial:
     """Length generating polynomial of the Weyl group, as a degree product."""
-    result = ONE
-    for d in degrees(ct):
-        result = result * div_exact(q_power_minus_one(d), q_power_minus_one(1))
-    return result
+    return expand(poincare_factors(ct))
 
 
 def subset_poincare(rs: RootSystemData, X: frozenset[int]) -> QPolynomial:
     """Length generating polynomial of the parabolic subgroup W_X."""
-    result = ONE
+    result = QProduct()
     for _, ct in connected_components(rs, X):
-        result = result * poincare_product(ct)
-    return result
+        result = result * poincare_factors(ct)
+    return expand(result)

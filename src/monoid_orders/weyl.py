@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import GroupTooLarge
+from .errors import GroupTooLarge, InvariantViolation
 from .qpoly import QPolynomial
 from .rootsystem import RootSystemData, weyl_order
 
@@ -98,7 +98,10 @@ def generate(rs: RootSystemData, bound: int | None = None) -> WeylGroup:
         for i in range(1, rs.rank + 1)
     )
     elements = _closure(gens, len(roots), len(positive))
-    assert len(elements) == expected
+    if len(elements) != expected:
+        raise InvariantViolation(
+            f"|W({rs.cartan_type})| enumerated as {len(elements)}, expected {expected}"
+        )
     return WeylGroup(rs, roots, simple_positions, gens, elements)
 
 

@@ -2,7 +2,10 @@
 
 import json
 
-from monoid_orders import cli, verify
+import pytest
+
+from monoid_orders import cli, orders, verify
+from monoid_orders.qpoly import ONE
 
 
 def run(capsys, *argv):
@@ -97,6 +100,21 @@ def test_strata_symplectic_json(capsys):
     payload = json.loads(out)
     values = [row["evaluations"]["2"] for row in payload["strata"]]
     assert values == ["1", "225", "1350", "720"]
+
+
+def test_strata_sum_mismatch_exits_2(capsys, monkeypatch):
+    stratum = orders.symplectic_stratum
+
+    def broken(l, r):
+        return stratum(l, r) + ONE if r == 1 else stratum(l, r)
+
+    monkeypatch.setattr(orders, "symplectic_stratum", broken)
+    code, out, err = run(
+        capsys, "strata", "--type", "C3", "--preset", "last-fundamental"
+    )
+    assert code == 2
+    assert out == ""
+    assert "strata sum" in err and len(err.splitlines()) == 1
 
 
 def test_strata_unsupported_family(capsys):
@@ -206,3 +224,26 @@ def test_enum_bound_env_var(capsys, monkeypatch):
     assert "q=2: 16" in out
     monkeypatch.setenv("MONOID_ORDERS_ENUM_BOUND", "not-a-number")
     assert run(capsys, "verify")[0] == 1
+
+
+@pytest.mark.parametrize("q", ["6", "10", "12", "2,6"])
+def test_q_must_be_prime_power(capsys, q):
+    for argv in (
+        ("order", "--type", "A1", "--preset", "first-fundamental", "--q", q),
+        ("strata", "--type", "A1", "--preset", "first-fundamental", "--q", q),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: q values must be prime powers, got {q.split(',')[-1]}\n"
+
+
+@pytest.mark.parametrize("q, value", [("4", "256"), ("8", "4096"), ("9", "6561")])
+def test_q_accepts_prime_powers(capsys, q, value):
+    code, out, _ = run(
+        capsys,
+        "order", "--type", "A1", "--preset", "first-fundamental",
+        "--formula", "thm34", "--q", q,
+    )
+    assert code == 0
+    assert f"q={q}: {value}" in out  # |M_2| = q^4

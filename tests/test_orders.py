@@ -1,7 +1,14 @@
 """The four order formulas, closed forms, strata, and H-polynomials."""
 
+import os
+import subprocess
+import sys
+import time
+
 import pytest
 
+import monoid_orders
+from monoid_orders import orders
 from monoid_orders.crosssection import (
     CrossSectionLattice,
     LatticeEntry,
@@ -35,10 +42,11 @@ from monoid_orders.qpoly import (
     QPolynomial,
     div_exact,
     eval_big,
+    is_palindromic,
     q_power_minus_one,
 )
 from monoid_orders.rootsystem import CartanType, build, degrees
-from monoid_orders.weyl import generate
+from monoid_orders.weyl import coset_length_poly, generate
 
 H_COEFFS_L2 = (1, 1, 1, 2, 2, 2, 2, 2, 1, 1, 1)
 H_COEFFS_L3 = (1, 1, 1, 2, 2, 3, 4, 4, 4, 5, 5, 5, 5, 4, 4, 4, 3, 2, 2, 1, 1, 1)
@@ -190,6 +198,58 @@ def test_symplectic_strata_partition(l):
     assert top == lattice_terms["1"]
 
 
+def dense_gaussian(n, r, base_power=1):
+    acc = ONE
+    for i in range(1, r + 1):
+        acc = div_exact(
+            acc * q_power_minus_one(base_power * (n - r + i)),
+            q_power_minus_one(base_power * i),
+        )
+    return acc
+
+
+def dense_symplectic_term(l, r):
+    """q^{r^2} [l, r]_{q^2}^2 prod (q^{2i}-1) prod (q^i+1)^2, multiplied densely."""
+    term = QPolynomial.monomial(r * r) * dense_gaussian(l, r, 2) ** 2
+    for i in range(1, r + 1):
+        term = term * q_power_minus_one(2 * i)
+    for i in range(1, l - r + 1):
+        term = term * (QPolynomial.monomial(i) + ONE) ** 2
+    return term
+
+
+@pytest.mark.parametrize("l", range(2, 13))
+def test_symplectic_closed_forms_match_dense_products(l):
+    h = QPolynomial()
+    for r in range(l + 1):
+        h = h + dense_symplectic_term(l, r)
+    assert symplectic_h_polynomial(l).coeffs == h.coeffs
+    for r in range(1, l + 2):
+        expected = Q_MINUS_ONE * dense_symplectic_term(l, r - 1)
+        assert symplectic_stratum(l, r).coeffs == expected.coeffs, r
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_gl_strata_match_dense_products(n):
+    for r in range(n + 1):
+        expected = QPolynomial.monomial(r * (r - 1) // 2) * dense_gaussian(n, r) ** 2
+        for i in range(1, r + 1):
+            expected = expected * q_power_minus_one(i)
+        assert gl_strata(n, r).coeffs == expected.coeffs, r
+
+
+def test_symplectic_order_at_rank_40():
+    start = time.perf_counter()
+    report = symplectic_order(40)
+    strata_sum = QPolynomial()
+    for _, term in report.terms:
+        strata_sum = strata_sum + term
+    assert strata_sum == report.total
+    assert sum(report.total.coeffs) == 1  # |M|(1) = 1
+    assert is_palindromic(h_polynomial(report.total))
+    print(f"symplectic_order(40) checked in {time.perf_counter() - start:.2f} s")
+
+
 def test_symplectic_stratum_range():
     with pytest.raises(IndexOutOfRange):
         symplectic_stratum(3, 5)
@@ -261,3 +321,45 @@ def test_every_term_positive_at_small_prime_powers():
         for q0 in (2, 3, 4, 5):
             for _, term in report.terms:
                 assert eval_big(term, q0) > 0
+
+
+def wrong_coset_poly(group, J):
+    return coset_length_poly(group, J) + ONE
+
+
+def test_thm33_coset_mismatch_raises(monkeypatch):
+    monkeypatch.setattr(orders, "coset_length_poly", wrong_coset_poly)
+    with pytest.raises(InvariantViolation):
+        order_thm33(symplectic_lattice(2))
+
+
+OPTIMIZED_COSET_CHECK = """
+import sys
+from monoid_orders import orders
+from monoid_orders.crosssection import symplectic_lattice
+from monoid_orders.errors import InvariantViolation
+from monoid_orders.qpoly import ONE
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+orders.coset_length_poly = lambda group, J: ONE
+try:
+    orders.order_thm33(symplectic_lattice(2))
+except InvariantViolation:
+    sys.exit(0)
+sys.exit("coset mismatch went unnoticed")
+"""
+
+
+def test_thm33_coset_mismatch_raises_under_optimize():
+    # python -O strips assert statements; the cross-check must survive it
+    src = os.path.dirname(os.path.dirname(monoid_orders.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_COSET_CHECK],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

@@ -9,11 +9,14 @@ from monoid_orders.qpoly import (
     ONE,
     Q,
     QPolynomial,
+    QProduct,
     ZERO,
     add,
     div_exact,
     eval_big,
+    expand,
     gaussian_binomial,
+    gaussian_factors,
     is_palindromic,
     mul,
     q_power_minus_one,
@@ -61,6 +64,15 @@ def test_canonical_form_strips_trailing_zeros():
     assert QPolynomial([0, 0]).coeffs == ()
     assert not QPolynomial([0])
     assert QPolynomial([]).degree == -1
+
+
+def test_sparse_operand_products():
+    # sparse times dense in both orders, and products with monomial shifts
+    dense = QPolynomial([3, -1, 4, 1, -5, 9])
+    for sparse in (QPolynomial([-1, 1]), QPolynomial.monomial(7, -2), QPolynomial([0, 0, 5, 0, 0, 0, 0, 1])):
+        expected = QPolynomial(convolve(dense.coeffs, sparse.coeffs))
+        assert dense * sparse == expected
+        assert sparse * dense == expected
 
 
 @given(polys, polys)
@@ -190,3 +202,76 @@ def test_constructor_argument_errors():
         gaussian_binomial(3, 1, base_power=0)
     with pytest.raises(ValueError):
         q_power_minus_one(-1)
+
+
+def dense_quotient(numerator, denominator, shift, denominator_shift=0):
+    """Reference: multiply out the (q^d - 1) factors densely, then div_exact."""
+    top = QPolynomial.monomial(shift)
+    for d in numerator:
+        top = top * q_power_minus_one(d)
+    bottom = QPolynomial.monomial(denominator_shift)
+    for d in denominator:
+        bottom = bottom * q_power_minus_one(d)
+    return div_exact(top, bottom)
+
+
+degree_multisets = st.lists(st.integers(1, 12), max_size=6)
+
+
+@given(degree_multisets, degree_multisets, st.integers(0, 4), st.integers(0, 2))
+def test_factored_expansion_matches_dense_division(numerator, denominator, shift, den_shift):
+    try:
+        expected = dense_quotient(numerator, denominator, shift, den_shift)
+    except NonExactDivision:
+        with pytest.raises(NonExactDivision):
+            expand(QProduct.of(numerator, shift) / QProduct.of(denominator, den_shift))
+    else:
+        quotient = QProduct.of(numerator, shift) / QProduct.of(denominator, den_shift)
+        assert expand(quotient) == expected
+
+
+@given(degree_multisets, degree_multisets, st.integers(0, 3))
+def test_factored_product_matches_dense_product(a, b, k):
+    product = QProduct.of(a, 1) * QProduct.of(b) ** k
+    assert expand(product) == dense_quotient(a + b * k, [], 1)
+
+
+def test_factored_division_rejects_non_divisors():
+    with pytest.raises(NonExactDivision):
+        QProduct.of([2]) / QProduct.of([3])  # (q^2 - 1)/(q^3 - 1)
+    with pytest.raises(NonExactDivision):
+        QProduct.of([6], shift=1) / QProduct.of([], shift=2)
+    with pytest.raises(NonExactDivision):
+        QProduct.of([4]) / QProduct.of([1, 1])  # (q - 1)^2 does not divide q^4 - 1
+    a, b = QProduct.of([6, 4], shift=2), QProduct.of([2, 3], shift=1)
+    assert (a / b) * b == a
+
+
+def test_factored_values_and_rendering():
+    plus_one = QProduct.of([2]) / QProduct.of([1])
+    assert expand(plus_one) == Q + ONE
+    assert str(plus_one) == "Phi_2"
+    assert str(QProduct.of([4], shift=3)) == "q^3 * Phi_1 * Phi_2 * Phi_4"
+    assert str(QProduct()) == "1" and expand(QProduct()) == ONE
+    assert QProduct.of([1, 2]) == QProduct.of([2, 1])
+    assert (QProduct.of([3]) ** 0) == QProduct()
+    with pytest.raises(ValueError):
+        QProduct.of([0])
+    with pytest.raises(ValueError):
+        QProduct.of([], shift=-1)
+    with pytest.raises(ValueError):
+        QProduct.of([2]) ** -1
+
+
+@pytest.mark.parametrize("base_power", (1, 2, 3))
+def test_gaussian_factors_match_dense_quotient(base_power):
+    for n in range(9):
+        for r in range(n + 1):
+            expected = ONE
+            for i in range(1, r + 1):
+                expected = div_exact(
+                    expected * q_power_minus_one(base_power * (n - r + i)),
+                    q_power_minus_one(base_power * i),
+                )
+            assert expand(gaussian_factors(n, r, base_power)) == expected
+            assert gaussian_binomial(n, r, base_power) == expected
