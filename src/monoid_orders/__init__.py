@@ -68,14 +68,7 @@ from .rootsystem import (
     positive_count_of_subset,
     subset_poincare,
 )
-from .weyl import (
-    WeylElement,
-    WeylGroup,
-    generate,
-    length_gen_poly,
-    min_coset_reps,
-    parabolic,
-)
+from .weyl import coset_length_poly
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -13,6 +13,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import verify as verify_mod
 from .crosssection import (
@@ -260,7 +261,7 @@ def _cmd_order(args, enum_bound: int | None) -> int:
     qs = _parse_qs(args.q, _usage_error)
     selected = list(FORMULAS) if args.formula == "all" else [args.formula]
     reports: dict[str, OrderReport] = {}
-    skipped: list[str] = []
+    skipped: dict[str, str] = {}
     for name in selected:
         fn = FORMULAS[name]
         try:
@@ -272,7 +273,7 @@ def _cmd_order(args, enum_bound: int | None) -> int:
             # thm34 needs neither enumeration nor the weight-support rule,
             # so 'all' can still cross-check whatever routes remain
             if args.formula == "all":
-                skipped.append(f"{name} ({type(exc).__name__})")
+                skipped[name] = type(exc).__name__
             else:
                 raise
     totals = {name: r.total for name, r in reports.items()}
@@ -282,11 +283,14 @@ def _cmd_order(args, enum_bound: int | None) -> int:
             print(f"  {name}: {total}", file=sys.stderr)
         return EXIT_VERIFY
     primary = reports[[name for name in selected if name in reports][-1]]
-    primary.evaluate(qs)
-    if skipped:
-        primary.notes = primary.notes + tuple(
-            f"skipped {name}" for name in skipped
-        )
+    # the printed report also carries what the other routes skipped
+    notes = list(primary.notes)
+    for name in selected:
+        if name in skipped:
+            notes.append(f"skipped {name} ({skipped[name]})")
+        elif reports[name] is not primary:
+            notes += [n for n in reports[name].notes if n not in notes]
+    primary = replace(primary.evaluate(qs), notes=tuple(notes))
     agreed = list(reports) if args.formula == "all" else None
     if args.format == "json":
         payload = primary.to_json()
@@ -442,14 +446,16 @@ def _cmd_lattice(args) -> int:
 
 def _cmd_verify(enum_bound: int | None) -> int:
     results = verify_mod.run_all(enum_bound)
-    failed = 0
     for res in results:
-        status = "ok  " if res.ok else "FAIL"
+        status = "skip" if res.skipped else "ok  " if res.ok else "FAIL"
         print(f"{status} {res.name}: {res.detail}")
-        if not res.ok:
-            failed += 1
-    print(f"{len(results) - failed}/{len(results)} checks passed")
-    return EXIT_OK if failed == 0 else EXIT_VERIFY
+    passed = sum(res.ok for res in results)
+    skipped = sum(res.skipped for res in results)
+    print(
+        f"{passed}/{len(results)} checks passed"
+        + (f", {skipped} skipped" if skipped else "")
+    )
+    return EXIT_OK if passed + skipped == len(results) else EXIT_VERIFY
 
 
 class _UsageError(Exception):

@@ -2,10 +2,10 @@
 
 Four independent routes to the same total, all exact polynomials in q:
 
-  order_thm31  orbit sizes |G|^2 / (|P(e)||K(e)||U(e)|), every group order
-               derived from brute-force Weyl enumeration;
+  order_thm31  orbit sizes |G|^2 / (|P(e)||K(e)||U(e)|), every Weyl-group
+               factor counted by the descent walk in weyl.py;
   order_thm33  coset-representative length sums [T:T(e)] q^{N*} D(e) D_*(e),
-               cross-checking enumerated sums against exact quotients;
+               cross-checking walked sums against exact quotients;
   order_thm34  invariant-degree products only, no enumeration;
   order_thm41  the closed form for weight-support (J-irreducible) lattices.
 
@@ -15,7 +15,7 @@ and symplectic monoid) and the H-polynomial extraction (|M|-1)/(q-1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .crosssection import (
     PAPER_VERIFIED,
@@ -43,7 +43,7 @@ from .rootsystem import (
     positive_count_of_subset,
     subset_poincare,
 )
-from .weyl import WeylGroup, coset_length_poly, generate, length_gen_poly, parabolic
+from .weyl import coset_length_poly
 
 BC_NOTE = "B_r/C_r component tags are interchangeable for order computations"
 
@@ -59,7 +59,7 @@ class GroupSizes:
     size_L: QPolynomial
 
 
-@dataclass
+@dataclass(frozen=True)
 class OrderReport:
     formula: str
     cartan_type: CartanType
@@ -70,15 +70,17 @@ class OrderReport:
     evaluations: dict[int, int] = field(default_factory=dict)
 
     def evaluate(self, qs) -> "OrderReport":
-        """Evaluate the total at each q0, asserting every term is positive."""
+        """A copy with the total evaluated at each q0, asserting every term
+        is positive there."""
+        evaluations = dict(self.evaluations)
         for q0 in qs:
             for label, term in self.terms:
                 if eval_big(term, q0) <= 0:
                     raise InvariantViolation(
                         f"term {label!r} is not positive at q={q0}"
                     )
-            self.evaluations[q0] = eval_big(self.total, q0)
-        return self
+            evaluations[q0] = eval_big(self.total, q0)
+        return replace(self, evaluations=evaluations)
 
     def to_json(self) -> dict:
         return {
@@ -111,6 +113,7 @@ def _finish(
     formula: str,
     lat: CrossSectionLattice,
     terms: list[tuple[str, QPolynomial]],
+    notes: tuple[str, ...] = (),
 ) -> OrderReport:
     total = QPolynomial()
     for _, term in terms:
@@ -121,45 +124,40 @@ def _finish(
         terms=tuple(terms),
         total=total,
         lattice=lat,
-        notes=_lattice_notes(lat),
+        notes=_lattice_notes(lat) + notes,
     )
-
-
-class _ParabolicPolys:
-    """Cache of enumerated length generating polynomials per subset."""
-
-    def __init__(self, group: WeylGroup):
-        self.group = group
-        self._cache: dict[frozenset[int], QPolynomial] = {}
-
-    def __call__(self, J: frozenset[int]) -> QPolynomial:
-        if J not in self._cache:
-            self._cache[J] = length_gen_poly(parabolic(self.group, J))
-        return self._cache[J]
 
 
 def group_sizes(
     lat: CrossSectionLattice,
     entry: LatticeEntry,
-    group: WeylGroup,
-    subgroup_polys: _ParabolicPolys | None = None,
+    polys: dict[frozenset[int], QPolynomial] | None = None,
+    *,
+    enum_bound: int | None = None,
 ) -> GroupSizes:
-    """Group orders attached to one lattice entry, from enumerated lengths."""
+    """Group orders attached to one lattice entry, from walked lengths.
+
+    polys holds the walked W_X(q) per subset X and may be shared across
+    the entries of one lattice.
+    """
     rs = lat.root_system
-    if subgroup_polys is None:
-        subgroup_polys = _ParabolicPolys(group)
+    if polys is None:
+        polys = {}
+    delta = frozenset(range(1, rs.rank + 1))
+    lam = entry.lambda_union
+    for X in (delta, lam, entry.lambda_substar):
+        if X not in polys:
+            polys[X] = coset_length_poly(rs, X, frozenset(), enum_bound)
     N = rs.num_positive
     rho = lat.torus_rank
-    lam = entry.lambda_union
     n_lam = positive_count_of_subset(rs, lam)
     n_sub = positive_count_of_subset(rs, entry.lambda_substar)
     torus = Q_MINUS_ONE**rho
     torus_e = Q_MINUS_ONE ** (rho - entry.torus_index_exponent)
-    p_lam = subgroup_polys(lam)
-    p_sub = subgroup_polys(entry.lambda_substar)
-    w_poly = length_gen_poly(group)
+    p_lam = polys[lam]
+    p_sub = polys[entry.lambda_substar]
     return GroupSizes(
-        size_G=QPolynomial.monomial(N) * torus * w_poly,
+        size_G=QPolynomial.monomial(N) * torus * polys[delta],
         size_P=QPolynomial.monomial(N) * torus * p_lam,
         size_K=QPolynomial.monomial(n_sub) * torus_e * p_sub,
         size_U=QPolynomial.monomial(N - n_lam),
@@ -177,18 +175,17 @@ def order_thm31(
 ) -> OrderReport:
     """Order by orbit sizes: sum over entries of |G|^2 / isotropy.
 
-    Every group order comes from enumerated Weyl-group lengths, so this
+    Every group order comes from walked Weyl-group lengths, so this
     route shares no code with the degree-product formulas.
     """
-    group = generate(lat.root_system, enum_bound)
-    polys = _ParabolicPolys(group)
+    polys: dict[frozenset[int], QPolynomial] = {}
     g_squared = None
     terms = []
     for entry in lat.entries:
         if lat.is_zero(entry):
             terms.append((entry.label, ONE))
             continue
-        sizes = group_sizes(lat, entry, group, polys)
+        sizes = group_sizes(lat, entry, polys, enum_bound=enum_bound)
         if g_squared is None:
             g_squared = sizes.size_G * sizes.size_G
         terms.append((entry.label, div_exact(g_squared, isotropy_size(sizes))))
@@ -196,33 +193,34 @@ def order_thm31(
 
 
 def order_thm33(
-    lat: CrossSectionLattice,
-    weyl_group: WeylGroup | None = None,
-    *,
-    enum_bound: int | None = None,
+    lat: CrossSectionLattice, *, enum_bound: int | None = None
 ) -> OrderReport:
     """Order by coset-representative length sums.
 
     Each coset sum is an exact quotient of length generating polynomials;
     when the ambient group is small enough to enumerate, the sum is also
-    counted directly over minimal coset representatives and the two must
-    agree.
+    walked directly over minimal coset representatives and the two must
+    agree.  Otherwise the report notes that the cross-check was skipped.
     """
     rs = lat.root_system
-    group = weyl_group
-    if group is None:
-        try:
-            group = generate(rs, enum_bound)
-        except GroupTooLarge:
-            group = None
+    delta = frozenset(range(1, rs.rank + 1))
     p_w = poincare_product(rs.cartan_type)
     quotients: dict[frozenset[int], QPolynomial] = {}
+    skipped: list[str] = []
 
     def coset_sum(J: frozenset[int]) -> QPolynomial:
         if J not in quotients:
             value = div_exact(p_w, subset_poincare(rs, J))
-            if group is not None and value != coset_length_poly(group, J):
-                raise InvariantViolation(f"coset sum mismatch for J={sorted(J)}")
+            if not skipped:
+                try:
+                    walked = coset_length_poly(rs, delta, J, enum_bound)
+                except GroupTooLarge:
+                    skipped.append("skipped thm33 coset cross-check (GroupTooLarge)")
+                else:
+                    if value != walked:
+                        raise InvariantViolation(
+                            f"coset sum mismatch for J={sorted(J)}"
+                        )
             quotients[J] = value
         return quotients[J]
 
@@ -239,7 +237,7 @@ def order_thm33(
             * coset_sum(entry.lambda_substar)
         )
         terms.append((entry.label, term))
-    return _finish("thm33", lat, terms)
+    return _finish("thm33", lat, terms, tuple(skipped))
 
 
 def order_thm34(lat: CrossSectionLattice) -> OrderReport:

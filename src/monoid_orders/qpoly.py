@@ -150,18 +150,6 @@ def q_power_minus_one(d: int) -> QPolynomial:
     return QPolynomial.monomial(d) - ONE
 
 
-def add(a: QPolynomial, b: QPolynomial) -> QPolynomial:
-    return a + b
-
-
-def sub(a: QPolynomial, b: QPolynomial) -> QPolynomial:
-    return a - b
-
-
-def mul(a: QPolynomial, b: QPolynomial) -> QPolynomial:
-    return a * b
-
-
 def div_exact(a: QPolynomial, b: QPolynomial) -> QPolynomial:
     """Return c with a = b*c, raising NonExactDivision if no such c exists."""
     if not b:

@@ -178,6 +178,48 @@ def test_verify_failure_exits_3(capsys, monkeypatch):
     assert "FAIL broken" in out
 
 
+def test_verify_small_bound_skips_instead_of_failing(capsys, monkeypatch):
+    monkeypatch.setenv("MONOID_ORDERS_ENUM_BOUND", "100")
+    code, out, _ = run(capsys, "verify")
+    assert code == 0
+    assert "FAIL" not in out
+    lines = out.splitlines()
+    skips = [line.split(":")[:2] for line in lines if line.startswith("skip ")]
+    assert skips == [
+        ["skip solomon", " GroupTooLarge"],
+        ["skip rank-histograms", " EnumerationTooLarge"],
+        ["skip formula-agreement", " GroupTooLarge"],
+    ]
+    assert "skip solomon: GroupTooLarge: |W(A4)| = 120 exceeds the bound 100" in lines
+    assert lines[-1] == "7/10 checks passed, 3 skipped"
+
+
+def test_verify_failure_beside_skip_exits_3(capsys, monkeypatch):
+    def broken_check():
+        return verify.CheckResult("broken", False, "injected failure")
+
+    monkeypatch.setattr(verify, "ALL_CHECKS", (broken_check, verify.check_solomon))
+    monkeypatch.setenv("MONOID_ORDERS_ENUM_BOUND", "100")
+    code, out, _ = run(capsys, "verify")
+    assert code == 3
+    assert out.splitlines()[-1] == "0/2 checks passed, 1 skipped"
+
+
+def test_order_all_notes_both_enumeration_skips(capsys):
+    code, out, _ = run(
+        capsys,
+        "order", "--type", "E7", "--preset", "last-fundamental",
+        "--formula", "all", "--q", "2",
+    )
+    assert code == 0
+    assert "3 formulas agree" in out
+    notes = [line for line in out.splitlines() if line.startswith("note: ")]
+    assert notes[-2:] == [
+        "note: skipped thm31 (GroupTooLarge)",
+        "note: skipped thm33 coset cross-check (GroupTooLarge)",
+    ]
+
+
 def test_usage_errors_exit_1(capsys):
     assert run(capsys, "order", "--type", "Z9", "--j0", "")[0] == 1
     assert run(capsys, "order", "--type", "A2")[0] == 1  # no weight support

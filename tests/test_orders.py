@@ -1,5 +1,6 @@
 """The four order formulas, closed forms, strata, and H-polynomials."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -46,7 +47,7 @@ from monoid_orders.qpoly import (
     q_power_minus_one,
 )
 from monoid_orders.rootsystem import CartanType, build, degrees
-from monoid_orders.weyl import coset_length_poly, generate
+from monoid_orders.weyl import coset_length_poly
 
 H_COEFFS_L2 = (1, 1, 1, 2, 2, 2, 2, 2, 1, 1, 1)
 H_COEFFS_L3 = (1, 1, 1, 2, 2, 3, 4, 4, 4, 5, 5, 5, 5, 4, 4, 4, 3, 2, 2, 1, 1, 1)
@@ -131,30 +132,27 @@ def test_symplectic_l2_at_q2():
 
 def test_group_sizes_invariants():
     lat = symplectic_lattice(3)
-    group = generate(lat.root_system)
     for entry in lat.entries:
-        sizes = group_sizes(lat, entry, group)
+        sizes = group_sizes(lat, entry)
         assert sizes.size_P == sizes.size_L * sizes.size_U
         div_exact(sizes.size_L, sizes.size_K)  # K divides L exactly
 
 
 def test_isotropy_identity_and_zero():
     lat = weight_lattice("A1", "first")
-    group = generate(lat.root_system)
-    ident = group_sizes(lat, lat.identity_entry, group)
+    ident = group_sizes(lat, lat.identity_entry)
     assert isotropy_size(ident) == ident.size_G
-    zero = group_sizes(lat, lat.zero_entry, group)
+    zero = group_sizes(lat, lat.zero_entry)
     assert isotropy_size(zero) == zero.size_G * zero.size_G
 
 
 def test_middle_orbit_size_of_2x2_matrices():
     # orbit of the rank-1 idempotent: |G|^2 / isotropy = 9 at q=2
     lat = weight_lattice("A1", "first")
-    group = generate(lat.root_system)
     middle = next(
         e for e in lat.entries if not lat.is_zero(e) and not lat.is_identity(e)
     )
-    sizes = group_sizes(lat, middle, group)
+    sizes = group_sizes(lat, middle)
     orbit = div_exact(sizes.size_G * sizes.size_G, isotropy_size(sizes))
     assert eval_big(orbit, 2) == 9
 
@@ -304,6 +302,24 @@ def test_report_evaluate_and_json():
     assert [t["label"] for t in payload["terms"]] == ["0", "e{}", "e{2}", "1"]
 
 
+def test_report_is_frozen():
+    report = order_thm34(symplectic_lattice(2))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.notes = ()
+    evaluated = report.evaluate([2])
+    assert report.evaluations == {}
+    assert evaluated.evaluations == {2: 2296}
+    assert evaluated.evaluate([3]).evaluations == {2: 2296, 3: 183681}
+
+
+def test_thm33_notes_skipped_coset_check():
+    lat = symplectic_lattice(3)
+    assert not any("skipped" in note for note in order_thm33(lat).notes)
+    bounded = order_thm33(lat, enum_bound=10)
+    assert bounded.notes[-1] == "skipped thm33 coset cross-check (GroupTooLarge)"
+    assert bounded.total == order_thm33(lat).total
+
+
 def test_report_evaluate_rejects_nonpositive_terms():
     report = OrderReport(
         formula="thm34",
@@ -323,8 +339,8 @@ def test_every_term_positive_at_small_prime_powers():
                 assert eval_big(term, q0) > 0
 
 
-def wrong_coset_poly(group, J):
-    return coset_length_poly(group, J) + ONE
+def wrong_coset_poly(rs, gens, fixed, bound=None):
+    return coset_length_poly(rs, gens, fixed, bound) + ONE
 
 
 def test_thm33_coset_mismatch_raises(monkeypatch):
@@ -342,7 +358,7 @@ from monoid_orders.qpoly import ONE
 
 if not sys.flags.optimize:
     sys.exit("not running under -O")
-orders.coset_length_poly = lambda group, J: ONE
+orders.coset_length_poly = lambda rs, gens, fixed, bound=None: ONE
 try:
     orders.order_thm33(symplectic_lattice(2))
 except InvariantViolation:

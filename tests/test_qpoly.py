@@ -11,16 +11,13 @@ from monoid_orders.qpoly import (
     QPolynomial,
     QProduct,
     ZERO,
-    add,
     div_exact,
     eval_big,
     expand,
     gaussian_binomial,
     gaussian_factors,
     is_palindromic,
-    mul,
     q_power_minus_one,
-    sub,
 )
 
 polys = st.builds(QPolynomial, st.lists(st.integers(-50, 50), max_size=12))
@@ -184,13 +181,6 @@ def test_immutability():
     with pytest.raises(AttributeError):
         p.coeffs = (5,)
     assert hash(p) == hash(QPolynomial([1, 2, 0]))
-
-
-def test_function_forms_match_operators():
-    a, b = QPolynomial([1, 2]), QPolynomial([0, 1, 1])
-    assert add(a, b) == a + b
-    assert sub(a, b) == a - b
-    assert mul(a, b) == a * b
 
 
 def test_constructor_argument_errors():

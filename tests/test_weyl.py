@@ -1,140 +1,155 @@
-"""Weyl group enumeration against independent combinatorial oracles."""
+"""The descent walk against independent combinatorial oracles."""
 
 import itertools
 
 import pytest
 
-from monoid_orders.errors import GroupTooLarge
-from monoid_orders.qpoly import QPolynomial, div_exact
-from monoid_orders.rootsystem import CartanType, build, poincare_product, weyl_order
-from monoid_orders.weyl import (
-    coset_length_poly,
-    generate,
-    length_gen_poly,
-    min_coset_reps,
-    parabolic,
+from monoid_orders import weyl
+from monoid_orders.errors import GroupTooLarge, InvariantViolation
+from monoid_orders.qpoly import ONE, QPolynomial, div_exact
+from monoid_orders.rootsystem import (
+    CartanType,
+    build,
+    connected_components,
+    poincare_product,
+    subset_poincare,
+    weyl_order,
 )
+from monoid_orders.weyl import coset_length_poly
+
+NONE = frozenset()
 
 
-def group(spec):
-    return generate(build(CartanType.parse(spec)))
+def root_system(spec):
+    return build(CartanType.parse(spec))
 
 
-def compose(u, v):
-    """u after v, as permutations of the root list."""
-    return tuple(u[v[b]] for b in range(len(u)))
+def delta(rs):
+    return frozenset(range(1, rs.rank + 1))
+
+
+def w_poly(spec):
+    rs = root_system(spec)
+    return coset_length_poly(rs, delta(rs), NONE)
+
+
+def subsets(rank):
+    for mask in range(2**rank):
+        yield frozenset(i + 1 for i in range(rank) if mask >> i & 1)
+
+
+def inversion_poly(n):
+    """Length generating polynomial of S_n: q^(number of inversions)."""
+    counts = [0] * (n * (n - 1) // 2 + 1)
+    for p in itertools.permutations(range(n)):
+        pairs = itertools.combinations(range(n), 2)
+        counts[sum(1 for i, j in pairs if p[i] > p[j])] += 1
+    return QPolynomial(counts)
 
 
 def test_a1_enumeration():
-    w = group("A1")
-    assert len(w) == 2
-    assert sorted(e.length for e in w) == [0, 1]
+    assert w_poly("A1") == QPolynomial([1, 1])
 
 
 def test_a2_matches_symmetric_group_oracle():
     # the rank-2 symmetric-group Weyl group is S_3; lengths are inversions
-    inversions = sorted(
-        sum(1 for i, j in itertools.combinations(range(3), 2) if p[i] > p[j])
-        for p in itertools.permutations(range(3))
-    )
-    w = group("A2")
-    assert len(w) == 6
-    assert sorted(e.length for e in w) == inversions == [0, 1, 1, 2, 2, 3]
+    assert w_poly("A2") == inversion_poly(3) == QPolynomial([1, 2, 2, 1])
+
+
+@pytest.mark.parametrize("spec, n", [("A3", 4), ("A4", 5)])
+def test_length_distribution_matches_symmetric_group(spec, n):
+    assert w_poly(spec) == inversion_poly(n)
 
 
 def test_b2_enumeration():
-    w = group("B2")
-    assert len(w) == 8
-    assert max(e.length for e in w) == 4
-
-
-def test_length_counts_inverted_positive_roots():
-    w = group("B2")
-    n = w.num_positive
-    for e in w:
-        assert e.length == sum(1 for i in range(n) if e.perm[i] >= n)
-    assert sum(1 for e in w if e.length == 0) == 1
-    assert sum(1 for e in w if e.length == n) == 1
+    w = w_poly("B2")
+    assert sum(w.coeffs) == 8
+    assert w.degree == 4
 
 
 def test_length_gen_polys():
-    assert length_gen_poly(group("A1")) == QPolynomial([1, 1])
-    assert length_gen_poly(group("A2")) == QPolynomial([1, 2, 2, 1])
-    assert length_gen_poly(group("G2")) == QPolynomial([1, 2, 2, 2, 2, 2, 1])
+    assert w_poly("A1") == QPolynomial([1, 1])
+    assert w_poly("A2") == QPolynomial([1, 2, 2, 1])
+    assert w_poly("G2") == QPolynomial([1, 2, 2, 2, 2, 2, 1])
 
 
 @pytest.mark.parametrize(
     "spec", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2"]
 )
 def test_solomon_product_formula(spec):
-    ct = CartanType.parse(spec)
-    assert length_gen_poly(generate(build(ct))) == poincare_product(ct)
-
-
-def test_closed_under_composition_and_inverse():
-    w = group("B2")
-    perms = {e.perm for e in w}
-    for u in perms:
-        inverse = tuple(sorted(range(len(u)), key=lambda b: u[b]))
-        assert inverse in perms
-        for v in perms:
-            assert compose(u, v) in perms
+    assert w_poly(spec) == poincare_product(CartanType.parse(spec))
 
 
 def test_parabolic_subgroups():
-    w = group("C3")
-    assert len(parabolic(w, frozenset())) == 1
-    assert len(parabolic(w, frozenset({2, 3}))) == 8
-    a2 = group("A2")
-    assert len(parabolic(a2, frozenset({1}))) == 2
+    c3 = root_system("C3")
+    assert coset_length_poly(c3, NONE, NONE) == ONE
+    assert sum(coset_length_poly(c3, frozenset({2, 3}), NONE).coeffs) == 8
+    a2 = root_system("A2")
+    assert coset_length_poly(a2, frozenset({1}), NONE) == QPolynomial([1, 1])
 
 
 def test_min_coset_reps_extremes():
-    w = group("B2")
-    delta = frozenset({1, 2})
-    assert len(min_coset_reps(w, delta)) == 1
-    assert min_coset_reps(w, delta)[0].length == 0
-    assert len(min_coset_reps(w, frozenset())) == len(w)
+    rs = root_system("B2")
+    assert coset_length_poly(rs, delta(rs), delta(rs)) == ONE
+    assert coset_length_poly(rs, delta(rs), NONE) == w_poly("B2")
 
 
 def test_min_coset_reps_a2():
-    w = group("A2")
-    reps = min_coset_reps(w, frozenset({1}))
-    assert len(reps) == 3
-    assert coset_length_poly(w, frozenset({1})) == QPolynomial([1, 1, 1])
-    expected = div_exact(length_gen_poly(w), length_gen_poly(parabolic(w, frozenset({1}))))
-    assert coset_length_poly(w, frozenset({1})) == expected
+    rs = root_system("A2")
+    J = frozenset({1})
+    cosets = coset_length_poly(rs, delta(rs), J)
+    assert cosets == QPolynomial([1, 1, 1])
+    assert cosets == div_exact(w_poly("A2"), coset_length_poly(rs, J, NONE))
 
 
-@pytest.mark.parametrize("spec", ["A3", "B3", "C3"])
+@pytest.mark.parametrize("spec", ["A3", "B3", "C3", "D4", "B4", "F4"])
 def test_coset_factorization_all_parabolics(spec):
-    w = group(spec)
-    rank = w.root_system.rank
-    total = length_gen_poly(w)
-    for mask in range(2**rank):
-        J = frozenset(i + 1 for i in range(rank) if mask >> i & 1)
-        sub = parabolic(w, J)
-        reps = min_coset_reps(w, J)
-        assert len(reps) * len(sub) == len(w)
-        assert coset_length_poly(w, J) * length_gen_poly(sub) == total
+    rs = root_system(spec)
+    total = w_poly(spec)
+    for J in subsets(rs.rank):
+        cosets = coset_length_poly(rs, delta(rs), J)
+        sub = coset_length_poly(rs, J, NONE)
+        assert sum(cosets.coeffs) * sum(sub.coeffs) == sum(total.coeffs)
+        assert cosets * sub == total, sorted(J)
 
 
-def test_representatives_are_strictly_minimal_in_their_coset():
-    w = group("B3")
-    J = frozenset({1, 3})
-    sub = parabolic(w, J)
-    lengths = {e.perm: e.length for e in w}
-    for rep in min_coset_reps(w, J):
-        for u in sub:
-            if u.length == 0:
-                continue
-            assert lengths[compose(rep.perm, u.perm)] > rep.length
+def test_e6_orbit_sizes():
+    rs = root_system("E6")
+    order = weyl_order(rs.cartan_type)
+    w = poincare_product(rs.cartan_type)
+    for J in subsets(rs.rank):
+        if not J:
+            continue
+        sub_order = 1
+        for _, ct in connected_components(rs, J):
+            sub_order *= weyl_order(ct)
+        cosets = coset_length_poly(rs, delta(rs), J)
+        assert sum(cosets.coeffs) == order // sub_order, sorted(J)
+        assert cosets == div_exact(w, subset_poincare(rs, J)), sorted(J)
+
+
+def test_walk_count_checked_against_degrees(monkeypatch):
+    monkeypatch.setattr(weyl, "_subgroup_order", lambda rs, X: 1)
+    rs = root_system("A2")
+    with pytest.raises(InvariantViolation):
+        coset_length_poly(rs, delta(rs), NONE)
+
+
+def test_fixed_must_lie_in_gens():
+    rs = root_system("A3")
+    with pytest.raises(ValueError):
+        coset_length_poly(rs, frozenset({1}), frozenset({2}))
 
 
 def test_group_too_large():
+    a3 = build(CartanType("A", 3))
     with pytest.raises(GroupTooLarge):
-        generate(build(CartanType("A", 3)), bound=10)
+        coset_length_poly(a3, delta(a3), NONE, bound=10)
+    # the bound is on the ambient group, whatever subgroup is walked
+    with pytest.raises(GroupTooLarge):
+        coset_length_poly(a3, frozenset({1}), NONE, bound=10)
     # E7 fails fast from the known order, before any enumeration
+    e7 = build(CartanType("E", 7))
     assert weyl_order(CartanType("E", 7)) > 10**6
     with pytest.raises(GroupTooLarge):
-        generate(build(CartanType("E", 7)))
+        coset_length_poly(e7, delta(e7), NONE)
