@@ -20,6 +20,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidSupport,
     InvariantViolation,
+    LatticeTooLarge,
     MonoidOrdersError,
     NonExactDivision,
     NonPrimeModulus,

@@ -2,7 +2,8 @@
 
 Subcommands: order, hpoly, strata, lattice, verify.  Exit codes: 0 success,
 1 usage error, 2 computation error, 3 verification failure.  The environment
-variable MONOID_ORDERS_ENUM_BOUND overrides every enumeration bound.
+variable MONOID_ORDERS_ENUM_BOUND overrides every enumeration bound, the
+lattice-size bound included.
 """
 
 from __future__ import annotations
@@ -182,11 +183,13 @@ def _is_prime_power(n: int) -> bool:
     return False
 
 
-def _resolve_lattice(args) -> CrossSectionLattice:
+def _resolve_lattice(args, enum_bound: int | None) -> CrossSectionLattice:
     lattice_file = getattr(args, "lattice_file", None)
     if lattice_file:
         with open(lattice_file, encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise InvariantViolation("lattice description must be a JSON object")
         type_spec = args.type or raw.get("type")
         if not type_spec:
             raise UnsupportedType("lattice file carries no type and --type not given")
@@ -209,7 +212,7 @@ def _resolve_lattice(args) -> CrossSectionLattice:
         j0 = delta - {rs.rank}
     else:
         raise UnsupportedType("give one of --preset, --j0, or --lattice-file")
-    return j_irreducible_lattice(rs, j0)
+    return j_irreducible_lattice(rs, j0, enum_bound)
 
 
 def _subset_str(indices) -> str:
@@ -257,7 +260,7 @@ def _order_csv(report: OrderReport) -> str:
 
 
 def _cmd_order(args, enum_bound: int | None) -> int:
-    lat = _resolve_lattice(args)
+    lat = _resolve_lattice(args, enum_bound)
     qs = _parse_qs(args.q, _usage_error)
     selected = list(FORMULAS) if args.formula == "all" else [args.formula]
     reports: dict[str, OrderReport] = {}
@@ -304,8 +307,8 @@ def _cmd_order(args, enum_bound: int | None) -> int:
     return EXIT_OK
 
 
-def _cmd_hpoly(args) -> int:
-    lat = _resolve_lattice(args)
+def _cmd_hpoly(args, enum_bound: int | None) -> int:
+    lat = _resolve_lattice(args, enum_bound)
     report = order_thm34(lat)
     h = h_polynomial(report.total)
     palindromic = is_palindromic(h)
@@ -409,8 +412,8 @@ def _cmd_strata(args) -> int:
     return EXIT_OK
 
 
-def _cmd_lattice(args) -> int:
-    lat = _resolve_lattice(args)
+def _cmd_lattice(args, enum_bound: int | None) -> int:
+    lat = _resolve_lattice(args, enum_bound)
     if args.format == "json":
         print(json.dumps(lat.to_json(), indent=2))
     elif args.format == "csv":
@@ -489,11 +492,11 @@ def main(argv=None) -> int:
         if args.command == "order":
             return _cmd_order(args, enum_bound)
         if args.command == "hpoly":
-            return _cmd_hpoly(args)
+            return _cmd_hpoly(args, enum_bound)
         if args.command == "strata":
             return _cmd_strata(args)
         if args.command == "lattice":
-            return _cmd_lattice(args)
+            return _cmd_lattice(args, enum_bound)
         return _cmd_verify(enum_bound)
     except (_UsageError, UnsupportedType) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,11 +10,12 @@ symplectic special case, or a validated external description.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from math import prod
 
-from .errors import InvalidSupport, InvariantViolation, UnsupportedType
-from .rootsystem import CartanType, RootSystemData, build, connected_components
+from .errors import InvalidSupport, InvariantViolation, LatticeTooLarge, UnsupportedType
+from .rootsystem import CartanType, RootSystemData, build
+from .weyl import DEFAULT_ENUM_BOUND
 
 PAPER_VERIFIED = "paper-verified"
 RULE_DERIVED = "rule-derived, not paper-verified"
@@ -127,8 +128,39 @@ def _entry_label(X: frozenset[int], delta: frozenset[int]) -> str:
     return "e{" + ",".join(str(i) for i in sorted(X)) + "}"
 
 
+def lattice_size(rs: RootSystemData, J0: frozenset[int]) -> int:
+    """Number of entries of j_irreducible_lattice(rs, J0), counted without
+    generating any of them.
+
+    The Dynkin diagram is a tree, so one pass from the leaves to node 1
+    counts, per node v, the subsets X of v's subtree whose components not
+    containing v all meet Delta minus J0, split three ways: v not in X; v in
+    X with a node outside J0 already in its component; v in X still waiting
+    for one.
+    """
+    parent = {1: 0}
+    order = [1]
+    for v in order:
+        for w in rs.neighbors(v):
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+    counts: dict[int, tuple[int, int, int]] = {}
+    for v in reversed(order):
+        children = [counts[w] for w in rs.neighbors(v) if parent[w] == v]
+        out = prod(o + m for o, m, _ in children)
+        joined = prod(o + m + w for o, m, w in children)
+        if v in J0:
+            waiting = prod(o + w for o, _, w in children)
+            counts[v] = (out, joined - waiting, waiting)
+        else:
+            counts[v] = (out, joined, 0)
+    out, met, _ = counts[1]
+    return out + met + 1  # plus the zero entry
+
+
 def j_irreducible_lattice(
-    rs: RootSystemData, J0: frozenset[int]
+    rs: RootSystemData, J0: frozenset[int], bound: int | None = None
 ) -> CrossSectionLattice:
     """Cross-section lattice of the monoid with weight-support set J0.
 
@@ -136,24 +168,46 @@ def j_irreducible_lattice(
     entry appears per subset X of the simple roots having no connected
     component inside J0; X is its lambda_star, the part of J0 neither in X
     nor adjacent to X is its lambda_substar, and [T:T(e)] = (q-1)^(|X|+1).
+
+    The subsets X are grown, not filtered out of all 2^rank subsets: each
+    size level extends the previous one by a node outside J0 or adjacent to
+    X, which keeps every component meeting Delta minus J0, and every such X
+    is reached (drop a node of X farthest from Delta minus J0).  Each level
+    is emitted in sorted order, as itertools.combinations would list it.
+    The entries are counted first (lattice_size), and LatticeTooLarge is
+    raised before any growth when more than bound nonempty lambda_star sets
+    would be grown (default weyl.DEFAULT_ENUM_BOUND).
     """
     delta = frozenset(range(1, rs.rank + 1))
     if not J0 <= delta:
         raise UnsupportedType(f"J0 {sorted(J0)} outside 1..{rs.rank}")
     if J0 == delta:
         raise InvalidSupport("J0 = Delta admits no nonzero minimal idempotent")
+    if bound is None:
+        bound = DEFAULT_ENUM_BOUND
+    grown = lattice_size(rs, J0) - 2  # all but the zero entry and X = {}
+    if grown > bound:
+        raise LatticeTooLarge(
+            f"the {rs.cartan_type} lattice for J0 = {sorted(J0)} grows {grown} "
+            f"nonempty lambda_star sets, which exceeds the bound {bound}"
+        )
 
+    free = delta - J0
     entries = [LatticeEntry("0", frozenset(), delta, 0)]
-    for size in range(rs.rank + 1):
-        for combo in itertools.combinations(sorted(delta), size):
-            X = frozenset(combo)
-            if any(comp <= J0 for comp, _ in connected_components(rs, X)):
-                continue
-            adjacent_to_X = frozenset().union(*(rs.neighbors(i) for i in X)) if X else frozenset()
-            substar = frozenset(a for a in J0 - X if a not in adjacent_to_X)
+    level = {frozenset(): frozenset()}  # X -> the simple roots adjacent to X
+    while level:
+        for X in sorted(level, key=sorted):
+            substar = J0 - X - level[X]
             entries.append(
                 LatticeEntry(_entry_label(X, delta), X, substar, len(X) + 1)
             )
+        larger: dict[frozenset[int], frozenset[int]] = {}
+        for X, near in level.items():
+            for v in (free | near) - X:
+                Y = X | {v}
+                if Y not in larger:
+                    larger[Y] = near | rs.neighbors(v)
+        level = larger
 
     fam = rs.cartan_type.family
     last = frozenset({rs.rank})
@@ -181,13 +235,27 @@ def symplectic_lattice(l: int) -> CrossSectionLattice:
     return j_irreducible_lattice(rs, frozenset(range(1, l)))
 
 
+def _json_int(value, what: str) -> int:
+    # bool is an int subclass, but true/false is no index or exponent
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvariantViolation(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_indices(value, what: str) -> frozenset[int]:
+    if not isinstance(value, list):
+        raise InvariantViolation(f"{what} must be a list of integers, got {value!r}")
+    return frozenset(_json_int(x, what) for x in value)
+
+
 def load_lattice(rs: RootSystemData, raw: dict) -> CrossSectionLattice:
     """Validate an external lattice description against a root system.
 
     Expected shape: {"type": "C3", "entries": [{"label": ..., "lambda_star":
     [3], "lambda_substar": [1], "torus_index_exponent": 2}, ...]} with
     1-based simple-root indices and an optional "torus_rank" (defaults to
-    rank + 1).
+    rank + 1).  Index lists must be JSON arrays of integers and exponents
+    integers; nothing else is coerced.
     """
     if not isinstance(raw, dict):
         raise InvariantViolation("lattice description must be a JSON object")
@@ -204,15 +272,20 @@ def load_lattice(rs: RootSystemData, raw: dict) -> CrossSectionLattice:
     for i, item in enumerate(entries_raw):
         if not isinstance(item, dict):
             raise InvariantViolation(f"entry #{i} is not an object")
-        try:
-            star = frozenset(int(x) for x in item["lambda_star"])
-            substar = frozenset(int(x) for x in item["lambda_substar"])
-            exponent = int(item["torus_index_exponent"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvariantViolation(f"entry #{i} is malformed: {exc}") from None
-        label = str(item.get("label", f"e#{i}"))
+        where = f"entry #{i} is malformed"
+        for key in ("lambda_star", "lambda_substar", "torus_index_exponent"):
+            if key not in item:
+                raise InvariantViolation(f"{where}: missing {key!r}")
+        star = _json_indices(item["lambda_star"], f"{where}: lambda_star")
+        substar = _json_indices(item["lambda_substar"], f"{where}: lambda_substar")
+        exponent = _json_int(
+            item["torus_index_exponent"], f"{where}: torus_index_exponent"
+        )
+        label = item.get("label", f"e#{i}")
+        if not isinstance(label, str):
+            raise InvariantViolation(f"{where}: label must be a string, got {label!r}")
         entries.append(LatticeEntry(label, star, substar, exponent))
-    torus_rank = int(raw.get("torus_rank", rs.rank + 1))
+    torus_rank = _json_int(raw.get("torus_rank", rs.rank + 1), "torus_rank")
     lat = CrossSectionLattice(
         rs, tuple(entries), torus_rank=torus_rank, provenance=USER_SUPPLIED
     )

@@ -29,6 +29,10 @@ class GroupTooLarge(MonoidOrdersError):
     """Weyl group enumeration would exceed the configured bound."""
 
 
+class LatticeTooLarge(MonoidOrdersError):
+    """Cross-section lattice generation would exceed the configured bound."""
+
+
 class InvalidSupport(MonoidOrdersError):
     """Weight-support set J0 = Delta leaves no nonzero minimal idempotent."""
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import prod
 
 from .errors import ClassificationFailure, InvariantViolation, UnsupportedType
@@ -155,10 +155,22 @@ class RootSystemData:
         """Dynkin adjacency of simple roots i, j (1-based)."""
         return i != j and self.cartan[i - 1][j - 1] != 0
 
-    def neighbors(self, i: int) -> frozenset[int]:
-        return frozenset(
-            j for j in range(1, self.rank + 1) if self.adjacent(i, j)
+    @cached_property
+    def _neighbors(self) -> tuple[frozenset[int], ...]:
+        return tuple(
+            frozenset(j for j in range(1, self.rank + 1) if self.adjacent(i, j))
+            for i in range(1, self.rank + 1)
         )
+
+    @cached_property
+    def _root_supports(self) -> tuple[int, ...]:
+        # bit i-1 set when simple root i occurs in the positive root
+        return tuple(
+            sum(1 << b for b, a in enumerate(root) if a) for root in self.positive_roots
+        )
+
+    def neighbors(self, i: int) -> frozenset[int]:
+        return self._neighbors[i - 1]
 
     def reflect(self, root: Root, i: int) -> Root:
         """Apply the simple reflection s_i (1-based) to a root."""
@@ -209,11 +221,8 @@ def build(ct: CartanType) -> RootSystemData:
 def positive_count_of_subset(rs: RootSystemData, X: frozenset[int]) -> int:
     """Number of positive roots supported entirely on the subset X."""
     _check_subset(rs, X)
-    return sum(
-        1
-        for root in rs.positive_roots
-        if all(root[i - 1] == 0 for i in range(1, rs.rank + 1) if i not in X)
-    )
+    outside = ~sum(1 << (i - 1) for i in X)
+    return sum(1 for support in rs._root_supports if not support & outside)
 
 
 def _component_indices(rs: RootSystemData, X: frozenset[int]) -> list[frozenset[int]]:

@@ -2,8 +2,9 @@
 
 Each check pits a formula against an independent oracle (brute-force
 enumeration, exhaustive identity testing, or a second formula route) and
-returns a pass/fail result with a short detail line.  A check that an
-enumeration bound stops is skipped, not failed.
+returns whether it passed with a short detail line; run_all names it from
+the ALL_CHECKS table.  A check that an enumeration or lattice bound stops
+is skipped, not failed.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Callable
 
 from . import oracle
 from .crosssection import CrossSectionLattice, j_irreducible_lattice, symplectic_lattice
-from .errors import EnumerationTooLarge, GroupTooLarge
+from .errors import EnumerationTooLarge, GroupTooLarge, LatticeTooLarge
 from .orders import (
     gl_strata,
     h_polynomial,
@@ -61,15 +62,17 @@ class CheckResult:
     skipped: bool = False
 
 
-def lattice_for(type_spec: str, weight: str) -> CrossSectionLattice:
+def lattice_for(
+    type_spec: str, weight: str, bound: int | None = None
+) -> CrossSectionLattice:
     """Weight-support lattice for a type and a fundamental-weight rule."""
     rs = build(CartanType.parse(type_spec))
     delta = frozenset(range(1, rs.rank + 1))
     omitted = 1 if weight == "first" else rs.rank
-    return j_irreducible_lattice(rs, delta - {omitted})
+    return j_irreducible_lattice(rs, delta - {omitted}, bound)
 
 
-def check_pascal_recurrence() -> CheckResult:
+def check_pascal_recurrence() -> tuple[bool, str]:
     cases = 0
     for base_power in (1, 2):
         for n in range(1, 9):
@@ -79,25 +82,23 @@ def check_pascal_recurrence() -> CheckResult:
                     n - 1, r, base_power
                 ) + gaussian_binomial(n - 1, r - 1, base_power)
                 if lhs != rhs:
-                    return CheckResult(
-                        "pascal-recurrence", False, f"fails at n={n}, r={r}"
-                    )
+                    return False, f"fails at n={n}, r={r}"
                 cases += 1
-    return CheckResult("pascal-recurrence", True, f"{cases} instances")
+    return True, f"{cases} instances"
 
 
-def check_solomon(enum_bound: int | None = None) -> CheckResult:
+def check_solomon(enum_bound: int | None = None) -> tuple[bool, str]:
     for spec in SOLOMON_TYPES:
         ct = CartanType.parse(spec)
         rs = build(ct)
         delta = frozenset(range(1, rs.rank + 1))
         walked = coset_length_poly(rs, delta, frozenset(), enum_bound)
         if walked != poincare_product(ct):
-            return CheckResult("solomon-poincare", False, f"mismatch for {spec}")
-    return CheckResult("solomon-poincare", True, ", ".join(SOLOMON_TYPES))
+            return False, f"mismatch for {spec}"
+    return True, ", ".join(SOLOMON_TYPES)
 
 
-def check_coset_identity(enum_bound: int | None = None) -> CheckResult:
+def check_coset_identity(enum_bound: int | None = None) -> tuple[bool, str]:
     cases = 0
     for spec in COSET_TYPES:
         rs = build(CartanType.parse(spec))
@@ -108,49 +109,43 @@ def check_coset_identity(enum_bound: int | None = None) -> CheckResult:
             cosets = coset_length_poly(rs, delta, J, enum_bound)
             sub = coset_length_poly(rs, J, frozenset(), enum_bound)
             if cosets * sub != w_poly:
-                return CheckResult(
-                    "coset-identity", False, f"{spec}, J={sorted(J)}"
-                )
+                return False, f"{spec}, J={sorted(J)}"
             cases += 1
-    return CheckResult("coset-identity", True, f"{cases} parabolic quotients")
+    return True, f"{cases} parabolic quotients"
 
 
-def check_rank_histograms(bound: int | None = None) -> CheckResult:
+def check_rank_histograms(bound: int | None = None) -> tuple[bool, str]:
     for n, p in ((2, 2), (2, 3), (3, 2), (3, 3)):
         hist = oracle.enumerate_rank_histogram(n, p, bound)
         if hist.total != p ** (n * n):
-            return CheckResult(
-                "rank-histogram", False, f"(n={n}, p={p}) total {hist.total}"
-            )
+            return False, f"(n={n}, p={p}) total {hist.total}"
         for r in range(n + 1):
             expected = eval_big(gl_strata(n, r), p)
             if hist.counts[r] != expected:
-                return CheckResult(
-                    "rank-histogram",
+                return (
                     False,
                     f"(n={n}, p={p}, r={r}) counted {hist.counts[r]}, formula {expected}",
                 )
-    return CheckResult("rank-histogram", True, "(2,2) (2,3) (3,2) (3,3)")
+    return True, "(2,2) (2,3) (3,2) (3,3)"
 
 
-def check_subspace_counts(bound: int | None = None) -> CheckResult:
+def check_subspace_counts(bound: int | None = None) -> tuple[bool, str]:
     for p in (2, 3):
         for n in range(5):
             for r in range(n + 1):
                 counted = oracle.count_subspaces(n, r, p, bound)
                 expected = eval_big(gaussian_binomial(n, r), p)
                 if counted != expected:
-                    return CheckResult(
-                        "subspace-count",
+                    return (
                         False,
                         f"(n={n}, r={r}, p={p}) counted {counted}, formula {expected}",
                     )
-    return CheckResult("subspace-count", True, "n <= 4, p in {2, 3}")
+    return True, "n <= 4, p in {2, 3}"
 
 
-def check_formula_agreement(enum_bound: int | None = None) -> CheckResult:
+def check_formula_agreement(enum_bound: int | None = None) -> tuple[bool, str]:
     for spec, weight in AGREEMENT_CASES:
-        lat = lattice_for(spec, weight)
+        lat = lattice_for(spec, weight, enum_bound)
         totals = {
             "thm31": order_thm31(lat, enum_bound=enum_bound).total,
             "thm33": order_thm33(lat, enum_bound=enum_bound).total,
@@ -158,108 +153,101 @@ def check_formula_agreement(enum_bound: int | None = None) -> CheckResult:
             "thm41": order_thm41(lat).total,
         }
         if len(set(totals.values())) != 1:
-            return CheckResult(
-                "formula-agreement", False, f"{spec} ({weight}-fundamental)"
-            )
-    return CheckResult(
-        "formula-agreement",
-        True,
-        ", ".join(f"{s}/{w}" for s, w in AGREEMENT_CASES),
-    )
+            return False, f"{spec} ({weight}-fundamental)"
+    return True, ", ".join(f"{s}/{w}" for s, w in AGREEMENT_CASES)
 
 
-def check_symplectic_closed_form() -> CheckResult:
+def check_symplectic_closed_form() -> tuple[bool, str]:
     for l in range(2, 7):
         closed = symplectic_order(l)
         lattice_route = order_thm41(symplectic_lattice(l))
         if closed.total != lattice_route.total:
-            return CheckResult("symplectic-closed-form", False, f"l={l}")
+            return False, f"l={l}"
         strata_sum = QPolynomial()
         for _, term in closed.terms:
             strata_sum = strata_sum + term
         if strata_sum != closed.total:
-            return CheckResult(
-                "symplectic-closed-form", False, f"strata do not sum, l={l}"
-            )
-    return CheckResult("symplectic-closed-form", True, "l = 2..6")
+            return False, f"strata do not sum, l={l}"
+    return True, "l = 2..6"
 
 
-def check_h_polynomials() -> CheckResult:
+def check_h_polynomials() -> tuple[bool, str]:
     for l, expected in ((2, H_COEFFS_L2), (3, H_COEFFS_L3)):
         h = h_polynomial(symplectic_order(l).total)
         if h.coeffs != expected:
-            return CheckResult("h-polynomial", False, f"coefficients differ at l={l}")
+            return False, f"coefficients differ at l={l}"
     for l in range(2, 7):
         if not is_palindromic(h_polynomial(symplectic_order(l).total)):
-            return CheckResult("h-polynomial", False, f"not palindromic at l={l}")
-    return CheckResult("h-polynomial", True, "l=2,3 coefficients; palindromic l=2..6")
+            return False, f"not palindromic at l={l}"
+    return True, "l=2,3 coefficients; palindromic l=2..6"
 
 
-def check_structural() -> CheckResult:
+def check_structural() -> tuple[bool, str]:
     for spec, weight in AGREEMENT_CASES:
         lat = lattice_for(spec, weight)
         report = order_thm34(lat)
         terms = dict(report.terms)
         rs = lat.root_system
         if terms[lat.zero_entry.label] != ONE:
-            return CheckResult("structural", False, f"{spec}: zero term != 1")
+            return False, f"{spec}: zero term != 1"
         unit_order = QPolynomial.monomial(rs.num_positive) * Q_MINUS_ONE
         for d in degrees(rs.cartan_type):
             unit_order = unit_order * q_power_minus_one(d)
         if terms[lat.identity_entry.label] != unit_order:
-            return CheckResult("structural", False, f"{spec}: identity term != |G|")
+            return False, f"{spec}: identity term != |G|"
         h_polynomial(report.total)  # raises NonExactDivision if not divisible
-    return CheckResult("structural", True, "zero/identity terms, (total-1)/(q-1)")
+    return True, "zero/identity terms, (total-1)/(q-1)"
 
 
-def check_gl_strata_sum() -> CheckResult:
+def check_gl_strata_sum() -> tuple[bool, str]:
     for n in range(1, 7):
         total = QPolynomial()
         for r in range(n + 1):
             total = total + gl_strata(n, r)
         if total != QPolynomial.monomial(n * n):
-            return CheckResult("gl-strata-sum", False, f"n={n}")
-    return CheckResult("gl-strata-sum", True, "n = 1..6")
+            return False, f"n={n}"
+    return True, "n = 1..6"
 
 
+# The one name of each check, used by its ok, FAIL, skip and crash lines.
+ALL_CHECKS: dict[str, Callable[..., tuple[bool, str]]] = {
+    "pascal-recurrence": check_pascal_recurrence,
+    "solomon-poincare": check_solomon,
+    "coset-identity": check_coset_identity,
+    "rank-histogram": check_rank_histograms,
+    "subspace-count": check_subspace_counts,
+    "formula-agreement": check_formula_agreement,
+    "symplectic-closed-form": check_symplectic_closed_form,
+    "h-polynomial": check_h_polynomials,
+    "structural": check_structural,
+    "gl-strata-sum": check_gl_strata_sum,
+}
+
+# Checks that take the enumeration bound.
 _BOUNDED_CHECKS = frozenset(
     {
-        "check_solomon",
-        "check_coset_identity",
-        "check_formula_agreement",
-        "check_rank_histograms",
-        "check_subspace_counts",
+        "solomon-poincare",
+        "coset-identity",
+        "rank-histogram",
+        "subspace-count",
+        "formula-agreement",
     }
-)
-
-ALL_CHECKS: tuple[Callable[..., CheckResult], ...] = (
-    check_pascal_recurrence,
-    check_solomon,
-    check_coset_identity,
-    check_rank_histograms,
-    check_subspace_counts,
-    check_formula_agreement,
-    check_symplectic_closed_form,
-    check_h_polynomials,
-    check_structural,
-    check_gl_strata_sum,
 )
 
 
 def run_all(enum_bound: int | None = None) -> list[CheckResult]:
-    """Run every check; a check stopped by an enumeration bound is reported
-    as skipped, and any other crash inside a check as its failure."""
+    """Run every check; a check stopped by an enumeration or lattice bound
+    is reported as skipped, and any other crash inside a check as its
+    failure."""
     results = []
-    for check in ALL_CHECKS:
-        name = check.__name__.removeprefix("check_").replace("_", "-")
+    for name, check in ALL_CHECKS.items():
         try:
-            if check.__name__ in _BOUNDED_CHECKS:
-                results.append(check(enum_bound))
-            else:
-                results.append(check())
-        except (GroupTooLarge, EnumerationTooLarge) as exc:
+            ok, detail = check(enum_bound) if name in _BOUNDED_CHECKS else check()
+        except (GroupTooLarge, EnumerationTooLarge, LatticeTooLarge) as exc:
             reason = f"{type(exc).__name__}: {exc}"
             results.append(CheckResult(name, False, reason, skipped=True))
         except Exception as exc:  # a crashed check is a failed check
             results.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))
+        else:
+            results.append(CheckResult(name, ok, detail))
     return results

@@ -1,10 +1,13 @@
 """CLI surface: subcommands, formats, round-trips, and exit codes."""
 
 import json
+import time
 
 import pytest
 
 from monoid_orders import cli, orders, verify
+from monoid_orders.crosssection import j_irreducible_lattice, symplectic_lattice
+from monoid_orders.rootsystem import CartanType, build
 from monoid_orders.qpoly import ONE
 
 
@@ -161,6 +164,103 @@ def test_lattice_csv(capsys):
     assert len(out.strip().splitlines()) == 4
 
 
+def test_lattice_too_large_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "lattice", "--type", "A40", "--j0", "")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "exceeds the bound 1000000" in err
+
+
+def test_lattice_bound_follows_env_var(capsys, monkeypatch):
+    monkeypatch.setenv("MONOID_ORDERS_ENUM_BOUND", "6")
+    code, _, err = run(capsys, "lattice", "--type", "A3", "--j0", "")
+    assert code == 2
+    assert "grows 7 nonempty lambda_star sets" in err
+    monkeypatch.setenv("MONOID_ORDERS_ENUM_BOUND", "7")
+    assert run(capsys, "lattice", "--type", "A3", "--j0", "")[0] == 0
+
+
+def test_lattice_long_symplectic_chain(capsys):
+    code, out, _ = run(
+        capsys,
+        "lattice", "--type", "C40", "--preset", "last-fundamental",
+        "--format", "csv",
+    )
+    assert code == 0
+    assert len(out.strip().splitlines()) == 1 + 42
+
+
+def _c2_lattice_file(tmp_path, **changes):
+    raw = symplectic_lattice(2).to_json()
+    for field, value in changes.items():
+        if field == "torus_rank":
+            raw[field] = value
+        else:
+            raw["entries"][1][field] = value
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"torus_rank": "x"}, "torus_rank must be an integer, got 'x'"),
+        ({"lambda_substar": "12"}, "lambda_substar must be a list of integers"),
+        ({"torus_index_exponent": True}, "torus_index_exponent must be an integer"),
+    ],
+    ids=["torus-rank-string", "substar-string", "exponent-bool"],
+)
+def test_malformed_lattice_file_exits_2(capsys, tmp_path, change, message):
+    path = _c2_lattice_file(tmp_path, **change)
+    code, out, err = run(
+        capsys, "order", "--lattice-file", str(path), "--formula", "thm34"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert message in err
+
+
+def test_lattice_file_array_exits_2(capsys, tmp_path):
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps([{"type": "C2"}]))
+    code, out, err = run(capsys, "lattice", "--lattice-file", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: lattice description must be a JSON object\n"
+
+
+def test_verify_names_skip_and_crash_lines_from_the_table(capsys, monkeypatch):
+    def crashing_check():
+        raise RuntimeError("injected crash")
+
+    def large_lattice_check():
+        j_irreducible_lattice(build(CartanType("A", 40)), frozenset())
+        return True, "unreachable"
+
+    monkeypatch.setattr(
+        verify,
+        "ALL_CHECKS",
+        {
+            "crashing": crashing_check,
+            "solomon-poincare": verify.check_solomon,
+            "large-lattice": large_lattice_check,
+        },
+    )
+    monkeypatch.setenv("MONOID_ORDERS_ENUM_BOUND", "100")
+    code, out, _ = run(capsys, "verify")
+    assert code == 3
+    lines = out.splitlines()
+    assert lines[0] == "FAIL crashing: RuntimeError: injected crash"
+    assert lines[1].startswith("skip solomon-poincare: GroupTooLarge")
+    assert lines[2].startswith("skip large-lattice: LatticeTooLarge: the A40 lattice")
+    assert lines[3] == "0/3 checks passed, 2 skipped"
+
+
 def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 0
@@ -170,9 +270,9 @@ def test_verify_passes(capsys):
 
 def test_verify_failure_exits_3(capsys, monkeypatch):
     def broken_check():
-        return verify.CheckResult("broken", False, "injected failure")
+        return False, "injected failure"
 
-    monkeypatch.setattr(verify, "ALL_CHECKS", (broken_check,))
+    monkeypatch.setattr(verify, "ALL_CHECKS", {"broken": broken_check})
     code, out, _ = run(capsys, "verify")
     assert code == 3
     assert "FAIL broken" in out
@@ -186,19 +286,26 @@ def test_verify_small_bound_skips_instead_of_failing(capsys, monkeypatch):
     lines = out.splitlines()
     skips = [line.split(":")[:2] for line in lines if line.startswith("skip ")]
     assert skips == [
-        ["skip solomon", " GroupTooLarge"],
-        ["skip rank-histograms", " EnumerationTooLarge"],
+        ["skip solomon-poincare", " GroupTooLarge"],
+        ["skip rank-histogram", " EnumerationTooLarge"],
         ["skip formula-agreement", " GroupTooLarge"],
     ]
-    assert "skip solomon: GroupTooLarge: |W(A4)| = 120 exceeds the bound 100" in lines
+    assert (
+        "skip solomon-poincare: GroupTooLarge: |W(A4)| = 120 exceeds the bound 100"
+        in lines
+    )
     assert lines[-1] == "7/10 checks passed, 3 skipped"
 
 
 def test_verify_failure_beside_skip_exits_3(capsys, monkeypatch):
     def broken_check():
-        return verify.CheckResult("broken", False, "injected failure")
+        return False, "injected failure"
 
-    monkeypatch.setattr(verify, "ALL_CHECKS", (broken_check, verify.check_solomon))
+    monkeypatch.setattr(
+        verify,
+        "ALL_CHECKS",
+        {"broken": broken_check, "solomon-poincare": verify.check_solomon},
+    )
     monkeypatch.setenv("MONOID_ORDERS_ENUM_BOUND", "100")
     code, out, _ = run(capsys, "verify")
     assert code == 3

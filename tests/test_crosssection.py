@@ -1,5 +1,8 @@
 """Cross-section lattice construction, the symplectic listing, and validation."""
 
+import itertools
+import random
+
 import pytest
 
 from monoid_orders.crosssection import (
@@ -8,13 +11,14 @@ from monoid_orders.crosssection import (
     USER_SUPPLIED,
     is_j_irreducible,
     j_irreducible_lattice,
+    lattice_size,
     load_lattice,
     symplectic_lattice,
     validate,
     CrossSectionLattice,
     LatticeEntry,
 )
-from monoid_orders.errors import InvalidSupport, InvariantViolation
+from monoid_orders.errors import InvalidSupport, InvariantViolation, LatticeTooLarge
 from monoid_orders.rootsystem import CartanType, build, connected_components
 
 
@@ -212,3 +216,118 @@ def test_is_j_irreducible_flag():
         torus_rank=lat.torus_rank + 1,
     )
     assert not is_j_irreducible(tweaked)
+
+
+def scanned_shape(rs, J0):
+    """The weight-support lattice by filtering all 2^rank subsets in
+    itertools.combinations order, as shape() lists it."""
+    delta = frozenset(range(1, rs.rank + 1))
+    out = [([], sorted(delta), 0)]
+    for size in range(rs.rank + 1):
+        for combo in itertools.combinations(sorted(delta), size):
+            X = frozenset(combo)
+            if any(comp <= J0 for comp, _ in connected_components(rs, X)):
+                continue
+            near = frozenset().union(*(rs.neighbors(i) for i in X))
+            out.append((list(combo), sorted(J0 - X - near), len(X) + 1))
+    return out
+
+
+def assert_grown_matches_scan(rs, J0):
+    lat = j_irreducible_lattice(rs, J0)
+    assert shape(lat) == scanned_shape(rs, J0), sorted(J0)
+    assert lattice_size(rs, J0) == len(lat.entries)
+    labels = [e.label for e in lat.entries[1:-1]]
+    assert labels == ["e{" + ",".join(map(str, x)) + "}" for x, _, _ in shape(lat)[1:-1]]
+
+
+SMALL_TYPES = (
+    [f"A{l}" for l in range(1, 7)]
+    + [f"B{l}" for l in range(2, 7)]
+    + [f"C{l}" for l in range(2, 7)]
+    + ["D4", "D5", "D6", "E6", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("spec", SMALL_TYPES)
+def test_grown_lattice_matches_subset_scan_for_every_support(spec):
+    rs = build(CartanType.parse(spec))
+    for mask in range(2**rs.rank - 1):  # every J0 except Delta
+        assert_grown_matches_scan(
+            rs, frozenset(i + 1 for i in range(rs.rank) if mask >> i & 1)
+        )
+
+
+@pytest.mark.parametrize("spec", ["A8", "C8", "D8", "E7", "E8"])
+def test_grown_lattice_matches_subset_scan_on_a_sample(spec):
+    rs = build(CartanType.parse(spec))
+    delta = frozenset(range(1, rs.rank + 1))
+    supports = [frozenset(), delta - {1}, delta - {rs.rank}, delta - {2, rs.rank - 1}]
+    rng = random.Random(spec)
+    supports += [
+        frozenset(rng.sample(sorted(delta), rng.randrange(rs.rank))) for _ in range(4)
+    ]
+    for J0 in supports:
+        assert_grown_matches_scan(rs, J0)
+
+
+def test_lattice_size_needs_no_generation():
+    a40 = build(CartanType("A", 40))
+    assert lattice_size(a40, frozenset()) == 2**40 + 1
+    c40 = build(CartanType("C", 40))
+    assert lattice_size(c40, frozenset(range(1, 40))) == 42
+
+
+def test_lattice_too_large_under_a_small_bound():
+    rs = build(CartanType("A", 3))
+    # 2^3 subsets, the empty one and the zero entry are not grown
+    assert len(j_irreducible_lattice(rs, frozenset(), bound=7).entries) == 9
+    with pytest.raises(LatticeTooLarge, match="grows 7 .* exceeds the bound 6"):
+        j_irreducible_lattice(rs, frozenset(), bound=6)
+
+
+def test_lattice_too_large_by_default_before_any_work():
+    with pytest.raises(LatticeTooLarge, match="1099511627775"):
+        j_irreducible_lattice(build(CartanType("A", 40)), frozenset())
+
+
+def test_symplectic_lattice_scale():
+    lat = symplectic_lattice(40)
+    assert len(lat.entries) == 42
+    assert lat.identity_entry.torus_index_exponent == 41
+    assert shape(lat)[2] == ([40], list(range(1, 39)), 2)
+
+
+def c2_description(**changes):
+    raw = symplectic_lattice(2).to_json()
+    raw.update(changes)
+    return raw
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("lambda_substar", "12", "lambda_substar must be a list of integers"),
+        ("lambda_star", [2.0], "lambda_star must be an integer"),
+        ("lambda_substar", [True], "lambda_substar must be an integer"),
+        ("torus_index_exponent", True, "torus_index_exponent must be an integer"),
+        ("torus_index_exponent", "1", "torus_index_exponent must be an integer"),
+        ("label", 7, "label must be a string"),
+    ],
+)
+def test_load_lattice_rejects_coercible_entry_fields(field, value, message):
+    raw = c2_description()
+    raw["entries"][1][field] = value
+    with pytest.raises(InvariantViolation, match=f"entry #1 is malformed: {message}"):
+        load_lattice(build(CartanType("C", 2)), raw)
+
+
+@pytest.mark.parametrize("torus_rank", ["x", "3", True, 3.0])
+def test_load_lattice_rejects_non_integer_torus_rank(torus_rank):
+    with pytest.raises(InvariantViolation, match="torus_rank must be an integer"):
+        load_lattice(build(CartanType("C", 2)), c2_description(torus_rank=torus_rank))
+
+
+def test_load_lattice_rejects_a_top_level_array():
+    with pytest.raises(InvariantViolation, match="JSON object"):
+        load_lattice(build(CartanType("C", 2)), c2_description()["entries"])

@@ -57,6 +57,27 @@ def test_adjacency_matches_cartan_entries():
     assert not rs.adjacent(2, 2)
 
 
+@pytest.mark.parametrize("ct", ALL_TYPES, ids=str)
+def test_neighbors_match_cartan_entries(ct):
+    rs = build(ct)
+    for i in delta(rs):
+        expected = {j for j in delta(rs) if j != i and rs.cartan[i - 1][j - 1] != 0}
+        assert rs.neighbors(i) == expected
+
+
+@pytest.mark.parametrize("ct", [CartanType("E", 6), CartanType("G", 2)], ids=str)
+def test_subset_count_matches_root_coordinates(ct):
+    rs = build(ct)
+    for mask in range(2**rs.rank):
+        X = frozenset(i + 1 for i in range(rs.rank) if mask >> i & 1)
+        inside = [
+            root
+            for root in rs.positive_roots
+            if all(root[i - 1] == 0 for i in delta(rs) - X)
+        ]
+        assert positive_count_of_subset(rs, X) == len(inside)
+
+
 def test_parse_and_aliases():
     assert CartanType.parse("a3") == CartanType("A", 3)
     assert CartanType.parse("E6").rank == 6
