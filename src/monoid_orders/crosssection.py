@@ -105,14 +105,14 @@ def validate(lat: CrossSectionLattice) -> CrossSectionLattice:
         for a in e.lambda_substar:
             if rs.neighbors(a) & e.lambda_star:
                 fail(e, f"root {a} in lambda_substar is adjacent to lambda_star")
-        if e.torus_index_exponent < 0:
-            fail(e, "torus_index_exponent must be nonnegative")
         if e.torus_index_exponent > lat.torus_rank:
             fail(e, "torus_index_exponent exceeds the torus rank")
         if not e.lambda_star and e.lambda_substar == delta:
             if e.torus_index_exponent != 0:
                 fail(e, "zero entry must have torus_index_exponent 0")
             zero_count += 1
+        elif e.torus_index_exponent < 1:
+            fail(e, "non-zero entry must have torus_index_exponent >= 1")
         if lat.is_identity(e):
             identity_count += 1
     if zero_count != 1:

@@ -1,8 +1,12 @@
 """Independent brute-force ground truth over small prime fields.
 
-Nothing here touches the polynomial formulas: ranks come from Gaussian
-elimination, rank strata from exhaustive matrix enumeration, and subspace
-counts from literal span-set closure.  Cross-checking these counts against
+Nothing here touches the polynomial formulas, and every count is literal:
+ranks come from Gaussian elimination; rank strata from visiting every one of
+the p^(n^2) matrices in a walk over its rows, which carries the echelon
+basis of the rows above so each new row is reduced against at most n-1
+pivots; subspace counts from span-set closure, where each (r+1)-space
+containing a given r-space is built once from it, by skipping the vectors
+that an earlier span already covers.  Cross-checking these counts against
 the q-polynomial evaluations validates the whole formula stack with zero
 shared code.
 """
@@ -79,7 +83,11 @@ class RankHistogram:
 def enumerate_rank_histogram(
     n: int, p: int, bound: int | None = None
 ) -> RankHistogram:
-    """Rank counts over all p^(n^2) matrices, by exhaustive enumeration."""
+    """Rank counts over all p^(n^2) matrices, by exhaustive enumeration.
+
+    The matrices are walked row by row; every matrix is one leaf of the
+    walk and is counted at the rank its rows reached.
+    """
     _require_prime(p)
     if bound is None:
         bound = DEFAULT_MATRIX_BOUND
@@ -88,8 +96,29 @@ def enumerate_rank_histogram(
         raise EnumerationTooLarge(f"p^(n^2) = {total} exceeds the bound {bound}")
     counts = {r: 0 for r in range(n + 1)}
     all_rows = list(itertools.product(range(p), repeat=n))
-    for rows in itertools.product(all_rows, repeat=n):
-        counts[_row_rank([list(r) for r in rows], p)] += 1
+
+    def walk(depth: int, basis: tuple[tuple[int, tuple[int, ...]], ...]) -> None:
+        # basis: (pivot column, row scaled to 1 there) for each prefix row
+        # that was independent of the rows above it, each reduced against
+        # the pivots found before it
+        for row in all_rows:
+            for c, b in basis:
+                f = row[c]
+                if f:
+                    row = tuple((x - f * y) % p for x, y in zip(row, b))
+            pivot = next((i for i, x in enumerate(row) if x), None)
+            if depth == n - 1:  # the last row: one leaf per whole matrix
+                counts[len(basis) + (pivot is not None)] += 1
+            elif pivot is None:
+                walk(depth + 1, basis)
+            else:
+                inv = pow(row[pivot], -1, p)
+                walk(depth + 1, basis + ((pivot, tuple(x * inv % p for x in row)),))
+
+    if n == 0:
+        counts[0] = 1  # the one empty matrix
+    else:
+        walk(0, ())
     return RankHistogram(n, p, counts)
 
 
@@ -97,7 +126,10 @@ def count_subspaces(n: int, r: int, p: int, bound: int | None = None) -> int:
     """Number of r-dimensional subspaces of the n-dimensional space over F_p.
 
     Subspaces are materialized as frozensets of vectors and grown one
-    dimension at a time by span closure, so the count is formula-free.
+    dimension at a time by span closure, so the count is formula-free.  A
+    vector already inside a span built from the same space gives that span
+    again and is skipped; the level set merges spans reached from
+    different spaces.
     """
     _require_prime(p)
     if r < 0 or r > n:
@@ -112,14 +144,18 @@ def count_subspaces(n: int, r: int, p: int, bound: int | None = None) -> int:
     for _ in range(r):
         bigger: set[frozenset] = set()
         for space in level:
+            # the spaces one dimension up that contain this one partition
+            # the vectors outside it, so each is built from its first vector
+            covered = set(space)
             for v in vectors:
-                if v in space:
+                if v in covered:
                     continue
                 span = frozenset(
                     tuple((s[i] + c * v[i]) % p for i in range(n))
                     for s in space
                     for c in range(p)
                 )
+                covered |= span
                 bigger.add(span)
         level = bigger
     return len(level)

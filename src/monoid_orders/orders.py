@@ -50,13 +50,12 @@ BC_NOTE = "B_r/C_r component tags are interchangeable for order computations"
 
 @dataclass(frozen=True)
 class GroupSizes:
-    """Orders of G, P(e), K(e), U(e), L(e) as polynomials in q."""
+    """Orders of G, P(e), K(e), U(e) as polynomials in q."""
 
     size_G: QPolynomial
     size_P: QPolynomial
     size_K: QPolynomial
     size_U: QPolynomial
-    size_L: QPolynomial
 
 
 @dataclass(frozen=True)
@@ -100,6 +99,10 @@ class OrderReport:
 def _lattice_notes(lat: CrossSectionLattice) -> tuple[str, ...]:
     notes = [f"type map: {lat.provenance}"]
     rs = lat.root_system
+    # simply laced (every off-diagonal Cartan entry 0 or -1, the diagonal
+    # is 2): no subset of the diagram has a B/C component
+    if all(c >= -1 for row in rs.cartan for c in row):
+        return tuple(notes)
     for e in lat.entries:
         for X in (e.lambda_star, e.lambda_substar):
             for _, ct in connected_components(rs, X):
@@ -118,6 +121,9 @@ def _finish(
     total = QPolynomial()
     for _, term in terms:
         total = total + term
+    at_one = sum(total.coeffs)
+    if at_one != 1:
+        raise InvariantViolation(f"{formula} total is {at_one} at q=1, not 1")
     return OrderReport(
         formula=formula,
         cartan_type=lat.root_system.cartan_type,
@@ -161,7 +167,6 @@ def group_sizes(
         size_P=QPolynomial.monomial(N) * torus * p_lam,
         size_K=QPolynomial.monomial(n_sub) * torus_e * p_sub,
         size_U=QPolynomial.monomial(N - n_lam),
-        size_L=QPolynomial.monomial(n_lam) * torus * p_lam,
     )
 
 

@@ -234,6 +234,34 @@ def test_lattice_file_array_exits_2(capsys, tmp_path):
     assert err == "error: lattice description must be a JSON object\n"
 
 
+A1_EXTRA_MIDDLE_ENTRY = {
+    "type": "A1",
+    "torus_rank": 1,
+    "entries": [
+        {"label": "0", "lambda_star": [], "lambda_substar": [1], "torus_index_exponent": 0},
+        {"label": "e{}", "lambda_star": [], "lambda_substar": [], "torus_index_exponent": 0},
+        {"label": "1", "lambda_star": [1], "lambda_substar": [], "torus_index_exponent": 1},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["order", "--formula", f] for f in ("thm31", "thm33", "thm34", "all")]
+    + [["hpoly"]],
+)
+def test_nonzero_entry_with_exponent_zero_exits_2(capsys, tmp_path, argv):
+    # an exponent-0 non-zero entry would make every total wrong at q=1
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps(A1_EXTRA_MIDDLE_ENTRY))
+    code, out, err = run(capsys, *argv, "--lattice-file", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: entry 'e{}': non-zero entry must have torus_index_exponent >= 1\n"
+    )
+
+
 def test_verify_names_skip_and_crash_lines_from_the_table(capsys, monkeypatch):
     def crashing_check():
         raise RuntimeError("injected crash")

@@ -183,6 +183,22 @@ def test_load_lattice_type_mismatch_and_bad_entries():
         load_lattice(rs, {"type": "A2", "entries": []})
 
 
+def test_validate_rejects_nonzero_entry_with_exponent_zero():
+    # a second entry with empty lambda* and lambda_* would add 1 to |M|(1)
+    rs = build(CartanType("A", 1))
+    entries = (
+        LatticeEntry("0", frozenset(), frozenset({1}), 0),
+        LatticeEntry("e{}", frozenset(), frozenset(), 0),
+        LatticeEntry("1", frozenset({1}), frozenset(), 1),
+    )
+    lat = CrossSectionLattice(rs, entries, torus_rank=1)
+    with pytest.raises(InvariantViolation, match="entry 'e{}': non-zero entry"):
+        validate(lat)
+    # with exponent 1 the same entry passes
+    middle = LatticeEntry("e{}", frozenset(), frozenset(), 1)
+    validate(CrossSectionLattice(rs, (entries[0], middle, entries[2]), torus_rank=1))
+
+
 def test_validate_rejects_exponent_above_torus_rank():
     rs = build(CartanType("A", 1))
     entries = (

@@ -1,7 +1,11 @@
 """Brute-force matrix and subspace oracles, cross-checked against formulas."""
 
+import itertools
+import types
+
 import pytest
 
+from monoid_orders import oracle
 from monoid_orders.errors import (
     EnumerationTooLarge,
     IndexOutOfRange,
@@ -9,6 +13,7 @@ from monoid_orders.errors import (
 )
 from monoid_orders.oracle import (
     PrimeFieldMatrix,
+    _row_rank,
     count_subspaces,
     enumerate_rank_histogram,
     rank,
@@ -95,3 +100,77 @@ def test_count_subspaces_matches_gaussian_binomial(p):
     for n in range(5):
         for r in range(n + 1):
             assert count_subspaces(n, r, p) == eval_big(gaussian_binomial(n, r), p)
+
+
+# Reference oracles: the per-matrix elimination and the span closure that
+# builds every span from every vector outside the space, kept to pin the
+# walked histogram and the covered-vector skip.
+
+
+def reference_rank_histogram(n, p):
+    counts = {r: 0 for r in range(n + 1)}
+    all_rows = list(itertools.product(range(p), repeat=n))
+    for rows in itertools.product(all_rows, repeat=n):
+        counts[_row_rank([list(r) for r in rows], p)] += 1
+    return counts
+
+
+def reference_count_subspaces(n, r, p):
+    vectors = list(itertools.product(range(p), repeat=n))
+    level = {frozenset({(0,) * n})}
+    for _ in range(r):
+        bigger = set()
+        for space in level:
+            for v in vectors:
+                if v in space:
+                    continue
+                bigger.add(
+                    frozenset(
+                        tuple((s[i] + c * v[i]) % p for i in range(n))
+                        for s in space
+                        for c in range(p)
+                    )
+                )
+        level = bigger
+    return len(level)
+
+
+# (n, p) pairs for the rank walk: p^(n^2) matrices is 65,536 for (4, 2) and
+# 19,683 for (3, 3); (4, 3) would be 43 million through the per-matrix
+# reference.
+HISTOGRAM_CASES = (
+    [(n, 2) for n in range(5)] + [(n, 3) for n in range(4)] + [(n, 5) for n in range(3)]
+)
+SUBSPACE_CASES = [(n, p) for p in (2, 3) for n in range(5)] + [(n, 5) for n in range(3)]
+
+
+@pytest.mark.parametrize("n,p", HISTOGRAM_CASES)
+def test_walked_histogram_matches_per_matrix_elimination(n, p):
+    assert enumerate_rank_histogram(n, p).counts == reference_rank_histogram(n, p)
+
+
+@pytest.mark.parametrize("n,p", SUBSPACE_CASES)
+def test_subspace_count_matches_uncovered_closure(n, p):
+    for r in range(n + 1):
+        assert count_subspaces(n, r, p) == reference_count_subspaces(n, r, p)
+
+
+def test_bounds_raise_before_any_enumeration(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumeration started")
+
+    # both oracles start from itertools.product, so a refused product shows
+    # that each check ran before any enumeration
+    monkeypatch.setattr(oracle, "itertools", types.SimpleNamespace(product=refuse))
+    with pytest.raises(EnumerationTooLarge):
+        enumerate_rank_histogram(3, 3, bound=19682)
+    with pytest.raises(EnumerationTooLarge):
+        enumerate_rank_histogram(30, 2)
+    with pytest.raises(NonPrimeModulus):
+        enumerate_rank_histogram(3, 4)
+    with pytest.raises(EnumerationTooLarge):
+        count_subspaces(4, 2, 3, bound=80)
+    with pytest.raises(EnumerationTooLarge):
+        count_subspaces(40, 2, 2)
+    with pytest.raises(NonPrimeModulus):
+        count_subspaces(3, 1, 4)

@@ -46,7 +46,13 @@ from monoid_orders.qpoly import (
     is_palindromic,
     q_power_minus_one,
 )
-from monoid_orders.rootsystem import CartanType, build, degrees
+from monoid_orders.rootsystem import (
+    CartanType,
+    build,
+    connected_components,
+    degrees,
+    positive_count_of_subset,
+)
 from monoid_orders.weyl import coset_length_poly
 
 H_COEFFS_L2 = (1, 1, 1, 2, 2, 2, 2, 2, 1, 1, 1)
@@ -132,10 +138,18 @@ def test_symplectic_l2_at_q2():
 
 def test_group_sizes_invariants():
     lat = symplectic_lattice(3)
+    rs = lat.root_system
     for entry in lat.entries:
         sizes = group_sizes(lat, entry)
-        assert sizes.size_P == sizes.size_L * sizes.size_U
-        div_exact(sizes.size_L, sizes.size_K)  # K divides L exactly
+        lam = entry.lambda_union
+        # |L(e)| = q^{N(lambda)} (q-1)^rho W_lambda(q), from the walked W_lambda
+        size_L = (
+            QPolynomial.monomial(positive_count_of_subset(rs, lam))
+            * Q_MINUS_ONE**lat.torus_rank
+            * coset_length_poly(rs, lam, frozenset())
+        )
+        assert sizes.size_P == size_L * sizes.size_U
+        div_exact(size_L, sizes.size_K)  # K divides L exactly
 
 
 def test_isotropy_identity_and_zero():
@@ -318,6 +332,52 @@ def test_thm33_notes_skipped_coset_check():
     bounded = order_thm33(lat, enum_bound=10)
     assert bounded.notes[-1] == "skipped thm33 coset cross-check (GroupTooLarge)"
     assert bounded.total == order_thm33(lat).total
+
+
+def test_every_route_checks_the_total_at_q_equal_1():
+    # built without validate(): the exponent-0 middle entry adds 1 at q=1
+    rs = build(CartanType("A", 1))
+    entries = (
+        LatticeEntry("0", frozenset(), frozenset({1}), 0),
+        LatticeEntry("e{}", frozenset(), frozenset(), 0),
+        LatticeEntry("1", frozenset({1}), frozenset(), 1),
+    )
+    lat = CrossSectionLattice(rs, entries, torus_rank=1)
+    for route in (order_thm31, order_thm33, order_thm34):
+        with pytest.raises(InvariantViolation, match="at q=1, not 1"):
+            route(lat)
+
+
+def scanned_lattice_notes(lat):
+    """The notes from classifying the components of every entry."""
+    notes = [f"type map: {lat.provenance}"]
+    for e in lat.entries:
+        for X in (e.lambda_star, e.lambda_substar):
+            for _, ct in connected_components(lat.root_system, X):
+                if ct.family in ("B", "C") and ct.rank >= 2:
+                    return tuple(notes + [orders.BC_NOTE])
+    return tuple(notes)
+
+
+@pytest.mark.parametrize(
+    "spec, j0",
+    [("A4", ""), ("D5", "2"), ("E6", "1"), ("B3", ""), ("C4", "1"),
+     ("F4", "1,2"), ("G2", ""), ("B2", "1")],
+)
+def test_lattice_notes_match_the_component_scan(spec, j0):
+    rs = build(CartanType.parse(spec))
+    J0 = frozenset(int(i) for i in j0.split(",") if i)
+    lat = j_irreducible_lattice(rs, J0)
+    assert orders._lattice_notes(lat) == scanned_lattice_notes(lat)
+
+
+def test_lattice_notes_skip_the_scan_when_simply_laced(monkeypatch):
+    def refuse(rs, X):
+        raise AssertionError("components classified")
+
+    lat = weight_lattice("D4", "first")
+    monkeypatch.setattr(orders, "connected_components", refuse)
+    assert orders._lattice_notes(lat) == ("type map: " + lat.provenance,)
 
 
 def test_report_evaluate_rejects_nonpositive_terms():
