@@ -223,11 +223,15 @@ def j_irreducible_lattice(
 
 
 def symplectic_lattice(l: int) -> CrossSectionLattice:
-    """Lattice of the symplectic monoid on a 2l-dimensional space, l >= 2.
+    """Lattice of the last-fundamental (omega_l) J-irreducible monoid of
+    type C_l, l >= 2.
 
     Equals the weight-support lattice of type C_l with J0 = {alpha_1 ..
     alpha_(l-1)}: the zero, then a chain of l+1 entries whose lambda_star
     values are the suffixes of the simple-root string ending at alpha_l.
+    In the Bourbaki numbering used here the natural 2l-dimensional
+    representation is omega_1, so for l >= 3 this is not the monoid of
+    the symplectic group on a 2l-dimensional space; at l = 2 the two agree.
     """
     if l < 2:
         raise ValueError("symplectic lattice needs l >= 2")

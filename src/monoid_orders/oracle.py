@@ -4,11 +4,11 @@ Nothing here touches the polynomial formulas, and every count is literal:
 ranks come from Gaussian elimination; rank strata from visiting every one of
 the p^(n^2) matrices in a walk over its rows, which carries the echelon
 basis of the rows above so each new row is reduced against at most n-1
-pivots; subspace counts from span-set closure, where each (r+1)-space
-containing a given r-space is built once from it, by skipping the vectors
-that an earlier span already covers.  Cross-checking these counts against
-the q-polynomial evaluations validates the whole formula stack with zero
-shared code.
+pivots; subspace counts of every dimension from one span-set closure,
+where each (r+1)-space containing a given r-space is built once from it, by
+skipping the vectors that an earlier span already covers.  Cross-checking
+these counts against the q-polynomial evaluations validates the whole
+formula stack with zero shared code.
 """
 
 from __future__ import annotations
@@ -122,18 +122,17 @@ def enumerate_rank_histogram(
     return RankHistogram(n, p, counts)
 
 
-def count_subspaces(n: int, r: int, p: int, bound: int | None = None) -> int:
-    """Number of r-dimensional subspaces of the n-dimensional space over F_p.
+def subspace_counts(n: int, p: int, bound: int | None = None) -> list[int]:
+    """Number of r-dimensional subspaces of F_p^n for every r = 0..n, from
+    one walk that grows each dimension once.
 
     Subspaces are materialized as frozensets of vectors and grown one
-    dimension at a time by span closure, so the count is formula-free.  A
+    dimension at a time by span closure, so the counts are formula-free.  A
     vector already inside a span built from the same space gives that span
     again and is skipped; the level set merges spans reached from
     different spaces.
     """
     _require_prime(p)
-    if r < 0 or r > n:
-        raise IndexOutOfRange(f"need 0 <= r <= n, got n={n}, r={r}")
     if bound is None:
         bound = DEFAULT_VECTOR_BOUND
     if p**n > bound:
@@ -141,7 +140,8 @@ def count_subspaces(n: int, r: int, p: int, bound: int | None = None) -> int:
     vectors = list(itertools.product(range(p), repeat=n))
     zero = (0,) * n
     level: set[frozenset] = {frozenset({zero})}
-    for _ in range(r):
+    counts = [1]
+    for _ in range(n):
         bigger: set[frozenset] = set()
         for space in level:
             # the spaces one dimension up that contain this one partition
@@ -158,4 +158,14 @@ def count_subspaces(n: int, r: int, p: int, bound: int | None = None) -> int:
                 covered |= span
                 bigger.add(span)
         level = bigger
-    return len(level)
+        counts.append(len(level))
+    return counts
+
+
+def count_subspaces(n: int, r: int, p: int, bound: int | None = None) -> int:
+    """Number of r-dimensional subspaces of the n-dimensional space over F_p,
+    read off the walk of subspace_counts."""
+    _require_prime(p)
+    if r < 0 or r > n:
+        raise IndexOutOfRange(f"need 0 <= r <= n, got n={n}, r={r}")
+    return subspace_counts(n, p, bound)[r]

@@ -10,12 +10,14 @@ Four independent routes to the same total, all exact polynomials in q:
   order_thm41  the closed form for weight-support (J-irreducible) lattices.
 
 Plus closed forms for the two published stratifications (full matrix monoid
-and symplectic monoid) and the H-polynomial extraction (|M|-1)/(q-1).
+and the last-fundamental monoid of type C_l) and the H-polynomial extraction
+(|M|-1)/(q-1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import zip_longest
 
 from .crosssection import (
     PAPER_VERIFIED,
@@ -29,6 +31,7 @@ from .qpoly import (
     Q_MINUS_ONE,
     QPolynomial,
     QProduct,
+    _times_binomial,
     div_exact,
     eval_big,
     expand,
@@ -112,15 +115,20 @@ def _lattice_notes(lat: CrossSectionLattice) -> tuple[str, ...]:
     return tuple(notes)
 
 
+def _poly_sum(polys) -> QPolynomial:
+    """Sum by columns: one pass over all coefficient tuples, not one
+    addition per polynomial."""
+    columns = zip_longest(*(p.coeffs for p in polys), fillvalue=0)
+    return QPolynomial(map(sum, columns))
+
+
 def _finish(
     formula: str,
     lat: CrossSectionLattice,
     terms: list[tuple[str, QPolynomial]],
     notes: tuple[str, ...] = (),
 ) -> OrderReport:
-    total = QPolynomial()
-    for _, term in terms:
-        total = total + term
+    total = _poly_sum(term for _, term in terms)
     at_one = sum(total.coeffs)
     if at_one != 1:
         raise InvariantViolation(f"{formula} total is {at_one} at q=1, not 1")
@@ -245,10 +253,45 @@ def order_thm33(
     return _finish("thm33", lat, terms, tuple(skipped))
 
 
+def _memoized(fn):
+    """fn with a memo that lives exactly as long as the returned function.
+
+    thm34 and thm41 make theirs inside one call, so no other route and no
+    later call reads what one call computed.
+    """
+    memo = {}
+
+    def call(key):
+        if key not in memo:
+            memo[key] = fn(key)
+        return memo[key]
+
+    return call
+
+
+def _expand_phi(phi: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    """Coefficients of prod Phi_n^e_n over the (n, e_n) pairs of phi."""
+    return expand(QProduct(phi=phi)).coeffs
+
+
+def _expand_shifted(expanded, product: QProduct) -> QPolynomial:
+    """product in dense form: the expansion of its Phi exponents, looked up
+    in expanded, shifted by its own power of q."""
+    return QPolynomial((0,) * product.shift + expanded(product.phi))
+
+
 def order_thm34(lat: CrossSectionLattice) -> OrderReport:
-    """Order by invariant-degree products; no group enumeration at all."""
+    """Order by invariant-degree products; no group enumeration at all.
+
+    Each term is q^{N*(e)} times a product of cyclotomic polynomials.
+    Within one call each distinct product is expanded once, keyed by its
+    Phi exponents (terms that differ only in the power of q share it), and
+    each component type's Poincare factors are built once.
+    """
     rs = lat.root_system
     p_w_squared = poincare_factors(rs.cartan_type) ** 2
+    factor = _memoized(poincare_factors)
+    expanded = _memoized(_expand_phi)
     terms = []
     for entry in lat.entries:
         if lat.is_zero(entry):
@@ -256,14 +299,15 @@ def order_thm34(lat: CrossSectionLattice) -> OrderReport:
             continue
         denom = QProduct()
         for _, ct in connected_components(rs, entry.lambda_substar):
-            denom = denom * poincare_factors(ct) ** 2
+            denom = denom * factor(ct) ** 2
         for _, ct in connected_components(rs, entry.lambda_star):
-            denom = denom * poincare_factors(ct)
+            denom = denom * factor(ct)
         torus = QProduct.of(
             [1] * entry.torus_index_exponent,
             shift=positive_count_of_subset(rs, entry.lambda_star),
         )
-        terms.append((entry.label, expand(torus * (p_w_squared / denom))))
+        term = _expand_shifted(expanded, torus * (p_w_squared / denom))
+        terms.append((entry.label, term))
     return _finish("thm34", lat, terms)
 
 
@@ -276,6 +320,8 @@ def order_thm41(lat: CrossSectionLattice) -> OrderReport:
         q^{N*(e)} (q-1)^{2(|lambda(e)|-l)+1} prod (q^{d_i}-1)^2 / denominator
 
     with the denominator built from the component degrees of the type map.
+    As in thm34, but with memos of its own, each distinct product is
+    expanded once per call and each component type's degrees factored once.
     """
     if not is_j_irreducible(lat):
         raise NotJIrreducible(
@@ -283,6 +329,9 @@ def order_thm41(lat: CrossSectionLattice) -> OrderReport:
         )
     rs = lat.root_system
     ambient = QProduct.of(degrees(rs.cartan_type)) ** 2
+    torus_squared = QProduct.of([1] * (2 * rs.rank))
+    factor = _memoized(lambda ct: QProduct.of(degrees(ct)))
+    expanded = _memoized(_expand_phi)
     terms = []
     for entry in lat.entries:
         if lat.is_zero(entry):
@@ -293,12 +342,12 @@ def order_thm41(lat: CrossSectionLattice) -> OrderReport:
             [1] * (2 * len(entry.lambda_union) + 1),
             shift=positive_count_of_subset(rs, entry.lambda_star),
         )
-        denom = QProduct.of([1] * (2 * rs.rank))
+        denom = torus_squared
         for _, ct in connected_components(rs, entry.lambda_substar):
-            denom = denom * QProduct.of(degrees(ct)) ** 2
+            denom = denom * factor(ct) ** 2
         for _, ct in connected_components(rs, entry.lambda_star):
-            denom = denom * QProduct.of(degrees(ct))
-        terms.append((entry.label, expand(numer / denom)))
+            denom = denom * factor(ct)
+        terms.append((entry.label, _expand_shifted(expanded, numer / denom)))
     return _finish("thm41", lat, terms)
 
 
@@ -315,37 +364,47 @@ def _symplectic_factors(l: int, r: int) -> QProduct:
     return term
 
 
-def symplectic_h_polynomial(l: int) -> QPolynomial:
-    """H-polynomial of the symplectic monoid on a 2l-dimensional space."""
+def _symplectic_h_terms(l: int) -> list[QPolynomial]:
+    """The l+1 terms of the omega_l H-polynomial, each expanded once."""
     if l < 2:
         raise ValueError("need l >= 2")
-    total = QPolynomial()
-    for r in range(l + 1):
-        total = total + expand(_symplectic_factors(l, r))
-    return total
+    return [expand(_symplectic_factors(l, r)) for r in range(l + 1)]
+
+
+def _times_q_minus_one(p: QPolynomial) -> QPolynomial:
+    return QPolynomial(_times_binomial(list(p.coeffs), 1))
+
+
+def symplectic_h_polynomial(l: int) -> QPolynomial:
+    """H-polynomial of the last-fundamental (omega_l) J-irreducible monoid
+    of type C_l; for l >= 3 not the monoid of the natural 2l-dimensional
+    representation, which is omega_1."""
+    return _poly_sum(_symplectic_h_terms(l))
 
 
 def symplectic_stratum(l: int, r: int) -> QPolynomial:
-    """Number of symplectic-monoid elements at chain height r (0..l+1)."""
+    """Number of elements of the omega_l monoid of type C_l at chain height
+    r (0..l+1): (q-1) times H term r-1 for r >= 1."""
     if r < 0 or r > l + 1:
         raise IndexOutOfRange(f"need 0 <= r <= l+1, got l={l}, r={r}")
     if r == 0:
         return ONE
-    return expand(QProduct.of([1]) * _symplectic_factors(l, r - 1))
+    return _times_q_minus_one(expand(_symplectic_factors(l, r - 1)))
 
 
 def symplectic_order(l: int) -> OrderReport:
-    """Closed-form order of the finite symplectic monoid, with its strata."""
-    if l < 2:
-        raise ValueError("need l >= 2")
-    total = ONE + Q_MINUS_ONE * symplectic_h_polynomial(l)
-    terms = tuple(
-        (f"M^{r}", symplectic_stratum(l, r)) for r in range(l + 2)
-    )
+    """Closed-form order of the omega_l monoid of type C_l, with its strata.
+
+    Each H term is expanded once; the total is 1 + (q-1) H, and stratum r
+    is H term r-1 times (q-1) by one shift-subtract.
+    """
+    h_terms = _symplectic_h_terms(l)
+    total = ONE + Q_MINUS_ONE * _poly_sum(h_terms)
+    strata = [ONE] + [_times_q_minus_one(term) for term in h_terms]
     return OrderReport(
         formula="symplectic",
         cartan_type=CartanType("C", l),
-        terms=terms,
+        terms=tuple((f"M^{r}", term) for r, term in enumerate(strata)),
         total=total,
         notes=("type map: " + PAPER_VERIFIED,),
     )

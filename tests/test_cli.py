@@ -1,5 +1,6 @@
 """CLI surface: subcommands, formats, round-trips, and exit codes."""
 
+import dataclasses
 import json
 import time
 
@@ -106,12 +107,18 @@ def test_strata_symplectic_json(capsys):
 
 
 def test_strata_sum_mismatch_exits_2(capsys, monkeypatch):
-    stratum = orders.symplectic_stratum
+    # symplectic_order takes its strata from its own H terms, so the
+    # off-by-one stratum goes into the report that the strata command reads
+    symplectic_order = orders.symplectic_order
 
-    def broken(l, r):
-        return stratum(l, r) + ONE if r == 1 else stratum(l, r)
+    def broken(l):
+        report = symplectic_order(l)
+        terms = list(report.terms)
+        label, stratum = terms[1]
+        terms[1] = (label, stratum + ONE)
+        return dataclasses.replace(report, terms=tuple(terms))
 
-    monkeypatch.setattr(orders, "symplectic_stratum", broken)
+    monkeypatch.setattr(cli, "symplectic_order", broken)
     code, out, err = run(
         capsys, "strata", "--type", "C3", "--preset", "last-fundamental"
     )

@@ -5,7 +5,7 @@ import types
 
 import pytest
 
-from monoid_orders import oracle
+from monoid_orders import oracle, verify
 from monoid_orders.errors import (
     EnumerationTooLarge,
     IndexOutOfRange,
@@ -17,6 +17,7 @@ from monoid_orders.oracle import (
     count_subspaces,
     enumerate_rank_histogram,
     rank,
+    subspace_counts,
 )
 from monoid_orders.orders import gl_strata
 from monoid_orders.qpoly import eval_big, gaussian_binomial
@@ -153,6 +154,43 @@ def test_walked_histogram_matches_per_matrix_elimination(n, p):
 def test_subspace_count_matches_uncovered_closure(n, p):
     for r in range(n + 1):
         assert count_subspaces(n, r, p) == reference_count_subspaces(n, r, p)
+
+
+@pytest.mark.parametrize("n,p", SUBSPACE_CASES)
+def test_one_walk_counts_every_dimension(n, p):
+    expected = [reference_count_subspaces(n, r, p) for r in range(n + 1)]
+    assert subspace_counts(n, p) == expected
+
+
+def test_subspace_check_walks_once_per_n_and_p(monkeypatch):
+    walks = []
+    walk = oracle.subspace_counts
+
+    def counted_walk(n, p, bound=None):
+        walks.append((n, p))
+        return walk(n, p, bound)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("one walk per r")
+
+    monkeypatch.setattr(oracle, "subspace_counts", counted_walk)
+    monkeypatch.setattr(oracle, "count_subspaces", refuse)
+    ok, detail = verify.check_subspace_counts()
+    assert ok, detail
+    assert walks == [(n, p) for p in (2, 3) for n in range(5)]
+
+
+def test_subspace_walk_checks_before_any_enumeration(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(oracle, "itertools", types.SimpleNamespace(product=refuse))
+    with pytest.raises(EnumerationTooLarge):
+        subspace_counts(4, 3, bound=80)
+    with pytest.raises(EnumerationTooLarge):
+        subspace_counts(40, 2)
+    with pytest.raises(NonPrimeModulus):
+        subspace_counts(3, 4)
 
 
 def test_bounds_raise_before_any_enumeration(monkeypatch):

@@ -262,6 +262,25 @@ def test_symplectic_order_at_rank_40():
     print(f"symplectic_order(40) checked in {time.perf_counter() - start:.2f} s")
 
 
+def test_symplectic_order_expands_each_h_term_once(monkeypatch):
+    calls = []
+    real_expand = orders.expand
+
+    def counting_expand(product):
+        calls.append(product)
+        return real_expand(product)
+
+    monkeypatch.setattr(orders, "expand", counting_expand)
+    report = symplectic_order(30)
+    assert len(calls) == 31  # one per H term, none per stratum
+    monkeypatch.undo()
+    # stratum r is (q-1) times H term r-1, as the standalone functions give
+    assert report.terms == tuple(
+        (f"M^{r}", symplectic_stratum(30, r)) for r in range(32)
+    )
+    assert report.total == ONE + Q_MINUS_ONE * symplectic_h_polynomial(30)
+
+
 def test_symplectic_stratum_range():
     with pytest.raises(IndexOutOfRange):
         symplectic_stratum(3, 5)
