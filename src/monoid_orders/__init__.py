@@ -28,19 +28,14 @@ from .errors import (
     UnsupportedType,
 )
 from .oracle import (
-    PrimeFieldMatrix,
     RankHistogram,
     count_subspaces,
     enumerate_rank_histogram,
-    rank,
 )
 from .orders import (
-    GroupSizes,
     OrderReport,
     gl_strata,
-    group_sizes,
     h_polynomial,
-    isotropy_size,
     order_thm31,
     order_thm33,
     order_thm34,

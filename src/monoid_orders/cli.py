@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -125,7 +124,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_qs(values: list[str], parser_error) -> list[int]:
+class _UsageError(Exception):
+    pass
+
+
+def _parse_qs(values: list[str]) -> list[int]:
     qs: list[int] = []
     for chunk in values:
         for part in chunk.split(","):
@@ -135,11 +138,11 @@ def _parse_qs(values: list[str], parser_error) -> list[int]:
             try:
                 q0 = int(part)
             except ValueError:
-                parser_error(f"bad q value {part!r}")
+                raise _UsageError(f"bad q value {part!r}")
             if q0 < 2:
-                parser_error(f"q values must be >= 2, got {q0}")
+                raise _UsageError(f"q values must be >= 2, got {q0}")
             if not _is_prime_power(q0):
-                parser_error(f"q values must be prime powers, got {q0}")
+                raise _UsageError(f"q values must be prime powers, got {q0}")
             qs.append(q0)
     return qs
 
@@ -242,26 +245,24 @@ def _print_order_table(report: OrderReport, agreed: list[str] | None) -> None:
         print(f"{len(agreed)} formulas agree")
 
 
-def _order_csv(report: OrderReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
+def _csv_row(label: str, poly: QPolynomial, values) -> list:
+    return [label, " ".join(map(str, poly.coeffs)), *values]
+
+
+def _print_order_csv(report: OrderReport) -> None:
+    writer = csv.writer(sys.stdout)
     qs = sorted(report.evaluations)
     writer.writerow(["label", "coeffs"] + [f"q={q0}" for q0 in qs])
     for label, term in report.terms:
-        writer.writerow(
-            [label, " ".join(map(str, term.coeffs))]
-            + [str(eval_big(term, q0)) for q0 in qs]
-        )
+        writer.writerow(_csv_row(label, term, (eval_big(term, q0) for q0 in qs)))
     writer.writerow(
-        ["total", " ".join(map(str, report.total.coeffs))]
-        + [str(report.evaluations[q0]) for q0 in qs]
+        _csv_row("total", report.total, (report.evaluations[q0] for q0 in qs))
     )
-    return buf.getvalue()
 
 
 def _cmd_order(args, enum_bound: int | None) -> int:
     lat = _resolve_lattice(args, enum_bound)
-    qs = _parse_qs(args.q, _usage_error)
+    qs = _parse_qs(args.q)
     selected = list(FORMULAS) if args.formula == "all" else [args.formula]
     reports: dict[str, OrderReport] = {}
     skipped: dict[str, str] = {}
@@ -301,7 +302,7 @@ def _cmd_order(args, enum_bound: int | None) -> int:
             payload["agreement"] = agreed
         print(json.dumps(payload, indent=2))
     elif args.format == "csv":
-        print(_order_csv(primary), end="")
+        _print_order_csv(primary)
     else:
         _print_order_table(primary, agreed)
     return EXIT_OK
@@ -325,12 +326,9 @@ def _cmd_hpoly(args, enum_bound: int | None) -> int:
             )
         )
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
+        writer = csv.writer(sys.stdout)
         writer.writerow(["power", "coefficient"])
-        for i, c in enumerate(h.coeffs):
-            writer.writerow([i, c])
-        print(buf.getvalue(), end="")
+        writer.writerows(enumerate(h.coeffs))
     else:
         print(f"type {report.cartan_type}  H-polynomial of the order")
         for note in report.notes:
@@ -342,8 +340,8 @@ def _cmd_hpoly(args, enum_bound: int | None) -> int:
 
 
 def _strata_rows(args) -> tuple[str, list[tuple[str, QPolynomial]], QPolynomial]:
-    """Title, stratum rows and their sum; for type C the sum must equal the
-    closed-form total computed through the H-polynomial."""
+    """Title, stratum rows and their sum, which must equal the closed-form
+    total: q^{n^2} matrices for type A, through the H-polynomial for type C."""
     if not args.type:
         raise UnsupportedType("--type is required")
     ct = CartanType.parse(args.type)
@@ -351,11 +349,12 @@ def _strata_rows(args) -> tuple[str, list[tuple[str, QPolynomial]], QPolynomial]
         n = ct.rank + 1
         title = f"matrix monoid M_{n}"
         rows = [(f"M^{r}", gl_strata(n, r)) for r in range(n + 1)]
-        report = None
+        expected = QPolynomial.monomial(n * n)
     elif args.preset == "last-fundamental" and ct.family == "C":
         title = f"symplectic monoid on 2*{ct.rank} dimensions"
         report = symplectic_order(ct.rank)
         rows = list(report.terms)
+        expected = report.total
     else:
         raise UnsupportedType(
             "strata formulas cover type A with first-fundamental and "
@@ -364,7 +363,7 @@ def _strata_rows(args) -> tuple[str, list[tuple[str, QPolynomial]], QPolynomial]
     total = QPolynomial()
     for _, term in rows:
         total = total + term
-    if report is not None and total != report.total:
+    if total != expected:
         raise InvariantViolation(
             f"{ct} strata sum differs from the closed-form total"
         )
@@ -373,7 +372,7 @@ def _strata_rows(args) -> tuple[str, list[tuple[str, QPolynomial]], QPolynomial]
 
 def _cmd_strata(args) -> int:
     title, rows, total = _strata_rows(args)
-    qs = _parse_qs(args.q, _usage_error)
+    qs = _parse_qs(args.q)
     if args.format == "json":
         print(
             json.dumps(
@@ -394,15 +393,10 @@ def _cmd_strata(args) -> int:
             )
         )
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
+        writer = csv.writer(sys.stdout)
         writer.writerow(["label", "coeffs"] + [f"q={q0}" for q0 in qs])
         for label, term in rows:
-            writer.writerow(
-                [label, " ".join(map(str, term.coeffs))]
-                + [str(eval_big(term, q0)) for q0 in qs]
-            )
-        print(buf.getvalue(), end="")
+            writer.writerow(_csv_row(label, term, (eval_big(term, q0) for q0 in qs)))
     else:
         print(title)
         for label, term in rows:
@@ -417,8 +411,7 @@ def _cmd_lattice(args, enum_bound: int | None) -> int:
     if args.format == "json":
         print(json.dumps(lat.to_json(), indent=2))
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
+        writer = csv.writer(sys.stdout)
         writer.writerow(
             ["label", "lambda_star", "lambda_substar", "torus_index_exponent"]
         )
@@ -431,7 +424,6 @@ def _cmd_lattice(args, enum_bound: int | None) -> int:
                     e.torus_index_exponent,
                 ]
             )
-        print(buf.getvalue(), end="")
     else:
         print(
             f"type {lat.root_system.cartan_type}  "
@@ -459,14 +451,6 @@ def _cmd_verify(enum_bound: int | None) -> int:
         + (f", {skipped} skipped" if skipped else "")
     )
     return EXIT_OK if passed + skipped == len(results) else EXIT_VERIFY
-
-
-class _UsageError(Exception):
-    pass
-
-
-def _usage_error(message: str):
-    raise _UsageError(message)
 
 
 def main(argv=None) -> int:

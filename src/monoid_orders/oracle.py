@@ -1,14 +1,14 @@
 """Independent brute-force ground truth over small prime fields.
 
 Nothing here touches the polynomial formulas, and every count is literal:
-ranks come from Gaussian elimination; rank strata from visiting every one of
-the p^(n^2) matrices in a walk over its rows, which carries the echelon
-basis of the rows above so each new row is reduced against at most n-1
-pivots; subspace counts of every dimension from one span-set closure,
-where each (r+1)-space containing a given r-space is built once from it, by
-skipping the vectors that an earlier span already covers.  Cross-checking
-these counts against the q-polynomial evaluations validates the whole
-formula stack with zero shared code.
+rank strata come from visiting every one of the p^(n^2) matrices in a walk
+over its rows, which carries the echelon basis of the rows above so each
+new row is reduced against at most n-1 pivots; subspace counts of every
+dimension from one span-set closure, where each (r+1)-space containing a
+given r-space is built once from it, by skipping the vectors that an
+earlier span already covers.  Cross-checking these counts against the
+q-polynomial evaluations validates the whole formula stack with zero
+shared code.
 """
 
 from __future__ import annotations
@@ -25,48 +25,6 @@ DEFAULT_VECTOR_BOUND = 2**16
 def _require_prime(p: int) -> None:
     if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
         raise NonPrimeModulus(f"{p} is not prime")
-
-
-@dataclass(frozen=True)
-class PrimeFieldMatrix:
-    n: int
-    p: int
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if len(self.entries) != self.n or any(
-            len(row) != self.n for row in self.entries
-        ):
-            raise ValueError(f"expected {self.n}x{self.n} entries")
-        if any(not 0 <= x < self.p for row in self.entries for x in row):
-            raise ValueError("entries must lie in [0, p)")
-
-
-def _row_rank(rows: list[list[int]], p: int) -> int:
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if rows[i][c] % p), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(n_rows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
-        r += 1
-        if r == n_rows:
-            break
-    return r
-
-
-def rank(m: PrimeFieldMatrix) -> int:
-    """Row rank over the p-element field, by Gaussian elimination."""
-    _require_prime(m.p)
-    return _row_rank([list(row) for row in m.entries], m.p)
 
 
 @dataclass

@@ -17,12 +17,12 @@ and the last-fundamental monoid of type C_l) and the H-polynomial extraction
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cache
 from itertools import zip_longest
 
 from .crosssection import (
     PAPER_VERIFIED,
     CrossSectionLattice,
-    LatticeEntry,
     is_j_irreducible,
 )
 from .errors import GroupTooLarge, IndexOutOfRange, InvariantViolation, NotJIrreducible
@@ -49,16 +49,6 @@ from .rootsystem import (
 from .weyl import coset_length_poly
 
 BC_NOTE = "B_r/C_r component tags are interchangeable for order computations"
-
-
-@dataclass(frozen=True)
-class GroupSizes:
-    """Orders of G, P(e), K(e), U(e) as polynomials in q."""
-
-    size_G: QPolynomial
-    size_P: QPolynomial
-    size_K: QPolynomial
-    size_U: QPolynomial
 
 
 @dataclass(frozen=True)
@@ -142,66 +132,36 @@ def _finish(
     )
 
 
-def group_sizes(
-    lat: CrossSectionLattice,
-    entry: LatticeEntry,
-    polys: dict[frozenset[int], QPolynomial] | None = None,
-    *,
-    enum_bound: int | None = None,
-) -> GroupSizes:
-    """Group orders attached to one lattice entry, from walked lengths.
-
-    polys holds the walked W_X(q) per subset X and may be shared across
-    the entries of one lattice.
-    """
-    rs = lat.root_system
-    if polys is None:
-        polys = {}
-    delta = frozenset(range(1, rs.rank + 1))
-    lam = entry.lambda_union
-    for X in (delta, lam, entry.lambda_substar):
-        if X not in polys:
-            polys[X] = coset_length_poly(rs, X, frozenset(), enum_bound)
-    N = rs.num_positive
-    rho = lat.torus_rank
-    n_lam = positive_count_of_subset(rs, lam)
-    n_sub = positive_count_of_subset(rs, entry.lambda_substar)
-    torus = Q_MINUS_ONE**rho
-    torus_e = Q_MINUS_ONE ** (rho - entry.torus_index_exponent)
-    p_lam = polys[lam]
-    p_sub = polys[entry.lambda_substar]
-    return GroupSizes(
-        size_G=QPolynomial.monomial(N) * torus * polys[delta],
-        size_P=QPolynomial.monomial(N) * torus * p_lam,
-        size_K=QPolynomial.monomial(n_sub) * torus_e * p_sub,
-        size_U=QPolynomial.monomial(N - n_lam),
-    )
-
-
-def isotropy_size(sizes: GroupSizes) -> QPolynomial:
-    """Cardinality of the two-sided stabilizer of e: |P(e)| |U(e)| |K(e)|."""
-    return sizes.size_P * sizes.size_U * sizes.size_K
-
-
 def order_thm31(
     lat: CrossSectionLattice, *, enum_bound: int | None = None
 ) -> OrderReport:
-    """Order by orbit sizes: sum over entries of |G|^2 / isotropy.
+    """Order by orbit sizes: sum over entries of |G|^2 / (|P(e)||U(e)||K(e)|).
 
     Every group order comes from walked Weyl-group lengths, so this
-    route shares no code with the degree-product formulas.
+    route shares no code with the degree-product formulas.  Each W_X(q)
+    is walked once per call.
     """
-    polys: dict[frozenset[int], QPolynomial] = {}
-    g_squared = None
+    rs = lat.root_system
+    walked = cache(lambda X: coset_length_poly(rs, X, frozenset(), enum_bound))
+    N = rs.num_positive
+    rho = lat.torus_rank
+    q_n_torus = QPolynomial.monomial(N) * Q_MINUS_ONE**rho
+    size_G = q_n_torus * walked(frozenset(range(1, rs.rank + 1)))
+    g_squared = size_G * size_G
     terms = []
     for entry in lat.entries:
         if lat.is_zero(entry):
             terms.append((entry.label, ONE))
             continue
-        sizes = group_sizes(lat, entry, polys, enum_bound=enum_bound)
-        if g_squared is None:
-            g_squared = sizes.size_G * sizes.size_G
-        terms.append((entry.label, div_exact(g_squared, isotropy_size(sizes))))
+        lam, sub = entry.lambda_union, entry.lambda_substar
+        size_P = q_n_torus * walked(lam)
+        size_U = QPolynomial.monomial(N - positive_count_of_subset(rs, lam))
+        size_K = (
+            QPolynomial.monomial(positive_count_of_subset(rs, sub))
+            * Q_MINUS_ONE ** (rho - entry.torus_index_exponent)
+            * walked(sub)
+        )
+        terms.append((entry.label, div_exact(g_squared, size_P * size_U * size_K)))
     return _finish("thm31", lat, terms)
 
 
@@ -253,22 +213,6 @@ def order_thm33(
     return _finish("thm33", lat, terms, tuple(skipped))
 
 
-def _memoized(fn):
-    """fn with a memo that lives exactly as long as the returned function.
-
-    thm34 and thm41 make theirs inside one call, so no other route and no
-    later call reads what one call computed.
-    """
-    memo = {}
-
-    def call(key):
-        if key not in memo:
-            memo[key] = fn(key)
-        return memo[key]
-
-    return call
-
-
 def _expand_phi(phi: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
     """Coefficients of prod Phi_n^e_n over the (n, e_n) pairs of phi."""
     return expand(QProduct(phi=phi)).coeffs
@@ -290,8 +234,8 @@ def order_thm34(lat: CrossSectionLattice) -> OrderReport:
     """
     rs = lat.root_system
     p_w_squared = poincare_factors(rs.cartan_type) ** 2
-    factor = _memoized(poincare_factors)
-    expanded = _memoized(_expand_phi)
+    factor = cache(poincare_factors)
+    expanded = cache(_expand_phi)
     terms = []
     for entry in lat.entries:
         if lat.is_zero(entry):
@@ -330,8 +274,8 @@ def order_thm41(lat: CrossSectionLattice) -> OrderReport:
     rs = lat.root_system
     ambient = QProduct.of(degrees(rs.cartan_type)) ** 2
     torus_squared = QProduct.of([1] * (2 * rs.rank))
-    factor = _memoized(lambda ct: QProduct.of(degrees(ct)))
-    expanded = _memoized(_expand_phi)
+    factor = cache(lambda ct: QProduct.of(degrees(ct)))
+    expanded = cache(_expand_phi)
     terms = []
     for entry in lat.entries:
         if lat.is_zero(entry):

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, formats, round-trips, and exit codes."""
 
 import dataclasses
+import hashlib
 import json
 import time
 
@@ -9,7 +10,7 @@ import pytest
 from monoid_orders import cli, orders, verify
 from monoid_orders.crosssection import j_irreducible_lattice, symplectic_lattice
 from monoid_orders.rootsystem import CartanType, build
-from monoid_orders.qpoly import ONE
+from monoid_orders.qpoly import ONE, QPolynomial
 
 
 def run(capsys, *argv):
@@ -125,6 +126,20 @@ def test_strata_sum_mismatch_exits_2(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "strata sum" in err and len(err.splitlines()) == 1
+
+
+def test_matrix_strata_sum_mismatch_exits_2(capsys, monkeypatch):
+    def off_by_one(n, r):
+        return orders.gl_strata(n, r) + (ONE if r == 1 else QPolynomial())
+
+    monkeypatch.setattr(cli, "gl_strata", off_by_one)
+    code, out, err = run(
+        capsys, "strata", "--type", "A3", "--preset", "first-fundamental"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "strata sum" in err
 
 
 def test_strata_unsupported_family(capsys):
@@ -431,3 +446,63 @@ def test_q_accepts_prime_powers(capsys, q, value):
     )
     assert code == 0
     assert f"q={q}: {value}" in out  # |M_2| = q^4
+
+
+# SHA-256 of stdout, with exit code and stderr, for every subcommand in
+# every format on small types; the benchmark catalog never runs order CSV or
+# hpoly CSV/JSON, so these are their only byte-level pins.
+ORDER_C2 = ("order", "--type", "C2", "--preset", "last-fundamental", "--q", "2,4")
+ORDER_A2 = (
+    "order", "--type", "A2", "--preset", "first-fundamental",
+    "--q", "3", "--formula", "thm31",
+)
+HPOLY_B3 = ("hpoly", "--type", "B3", "--preset", "last-fundamental")
+STRATA_A3 = ("strata", "--type", "A3", "--preset", "first-fundamental", "--q", "2,3")
+STRATA_C3 = ("strata", "--type", "C3", "--preset", "last-fundamental", "--q", "2")
+LATTICE_G2 = ("lattice", "--type", "G2", "--preset", "first-fundamental")
+PINNED_OUTPUT = [
+    (ORDER_C2, "table", "7088f71df6615e4f18b231cf4ba9667a8df1039b16309c1e263f61eac1e338f6"),
+    (ORDER_C2, "csv", "27cfa49ffb1f43bdba090c64869094b5f7afa2ec1370de8660dcc959175f009d"),
+    (ORDER_C2, "json", "891867e50719645f4ce9eb5a3ff9a4947061a974300cf657b068d8332f339aaa"),
+    (ORDER_A2, "table", "b0cdc9009fb0095cd6d8879fd964264dd4ed64a4e6c197af1dfed3756c499aff"),
+    (ORDER_A2, "csv", "5f6ee493c32a862b7c941fe919caa6bae62b4d6912566766ee0d1d9b02808986"),
+    (ORDER_A2, "json", "2fa1d25608dab56dfc1077321dc01f71d1b8ba21c4445d40e0ccb6cb6e0a1d42"),
+    (HPOLY_B3, "table", "1392fd6ddeaf7b4e292cbf7349b2eb4067ab813f80ce0aae1676076f7c2d08b6"),
+    (HPOLY_B3, "csv", "ba134f18ed2032c524812c4a43c2baa5a1964cd84bc962e794d17486c8b3228a"),
+    (HPOLY_B3, "json", "e70bf49d80dcf2ce6b8360867928ddfe51ca996d5649d8ec3a2b0f0576746ea4"),
+    (STRATA_A3, "table", "3f578c8677efeb0dcdf5483872531c3ecafd64f3308c27bcf670ab3236ddd894"),
+    (STRATA_A3, "csv", "1ce5d75abf6c2bb5bafb8db9a742e29acaaccafd61884c9427baec0b59a3383f"),
+    (STRATA_A3, "json", "0611fb6f1ccd1b2caa04366732057116e4671d622c10b49090ba706757d038d3"),
+    (STRATA_C3, "table", "d86218f2a3e61270e52b5a068ca13a3f8e772f2cae9d849234d9ca81ec8ae29c"),
+    (STRATA_C3, "csv", "65be28071c08a7538d2a989e15d7c0f0ad3d66ac28560ec6beaac2b40dd8c908"),
+    (STRATA_C3, "json", "0ce860ad2918883aa74b18a40ab73dc0e5421f51d2b0bff6ae5506b6aa2df11f"),
+    (LATTICE_G2, "table", "503c3d911958d3977814bdb6259e9ef1ef209c6fb7a0e71ca79ac80ae1562d9c"),
+    (LATTICE_G2, "csv", "29990490747dc99037cb258aedae1015c6dc2fda32a908706c292246f26d1877"),
+    (LATTICE_G2, "json", "8bf2f194a3a9bc3116da30251baaebe8ff0a1a0e0202eb173a4a345da253c90f"),
+]
+PINNED_USAGE_ERRORS = [
+    (
+        ("order", "--type", "A2", "--preset", "first-fundamental", "--q", "6"),
+        "error: q values must be prime powers, got 6\n",
+    ),
+    (
+        ("strata", "--type", "A2", "--preset", "first-fundamental", "--q", "x"),
+        "error: bad q value 'x'\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "src, fmt, digest",
+    PINNED_OUTPUT,
+    ids=[f"{src[0]}-{src[2]}-{fmt}" for src, fmt, _ in PINNED_OUTPUT],
+)
+def test_output_bytes_are_pinned(capsys, src, fmt, digest):
+    code, out, err = run(capsys, *src, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, err_line", PINNED_USAGE_ERRORS, ids=["order", "strata"])
+def test_usage_error_bytes_are_pinned(capsys, argv, err_line):
+    assert run(capsys, *argv) == (1, "", err_line)

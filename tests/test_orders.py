@@ -9,7 +9,7 @@ import time
 import pytest
 
 import monoid_orders
-from monoid_orders import orders
+from monoid_orders import orders, verify
 from monoid_orders.crosssection import (
     CrossSectionLattice,
     LatticeEntry,
@@ -26,9 +26,7 @@ from monoid_orders.oracle import enumerate_rank_histogram
 from monoid_orders.orders import (
     OrderReport,
     gl_strata,
-    group_sizes,
     h_polynomial,
-    isotropy_size,
     order_thm31,
     order_thm33,
     order_thm34,
@@ -51,7 +49,6 @@ from monoid_orders.rootsystem import (
     build,
     connected_components,
     degrees,
-    positive_count_of_subset,
 )
 from monoid_orders.weyl import coset_length_poly
 
@@ -136,39 +133,36 @@ def test_symplectic_l2_at_q2():
         assert eval_big(fn(lat).total, 2) == 2296
 
 
-def test_group_sizes_invariants():
-    lat = symplectic_lattice(3)
-    rs = lat.root_system
-    for entry in lat.entries:
-        sizes = group_sizes(lat, entry)
-        lam = entry.lambda_union
-        # |L(e)| = q^{N(lambda)} (q-1)^rho W_lambda(q), from the walked W_lambda
-        size_L = (
-            QPolynomial.monomial(positive_count_of_subset(rs, lam))
-            * Q_MINUS_ONE**lat.torus_rank
-            * coset_length_poly(rs, lam, frozenset())
-        )
-        assert sizes.size_P == size_L * sizes.size_U
-        div_exact(size_L, sizes.size_K)  # K divides L exactly
-
-
-def test_isotropy_identity_and_zero():
-    lat = weight_lattice("A1", "first")
-    ident = group_sizes(lat, lat.identity_entry)
-    assert isotropy_size(ident) == ident.size_G
-    zero = group_sizes(lat, lat.zero_entry)
-    assert isotropy_size(zero) == zero.size_G * zero.size_G
-
-
 def test_middle_orbit_size_of_2x2_matrices():
     # orbit of the rank-1 idempotent: |G|^2 / isotropy = 9 at q=2
     lat = weight_lattice("A1", "first")
     middle = next(
         e for e in lat.entries if not lat.is_zero(e) and not lat.is_identity(e)
     )
-    sizes = group_sizes(lat, middle)
-    orbit = div_exact(sizes.size_G * sizes.size_G, isotropy_size(sizes))
+    orbit = dict(order_thm31(lat).terms)[middle.label]
     assert eval_big(orbit, 2) == 9
+
+
+def test_thm31_walks_each_subset_once_per_call(monkeypatch):
+    lat = symplectic_lattice(4)
+    delta = frozenset(range(1, 5))
+    subsets = {delta} | {
+        X
+        for e in lat.entries
+        if not lat.is_zero(e)
+        for X in (e.lambda_union, e.lambda_substar)
+    }
+    walked = []
+
+    def counting_walk(rs, gens, fixed, bound=None):
+        walked.append(gens)
+        return coset_length_poly(rs, gens, fixed, bound)
+
+    monkeypatch.setattr(orders, "coset_length_poly", counting_walk)
+    for _ in range(2):
+        del walked[:]
+        order_thm31(lat)
+        assert sorted(walked, key=sorted) == sorted(subsets, key=sorted)
 
 
 def test_thm41_requires_weight_support_exponents():
@@ -195,6 +189,22 @@ def test_thm41_requires_weight_support_exponents():
 @pytest.mark.parametrize("l", range(2, 7))
 def test_symplectic_closed_form_matches_lattice_route(l):
     assert symplectic_order(l).total == order_thm41(symplectic_lattice(l)).total
+
+
+def test_closed_form_check_compares_each_stratum(monkeypatch):
+    # swapping two strata keeps the total and every sum of strata, so only
+    # a stratum-by-stratum comparison with the thm41 terms can see it
+    def swapped(l):
+        report = symplectic_order(l)
+        (a, p), (b, r) = report.terms[1:3]
+        terms = report.terms[:1] + ((a, r), (b, p)) + report.terms[3:]
+        return dataclasses.replace(report, terms=terms)
+
+    monkeypatch.setattr(verify, "symplectic_order", swapped)
+    assert verify.check_symplectic_closed_form() == (
+        False,
+        "strata differ from the thm41 terms, l=2",
+    )
 
 
 @pytest.mark.parametrize("l", range(2, 7))
@@ -430,7 +440,7 @@ def test_thm33_coset_mismatch_raises(monkeypatch):
 
 OPTIMIZED_COSET_CHECK = """
 import sys
-from monoid_orders import orders
+from monoid_orders import orders, verify
 from monoid_orders.crosssection import symplectic_lattice
 from monoid_orders.errors import InvariantViolation
 from monoid_orders.qpoly import ONE
