@@ -218,11 +218,27 @@ def _resolve_lattice(args, enum_bound: int | None) -> CrossSectionLattice:
     return j_irreducible_lattice(rs, j0, enum_bound)
 
 
+def _decimal(value: int) -> str:
+    try:
+        return str(value)
+    except ValueError:  # past Python's int-to-str digit limit
+        raise _UsageError(
+            f"an evaluation has more than {sys.get_int_max_str_digits()} digits;"
+            " use a smaller --q"
+        ) from None
+
+
+def _evaluations(poly: QPolynomial, qs) -> list[str]:
+    return [_decimal(eval_big(poly, q0)) for q0 in qs]
+
+
 def _subset_str(indices) -> str:
     return "{" + ",".join(str(i) for i in sorted(indices)) + "}"
 
 
-def _print_order_table(report: OrderReport, agreed: list[str] | None) -> None:
+def _print_order_table(
+    report: OrderReport, agreed: list[str] | None, values: dict[int, str]
+) -> None:
     print(f"type {report.cartan_type}  formula {report.formula}")
     for note in report.notes:
         print(f"note: {note}")
@@ -239,7 +255,7 @@ def _print_order_table(report: OrderReport, agreed: list[str] | None) -> None:
             shape = ""
         print(f"  {label:<{width}}{shape}  {term}")
     print(f"total: {report.total}")
-    for q0, value in report.evaluations.items():
+    for q0, value in values.items():
         print(f"q={q0}: {value}")
     if agreed is not None:
         print(f"{len(agreed)} formulas agree")
@@ -249,15 +265,15 @@ def _csv_row(label: str, poly: QPolynomial, values) -> list:
     return [label, " ".join(map(str, poly.coeffs)), *values]
 
 
-def _print_order_csv(report: OrderReport) -> None:
+def _print_order_csv(report: OrderReport, values: dict[int, str]) -> None:
+    qs = sorted(values)
+    rows = [
+        _csv_row(label, term, _evaluations(term, qs)) for label, term in report.terms
+    ]
     writer = csv.writer(sys.stdout)
-    qs = sorted(report.evaluations)
     writer.writerow(["label", "coeffs"] + [f"q={q0}" for q0 in qs])
-    for label, term in report.terms:
-        writer.writerow(_csv_row(label, term, (eval_big(term, q0) for q0 in qs)))
-    writer.writerow(
-        _csv_row("total", report.total, (report.evaluations[q0] for q0 in qs))
-    )
+    writer.writerows(rows)
+    writer.writerow(_csv_row("total", report.total, (values[q0] for q0 in qs)))
 
 
 def _cmd_order(args, enum_bound: int | None) -> int:
@@ -295,6 +311,9 @@ def _cmd_order(args, enum_bound: int | None) -> int:
         elif reports[name] is not primary:
             notes += [n for n in reports[name].notes if n not in notes]
     primary = replace(primary.evaluate(qs), notes=tuple(notes))
+    # every value is formatted before the first write, so a value too long
+    # to print is a usage error with nothing on stdout
+    values = {q0: _decimal(v) for q0, v in primary.evaluations.items()}
     agreed = list(reports) if args.formula == "all" else None
     if args.format == "json":
         payload = primary.to_json()
@@ -302,9 +321,9 @@ def _cmd_order(args, enum_bound: int | None) -> int:
             payload["agreement"] = agreed
         print(json.dumps(payload, indent=2))
     elif args.format == "csv":
-        _print_order_csv(primary)
+        _print_order_csv(primary, values)
     else:
-        _print_order_table(primary, agreed)
+        _print_order_table(primary, agreed, values)
     return EXIT_OK
 
 
@@ -373,6 +392,8 @@ def _strata_rows(args) -> tuple[str, list[tuple[str, QPolynomial]], QPolynomial]
 def _cmd_strata(args) -> int:
     title, rows, total = _strata_rows(args)
     qs = _parse_qs(args.q)
+    # formatted before the first write, as in _cmd_order
+    cells = [_evaluations(term, qs) for _, term in rows]
     if args.format == "json":
         print(
             json.dumps(
@@ -381,11 +402,9 @@ def _cmd_strata(args) -> int:
                         {
                             "label": label,
                             "coeffs": term.to_json(),
-                            "evaluations": {
-                                str(q0): str(eval_big(term, q0)) for q0 in qs
-                            },
+                            "evaluations": dict(zip(map(str, qs), values)),
                         }
-                        for label, term in rows
+                        for (label, term), values in zip(rows, cells)
                     ],
                     "total_coeffs": total.to_json(),
                 },
@@ -395,13 +414,13 @@ def _cmd_strata(args) -> int:
     elif args.format == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(["label", "coeffs"] + [f"q={q0}" for q0 in qs])
-        for label, term in rows:
-            writer.writerow(_csv_row(label, term, (eval_big(term, q0) for q0 in qs)))
+        for (label, term), values in zip(rows, cells):
+            writer.writerow(_csv_row(label, term, values))
     else:
         print(title)
-        for label, term in rows:
-            values = "".join(f"  q={q0}: {eval_big(term, q0)}" for q0 in qs)
-            print(f"  {label:<8} {term}{values}")
+        for (label, term), values in zip(rows, cells):
+            shown = "".join(f"  q={q0}: {v}" for q0, v in zip(qs, values))
+            print(f"  {label:<8} {term}{shown}")
         print(f"total: {total}")
     return EXIT_OK
 

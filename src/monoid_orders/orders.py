@@ -3,7 +3,7 @@
 Four independent routes to the same total, all exact polynomials in q:
 
   order_thm31  orbit sizes |G|^2 / (|P(e)||K(e)||U(e)|), every Weyl-group
-               factor counted by the descent walk in weyl.py;
+               factor counted by the chained descent walks in weyl.py;
   order_thm33  coset-representative length sums [T:T(e)] q^{N*} D(e) D_*(e),
                cross-checking walked sums against exact quotients;
   order_thm34  invariant-degree products only, no enumeration;

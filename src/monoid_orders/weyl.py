@@ -1,4 +1,4 @@
-"""Weyl group length polynomials by the descent walk on a weight orbit.
+"""Weyl group length polynomials as chains of descent walks on weight orbits.
 
 The minimal coset representatives of W_fixed in W_gens are in bijection
 with the W_gens-orbit of the sum of the fundamental weights omega_i with i
@@ -7,18 +7,24 @@ in gens but not in fixed (Humphreys, Reflection Groups and Coxeter Groups,
 are kept in fundamental coordinates, and s_i raises the length of the
 representative exactly when coordinate i is positive, so a breadth-first
 walk that applies s_i only there visits each representative once, at depth
-equal to its length.  This module exists as the independent oracle behind
-the polynomial order formulas: the walk reads only the Cartan matrix, and
-every length is counted as orbit depth, not computed from invariant degrees
-(the degrees only check the size of the orbit afterwards).
+equal to its length.  For fixed <= K <= gens, W_gens^fixed = W_gens^K .
+W_K^fixed with lengths adding (Bjorner-Brenti, Combinatorics of Coxeter
+Groups, Prop. 2.4.4), so no coset sum is walked whole: it is a product of
+walks over maximal-parabolic cosets W_K / W_{K - i}, peeling one node at a
+time (E6's W(q) walks 54 weights, not 51,840).  This module exists as the
+independent oracle behind the polynomial order formulas: the walks read
+only the Cartan matrix, and every length is counted as orbit depth, not
+computed from invariant degrees (the degrees only choose the node to peel
+and check the size of each walked orbit).
 """
 
 from __future__ import annotations
 
+from functools import cache
 from math import prod
 
 from .errors import GroupTooLarge, InvariantViolation
-from .qpoly import QPolynomial
+from .qpoly import ONE, QPolynomial
 from .rootsystem import RootSystemData, connected_components, weyl_order
 
 DEFAULT_ENUM_BOUND = 10**6
@@ -39,9 +45,13 @@ def coset_length_poly(
 
     W(q) is coset_length_poly(rs, Delta, {}), the parabolic W_J(q) is
     coset_length_poly(rs, J, {}), and the coset sum W^J(q) is
-    coset_length_poly(rs, Delta, J).  The order of the full Weyl group is
-    known from the invariant degrees before any work happens, so oversize
-    requests fail fast with GroupTooLarge.
+    coset_length_poly(rs, Delta, J).  It is the product of the walks along
+    the chain gens = K_0 > K_1 > ... > fixed that removes, at each step,
+    the node i with the smallest index |W_K| / |W_{K - i}| (ties to the
+    smallest i); each walk must count its index from the degrees, or
+    InvariantViolation.  The bound is on |W| of the whole type, known from
+    the degrees before any work happens, so oversize requests fail fast
+    with GroupTooLarge.
     """
     if bound is None:
         bound = DEFAULT_ENUM_BOUND
@@ -52,7 +62,21 @@ def coset_length_poly(
         )
     if not fixed <= gens:
         raise ValueError(f"{sorted(fixed)} is not a subset of {sorted(gens)}")
-    expected = _subgroup_order(rs, gens) // _subgroup_order(rs, fixed)
+    order_of = cache(lambda X: _subgroup_order(rs, X))
+    result = ONE
+    K = gens
+    while K != fixed:
+        index, i = min((order_of(K) // order_of(K - {i}), i) for i in K - fixed)
+        result = result * _walk(rs, K, K - {i}, index)
+        K = K - {i}
+    return result
+
+
+def _walk(
+    rs: RootSystemData, gens: frozenset[int], fixed: frozenset[int], expected: int
+) -> QPolynomial:
+    """The coset sum of W_fixed in W_gens, walked level by level over the
+    orbit, which must hold the expected index |W_gens| / |W_fixed|."""
     index = sorted(gens)
     # column i of the Cartan matrix is alpha_i in fundamental coordinates
     columns = [[rs.cartan[j - 1][i - 1] for j in index] for i in index]

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import sys
 import time
 
 import pytest
@@ -435,6 +436,23 @@ def test_q_must_be_prime_power(capsys, q):
         assert code == 1
         assert out == ""
         assert err == f"error: q values must be prime powers, got {q.split(',')[-1]}\n"
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_evaluation_past_the_digit_limit_exits_1(capsys, fmt):
+    # q = 2^4000 makes q^4 and q^9 longer than Python prints by default
+    q = str(2**4000)
+    limit = sys.get_int_max_str_digits()
+    for argv in (
+        ("order", "--type", "A1", "--preset", "first-fundamental",
+         "--formula", "thm34"),
+        ("strata", "--type", "A2", "--preset", "first-fundamental"),
+    ):
+        assert run(capsys, *argv, "--q", q, "--format", fmt) == (
+            1,
+            "",
+            f"error: an evaluation has more than {limit} digits; use a smaller --q\n",
+        )
 
 
 @pytest.mark.parametrize("q, value", [("4", "256"), ("8", "4096"), ("9", "6561")])

@@ -1,10 +1,14 @@
 """The descent walk against independent combinatorial oracles."""
 
 import itertools
+import os
+import subprocess
+import sys
+from math import prod
 
 import pytest
 
-from monoid_orders import weyl
+from monoid_orders import cli, rootsystem, weyl
 from monoid_orders.errors import GroupTooLarge, InvariantViolation
 from monoid_orders.qpoly import ONE, QPolynomial, div_exact
 from monoid_orders.rootsystem import (
@@ -74,7 +78,9 @@ def test_length_gen_polys():
 
 
 @pytest.mark.parametrize(
-    "spec", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2"]
+    "spec",
+    ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "B6", "C3", "C6", "D4", "D6", "E6",
+     "F4", "G2"],
 )
 def test_solomon_product_formula(spec):
     assert w_poly(spec) == poincare_product(CartanType.parse(spec))
@@ -153,3 +159,137 @@ def test_group_too_large():
     assert weyl_order(CartanType("E", 7)) > 10**6
     with pytest.raises(GroupTooLarge):
         coset_length_poly(e7, delta(e7), NONE)
+
+
+def direct_walk(rs, gens, fixed):
+    """Reference oracle: the coset sum of W_fixed in W_gens walked as one
+    orbit, level by level, with no chain (the walk before chaining)."""
+    index = sorted(gens)
+    columns = [[rs.cartan[j - 1][i - 1] for j in index] for i in index]
+    alphas = [[(b, c) for b, c in enumerate(col) if c] for col in columns]
+    level = {tuple(0 if i in fixed else 1 for i in index)}
+    counts = []
+    while level:
+        counts.append(len(level))
+        nxt = set()
+        for mu in level:
+            for a, alpha in enumerate(alphas):
+                m = mu[a]
+                if m > 0:
+                    image = list(mu)
+                    for b, c in alpha:
+                        image[b] -= m * c
+                    nxt.add(tuple(image))
+        level = nxt
+    return QPolynomial(counts)
+
+
+DIRECT_WALK_TYPES = [
+    "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C3", "C4", "C5",
+    "D4", "D5", "F4", "G2", "E6",
+]
+
+
+@pytest.mark.parametrize("spec", DIRECT_WALK_TYPES)
+def test_chain_matches_direct_walk_for_every_parabolic(spec):
+    rs = root_system(spec)
+    for J in subsets(rs.rank):
+        assert coset_length_poly(rs, delta(rs), J) == direct_walk(
+            rs, delta(rs), J
+        ), sorted(J)
+        assert coset_length_poly(rs, J, NONE) == direct_walk(rs, J, NONE), sorted(J)
+
+
+@pytest.mark.parametrize("spec", ["E7", "E8"])
+def test_solomon_e7_e8_at_a_raised_bound(spec):
+    # the default bound still refuses E7 (test_group_too_large)
+    rs = root_system(spec)
+    assert weyl_order(rs.cartan_type) <= 10**9
+    walked = coset_length_poly(rs, delta(rs), NONE, bound=10**9)
+    assert walked == poincare_product(rs.cartan_type)
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Every factor walk, as (gens, fixed, number of weights walked)."""
+    seen = []
+    walk = weyl._walk
+
+    def counting(rs, gens, fixed, expected):
+        poly = walk(rs, gens, fixed, expected)
+        seen.append((gens, fixed, sum(poly.coeffs)))
+        return poly
+
+    monkeypatch.setattr(weyl, "_walk", counting)
+    return seen
+
+
+def assert_maximal_factors(walks):
+    assert walks
+    for gens, fixed, _ in walks:
+        assert fixed <= gens and len(gens - fixed) == 1, (sorted(gens), sorted(fixed))
+
+
+def test_e6_weyl_polynomial_is_a_chain_of_maximal_walks(walks):
+    rs = root_system("E6")
+    assert coset_length_poly(rs, delta(rs), NONE) == poincare_product(rs.cartan_type)
+    assert_maximal_factors(walks)
+    # one factor per node, their orbit sizes multiplying to |W(E6)| = 51,840
+    assert len(walks) == 6
+    assert prod(n for _, _, n in walks) == weyl_order(rs.cartan_type)
+    assert sum(n for _, _, n in walks) <= 2000
+
+
+def test_e6_order_all_walks_at_most_2000_weights(walks, capsys):
+    code = cli.main(
+        ["order", "--type", "E6", "--preset", "last-fundamental", "--formula", "all"]
+    )
+    out = capsys.readouterr().out
+    assert code == 0 and "4 formulas agree" in out and "skipped" not in out
+    assert_maximal_factors(walks)
+    assert sum(n for _, _, n in walks) <= 2000
+
+
+def a1_degrees_wrong(degrees):
+    """degrees with A1 given (3,): the A2 chain then walks 3 and 2 cosets
+    against indices 2 and 3, so only a per-factor check sees the error."""
+    return lambda ct: (3,) if ct == CartanType("A", 1) else degrees(ct)
+
+
+def test_each_factor_checked_against_its_index(monkeypatch):
+    rs = root_system("A2")
+    monkeypatch.setattr(rootsystem, "degrees", a1_degrees_wrong(rootsystem.degrees))
+    assert weyl_order(rs.cartan_type) == 6  # the product of the indices is right
+    with pytest.raises(InvariantViolation):
+        coset_length_poly(rs, delta(rs), NONE)
+
+
+OPTIMIZED_FACTOR_CHECK = """
+import sys
+from monoid_orders import rootsystem, weyl
+from monoid_orders.errors import InvariantViolation
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+rs = rootsystem.build(rootsystem.CartanType("A", 2))
+degrees = rootsystem.degrees
+rootsystem.degrees = lambda ct: (3,) if ct.rank == 1 else degrees(ct)
+try:
+    weyl.coset_length_poly(rs, frozenset({1, 2}), frozenset())
+except InvariantViolation:
+    sys.exit(0)
+sys.exit("a wrong factor count went unnoticed")
+"""
+
+
+def test_factor_check_survives_optimize():
+    # python -O strips assert statements; the per-factor check must survive it
+    src = os.path.dirname(os.path.dirname(weyl.__file__))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_FACTOR_CHECK],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
