@@ -14,7 +14,6 @@ from .crosssection import (
     symplectic_lattice,
 )
 from .errors import (
-    ClassificationFailure,
     EnumerationTooLarge,
     GroupTooLarge,
     IndexOutOfRange,
@@ -57,11 +56,11 @@ from .rootsystem import (
     CartanType,
     RootSystemData,
     build,
-    connected_components,
     degrees,
     parse_subset,
     poincare_product,
     positive_count_of_subset,
+    subset_degrees,
     subset_poincare,
 )
 from .weyl import coset_length_poly

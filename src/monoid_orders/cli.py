@@ -189,8 +189,14 @@ def _is_prime_power(n: int) -> bool:
 def _resolve_lattice(args, enum_bound: int | None) -> CrossSectionLattice:
     lattice_file = getattr(args, "lattice_file", None)
     if lattice_file:
-        with open(lattice_file, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        try:
+            with open(lattice_file, encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except OSError as exc:  # missing, a directory, unreadable
+            raise MonoidOrdersError(str(exc)) from None
+        except (ValueError, RecursionError) as exc:
+            # not UTF-8 or not JSON (ValueError), or nested too deep to parse
+            raise MonoidOrdersError(f"bad lattice file: {exc}") from None
         if not isinstance(raw, dict):
             raise InvariantViolation("lattice description must be a JSON object")
         type_spec = args.type or raw.get("type")
@@ -504,12 +510,6 @@ def main(argv=None) -> int:
     except (_UsageError, UnsupportedType) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
-    except json.JSONDecodeError as exc:
-        print(f"error: bad lattice file: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
     except MonoidOrdersError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE

@@ -21,10 +21,6 @@ class UnsupportedType(MonoidOrdersError):
     """Cartan family/rank pair outside the supported catalog."""
 
 
-class ClassificationFailure(MonoidOrdersError):
-    """A Dynkin sub-diagram matched no catalog entry (internal bug)."""
-
-
 class GroupTooLarge(MonoidOrdersError):
     """Weyl group enumeration would exceed the configured bound."""
 

@@ -9,6 +9,9 @@ Four independent routes to the same total, all exact polynomials in q:
   order_thm34  invariant-degree products only, no enumeration;
   order_thm41  the closed form for weight-support (J-irreducible) lattices.
 
+The degree-based routes read the degrees of each parabolic subgroup W_X
+from rootsystem.subset_degrees, never from a classification of X.
+
 Plus closed forms for the two published stratifications (full matrix monoid
 and the last-fundamental monoid of type C_l) and the H-polynomial extraction
 (|M|-1)/(q-1).
@@ -39,11 +42,11 @@ from .qpoly import (
 )
 from .rootsystem import (
     CartanType,
-    connected_components,
     degrees,
     poincare_factors,
     poincare_product,
     positive_count_of_subset,
+    subset_degrees,
     subset_poincare,
 )
 from .weyl import coset_length_poly
@@ -91,17 +94,16 @@ class OrderReport:
 
 def _lattice_notes(lat: CrossSectionLattice) -> tuple[str, ...]:
     notes = [f"type map: {lat.provenance}"]
-    rs = lat.root_system
-    # simply laced (every off-diagonal Cartan entry 0 or -1, the diagonal
-    # is 2): no subset of the diagram has a B/C component
-    if all(c >= -1 for row in rs.cartan for c in row):
-        return tuple(notes)
-    for e in lat.entries:
-        for X in (e.lambda_star, e.lambda_substar):
-            for _, ct in connected_components(rs, X):
-                if ct.family in ("B", "C") and ct.rank >= 2:
-                    notes.append(BC_NOTE)
-                    return tuple(notes)
+    c = lat.root_system.cartan
+    # the double bond of B_l, C_l or F4: a subset of the diagram has a B/C
+    # component exactly when it holds the bond and is not the whole of F4
+    bond = {
+        i + 1 for i, row in enumerate(c) for j, x in enumerate(row) if x * c[j][i] == 2
+    }
+    f4 = lat.all_simple if lat.root_system.cartan_type.family == "F" else None
+    halves = (X for e in lat.entries for X in (e.lambda_star, e.lambda_substar))
+    if bond and any(bond <= X and X != f4 for X in halves):
+        notes.append(BC_NOTE)
     return tuple(notes)
 
 
@@ -230,22 +232,18 @@ def order_thm34(lat: CrossSectionLattice) -> OrderReport:
     Each term is q^{N*(e)} times a product of cyclotomic polynomials.
     Within one call each distinct product is expanded once, keyed by its
     Phi exponents (terms that differ only in the power of q share it), and
-    each component type's Poincare factors are built once.
+    each subset's Poincare factors are built once.
     """
     rs = lat.root_system
-    p_w_squared = poincare_factors(rs.cartan_type) ** 2
-    factor = cache(poincare_factors)
+    p_w_squared = poincare_factors(degrees(rs.cartan_type)) ** 2
+    factor = cache(lambda X: poincare_factors(subset_degrees(rs, X)))
     expanded = cache(_expand_phi)
     terms = []
     for entry in lat.entries:
         if lat.is_zero(entry):
             terms.append((entry.label, ONE))
             continue
-        denom = QProduct()
-        for _, ct in connected_components(rs, entry.lambda_substar):
-            denom = denom * factor(ct) ** 2
-        for _, ct in connected_components(rs, entry.lambda_star):
-            denom = denom * factor(ct)
+        denom = factor(entry.lambda_substar) ** 2 * factor(entry.lambda_star)
         torus = QProduct.of(
             [1] * entry.torus_index_exponent,
             shift=positive_count_of_subset(rs, entry.lambda_star),
@@ -263,9 +261,9 @@ def order_thm41(lat: CrossSectionLattice) -> OrderReport:
 
         q^{N*(e)} (q-1)^{2(|lambda(e)|-l)+1} prod (q^{d_i}-1)^2 / denominator
 
-    with the denominator built from the component degrees of the type map.
-    As in thm34, but with memos of its own, each distinct product is
-    expanded once per call and each component type's degrees factored once.
+    with the denominator built from the degrees of the type map's parabolic
+    subgroups.  As in thm34, but with memos of its own, each distinct product
+    is expanded once per call and each subset's degrees factored once.
     """
     if not is_j_irreducible(lat):
         raise NotJIrreducible(
@@ -274,7 +272,7 @@ def order_thm41(lat: CrossSectionLattice) -> OrderReport:
     rs = lat.root_system
     ambient = QProduct.of(degrees(rs.cartan_type)) ** 2
     torus_squared = QProduct.of([1] * (2 * rs.rank))
-    factor = cache(lambda ct: QProduct.of(degrees(ct)))
+    factor = cache(lambda X: QProduct.of(subset_degrees(rs, X)))
     expanded = cache(_expand_phi)
     terms = []
     for entry in lat.entries:
@@ -286,11 +284,11 @@ def order_thm41(lat: CrossSectionLattice) -> OrderReport:
             [1] * (2 * len(entry.lambda_union) + 1),
             shift=positive_count_of_subset(rs, entry.lambda_star),
         )
-        denom = torus_squared
-        for _, ct in connected_components(rs, entry.lambda_substar):
-            denom = denom * factor(ct) ** 2
-        for _, ct in connected_components(rs, entry.lambda_star):
-            denom = denom * factor(ct)
+        denom = (
+            torus_squared
+            * factor(entry.lambda_substar) ** 2
+            * factor(entry.lambda_star)
+        )
         terms.append((entry.label, _expand_shifted(expanded, numer / denom)))
     return _finish("thm41", lat, terms)
 

@@ -2,20 +2,24 @@
 
 Roots are integer coefficient vectors over the simple roots, generated by
 reflection closure from the Cartan matrix, so the support of a root (which
-simple roots it involves) is literally its set of nonzero positions.  That is
-the only geometric information the order formulas consume: positive-root
-counts of subsets, Dynkin adjacency, component classification, and the
-degrees of the basic polynomial invariants.
+simple roots it involves) is literally its set of nonzero positions, and its
+height is the sum of its coordinates.  That is the only geometric
+information the order formulas consume: positive-root counts of subsets,
+Dynkin adjacency, and the degrees of the basic polynomial invariants of every
+parabolic subgroup W_X, read from the heights of the roots supported on X
+(Kostant 1959; Humphreys, Reflection Groups and Coxeter Groups, 3.20), so no
+sub-diagram is ever classified.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import prod
 
-from .errors import ClassificationFailure, InvariantViolation, UnsupportedType
+from .errors import InvariantViolation, UnsupportedType
 from .qpoly import QPolynomial, QProduct, expand
 
 Root = tuple[int, ...]
@@ -96,11 +100,6 @@ def weyl_order(ct: CartanType) -> int:
     return prod(degrees(ct))
 
 
-def positive_root_count(ct: CartanType) -> int:
-    """Number of positive roots, equal to sum of (d_i - 1)."""
-    return sum(d - 1 for d in degrees(ct))
-
-
 def cartan_matrix(ct: CartanType) -> tuple[tuple[int, ...], ...]:
     """Matrix c with c[i][j] = <alpha_j, alpha_i^vee> (0-based indices)."""
     l = ct.rank
@@ -140,7 +139,6 @@ def cartan_matrix(ct: CartanType) -> tuple[tuple[int, ...], ...]:
 class RootSystemData:
     cartan_type: CartanType
     cartan: tuple[tuple[int, ...], ...]
-    simple_roots: tuple[Root, ...]
     positive_roots: tuple[Root, ...]
 
     @property
@@ -169,6 +167,10 @@ class RootSystemData:
             sum(1 << b for b, a in enumerate(root) if a) for root in self.positive_roots
         )
 
+    @cached_property
+    def _root_heights(self) -> tuple[int, ...]:
+        return tuple(map(sum, self.positive_roots))
+
     def neighbors(self, i: int) -> frozenset[int]:
         return self._neighbors[i - 1]
 
@@ -188,13 +190,17 @@ def _check_subset(rs: RootSystemData, X: frozenset[int]) -> None:
 
 @lru_cache(maxsize=None)
 def build(ct: CartanType) -> RootSystemData:
-    """Construct the full positive root list by reflection closure."""
+    """Construct the full positive root list by reflection closure.
+
+    The heights of the roots must give back the hand-entered degree table,
+    or InvariantViolation: the table and the closure check each other.
+    """
     l = ct.rank
     cartan = cartan_matrix(ct)
     simple = tuple(
         tuple(1 if j == i else 0 for j in range(l)) for i in range(l)
     )
-    rs = RootSystemData(ct, cartan, simple, simple)
+    rs = RootSystemData(ct, cartan, simple)
     seen = set(simple) | {tuple(-a for a in s) for s in simple}
     frontier = list(seen)
     while frontier:
@@ -210,12 +216,13 @@ def build(ct: CartanType) -> RootSystemData:
         (r for r in seen if all(a >= 0 for a in r)),
         key=lambda r: (sum(r), r),
     )
-    if len(positive) != positive_root_count(ct):
+    rs = RootSystemData(ct, cartan, tuple(positive))
+    found = subset_degrees(rs, frozenset(range(1, l + 1)))
+    if found != degrees(ct):
         raise InvariantViolation(
-            f"{ct} closure gave {len(positive)} positive roots, "
-            f"expected {positive_root_count(ct)}"
+            f"{ct} root heights give degrees {found}, the table has {degrees(ct)}"
         )
-    return RootSystemData(ct, cartan, simple, tuple(positive))
+    return rs
 
 
 def positive_count_of_subset(rs: RootSystemData, X: frozenset[int]) -> int:
@@ -225,121 +232,38 @@ def positive_count_of_subset(rs: RootSystemData, X: frozenset[int]) -> int:
     return sum(1 for support in rs._root_supports if not support & outside)
 
 
-def _component_indices(rs: RootSystemData, X: frozenset[int]) -> list[frozenset[int]]:
-    remaining = set(X)
-    comps = []
-    while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            i = frontier.pop()
-            for j in rs.neighbors(i):
-                if j in remaining and j not in comp:
-                    comp.add(j)
-                    frontier.append(j)
-        remaining -= comp
-        comps.append(frozenset(comp))
-    return sorted(comps, key=min)
+def subset_degrees(rs: RootSystemData, X: frozenset[int]) -> tuple[int, ...]:
+    """Degrees of the basic invariants of the parabolic subgroup W_X, in
+    increasing order.
 
-
-def _classify(rs: RootSystemData, comp: frozenset[int]) -> CartanType:
-    nodes = sorted(comp)
-    m = len(nodes)
-    if m == 1:
-        return CartanType("A", 1)
-    c = rs.cartan
-    adj = {i: [j for j in nodes if rs.adjacent(i, j)] for i in nodes}
-    weights = {
-        (i, j): c[i - 1][j - 1] * c[j - 1][i - 1]
-        for i in nodes
-        for j in adj[i]
-        if i < j
-    }
-    if any(w == 3 for w in weights.values()):
-        if m == 2:
-            return CartanType("G", 2)
-        raise ClassificationFailure(f"triple edge in rank-{m} component {nodes}")
-
-    branch = [i for i in nodes if len(adj[i]) >= 3]
-    if any(len(adj[i]) > 3 for i in nodes) or len(branch) > 1:
-        raise ClassificationFailure(f"component {nodes} is not a Dynkin diagram")
-
-    doubles = [e for e, w in weights.items() if w == 2]
-    if doubles:
-        if len(doubles) > 1 or branch:
-            raise ClassificationFailure(f"component {nodes} is not a Dynkin diagram")
-        if m == 2:
-            return CartanType("B", 2)
-        ends = [i for i in nodes if len(adj[i]) == 1]
-        (a, b) = doubles[0]
-        terminal = a if a in ends else b if b in ends else None
-        if terminal is None:
-            # double edge interior to the path
-            if m == 4:
-                return CartanType("F", 4)
-            raise ClassificationFailure(f"component {nodes} is not a Dynkin diagram")
-        other = b if terminal == a else a
-        # row of the short root carries the -2 entry
-        if c[terminal - 1][other - 1] == -2:
-            return CartanType("B", m)
-        return CartanType("C", m)
-
-    if not branch:
-        return CartanType("A", m)
-
-    # simply-laced with one branch node: arm lengths decide D vs E
-    center = branch[0]
-    arms = []
-    for start in adj[center]:
-        length, prev, cur = 1, center, start
-        while True:
-            nexts = [j for j in adj[cur] if j != prev]
-            if not nexts:
-                break
-            prev, cur = cur, nexts[0]
-            length += 1
-        arms.append(length)
-    arms.sort()
-    if arms[:2] == [1, 1]:
-        return CartanType("D", m)
-    if arms == [1, 2, 2]:
-        return CartanType("E", 6)
-    if arms == [1, 2, 3]:
-        return CartanType("E", 7)
-    if arms == [1, 2, 4]:
-        return CartanType("E", 8)
-    raise ClassificationFailure(f"component {nodes} has arm lengths {arms}")
-
-
-def connected_components(
-    rs: RootSystemData, X: frozenset[int]
-) -> list[tuple[frozenset[int], CartanType]]:
-    """Partition X into Dynkin-connected components, each classified by type.
-
-    Doubly-laced components are tagged B or C by arrow orientation (short
-    root at the terminal end gives B); the two tags have identical degrees
-    and positive-root counts, so every order computation treats them alike.
+    With n_h positive roots of height h supported on X, the exponents of W_X
+    are the parts of the partition dual to (n_1, n_2, ...), the k-th being
+    the number of heights h with n_h >= k; each degree is an exponent plus
+    one.  This holds for every X, connected or not, since the counts n_h of
+    disjoint components add.
     """
     _check_subset(rs, X)
-    return [(comp, _classify(rs, comp)) for comp in _component_indices(rs, X)]
+    outside = ~sum(1 << (i - 1) for i in X)
+    heights = [
+        height
+        for support, height in zip(rs._root_supports, rs._root_heights)
+        if not support & outside
+    ]
+    counts = Counter(heights).values()
+    return tuple(1 + sum(n >= k for n in counts) for k in range(len(X), 0, -1))
 
 
-def poincare_factors(ct: CartanType) -> QProduct:
-    """Length generating polynomial of the Weyl group, as the factored
-    degree product prod (q^d - 1)/(q - 1)."""
-    ds = degrees(ct)
+def poincare_factors(ds: tuple[int, ...]) -> QProduct:
+    """Length generating polynomial of a Weyl group with degrees ds, as the
+    factored product prod (q^d - 1)/(q - 1)."""
     return QProduct.of(ds) / QProduct.of([1] * len(ds))
 
 
 def poincare_product(ct: CartanType) -> QPolynomial:
     """Length generating polynomial of the Weyl group, as a degree product."""
-    return expand(poincare_factors(ct))
+    return expand(poincare_factors(degrees(ct)))
 
 
 def subset_poincare(rs: RootSystemData, X: frozenset[int]) -> QPolynomial:
     """Length generating polynomial of the parabolic subgroup W_X."""
-    result = QProduct()
-    for _, ct in connected_components(rs, X):
-        result = result * poincare_factors(ct)
-    return expand(result)
+    return expand(poincare_factors(subset_degrees(rs, X)))

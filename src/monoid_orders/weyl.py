@@ -14,8 +14,10 @@ walks over maximal-parabolic cosets W_K / W_{K - i}, peeling one node at a
 time (E6's W(q) walks 54 weights, not 51,840).  This module exists as the
 independent oracle behind the polynomial order formulas: the walks read
 only the Cartan matrix, and every length is counted as orbit depth, not
-computed from invariant degrees (the degrees only choose the node to peel
-and check the size of each walked orbit).
+computed from invariant degrees.  The degrees only choose the node to peel
+and check the size of each walked orbit; the index |W_K| / |W_{K - i}| is a
+quotient of degree products, each read from root heights by
+rootsystem.subset_degrees.
 """
 
 from __future__ import annotations
@@ -25,13 +27,13 @@ from math import prod
 
 from .errors import GroupTooLarge, InvariantViolation
 from .qpoly import ONE, QPolynomial
-from .rootsystem import RootSystemData, connected_components, weyl_order
+from .rootsystem import RootSystemData, subset_degrees, weyl_order
 
 DEFAULT_ENUM_BOUND = 10**6
 
 
 def _subgroup_order(rs: RootSystemData, X: frozenset[int]) -> int:
-    return prod(weyl_order(ct) for _, ct in connected_components(rs, X))
+    return prod(subset_degrees(rs, X))
 
 
 def coset_length_poly(

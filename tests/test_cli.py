@@ -248,6 +248,27 @@ def test_malformed_lattice_file_exits_2(capsys, tmp_path, change, message):
     assert message in err
 
 
+def unreadable_lattice_file(tmp_path, kind):
+    if kind == "directory":
+        return tmp_path
+    path = tmp_path / "lattice.json"
+    if kind == "not-utf8":
+        path.write_bytes(bytes([0xFF, 0xFE, 0x00]))
+    else:
+        path.write_text("[" * 100_000 + "]" * 100_000)
+    return path
+
+
+@pytest.mark.parametrize("command", ["order", "lattice"])
+@pytest.mark.parametrize("kind", ["directory", "not-utf8", "nested-100000-deep"])
+def test_unreadable_lattice_file_exits_2(capsys, tmp_path, command, kind):
+    path = unreadable_lattice_file(tmp_path, kind)
+    code, out, err = run(capsys, command, "--lattice-file", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_lattice_file_array_exits_2(capsys, tmp_path):
     path = tmp_path / "lattice.json"
     path.write_text(json.dumps([{"type": "C2"}]))

@@ -19,7 +19,8 @@ from monoid_orders.crosssection import (
     LatticeEntry,
 )
 from monoid_orders.errors import InvalidSupport, InvariantViolation, LatticeTooLarge
-from monoid_orders.rootsystem import CartanType, build, connected_components
+from monoid_orders.rootsystem import CartanType, build
+from subdiagrams import components
 
 
 def shape(lat):
@@ -103,7 +104,7 @@ def test_generated_entries_respect_support_rule():
             if lat.is_zero(e):
                 continue
             assert e.lambda_substar <= j0
-            for comp, _ in connected_components(rs, e.lambda_star):
+            for comp in components(rs, e.lambda_star):
                 assert not comp <= j0
             assert e.torus_index_exponent == len(e.lambda_star) + 1
 
@@ -242,7 +243,7 @@ def scanned_shape(rs, J0):
     for size in range(rs.rank + 1):
         for combo in itertools.combinations(sorted(delta), size):
             X = frozenset(combo)
-            if any(comp <= J0 for comp, _ in connected_components(rs, X)):
+            if any(comp <= J0 for comp in components(rs, X)):
                 continue
             near = frozenset().union(*(rs.neighbors(i) for i in X))
             out.append((list(combo), sorted(J0 - X - near), len(X) + 1))

@@ -47,10 +47,11 @@ from monoid_orders.qpoly import (
 from monoid_orders.rootsystem import (
     CartanType,
     build,
-    connected_components,
     degrees,
+    subset_degrees,
 )
 from monoid_orders.weyl import coset_length_poly
+from subdiagrams import components
 
 H_COEFFS_L2 = (1, 1, 1, 2, 2, 2, 2, 2, 1, 1, 1)
 H_COEFFS_L3 = (1, 1, 1, 2, 2, 3, 4, 4, 4, 5, 5, 5, 5, 4, 4, 4, 3, 2, 2, 1, 1, 1)
@@ -377,36 +378,57 @@ def test_every_route_checks_the_total_at_q_equal_1():
             route(lat)
 
 
+def is_bc(ds):
+    """B_m and C_m (m >= 2) are the only types with degrees (2, 4, ..., 2m)."""
+    return len(ds) >= 2 and ds == tuple(range(2, 2 * len(ds) + 1, 2))
+
+
 def scanned_lattice_notes(lat):
-    """The notes from classifying the components of every entry."""
+    """The notes from the degrees of each component of every entry."""
+    rs = lat.root_system
     notes = [f"type map: {lat.provenance}"]
     for e in lat.entries:
         for X in (e.lambda_star, e.lambda_substar):
-            for _, ct in connected_components(lat.root_system, X):
-                if ct.family in ("B", "C") and ct.rank >= 2:
-                    return tuple(notes + [orders.BC_NOTE])
+            if any(is_bc(subset_degrees(rs, comp)) for comp in components(rs, X)):
+                return tuple(notes + [orders.BC_NOTE])
     return tuple(notes)
+
+
+def every_proper_j0(specs):
+    for spec in specs:
+        rank = CartanType.parse(spec).rank
+        for mask in range(2**rank - 1):
+            yield spec, ",".join(str(i + 1) for i in range(rank) if mask >> i & 1)
 
 
 @pytest.mark.parametrize(
     "spec, j0",
-    [("A4", ""), ("D5", "2"), ("E6", "1"), ("B3", ""), ("C4", "1"),
-     ("F4", "1,2"), ("G2", ""), ("B2", "1")],
+    every_proper_j0(
+        [f"B{l}" for l in range(2, 7)]
+        + [f"C{l}" for l in range(2, 7)]
+        + ["F4", "G2", "A4", "D4", "D5", "E6"]
+    ),
 )
 def test_lattice_notes_match_the_component_scan(spec, j0):
     rs = build(CartanType.parse(spec))
     J0 = frozenset(int(i) for i in j0.split(",") if i)
     lat = j_irreducible_lattice(rs, J0)
     assert orders._lattice_notes(lat) == scanned_lattice_notes(lat)
+    if spec[0] in "ADEG":
+        assert orders._lattice_notes(lat) == ("type map: " + lat.provenance,)
 
 
-def test_lattice_notes_skip_the_scan_when_simply_laced(monkeypatch):
-    def refuse(rs, X):
-        raise AssertionError("components classified")
-
-    lat = weight_lattice("D4", "first")
-    monkeypatch.setattr(orders, "connected_components", refuse)
-    assert orders._lattice_notes(lat) == ("type map: " + lat.provenance,)
+@pytest.mark.parametrize("spec", ["B3", "C4", "F4", "G2", "D4"])
+def test_lattice_notes_match_the_component_scan_on_every_subset(spec):
+    # weight-support lattices of B, C and F4 all carry the note (through
+    # the zero entry); one-entry lattices reach the subsets without it
+    rs = build(CartanType.parse(spec))
+    for mask in range(2**rs.rank):
+        X = frozenset(i + 1 for i in range(rs.rank) if mask >> i & 1)
+        for star, sub in ((X, frozenset()), (frozenset(), X)):
+            entry = LatticeEntry("e", star, sub, 0)
+            lat = CrossSectionLattice(rs, (entry,), torus_rank=rs.rank)
+            assert orders._lattice_notes(lat) == scanned_lattice_notes(lat), sorted(X)
 
 
 def test_report_evaluate_rejects_nonpositive_terms():

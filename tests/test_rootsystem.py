@@ -1,21 +1,26 @@
-"""Root-system construction, subset counting, and component classification."""
+"""Root-system construction, subset counting, and parabolic degrees."""
+
+import os
+import subprocess
+import sys
 
 import pytest
 
-from monoid_orders.errors import UnsupportedType
+from monoid_orders import rootsystem
+from monoid_orders.errors import InvariantViolation, UnsupportedType
 from monoid_orders.qpoly import QPolynomial
 from monoid_orders.rootsystem import (
     CartanType,
     build,
-    connected_components,
     degrees,
     parse_subset,
     poincare_product,
     positive_count_of_subset,
-    positive_root_count,
+    subset_degrees,
     subset_poincare,
     weyl_order,
 )
+from subdiagrams import components
 
 ALL_TYPES = (
     [CartanType("A", l) for l in range(1, 6)]
@@ -114,56 +119,42 @@ def test_subset_count_rejects_bad_indices():
     rs = build(CartanType("A", 2))
     with pytest.raises(UnsupportedType):
         positive_count_of_subset(rs, frozenset({3}))
+    with pytest.raises(UnsupportedType):
+        subset_degrees(rs, frozenset({3}))
 
 
 def test_component_classification_examples():
-    assert connected_components(build(CartanType("A", 2)), frozenset()) == []
-
+    assert subset_degrees(build(CartanType("A", 2)), frozenset()) == ()
+    # A1 + B2, and A2 + A1
     c4 = build(CartanType("C", 4))
-    comps = connected_components(c4, frozenset({1, 3, 4}))
-    assert comps == [
-        (frozenset({1}), CartanType("A", 1)),
-        (frozenset({3, 4}), CartanType("B", 2)),
-    ]
-
+    assert subset_degrees(c4, frozenset({1, 3, 4})) == (2, 2, 4)
     a4 = build(CartanType("A", 4))
-    comps = connected_components(a4, frozenset({1, 2, 4}))
-    assert comps == [
-        (frozenset({1, 2}), CartanType("A", 2)),
-        (frozenset({4}), CartanType("A", 1)),
-    ]
+    assert subset_degrees(a4, frozenset({1, 2, 4})) == (2, 2, 3)
 
 
 def test_component_bc_orientation():
-    # short root at the terminal end tags B, long root tags C
+    # short or long root at the terminal end, B3 and C3 have equal degrees
     b4 = build(CartanType("B", 4))
-    assert connected_components(b4, frozenset({2, 3, 4}))[0][1] == CartanType("B", 3)
+    assert subset_degrees(b4, frozenset({2, 3, 4})) == (2, 4, 6)
     c4 = build(CartanType("C", 4))
-    assert connected_components(c4, frozenset({2, 3, 4}))[0][1] == CartanType("C", 3)
-    # rank-2 doubly-laced components normalize to B2
-    assert connected_components(c4, frozenset({3, 4}))[0][1] == CartanType("B", 2)
+    assert subset_degrees(c4, frozenset({2, 3, 4})) == (2, 4, 6)
+    assert subset_degrees(c4, frozenset({3, 4})) == degrees(CartanType("B", 2))
 
 
 def test_component_classification_in_exceptional_types():
     f4 = build(CartanType("F", 4))
-    assert connected_components(f4, delta(f4)) == [
-        (frozenset({1, 2, 3, 4}), CartanType("F", 4))
-    ]
-    assert connected_components(f4, frozenset({1, 2, 3}))[0][1] == CartanType("B", 3)
-    assert connected_components(f4, frozenset({2, 3, 4}))[0][1] == CartanType("C", 3)
+    assert subset_degrees(f4, delta(f4)) == degrees(CartanType("F", 4))
+    assert subset_degrees(f4, frozenset({1, 2, 3})) == (2, 4, 6)  # B3
+    assert subset_degrees(f4, frozenset({2, 3, 4})) == (2, 4, 6)  # C3
 
     e7 = build(CartanType("E", 7))
-    assert connected_components(e7, frozenset(range(1, 7)))[0][1] == CartanType("E", 6)
-    assert connected_components(e7, frozenset({2, 3, 4, 5}))[0][1] == CartanType("D", 4)
-    assert connected_components(e7, frozenset({2, 3, 4, 5, 6}))[0][1] == CartanType(
-        "D", 5
-    )
-    assert connected_components(e7, frozenset({2, 4, 5, 6, 7}))[0][1] == CartanType(
-        "A", 5
-    )
+    assert subset_degrees(e7, frozenset(range(1, 7))) == degrees(CartanType("E", 6))
+    assert subset_degrees(e7, frozenset({2, 3, 4, 5})) == (2, 4, 4, 6)  # D4
+    assert subset_degrees(e7, frozenset({2, 3, 4, 5, 6})) == (2, 4, 5, 6, 8)  # D5
+    assert subset_degrees(e7, frozenset({2, 4, 5, 6, 7})) == (2, 3, 4, 5, 6)  # A5
 
     g2 = build(CartanType("G", 2))
-    assert connected_components(g2, delta(g2))[0][1] == CartanType("G", 2)
+    assert subset_degrees(g2, delta(g2)) == (2, 6)
 
 
 @pytest.mark.parametrize(
@@ -176,10 +167,54 @@ def test_subset_count_equals_component_sum(ct):
     for mask in range(2**rs.rank):
         X = frozenset(i + 1 for i in range(rs.rank) if mask >> i & 1)
         by_components = sum(
-            positive_root_count(comp_type)
-            for _, comp_type in connected_components(rs, X)
+            d - 1 for comp in components(rs, X) for d in subset_degrees(rs, comp)
         )
         assert positive_count_of_subset(rs, X) == by_components
+        assert sorted(
+            d for comp in components(rs, X) for d in subset_degrees(rs, comp)
+        ) == list(subset_degrees(rs, X))
+
+
+def wrong_g2(degrees):
+    """The degree table with G2 given (3, 5): still 6 positive roots, so
+    only the degree check in build sees the error."""
+    return lambda ct: (3, 5) if ct == CartanType("G", 2) else degrees(ct)
+
+
+def test_build_checks_the_degree_table(monkeypatch):
+    monkeypatch.setattr(rootsystem, "degrees", wrong_g2(rootsystem.degrees))
+    with pytest.raises(InvariantViolation, match="G2"):
+        build.__wrapped__(CartanType("G", 2))  # past the cache of build
+
+
+OPTIMIZED_TABLE_CHECK = """
+import sys
+from monoid_orders import rootsystem
+from monoid_orders.errors import InvariantViolation
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+degrees = rootsystem.degrees
+rootsystem.degrees = lambda ct: (3, 5) if str(ct) == "G2" else degrees(ct)
+try:
+    rootsystem.build(rootsystem.CartanType("G", 2))
+except InvariantViolation:
+    sys.exit(0)
+sys.exit("a wrong degree table went unnoticed")
+"""
+
+
+def test_table_check_survives_optimize():
+    # python -O strips assert statements; the check in build must survive it
+    src = os.path.dirname(os.path.dirname(rootsystem.__file__))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_TABLE_CHECK],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_degree_tables():

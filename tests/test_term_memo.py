@@ -26,11 +26,12 @@ from monoid_orders.qpoly import ONE, QPolynomial, QProduct, expand
 from monoid_orders.rootsystem import (
     CartanType,
     build,
-    connected_components,
     degrees,
     poincare_factors,
     positive_count_of_subset,
+    subset_degrees,
 )
+from subdiagrams import components
 
 SMALL_TYPES = (
     [f"A{l}" for l in range(1, 7)]
@@ -43,18 +44,19 @@ SMALL_TYPES = (
 def thm34_products(lat):
     """The factored thm34 term of each entry; None for the zero entry."""
     rs = lat.root_system
-    p_w_squared = poincare_factors(rs.cartan_type) ** 2
-    factors = functools.cache(poincare_factors)  # only to keep A14 quick
+    p_w_squared = poincare_factors(degrees(rs.cartan_type)) ** 2
+    # only to keep A14 quick
+    factors = functools.cache(lambda X: poincare_factors(subset_degrees(rs, X)))
     products = []
     for entry in lat.entries:
         if lat.is_zero(entry):
             products.append((entry.label, None))
             continue
         denom = QProduct()
-        for _, ct in connected_components(rs, entry.lambda_substar):
-            denom = denom * factors(ct) ** 2
-        for _, ct in connected_components(rs, entry.lambda_star):
-            denom = denom * factors(ct)
+        for comp in components(rs, entry.lambda_substar):
+            denom = denom * factors(comp) ** 2
+        for comp in components(rs, entry.lambda_star):
+            denom = denom * factors(comp)
         torus = QProduct.of(
             [1] * entry.torus_index_exponent,
             shift=positive_count_of_subset(rs, entry.lambda_star),
@@ -77,10 +79,10 @@ def thm41_products(lat):
             shift=positive_count_of_subset(rs, entry.lambda_star),
         )
         denom = QProduct.of([1] * (2 * rs.rank))
-        for _, ct in connected_components(rs, entry.lambda_substar):
-            denom = denom * QProduct.of(degrees(ct)) ** 2
-        for _, ct in connected_components(rs, entry.lambda_star):
-            denom = denom * QProduct.of(degrees(ct))
+        for comp in components(rs, entry.lambda_substar):
+            denom = denom * QProduct.of(subset_degrees(rs, comp)) ** 2
+        for comp in components(rs, entry.lambda_star):
+            denom = denom * QProduct.of(subset_degrees(rs, comp))
         products.append((entry.label, numer / denom))
     return products
 

@@ -2,24 +2,26 @@
 
 import itertools
 import os
+import random
 import subprocess
 import sys
 from math import prod
 
 import pytest
 
-from monoid_orders import cli, rootsystem, weyl
+from monoid_orders import cli, weyl
 from monoid_orders.errors import GroupTooLarge, InvariantViolation
-from monoid_orders.qpoly import ONE, QPolynomial, div_exact
+from monoid_orders.qpoly import ONE, QPolynomial, QProduct, div_exact, expand
 from monoid_orders.rootsystem import (
     CartanType,
     build,
-    connected_components,
     poincare_product,
+    subset_degrees,
     subset_poincare,
     weyl_order,
 )
 from monoid_orders.weyl import coset_length_poly
+from subdiagrams import components
 
 NONE = frozenset()
 
@@ -126,9 +128,7 @@ def test_e6_orbit_sizes():
     for J in subsets(rs.rank):
         if not J:
             continue
-        sub_order = 1
-        for _, ct in connected_components(rs, J):
-            sub_order *= weyl_order(ct)
+        sub_order = prod(prod(subset_degrees(rs, comp)) for comp in components(rs, J))
         cosets = coset_length_poly(rs, delta(rs), J)
         assert sum(cosets.coeffs) == order // sub_order, sorted(J)
         assert cosets == div_exact(w, subset_poincare(rs, J)), sorted(J)
@@ -250,15 +250,16 @@ def test_e6_order_all_walks_at_most_2000_weights(walks, capsys):
     assert sum(n for _, _, n in walks) <= 2000
 
 
-def a1_degrees_wrong(degrees):
-    """degrees with A1 given (3,): the A2 chain then walks 3 and 2 cosets
-    against indices 2 and 3, so only a per-factor check sees the error."""
-    return lambda ct: (3,) if ct == CartanType("A", 1) else degrees(ct)
+def a1_degrees_wrong(real):
+    """subset_degrees with each A1 given (3,): the A2 chain then walks 3 and
+    2 cosets against indices 2 and 3, so only a per-factor check sees the
+    error."""
+    return lambda rs, X: (3,) if len(X) == 1 else real(rs, X)
 
 
 def test_each_factor_checked_against_its_index(monkeypatch):
     rs = root_system("A2")
-    monkeypatch.setattr(rootsystem, "degrees", a1_degrees_wrong(rootsystem.degrees))
+    monkeypatch.setattr(weyl, "subset_degrees", a1_degrees_wrong(subset_degrees))
     assert weyl_order(rs.cartan_type) == 6  # the product of the indices is right
     with pytest.raises(InvariantViolation):
         coset_length_poly(rs, delta(rs), NONE)
@@ -272,8 +273,8 @@ from monoid_orders.errors import InvariantViolation
 if not sys.flags.optimize:
     sys.exit("not running under -O")
 rs = rootsystem.build(rootsystem.CartanType("A", 2))
-degrees = rootsystem.degrees
-rootsystem.degrees = lambda ct: (3,) if ct.rank == 1 else degrees(ct)
+subset_degrees = weyl.subset_degrees
+weyl.subset_degrees = lambda rs, X: (3,) if len(X) == 1 else subset_degrees(rs, X)
 try:
     weyl.coset_length_poly(rs, frozenset({1, 2}), frozenset())
 except InvariantViolation:
@@ -293,3 +294,27 @@ def test_factor_check_survives_optimize():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+SOLOMON_TYPES = (
+    [f"A{l}" for l in range(1, 7)]
+    + [f"B{l}" for l in range(2, 7)]
+    + [f"C{l}" for l in range(3, 7)]
+    + ["D4", "D5", "D6", "E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("spec", SOLOMON_TYPES)
+def test_walked_parabolics_match_the_height_degrees(spec):
+    # the walk reads only the Cartan matrix, and a product of (q^d-1)/(q-1)
+    # determines its multiset of degrees, so equality checks every degree;
+    # every subset up to rank 6, 16 fixed ones of E7 and E8
+    rs = root_system(spec)
+    masks = range(2**rs.rank)
+    if rs.rank > 6:
+        masks = random.Random(spec).sample(masks, 16)
+    for mask in masks:
+        X = frozenset(i + 1 for i in range(rs.rank) if mask >> i & 1)
+        ds = subset_degrees(rs, X)
+        solomon = expand(QProduct.of(ds) / QProduct.of([1] * len(ds)))
+        assert coset_length_poly(rs, X, NONE, 10**9) == solomon, sorted(X)
