@@ -8,10 +8,10 @@ would signal bugs or inconsistent lattice data) can never hide.
 from .crosssection import (
     CrossSectionLattice,
     LatticeEntry,
+    fundamental_lattice,
     is_j_irreducible,
     j_irreducible_lattice,
     load_lattice,
-    symplectic_lattice,
 )
 from .errors import (
     EnumerationTooLarge,
@@ -26,11 +26,7 @@ from .errors import (
     NotJIrreducible,
     UnsupportedType,
 )
-from .oracle import (
-    RankHistogram,
-    count_subspaces,
-    enumerate_rank_histogram,
-)
+from .oracle import enumerate_rank_histogram, subspace_counts
 from .orders import (
     OrderReport,
     gl_strata,
@@ -39,9 +35,7 @@ from .orders import (
     order_thm33,
     order_thm34,
     order_thm41,
-    symplectic_h_polynomial,
     symplectic_order,
-    symplectic_stratum,
 )
 from .qpoly import (
     QPolynomial,

@@ -18,6 +18,7 @@ from dataclasses import replace
 from . import verify as verify_mod
 from .crosssection import (
     CrossSectionLattice,
+    fundamental_lattice,
     j_irreducible_lattice,
     load_lattice,
 )
@@ -147,16 +148,25 @@ def _parse_qs(values: list[str]) -> list[int]:
     return qs
 
 
-# Miller-Rabin with these witnesses is exact below 3.3 * 10^24.
+# Miller-Rabin with these witnesses is exact below _CERTIFIED_BELOW, the
+# least strong pseudoprime to all of them.
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_CERTIFIED_BELOW = 3317044064679887385961981
 
 
 def _is_prime(n: int) -> bool:
+    """Exact below _CERTIFIED_BELOW; a larger n with no witness as a factor
+    is a usage error, not a guess."""
     if n < 2:
         return False
     for p in _WITNESSES:
         if n % p == 0:
             return n == p
+    if n >= _CERTIFIED_BELOW:
+        raise _UsageError(
+            f"cannot certify that {n} is prime: the primality test is exact"
+            f" only below {_CERTIFIED_BELOW}"
+        )
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
@@ -207,21 +217,17 @@ def _resolve_lattice(args, enum_bound: int | None) -> CrossSectionLattice:
     if not args.type:
         raise UnsupportedType("--type is required without --lattice-file")
     ct = CartanType.parse(args.type)
-    rs = build(ct)
     preset = getattr(args, "preset", None)
     j0_spec = getattr(args, "j0", None)
     if preset and j0_spec:
         raise UnsupportedType("--preset and --j0 are mutually exclusive")
-    delta = frozenset(range(1, rs.rank + 1))
     if j0_spec is not None:
-        j0 = parse_subset(j0_spec, rs.rank)
-    elif preset == "first-fundamental":
-        j0 = delta - {1}
-    elif preset == "last-fundamental":
-        j0 = delta - {rs.rank}
-    else:
-        raise UnsupportedType("give one of --preset, --j0, or --lattice-file")
-    return j_irreducible_lattice(rs, j0, enum_bound)
+        j0 = parse_subset(j0_spec, ct.rank)
+        return j_irreducible_lattice(build(ct), j0, enum_bound)
+    if preset:
+        i = 1 if preset == "first-fundamental" else ct.rank
+        return fundamental_lattice(ct, i, enum_bound)
+    raise UnsupportedType("give one of --preset, --j0, or --lattice-file")
 
 
 def _decimal(value: int) -> str:
@@ -248,18 +254,14 @@ def _print_order_table(
     print(f"type {report.cartan_type}  formula {report.formula}")
     for note in report.notes:
         print(f"note: {note}")
-    entries = {e.label: e for e in report.lattice.entries} if report.lattice else {}
+    entries = {e.label: e for e in report.lattice.entries}
     width = max(len(label) for label, _ in report.terms)
     for label, term in report.terms:
-        entry = entries.get(label)
-        if entry is not None:
-            shape = (
-                f"  lambda*={_subset_str(entry.lambda_star):<12}"
-                f" lambda_*={_subset_str(entry.lambda_substar):<12}"
-            )
-        else:
-            shape = ""
-        print(f"  {label:<{width}}{shape}  {term}")
+        entry = entries[label]
+        print(
+            f"  {label:<{width}}  lambda*={_subset_str(entry.lambda_star):<12}"
+            f" lambda_*={_subset_str(entry.lambda_substar):<12}  {term}"
+        )
     print(f"total: {report.total}")
     for q0, value in values.items():
         print(f"q={q0}: {value}")

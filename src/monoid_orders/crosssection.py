@@ -3,9 +3,10 @@
 A lattice entry records, for one idempotent orbit representative e, the two
 halves of its type map: lambda_star (simple roots whose reflections commute
 with e without fixing it) and lambda_substar (those whose reflections fix e),
-plus the exponent k with [T:T(e)] = (q-1)^k.  Lattices are built three ways:
-from a weight-support set J0 (the unique-minimal-idempotent rule), the
-symplectic special case, or a validated external description.
+plus the exponent k with [T:T(e)] = (q-1)^k.  Lattices are built two ways:
+from a weight-support set J0 (the unique-minimal-idempotent rule), of which
+the fundamental weight omega_i, J0 = Delta minus {alpha_i}, is the common
+case, or from a validated external description.
 """
 
 from __future__ import annotations
@@ -222,21 +223,19 @@ def j_irreducible_lattice(
     return validate(lat)
 
 
-def symplectic_lattice(l: int) -> CrossSectionLattice:
-    """Lattice of the last-fundamental (omega_l) J-irreducible monoid of
-    type C_l, l >= 2.
+def fundamental_lattice(
+    ct: CartanType, i: int, bound: int | None = None
+) -> CrossSectionLattice:
+    """Weight-support lattice of the fundamental weight omega_i of type ct:
+    j_irreducible_lattice with J0 = Delta minus {alpha_i}, under the same
+    bound.
 
-    Equals the weight-support lattice of type C_l with J0 = {alpha_1 ..
-    alpha_(l-1)}: the zero, then a chain of l+1 entries whose lambda_star
-    values are the suffixes of the simple-root string ending at alpha_l.
-    In the Bourbaki numbering used here the natural 2l-dimensional
-    representation is omega_1, so for l >= 3 this is not the monoid of
-    the symplectic group on a 2l-dimensional space; at l = 2 the two agree.
+    In the Bourbaki numbering used here, omega_1 of C_l is the natural
+    2l-dimensional representation, and omega_l gives the monoid of the
+    closed form orders.symplectic_order.
     """
-    if l < 2:
-        raise ValueError("symplectic lattice needs l >= 2")
-    rs = build(CartanType("C", l))
-    return j_irreducible_lattice(rs, frozenset(range(1, l)))
+    rs = build(ct)
+    return j_irreducible_lattice(rs, frozenset(range(1, rs.rank + 1)) - {i}, bound)
 
 
 def _json_int(value, what: str) -> int:

@@ -1,7 +1,8 @@
 """Independent brute-force ground truth over small prime fields.
 
-Nothing here touches the polynomial formulas, and every count is literal:
-rank strata come from visiting every one of the p^(n^2) matrices in a walk
+Nothing here touches the polynomial formulas, and every count is literal.
+Both oracles return a list of counts indexed by rank or dimension: rank
+strata come from visiting every one of the p^(n^2) matrices in a walk
 over its rows, which carries the echelon basis of the rows above so each
 new row is reduced against at most n-1 pivots; subspace counts of every
 dimension from one span-set closure, where each (r+1)-space containing a
@@ -14,9 +15,8 @@ shared code.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .errors import EnumerationTooLarge, IndexOutOfRange, NonPrimeModulus
+from .errors import EnumerationTooLarge, NonPrimeModulus
 
 DEFAULT_MATRIX_BOUND = 10**8
 DEFAULT_VECTOR_BOUND = 2**16
@@ -27,21 +27,9 @@ def _require_prime(p: int) -> None:
         raise NonPrimeModulus(f"{p} is not prime")
 
 
-@dataclass
-class RankHistogram:
-    n: int
-    p: int
-    counts: dict[int, int]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-
-def enumerate_rank_histogram(
-    n: int, p: int, bound: int | None = None
-) -> RankHistogram:
-    """Rank counts over all p^(n^2) matrices, by exhaustive enumeration.
+def enumerate_rank_histogram(n: int, p: int, bound: int | None = None) -> list[int]:
+    """Number of n-by-n matrices over F_p of rank r for every r = 0..n, by
+    exhaustive enumeration of all p^(n^2) of them.
 
     The matrices are walked row by row; every matrix is one leaf of the
     walk and is counted at the rank its rows reached.
@@ -52,7 +40,7 @@ def enumerate_rank_histogram(
     total = p ** (n * n)
     if total > bound:
         raise EnumerationTooLarge(f"p^(n^2) = {total} exceeds the bound {bound}")
-    counts = {r: 0 for r in range(n + 1)}
+    counts = [0] * (n + 1)
     all_rows = list(itertools.product(range(p), repeat=n))
 
     def walk(depth: int, basis: tuple[tuple[int, tuple[int, ...]], ...]) -> None:
@@ -77,7 +65,7 @@ def enumerate_rank_histogram(
         counts[0] = 1  # the one empty matrix
     else:
         walk(0, ())
-    return RankHistogram(n, p, counts)
+    return counts
 
 
 def subspace_counts(n: int, p: int, bound: int | None = None) -> list[int]:
@@ -118,12 +106,3 @@ def subspace_counts(n: int, p: int, bound: int | None = None) -> list[int]:
         level = bigger
         counts.append(len(level))
     return counts
-
-
-def count_subspaces(n: int, r: int, p: int, bound: int | None = None) -> int:
-    """Number of r-dimensional subspaces of the n-dimensional space over F_p,
-    read off the walk of subspace_counts."""
-    _require_prime(p)
-    if r < 0 or r > n:
-        raise IndexOutOfRange(f"need 0 <= r <= n, got n={n}, r={r}")
-    return subspace_counts(n, p, bound)[r]

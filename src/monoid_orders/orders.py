@@ -13,8 +13,9 @@ The degree-based routes read the degrees of each parabolic subgroup W_X
 from rootsystem.subset_degrees, never from a classification of X.
 
 Plus closed forms for the two published stratifications (full matrix monoid
-and the last-fundamental monoid of type C_l) and the H-polynomial extraction
-(|M|-1)/(q-1).
+and the last-fundamental, omega_l, monoid of type C_l; the natural
+2l-dimensional monoid is omega_1, which has no closed form here) and the
+H-polynomial extraction (|M|-1)/(q-1).
 """
 
 from __future__ import annotations
@@ -306,43 +307,18 @@ def _symplectic_factors(l: int, r: int) -> QProduct:
     return term
 
 
-def _symplectic_h_terms(l: int) -> list[QPolynomial]:
-    """The l+1 terms of the omega_l H-polynomial, each expanded once."""
+def symplectic_order(l: int) -> OrderReport:
+    """Closed-form order of the omega_l monoid of type C_l, l >= 2, with its
+    strata.
+
+    Each of the l+1 H terms is expanded once; the total is 1 + (q-1) H, and
+    stratum r is H term r-1 times (q-1) by one shift-subtract.
+    """
     if l < 2:
         raise ValueError("need l >= 2")
-    return [expand(_symplectic_factors(l, r)) for r in range(l + 1)]
-
-
-def _times_q_minus_one(p: QPolynomial) -> QPolynomial:
-    return QPolynomial(_times_binomial(list(p.coeffs), 1))
-
-
-def symplectic_h_polynomial(l: int) -> QPolynomial:
-    """H-polynomial of the last-fundamental (omega_l) J-irreducible monoid
-    of type C_l; for l >= 3 not the monoid of the natural 2l-dimensional
-    representation, which is omega_1."""
-    return _poly_sum(_symplectic_h_terms(l))
-
-
-def symplectic_stratum(l: int, r: int) -> QPolynomial:
-    """Number of elements of the omega_l monoid of type C_l at chain height
-    r (0..l+1): (q-1) times H term r-1 for r >= 1."""
-    if r < 0 or r > l + 1:
-        raise IndexOutOfRange(f"need 0 <= r <= l+1, got l={l}, r={r}")
-    if r == 0:
-        return ONE
-    return _times_q_minus_one(expand(_symplectic_factors(l, r - 1)))
-
-
-def symplectic_order(l: int) -> OrderReport:
-    """Closed-form order of the omega_l monoid of type C_l, with its strata.
-
-    Each H term is expanded once; the total is 1 + (q-1) H, and stratum r
-    is H term r-1 times (q-1) by one shift-subtract.
-    """
-    h_terms = _symplectic_h_terms(l)
+    h_terms = [expand(_symplectic_factors(l, r)) for r in range(l + 1)]
     total = ONE + Q_MINUS_ONE * _poly_sum(h_terms)
-    strata = [ONE] + [_times_q_minus_one(term) for term in h_terms]
+    strata = [ONE] + [QPolynomial(_times_binomial(list(t.coeffs), 1)) for t in h_terms]
     return OrderReport(
         formula="symplectic",
         cartan_type=CartanType("C", l),

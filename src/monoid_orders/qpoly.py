@@ -60,8 +60,6 @@ class QPolynomial:
     def __eq__(self, other) -> bool:
         if isinstance(other, QPolynomial):
             return self.coeffs == other.coeffs
-        if isinstance(other, int):
-            return self.coeffs == (QPolynomial([other])).coeffs
         return NotImplemented
 
     def __hash__(self) -> int:

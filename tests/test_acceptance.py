@@ -10,7 +10,7 @@ from contextlib import contextmanager
 import pytest
 
 from monoid_orders import verify
-from monoid_orders.crosssection import j_irreducible_lattice
+from monoid_orders.crosssection import fundamental_lattice
 from monoid_orders.orders import (
     h_polynomial,
     order_thm31,
@@ -26,7 +26,7 @@ from monoid_orders.qpoly import (
     is_palindromic,
     q_power_minus_one,
 )
-from monoid_orders.rootsystem import CartanType, build, degrees
+from monoid_orders.rootsystem import CartanType, degrees
 
 H_COEFFS_L2 = [1, 1, 1, 2, 2, 2, 2, 2, 1, 1, 1]
 H_COEFFS_L3 = [1, 1, 1, 2, 2, 3, 4, 4, 4, 5, 5, 5, 5, 4, 4, 4, 3, 2, 2, 1, 1, 1]
@@ -39,13 +39,6 @@ def budget(criterion: str, seconds: float):
     elapsed = time.perf_counter() - start
     assert elapsed < seconds, f"criterion {criterion} took {elapsed:.2f}s"
     print(f"ACCEPTANCE {criterion}: PASS ({elapsed:.2f}s < {seconds:g}s)")
-
-
-def weight_lattice(spec, weight):
-    rs = build(CartanType.parse(spec))
-    delta = frozenset(range(1, rs.rank + 1))
-    omitted = 1 if weight == "first" else rs.rank
-    return j_irreducible_lattice(rs, delta - {omitted})
 
 
 def test_criterion_1_symplectic_h_polynomial_l2():
@@ -100,13 +93,11 @@ def test_criterion_7_coset_sum_identity():
 
 
 def test_criterion_8_structural_sanity():
-    cases = [
-        ("A1", "first"), ("A2", "first"), ("A3", "first"),
-        ("C2", "last"), ("C3", "last"), ("C4", "last"),
-    ]
+    # (type, i) for the fundamental weight omega_i
+    cases = [("A1", 1), ("A2", 1), ("A3", 1), ("C2", 2), ("C3", 3), ("C4", 4)]
     with budget("8 (structural sanity)", 30.0):
-        for spec, weight in cases:
-            lat = weight_lattice(spec, weight)
+        for spec, i in cases:
+            lat = fundamental_lattice(CartanType.parse(spec), i)
             for report in (order_thm31(lat), order_thm33(lat),
                            order_thm34(lat), order_thm41(lat)):
                 terms = dict(report.terms)

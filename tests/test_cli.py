@@ -9,7 +9,7 @@ import time
 import pytest
 
 from monoid_orders import cli, orders, verify
-from monoid_orders.crosssection import j_irreducible_lattice, symplectic_lattice
+from monoid_orders.crosssection import fundamental_lattice, j_irreducible_lattice
 from monoid_orders.rootsystem import CartanType, build
 from monoid_orders.qpoly import ONE, QPolynomial
 
@@ -217,7 +217,7 @@ def test_lattice_long_symplectic_chain(capsys):
 
 
 def _c2_lattice_file(tmp_path, **changes):
-    raw = symplectic_lattice(2).to_json()
+    raw = fundamental_lattice(CartanType("C", 2), 2).to_json()
     for field, value in changes.items():
         if field == "torus_rank":
             raw[field] = value
@@ -234,8 +234,9 @@ def _c2_lattice_file(tmp_path, **changes):
         ({"torus_rank": "x"}, "torus_rank must be an integer, got 'x'"),
         ({"lambda_substar": "12"}, "lambda_substar must be a list of integers"),
         ({"torus_index_exponent": True}, "torus_index_exponent must be an integer"),
+        ({"lambda_star": [3]}, "entry 'e{}': simple-root indices outside 1..2"),
     ],
-    ids=["torus-rank-string", "substar-string", "exponent-bool"],
+    ids=["torus-rank-string", "substar-string", "exponent-bool", "index-outside-rank"],
 )
 def test_malformed_lattice_file_exits_2(capsys, tmp_path, change, message):
     path = _c2_lattice_file(tmp_path, **change)
@@ -447,7 +448,11 @@ def test_enum_bound_env_var(capsys, monkeypatch):
     assert run(capsys, "verify")[0] == 1
 
 
-@pytest.mark.parametrize("q", ["6", "10", "12", "2,6"])
+# 2021 = 43 * 47 and 1373653 = 829 * 1657, a strong pseudoprime to bases 2
+# and 3, reach the Miller-Rabin loop; the last has the witness 2 as a factor
+@pytest.mark.parametrize(
+    "q", ["6", "10", "12", "2,6", "2021", "1373653", str(2 * 3317044064679887385961981)],
+)
 def test_q_must_be_prime_power(capsys, q):
     for argv in (
         ("order", "--type", "A1", "--preset", "first-fundamental", "--q", q),
@@ -476,7 +481,24 @@ def test_evaluation_past_the_digit_limit_exits_1(capsys, fmt):
         )
 
 
-@pytest.mark.parametrize("q, value", [("4", "256"), ("8", "4096"), ("9", "6561")])
+MERSENNE_61 = 2**61 - 1
+
+
+# no witness divides 43, 97 or 2^61 - 1, so Miller-Rabin decides them; 97 - 1
+# is 3 * 2^5, so its squaring loop runs
+@pytest.mark.parametrize(
+    "q, value",
+    [
+        ("4", "256"),
+        ("8", "4096"),
+        ("9", "6561"),
+        ("43", "3418801"),
+        ("1849", str(43**8)),
+        ("97", "88529281"),
+        pytest.param(str(MERSENNE_61), str(MERSENNE_61**4), id="2^61-1"),
+        pytest.param(str(MERSENNE_61**2), str(MERSENNE_61**8), id="(2^61-1)^2"),
+    ],
+)
 def test_q_accepts_prime_powers(capsys, q, value):
     code, out, _ = run(
         capsys,
@@ -519,6 +541,14 @@ PINNED_OUTPUT = [
     (LATTICE_G2, "csv", "29990490747dc99037cb258aedae1015c6dc2fda32a908706c292246f26d1877"),
     (LATTICE_G2, "json", "8bf2f194a3a9bc3116da30251baaebe8ff0a1a0e0202eb173a4a345da253c90f"),
 ]
+# 3317044064679887385961981 = 1287836182261 * 2575672364521 passes
+# Miller-Rabin for all 13 witnesses
+UNCERTIFIED = 3317044064679887385961981
+UNCERTIFIED_LINE = (
+    f"error: cannot certify that {UNCERTIFIED} is prime: the primality test is"
+    f" exact only below {UNCERTIFIED}\n"
+)
+ORDER_A1 = ("order", "--type", "A1", "--preset", "first-fundamental")
 PINNED_USAGE_ERRORS = [
     (
         ("order", "--type", "A2", "--preset", "first-fundamental", "--q", "6"),
@@ -528,6 +558,21 @@ PINNED_USAGE_ERRORS = [
         ("strata", "--type", "A2", "--preset", "first-fundamental", "--q", "x"),
         "error: bad q value 'x'\n",
     ),
+    (
+        ("order", "--preset", "last-fundamental"),
+        "error: --type is required without --lattice-file\n",
+    ),
+    (("strata", "--preset", "last-fundamental"), "error: --type is required\n"),
+    ((*ORDER_A1, "--formula", "thm34", "--q", str(UNCERTIFIED)), UNCERTIFIED_LINE),
+    ((*ORDER_A1, "--q", str(UNCERTIFIED**2)), UNCERTIFIED_LINE),
+]
+USAGE_ERROR_IDS = [
+    "order",
+    "strata",
+    "order-without-type",
+    "strata-without-type",
+    "uncertified-root",
+    "uncertified-root-squared",
 ]
 
 
@@ -542,6 +587,62 @@ def test_output_bytes_are_pinned(capsys, src, fmt, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("argv, err_line", PINNED_USAGE_ERRORS, ids=["order", "strata"])
+@pytest.mark.parametrize("argv, err_line", PINNED_USAGE_ERRORS, ids=USAGE_ERROR_IDS)
 def test_usage_error_bytes_are_pinned(capsys, argv, err_line):
     assert run(capsys, *argv) == (1, "", err_line)
+
+
+
+def test_order_all_reports_a_formula_disagreement(capsys, monkeypatch):
+    thm41 = cli.FORMULAS["thm41"]
+
+    def off_by_one(lat):
+        report = thm41(lat)
+        return dataclasses.replace(report, total=report.total + ONE)
+
+    monkeypatch.setitem(cli.FORMULAS, "thm41", off_by_one)
+    code, out, err = run(
+        capsys, "order", "--type", "C2", "--preset", "last-fundamental",
+        "--formula", "all",
+    )
+    assert (code, out) == (3, "")
+    total = orders.order_thm34(fundamental_lattice(CartanType("C", 2), 2)).total
+    assert err.splitlines() == [
+        "formula disagreement:",
+        f"  thm31: {total}",
+        f"  thm33: {total}",
+        f"  thm34: {total}",
+        f"  thm41: {total + ONE}",
+    ]
+
+
+@pytest.mark.parametrize(
+    "change, code, err_line",
+    [
+        (
+            lambda raw: raw.pop("type"),
+            1,
+            "error: lattice file carries no type and --type not given\n",
+        ),
+        (
+            lambda raw: raw["entries"][0].update(torus_index_exponent=1),
+            2,
+            "error: entry '0': zero entry must have torus_index_exponent 0\n",
+        ),
+        (lambda raw: raw.update(entries=[1]), 2, "error: entry #0 is not an object\n"),
+    ],
+    ids=["no-type", "zero-entry-exponent-1", "entries-not-objects"],
+)
+def test_lattice_file_error_lines(capsys, tmp_path, change, code, err_line):
+    raw = fundamental_lattice(CartanType("C", 2), 2).to_json()
+    change(raw)
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps(raw))
+    assert run(capsys, "order", "--lattice-file", str(path)) == (code, "", err_line)
+
+
+def test_explicit_j0_equal_to_a_preset_keeps_its_provenance(capsys):
+    preset = run(capsys, "lattice", "--type", "C3", "--preset", "last-fundamental")
+    explicit = run(capsys, "lattice", "--type", "C3", "--j0", "1,2")
+    assert preset == explicit
+    assert "(paper-verified)" in explicit[1]

@@ -1,4 +1,5 @@
-"""Cross-section lattice construction, the symplectic listing, and validation."""
+"""Cross-section lattice construction, the fundamental-weight lattices, and
+validation."""
 
 import itertools
 import random
@@ -9,11 +10,11 @@ from monoid_orders.crosssection import (
     PAPER_VERIFIED,
     RULE_DERIVED,
     USER_SUPPLIED,
+    fundamental_lattice,
     is_j_irreducible,
     j_irreducible_lattice,
     lattice_size,
     load_lattice,
-    symplectic_lattice,
     validate,
     CrossSectionLattice,
     LatticeEntry,
@@ -58,9 +59,17 @@ def test_c3_last_fundamental():
     ]
 
 
+@pytest.mark.parametrize("l", range(2, 9))
+def test_last_fundamental_c_lattice_is_the_weight_support_lattice(l):
+    lat = fundamental_lattice(CartanType("C", l), l)
+    expected = j_irreducible_lattice(build(CartanType("C", l)), frozenset(range(1, l)))
+    assert lat.entries == expected.entries
+    assert lat.provenance == expected.provenance == PAPER_VERIFIED
+
+
 def test_symplectic_lattice_sizes():
-    assert len(symplectic_lattice(2).entries) == 4
-    lat3 = symplectic_lattice(3)
+    assert len(fundamental_lattice(CartanType("C", 2), 2).entries) == 4
+    lat3 = fundamental_lattice(CartanType("C", 3), 3)
     assert len(lat3.entries) == 5
     stars = [e.lambda_star for e in lat3.entries if not lat3.is_zero(e)]
     # chain: each lambda* contains the previous one
@@ -70,7 +79,7 @@ def test_symplectic_lattice_sizes():
 
 @pytest.mark.parametrize("l", range(2, 7))
 def test_symplectic_listing_verbatim(l):
-    lat = symplectic_lattice(l)
+    lat = fundamental_lattice(CartanType("C", l), l)
     assert len(lat.entries) == l + 2
     expected = [([], list(range(1, l + 1)), 0)]  # zero
     expected.append(([], list(range(1, l)), 1))  # minimal nonzero, lambda* empty
@@ -83,7 +92,7 @@ def test_symplectic_listing_verbatim(l):
 
 def test_symplectic_identity_entry():
     for l in (2, 4):
-        lat = symplectic_lattice(l)
+        lat = fundamental_lattice(CartanType("C", l), l)
         ident = lat.identity_entry
         assert ident.lambda_substar == frozenset()
         assert ident.torus_index_exponent == l + 1
@@ -116,7 +125,7 @@ def test_invalid_support():
 
 
 def test_load_lattice_round_trip():
-    lat = symplectic_lattice(2)
+    lat = fundamental_lattice(CartanType("C", 2), 2)
     raw = lat.to_json()
     loaded = load_lattice(lat.root_system, raw)
     assert loaded.entries == lat.entries
@@ -222,7 +231,7 @@ def test_validate_rejects_duplicate_labels():
 
 
 def test_is_j_irreducible_flag():
-    lat = symplectic_lattice(2)
+    lat = fundamental_lattice(CartanType("C", 2), 2)
     assert is_j_irreducible(lat)
     tweaked = CrossSectionLattice(
         lat.root_system,
@@ -275,6 +284,19 @@ def test_grown_lattice_matches_subset_scan_for_every_support(spec):
         )
 
 
+@pytest.mark.parametrize("spec", SMALL_TYPES)
+def test_fundamental_lattice_omits_one_simple_root(spec):
+    ct = CartanType.parse(spec)
+    rs = build(ct)
+    delta = frozenset(range(1, ct.rank + 1))
+    for i in delta:
+        lat = fundamental_lattice(ct, i)
+        expected = j_irreducible_lattice(rs, delta - {i})
+        assert (lat.entries, lat.provenance) == (expected.entries, expected.provenance)
+    with pytest.raises(LatticeTooLarge):
+        fundamental_lattice(ct, 1, bound=0)
+
+
 @pytest.mark.parametrize("spec", ["A8", "C8", "D8", "E7", "E8"])
 def test_grown_lattice_matches_subset_scan_on_a_sample(spec):
     rs = build(CartanType.parse(spec))
@@ -309,14 +331,14 @@ def test_lattice_too_large_by_default_before_any_work():
 
 
 def test_symplectic_lattice_scale():
-    lat = symplectic_lattice(40)
+    lat = fundamental_lattice(CartanType("C", 40), 40)
     assert len(lat.entries) == 42
     assert lat.identity_entry.torus_index_exponent == 41
     assert shape(lat)[2] == ([40], list(range(1, 39)), 2)
 
 
 def c2_description(**changes):
-    raw = symplectic_lattice(2).to_json()
+    raw = fundamental_lattice(CartanType("C", 2), 2).to_json()
     raw.update(changes)
     return raw
 

@@ -13,8 +13,8 @@ from monoid_orders import orders, verify
 from monoid_orders.crosssection import (
     CrossSectionLattice,
     LatticeEntry,
+    fundamental_lattice,
     j_irreducible_lattice,
-    symplectic_lattice,
 )
 from monoid_orders.errors import (
     IndexOutOfRange,
@@ -31,9 +31,7 @@ from monoid_orders.orders import (
     order_thm33,
     order_thm34,
     order_thm41,
-    symplectic_h_polynomial,
     symplectic_order,
-    symplectic_stratum,
 )
 from monoid_orders.qpoly import (
     ONE,
@@ -57,20 +55,13 @@ H_COEFFS_L2 = (1, 1, 1, 2, 2, 2, 2, 2, 1, 1, 1)
 H_COEFFS_L3 = (1, 1, 1, 2, 2, 3, 4, 4, 4, 5, 5, 5, 5, 4, 4, 4, 3, 2, 2, 1, 1, 1)
 
 
-def weight_lattice(spec, weight):
-    rs = build(CartanType.parse(spec))
-    delta = frozenset(range(1, rs.rank + 1))
-    omitted = 1 if weight == "first" else rs.rank
-    return j_irreducible_lattice(rs, delta - {omitted})
-
-
 AGREEMENT_LATTICES = [
-    weight_lattice("A1", "first"),
-    weight_lattice("A2", "first"),
-    weight_lattice("A3", "first"),
-    weight_lattice("C2", "last"),
-    weight_lattice("C3", "last"),
-    weight_lattice("C4", "last"),
+    fundamental_lattice(CartanType("A", 1), 1),
+    fundamental_lattice(CartanType("A", 2), 1),
+    fundamental_lattice(CartanType("A", 3), 1),
+    fundamental_lattice(CartanType("C", 2), 2),
+    fundamental_lattice(CartanType("C", 3), 3),
+    fundamental_lattice(CartanType("C", 4), 4),
 ]
 
 
@@ -84,7 +75,7 @@ def unit_group_order(lat):
 
 
 def test_matrix_monoid_rank1_total():
-    lat = weight_lattice("A1", "first")
+    lat = fundamental_lattice(CartanType("A", 1), 1)
     report = order_thm41(lat)
     terms = dict(report.terms)
     assert terms["0"] == ONE
@@ -96,16 +87,16 @@ def test_matrix_monoid_rank1_total():
 def test_matrix_monoid_terms_match_rank_enumeration():
     # per-entry orbit sizes equal brute-force rank counts over small fields
     for n, p in ((2, 2), (2, 3), (3, 2)):
-        lat = weight_lattice(f"A{n - 1}", "first")
+        lat = fundamental_lattice(CartanType("A", n - 1), 1)
         report = order_thm31(lat)
-        hist = enumerate_rank_histogram(n, p)
+        counts = enumerate_rank_histogram(n, p)
         # entries are ordered zero, then by growing lambda*: rank 0, 1, ..., n
-        for r, (_, term) in enumerate(report.terms):
-            assert eval_big(term, p) == hist.counts[r]
+        assert [eval_big(term, p) for _, term in report.terms] == counts
 
 
 def test_a2_total_is_q_to_nine():
-    assert order_thm34(weight_lattice("A2", "first")).total == QPolynomial.monomial(9)
+    lat = fundamental_lattice(CartanType("A", 2), 1)
+    assert order_thm34(lat).total == QPolynomial.monomial(9)
 
 
 @pytest.mark.parametrize("lat", AGREEMENT_LATTICES, ids=lambda l: str(l.root_system.cartan_type))
@@ -129,14 +120,14 @@ def test_zero_and_identity_terms(lat):
 
 
 def test_symplectic_l2_at_q2():
-    lat = symplectic_lattice(2)
+    lat = fundamental_lattice(CartanType("C", 2), 2)
     for fn in (order_thm31, order_thm33, order_thm34, order_thm41):
         assert eval_big(fn(lat).total, 2) == 2296
 
 
 def test_middle_orbit_size_of_2x2_matrices():
     # orbit of the rank-1 idempotent: |G|^2 / isotropy = 9 at q=2
-    lat = weight_lattice("A1", "first")
+    lat = fundamental_lattice(CartanType("A", 1), 1)
     middle = next(
         e for e in lat.entries if not lat.is_zero(e) and not lat.is_identity(e)
     )
@@ -145,7 +136,7 @@ def test_middle_orbit_size_of_2x2_matrices():
 
 
 def test_thm31_walks_each_subset_once_per_call(monkeypatch):
-    lat = symplectic_lattice(4)
+    lat = fundamental_lattice(CartanType("C", 4), 4)
     delta = frozenset(range(1, 5))
     subsets = {delta} | {
         X
@@ -167,7 +158,7 @@ def test_thm31_walks_each_subset_once_per_call(monkeypatch):
 
 
 def test_thm41_requires_weight_support_exponents():
-    lat = symplectic_lattice(2)
+    lat = fundamental_lattice(CartanType("C", 2), 2)
     tweaked = CrossSectionLattice(
         lat.root_system,
         tuple(
@@ -189,7 +180,7 @@ def test_thm41_requires_weight_support_exponents():
 
 @pytest.mark.parametrize("l", range(2, 7))
 def test_symplectic_closed_form_matches_lattice_route(l):
-    assert symplectic_order(l).total == order_thm41(symplectic_lattice(l)).total
+    assert symplectic_order(l).total == order_thm41(fundamental_lattice(CartanType("C", l), l)).total
 
 
 def test_closed_form_check_compares_each_stratum(monkeypatch):
@@ -217,7 +208,7 @@ def test_symplectic_strata_partition(l):
     assert total == report.total
     # top stratum is the unit group of the symplectic monoid
     top = dict(report.terms)[f"M^{l + 1}"]
-    lattice_terms = dict(order_thm41(symplectic_lattice(l)).terms)
+    lattice_terms = dict(order_thm41(fundamental_lattice(CartanType("C", l), l)).terms)
     assert top == lattice_terms["1"]
 
 
@@ -246,10 +237,12 @@ def test_symplectic_closed_forms_match_dense_products(l):
     h = QPolynomial()
     for r in range(l + 1):
         h = h + dense_symplectic_term(l, r)
-    assert symplectic_h_polynomial(l).coeffs == h.coeffs
+    report = symplectic_order(l)
+    assert h_polynomial(report.total).coeffs == h.coeffs
+    assert report.terms[0] == ("M^0", ONE)
     for r in range(1, l + 2):
         expected = Q_MINUS_ONE * dense_symplectic_term(l, r - 1)
-        assert symplectic_stratum(l, r).coeffs == expected.coeffs, r
+        assert report.terms[r] == (f"M^{r}", expected), r
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -285,24 +278,26 @@ def test_symplectic_order_expands_each_h_term_once(monkeypatch):
     report = symplectic_order(30)
     assert len(calls) == 31  # one per H term, none per stratum
     monkeypatch.undo()
-    # stratum r is (q-1) times H term r-1, as the standalone functions give
-    assert report.terms == tuple(
-        (f"M^{r}", symplectic_stratum(30, r)) for r in range(32)
-    )
-    assert report.total == ONE + Q_MINUS_ONE * symplectic_h_polynomial(30)
+    # stratum r is (q-1) times H term r-1, which is the thm41 term of entry r
+    lattice_route = order_thm41(fundamental_lattice(CartanType("C", 30), 30))
+    assert [term for _, term in report.terms] == [
+        term for _, term in lattice_route.terms
+    ]
+    assert report.total == lattice_route.total
 
 
 def test_symplectic_stratum_range():
-    with pytest.raises(IndexOutOfRange):
-        symplectic_stratum(3, 5)
-    assert symplectic_stratum(3, 0) == ONE
+    # strata M^0 .. M^(l+1), the empty stratum of the zero alone first
+    report = symplectic_order(3)
+    assert [label for label, _ in report.terms] == [f"M^{r}" for r in range(5)]
+    assert report.terms[0][1] == ONE
 
 
 def test_symplectic_rejects_small_l():
     with pytest.raises(ValueError):
         symplectic_order(1)
     with pytest.raises(ValueError):
-        symplectic_h_polynomial(0)
+        symplectic_order(0)
 
 
 def test_gl_strata_values():
@@ -335,7 +330,7 @@ def test_h_polynomial_rejects_non_split_totals():
 def test_report_evaluate_and_json():
     # 183681 = 1 + 2 * H(3) with the frozen l=2 coefficient list
     assert 1 + 2 * sum(c * 3**i for i, c in enumerate(H_COEFFS_L2)) == 183681
-    report = order_thm34(symplectic_lattice(2)).evaluate([2, 3])
+    report = order_thm34(fundamental_lattice(CartanType("C", 2), 2)).evaluate([2, 3])
     assert report.evaluations == {2: 2296, 3: 183681}
     payload = report.to_json()
     assert payload["formula"] == "thm34"
@@ -347,7 +342,7 @@ def test_report_evaluate_and_json():
 
 
 def test_report_is_frozen():
-    report = order_thm34(symplectic_lattice(2))
+    report = order_thm34(fundamental_lattice(CartanType("C", 2), 2))
     with pytest.raises(dataclasses.FrozenInstanceError):
         report.notes = ()
     evaluated = report.evaluate([2])
@@ -357,7 +352,7 @@ def test_report_is_frozen():
 
 
 def test_thm33_notes_skipped_coset_check():
-    lat = symplectic_lattice(3)
+    lat = fundamental_lattice(CartanType("C", 3), 3)
     assert not any("skipped" in note for note in order_thm33(lat).notes)
     bounded = order_thm33(lat, enum_bound=10)
     assert bounded.notes[-1] == "skipped thm33 coset cross-check (GroupTooLarge)"
@@ -457,21 +452,22 @@ def wrong_coset_poly(rs, gens, fixed, bound=None):
 def test_thm33_coset_mismatch_raises(monkeypatch):
     monkeypatch.setattr(orders, "coset_length_poly", wrong_coset_poly)
     with pytest.raises(InvariantViolation):
-        order_thm33(symplectic_lattice(2))
+        order_thm33(fundamental_lattice(CartanType("C", 2), 2))
 
 
 OPTIMIZED_COSET_CHECK = """
 import sys
 from monoid_orders import orders, verify
-from monoid_orders.crosssection import symplectic_lattice
+from monoid_orders.crosssection import fundamental_lattice
 from monoid_orders.errors import InvariantViolation
+from monoid_orders.rootsystem import CartanType
 from monoid_orders.qpoly import ONE
 
 if not sys.flags.optimize:
     sys.exit("not running under -O")
 orders.coset_length_poly = lambda rs, gens, fixed, bound=None: ONE
 try:
-    orders.order_thm33(symplectic_lattice(2))
+    orders.order_thm33(fundamental_lattice(CartanType("C", 2), 2))
 except InvariantViolation:
     sys.exit(0)
 sys.exit("coset mismatch went unnoticed")

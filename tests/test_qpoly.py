@@ -18,6 +18,7 @@ from monoid_orders.qpoly import (
     gaussian_factors,
     is_palindromic,
     q_power_minus_one,
+    _over_binomial,
 )
 
 polys = st.builds(QPolynomial, st.lists(st.integers(-50, 50), max_size=12))
@@ -98,6 +99,18 @@ def test_div_exact_long_division():
 def test_div_exact_rejects_remainder():
     with pytest.raises(NonExactDivision):
         div_exact(QPolynomial([1, 0, 1]), QPolynomial([1, 1]))
+
+
+def test_div_exact_rejects_a_leading_coefficient_it_cannot_divide():
+    # q / (2q + 1): the quotient would need the coefficient 1/2
+    with pytest.raises(NonExactDivision):
+        div_exact(QPolynomial([0, 1]), QPolynomial([1, 2]))
+
+
+def test_sparse_division_rejects_remainder():
+    # (q^2 + 1) / (q - 1) leaves the remainder 2
+    with pytest.raises(NonExactDivision, match="degree-2 polynomial"):
+        _over_binomial([1, 0, 1], 1)
 
 
 def test_div_by_zero():
