@@ -55,7 +55,6 @@ from .rootsystem import (
     poincare_product,
     positive_count_of_subset,
     subset_degrees,
-    subset_poincare,
 )
 from .weyl import coset_length_poly
 

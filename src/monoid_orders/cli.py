@@ -14,6 +14,8 @@ import json
 import os
 import sys
 from dataclasses import replace
+from itertools import islice
+from math import isqrt
 
 from . import verify as verify_mod
 from .crosssection import (
@@ -184,8 +186,18 @@ def _is_prime(n: int) -> bool:
 
 
 def _is_prime_power(n: int) -> bool:
-    """True iff n = p^k for a prime p and k >= 1, without factoring n."""
-    for k in range(n.bit_length(), 0, -1):
+    """True iff n = p^k for a prime p and k >= 1, without factoring n.  A k-th
+    power to the power (p-1)/k is 0 or 1 modulo any prime p = 1 (mod k), so a
+    few such p rule out most k before any exact root is taken."""
+    limit = 1 << (64 * n.bit_length()).bit_length()
+    flags = bytearray([0, 0]) + bytearray([1]) * (limit - 2)  # prime sieve
+    for p in range(2, isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    for k in range(n.bit_length(), 1, -1):
+        primes = (p for p in range(k + 1, limit, k) if flags[p])
+        if any(pow(n % p, (p - 1) // k, p) > 1 for p in islice(primes, 3)):
+            continue
         lo, hi = 1, 1 << (n.bit_length() // k + 1)  # lo^k <= n < hi^k
         while hi - lo > 1:
             mid = (lo + hi) // 2
@@ -193,7 +205,7 @@ def _is_prime_power(n: int) -> bool:
         if lo**k == n:
             # the largest such k leaves a root that is no perfect power
             return _is_prime(lo)
-    return False
+    return _is_prime(n)  # k = 1, with n its own root
 
 
 def _resolve_lattice(args, enum_bound: int | None) -> CrossSectionLattice:

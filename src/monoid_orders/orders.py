@@ -5,12 +5,14 @@ Four independent routes to the same total, all exact polynomials in q:
   order_thm31  orbit sizes |G|^2 / (|P(e)||K(e)||U(e)|), every Weyl-group
                factor counted by the chained descent walks in weyl.py;
   order_thm33  coset-representative length sums [T:T(e)] q^{N*} D(e) D_*(e),
-               cross-checking walked sums against exact quotients;
+               cross-checking walked sums against exact factored quotients;
   order_thm34  invariant-degree products only, no enumeration;
   order_thm41  the closed form for weight-support (J-irreducible) lattices.
 
-The degree-based routes read the degrees of each parabolic subgroup W_X
-from rootsystem.subset_degrees, never from a classification of X.
+thm33, thm34 and thm41 give each term as a factored QProduct and share one
+loop that expands it; only thm31 keeps dense division.  The degree-based
+routes read the degrees of each parabolic subgroup W_X from
+rootsystem.subset_degrees, never from a classification of X.
 
 Plus closed forms for the two published stratifications (full matrix monoid
 and the last-fundamental, omega_l, monoid of type C_l; the natural
@@ -35,6 +37,7 @@ from .qpoly import (
     Q_MINUS_ONE,
     QPolynomial,
     QProduct,
+    _over_binomial,
     _times_binomial,
     div_exact,
     eval_big,
@@ -45,10 +48,8 @@ from .rootsystem import (
     CartanType,
     degrees,
     poincare_factors,
-    poincare_product,
     positive_count_of_subset,
     subset_degrees,
-    subset_poincare,
 )
 from .weyl import coset_length_poly
 
@@ -168,90 +169,77 @@ def order_thm31(
     return _finish("thm31", lat, terms)
 
 
+def _factored_terms(lat: CrossSectionLattice, term) -> list[tuple[str, QPolynomial]]:
+    """Each entry's term: 1 for the zero entry, else the QProduct term(entry)
+    in dense form, each distinct Phi-exponent tuple expanded once per call
+    and shifted by the product's own power of q."""
+    expanded = cache(lambda phi: expand(QProduct(phi=phi)).coeffs)
+
+    def dense(product: QProduct) -> QPolynomial:
+        return QPolynomial((0,) * product.shift + expanded(product.phi))
+
+    return [(e.label, ONE if lat.is_zero(e) else dense(term(e))) for e in lat.entries]
+
+
+def _torus(rs, entry) -> QProduct:
+    """q^{N*(e)} (q-1)^{torus index exponent}, the torus part of a term."""
+    n_star = positive_count_of_subset(rs, entry.lambda_star)
+    return QProduct.of([1] * entry.torus_index_exponent, shift=n_star)
+
+
 def order_thm33(
     lat: CrossSectionLattice, *, enum_bound: int | None = None
 ) -> OrderReport:
     """Order by coset-representative length sums.
 
-    Each coset sum is an exact quotient of length generating polynomials;
-    when the ambient group is small enough to enumerate, the sum is also
-    walked directly over minimal coset representatives and the two must
-    agree.  Otherwise the report notes that the cross-check was skipped.
+    Each coset sum W/W_J is an exact factored quotient of Poincare products.
+    While the ambient group is small enough to walk, the expanded quotient
+    must equal the sum walked over minimal coset representatives; otherwise
+    the report notes that the cross-check was skipped.
     """
     rs = lat.root_system
     delta = frozenset(range(1, rs.rank + 1))
-    p_w = poincare_product(rs.cartan_type)
-    quotients: dict[frozenset[int], QPolynomial] = {}
+    p_w = poincare_factors(degrees(rs.cartan_type))
     skipped: list[str] = []
 
-    def coset_sum(J: frozenset[int]) -> QPolynomial:
-        if J not in quotients:
-            value = div_exact(p_w, subset_poincare(rs, J))
-            if not skipped:
-                try:
-                    walked = coset_length_poly(rs, delta, J, enum_bound)
-                except GroupTooLarge:
-                    skipped.append("skipped thm33 coset cross-check (GroupTooLarge)")
-                else:
-                    if value != walked:
-                        raise InvariantViolation(
-                            f"coset sum mismatch for J={sorted(J)}"
-                        )
-            quotients[J] = value
-        return quotients[J]
+    @cache
+    def coset_sum(J: frozenset[int]) -> QProduct:
+        value = p_w / poincare_factors(subset_degrees(rs, J))
+        if not skipped:
+            try:
+                walked = coset_length_poly(rs, delta, J, enum_bound)
+            except GroupTooLarge:
+                skipped.append("skipped thm33 coset cross-check (GroupTooLarge)")
+            else:
+                if expand(value) != walked:
+                    raise InvariantViolation(f"coset sum mismatch for J={sorted(J)}")
+        return value
 
-    terms = []
-    for entry in lat.entries:
-        if lat.is_zero(entry):
-            terms.append((entry.label, ONE))
-            continue
-        n_star = positive_count_of_subset(rs, entry.lambda_star)
-        term = (
-            Q_MINUS_ONE**entry.torus_index_exponent
-            * QPolynomial.monomial(n_star)
-            * coset_sum(entry.lambda_union)
-            * coset_sum(entry.lambda_substar)
-        )
-        terms.append((entry.label, term))
+    def term(entry) -> QProduct:
+        cosets = coset_sum(entry.lambda_union) * coset_sum(entry.lambda_substar)
+        return _torus(rs, entry) * cosets
+
+    terms = _factored_terms(lat, term)
     return _finish("thm33", lat, terms, tuple(skipped))
-
-
-def _expand_phi(phi: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
-    """Coefficients of prod Phi_n^e_n over the (n, e_n) pairs of phi."""
-    return expand(QProduct(phi=phi)).coeffs
-
-
-def _expand_shifted(expanded, product: QProduct) -> QPolynomial:
-    """product in dense form: the expansion of its Phi exponents, looked up
-    in expanded, shifted by its own power of q."""
-    return QPolynomial((0,) * product.shift + expanded(product.phi))
 
 
 def order_thm34(lat: CrossSectionLattice) -> OrderReport:
     """Order by invariant-degree products; no group enumeration at all.
 
-    Each term is q^{N*(e)} times a product of cyclotomic polynomials.
-    Within one call each distinct product is expanded once, keyed by its
-    Phi exponents (terms that differ only in the power of q share it), and
-    each subset's Poincare factors are built once.
+    Each term is q^{N*(e)} times a product of cyclotomic polynomials.  Per
+    call, each subset's degrees are read once and each distinct degree
+    tuple is factored once (A14 has 16,384 subsets but 176 tuples).
     """
     rs = lat.root_system
     p_w_squared = poincare_factors(degrees(rs.cartan_type)) ** 2
-    factor = cache(lambda X: poincare_factors(subset_degrees(rs, X)))
-    expanded = cache(_expand_phi)
-    terms = []
-    for entry in lat.entries:
-        if lat.is_zero(entry):
-            terms.append((entry.label, ONE))
-            continue
+    by_degrees = cache(poincare_factors)
+    factor = cache(lambda X: by_degrees(subset_degrees(rs, X)))
+
+    def term(entry) -> QProduct:
         denom = factor(entry.lambda_substar) ** 2 * factor(entry.lambda_star)
-        torus = QProduct.of(
-            [1] * entry.torus_index_exponent,
-            shift=positive_count_of_subset(rs, entry.lambda_star),
-        )
-        term = _expand_shifted(expanded, torus * (p_w_squared / denom))
-        terms.append((entry.label, term))
-    return _finish("thm34", lat, terms)
+        return _torus(rs, entry) * (p_w_squared / denom)
+
+    return _finish("thm34", lat, _factored_terms(lat, term))
 
 
 def order_thm41(lat: CrossSectionLattice) -> OrderReport:
@@ -263,8 +251,7 @@ def order_thm41(lat: CrossSectionLattice) -> OrderReport:
         q^{N*(e)} (q-1)^{2(|lambda(e)|-l)+1} prod (q^{d_i}-1)^2 / denominator
 
     with the denominator built from the degrees of the type map's parabolic
-    subgroups.  As in thm34, but with memos of its own, each distinct product
-    is expanded once per call and each subset's degrees factored once.
+    subgroups, each subset's degrees factored once per call.
     """
     if not is_j_irreducible(lat):
         raise NotJIrreducible(
@@ -274,12 +261,8 @@ def order_thm41(lat: CrossSectionLattice) -> OrderReport:
     ambient = QProduct.of(degrees(rs.cartan_type)) ** 2
     torus_squared = QProduct.of([1] * (2 * rs.rank))
     factor = cache(lambda X: QProduct.of(subset_degrees(rs, X)))
-    expanded = cache(_expand_phi)
-    terms = []
-    for entry in lat.entries:
-        if lat.is_zero(entry):
-            terms.append((entry.label, ONE))
-            continue
+
+    def term(entry) -> QProduct:
         # the (q-1)^{2(|lambda(e)|-l)+1} factor, split across both sides
         numer = ambient * QProduct.of(
             [1] * (2 * len(entry.lambda_union) + 1),
@@ -290,33 +273,33 @@ def order_thm41(lat: CrossSectionLattice) -> OrderReport:
             * factor(entry.lambda_substar) ** 2
             * factor(entry.lambda_star)
         )
-        terms.append((entry.label, _expand_shifted(expanded, numer / denom)))
-    return _finish("thm41", lat, terms)
+        return numer / denom
 
-
-def _q_power_plus_one(i: int) -> QProduct:
-    return QProduct.of([2 * i]) / QProduct.of([i])
-
-
-def _symplectic_factors(l: int, r: int) -> QProduct:
-    """q^{r^2} [l, r]_{q^2}^2 prod_{i<=r} (q^{2i}-1) prod_{i<=l-r} (q^i+1)^2."""
-    term = QProduct.of((2 * i for i in range(1, r + 1)), shift=r * r)
-    term = term * gaussian_factors(l, r, 2) ** 2
-    for i in range(1, l - r + 1):
-        term = term * _q_power_plus_one(i) ** 2
-    return term
+    return _finish("thm41", lat, _factored_terms(lat, term))
 
 
 def symplectic_order(l: int) -> OrderReport:
     """Closed-form order of the omega_l monoid of type C_l, l >= 2, with its
     strata.
 
-    Each of the l+1 H terms is expanded once; the total is 1 + (q-1) H, and
-    stratum r is H term r-1 times (q-1) by one shift-subtract.
+    H term r is q^{r^2} [l, r]_{q^2}^2 prod_{i<=r} (q^{2i}-1) prod_{i<=l-r}
+    (q^i+1)^2.  Term 0 is expanded once; term r+1 is term r times
+    q^{2r+1} (q^{l-r}-1)^2 / (q^{2r+2}-1) by shift-subtracts and one exact
+    sparse division, and term l must equal q^{l^2} prod (q^{2i}-1).  The
+    total is 1 + (q-1) H; stratum r is (q-1) times H term r-1.
     """
     if l < 2:
         raise ValueError("need l >= 2")
-    h_terms = [expand(_symplectic_factors(l, r)) for r in range(l + 1)]
+    evens = [2 * i for i in range(1, l + 1)]
+    term_0 = QProduct.of(evens) ** 2 / QProduct.of(range(1, l + 1)) ** 2
+    coeffs = list(expand(term_0).coeffs)
+    h_terms = [QPolynomial(coeffs)]
+    for r in range(l):
+        coeffs = _times_binomial(_times_binomial(coeffs, l - r), l - r)
+        coeffs = [0] * (2 * r + 1) + _over_binomial(coeffs, 2 * r + 2)
+        h_terms.append(QPolynomial(coeffs))
+    if h_terms[-1] != expand(QProduct.of(evens, shift=l * l)):
+        raise InvariantViolation(f"C{l} ratio steps missed the top H term")
     total = ONE + Q_MINUS_ONE * _poly_sum(h_terms)
     strata = [ONE] + [QPolynomial(_times_binomial(list(t.coeffs), 1)) for t in h_terms]
     return OrderReport(
@@ -338,4 +321,4 @@ def gl_strata(n: int, r: int) -> QPolynomial:
 
 def h_polynomial(order_total: QPolynomial) -> QPolynomial:
     """H with (|M| - 1) = (q - 1) H(q); exact by construction for split M."""
-    return div_exact(order_total - ONE, Q_MINUS_ONE)
+    return QPolynomial(_over_binomial(list((order_total - ONE).coeffs), 1))

@@ -211,12 +211,13 @@ def _over_binomial(coeffs: list[int], d: int) -> list[int]:
 
     With coeffs = c * (q^d - 1), c_k = -(coeffs_k + coeffs_{k-d} + ...), and
     the remainder is zero iff those running sums vanish on the top d powers.
+    The zero polynomial (no coefficients) divides to zero.
     """
     sums = coeffs[:]
     for j in range(d):
         sums[j::d] = accumulate(coeffs[j::d])
     top = len(coeffs) - d
-    if top < 1 or any(sums[top:]):
+    if (coeffs and top < 1) or any(sums[top:]):
         raise NonExactDivision(
             f"degree-{len(coeffs) - 1} polynomial is not divisible by (q^{d} - 1)"
         )

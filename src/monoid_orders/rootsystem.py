@@ -263,7 +263,3 @@ def poincare_product(ct: CartanType) -> QPolynomial:
     """Length generating polynomial of the Weyl group, as a degree product."""
     return expand(poincare_factors(degrees(ct)))
 
-
-def subset_poincare(rs: RootSystemData, X: frozenset[int]) -> QPolynomial:
-    """Length generating polynomial of the parabolic subgroup W_X."""
-    return expand(poincare_factors(subset_degrees(rs, X)))

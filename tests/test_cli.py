@@ -509,6 +509,33 @@ def test_q_accepts_prime_powers(capsys, q, value):
     assert f"q={q}: {value}" in out  # |M_2| = q^4
 
 
+def test_long_q_is_refused_within_a_second(capsys):
+    # no k-th root of 10^4000 + 1 is taken for k >= 2: a prime p = 1 (mod k)
+    # shows that it is no k-th power residue, so only the primality test runs
+    q = 10**4000 + 1
+    start = time.perf_counter()
+    code, out, err = run(capsys, *ORDER_A1, "--q", str(q))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: cannot certify that {q} is prime: the primality test is"
+        f" exact only below {UNCERTIFIED}\n"
+    )
+
+
+def reference_is_prime_power(n):
+    p = next(d for d in range(2, n + 1) if n % d == 0)
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
+def test_prime_power_verdicts_match_trial_division():
+    assert [n for n in range(2, 5001) if cli._is_prime_power(n)] == [
+        n for n in range(2, 5001) if reference_is_prime_power(n)
+    ]
+
+
 # SHA-256 of stdout, with exit code and stderr, for every subcommand in
 # every format on small types; the benchmark catalog never runs order CSV or
 # hpoly CSV/JSON, so these are their only byte-level pins.

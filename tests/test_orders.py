@@ -9,7 +9,7 @@ import time
 import pytest
 
 import monoid_orders
-from monoid_orders import orders, verify
+from monoid_orders import orders, qpoly, verify
 from monoid_orders.crosssection import (
     CrossSectionLattice,
     LatticeEntry,
@@ -19,6 +19,7 @@ from monoid_orders.crosssection import (
 from monoid_orders.errors import (
     IndexOutOfRange,
     InvariantViolation,
+    MonoidOrdersError,
     NonExactDivision,
     NotJIrreducible,
 )
@@ -37,6 +38,7 @@ from monoid_orders.qpoly import (
     ONE,
     Q_MINUS_ONE,
     QPolynomial,
+    QProduct,
     div_exact,
     eval_big,
     is_palindromic,
@@ -276,7 +278,13 @@ def test_symplectic_order_expands_each_h_term_once(monkeypatch):
 
     monkeypatch.setattr(orders, "expand", counting_expand)
     report = symplectic_order(30)
-    assert len(calls) == 31  # one per H term, none per stratum
+    # H term 0, then the top term for the end check; the other H terms come
+    # from ratio steps and the strata from shift-subtracts, with no expansion
+    evens = [2 * i for i in range(1, 31)]
+    assert calls == [
+        QProduct.of(evens) ** 2 / QProduct.of(range(1, 31)) ** 2,
+        QProduct.of(evens, shift=900),
+    ]
     monkeypatch.undo()
     # stratum r is (q-1) times H term r-1, which is the thm41 term of entry r
     lattice_route = order_thm41(fundamental_lattice(CartanType("C", 30), 30))
@@ -284,6 +292,47 @@ def test_symplectic_order_expands_each_h_term_once(monkeypatch):
         term for _, term in lattice_route.terms
     ]
     assert report.total == lattice_route.total
+
+
+def doubled_times_binomial(coeffs, d):
+    return [2 * c for c in qpoly._times_binomial(coeffs, d)]
+
+
+def test_broken_ratio_step_raises(monkeypatch):
+    # doubling keeps every step divisible, so only the end check sees it
+    monkeypatch.setattr(orders, "_times_binomial", doubled_times_binomial)
+    with pytest.raises(InvariantViolation):
+        symplectic_order(4)
+
+
+OPTIMIZED_RATIO_CHECK = """
+import sys
+from monoid_orders import orders, qpoly
+from monoid_orders.errors import InvariantViolation
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+orders._times_binomial = lambda c, d: [2 * x for x in qpoly._times_binomial(c, d)]
+try:
+    orders.symplectic_order(4)
+except InvariantViolation:
+    sys.exit(0)
+sys.exit("a broken ratio step went unnoticed")
+"""
+
+
+def test_broken_ratio_step_raises_under_optimize():
+    # python -O strips assert statements; the end check must survive it
+    src = os.path.dirname(os.path.dirname(monoid_orders.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_RATIO_CHECK],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_symplectic_stratum_range():
@@ -453,6 +502,19 @@ def test_thm33_coset_mismatch_raises(monkeypatch):
     monkeypatch.setattr(orders, "coset_length_poly", wrong_coset_poly)
     with pytest.raises(InvariantViolation):
         order_thm33(fundamental_lattice(CartanType("C", 2), 2))
+
+
+# B2's degrees divide |W(C3)|'s, so only the walked cross-check sees them;
+# a Phi_5 does not, so the exact factored quotient refuses it
+@pytest.mark.parametrize("wrong", [(2, 4), (5,)])
+def test_thm33_wrong_degrees_for_one_subset_raise(monkeypatch, wrong):
+    a2 = frozenset({1, 2})
+    real = orders.subset_degrees
+    monkeypatch.setattr(
+        orders, "subset_degrees", lambda rs, X: wrong if X == a2 else real(rs, X)
+    )
+    with pytest.raises(MonoidOrdersError):
+        order_thm33(fundamental_lattice(CartanType("C", 3), 3))
 
 
 OPTIMIZED_COSET_CHECK = """

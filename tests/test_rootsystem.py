@@ -8,16 +8,16 @@ import pytest
 
 from monoid_orders import rootsystem
 from monoid_orders.errors import InvariantViolation, UnsupportedType
-from monoid_orders.qpoly import QPolynomial
+from monoid_orders.qpoly import QPolynomial, expand
 from monoid_orders.rootsystem import (
     CartanType,
     build,
     degrees,
     parse_subset,
+    poincare_factors,
     poincare_product,
     positive_count_of_subset,
     subset_degrees,
-    subset_poincare,
     weyl_order,
 )
 from subdiagrams import components
@@ -233,6 +233,10 @@ def test_poincare_products():
 @pytest.mark.parametrize("ct", ALL_TYPES, ids=str)
 def test_poincare_coefficient_sum_is_group_order(ct):
     assert sum(poincare_product(ct).coeffs) == weyl_order(ct)
+
+
+def subset_poincare(rs, X):
+    return expand(poincare_factors(subset_degrees(rs, X)))
 
 
 def test_subset_poincare():
