@@ -147,9 +147,26 @@ def test_walked_histogram_matches_per_matrix_elimination(n, p):
 
 @pytest.mark.parametrize("n,p", SUBSPACE_CASES)
 def test_subspace_count_matches_uncovered_closure(n, p):
-    # one walk counts every dimension 0..n, each equal to the closure count
     expected = [reference_count_subspaces(n, r, p) for r in range(n + 1)]
     assert subspace_counts(n, p) == expected
+
+
+@pytest.mark.parametrize("n,p", SUBSPACE_CASES)
+def test_one_walk_counts_every_dimension(n, p, monkeypatch):
+    # the vectors of F_p^n are listed once for the whole walk, and the n + 1
+    # level sizes it returns satisfy duality: as many r- as (n-r)-spaces
+    products = []
+
+    def counted_product(*args, **kwargs):
+        products.append(args)
+        return itertools.product(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "itertools", types.SimpleNamespace(product=counted_product))
+    counts = subspace_counts(n, p)
+    assert products == [(range(p),)]
+    assert len(counts) == n + 1
+    assert counts[0] == counts[n] == 1
+    assert counts == counts[::-1]
 
 
 def test_subspace_check_walks_once_per_n_and_p(monkeypatch):
