@@ -3,7 +3,8 @@
 Subcommands: order, hpoly, strata, lattice, verify.  Exit codes: 0 success,
 1 usage error, 2 computation error, 3 verification failure.  The environment
 variable MONOID_ORDERS_ENUM_BOUND overrides every enumeration bound, the
-lattice-size bound included.
+lattice-size bound included, but not rootsystem.BUILD_CAP, which caps the
+root table's memory: a larger type is a usage error.
 """
 
 from __future__ import annotations

@@ -248,7 +248,10 @@ def _json_int(value, what: str) -> int:
 def _json_indices(value, what: str) -> frozenset[int]:
     if not isinstance(value, list):
         raise InvariantViolation(f"{what} must be a list of integers, got {value!r}")
-    return frozenset(_json_int(x, what) for x in value)
+    indices = [_json_int(x, what) for x in value]
+    if len(set(indices)) != len(indices):
+        raise InvariantViolation(f"{what} repeats an index: {value!r}")
+    return frozenset(indices)
 
 
 def load_lattice(rs: RootSystemData, raw: dict) -> CrossSectionLattice:

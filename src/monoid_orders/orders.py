@@ -181,12 +181,6 @@ def _factored_terms(lat: CrossSectionLattice, term) -> list[tuple[str, QPolynomi
     return [(e.label, ONE if lat.is_zero(e) else dense(term(e))) for e in lat.entries]
 
 
-def _torus(rs, entry) -> QProduct:
-    """q^{N*(e)} (q-1)^{torus index exponent}, the torus part of a term."""
-    n_star = positive_count_of_subset(rs, entry.lambda_star)
-    return QProduct.of([1] * entry.torus_index_exponent, shift=n_star)
-
-
 def order_thm33(
     lat: CrossSectionLattice, *, enum_bound: int | None = None
 ) -> OrderReport:
@@ -217,7 +211,8 @@ def order_thm33(
 
     def term(entry) -> QProduct:
         cosets = coset_sum(entry.lambda_union) * coset_sum(entry.lambda_substar)
-        return _torus(rs, entry) * cosets
+        n_star = positive_count_of_subset(rs, entry.lambda_star)
+        return QProduct.of([1] * entry.torus_index_exponent, shift=n_star) * cosets
 
     terms = _factored_terms(lat, term)
     return _finish("thm33", lat, terms, tuple(skipped))
@@ -226,18 +221,24 @@ def order_thm33(
 def order_thm34(lat: CrossSectionLattice) -> OrderReport:
     """Order by invariant-degree products; no group enumeration at all.
 
-    Each term is q^{N*(e)} times a product of cyclotomic polynomials.  Per
-    call, each subset's degrees are read once and each distinct degree
-    tuple is factored once (A14 has 16,384 subsets but 176 tuples).
+    Each term is q^{N*(e)} times cyclotomic factors that depend only on the
+    degrees of W_{lambda_*(e)} and W_{lambda*(e)} and on the torus exponent
+    of e: per call, each such key is factored once and each entry keeps only
+    its shift (A14 has 16,384 entries but 176 keys).
     """
     rs = lat.root_system
     p_w_squared = poincare_factors(degrees(rs.cartan_type)) ** 2
-    by_degrees = cache(poincare_factors)
-    factor = cache(lambda X: by_degrees(subset_degrees(rs, X)))
+
+    @cache
+    def product(sub_degrees, star_degrees, k: int) -> QProduct:
+        denom = poincare_factors(sub_degrees) ** 2 * poincare_factors(star_degrees)
+        return QProduct.of([1] * k) * (p_w_squared / denom)
 
     def term(entry) -> QProduct:
-        denom = factor(entry.lambda_substar) ** 2 * factor(entry.lambda_star)
-        return _torus(rs, entry) * (p_w_squared / denom)
+        star, sub = entry.lambda_star, entry.lambda_substar
+        k = entry.torus_index_exponent
+        key = subset_degrees(rs, sub), subset_degrees(rs, star), k
+        return QProduct(positive_count_of_subset(rs, star), product(*key).phi)
 
     return _finish("thm34", lat, _factored_terms(lat, term))
 

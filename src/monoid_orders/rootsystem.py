@@ -1,21 +1,22 @@
 """Root systems for the Cartan families A-G.
 
-Roots are integer coefficient vectors over the simple roots, generated by
-reflection closure from the Cartan matrix, so the support of a root (which
+Roots are integer coefficient vectors over the simple roots, generated one
+height at a time from the Cartan matrix, so the support of a root (which
 simple roots it involves) is literally its set of nonzero positions, and its
 height is the sum of its coordinates.  That is the only geometric
 information the order formulas consume: positive-root counts of subsets,
 Dynkin adjacency, and the degrees of the basic polynomial invariants of every
 parabolic subgroup W_X, read from the heights of the roots supported on X
 (Kostant 1959; Humphreys, Reflection Groups and Coxeter Groups, 3.20), so no
-sub-diagram is ever classified.
+sub-diagram is ever classified.  W_X is the direct product of its Dynkin
+components' groups, each read from the roots once per root system.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import prod
 
@@ -69,12 +70,14 @@ def parse_subset(spec: str, rank: int | None = None) -> frozenset[int]:
     if not spec:
         return frozenset()
     try:
-        indices = frozenset(int(part) for part in spec.split(","))
+        indices = [int(part) for part in spec.split(",")]
     except ValueError:
         raise UnsupportedType(f"cannot parse simple-root subset {spec!r}") from None
+    if len(set(indices)) != len(indices):
+        raise UnsupportedType(f"subset {spec!r} repeats an index")
     if rank is not None and not all(1 <= i <= rank for i in indices):
         raise UnsupportedType(f"subset {spec!r} has indices outside 1..{rank}")
-    return indices
+    return frozenset(indices)
 
 
 def degrees(ct: CartanType) -> tuple[int, ...]:
@@ -93,6 +96,13 @@ def degrees(ct: CartanType) -> tuple[int, ...]:
         ("F", 4): (2, 6, 8, 12),
         ("G", 2): (2, 6),
     }[(ct.family, l)]
+
+
+def _root_count(ct: CartanType) -> int:
+    """|Phi+| in closed form, with nothing of the rank's size allocated."""
+    l = ct.rank
+    closed = {"A": l * (l + 1) // 2, "B": l * l, "C": l * l, "D": l * (l - 1)}
+    return closed.get(ct.family) or sum(degrees(ct)) - l  # E, F, G: rank <= 8
 
 
 def weyl_order(ct: CartanType) -> int:
@@ -140,6 +150,10 @@ class RootSystemData:
     cartan_type: CartanType
     cartan: tuple[tuple[int, ...], ...]
     positive_roots: tuple[Root, ...]
+    # connected mask -> (positive roots supported on it, degrees of W_mask)
+    _components: dict = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     @property
     def rank(self) -> int:
@@ -171,51 +185,55 @@ class RootSystemData:
     def _root_heights(self) -> tuple[int, ...]:
         return tuple(map(sum, self.positive_roots))
 
+    @cached_property
+    def _neighbor_masks(self) -> tuple[int, ...]:
+        return tuple(sum(1 << (j - 1) for j in near) for near in self._neighbors)
+
     def neighbors(self, i: int) -> frozenset[int]:
         return self._neighbors[i - 1]
 
-    def reflect(self, root: Root, i: int) -> Root:
-        """Apply the simple reflection s_i (1-based) to a root."""
-        row = self.cartan[i - 1]
-        pairing = sum(c * a for c, a in zip(row, root))
-        out = list(root)
-        out[i - 1] -= pairing
-        return tuple(out)
 
-
-def _check_subset(rs: RootSystemData, X: frozenset[int]) -> None:
-    if not all(1 <= i <= rs.rank for i in X):
-        raise UnsupportedType(f"subset {sorted(X)} outside 1..{rs.rank}")
+# Largest |Phi+| * rank build accepts: a memory cap, not an enumeration bound.
+BUILD_CAP = 10**6
 
 
 @lru_cache(maxsize=None)
 def build(ct: CartanType) -> RootSystemData:
-    """Construct the full positive root list by reflection closure.
+    """Construct the positive roots one height at a time.
 
+    beta + alpha_i is a root exactly when p - <beta, alpha_i^vee> > 0, with
+    p the steps down the alpha_i-string through beta (Humphreys, Lie
+    Algebras, 9.4); each root carries its coroot pairings and its steps
+    down, updated as it is extended.  A type whose |Phi+| * rank exceeds
+    BUILD_CAP is refused with UnsupportedType before anything is allocated.
     The heights of the roots must give back the hand-entered degree table,
-    or InvariantViolation: the table and the closure check each other.
+    or InvariantViolation: the table and the construction check each other.
     """
     l = ct.rank
+    size = _root_count(ct) * l
+    if size > BUILD_CAP:
+        raise UnsupportedType(
+            f"{ct} has {_root_count(ct)} positive roots of rank {l}: a root"
+            f" table of {size} entries exceeds the cap {BUILD_CAP}"
+        )
     cartan = cartan_matrix(ct)
-    simple = tuple(
-        tuple(1 if j == i else 0 for j in range(l)) for i in range(l)
-    )
-    rs = RootSystemData(ct, cartan, simple)
-    seen = set(simple) | {tuple(-a for a in s) for s in simple}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for root in frontier:
-            for i in range(1, l + 1):
-                image = rs.reflect(root, i)
-                if image not in seen:
-                    seen.add(image)
-                    nxt.append(image)
-        frontier = nxt
-    positive = sorted(
-        (r for r in seen if all(a >= 0 for a in r)),
-        key=lambda r: (sum(r), r),
-    )
+    columns = list(zip(*cartan))  # column i: the pairings of alpha_i
+    # root -> (its pairings <beta, alpha_k^vee>, {i: steps down along alpha_i})
+    level = {tuple(int(j == i) for j in range(l)): (columns[i], {}) for i in range(l)}
+    positive: list[Root] = []
+    while level:
+        positive += sorted(level)
+        higher: dict[Root, tuple[tuple[int, ...], dict[int, int]]] = {}
+        for beta, (pairings, down) in level.items():
+            for i, pairing in enumerate(pairings):
+                steps = down.get(i, 0)
+                if steps > pairing:
+                    root = beta[:i] + (beta[i] + 1,) + beta[i + 1 :]
+                    if root not in higher:
+                        up = tuple(p + c for p, c in zip(pairings, columns[i]))
+                        higher[root] = (up, {})
+                    higher[root][1][i] = steps + 1
+        level = higher
     rs = RootSystemData(ct, cartan, tuple(positive))
     found = subset_degrees(rs, frozenset(range(1, l + 1)))
     if found != degrees(ct):
@@ -225,32 +243,48 @@ def build(ct: CartanType) -> RootSystemData:
     return rs
 
 
+def _subset_parts(rs: RootSystemData, X: frozenset[int]) -> list:
+    """(positive-root count, degrees) of each Dynkin component of X, found
+    by a flood fill over neighbour masks; each component is read from the
+    roots the first time any subset of this root system meets it."""
+    if X and not 1 <= min(X) <= max(X) <= rs.rank:
+        raise UnsupportedType(f"subset {sorted(X)} outside 1..{rs.rank}")
+    rest = sum(1 << (i - 1) for i in X)
+    parts = []
+    while rest:
+        comp, todo = 0, rest & -rest
+        while todo:
+            low = todo & -todo
+            comp |= low
+            todo = (todo | rs._neighbor_masks[low.bit_length() - 1] & rest) & ~comp
+        rest &= ~comp
+        if comp not in rs._components:
+            rs._components[comp] = _read_component(rs, comp)
+        parts.append(rs._components[comp])
+    return parts
+
+
+def _read_component(rs: RootSystemData, mask: int) -> tuple[int, tuple[int, ...]]:
+    """(count, degrees) of the n_h positive roots of each height h supported
+    on mask: the exponents of W_mask are the parts of the partition dual to
+    (n_1, n_2, ...), and each degree is an exponent plus one."""
+    heights = [h for s, h in zip(rs._root_supports, rs._root_heights) if not s & ~mask]
+    counts = Counter(heights).values()
+    ranks = range(bin(mask).count("1"), 0, -1)
+    return len(heights), tuple(1 + sum(n >= k for n in counts) for k in ranks)
+
+
 def positive_count_of_subset(rs: RootSystemData, X: frozenset[int]) -> int:
-    """Number of positive roots supported entirely on the subset X."""
-    _check_subset(rs, X)
-    outside = ~sum(1 << (i - 1) for i in X)
-    return sum(1 for support in rs._root_supports if not support & outside)
+    """Number of positive roots supported entirely on the subset X: the sum
+    over its Dynkin components of the roots counted on each."""
+    return sum(count for count, _ in _subset_parts(rs, X))
 
 
 def subset_degrees(rs: RootSystemData, X: frozenset[int]) -> tuple[int, ...]:
     """Degrees of the basic invariants of the parabolic subgroup W_X, in
-    increasing order.
-
-    With n_h positive roots of height h supported on X, the exponents of W_X
-    are the parts of the partition dual to (n_1, n_2, ...), the k-th being
-    the number of heights h with n_h >= k; each degree is an exponent plus
-    one.  This holds for every X, connected or not, since the counts n_h of
-    disjoint components add.
-    """
-    _check_subset(rs, X)
-    outside = ~sum(1 << (i - 1) for i in X)
-    heights = [
-        height
-        for support, height in zip(rs._root_supports, rs._root_heights)
-        if not support & outside
-    ]
-    counts = Counter(heights).values()
-    return tuple(1 + sum(n >= k for n in counts) for k in range(len(X), 0, -1))
+    increasing order: W_X is the direct product of its components' groups,
+    so its degrees are the union of theirs."""
+    return tuple(sorted(d for _, ds in _subset_parts(rs, X) for d in ds))
 
 
 def poincare_factors(ds: tuple[int, ...]) -> QProduct:

@@ -4,12 +4,16 @@ Each test prints a single PASS line when its assertions hold; pytest -v plus
 these lines give the per-criterion report.
 """
 
+import os
+import resource
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 
 import pytest
 
-from monoid_orders import verify
+from monoid_orders import cli, verify
 from monoid_orders.crosssection import fundamental_lattice
 from monoid_orders.orders import (
     h_polynomial,
@@ -116,3 +120,43 @@ def test_criterion_9_gaussian_binomial_oracle():
     with budget("9 (subspace counts)", 5.0):
         ok, detail = verify.check_subspace_counts()
         assert ok, detail
+
+
+def test_criterion_10_dense_a14_h_polynomial(capsys):
+    # 16,385 entries; the ROADMAP gate is 0.5 s in process
+    with budget("10 (hpoly A14 --j0 \"\")", 1.0):
+        code = cli.main(["hpoly", "--type", "A14", "--j0", ""])
+        out = capsys.readouterr().out
+    assert code == 0
+    assert "palindromic: yes" in out
+
+
+def test_criterion_11_long_symplectic_lattice(capsys):
+    # C80 has 6,400 positive roots
+    with budget("11 (lattice C80)", 1.5):
+        code = cli.main(["lattice", "--type", "C80", "--preset", "last-fundamental"])
+        out = capsys.readouterr().out
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 82
+
+
+def limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+def test_criterion_12_oversize_root_system_refused_at_once():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    argv = ["lattice", "--type", "A100000", "--preset", "first-fundamental"]
+    with budget("12 (A100000 refused under 1 GiB)", 1.0):
+        result = subprocess.run(
+            [sys.executable, "-m", "monoid_orders.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=src),
+            preexec_fn=limit_address_space,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1
+    assert "exceeds the cap" in result.stderr

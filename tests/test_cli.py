@@ -197,6 +197,13 @@ def test_lattice_too_large_exits_2_at_once(capsys):
     assert "exceeds the bound 1000000" in err
 
 
+@pytest.mark.parametrize("command", ["order", "hpoly", "lattice"])
+def test_repeated_j0_index_exits_1(capsys, command):
+    # --j0 2,2 was read as {2}; a repeated index is now refused, not merged
+    code, out, err = run(capsys, command, "--type", "C3", "--j0", "2,2")
+    assert (code, out, err) == (1, "", "error: subset '2,2' repeats an index\n")
+
+
 def test_lattice_bound_follows_env_var(capsys, monkeypatch):
     monkeypatch.setenv("MONOID_ORDERS_ENUM_BOUND", "6")
     code, _, err = run(capsys, "lattice", "--type", "A3", "--j0", "")
@@ -235,8 +242,12 @@ def _c2_lattice_file(tmp_path, **changes):
         ({"lambda_substar": "12"}, "lambda_substar must be a list of integers"),
         ({"torus_index_exponent": True}, "torus_index_exponent must be an integer"),
         ({"lambda_star": [3]}, "entry 'e{}': simple-root indices outside 1..2"),
+        ({"lambda_star": [1, 1]}, "lambda_star repeats an index: [1, 1]"),
     ],
-    ids=["torus-rank-string", "substar-string", "exponent-bool", "index-outside-rank"],
+    ids=[
+        "torus-rank-string", "substar-string", "exponent-bool", "index-outside-rank",
+        "repeated-index",
+    ],
 )
 def test_malformed_lattice_file_exits_2(capsys, tmp_path, change, message):
     path = _c2_lattice_file(tmp_path, **change)

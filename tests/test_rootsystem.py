@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -106,6 +107,12 @@ def test_parse_subset():
         parse_subset("1,5", rank=4)
     with pytest.raises(UnsupportedType):
         parse_subset("1,x")
+
+
+@pytest.mark.parametrize("spec", ["2,2", "1,3,1", " 4, 4 "])
+def test_parse_subset_refuses_repeated_indices(spec):
+    with pytest.raises(UnsupportedType, match="repeats an index"):
+        parse_subset(spec, rank=4)
 
 
 def test_subset_counts():
@@ -246,3 +253,127 @@ def test_subset_poincare():
         CartanType("B", 2)
     )
     assert subset_poincare(rs, delta(rs)) == poincare_product(CartanType("C", 3))
+
+
+def reflection_closure(rs):
+    """The positive roots by closing the simple roots and their negatives
+    under every simple reflection, sorted by (height, root): the way build
+    made them before it went by height, kept as the reference."""
+    l = rs.rank
+
+    def reflect(root, i):
+        pairing = sum(c * a for c, a in zip(rs.cartan[i], root))
+        out = list(root)
+        out[i] -= pairing
+        return tuple(out)
+
+    simple = [tuple(int(j == i) for j in range(l)) for i in range(l)]
+    seen = set(simple) | {tuple(-a for a in s) for s in simple}
+    frontier = list(seen)
+    while frontier:
+        images = {reflect(root, i) for root in frontier for i in range(l)}
+        frontier = list(images - seen)
+        seen |= images
+    positive = (r for r in seen if all(a >= 0 for a in r))
+    return tuple(sorted(positive, key=lambda r: (sum(r), r)))
+
+
+RANK_AT_MOST_8 = (
+    [CartanType("A", l) for l in range(1, 9)]
+    + [CartanType("B", l) for l in range(2, 9)]
+    + [CartanType("C", l) for l in range(2, 9)]
+    + [CartanType("D", l) for l in range(3, 9)]
+    + [CartanType("E", l) for l in (6, 7, 8)]
+    + [CartanType("F", 4), CartanType("G", 2)]
+)
+
+
+@pytest.mark.parametrize(
+    "ct",
+    RANK_AT_MOST_8 + [CartanType("C", 16), CartanType("D", 14), CartanType("C", 40)],
+    ids=str,
+)
+def test_build_by_height_matches_reflection_closure(ct):
+    assert build(ct).positive_roots == reflection_closure(build(ct))
+
+
+def direct_pass(rs, X):
+    """(count, degrees) of W_X from one pass over every positive root."""
+    inside = [
+        root
+        for root in rs.positive_roots
+        if all(root[i - 1] == 0 for i in delta(rs) - X)
+    ]
+    counts = Counter(map(sum, inside)).values()
+    ds = tuple(1 + sum(n >= k for n in counts) for k in range(len(X), 0, -1))
+    return len(inside), ds
+
+
+def all_subsets(rs):
+    for mask in range(2**rs.rank):
+        yield frozenset(i + 1 for i in range(rs.rank) if mask >> i & 1)
+
+
+@pytest.mark.parametrize("ct", RANK_AT_MOST_8, ids=str)
+def test_component_memo_equals_a_direct_pass(ct):
+    rs = build.__wrapped__(ct)  # a fresh root system, its memo empty
+    for X in all_subsets(rs):
+        expected = direct_pass(rs, X)
+        for _ in range(2):  # read from the roots, then from the memo
+            assert positive_count_of_subset(rs, X) == expected[0], sorted(X)
+            assert subset_degrees(rs, X) == expected[1], sorted(X)
+
+
+def is_connected(rs, X):
+    return len(components(rs, X)) == 1
+
+
+@pytest.mark.parametrize("spec", ["A6", "D6", "E7", "F4"])
+def test_each_component_read_once_per_root_system(monkeypatch, spec):
+    reads = []
+    real = rootsystem._read_component
+    monkeypatch.setattr(
+        rootsystem,
+        "_read_component",
+        lambda rs, mask: reads.append(mask) or real(rs, mask),
+    )
+    rs = build.__wrapped__(CartanType.parse(spec))
+    for X in list(all_subsets(rs)) * 2:
+        subset_degrees(rs, X)
+        positive_count_of_subset(rs, X)
+    connected = [X for X in all_subsets(rs) if X and is_connected(rs, X)]
+    assert len(reads) == len(set(reads)) == len(connected)
+    assert sorted(reads) == sorted(sum(1 << (i - 1) for i in X) for X in connected)
+
+
+def test_interleaved_root_systems_keep_their_own_memo():
+    # A4 and B4 share every subset mask; B4's long-short bond changes the
+    # answer on each subset holding {3, 4}, so a shared memo would show
+    a4, b4 = build(CartanType("A", 4)), build(CartanType("B", 4))
+    for X in all_subsets(a4):
+        for rs in (a4, b4, a4):
+            assert (positive_count_of_subset(rs, X), subset_degrees(rs, X)) == direct_pass(rs, X)
+    assert subset_degrees(a4, frozenset({3, 4})) == (2, 3)
+    assert subset_degrees(b4, frozenset({3, 4})) == (2, 4)
+
+
+@pytest.mark.parametrize("spec", ["C80", "A120", "E8"])
+def test_scale_targets_build_under_the_cap(spec):
+    ct = CartanType.parse(spec)
+    rs = build(ct)
+    assert rs.num_positive * rs.rank <= rootsystem.BUILD_CAP
+    assert rs.num_positive == sum(d - 1 for d in degrees(ct))
+
+
+@pytest.mark.parametrize(
+    "spec, size",
+    [("A126", 126 * 127 // 2 * 126), ("C101", 101**3), ("A100000", 5000050000 * 100000)],
+)
+def test_oversize_type_refused_before_any_allocation(monkeypatch, spec, size):
+    def untouchable(ct):
+        raise AssertionError(f"{ct} reached the Cartan matrix or degree table")
+
+    monkeypatch.setattr(rootsystem, "cartan_matrix", untouchable)
+    monkeypatch.setattr(rootsystem, "degrees", untouchable)
+    with pytest.raises(UnsupportedType, match=f"table of {size} entries exceeds the cap"):
+        build.__wrapped__(CartanType.parse(spec))

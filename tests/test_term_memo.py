@@ -171,6 +171,44 @@ def test_entries_sharing_phi_keep_their_own_shift(monkeypatch, tmp_path):
     assert terms["c"] == QPolynomial([-1, 1]) * terms["b"]
 
 
+SHARED_DEGREES_LATTICE = {
+    "type": "A3",
+    "torus_rank": 4,
+    "entries": [
+        {"label": "0", "lambda_star": [], "lambda_substar": [1, 2, 3], "torus_index_exponent": 0},
+        # b and c: different subsets, the same degree tuples ((2,) and ()),
+        # torus exponents 1 and 3
+        {"label": "b", "lambda_star": [], "lambda_substar": [1], "torus_index_exponent": 1},
+        {"label": "c", "lambda_star": [], "lambda_substar": [3], "torus_index_exponent": 3},
+        # d shares b's key exactly
+        {"label": "d", "lambda_star": [], "lambda_substar": [3], "torus_index_exponent": 1},
+        {"label": "1", "lambda_star": [1, 2, 3], "lambda_substar": [], "torus_index_exponent": 4},
+    ],
+}
+
+
+def test_shared_degree_tuples_differ_by_their_torus_power(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps(SHARED_DEGREES_LATTICE))
+    built = []
+    real = orders.poincare_factors
+    monkeypatch.setattr(
+        orders, "poincare_factors", lambda ds: built.append(ds) or real(ds)
+    )
+    code = cli.main(
+        ["order", "--formula", "thm34", "--format", "json", "--lattice-file", str(path)]
+    )
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    terms = {t["label"]: QPolynomial(t["coeffs"]) for t in payload["terms"]}
+    assert terms["c"] == QPolynomial([-1, 1]) ** 2 * terms["b"]
+    assert terms["d"] == terms["b"]
+    lat = load_lattice(build(CartanType("A", 3)), SHARED_DEGREES_LATTICE)
+    assert tuple(terms.items()) == reference_terms(thm34_products(lat))
+    # |W| once, then two factors per key: (b, d), c and the identity
+    assert len(built) == 1 + 2 * 3
+
+
 # Distinct Phi-exponent maps among the nonzero entries of each lattice.
 PINNED_EXPANSIONS = [("A10", "", 1025, 56), ("D10", "2,4,6,8", 674, 123), ("A14", "", 16385, 176)]
 
