@@ -2,15 +2,17 @@
 
 Four independent routes to the same total, all exact polynomials in q:
 
-  order_thm31  orbit sizes |G|^2 / (|P(e)||K(e)||U(e)|), every Weyl-group
-               factor counted by the chained descent walks in weyl.py;
+  order_thm31  orbit sizes |G|^2 / (|P(e)||K(e)||U(e)|) with the torus and
+               unipotent factors cancelled, every Weyl-group factor counted
+               by the chained descent walks in weyl.py;
   order_thm33  coset-representative length sums [T:T(e)] q^{N*} D(e) D_*(e),
                cross-checking walked sums against exact factored quotients;
   order_thm34  invariant-degree products only, no enumeration;
   order_thm41  the closed form for weight-support (J-irreducible) lattices.
 
 thm33, thm34 and thm41 give each term as a factored QProduct and share one
-loop that expands it; only thm31 keeps dense division.  The degree-based
+loop that expands it; only thm31 divides densely, the walked W(q) by each
+walked W_X(q) once per call.  The degree-based
 routes read the degrees of each parabolic subgroup W_X from
 rootsystem.subset_degrees, never from a classification of X.
 
@@ -141,31 +143,26 @@ def order_thm31(
 ) -> OrderReport:
     """Order by orbit sizes: sum over entries of |G|^2 / (|P(e)||U(e)||K(e)|).
 
-    Every group order comes from walked Weyl-group lengths, so this
-    route shares no code with the degree-product formulas.  Each W_X(q)
-    is walked once per call.
+    The torus and unipotent factors cancel, leaving
+    q^{N(lambda) - N(lambda_*)} (q-1)^k (W/W_lambda)(W/W_lambda_*), where
+    N(X) is the degree of the walked W_X(q) and W/W_X divides the walked
+    W(q) exactly by it, once per X per call.  Every factor comes from walked
+    Weyl-group lengths, so this route shares no code with the
+    degree-product formulas.
     """
     rs = lat.root_system
     walked = cache(lambda X: coset_length_poly(rs, X, frozenset(), enum_bound))
-    N = rs.num_positive
-    rho = lat.torus_rank
-    q_n_torus = QPolynomial.monomial(N) * Q_MINUS_ONE**rho
-    size_G = q_n_torus * walked(frozenset(range(1, rs.rank + 1)))
-    g_squared = size_G * size_G
+    w = walked(lat.all_simple)
+    cosets = cache(lambda X: div_exact(w, walked(X)))
     terms = []
     for entry in lat.entries:
         if lat.is_zero(entry):
             terms.append((entry.label, ONE))
             continue
         lam, sub = entry.lambda_union, entry.lambda_substar
-        size_P = q_n_torus * walked(lam)
-        size_U = QPolynomial.monomial(N - positive_count_of_subset(rs, lam))
-        size_K = (
-            QPolynomial.monomial(positive_count_of_subset(rs, sub))
-            * Q_MINUS_ONE ** (rho - entry.torus_index_exponent)
-            * walked(sub)
-        )
-        terms.append((entry.label, div_exact(g_squared, size_P * size_U * size_K)))
+        shift = walked(lam).degree - walked(sub).degree
+        torus = QPolynomial.monomial(shift) * Q_MINUS_ONE**entry.torus_index_exponent
+        terms.append((entry.label, torus * cosets(lam) * cosets(sub)))
     return _finish("thm31", lat, terms)
 
 

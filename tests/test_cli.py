@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import inspect
 import json
 import sys
 import time
@@ -350,6 +351,18 @@ def test_verify_passes(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert out.strip().endswith("checks passed")
+
+
+def test_exactly_the_bounded_checks_take_a_bound():
+    # a check renamed in ALL_CHECKS but not in _BOUNDED_CHECKS would run
+    # without the enumeration bound
+    assert verify._BOUNDED_CHECKS <= verify.ALL_CHECKS.keys()
+    takes_bound = {
+        name
+        for name, check in verify.ALL_CHECKS.items()
+        if inspect.signature(check).parameters
+    }
+    assert takes_bound == verify._BOUNDED_CHECKS
 
 
 def test_verify_failure_exits_3(capsys, monkeypatch):

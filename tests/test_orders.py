@@ -48,6 +48,7 @@ from monoid_orders.rootsystem import (
     CartanType,
     build,
     degrees,
+    positive_count_of_subset,
     subset_degrees,
 )
 from monoid_orders.weyl import coset_length_poly
@@ -159,9 +160,10 @@ def test_thm31_walks_each_subset_once_per_call(monkeypatch):
         assert sorted(walked, key=sorted) == sorted(subsets, key=sorted)
 
 
-def test_thm41_requires_weight_support_exponents():
-    lat = fundamental_lattice(CartanType("C", 2), 2)
-    tweaked = CrossSectionLattice(
+def raised_exponents(lat):
+    """lat with every nonzero torus-index exponent and the torus rank one
+    higher: no longer a weight-support lattice."""
+    return CrossSectionLattice(
         lat.root_system,
         tuple(
             LatticeEntry(
@@ -174,6 +176,10 @@ def test_thm41_requires_weight_support_exponents():
         ),
         torus_rank=lat.torus_rank + 1,
     )
+
+
+def test_thm41_requires_weight_support_exponents():
+    tweaked = raised_exponents(fundamental_lattice(CartanType("C", 2), 2))
     with pytest.raises(NotJIrreducible):
         order_thm41(tweaked)
     # the general formulas still run on it
@@ -199,6 +205,19 @@ def test_closed_form_check_compares_each_stratum(monkeypatch):
         False,
         "strata differ from the thm41 terms, l=2",
     )
+
+
+def test_agreement_check_compares_each_term(monkeypatch):
+    # swapping two terms keeps the total, so only a term-by-term
+    # comparison of the routes can see it
+    def swapped(lat):
+        report = order_thm34(lat)
+        (a, p), (b, r) = report.terms[1:3]
+        terms = report.terms[:1] + ((a, r), (b, p)) + report.terms[3:]
+        return dataclasses.replace(report, terms=terms)
+
+    monkeypatch.setattr(verify, "order_thm34", swapped)
+    assert verify.check_formula_agreement() == (False, "A1 (first-fundamental)")
 
 
 @pytest.mark.parametrize("l", range(2, 7))
@@ -473,6 +492,93 @@ def test_lattice_notes_match_the_component_scan_on_every_subset(spec):
             entry = LatticeEntry("e", star, sub, 0)
             lat = CrossSectionLattice(rs, (entry,), torus_rank=rs.rank)
             assert orders._lattice_notes(lat) == scanned_lattice_notes(lat), sorted(X)
+
+
+def literal_thm31_terms(lat):
+    """Reference: each orbit size |G|^2 / (|P(e)||U(e)||K(e)|) with every
+    group order multiplied out densely, divided once per entry."""
+    rs = lat.root_system
+
+    def walked(X):
+        return coset_length_poly(rs, X, frozenset())
+
+    N = rs.num_positive
+    rho = lat.torus_rank
+    q_n_torus = QPolynomial.monomial(N) * Q_MINUS_ONE**rho
+    size_G = q_n_torus * walked(lat.all_simple)
+    terms = []
+    for entry in lat.entries:
+        if lat.is_zero(entry):
+            terms.append((entry.label, ONE))
+            continue
+        lam, sub = entry.lambda_union, entry.lambda_substar
+        size_P = q_n_torus * walked(lam)
+        size_U = QPolynomial.monomial(N - positive_count_of_subset(rs, lam))
+        size_K = (
+            QPolynomial.monomial(positive_count_of_subset(rs, sub))
+            * Q_MINUS_ONE ** (rho - entry.torus_index_exponent)
+            * walked(sub)
+        )
+        terms.append((entry.label, div_exact(size_G**2, size_P * size_U * size_K)))
+    return tuple(terms)
+
+
+@pytest.mark.parametrize(
+    "spec, j0",
+    every_proper_j0(
+        [f"A{l}" for l in range(1, 6)]
+        + [f"B{l}" for l in range(2, 5)]
+        + [f"C{l}" for l in range(2, 5)]
+        + ["D4", "F4", "G2"]
+    ),
+)
+def test_thm31_matches_the_literal_orbit_sizes(spec, j0):
+    rs = build(CartanType.parse(spec))
+    lat = j_irreducible_lattice(rs, frozenset(int(i) for i in j0.split(",") if i))
+    assert order_thm31(lat).terms == literal_thm31_terms(lat)
+
+
+def test_thm31_matches_the_literal_orbit_sizes_off_the_weight_support_rule():
+    lat = raised_exponents(fundamental_lattice(CartanType("C", 2), 2))
+    assert lat.torus_rank == lat.rank + 2
+    for e in lat.entries:
+        if not lat.is_zero(e):
+            assert e.torus_index_exponent == len(e.lambda_star) + 2
+    assert order_thm31(lat).terms == literal_thm31_terms(lat)
+
+
+def test_thm31_matches_thm34_on_c20_with_the_bound_lifted():
+    lat = fundamental_lattice(CartanType("C", 20), 20)
+    assert order_thm31(lat, enum_bound=10**60).terms == order_thm34(lat).terms
+
+
+def test_thm31_reads_only_the_lattice_and_the_walks(monkeypatch):
+    lat = fundamental_lattice(CartanType("C", 4), 4)
+    expected = literal_thm31_terms(lat)
+    w = coset_length_poly(lat.root_system, lat.all_simple, frozenset())
+    subsets = {
+        X
+        for e in lat.entries
+        if not lat.is_zero(e)
+        for X in (e.lambda_union, e.lambda_substar)
+    }
+    dividends = []
+    real_div_exact = orders.div_exact
+
+    def recording_div_exact(a, b):
+        dividends.append(a)
+        return real_div_exact(a, b)
+
+    def refuse(rs, X):
+        raise RuntimeError("thm31 read a positive-root count")
+
+    monkeypatch.setattr(orders, "div_exact", recording_div_exact)
+    monkeypatch.setattr(orders, "positive_count_of_subset", refuse)
+    # the torus rank cancels, so a lattice that misstates it gives the same terms
+    for probe in (lat, dataclasses.replace(lat, torus_rank=0)):
+        del dividends[:]
+        assert order_thm31(probe).terms == expected
+        assert dividends == [w] * len(subsets)
 
 
 def test_report_evaluate_rejects_nonpositive_terms():
