@@ -136,13 +136,14 @@ def _parse_qs(values: list[str]) -> list[int]:
     qs: list[int] = []
     for chunk in values:
         for part in chunk.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            try:
+            try:  # int() alone would take "1_6", " 2" and non-ASCII digits
+                if not (part.isascii() and part.isdigit()):
+                    raise ValueError
                 q0 = int(part)
             except ValueError:
-                raise _UsageError(f"bad q value {part!r}")
+                raise _UsageError(f"bad q value {part!r}") from None
+            if q0 in qs:
+                raise _UsageError(f"q value {q0} is given twice")
             if q0 < 2:
                 raise _UsageError(f"q values must be >= 2, got {q0}")
             if not _is_prime_power(q0):

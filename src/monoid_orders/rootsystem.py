@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import prod
@@ -154,6 +155,8 @@ class RootSystemData:
     _components: dict = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
+    # subset mask -> the _components entries of its Dynkin components
+    _parts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def rank(self) -> int:
@@ -243,14 +246,26 @@ def build(ct: CartanType) -> RootSystemData:
     return rs
 
 
-def _subset_parts(rs: RootSystemData, X: frozenset[int]) -> list:
-    """(positive-root count, degrees) of each Dynkin component of X, found
-    by a flood fill over neighbour masks; each component is read from the
-    roots the first time any subset of this root system meets it."""
+def _subset_parts(rs: RootSystemData, X: frozenset[int]) -> tuple:
+    """(positive-root count, degrees) of each Dynkin component of X, kept
+    per subset mask; each component is read from the roots the first time
+    any subset of this root system meets it."""
     if X and not 1 <= min(X) <= max(X) <= rs.rank:
         raise UnsupportedType(f"subset {sorted(X)} outside 1..{rs.rank}")
-    rest = sum(1 << (i - 1) for i in X)
-    parts = []
+    mask = sum(1 << (i - 1) for i in X)
+    if mask not in rs._parts:
+        parts = []
+        for comp in _flood_fill(rs, mask):
+            if comp not in rs._components:
+                rs._components[comp] = _read_component(rs, comp)
+            parts.append(rs._components[comp])
+        rs._parts[mask] = tuple(parts)
+    return rs._parts[mask]
+
+
+def _flood_fill(rs: RootSystemData, rest: int) -> Iterator[int]:
+    """The Dynkin components of a subset mask, as masks, each grown from its
+    lowest node over the neighbour masks."""
     while rest:
         comp, todo = 0, rest & -rest
         while todo:
@@ -258,10 +273,7 @@ def _subset_parts(rs: RootSystemData, X: frozenset[int]) -> list:
             comp |= low
             todo = (todo | rs._neighbor_masks[low.bit_length() - 1] & rest) & ~comp
         rest &= ~comp
-        if comp not in rs._components:
-            rs._components[comp] = _read_component(rs, comp)
-        parts.append(rs._components[comp])
-    return parts
+        yield comp
 
 
 def _read_component(rs: RootSystemData, mask: int) -> tuple[int, tuple[int, ...]]:

@@ -22,7 +22,6 @@ rootsystem.subset_degrees.
 
 from __future__ import annotations
 
-from functools import cache
 from math import prod
 
 from .errors import GroupTooLarge, InvariantViolation
@@ -64,11 +63,11 @@ def coset_length_poly(
         )
     if not fixed <= gens:
         raise ValueError(f"{sorted(fixed)} is not a subset of {sorted(gens)}")
-    order_of = cache(lambda X: _subgroup_order(rs, X))
     result = ONE
     K = gens
     while K != fixed:
-        index, i = min((order_of(K) // order_of(K - {i}), i) for i in K - fixed)
+        size = _subgroup_order(rs, K)
+        index, i = min((size // _subgroup_order(rs, K - {i}), i) for i in K - fixed)
         result = result * _walk(rs, K, K - {i}, index)
         K = K - {i}
     return result

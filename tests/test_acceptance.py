@@ -14,6 +14,7 @@ from contextlib import contextmanager
 import pytest
 
 from monoid_orders import cli, verify
+from monoid_orders.oracle import enumerate_rank_histogram
 from monoid_orders.crosssection import fundamental_lattice
 from monoid_orders.orders import (
     h_polynomial,
@@ -160,3 +161,10 @@ def test_criterion_12_oversize_root_system_refused_at_once():
     assert result.stdout == ""
     assert len(result.stderr.splitlines()) == 1
     assert "exceeds the cap" in result.stderr
+
+
+def test_criterion_13_rank_walk_over_f5():
+    # all 5^9 = 1,953,125 three-by-three matrices over F_5, one leaf each
+    with budget("13 (rank histogram n=3, p=5)", 1.0):
+        counts = enumerate_rank_histogram(3, 5)
+    assert counts == [1, 3844, 461280, 1488000]

@@ -488,6 +488,32 @@ def test_q_must_be_prime_power(capsys, q):
         assert err == f"error: q values must be prime powers, got {q.split(',')[-1]}\n"
 
 
+# each was coerced: ',' gave no evaluation, '2,,3' dropped the empty item,
+# '1_6' evaluated at 16, the Arabic-Indic four at 4, and '2,2' printed one
+# column under order but two under strata
+@pytest.mark.parametrize(
+    "qs, message",
+    [
+        ([","], "bad q value ''"),
+        (["2,,3"], "bad q value ''"),
+        (["1_6"], "bad q value '1_6'"),
+        (["\u0664"], "bad q value '\u0664'"),
+        (["2, 3"], "bad q value ' 3'"),
+        (["2,2"], "q value 2 is given twice"),
+        (["3", "3"], "q value 3 is given twice"),
+        (["02,2"], "q value 2 is given twice"),
+    ],
+    ids=["comma", "empty-item", "underscore", "arabic-indic", "space", "repeat",
+         "repeat-flag", "repeat-leading-zero"],
+)
+@pytest.mark.parametrize("command", ["order", "strata"])
+def test_malformed_q_exits_1(capsys, command, qs, message):
+    argv = [command, "--type", "A1", "--preset", "first-fundamental"]
+    for q in qs:
+        argv += ["--q", q]
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
 def test_evaluation_past_the_digit_limit_exits_1(capsys, fmt):
     # q = 2^4000 makes q^4 and q^9 longer than Python prints by default

@@ -4,6 +4,8 @@ import itertools
 import types
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from monoid_orders import oracle, verify
 from monoid_orders.errors import EnumerationTooLarge, NonPrimeModulus
@@ -43,7 +45,7 @@ def test_histogram_bounds():
         enumerate_rank_histogram(2, 6)
 
 
-@pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (3, 2), (3, 3), (3, 5)])
 def test_histogram_matches_stratum_formula(n, p):
     counts = enumerate_rank_histogram(n, p)
     assert sum(counts) == p ** (n * n)
@@ -131,13 +133,18 @@ def reference_count_subspaces(n, r, p):
     return len(level)
 
 
-# (n, p) pairs for the rank walk: p^(n^2) matrices is 65,536 for (4, 2) and
-# 19,683 for (3, 3); (4, 3) would be 43 million through the per-matrix
-# reference.
+# (n, p) pairs for the rank walk: p^(n^2) matrices is 65,536 for (4, 2),
+# 19,683 for (3, 3) and 14,641 for (2, 11); (4, 3) would be 43 million
+# through the per-matrix reference.
 HISTOGRAM_CASES = (
-    [(n, 2) for n in range(5)] + [(n, 3) for n in range(4)] + [(n, 5) for n in range(3)]
+    [(n, 2) for n in range(5)]
+    + [(n, 3) for n in range(4)]
+    + [(n, 5) for n in range(3)]
+    + [(2, 7), (2, 11)]
 )
-SUBSPACE_CASES = [(n, p) for p in (2, 3) for n in range(5)] + [(n, 5) for n in range(3)]
+SUBSPACE_CASES = (
+    [(n, p) for p in (2, 3) for n in range(5)] + [(n, 5) for n in range(3)] + [(5, 2)]
+)
 
 
 @pytest.mark.parametrize("n,p", HISTOGRAM_CASES)
@@ -194,6 +201,47 @@ def test_subspace_walk_checks_before_any_enumeration(monkeypatch):
         subspace_counts(40, 2)
     with pytest.raises(NonPrimeModulus):
         subspace_counts(3, 4)
+
+
+def test_negative_n_raises_before_any_enumeration(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(oracle, "itertools", types.SimpleNamespace(product=refuse))
+    for count in (enumerate_rank_histogram, subspace_counts):
+        with pytest.raises(ValueError, match="n = -1 is negative"):
+            count(-1, 2)
+        with pytest.raises(ValueError):
+            count(-3, 4)  # before the prime check too
+
+
+def unpack(fp, v, n):
+    fields = [v >> (i * fp.w) & ((1 << fp.w) - 1) for i in range(n)]
+    assert v >> (n * fp.w) == 0
+    return fields
+
+
+@given(st.data())
+def test_packed_arithmetic_matches_digit_tuples(data):
+    # each field must come out reduced, so a stray guard bit or a digit
+    # left at p shows as a mismatch
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 97]))
+    n = data.draw(st.integers(0, 6))
+    digits = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    a, b = data.draw(digits), data.draw(digits)
+    c = data.draw(st.integers(0, p - 1))
+    fp = oracle._Vectors(n, p)
+    u, v = fp.pack(a), fp.pack(b)
+    assert unpack(fp, u, n) == a
+    assert unpack(fp, fp.add(u, v), n) == [(x + y) % p for x, y in zip(a, b)]
+    multiples = fp.multiples(u)
+    assert len(multiples) == p
+    assert unpack(fp, multiples[c], n) == [c * x % p for x in a]
+    if any(b):
+        i = next(i for i, y in enumerate(b) if y)
+        reduced = fp.reduce([u], v)[0]
+        f = a[i] * pow(b[i], -1, p)
+        assert unpack(fp, reduced, n) == [(x - f * y) % p for x, y in zip(a, b)]
 
 
 def test_bounds_raise_before_any_enumeration(monkeypatch):

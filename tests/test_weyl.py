@@ -9,7 +9,7 @@ from math import prod
 
 import pytest
 
-from monoid_orders import cli, weyl
+from monoid_orders import cli, rootsystem, weyl
 from monoid_orders.errors import GroupTooLarge, InvariantViolation
 from monoid_orders.qpoly import ONE, QPolynomial, QProduct, div_exact, expand
 from monoid_orders.rootsystem import (
@@ -140,6 +140,32 @@ def test_walk_count_checked_against_degrees(monkeypatch):
     rs = root_system("A2")
     with pytest.raises(InvariantViolation):
         coset_length_poly(rs, delta(rs), NONE)
+
+
+def test_order_all_floods_each_subset_mask_once(capsys, monkeypatch):
+    # every chain step of every walk reads subgroup orders; C6 --formula all
+    # asks for the same subsets many times and floods each mask once
+    rs = root_system("C6")
+    rs._parts.clear()
+    rs._components.clear()
+    fills, lookups = [], []
+    fill, parts = rootsystem._flood_fill, rootsystem._subset_parts
+
+    def counted_fill(rs, mask):
+        fills.append((str(rs.cartan_type), mask))
+        return fill(rs, mask)
+
+    def counted_parts(rs, X):
+        lookups.append(X)
+        return parts(rs, X)
+
+    monkeypatch.setattr(rootsystem, "_flood_fill", counted_fill)
+    monkeypatch.setattr(rootsystem, "_subset_parts", counted_parts)
+    argv = ["order", "--type", "C6", "--preset", "last-fundamental", "--formula", "all"]
+    assert cli.main([*argv, "--q", "2"]) == 0
+    assert "4 formulas agree" in capsys.readouterr().out
+    assert len(fills) == len(set(fills)) == len({X for X in lookups})
+    assert len(lookups) > 2 * len(fills)
 
 
 def test_fixed_must_lie_in_gens():
