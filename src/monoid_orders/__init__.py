@@ -43,6 +43,7 @@ from .qpoly import (
     div_exact,
     eval_big,
     expand,
+    expand_all,
     gaussian_binomial,
     is_palindromic,
 )

@@ -42,7 +42,7 @@ from .orders import (
     order_thm41,
     symplectic_order,
 )
-from .qpoly import QPolynomial, eval_big, is_palindromic
+from .qpoly import QPolynomial, eval_big, is_palindromic, poly_sum
 from .rootsystem import CartanType, build, parse_subset
 
 EXIT_OK = 0
@@ -318,12 +318,17 @@ def _cmd_order(args, enum_bound: int | None) -> int:
                 skipped[name] = type(exc).__name__
             else:
                 raise
-    totals = {name: r.total for name, r in reports.items()}
-    if len(set(totals.values())) > 1:
-        print("formula disagreement:", file=sys.stderr)
-        for name, total in totals.items():
-            print(f"  {name}: {total}", file=sys.stderr)
-        return EXIT_VERIFY
+    # the totals, then each entry's terms, as verify compares them: swapped
+    # terms keep the total
+    checks = [("", [r.total for r in reports.values()])]
+    for row in zip(*(r.terms for r in reports.values())):
+        checks.append((f" at entry {row[0][0]!r}", [term for _, term in row]))
+    for where, values in checks:
+        if len(set(values)) > 1:
+            print(f"formula disagreement{where}:", file=sys.stderr)
+            for name, value in zip(reports, values):
+                print(f"  {name}: {value}", file=sys.stderr)
+            return EXIT_VERIFY
     primary = reports[[name for name in selected if name in reports][-1]]
     # the printed report also carries what the other routes skipped
     notes = list(primary.notes)
@@ -381,8 +386,9 @@ def _cmd_hpoly(args, enum_bound: int | None) -> int:
 
 
 def _strata_rows(args) -> tuple[str, list[tuple[str, QPolynomial]], QPolynomial]:
-    """Title, stratum rows and their sum, which must equal the closed-form
-    total: q^{n^2} matrices for type A, through the H-polynomial for type C."""
+    """Title, stratum rows and their sum, which is checked: it must be
+    q^{n^2} matrices for type A, and for type C its H-polynomial
+    (sum - 1)/(q - 1) must divide exactly and be palindromic."""
     if not args.type:
         raise UnsupportedType("--type is required")
     ct = CartanType.parse(args.type)
@@ -390,24 +396,20 @@ def _strata_rows(args) -> tuple[str, list[tuple[str, QPolynomial]], QPolynomial]
         n = ct.rank + 1
         title = f"matrix monoid M_{n}"
         rows = [(f"M^{r}", gl_strata(n, r)) for r in range(n + 1)]
-        expected = QPolynomial.monomial(n * n)
     elif args.preset == "last-fundamental" and ct.family == "C":
         title = f"symplectic monoid on 2*{ct.rank} dimensions"
-        report = symplectic_order(ct.rank)
-        rows = list(report.terms)
-        expected = report.total
+        rows = list(symplectic_order(ct.rank).terms)
     else:
         raise UnsupportedType(
             "strata formulas cover type A with first-fundamental and "
             "type C with last-fundamental"
         )
-    total = QPolynomial()
-    for _, term in rows:
-        total = total + term
-    if total != expected:
-        raise InvariantViolation(
-            f"{ct} strata sum differs from the closed-form total"
-        )
+    total = poly_sum(term for _, term in rows)
+    if ct.family == "A" and total != QPolynomial.monomial(n * n):
+        raise InvariantViolation(f"{ct} strata sum differs from q^{n * n}")
+    h_exact = sum(total.coeffs) == 1  # iff (total - 1)/(q - 1) is exact
+    if ct.family == "C" and not (h_exact and is_palindromic(h_polynomial(total))):
+        raise InvariantViolation(f"{ct} strata sum has no palindromic H-polynomial")
     return title, rows, total
 
 

@@ -10,15 +10,16 @@ Four independent routes to the same total, all exact polynomials in q:
   order_thm34  invariant-degree products only, no enumeration;
   order_thm41  the closed form for weight-support (J-irreducible) lattices.
 
-thm33, thm34 and thm41 give each term as a factored QProduct and share one
-loop that expands it; only thm31 divides densely, the walked W(q) by each
-walked W_X(q) once per call.  The degree-based
-routes read the degrees of each parabolic subgroup W_X from
-rootsystem.subset_degrees, never from a classification of X.
+thm33, thm34 and thm41 give each term, the zero entry's included, as a
+factored QProduct, and one qpoly.expand_all call per route expands them all;
+only thm31 divides densely, the walked W(q) by each walked W_X(q) once per
+call.  The degree-based routes read the degrees of each parabolic subgroup
+W_X from rootsystem.subset_degrees, never from a classification of X.
 
 Plus closed forms for the two published stratifications (full matrix monoid
 and the last-fundamental, omega_l, monoid of type C_l; the natural
-2l-dimensional monoid is omega_1, which has no closed form here) and the
+2l-dimensional monoid is omega_1, which has no closed form here), whose
+strata are QProducts expanded through the same expand_all, and the
 H-polynomial extraction (|M|-1)/(q-1).
 """
 
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cache
-from itertools import zip_longest
 
 from .crosssection import (
     PAPER_VERIFIED,
@@ -39,12 +39,12 @@ from .qpoly import (
     Q_MINUS_ONE,
     QPolynomial,
     QProduct,
-    _over_binomial,
-    _times_binomial,
     div_exact,
     eval_big,
     expand,
+    expand_all,
     gaussian_factors,
+    poly_sum,
 )
 from .rootsystem import (
     CartanType,
@@ -111,20 +111,13 @@ def _lattice_notes(lat: CrossSectionLattice) -> tuple[str, ...]:
     return tuple(notes)
 
 
-def _poly_sum(polys) -> QPolynomial:
-    """Sum by columns: one pass over all coefficient tuples, not one
-    addition per polynomial."""
-    columns = zip_longest(*(p.coeffs for p in polys), fillvalue=0)
-    return QPolynomial(map(sum, columns))
-
-
 def _finish(
     formula: str,
     lat: CrossSectionLattice,
     terms: list[tuple[str, QPolynomial]],
     notes: tuple[str, ...] = (),
 ) -> OrderReport:
-    total = _poly_sum(term for _, term in terms)
+    total = poly_sum(term for _, term in terms)
     at_one = sum(total.coeffs)
     if at_one != 1:
         raise InvariantViolation(f"{formula} total is {at_one} at q=1, not 1")
@@ -156,9 +149,6 @@ def order_thm31(
     cosets = cache(lambda X: div_exact(w, walked(X)))
     terms = []
     for entry in lat.entries:
-        if lat.is_zero(entry):
-            terms.append((entry.label, ONE))
-            continue
         lam, sub = entry.lambda_union, entry.lambda_substar
         shift = walked(lam).degree - walked(sub).degree
         torus = QPolynomial.monomial(shift) * Q_MINUS_ONE**entry.torus_index_exponent
@@ -167,15 +157,8 @@ def order_thm31(
 
 
 def _factored_terms(lat: CrossSectionLattice, term) -> list[tuple[str, QPolynomial]]:
-    """Each entry's term: 1 for the zero entry, else the QProduct term(entry)
-    in dense form, each distinct Phi-exponent tuple expanded once per call
-    and shifted by the product's own power of q."""
-    expanded = cache(lambda phi: expand(QProduct(phi=phi)).coeffs)
-
-    def dense(product: QProduct) -> QPolynomial:
-        return QPolynomial((0,) * product.shift + expanded(product.phi))
-
-    return [(e.label, ONE if lat.is_zero(e) else dense(term(e))) for e in lat.entries]
+    """Each entry's QProduct term(entry), expanded in one expand_all call."""
+    return list(zip((e.label for e in lat.entries), expand_all(map(term, lat.entries))))
 
 
 def order_thm33(
@@ -261,6 +244,8 @@ def order_thm41(lat: CrossSectionLattice) -> OrderReport:
     factor = cache(lambda X: QProduct.of(subset_degrees(rs, X)))
 
     def term(entry) -> QProduct:
+        if lat.is_zero(entry):  # the closed form assumes |lambda*| + 1
+            return QProduct()
         # the (q-1)^{2(|lambda(e)|-l)+1} factor, split across both sides
         numer = ambient * QProduct.of(
             [1] * (2 * len(entry.lambda_union) + 1),
@@ -281,30 +266,28 @@ def symplectic_order(l: int) -> OrderReport:
     strata.
 
     H term r is q^{r^2} [l, r]_{q^2}^2 prod_{i<=r} (q^{2i}-1) prod_{i<=l-r}
-    (q^i+1)^2.  Term 0 is expanded once; term r+1 is term r times
-    q^{2r+1} (q^{l-r}-1)^2 / (q^{2r+2}-1) by shift-subtracts and one exact
-    sparse division, and term l must equal q^{l^2} prod (q^{2i}-1).  The
-    total is 1 + (q-1) H; stratum r is (q-1) times H term r-1.
+    (q^i+1)^2, and term r+1 is term r times the exact factored quotient
+    q^{2r+1} (q^{l-r}-1)^2 / (q^{2r+2}-1).  Stratum 0 is 1 and stratum r+1
+    is (q-1) times H term r; one expand_all call steps each stratum from the
+    one before, and the last must equal q^{l^2} (q-1) prod (q^{2i}-1),
+    expanded on its own.  The total is the sum of the strata.
     """
     if l < 2:
         raise ValueError("need l >= 2")
     evens = [2 * i for i in range(1, l + 1)]
-    term_0 = QProduct.of(evens) ** 2 / QProduct.of(range(1, l + 1)) ** 2
-    coeffs = list(expand(term_0).coeffs)
-    h_terms = [QPolynomial(coeffs)]
-    for r in range(l):
-        coeffs = _times_binomial(_times_binomial(coeffs, l - r), l - r)
-        coeffs = [0] * (2 * r + 1) + _over_binomial(coeffs, 2 * r + 2)
-        h_terms.append(QPolynomial(coeffs))
-    if h_terms[-1] != expand(QProduct.of(evens, shift=l * l)):
-        raise InvariantViolation(f"C{l} ratio steps missed the top H term")
-    total = ONE + Q_MINUS_ONE * _poly_sum(h_terms)
-    strata = [ONE] + [QPolynomial(_times_binomial(list(t.coeffs), 1)) for t in h_terms]
+    h_0 = QProduct.of(evens * 2) / QProduct.of(range(1, l + 1)) ** 2
+    strata = [QProduct(), QProduct.of([1]) * h_0]
+    for r in range(l):  # M^{r+2} = M^{r+1} H_{r+1} / H_r
+        up = QProduct.of([l - r] * 2, shift=2 * r + 1)
+        strata.append(strata[-1] * up / QProduct.of([2 * r + 2]))
+    strata = expand_all(strata)
+    if strata[-1] != expand(QProduct.of([1] + evens, shift=l * l)):
+        raise InvariantViolation(f"C{l} ratio steps missed the top stratum")
     return OrderReport(
         formula="symplectic",
         cartan_type=CartanType("C", l),
         terms=tuple((f"M^{r}", term) for r, term in enumerate(strata)),
-        total=total,
+        total=poly_sum(strata),
         notes=("type map: " + PAPER_VERIFIED,),
     )
 
@@ -319,4 +302,4 @@ def gl_strata(n: int, r: int) -> QPolynomial:
 
 def h_polynomial(order_total: QPolynomial) -> QPolynomial:
     """H with (|M| - 1) = (q - 1) H(q); exact by construction for split M."""
-    return QPolynomial(_over_binomial(list((order_total - ONE).coeffs), 1))
+    return div_exact(order_total - ONE, Q_MINUS_ONE)

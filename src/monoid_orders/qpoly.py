@@ -8,9 +8,10 @@ from (q^d - 1) factors, since q^d - 1 = prod over n | d of Phi_n.
 
 Exactness is checked literally in both.  Dense division raises on a nonzero
 remainder.  Factored division subtracts exponents and raises as soon as a
-Phi exponent or the shift would go negative; expanding a product to dense
-coefficients then divides by the (q^d - 1) factors its Phi exponents imply,
-with a sparse division that raises on a nonzero remainder as well.
+Phi exponent or the shift would go negative.  expand_all is the one path
+from factored to dense: it steps each distinct product from 1 or from the
+product stepped to before it, multiplying and dividing by (q^d - 1)
+factors, with a sparse division that raises on a nonzero remainder as well.
 
 All coefficients are Python ints, so arithmetic is exact at any size.  Values
 are immutable; every operation returns a fresh value.
@@ -19,7 +20,7 @@ are immutable; every operation returns a fresh value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from math import isqrt
 from typing import Iterable
 
@@ -158,6 +159,8 @@ def div_exact(a: QPolynomial, b: QPolynomial) -> QPolynomial:
         raise NonExactDivision(f"({a}) is not divisible by ({b})")
     rem = list(a.coeffs)
     div = b.coeffs
+    if div[0] == -1 and div[-1] == 1 and not any(div[1:-1]):  # q^d - 1
+        return QPolynomial(_over_binomial(rem, b.degree))
     lead = div[-1]
     out = [0] * (len(rem) - len(div) + 1)
     for k in range(len(out) - 1, -1, -1):
@@ -187,18 +190,6 @@ def eval_big(p: QPolynomial, q0: int) -> int:
 def _divisors(n: int) -> list[int]:
     small = [i for i in range(1, isqrt(n) + 1) if n % i == 0]
     return small + [n // i for i in reversed(small) if i * i != n]
-
-
-def _mobius(n: int) -> int:
-    sign, p = 1, 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            sign = -sign
-        p += 1
-    return -sign if n > 1 else sign
 
 
 def _times_binomial(coeffs: list[int], d: int) -> list[int]:
@@ -279,26 +270,58 @@ class QProduct:
         return " * ".join(factors) or "1"
 
 
-def expand(product: QProduct) -> QPolynomial:
-    """Dense coefficients of a factored product, expanded once.
+def _binomial_powers(phi: tuple[tuple[int, int], ...]) -> dict[int, int]:
+    """The (q^d - 1) exponents p_d of prod Phi_n^e_n.  Since q^d - 1 is the
+    product of Phi_n over n | d, e_n is the sum of p_d over the multiples d
+    of n, solved for p_d from the largest d down."""
+    exponents = dict(phi)
+    top = max(exponents, default=0)
+    power = [0] * (top + 1)
+    for d in range(top, 0, -1):
+        power[d] = exponents.get(d, 0) - sum(power[2 * d :: d])
+    return {d: p for d, p in enumerate(power) if p}
 
-    Moebius inversion of q^d - 1 = prod_{n | d} Phi_n rewrites the Phi
-    exponents as (q^d - 1) exponents.  The positive ones are multiplied in
-    by shift-subtract, then the negative ones divided out by sparse exact
-    division, each O(degree).
+
+def expand_all(products: Iterable[QProduct]) -> list[QPolynomial]:
+    """Dense coefficients of each factored product.
+
+    Each distinct Phi-exponent tuple is stepped to once per call, from 1 or
+    from the tuple stepped to just before, whichever takes fewer (q^d - 1)
+    steps: the positive ones by shift-subtract, then the negative ones by
+    sparse exact division, each O(degree).  After the positive steps the
+    coefficients are the target times the factors still to divide out, so
+    every division is exact.  Each result is shifted by its own product's
+    power of q.
     """
-    power: dict[int, int] = {}
-    for n, e in product.phi:
-        for d in _divisors(n):
-            power[d] = power.get(d, 0) + _mobius(n // d) * e
-    coeffs = [1]
-    for d in sorted(power):
-        for _ in range(power[d]):
-            coeffs = _times_binomial(coeffs, d)
-    for d in sorted(power, reverse=True):
-        for _ in range(-power[d]):
-            coeffs = _over_binomial(coeffs, d)
-    return QPolynomial([0] * product.shift + coeffs)
+    products = list(products)
+    expanded: dict[tuple[tuple[int, int], ...], list[int]] = {}
+    coeffs, last = [1], {}
+    for phi in dict.fromkeys(product.phi for product in products):
+        step = power = _binomial_powers(phi)
+        if last:  # else coeffs is already 1
+            step = {d: power.get(d, 0) - last.get(d, 0) for d in power | last}
+            if sum(map(abs, step.values())) >= sum(map(abs, power.values())):
+                coeffs, step = [1], power
+        for d in sorted(step):
+            for _ in range(step[d]):
+                coeffs = _times_binomial(coeffs, d)
+        for d in sorted(step, reverse=True):
+            for _ in range(-step[d]):
+                coeffs = _over_binomial(coeffs, d)
+        expanded[phi], last = coeffs, power
+    return [QPolynomial([0] * p.shift + expanded[p.phi]) for p in products]
+
+
+def expand(product: QProduct) -> QPolynomial:
+    """Dense coefficients of one factored product: expand_all([product])[0]."""
+    return expand_all([product])[0]
+
+
+def poly_sum(polys: Iterable[QPolynomial]) -> QPolynomial:
+    """Sum by columns: one pass over all coefficient tuples, not one
+    addition per polynomial."""
+    columns = zip_longest(*(p.coeffs for p in polys), fillvalue=0)
+    return QPolynomial(map(sum, columns))
 
 
 def gaussian_factors(n: int, r: int, base_power: int = 1) -> QProduct:

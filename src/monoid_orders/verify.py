@@ -9,6 +9,7 @@ is skipped, not failed.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,6 +32,7 @@ from .qpoly import (
     eval_big,
     gaussian_binomial,
     is_palindromic,
+    poly_sum,
     q_power_minus_one,
 )
 from .rootsystem import CartanType, build, degrees, poincare_product
@@ -193,9 +195,7 @@ def check_structural() -> tuple[bool, str]:
 
 def check_gl_strata_sum() -> tuple[bool, str]:
     for n in range(1, 7):
-        total = QPolynomial()
-        for r in range(n + 1):
-            total = total + gl_strata(n, r)
+        total = poly_sum(gl_strata(n, r) for r in range(n + 1))
         if total != QPolynomial.monomial(n * n):
             return False, f"n={n}"
     return True, "n = 1..6"
@@ -215,26 +215,16 @@ ALL_CHECKS: dict[str, Callable[..., tuple[bool, str]]] = {
     "gl-strata-sum": check_gl_strata_sum,
 }
 
-# Checks that take the enumeration bound.
-_BOUNDED_CHECKS = frozenset(
-    {
-        "solomon-poincare",
-        "coset-identity",
-        "rank-histogram",
-        "subspace-count",
-        "formula-agreement",
-    }
-)
-
 
 def run_all(enum_bound: int | None = None) -> list[CheckResult]:
-    """Run every check; a check stopped by an enumeration or lattice bound
-    is reported as skipped, and any other crash inside a check as its
-    failure."""
+    """Run every check, passing the bound to those that take a parameter; a
+    check stopped by an enumeration or lattice bound is reported as skipped,
+    and any other crash inside a check as its failure."""
     results = []
     for name, check in ALL_CHECKS.items():
+        takes_bound = inspect.signature(check).parameters
         try:
-            ok, detail = check(enum_bound) if name in _BOUNDED_CHECKS else check()
+            ok, detail = check(enum_bound) if takes_bound else check()
         except (GroupTooLarge, EnumerationTooLarge, LatticeTooLarge) as exc:
             reason = f"{type(exc).__name__}: {exc}"
             results.append(CheckResult(name, False, reason, skipped=True))

@@ -168,3 +168,12 @@ def test_criterion_13_rank_walk_over_f5():
     with budget("13 (rank histogram n=3, p=5)", 1.0):
         counts = enumerate_rank_histogram(3, 5)
     assert counts == [1, 3844, 461280, 1488000]
+
+
+def test_criterion_14_symplectic_routes_at_rank_60():
+    lat = fundamental_lattice(CartanType("C", 60), 60)
+    strata = symplectic_order(60).terms
+    for route in (order_thm41, order_thm34):
+        with budget(f"14 ({route.__name__} C60)", 0.3):
+            report = route(lat)
+        assert [term for _, term in report.terms] == [term for _, term in strata]

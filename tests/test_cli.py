@@ -109,25 +109,39 @@ def test_strata_symplectic_json(capsys):
     assert values == ["1", "225", "1350", "720"]
 
 
-def test_strata_sum_mismatch_exits_2(capsys, monkeypatch):
-    # symplectic_order takes its strata from its own H terms, so the
-    # off-by-one stratum goes into the report that the strata command reads
+def broken_stratum(monkeypatch, change):
+    """Make the strata command read symplectic_order with M^1 changed."""
     symplectic_order = orders.symplectic_order
 
     def broken(l):
         report = symplectic_order(l)
         terms = list(report.terms)
         label, stratum = terms[1]
-        terms[1] = (label, stratum + ONE)
+        terms[1] = (label, stratum + change)
         return dataclasses.replace(report, terms=tuple(terms))
 
     monkeypatch.setattr(cli, "symplectic_order", broken)
+
+
+C3_STRATA_ERROR = "error: C3 strata sum has no palindromic H-polynomial\n"
+
+
+def test_strata_sum_mismatch_exits_2(capsys, monkeypatch):
+    # the type C sum must have an exact H-polynomial (sum - 1)/(q - 1)
+    broken_stratum(monkeypatch, ONE)
     code, out, err = run(
         capsys, "strata", "--type", "C3", "--preset", "last-fundamental"
     )
-    assert code == 2
-    assert out == ""
-    assert "strata sum" in err and len(err.splitlines()) == 1
+    assert (code, out, err) == (2, "", C3_STRATA_ERROR)
+
+
+def test_strata_asymmetric_h_polynomial_exits_2(capsys, monkeypatch):
+    # (q - 1) q keeps (sum - 1)/(q - 1) exact but adds q to H alone
+    broken_stratum(monkeypatch, QPolynomial([0, -1, 1]))
+    code, out, err = run(
+        capsys, "strata", "--type", "C3", "--preset", "last-fundamental"
+    )
+    assert (code, out, err) == (2, "", C3_STRATA_ERROR)
 
 
 def test_matrix_strata_sum_mismatch_exits_2(capsys, monkeypatch):
@@ -353,16 +367,34 @@ def test_verify_passes(capsys):
     assert out.strip().endswith("checks passed")
 
 
-def test_exactly_the_bounded_checks_take_a_bound():
-    # a check renamed in ALL_CHECKS but not in _BOUNDED_CHECKS would run
-    # without the enumeration bound
-    assert verify._BOUNDED_CHECKS <= verify.ALL_CHECKS.keys()
+def test_run_all_passes_the_bound_to_checks_that_take_one(monkeypatch):
+    def bounded(bound=None):
+        return True, f"bound {bound}"
+
+    def unbounded():
+        return True, "no bound"
+
+    monkeypatch.setattr(verify, "ALL_CHECKS", {"bounded": bounded, "unbounded": unbounded})
+    assert [(r.name, r.ok, r.detail) for r in verify.run_all(7)] == [
+        ("bounded", True, "bound 7"),
+        ("unbounded", True, "no bound"),
+    ]
+
+
+def test_every_enumerating_check_takes_the_bound():
+    # the signatures decide which checks see the enumeration bound
     takes_bound = {
         name
         for name, check in verify.ALL_CHECKS.items()
         if inspect.signature(check).parameters
     }
-    assert takes_bound == verify._BOUNDED_CHECKS
+    assert takes_bound == {
+        "solomon-poincare",
+        "coset-identity",
+        "rank-histogram",
+        "subspace-count",
+        "formula-agreement",
+    }
 
 
 def test_verify_failure_exits_3(capsys, monkeypatch):
@@ -668,6 +700,32 @@ def test_output_bytes_are_pinned(capsys, src, fmt, digest):
 def test_usage_error_bytes_are_pinned(capsys, argv, err_line):
     assert run(capsys, *argv) == (1, "", err_line)
 
+
+
+def test_order_all_reports_swapped_terms_with_equal_totals(capsys, monkeypatch):
+    thm41 = cli.FORMULAS["thm41"]
+
+    def swapped(lat):
+        report = thm41(lat)
+        (a, term_a), (b, term_b), *rest = report.terms
+        return dataclasses.replace(report, terms=((a, term_b), (b, term_a), *rest))
+
+    monkeypatch.setitem(cli.FORMULAS, "thm41", swapped)
+    code, out, err = run(
+        capsys, "order", "--type", "C2", "--preset", "last-fundamental",
+        "--formula", "all",
+    )
+    assert (code, out) == (3, "")
+    terms = orders.order_thm34(fundamental_lattice(CartanType("C", 2), 2)).terms
+    (label, first), (_, second) = terms[:2]
+    assert first != second
+    assert err.splitlines() == [
+        f"formula disagreement at entry {label!r}:",
+        f"  thm31: {first}",
+        f"  thm33: {first}",
+        f"  thm34: {first}",
+        f"  thm41: {second}",
+    ]
 
 
 def test_order_all_reports_a_formula_disagreement(capsys, monkeypatch):

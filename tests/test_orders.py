@@ -288,22 +288,27 @@ def test_symplectic_order_at_rank_40():
 
 
 def test_symplectic_order_expands_each_h_term_once(monkeypatch):
-    calls = []
-    real_expand = orders.expand
-
-    def counting_expand(product):
-        calls.append(product)
-        return real_expand(product)
-
-    monkeypatch.setattr(orders, "expand", counting_expand)
+    stepped, divisions = [], []
+    real_powers, real_over = qpoly._binomial_powers, qpoly._over_binomial
+    monkeypatch.setattr(
+        qpoly, "_binomial_powers", lambda phi: stepped.append(phi) or real_powers(phi)
+    )
+    monkeypatch.setattr(
+        qpoly, "_over_binomial", lambda c, d: divisions.append(d) or real_over(c, d)
+    )
     report = symplectic_order(30)
-    # H term 0, then the top term for the end check; the other H terms come
-    # from ratio steps and the strata from shift-subtracts, with no expansion
+    # strata M^0 .. M^31 once each, then the top stratum again, expanded on
+    # its own for the end check
     evens = [2 * i for i in range(1, 31)]
-    assert calls == [
-        QProduct.of(evens) ** 2 / QProduct.of(range(1, 31)) ** 2,
-        QProduct.of(evens, shift=900),
-    ]
+    assert len(stepped) == 33 and len(set(stepped[:32])) == 32
+    h_0 = QProduct.of(evens) ** 2 / QProduct.of(range(1, 31)) ** 2
+    assert stepped[:2] == [(), (QProduct.of([1]) * h_0).phi]
+    assert stepped[-2] == stepped[-1] == QProduct.of([1] + evens).phi
+    # M^1 = (q-1) H_0 from 1 divides by (q^d-1)^2 for each odd d > 1 up to
+    # 29, and once by q-1; each later stratum is one ratio step from the one
+    # before, with one division by q^{2r+2}-1; the top one from 1 has none
+    from_one = [d for d in range(29, 0, -2) for _ in range(1 + (d > 1))]
+    assert divisions == from_one + [2 * r + 2 for r in range(30)]
     monkeypatch.undo()
     # stratum r is (q-1) times H term r-1, which is the thm41 term of entry r
     lattice_route = order_thm41(fundamental_lattice(CartanType("C", 30), 30))
@@ -313,13 +318,17 @@ def test_symplectic_order_expands_each_h_term_once(monkeypatch):
     assert report.total == lattice_route.total
 
 
+REAL_TIMES_BINOMIAL = qpoly._times_binomial
+
+
 def doubled_times_binomial(coeffs, d):
-    return [2 * c for c in qpoly._times_binomial(coeffs, d)]
+    return [2 * c for c in REAL_TIMES_BINOMIAL(coeffs, d)]
 
 
 def test_broken_ratio_step_raises(monkeypatch):
-    # doubling keeps every step divisible, so only the end check sees it
-    monkeypatch.setattr(orders, "_times_binomial", doubled_times_binomial)
+    # doubling keeps every step divisible, so only the end check sees it:
+    # the strata chain takes more multiply steps than the top stratum from 1
+    monkeypatch.setattr(qpoly, "_times_binomial", doubled_times_binomial)
     with pytest.raises(InvariantViolation):
         symplectic_order(4)
 
@@ -331,7 +340,8 @@ from monoid_orders.errors import InvariantViolation
 
 if not sys.flags.optimize:
     sys.exit("not running under -O")
-orders._times_binomial = lambda c, d: [2 * x for x in qpoly._times_binomial(c, d)]
+real = qpoly._times_binomial
+qpoly._times_binomial = lambda c, d: [2 * x for x in real(c, d)]
 try:
     orders.symplectic_order(4)
 except InvariantViolation:

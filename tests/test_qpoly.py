@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from monoid_orders.errors import IndexOutOfRange, NonExactDivision
+from monoid_orders import qpoly
 from monoid_orders.qpoly import (
     ONE,
     Q,
@@ -14,11 +15,15 @@ from monoid_orders.qpoly import (
     div_exact,
     eval_big,
     expand,
+    expand_all,
     gaussian_binomial,
     gaussian_factors,
     is_palindromic,
+    poly_sum,
     q_power_minus_one,
+    _divisors,
     _over_binomial,
+    _times_binomial,
 )
 
 polys = st.builds(QPolynomial, st.lists(st.integers(-50, 50), max_size=12))
@@ -121,6 +126,17 @@ def test_div_by_zero():
 @given(polys, nonzero_polys)
 def test_div_exact_inverts_mul(a, b):
     assert div_exact(a * b, b) == a
+
+
+@given(polys, st.integers(1, 5), st.lists(st.integers(-3, 3), max_size=5))
+def test_div_exact_by_a_binomial(a, d, remainder):
+    # q^d - 1 takes the sparse division; a remainder of lower degree raises
+    b, r = q_power_minus_one(d), QPolynomial(remainder[:d])
+    if r:
+        with pytest.raises(NonExactDivision):
+            div_exact(a * b + r, b)
+    else:
+        assert div_exact(a * b, b) == a
 
 
 def test_eval_big_examples():
@@ -237,6 +253,109 @@ def test_factored_expansion_matches_dense_division(numerator, denominator, shift
 def test_factored_product_matches_dense_product(a, b, k):
     product = QProduct.of(a, 1) * QProduct.of(b) ** k
     assert expand(product) == dense_quotient(a + b * k, [], 1)
+
+
+def mobius(n):
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
+
+
+def expand_from_one(product):
+    """Reference oracle: each product expanded on its own from 1, as before
+    expand_all stepped from the product expanded just before."""
+    power = {}
+    for n, e in product.phi:
+        for d in _divisors(n):
+            power[d] = power.get(d, 0) + mobius(n // d) * e
+    coeffs = [1]
+    for d in sorted(power):
+        for _ in range(power[d]):
+            coeffs = _times_binomial(coeffs, d)
+    for d in sorted(power, reverse=True):
+        for _ in range(-power[d]):
+            coeffs = _over_binomial(coeffs, d)
+    return QPolynomial([0] * product.shift + coeffs)
+
+
+shifts = st.integers(0, 4)
+products = st.builds(
+    QProduct,
+    shifts,
+    st.dictionaries(st.integers(1, 15), st.integers(1, 3), max_size=5).map(
+        lambda phi: tuple(sorted(phi.items()))
+    ),
+)
+
+
+@st.composite
+def product_sequences(draw):
+    """Products, some repeating an earlier Phi tuple under another shift and
+    some a few (q^d - 1) steps from the one before."""
+    sequence = [draw(products)]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["new", "repeat", "near"]))
+        if kind == "new":
+            sequence.append(draw(products))
+        elif kind == "repeat":
+            sequence.append(QProduct(draw(shifts), draw(st.sampled_from(sequence)).phi))
+        else:
+            near = sequence[-1] * QProduct.of(draw(degree_multisets))
+            factor = QProduct.of(draw(degree_multisets))
+            try:
+                near = near / factor
+            except NonExactDivision:
+                pass
+            sequence.append(near)
+    return sequence
+
+
+@given(product_sequences())
+def test_expand_all_matches_expansion_from_one(sequence):
+    assert expand_all(sequence) == [expand_from_one(p) for p in sequence]
+
+
+def test_expand_all_steps_from_the_nearer_start(monkeypatch):
+    multiplied, divided = [], []
+    monkeypatch.setattr(
+        qpoly, "_times_binomial", lambda c, d: multiplied.append(d) or _times_binomial(c, d)
+    )
+    monkeypatch.setattr(
+        qpoly, "_over_binomial", lambda c, d: divided.append(d) or _over_binomial(c, d)
+    )
+    near, far = QProduct.of([2, 3, 4]), QProduct.of([7], shift=2)
+    dense = expand_all([near, near * QProduct.of([5]), far, QProduct(1, near.phi)])
+    # near from 1; near * (q^5 - 1) from near, one step instead of four; far
+    # from 1, one step instead of five; near again read back, no step
+    assert multiplied == [2, 3, 4, 5, 7]
+    assert divided == []
+    assert dense == [expand_from_one(p) for p in (near, near * QProduct.of([5]), far)] + [
+        Q * expand_from_one(near)
+    ]
+
+
+def test_expand_all_divides_when_stepping_down(monkeypatch):
+    divided = []
+    monkeypatch.setattr(
+        qpoly, "_over_binomial", lambda c, d: divided.append(d) or _over_binomial(c, d)
+    )
+    big = QProduct.of([2, 3, 4, 5, 6])
+    dense = expand_all([big, big / QProduct.of([6])])
+    # the second from the first: one division instead of four multiplications
+    assert divided == [6]
+    assert dense == [expand_from_one(big), expand_from_one(QProduct.of([2, 3, 4, 5]))]
+
+
+def test_poly_sum_adds_by_columns():
+    assert poly_sum([]) == ZERO
+    assert poly_sum([Q, ONE, QPolynomial([0, -1, 5])]) == QPolynomial([1, 0, 5])
+    assert poly_sum([Q, -Q]) == ZERO
 
 
 def test_factored_division_rejects_non_divisors():

@@ -1,7 +1,7 @@
-"""thm34 and thm41 expand each distinct factored term once per call.
+"""thm34 and thm41 step to each distinct factored term once per call.
 
 The per-entry expansion the routes used before the memo is kept here as
-the reference: every memoized term must equal it, entry for entry.
+the reference: every term must equal it, entry for entry.
 """
 
 import functools
@@ -13,7 +13,7 @@ import sys
 import pytest
 
 import monoid_orders
-from monoid_orders import cli, orders
+from monoid_orders import cli, orders, qpoly
 from monoid_orders.crosssection import (
     CrossSectionLattice,
     LatticeEntry,
@@ -112,13 +112,15 @@ def lattice(spec, j0):
 
 
 def count_expands(monkeypatch):
+    """The Phi-exponent tuples that expand_all steps to, in order."""
     calls = []
+    real = qpoly._binomial_powers
 
-    def counting_expand(product):
-        calls.append(product)
-        return expand(product)
+    def counting_powers(phi):
+        calls.append(phi)
+        return real(phi)
 
-    monkeypatch.setattr(orders, "expand", counting_expand)
+    monkeypatch.setattr(qpoly, "_binomial_powers", counting_powers)
     return calls
 
 
@@ -162,7 +164,8 @@ def test_entries_sharing_phi_keep_their_own_shift(monkeypatch, tmp_path):
 
     calls = count_expands(monkeypatch)
     report = order_thm34(lat)
-    assert len(calls) == distinct_phi(products.items()) == 3
+    # the zero entry's empty product, then a (b's as well), c and the identity
+    assert len(calls) == len(set(calls)) == 1 + distinct_phi(products.items()) == 4
     expected = reference_terms(products.items())
     assert report.terms == expected
     assert report.total == reference_total(expected)
@@ -205,8 +208,9 @@ def test_shared_degree_tuples_differ_by_their_torus_power(capsys, monkeypatch, t
     assert terms["d"] == terms["b"]
     lat = load_lattice(build(CartanType("A", 3)), SHARED_DEGREES_LATTICE)
     assert tuple(terms.items()) == reference_terms(thm34_products(lat))
-    # |W| once, then two factors per key: (b, d), c and the identity
-    assert len(built) == 1 + 2 * 3
+    # |W| once, then two factors per key: the zero entry, (b, d), c and
+    # the identity
+    assert len(built) == 1 + 2 * 4
 
 
 # Distinct Phi-exponent maps among the nonzero entries of each lattice.
@@ -222,21 +226,23 @@ def test_each_distinct_phi_expanded_once_per_call(monkeypatch, spec, j0, entries
     for route in (order_thm34, order_thm41):
         del calls[:]
         route(lat)
-        assert len(calls) == expansions, route.__name__
-        # the memo expands each product with its q-shift split off
-        assert all(product.shift == 0 for product in calls)
+        # plus the zero entry's empty product
+        assert len(calls) == 1 + expansions, route.__name__
+        # each tuple is stepped to once, its q-shift split off
+        assert len(set(calls)) == len(calls), route.__name__
 
 
 def test_no_memo_outlives_its_call(monkeypatch):
     # thm34 twice, then thm41: no call reads the memo of an earlier call or
-    # of another route, so each expands all 56 distinct products again
+    # of another route, so each steps to all 56 distinct products again,
+    # and to the zero entry's empty one
     lat = lattice("A10", "")
     assert distinct_phi(thm41_products(lat)) == 56
     calls = count_expands(monkeypatch)
     for route in (order_thm34, order_thm34, order_thm41):
         del calls[:]
         route(lat)
-        assert len(calls) == 56, route.__name__
+        assert len(calls) == 1 + 56, route.__name__
 
 
 def non_divisible_lattice():
