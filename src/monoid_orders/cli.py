@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Subcommands: order, hpoly, strata, lattice, verify.  Exit codes: 0 success,
-1 usage error, 2 computation error, 3 verification failure.  The environment
-variable MONOID_ORDERS_ENUM_BOUND overrides every enumeration bound, the
-lattice-size bound included, but not rootsystem.BUILD_CAP, which caps the
-root table's memory: a larger type is a usage error.
+1 usage error, 2 computation error, 3 verification failure, 141 (128 +
+SIGPIPE) when the reader closed stdout before all output was written, as
+`| head` does; that exit prints no traceback.  The environment variable
+MONOID_ORDERS_ENUM_BOUND overrides every enumeration bound, the lattice-size
+bound included, but not rootsystem.BUILD_CAP, which caps the root table's
+memory: a larger type is a usage error.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_COMPUTE = 2
 EXIT_VERIFY = 3
+EXIT_PIPE = 141  # what a shell reports for a tool that SIGPIPE killed
 
 FORMULAS = {
     "thm31": order_thm31,
@@ -534,7 +537,15 @@ def main(argv=None) -> int:
 
 
 def run_main() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (as `| head` does): send what is
+        # left to devnull so the interpreter's last flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ case, or from a validated external description.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 
 from .errors import InvalidSupport, InvariantViolation, LatticeTooLarge, UnsupportedType
@@ -54,7 +55,7 @@ class CrossSectionLattice:
     def rank(self) -> int:
         return self.root_system.rank
 
-    @property
+    @cached_property
     def all_simple(self) -> frozenset[int]:
         return frozenset(range(1, self.rank + 1))
 
@@ -123,12 +124,6 @@ def validate(lat: CrossSectionLattice) -> CrossSectionLattice:
     return lat
 
 
-def _entry_label(X: frozenset[int], delta: frozenset[int]) -> str:
-    if X == delta:
-        return "1"
-    return "e{" + ",".join(str(i) for i in sorted(X)) + "}"
-
-
 def lattice_size(rs: RootSystemData, J0: frozenset[int]) -> int:
     """Number of entries of j_irreducible_lattice(rs, J0), counted without
     generating any of them.
@@ -173,11 +168,18 @@ def j_irreducible_lattice(
     The subsets X are grown, not filtered out of all 2^rank subsets: each
     size level extends the previous one by a node outside J0 or adjacent to
     X, which keeps every component meeting Delta minus J0, and every such X
-    is reached (drop a node of X farthest from Delta minus J0).  Each level
-    is emitted in sorted order, as itertools.combinations would list it.
-    The entries are counted first (lattice_size), and LatticeTooLarge is
-    raised before any growth when more than bound nonempty lambda_star sets
-    would be grown (default weyl.DEFAULT_ENUM_BOUND).
+    is reached (drop a node of X farthest from Delta minus J0).  Subsets
+    are int masks with node i at bit rank - i, so within one size level
+    descending mask order is the sorted-index order in which
+    itertools.combinations lists them, and each level is emitted in it.  A
+    subset's extensions are the low bits of (free | near) & ~X, one at a
+    time.  Its frozenset and label are built once, when it is first
+    reached: from a parent missing its largest node, which the descending
+    walk reaches first, the label is the parent's with the new node
+    appended.  Each lambda_substar frozenset is built once per mask.  The
+    entries are counted first (lattice_size), and LatticeTooLarge is raised
+    before any growth when more than bound nonempty lambda_star sets would
+    be grown (default weyl.DEFAULT_ENUM_BOUND).
     """
     delta = frozenset(range(1, rs.rank + 1))
     if not J0 <= delta:
@@ -193,21 +195,34 @@ def j_irreducible_lattice(
             f"nonempty lambda_star sets, which exceeds the bound {bound}"
         )
 
-    free = delta - J0
+    rank = rs.rank
+    bits = [1 << (rank - i) for i in range(rank + 1)]  # node i at bit rank - i
+    near_of = {bits[i]: sum(bits[j] for j in rs.neighbors(i)) for i in delta}
+    free, j0_mask = sum(bits[i] for i in delta - J0), sum(bits[i] for i in J0)
+    substars: dict[int, frozenset[int]] = {}
     entries = [LatticeEntry("0", frozenset(), delta, 0)]
-    level = {frozenset(): frozenset()}  # X -> the simple roots adjacent to X
+    # X as a mask -> (the mask of the simple roots adjacent to X, X, its label)
+    level = {0: (0, frozenset(), "")}
     while level:
-        for X in sorted(level, key=sorted):
-            substar = J0 - X - level[X]
-            entries.append(
-                LatticeEntry(_entry_label(X, delta), X, substar, len(X) + 1)
-            )
-        larger: dict[frozenset[int], frozenset[int]] = {}
-        for X, near in level.items():
-            for v in (free | near) - X:
-                Y = X | {v}
-                if Y not in larger:
-                    larger[Y] = near | rs.neighbors(v)
+        larger: dict[int, tuple[int, frozenset[int], str]] = {}
+        for mask in sorted(level, reverse=True):
+            near, X, text = level[mask]
+            rest = j0_mask & ~mask & ~near
+            if rest not in substars:
+                substars[rest] = frozenset(i for i in J0 if bits[i] & rest)
+            label = "1" if X == delta else "e{" + text + "}"
+            entries.append(LatticeEntry(label, X, substars[rest], len(X) + 1))
+            todo = (free | near) & ~mask
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                if mask | low not in larger:
+                    v = rank + 1 - low.bit_length()
+                    if low < mask & -mask:  # v above every node of X
+                        joined = text + "," + str(v)
+                    else:
+                        joined = ",".join(map(str, sorted(X | {v})))
+                    larger[mask | low] = (near | near_of[low], X | {v}, joined)
         level = larger
 
     fam = rs.cartan_type.family

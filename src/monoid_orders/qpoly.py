@@ -20,6 +20,7 @@ are immutable; every operation returns a fresh value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, zip_longest
 from math import isqrt
 from typing import Iterable
@@ -187,9 +188,10 @@ def eval_big(p: QPolynomial, q0: int) -> int:
     return acc
 
 
-def _divisors(n: int) -> list[int]:
+@lru_cache(maxsize=None)
+def _divisors(n: int) -> tuple[int, ...]:
     small = [i for i in range(1, isqrt(n) + 1) if n % i == 0]
-    return small + [n // i for i in reversed(small) if i * i != n]
+    return tuple(small + [n // i for i in reversed(small) if i * i != n])
 
 
 def _times_binomial(coeffs: list[int], d: int) -> list[int]:

@@ -192,6 +192,10 @@ class RootSystemData:
     def _neighbor_masks(self) -> tuple[int, ...]:
         return tuple(sum(1 << (j - 1) for j in near) for near in self._neighbors)
 
+    @cached_property
+    def _node_bits(self) -> dict[int, int]:
+        return {i: 1 << (i - 1) for i in range(1, self.rank + 1)}
+
     def neighbors(self, i: int) -> frozenset[int]:
         return self._neighbors[i - 1]
 
@@ -249,18 +253,22 @@ def build(ct: CartanType) -> RootSystemData:
 def _subset_parts(rs: RootSystemData, X: frozenset[int]) -> tuple:
     """(positive-root count, degrees) of each Dynkin component of X, kept
     per subset mask; each component is read from the roots the first time
-    any subset of this root system meets it."""
-    if X and not 1 <= min(X) <= max(X) <= rs.rank:
-        raise UnsupportedType(f"subset {sorted(X)} outside 1..{rs.rank}")
-    mask = sum(1 << (i - 1) for i in X)
-    if mask not in rs._parts:
-        parts = []
+    any subset of this root system meets it.  The mask is summed from the
+    node bits, whose KeyError is the range check.  Frozenset keys would keep
+    every subset asked for alive: thm31 on C40 peaked at 60 MB, not 30."""
+    try:
+        mask = sum(map(rs._node_bits.__getitem__, X))
+    except KeyError:
+        raise UnsupportedType(f"subset {sorted(X)} outside 1..{rs.rank}") from None
+    parts = rs._parts.get(mask)
+    if parts is None:
+        found = []
         for comp in _flood_fill(rs, mask):
             if comp not in rs._components:
                 rs._components[comp] = _read_component(rs, comp)
-            parts.append(rs._components[comp])
-        rs._parts[mask] = tuple(parts)
-    return rs._parts[mask]
+            found.append(rs._components[comp])
+        parts = rs._parts[mask] = tuple(found)
+    return parts
 
 
 def _flood_fill(rs: RootSystemData, rest: int) -> Iterator[int]:

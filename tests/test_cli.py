@@ -4,8 +4,11 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -480,6 +483,24 @@ def test_computation_errors_exit_2(capsys, tmp_path):
     assert code == 2
     assert "error" in err
     assert run(capsys, "order", "--lattice-file", str(tmp_path / "nope.json"))[0] == 2
+
+
+def test_closed_stdout_exits_without_traceback():
+    # the 800 kB of output overfill the pipe, so the CLI is still writing
+    # when the reader goes, as with `| head -c 10`
+    argv = ["order", "--type", "C30", "--preset", "last-fundamental"]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    with subprocess.Popen(
+        [sys.executable, "-m", "monoid_orders.cli", *argv, "--formula", "thm41"],
+        env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.read(10) == b"type C30  "
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == cli.EXIT_PIPE == 141
+    assert err == ""  # no traceback, nor any other line
 
 
 def test_enum_bound_env_var(capsys, monkeypatch):

@@ -297,16 +297,25 @@ def test_fundamental_lattice_omits_one_simple_root(spec):
         fundamental_lattice(ct, 1, bound=0)
 
 
-@pytest.mark.parametrize("spec", ["A8", "C8", "D8", "E7", "E8"])
+# the dense lattice-scan benchmark shapes: 4,097, 1,764 and 674 entries
+LONG_SHAPES = {
+    "A12": frozenset(),
+    "B12": frozenset({1, 3, 5, 7, 9, 11}),
+    "D10": frozenset({2, 4, 6, 8}),
+}
+
+
+@pytest.mark.parametrize("spec", ["A8", "C8", "D8", "E7", "E8", *LONG_SHAPES])
 def test_grown_lattice_matches_subset_scan_on_a_sample(spec):
     rs = build(CartanType.parse(spec))
     delta = frozenset(range(1, rs.rank + 1))
     supports = [frozenset(), delta - {1}, delta - {rs.rank}, delta - {2, rs.rank - 1}]
+    supports += [LONG_SHAPES[spec]] if spec in LONG_SHAPES else []
     rng = random.Random(spec)
     supports += [
         frozenset(rng.sample(sorted(delta), rng.randrange(rs.rank))) for _ in range(4)
     ]
-    for J0 in supports:
+    for J0 in dict.fromkeys(supports):  # A12's long shape J0 = {} comes first
         assert_grown_matches_scan(rs, J0)
 
 

@@ -130,6 +130,22 @@ def test_subset_count_rejects_bad_indices():
         subset_degrees(rs, frozenset({3}))
 
 
+def test_warm_subset_memo_still_refuses_bad_indices():
+    rs = build(CartanType("B", 4))
+    for mask in range(2**rs.rank):
+        subset_degrees(rs, frozenset(i + 1 for i in range(rs.rank) if mask >> i & 1))
+    size = len(rs._parts)
+    for bad in ({0}, {rs.rank + 1}, {1, 2, rs.rank + 1}):
+        with pytest.raises(UnsupportedType, match="outside 1..4"):
+            subset_degrees(rs, frozenset(bad))
+    # equal subsets built apart hit one memo entry
+    first, second = frozenset([1, 2, 4]), frozenset(i for i in (4, 2, 1))
+    assert first is not second
+    assert rootsystem._subset_parts(rs, first) is rootsystem._subset_parts(rs, second)
+    assert subset_degrees(rs, second) == (2, 2, 3)
+    assert len(rs._parts) == size
+
+
 def test_component_classification_examples():
     assert subset_degrees(build(CartanType("A", 2)), frozenset()) == ()
     # A1 + B2, and A2 + A1
