@@ -5,8 +5,9 @@ Subcommands: order, hpoly, strata, lattice, verify.  Exit codes: 0 success,
 SIGPIPE) when the reader closed stdout before all output was written, as
 `| head` does; that exit prints no traceback.  The environment variable
 MONOID_ORDERS_ENUM_BOUND overrides every enumeration bound, the lattice-size
-bound included, but not rootsystem.BUILD_CAP, which caps the root table's
-memory: a larger type is a usage error.
+bound and the size bound of hpoly's Dynkin-chain sum included, but not
+rootsystem.BUILD_CAP, which caps the root table's memory: a larger type is a
+usage error.
 """
 
 from __future__ import annotations
@@ -21,12 +22,7 @@ from itertools import islice
 from math import isqrt
 
 from . import verify as verify_mod
-from .crosssection import (
-    CrossSectionLattice,
-    fundamental_lattice,
-    j_irreducible_lattice,
-    load_lattice,
-)
+from .crosssection import CrossSectionLattice, j_irreducible_lattice, load_lattice
 from .errors import (
     GroupTooLarge,
     InvariantViolation,
@@ -36,6 +32,7 @@ from .errors import (
 )
 from .orders import (
     OrderReport,
+    chain_total,
     gl_strata,
     h_polynomial,
     order_thm31,
@@ -43,6 +40,7 @@ from .orders import (
     order_thm34,
     order_thm41,
     symplectic_order,
+    thm34_total,
 )
 from .qpoly import QPolynomial, eval_big, is_palindromic, poly_sum
 from .rootsystem import CartanType, build, parse_subset
@@ -213,6 +211,24 @@ def _is_prime_power(n: int) -> bool:
     return _is_prime(n)  # k = 1, with n its own root
 
 
+def _resolve_support(args) -> tuple[CartanType, frozenset[int]]:
+    """The type and weight-support set J0 named by --type with --preset or
+    --j0."""
+    if not args.type:
+        raise UnsupportedType("--type is required without --lattice-file")
+    ct = CartanType.parse(args.type)
+    preset = getattr(args, "preset", None)
+    j0_spec = getattr(args, "j0", None)
+    if preset and j0_spec:
+        raise UnsupportedType("--preset and --j0 are mutually exclusive")
+    if j0_spec is not None:
+        return ct, parse_subset(j0_spec, ct.rank)
+    if preset:
+        i = 1 if preset == "first-fundamental" else ct.rank
+        return ct, frozenset(range(1, ct.rank + 1)) - {i}
+    raise UnsupportedType("give one of --preset, --j0, or --lattice-file")
+
+
 def _resolve_lattice(args, enum_bound: int | None) -> CrossSectionLattice:
     lattice_file = getattr(args, "lattice_file", None)
     if lattice_file:
@@ -231,20 +247,8 @@ def _resolve_lattice(args, enum_bound: int | None) -> CrossSectionLattice:
             raise UnsupportedType("lattice file carries no type and --type not given")
         rs = build(CartanType.parse(str(type_spec)))
         return load_lattice(rs, raw)
-    if not args.type:
-        raise UnsupportedType("--type is required without --lattice-file")
-    ct = CartanType.parse(args.type)
-    preset = getattr(args, "preset", None)
-    j0_spec = getattr(args, "j0", None)
-    if preset and j0_spec:
-        raise UnsupportedType("--preset and --j0 are mutually exclusive")
-    if j0_spec is not None:
-        j0 = parse_subset(j0_spec, ct.rank)
-        return j_irreducible_lattice(build(ct), j0, enum_bound)
-    if preset:
-        i = 1 if preset == "first-fundamental" else ct.rank
-        return fundamental_lattice(ct, i, enum_bound)
-    raise UnsupportedType("give one of --preset, --j0, or --lattice-file")
+    ct, j0 = _resolve_support(args)
+    return j_irreducible_lattice(build(ct), j0, enum_bound)
 
 
 def _decimal(value: int) -> str:
@@ -358,11 +362,21 @@ def _cmd_order(args, enum_bound: int | None) -> int:
 
 
 def _cmd_hpoly(args, enum_bound: int | None) -> int:
-    lat = _resolve_lattice(args, enum_bound)
-    report = order_thm34(lat)
+    # thm34's total alone: type A with J0 = {} summed along its Dynkin
+    # chain with no lattice listed, any other lattice by its thm34 keys
+    support = None if args.lattice_file else _resolve_support(args)
+    if support and support[0].family == "A" and not support[1]:
+        report = chain_total(build(support[0]), enum_bound)
+    else:
+        report = thm34_total(_resolve_lattice(args, enum_bound))
+    _print_hpoly(report, args.format)
+    return EXIT_OK
+
+
+def _print_hpoly(report: OrderReport, fmt: str) -> None:
     h = h_polynomial(report.total)
     palindromic = is_palindromic(h)
-    if args.format == "json":
+    if fmt == "json":
         print(
             json.dumps(
                 {
@@ -374,7 +388,7 @@ def _cmd_hpoly(args, enum_bound: int | None) -> int:
                 indent=2,
             )
         )
-    elif args.format == "csv":
+    elif fmt == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(["power", "coefficient"])
         writer.writerows(enumerate(h.coeffs))
@@ -385,7 +399,6 @@ def _cmd_hpoly(args, enum_bound: int | None) -> int:
         print(f"coefficients ({len(h.coeffs)}): {' '.join(map(str, h.coeffs))}")
         print(f"H(q) = {h}")
         print(f"palindromic: {'yes' if palindromic else 'no'}")
-    return EXIT_OK
 
 
 def _strata_rows(args) -> tuple[str, list[tuple[str, QPolynomial]], QPolynomial]:

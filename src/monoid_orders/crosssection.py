@@ -225,17 +225,20 @@ def j_irreducible_lattice(
                     larger[mask | low] = (near | near_of[low], X | {v}, joined)
         level = larger
 
-    fam = rs.cartan_type.family
-    last = frozenset({rs.rank})
-    first = frozenset({1})
-    if (fam == "C" and J0 == delta - last) or (fam == "A" and J0 == delta - first):
-        provenance = PAPER_VERIFIED
-    else:
-        provenance = RULE_DERIVED
+    provenance = support_provenance(rs.cartan_type, J0)
     lat = CrossSectionLattice(
         rs, tuple(entries), torus_rank=rs.rank + 1, provenance=provenance
     )
     return validate(lat)
+
+
+def support_provenance(ct: CartanType, J0: frozenset[int]) -> str:
+    """How far the type map of weight support J0 is checked: the paper works
+    out only C_l with omega_l and A_l with omega_1."""
+    delta = frozenset(range(1, ct.rank + 1))
+    if (ct.family, J0) in (("C", delta - {ct.rank}), ("A", delta - {1})):
+        return PAPER_VERIFIED
+    return RULE_DERIVED
 
 
 def fundamental_lattice(

@@ -16,6 +16,12 @@ only thm31 divides densely, the walked W(q) by each walked W_X(q) once per
 call.  The degree-based routes read the degrees of each parabolic subgroup
 W_X from rootsystem.subset_degrees, never from a classification of X.
 
+Two ways to thm34's total alone, with no per-entry term, serve the
+H-polynomial: thm34_total sums each thm34 key's term times the number of
+entries sharing it, and chain_total sums type A with J0 = {} along its
+Dynkin chain, listing no lattice, so it is bounded by its own product size
+and not by the lattice bound.
+
 Plus closed forms for the two published stratifications (full matrix monoid
 and the last-fundamental, omega_l, monoid of type C_l; the natural
 2l-dimensional monoid is omega_1, which has no closed form here), whose
@@ -25,6 +31,7 @@ H-polynomial extraction (|M|-1)/(q-1).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cache
 
@@ -32,8 +39,16 @@ from .crosssection import (
     PAPER_VERIFIED,
     CrossSectionLattice,
     is_j_irreducible,
+    support_provenance,
 )
-from .errors import GroupTooLarge, IndexOutOfRange, InvariantViolation, NotJIrreducible
+from .errors import (
+    GroupTooLarge,
+    IndexOutOfRange,
+    InvariantViolation,
+    LatticeTooLarge,
+    NotJIrreducible,
+    UnsupportedType,
+)
 from .qpoly import (
     ONE,
     Q_MINUS_ONE,
@@ -48,12 +63,14 @@ from .qpoly import (
 )
 from .rootsystem import (
     CartanType,
+    RootSystemData,
     degrees,
     poincare_factors,
+    poincare_product,
     positive_count_of_subset,
     subset_degrees,
 )
-from .weyl import coset_length_poly
+from .weyl import DEFAULT_ENUM_BOUND, coset_length_poly
 
 BC_NOTE = "B_r/C_r component tags are interchangeable for order computations"
 
@@ -117,18 +134,22 @@ def _finish(
     terms: list[tuple[str, QPolynomial]],
     notes: tuple[str, ...] = (),
 ) -> OrderReport:
-    total = poly_sum(term for _, term in terms)
-    at_one = sum(total.coeffs)
-    if at_one != 1:
-        raise InvariantViolation(f"{formula} total is {at_one} at q=1, not 1")
     return OrderReport(
         formula=formula,
         cartan_type=lat.root_system.cartan_type,
         terms=tuple(terms),
-        total=total,
+        total=_checked(formula, poly_sum(term for _, term in terms)),
         lattice=lat,
         notes=_lattice_notes(lat) + notes,
     )
+
+
+def _checked(formula: str, total: QPolynomial) -> QPolynomial:
+    """The total, which must be 1 at q = 1, so (|M| - 1)/(q - 1) is exact."""
+    at_one = sum(total.coeffs)
+    if at_one != 1:
+        raise InvariantViolation(f"{formula} total is {at_one} at q=1, not 1")
+    return total
 
 
 def order_thm31(
@@ -198,29 +219,108 @@ def order_thm33(
     return _finish("thm33", lat, terms, tuple(skipped))
 
 
+def _thm34_keys(lat: CrossSectionLattice) -> list[tuple]:
+    """Each entry's thm34 key: the degrees of W_{lambda_*(e)} and of
+    W_{lambda*(e)}, and the torus exponent of e.  The key fixes the whole
+    term, its shift N*(e) = sum (d - 1) over the lambda* degrees included."""
+    rs = lat.root_system
+    return [
+        (
+            subset_degrees(rs, e.lambda_substar),
+            subset_degrees(rs, e.lambda_star),
+            e.torus_index_exponent,
+        )
+        for e in lat.entries
+    ]
+
+
+def _thm34_expanded(rs: RootSystemData, keys) -> dict[tuple, QPolynomial]:
+    """Each distinct key's term q^{N*} (q-1)^k W^2 / (W_{lambda_*}^2
+    W_{lambda*}), factored once and expanded in one expand_all call."""
+    p_w_squared = poincare_factors(degrees(rs.cartan_type)) ** 2
+
+    def term(key) -> QProduct:
+        sub_degrees, star_degrees, k = key
+        denom = poincare_factors(sub_degrees) ** 2 * poincare_factors(star_degrees)
+        ratio = QProduct.of([1] * k) * (p_w_squared / denom)
+        return QProduct(sum(star_degrees) - len(star_degrees), ratio.phi)
+
+    distinct = list(dict.fromkeys(keys))
+    return dict(zip(distinct, expand_all(map(term, distinct))))
+
+
 def order_thm34(lat: CrossSectionLattice) -> OrderReport:
     """Order by invariant-degree products; no group enumeration at all.
 
-    Each term is q^{N*(e)} times cyclotomic factors that depend only on the
-    degrees of W_{lambda_*(e)} and W_{lambda*(e)} and on the torus exponent
-    of e: per call, each such key is factored once and each entry keeps only
-    its shift (A14 has 16,384 entries but 176 keys).
+    Each term is q^{N*(e)} times cyclotomic factors, all fixed by the thm34
+    key of e: per call, each key is factored and expanded once, and entries
+    sharing a key share its term (A14 has 16,384 entries but 176 keys).
     """
-    rs = lat.root_system
-    p_w_squared = poincare_factors(degrees(rs.cartan_type)) ** 2
+    keys = _thm34_keys(lat)
+    expanded = _thm34_expanded(lat.root_system, keys)
+    terms = [(e.label, expanded[key]) for e, key in zip(lat.entries, keys)]
+    return _finish("thm34", lat, terms)
 
-    @cache
-    def product(sub_degrees, star_degrees, k: int) -> QProduct:
-        denom = poincare_factors(sub_degrees) ** 2 * poincare_factors(star_degrees)
-        return QProduct.of([1] * k) * (p_w_squared / denom)
 
-    def term(entry) -> QProduct:
-        star, sub = entry.lambda_star, entry.lambda_substar
-        k = entry.torus_index_exponent
-        key = subset_degrees(rs, sub), subset_degrees(rs, star), k
-        return QProduct(positive_count_of_subset(rs, star), product(*key).phi)
+def thm34_total(lat: CrossSectionLattice) -> OrderReport:
+    """order_thm34's total with no per-entry term: the sum over thm34 keys
+    of (entries with the key) * (the key's term), each key expanded once.
+    The report's terms are empty."""
+    counts = Counter(_thm34_keys(lat))
+    weighted = []
+    for key, term in _thm34_expanded(lat.root_system, counts).items():
+        if counts[key] > 1:
+            term = QPolynomial(map(counts[key].__mul__, term.coeffs))
+        weighted.append((str(key), term))
+    return replace(_finish("thm34", lat, weighted), terms=())
 
-    return _finish("thm34", lat, _factored_terms(lat, term))
+
+def chain_total(rs: RootSystemData, bound: int | None = None) -> OrderReport:
+    """thm34's total for type A_n with J0 = {}, summed along the Dynkin
+    chain: none of the 2^n + 1 entries is listed.
+
+    A subset X of the chain cuts its n + 1 points into blocks, W/W_X is the
+    q-multinomial of the block sizes, and the thm34 term
+    q^{N(X)} (q-1)^{|X|+1} W^2/W_X factors over the blocks.  So
+    |M| = 1 + (q-1) W(q) F_{n+1}, with F_0 = 1 and, b the last block,
+
+        F_j = sum_{b=1..j} F_{j-b} [j choose b]_q q^{b(b-1)/2} (q-1)^{b-1}.
+
+    deg F_j = j(j+1)/2 - 1 for j >= 1, so the size of every product is
+    known first: LatticeTooLarge is raised before any product when they
+    hold more than bound coefficients in all (default
+    weyl.DEFAULT_ENUM_BOUND; A30 holds 127,751, A52 over 10^6).
+    """
+    ct = rs.cartan_type
+    if ct.family != "A":
+        raise UnsupportedType(f"the chain sum covers type A only, not {ct}")
+    if bound is None:
+        bound = DEFAULT_ENUM_BOUND
+    top = ct.rank + 1
+    steps = [(j, b) for j in range(1, top + 1) for b in range(1, j + 1)]
+    chain_degree = [0] + [j * (j + 1) // 2 - 1 for j in range(1, top + 1)]
+    size = sum(chain_degree[j - b] + b * (j - b) + b * (b + 1) // 2 for j, b in steps)
+    if size > bound:
+        raise LatticeTooLarge(
+            f"the {ct} chain sum for J0 = [] holds {size} coefficients in its"
+            f" products, which exceeds the bound {bound}"
+        )
+    factors = expand_all(
+        gaussian_factors(j, b) * QProduct.of([1] * (b - 1), shift=b * (b - 1) // 2)
+        for j, b in steps
+    )
+    factor = dict(zip(steps, factors))
+    chain = [ONE]
+    for j in range(1, top + 1):
+        chain.append(poly_sum(chain[j - b] * factor[j, b] for b in range(1, j + 1)))
+    total = ONE + Q_MINUS_ONE * poincare_product(ct) * chain[top]
+    return OrderReport(
+        formula="thm34",
+        cartan_type=ct,
+        terms=(),
+        total=_checked("thm34 chain", total),
+        notes=("type map: " + support_provenance(ct, frozenset()),),
+    )
 
 
 def order_thm41(lat: CrossSectionLattice) -> OrderReport:

@@ -179,13 +179,29 @@ def div_exact(a: QPolynomial, b: QPolynomial) -> QPolynomial:
 
 
 def eval_big(p: QPolynomial, q0: int) -> int:
-    """Exact value p(q0) for an integer q0 >= 2."""
+    """Exact value p(q0) for an integer q0 >= 2.
+
+    Horner within each block of 64 coefficients, then the block values are
+    combined pairwise, v_2i + v_2i+1 * q0^(64 * 2^level), so the large
+    products have operands of equal size, where CPython's Karatsuba
+    multiply beats Horner's one small factor per coefficient.
+    """
     if q0 < 2:
         raise ValueError("evaluation point must be >= 2")
-    acc = 0
-    for c in reversed(p.coeffs):
-        acc = acc * q0 + c
-    return acc
+    cs = p.coeffs
+    values = []
+    for start in range(0, len(cs), 64):
+        acc = 0
+        for c in reversed(cs[start : start + 64]):
+            acc = acc * q0 + c
+        values.append(acc)
+    step = q0**64
+    while len(values) > 1:
+        values.append(0)  # pairs an odd last value; zip drops an even one's
+        pairs = iter(values)
+        values = [lo + hi * step for lo, hi in zip(pairs, pairs)]
+        step *= step
+    return sum(values)  # one value, or none for the zero polynomial
 
 
 @lru_cache(maxsize=None)

@@ -250,16 +250,25 @@ def build(ct: CartanType) -> RootSystemData:
     return rs
 
 
-def _subset_parts(rs: RootSystemData, X: frozenset[int]) -> tuple:
-    """(positive-root count, degrees) of each Dynkin component of X, kept
-    per subset mask; each component is read from the roots the first time
-    any subset of this root system meets it.  The mask is summed from the
-    node bits, whose KeyError is the range check.  Frozenset keys would keep
-    every subset asked for alive: thm31 on C40 peaked at 60 MB, not 30."""
+def _subset_mask(rs: RootSystemData, X: frozenset[int]) -> int:
+    """X as a mask with node i at bit i - 1, summed from the node bits,
+    whose KeyError is the range check."""
     try:
-        mask = sum(map(rs._node_bits.__getitem__, X))
+        return sum(map(rs._node_bits.__getitem__, X))
     except KeyError:
         raise UnsupportedType(f"subset {sorted(X)} outside 1..{rs.rank}") from None
+
+
+def _subset_parts(rs: RootSystemData, X: frozenset[int]) -> tuple:
+    """(positive-root count, degrees) of each Dynkin component of X."""
+    return _mask_parts(rs, _subset_mask(rs, X))
+
+
+def _mask_parts(rs: RootSystemData, mask: int) -> tuple:
+    """_subset_parts of a subset mask, kept per mask; each component is read
+    from the roots the first time any subset of this root system meets it.
+    Frozenset keys would keep every subset asked for alive: thm31 on C40
+    peaked at 60 MB, not 30."""
     parts = rs._parts.get(mask)
     if parts is None:
         found = []

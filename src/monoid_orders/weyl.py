@@ -16,8 +16,9 @@ independent oracle behind the polynomial order formulas: the walks read
 only the Cartan matrix, and every length is counted as orbit depth, not
 computed from invariant degrees.  The degrees only choose the node to peel
 and check the size of each walked orbit; the index |W_K| / |W_{K - i}| is a
-quotient of degree products, each read from root heights by
-rootsystem.subset_degrees.
+quotient of degree products, each read from root heights by rootsystem's
+per-mask memo: the chain carries its subset as an int mask, so no
+candidate K - i is built as a set.
 """
 
 from __future__ import annotations
@@ -26,13 +27,13 @@ from math import prod
 
 from .errors import GroupTooLarge, InvariantViolation
 from .qpoly import ONE, QPolynomial
-from .rootsystem import RootSystemData, subset_degrees, weyl_order
+from .rootsystem import RootSystemData, _mask_parts, _subset_mask, weyl_order
 
 DEFAULT_ENUM_BOUND = 10**6
 
 
-def _subgroup_order(rs: RootSystemData, X: frozenset[int]) -> int:
-    return prod(subset_degrees(rs, X))
+def _subgroup_order(rs: RootSystemData, mask: int) -> int:
+    return prod(d for _, ds in _mask_parts(rs, mask) for d in ds)
 
 
 def coset_length_poly(
@@ -64,12 +65,14 @@ def coset_length_poly(
     if not fixed <= gens:
         raise ValueError(f"{sorted(fixed)} is not a subset of {sorted(gens)}")
     result = ONE
-    K = gens
+    K, mask, bit = gens, _subset_mask(rs, gens), rs._node_bits
     while K != fixed:
-        size = _subgroup_order(rs, K)
-        index, i = min((size // _subgroup_order(rs, K - {i}), i) for i in K - fixed)
+        size = _subgroup_order(rs, mask)
+        index, i = min(
+            (size // _subgroup_order(rs, mask ^ bit[i]), i) for i in K - fixed
+        )
         result = result * _walk(rs, K, K - {i}, index)
-        K = K - {i}
+        K, mask = K - {i}, mask ^ bit[i]
     return result
 
 

@@ -4,18 +4,19 @@ Each test prints a single PASS line when its assertions hold; pytest -v plus
 these lines give the per-criterion report.
 """
 
+import io
 import os
 import resource
 import subprocess
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 
 import pytest
 
 from monoid_orders import cli, verify
 from monoid_orders.oracle import enumerate_rank_histogram
-from monoid_orders.crosssection import fundamental_lattice
+from monoid_orders.crosssection import fundamental_lattice, j_irreducible_lattice
 from monoid_orders.orders import (
     h_polynomial,
     order_thm31,
@@ -31,7 +32,7 @@ from monoid_orders.qpoly import (
     is_palindromic,
     q_power_minus_one,
 )
-from monoid_orders.rootsystem import CartanType, degrees
+from monoid_orders.rootsystem import CartanType, build, degrees
 
 H_COEFFS_L2 = [1, 1, 1, 2, 2, 2, 2, 2, 1, 1, 1]
 H_COEFFS_L3 = [1, 1, 1, 2, 2, 3, 4, 4, 4, 5, 5, 5, 5, 4, 4, 4, 3, 2, 2, 1, 1, 1]
@@ -177,3 +178,24 @@ def test_criterion_14_symplectic_routes_at_rank_60():
         with budget(f"14 ({route.__name__} C60)", 0.3):
             report = route(lat)
         assert [term for _, term in report.terms] == [term for _, term in strata]
+
+
+def hpoly_stdout(*argv) -> str:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(["hpoly", *argv]) == 0
+    return out.getvalue()
+
+
+def test_criterion_15_hpoly_past_the_lattice_bound():
+    # type A with J0 = {} is summed along the Dynkin chain: A18 lists no
+    # 2^18 entries, and A30 is far over the lattice bound
+    for spec, seconds in (("A18", 0.2), ("A30", 1.0)):
+        with budget(f"15 (hpoly {spec} --j0 \"\")", seconds):
+            out = hpoly_stdout("--type", spec, "--j0", "")
+        assert "palindromic: yes" in out
+    lat = j_irreducible_lattice(build(CartanType("A", 14)), frozenset())
+    listed = io.StringIO()
+    with redirect_stdout(listed):
+        cli._print_hpoly(order_thm34(lat), "table")
+    assert hpoly_stdout("--type", "A14", "--j0", "") == listed.getvalue()

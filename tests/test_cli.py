@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from monoid_orders import cli, orders, verify
+from monoid_orders import cli, crosssection, orders, verify
 from monoid_orders.crosssection import fundamental_lattice, j_irreducible_lattice
 from monoid_orders.rootsystem import CartanType, build
 from monoid_orders.qpoly import ONE, QPolynomial
@@ -802,3 +802,90 @@ def test_explicit_j0_equal_to_a_preset_keeps_its_provenance(capsys):
     explicit = run(capsys, "lattice", "--type", "C3", "--j0", "1,2")
     assert preset == explicit
     assert "(paper-verified)" in explicit[1]
+
+
+def listed_hpoly(capsys, spec, j0, fmt):
+    """hpoly's bytes from order_thm34 on the listed lattice."""
+    rs = build(CartanType.parse(spec))
+    cli._print_hpoly(orders.order_thm34(j_irreducible_lattice(rs, j0)), fmt)
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_hpoly_chain_sum_prints_the_listed_bytes(capsys, fmt):
+    for rank in range(1, 10):
+        expected = listed_hpoly(capsys, f"A{rank}", frozenset(), fmt)
+        got = run(capsys, "hpoly", "--type", f"A{rank}", "--j0", "", "--format", fmt)
+        assert got == (0, expected, ""), rank
+
+
+def raise_on_call(name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"hpoly called {name}")
+
+    return fail
+
+
+def test_hpoly_needs_no_per_entry_terms(capsys, monkeypatch):
+    queries = [
+        ("hpoly", "--type", "C3", "--preset", "last-fundamental"),
+        ("hpoly", "--type", "D5", "--j0", "2,4"),
+        ("hpoly", "--type", "A5", "--j0", ""),
+    ]
+    expected = [run(capsys, *argv) for argv in queries]
+    fail = raise_on_call("order_thm34")
+    monkeypatch.setattr(orders, "order_thm34", fail)
+    monkeypatch.setattr(cli, "order_thm34", fail)
+    monkeypatch.setitem(cli.FORMULAS, "thm34", fail)
+    for argv, before in zip(queries, expected):
+        assert before[0] == 0
+        assert run(capsys, *argv) == before
+
+
+def test_hpoly_chain_sum_lists_no_lattice(capsys, monkeypatch):
+    expected = run(capsys, "hpoly", "--type", "A10", "--j0", "")
+    fail = raise_on_call("j_irreducible_lattice")
+    monkeypatch.setattr(crosssection, "j_irreducible_lattice", fail)
+    monkeypatch.setattr(cli, "j_irreducible_lattice", fail)
+    assert expected[0] == 0
+    assert run(capsys, "hpoly", "--type", "A10", "--j0", "") == expected
+
+
+@pytest.mark.parametrize("spec", ["A20", "A30"])
+def test_hpoly_past_the_lattice_bound(capsys, spec):
+    code, out, err = run(capsys, "hpoly", "--type", spec, "--j0", "")
+    assert (code, err) == (0, "")
+    assert "palindromic: yes" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("lattice",), ("order",), ("order", "--formula", "thm34")],
+    ids=["lattice", "order", "order-thm34"],
+)
+def test_listing_a20_still_exceeds_the_lattice_bound(capsys, argv):
+    code, out, err = run(capsys, *argv, "--type", "A20", "--j0", "")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the A20 lattice for J0 = [] grows ")
+    assert err.endswith("which exceeds the bound 1000000\n")
+
+
+def test_hpoly_over_the_chain_bound_is_refused_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "hpoly", "--type", "A52", "--j0", "")
+    assert time.perf_counter() - start < 0.1
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: the A52 chain sum for J0 = [] holds 1048022 coefficients in its"
+        " products, which exceeds the bound 1000000\n"
+    )
+
+
+def test_hpoly_chain_bound_follows_env_var(capsys, monkeypatch):
+    monkeypatch.setenv("MONOID_ORDERS_ENUM_BOUND", "2375")
+    code, out, err = run(capsys, "hpoly", "--type", "A10", "--j0", "")
+    assert (code, out) == (2, "")
+    assert "holds 2376 coefficients in its products" in err
+    assert err.endswith("exceeds the bound 2375\n")
+    monkeypatch.setenv("MONOID_ORDERS_ENUM_BOUND", "2376")
+    assert run(capsys, "hpoly", "--type", "A10", "--j0", "")[0] == 0

@@ -19,13 +19,16 @@ from monoid_orders.crosssection import (
 from monoid_orders.errors import (
     IndexOutOfRange,
     InvariantViolation,
+    LatticeTooLarge,
     MonoidOrdersError,
     NonExactDivision,
     NotJIrreducible,
+    UnsupportedType,
 )
 from monoid_orders.oracle import enumerate_rank_histogram
 from monoid_orders.orders import (
     OrderReport,
+    chain_total,
     gl_strata,
     h_polynomial,
     order_thm31,
@@ -33,6 +36,7 @@ from monoid_orders.orders import (
     order_thm34,
     order_thm41,
     symplectic_order,
+    thm34_total,
 )
 from monoid_orders.qpoly import (
     ONE,
@@ -664,3 +668,78 @@ def test_thm33_coset_mismatch_raises_under_optimize():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+GROUPED_TYPES = (
+    [f"A{l}" for l in range(1, 6)]
+    + [f"B{l}" for l in range(2, 5)]
+    + [f"C{l}" for l in range(2, 5)]
+    + ["D4", "D5", "F4", "G2"]
+)
+
+
+def assert_grouped_total_is_listed(lat):
+    grouped, listed = thm34_total(lat), order_thm34(lat)
+    assert grouped.total == listed.total
+    assert grouped.notes == listed.notes
+    assert grouped.terms == ()
+
+
+@pytest.mark.parametrize("spec", GROUPED_TYPES)
+def test_grouped_total_equals_the_listed_total_on_every_support(spec):
+    rs = build(CartanType.parse(spec))
+    for mask in range(2**rs.rank - 1):  # every J0 except Delta
+        J0 = frozenset(i + 1 for i in range(rs.rank) if mask >> i & 1)
+        assert_grouped_total_is_listed(j_irreducible_lattice(rs, J0))
+
+
+@pytest.mark.parametrize(
+    "spec, j0", [("A10", ""), ("D10", "2,4,6,8"), ("B12", "1,3,5,7,9,11")]
+)
+def test_grouped_total_equals_the_listed_total_on_long_lattices(spec, j0):
+    rs = build(CartanType.parse(spec))
+    J0 = frozenset(int(i) for i in j0.split(",") if i)
+    assert_grouped_total_is_listed(j_irreducible_lattice(rs, J0))
+
+
+def test_grouped_total_off_the_weight_support_rule():
+    assert_grouped_total_is_listed(
+        raised_exponents(fundamental_lattice(CartanType("C", 2), 2))
+    )
+
+
+def test_grouped_total_checks_the_value_at_one():
+    lat = fundamental_lattice(CartanType("C", 2), 2)
+    # a second zero entry: every other term vanishes at q = 1
+    doubled = dataclasses.replace(lat, entries=lat.entries + (lat.zero_entry,))
+    with pytest.raises(InvariantViolation, match="thm34 total is 2 at q=1"):
+        thm34_total(doubled)
+
+
+@pytest.mark.parametrize("rank", range(1, 14))
+def test_chain_total_equals_the_listed_total(rank):
+    rs = build(CartanType("A", rank))
+    listed = order_thm34(j_irreducible_lattice(rs, frozenset()))
+    chained = chain_total(rs)
+    assert chained.total == listed.total
+    assert chained.notes == listed.notes
+    assert (chained.cartan_type, chained.terms) == (listed.cartan_type, ())
+
+
+def test_chain_bound_is_checked_before_any_product(monkeypatch):
+    rs = build(CartanType("A", 30))
+
+    def no_product(*args):
+        raise AssertionError("a product ran before the bound was checked")
+
+    monkeypatch.setattr(orders, "expand_all", no_product)
+    monkeypatch.setattr(QPolynomial, "__mul__", no_product)
+    with pytest.raises(LatticeTooLarge, match="holds 127751 coefficients"):
+        chain_total(rs, bound=127_750)
+    monkeypatch.undo()
+    assert is_palindromic(h_polynomial(chain_total(rs, bound=127_751).total))
+
+
+def test_chain_total_covers_type_a_only():
+    with pytest.raises(UnsupportedType):
+        chain_total(build(CartanType("B", 3)))

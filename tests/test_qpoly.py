@@ -150,6 +150,41 @@ def test_eval_big_rejects_small_points():
         eval_big(ONE, 1)
 
 
+def horner(p, q0):
+    """Plain Horner over every coefficient: the reference for eval_big."""
+    acc = 0
+    for c in reversed(p.coeffs):
+        acc = acc * q0 + c
+    return acc
+
+
+# signed, mostly zero and up to 300 bits, over lengths that cross several
+# 64-coefficient block boundaries, with a zero block in between
+blocked_polys = st.builds(
+    QPolynomial,
+    st.lists(
+        st.one_of(
+            st.just(0), st.integers(-(2**300), 2**300), st.integers(-3, 3)
+        ),
+        max_size=700,
+    ),
+)
+
+
+@given(blocked_polys, st.integers(2, 2**70))
+def test_eval_big_matches_horner(p, q0):
+    assert eval_big(p, q0) == horner(p, q0)
+
+
+@pytest.mark.parametrize("length", [1, 63, 64, 65, 128, 129, 192, 4097])
+def test_eval_big_at_block_boundaries(length):
+    p = QPolynomial([(-1) ** i * (i + 1) ** 5 for i in range(length)])
+    sparse = QPolynomial([0] * (length - 1) + [7])
+    for q0 in (2, 3, 10**20 + 39):
+        assert eval_big(p, q0) == horner(p, q0)
+        assert eval_big(sparse, q0) == 7 * q0 ** (length - 1)
+
+
 @given(polys, polys, st.integers(2, 97))
 def test_eval_big_is_ring_homomorphism(a, b, q0):
     assert eval_big(a * b, q0) == eval_big(a, q0) * eval_big(b, q0)

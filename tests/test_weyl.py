@@ -149,18 +149,20 @@ def test_order_all_floods_each_subset_mask_once(capsys, monkeypatch):
     rs._parts.clear()
     rs._components.clear()
     fills, lookups = [], []
-    fill, parts = rootsystem._flood_fill, rootsystem._subset_parts
+    fill, parts = rootsystem._flood_fill, rootsystem._mask_parts
 
     def counted_fill(rs, mask):
         fills.append((str(rs.cartan_type), mask))
         return fill(rs, mask)
 
-    def counted_parts(rs, X):
-        lookups.append(X)
-        return parts(rs, X)
+    def counted_parts(rs, mask):
+        lookups.append(mask)
+        return parts(rs, mask)
 
     monkeypatch.setattr(rootsystem, "_flood_fill", counted_fill)
-    monkeypatch.setattr(rootsystem, "_subset_parts", counted_parts)
+    # the walks carry their masks and look them up directly
+    monkeypatch.setattr(rootsystem, "_mask_parts", counted_parts)
+    monkeypatch.setattr(weyl, "_mask_parts", counted_parts)
     argv = ["order", "--type", "C6", "--preset", "last-fundamental", "--formula", "all"]
     assert cli.main([*argv, "--q", "2"]) == 0
     assert "4 formulas agree" in capsys.readouterr().out
@@ -277,16 +279,16 @@ def test_e6_order_all_walks_at_most_2000_weights(walks, capsys):
     assert sum(n for _, _, n in walks) <= 2000
 
 
-def a1_degrees_wrong(real):
-    """subset_degrees with each A1 given (3,): the A2 chain then walks 3 and
-    2 cosets against indices 2 and 3, so only a per-factor check sees the
-    error."""
-    return lambda rs, X: (3,) if len(X) == 1 else real(rs, X)
+def a1_order_wrong(real):
+    """The chain's subgroup order with each A1 (a one-node mask) given 3:
+    the A2 chain then walks 3 and 2 cosets against indices 2 and 3, so only
+    a per-factor check sees the error."""
+    return lambda rs, mask: 3 if mask and not mask & (mask - 1) else real(rs, mask)
 
 
 def test_each_factor_checked_against_its_index(monkeypatch):
     rs = root_system("A2")
-    monkeypatch.setattr(weyl, "subset_degrees", a1_degrees_wrong(subset_degrees))
+    monkeypatch.setattr(weyl, "_subgroup_order", a1_order_wrong(weyl._subgroup_order))
     assert weyl_order(rs.cartan_type) == 6  # the product of the indices is right
     with pytest.raises(InvariantViolation):
         coset_length_poly(rs, delta(rs), NONE)
@@ -300,8 +302,8 @@ from monoid_orders.errors import InvariantViolation
 if not sys.flags.optimize:
     sys.exit("not running under -O")
 rs = rootsystem.build(rootsystem.CartanType("A", 2))
-subset_degrees = weyl.subset_degrees
-weyl.subset_degrees = lambda rs, X: (3,) if len(X) == 1 else subset_degrees(rs, X)
+order = weyl._subgroup_order
+weyl._subgroup_order = lambda rs, m: 3 if m and not m & (m - 1) else order(rs, m)
 try:
     weyl.coset_length_poly(rs, frozenset({1, 2}), frozenset())
 except InvariantViolation:
