@@ -8,6 +8,10 @@ MONOID_ORDERS_ENUM_BOUND overrides every enumeration bound, the lattice-size
 bound and the size bound of hpoly's Dynkin-chain sum included, but not
 rootsystem.BUILD_CAP, which caps the root table's memory: a larger type is a
 usage error.
+
+order and strata format every evaluation before the first write, so a
+value too long to print leaves stdout empty.  --format json prints exactly
+what json.dumps(payload, indent=2) would, through _json_text.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import os
 import sys
 from dataclasses import replace
 from itertools import islice
+from json.encoder import encode_basestring_ascii
 from math import isqrt
 
 from . import verify as verify_mod
@@ -33,7 +38,7 @@ from .errors import (
 from .orders import (
     OrderReport,
     chain_total,
-    gl_strata,
+    gl_factors,
     h_polynomial,
     order_thm31,
     order_thm33,
@@ -42,7 +47,7 @@ from .orders import (
     symplectic_order,
     thm34_total,
 )
-from .qpoly import QPolynomial, eval_big, is_palindromic, poly_sum
+from .qpoly import QPolynomial, eval_big, expand_all, is_palindromic, poly_sum
 from .rootsystem import CartanType, build, parse_subset
 
 EXIT_OK = 0
@@ -265,6 +270,46 @@ def _evaluations(poly: QPolynomial, qs) -> list[str]:
     return [_decimal(eval_big(poly, q0)) for q0 in qs]
 
 
+def _json_text(obj) -> str:
+    """Exactly json.dumps(obj, indent=2) for the types the to_json payloads
+    hold: dict with str keys, list, str, int, bool and None; any other type
+    raises TypeError.  json.dumps with an indent runs the pure-Python
+    encoder, so this renders a list of ints with one join instead."""
+    parts: list[str] = []
+    _json_parts(obj, "\n", parts)
+    return "".join(parts)
+
+
+def _json_parts(obj, newline: str, parts: list[str]) -> None:
+    if isinstance(obj, str):
+        parts.append(encode_basestring_ascii(obj))
+    elif obj is None or isinstance(obj, bool):
+        parts.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        parts.append(int.__repr__(obj))
+    elif not isinstance(obj, (list, dict)):
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    elif not obj:
+        parts.append("[]" if isinstance(obj, list) else "{}")
+    elif isinstance(obj, dict):
+        inner = newline + "  "
+        for i, (key, value) in enumerate(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts.append(f"{',' if i else '{'}{inner}{encode_basestring_ascii(key)}: ")
+            _json_parts(value, inner, parts)
+        parts.append(newline + "}")
+    elif set(map(type, obj)) == {int}:
+        inner = newline + "  "
+        parts.append(f"[{inner}{f',{inner}'.join(map(str, obj))}{newline}]")
+    else:
+        inner = newline + "  "
+        for i, item in enumerate(obj):
+            parts.append(("," if i else "[") + inner)
+            _json_parts(item, inner, parts)
+        parts.append(newline + "]")
+
+
 def _subset_str(indices) -> str:
     return "{" + ",".join(str(i) for i in sorted(indices)) + "}"
 
@@ -353,7 +398,7 @@ def _cmd_order(args, enum_bound: int | None) -> int:
         payload = primary.to_json()
         if agreed is not None:
             payload["agreement"] = agreed
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
     elif args.format == "csv":
         _print_order_csv(primary, values)
     else:
@@ -378,14 +423,13 @@ def _print_hpoly(report: OrderReport, fmt: str) -> None:
     palindromic = is_palindromic(h)
     if fmt == "json":
         print(
-            json.dumps(
+            _json_text(
                 {
                     "type": str(report.cartan_type),
                     "h_coeffs": h.to_json(),
                     "palindromic": palindromic,
                     "notes": list(report.notes),
-                },
-                indent=2,
+                }
             )
         )
     elif fmt == "csv":
@@ -404,29 +448,32 @@ def _print_hpoly(report: OrderReport, fmt: str) -> None:
 def _strata_rows(args) -> tuple[str, list[tuple[str, QPolynomial]], QPolynomial]:
     """Title, stratum rows and their sum, which is checked: it must be
     q^{n^2} matrices for type A, and for type C its H-polynomial
-    (sum - 1)/(q - 1) must divide exactly and be palindromic."""
+    (sum - 1)/(q - 1) must divide exactly and be palindromic.  The type A
+    strata are expanded in one expand_all call, each stepped from the one
+    before."""
     if not args.type:
         raise UnsupportedType("--type is required")
     ct = CartanType.parse(args.type)
     if args.preset == "first-fundamental" and ct.family == "A":
         n = ct.rank + 1
-        title = f"matrix monoid M_{n}"
-        rows = [(f"M^{r}", gl_strata(n, r)) for r in range(n + 1)]
-    elif args.preset == "last-fundamental" and ct.family == "C":
+        strata = expand_all(gl_factors(n, r) for r in range(n + 1))
+        total = poly_sum(strata)
+        if total != QPolynomial.monomial(n * n):
+            raise InvariantViolation(f"{ct} strata sum differs from q^{n * n}")
+        rows = [(f"M^{r}", term) for r, term in enumerate(strata)]
+        return f"matrix monoid M_{n}", rows, total
+    if args.preset == "last-fundamental" and ct.family == "C":
+        report = symplectic_order(ct.rank)
+        total = report.total
+        h_exact = sum(total.coeffs) == 1  # iff (total - 1)/(q - 1) is exact
+        if not (h_exact and is_palindromic(h_polynomial(total))):
+            raise InvariantViolation(f"{ct} strata sum has no palindromic H-polynomial")
         title = f"symplectic monoid on 2*{ct.rank} dimensions"
-        rows = list(symplectic_order(ct.rank).terms)
-    else:
-        raise UnsupportedType(
-            "strata formulas cover type A with first-fundamental and "
-            "type C with last-fundamental"
-        )
-    total = poly_sum(term for _, term in rows)
-    if ct.family == "A" and total != QPolynomial.monomial(n * n):
-        raise InvariantViolation(f"{ct} strata sum differs from q^{n * n}")
-    h_exact = sum(total.coeffs) == 1  # iff (total - 1)/(q - 1) is exact
-    if ct.family == "C" and not (h_exact and is_palindromic(h_polynomial(total))):
-        raise InvariantViolation(f"{ct} strata sum has no palindromic H-polynomial")
-    return title, rows, total
+        return title, list(report.terms), total
+    raise UnsupportedType(
+        "strata formulas cover type A with first-fundamental and "
+        "type C with last-fundamental"
+    )
 
 
 def _cmd_strata(args) -> int:
@@ -436,7 +483,7 @@ def _cmd_strata(args) -> int:
     cells = [_evaluations(term, qs) for _, term in rows]
     if args.format == "json":
         print(
-            json.dumps(
+            _json_text(
                 {
                     "strata": [
                         {
@@ -447,8 +494,7 @@ def _cmd_strata(args) -> int:
                         for (label, term), values in zip(rows, cells)
                     ],
                     "total_coeffs": total.to_json(),
-                },
-                indent=2,
+                }
             )
         )
     elif args.format == "csv":
@@ -468,7 +514,7 @@ def _cmd_strata(args) -> int:
 def _cmd_lattice(args, enum_bound: int | None) -> int:
     lat = _resolve_lattice(args, enum_bound)
     if args.format == "json":
-        print(json.dumps(lat.to_json(), indent=2))
+        print(_json_text(lat.to_json()))
     elif args.format == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(

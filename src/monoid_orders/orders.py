@@ -392,12 +392,19 @@ def symplectic_order(l: int) -> OrderReport:
     )
 
 
-def gl_strata(n: int, r: int) -> QPolynomial:
-    """Number of n-by-n matrices of rank r over a q-element field."""
+def gl_factors(n: int, r: int) -> QProduct:
+    """Number of n-by-n matrices of rank r over a q-element field, factored:
+    q^{r(r-1)/2} prod_{i<=r} (q^i - 1) [n, r]_q^2.  Expand every r of one n
+    in a single expand_all call to step each stratum from the one before."""
     if r < 0 or r > n:
         raise IndexOutOfRange(f"need 0 <= r <= n, got n={n}, r={r}")
     term = QProduct.of(range(1, r + 1), shift=r * (r - 1) // 2)
-    return expand(term * gaussian_factors(n, r) ** 2)
+    return term * gaussian_factors(n, r) ** 2
+
+
+def gl_strata(n: int, r: int) -> QPolynomial:
+    """Number of n-by-n matrices of rank r over a q-element field."""
+    return expand(gl_factors(n, r))
 
 
 def h_polynomial(order_total: QPolynomial) -> QPolynomial:

@@ -113,23 +113,26 @@ class QPolynomial:
         return f"QPolynomial({list(self.coeffs)!r})"
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        # each term as "+ c*q^i" or "- c*q^i", the unit magnitude left out
+        parts = [
+            f"+ {c}*q^{i}" if c > 1 else f"- {-c}*q^{i}" if c < -1
+            else f"+ q^{i}" if c == 1 else f"- q^{i}"
+            for i, c in enumerate(self.coeffs)
+            if c
+        ]
+        if not parts:
             return "0"
-        parts: list[str] = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mag = abs(c)
-            if i == 0:
-                body = str(mag)
-            elif i == 1:
-                body = "q" if mag == 1 else f"{mag}*q"
-            else:
-                body = f"q^{i}" if mag == 1 else f"{mag}*q^{i}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        # q^0 and q^1 read as a bare number and as q; they can only be in
+        # the first two terms
+        for k, part in enumerate(parts[:2]):
+            if part.endswith("*q^0"):
+                parts[k] = part[:-4]  # "+ 5*q^0" -> "+ 5"
+            elif part.endswith("q^0"):
+                parts[k] = part[:-3] + "1"  # "+ q^0" -> "+ 1"
+            elif part.endswith("q^1"):
+                parts[k] = part[:-2]  # "+ 3*q^1" -> "+ 3*q"
+        first = parts[0]
+        parts[0] = first[2:] if first[0] == "+" else "-" + first[2:]
         return " ".join(parts)
 
     def to_json(self) -> list[int]:
@@ -260,13 +263,25 @@ class QProduct:
         return cls(shift, tuple(sorted(phi.items())))
 
     def _combine(self, other: "QProduct", sign: int) -> "QProduct":
-        phi = dict(self.phi)
-        for n, e in other.phi:
-            phi[n] = phi.get(n, 0) + sign * e
+        """self * other^sign by one merge of the two n-sorted phi tuples."""
         shift = self.shift + sign * other.shift
-        if shift < 0 or any(e < 0 for e in phi.values()):
+        a = self.phi
+        phi = []
+        i = 0
+        for n, e in other.phi:
+            while i < len(a) and a[i][0] < n:
+                phi.append(a[i])
+                i += 1
+            e *= sign
+            if i < len(a) and a[i][0] == n:
+                e += a[i][1]
+                i += 1
+            if e:
+                phi.append((n, e))
+        phi += a[i:]
+        if shift < 0 or any(e < 0 for _, e in phi):
             raise NonExactDivision(f"({self}) is not divisible by ({other})")
-        return QProduct(shift, tuple(sorted((n, e) for n, e in phi.items() if e)))
+        return QProduct(shift, tuple(phi))
 
     def __mul__(self, other: "QProduct") -> "QProduct":
         return self._combine(other, 1)

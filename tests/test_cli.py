@@ -1,5 +1,6 @@
 """CLI surface: subcommands, formats, round-trips, and exit codes."""
 
+import argparse
 import dataclasses
 import hashlib
 import inspect
@@ -8,11 +9,14 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from monoid_orders import cli, crosssection, orders, verify
+from monoid_orders import cli, crosssection, orders, qpoly, verify
 from monoid_orders.crosssection import fundamental_lattice, j_irreducible_lattice
 from monoid_orders.rootsystem import CartanType, build
 from monoid_orders.qpoly import ONE, QPolynomial
@@ -113,7 +117,8 @@ def test_strata_symplectic_json(capsys):
 
 
 def broken_stratum(monkeypatch, change):
-    """Make the strata command read symplectic_order with M^1 changed."""
+    """Make the strata command read symplectic_order with M^1 changed, and
+    its total, the sum of the strata, with it."""
     symplectic_order = orders.symplectic_order
 
     def broken(l):
@@ -121,7 +126,9 @@ def broken_stratum(monkeypatch, change):
         terms = list(report.terms)
         label, stratum = terms[1]
         terms[1] = (label, stratum + change)
-        return dataclasses.replace(report, terms=tuple(terms))
+        return dataclasses.replace(
+            report, terms=tuple(terms), total=report.total + change
+        )
 
     monkeypatch.setattr(cli, "symplectic_order", broken)
 
@@ -148,10 +155,12 @@ def test_strata_asymmetric_h_polynomial_exits_2(capsys, monkeypatch):
 
 
 def test_matrix_strata_sum_mismatch_exits_2(capsys, monkeypatch):
-    def off_by_one(n, r):
-        return orders.gl_strata(n, r) + (ONE if r == 1 else QPolynomial())
+    # the strata M^0..M^n come from one expand_all call; M^1 is one too many
+    def off_by_one(products):
+        strata = qpoly.expand_all(products)
+        return [s + (ONE if r == 1 else QPolynomial()) for r, s in enumerate(strata)]
 
-    monkeypatch.setattr(cli, "gl_strata", off_by_one)
+    monkeypatch.setattr(cli, "expand_all", off_by_one)
     code, out, err = run(
         capsys, "strata", "--type", "A3", "--preset", "first-fundamental"
     )
@@ -889,3 +898,59 @@ def test_hpoly_chain_bound_follows_env_var(capsys, monkeypatch):
     assert err.endswith("exceeds the bound 2375\n")
     monkeypatch.setenv("MONOID_ORDERS_ENUM_BOUND", "2376")
     assert run(capsys, "hpoly", "--type", "A10", "--j0", "")[0] == 0
+
+
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**400), 10**400)
+    | st.text()
+    | st.sampled_from(['"', "\\", "\x00\t\n\x1f\x7f", "é ☃ 😀", " ", ""])
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.lists(children)
+    | st.lists(st.integers(-(10**60), 10**60))  # the one-join path
+    | st.dictionaries(st.text(), children),
+    max_leaves=40,
+)
+
+
+@given(json_values)
+def test_json_text_is_json_dumps_indent_2(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, (1, 2), {3}, [1, 2.0], {"a": (1,)}, [[{"b": {4}}]], {1: "a"}],
+    ids=["float", "tuple", "set", "float-in-list", "tuple-in-dict", "nested-set", "int-key"],
+)
+def test_json_text_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)
+
+
+def test_matrix_strata_step_from_the_stratum_before(capsys, monkeypatch):
+    steps = Counter()
+    times, over = qpoly._times_binomial, qpoly._over_binomial
+    monkeypatch.setattr(
+        qpoly, "_times_binomial", lambda c, d: steps.update(["multiply"]) or times(c, d)
+    )
+    monkeypatch.setattr(
+        qpoly, "_over_binomial", lambda c, d: steps.update(["divide"]) or over(c, d)
+    )
+    code, _, _ = run(capsys, "strata", "--type", "A24", "--preset", "first-fundamental")
+    # 26 strata, each from 1 on its own, took 481 multiplications and 156
+    # divisions
+    assert code == 0
+    assert steps == {"multiply": 49, "divide": 24}
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_stepped_matrix_strata_equal_gl_strata(n):
+    args = argparse.Namespace(type=f"A{n - 1}", preset="first-fundamental")
+    _, rows, total = cli._strata_rows(args)
+    assert rows == [(f"M^{r}", orders.gl_strata(n, r)) for r in range(n + 1)]
+    assert total == QPolynomial.monomial(n * n)

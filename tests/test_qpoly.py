@@ -432,3 +432,63 @@ def test_gaussian_factors_match_dense_quotient(base_power):
                 )
             assert expand(gaussian_factors(n, r, base_power)) == expected
             assert gaussian_binomial(n, r, base_power) == expected
+
+
+def render_by_loop(p):
+    """Reference rendering: the per-term loop QPolynomial.__str__ replaced."""
+    if not p.coeffs:
+        return "0"
+    parts = []
+    for i, c in enumerate(p.coeffs):
+        if c == 0:
+            continue
+        mag = abs(c)
+        if i == 0:
+            body = str(mag)
+        elif i == 1:
+            body = "q" if mag == 1 else f"{mag}*q"
+        else:
+            body = f"q^{i}" if mag == 1 else f"{mag}*q^{i}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+rendered_coeffs = st.one_of(
+    st.sampled_from([0, 0, 0, 1, -1, 2, -2, 10, -11, 21]),
+    st.integers(-(10**90), 10**90),
+)
+
+
+@given(st.lists(rendered_coeffs, max_size=40))
+def test_rendering_matches_the_per_term_loop(coeffs):
+    p = QPolynomial(coeffs)
+    assert str(p) == render_by_loop(p)
+
+
+def combine_by_dict(a, b, sign):
+    """Reference: the exponents summed in a dict and sorted, as QProduct
+    combined them before the one-pass merge."""
+    phi = dict(a.phi)
+    for n, e in b.phi:
+        phi[n] = phi.get(n, 0) + sign * e
+    shift = a.shift + sign * b.shift
+    if shift < 0 or any(e < 0 for e in phi.values()):
+        raise NonExactDivision("negative exponent")
+    return QProduct(shift, tuple(sorted((n, e) for n, e in phi.items() if e)))
+
+
+@given(products, products)
+def test_factored_multiply_and_divide_match_dict_merge(a, b):
+    assert a * b == combine_by_dict(a, b, 1)
+    assert (a * b) / b == a
+    try:
+        expected = combine_by_dict(a, b, -1)
+    except NonExactDivision:
+        with pytest.raises(NonExactDivision):
+            a / b
+    else:
+        assert a / b == expected
+        assert (a / b) * b == a
