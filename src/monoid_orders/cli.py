@@ -9,9 +9,13 @@ bound and the size bound of hpoly's Dynkin-chain sum included, but not
 rootsystem.BUILD_CAP, which caps the root table's memory: a larger type is a
 usage error.
 
-order and strata format every evaluation before the first write, so a
-value too long to print leaves stdout empty.  --format json prints exactly
-what json.dumps(payload, indent=2) would, through _json_text.
+order and strata evaluate each row once per q, through _evaluated: the
+order terms and total in every format (only csv prints the terms' values),
+and every stratum.  A value that is not positive raises InvariantViolation
+(exit 2).  The printed values are formatted before the first write, so a
+value too long to print leaves stdout empty.  The strata sums are checked
+in orders, where the strata are built.  --format json prints exactly what
+json.dumps(payload, indent=2) would, through _json_text.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .errors import (
 from .orders import (
     OrderReport,
     chain_total,
-    gl_factors,
+    gl_strata,
     h_polynomial,
     order_thm31,
     order_thm33,
@@ -47,7 +51,7 @@ from .orders import (
     symplectic_order,
     thm34_total,
 )
-from .qpoly import QPolynomial, eval_big, expand_all, is_palindromic, poly_sum
+from .qpoly import QPolynomial, eval_big, is_palindromic
 from .rootsystem import CartanType, build, parse_subset
 
 EXIT_OK = 0
@@ -266,8 +270,18 @@ def _decimal(value: int) -> str:
         ) from None
 
 
-def _evaluations(poly: QPolynomial, qs) -> list[str]:
-    return [_decimal(eval_big(poly, q0)) for q0 in qs]
+def _evaluated(rows, qs, printed=slice(None)) -> list[dict[int, str]]:
+    """Each (label, polynomial) row evaluated once at each q0 of qs, q0 by
+    q0; a value that is not positive raises InvariantViolation.  The rows
+    picked by printed come back as {q0: decimal}, all formatted before the
+    first write, so a value too long to print leaves stdout empty."""
+    values = [{} for _ in rows]
+    for q0 in qs:
+        for (label, poly), row in zip(rows, values):
+            row[q0] = value = eval_big(poly, q0)
+            if value <= 0:
+                raise InvariantViolation(f"term {label!r} is not positive at q={q0}")
+    return [{q0: _decimal(v) for q0, v in row.items()} for row in values[printed]]
 
 
 def _json_text(obj) -> str:
@@ -335,19 +349,11 @@ def _print_order_table(
         print(f"{len(agreed)} formulas agree")
 
 
-def _csv_row(label: str, poly: QPolynomial, values) -> list:
-    return [label, " ".join(map(str, poly.coeffs)), *values]
-
-
-def _print_order_csv(report: OrderReport, values: dict[int, str]) -> None:
-    qs = sorted(values)
-    rows = [
-        _csv_row(label, term, _evaluations(term, qs)) for label, term in report.terms
-    ]
+def _print_csv(rows, values: list[dict[int, str]], qs) -> None:
     writer = csv.writer(sys.stdout)
     writer.writerow(["label", "coeffs"] + [f"q={q0}" for q0 in qs])
-    writer.writerows(rows)
-    writer.writerow(_csv_row("total", report.total, (values[q0] for q0 in qs)))
+    for (label, poly), row in zip(rows, values):
+        writer.writerow([label, " ".join(map(str, poly.coeffs)), *map(row.get, qs)])
 
 
 def _cmd_order(args, enum_bound: int | None) -> int:
@@ -389,20 +395,20 @@ def _cmd_order(args, enum_bound: int | None) -> int:
             notes.append(f"skipped {name} ({skipped[name]})")
         elif reports[name] is not primary:
             notes += [n for n in reports[name].notes if n not in notes]
-    primary = replace(primary.evaluate(qs), notes=tuple(notes))
-    # every value is formatted before the first write, so a value too long
-    # to print is a usage error with nothing on stdout
-    values = {q0: _decimal(v) for q0, v in primary.evaluations.items()}
+    primary = replace(primary, notes=tuple(notes))
+    # every term is checked at every q; only csv prints the terms' values
+    rows = [*primary.terms, ("total", primary.total)]
+    values = _evaluated(rows, qs, slice(None if args.format == "csv" else -1, None))
     agreed = list(reports) if args.formula == "all" else None
     if args.format == "json":
-        payload = primary.to_json()
+        payload = primary.to_json(values[-1])
         if agreed is not None:
             payload["agreement"] = agreed
         print(_json_text(payload))
     elif args.format == "csv":
-        _print_order_csv(primary, values)
+        _print_csv(rows, values, sorted(qs))  # by ascending q
     else:
-        _print_order_table(primary, agreed, values)
+        _print_order_table(primary, agreed, values[-1])
     return EXIT_OK
 
 
@@ -446,30 +452,19 @@ def _print_hpoly(report: OrderReport, fmt: str) -> None:
 
 
 def _strata_rows(args) -> tuple[str, list[tuple[str, QPolynomial]], QPolynomial]:
-    """Title, stratum rows and their sum, which is checked: it must be
-    q^{n^2} matrices for type A, and for type C its H-polynomial
-    (sum - 1)/(q - 1) must divide exactly and be palindromic.  The type A
-    strata are expanded in one expand_all call, each stepped from the one
-    before."""
+    """Title, stratum rows and their sum, from the producer in orders that
+    builds and checks the strata of the type and preset."""
     if not args.type:
         raise UnsupportedType("--type is required")
     ct = CartanType.parse(args.type)
     if args.preset == "first-fundamental" and ct.family == "A":
         n = ct.rank + 1
-        strata = expand_all(gl_factors(n, r) for r in range(n + 1))
-        total = poly_sum(strata)
-        if total != QPolynomial.monomial(n * n):
-            raise InvariantViolation(f"{ct} strata sum differs from q^{n * n}")
-        rows = [(f"M^{r}", term) for r, term in enumerate(strata)]
-        return f"matrix monoid M_{n}", rows, total
+        rows = [(f"M^{r}", term) for r, term in enumerate(gl_strata(n))]
+        return f"matrix monoid M_{n}", rows, QPolynomial.monomial(n * n)
     if args.preset == "last-fundamental" and ct.family == "C":
         report = symplectic_order(ct.rank)
-        total = report.total
-        h_exact = sum(total.coeffs) == 1  # iff (total - 1)/(q - 1) is exact
-        if not (h_exact and is_palindromic(h_polynomial(total))):
-            raise InvariantViolation(f"{ct} strata sum has no palindromic H-polynomial")
         title = f"symplectic monoid on 2*{ct.rank} dimensions"
-        return title, list(report.terms), total
+        return title, list(report.terms), report.total
     raise UnsupportedType(
         "strata formulas cover type A with first-fundamental and "
         "type C with last-fundamental"
@@ -479,8 +474,7 @@ def _strata_rows(args) -> tuple[str, list[tuple[str, QPolynomial]], QPolynomial]
 def _cmd_strata(args) -> int:
     title, rows, total = _strata_rows(args)
     qs = _parse_qs(args.q)
-    # formatted before the first write, as in _cmd_order
-    cells = [_evaluations(term, qs) for _, term in rows]
+    values = _evaluated(rows, qs)  # formatted before the first write
     if args.format == "json":
         print(
             _json_text(
@@ -489,23 +483,20 @@ def _cmd_strata(args) -> int:
                         {
                             "label": label,
                             "coeffs": term.to_json(),
-                            "evaluations": dict(zip(map(str, qs), values)),
+                            "evaluations": {str(q0): v for q0, v in row.items()},
                         }
-                        for (label, term), values in zip(rows, cells)
+                        for (label, term), row in zip(rows, values)
                     ],
                     "total_coeffs": total.to_json(),
                 }
             )
         )
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["label", "coeffs"] + [f"q={q0}" for q0 in qs])
-        for (label, term), values in zip(rows, cells):
-            writer.writerow(_csv_row(label, term, values))
+        _print_csv(rows, values, qs)
     else:
         print(title)
-        for (label, term), values in zip(rows, cells):
-            shown = "".join(f"  q={q0}: {v}" for q0, v in zip(qs, values))
+        for (label, term), row in zip(rows, values):
+            shown = "".join(f"  q={q0}: {v}" for q0, v in row.items())
             print(f"  {label:<8} {term}{shown}")
         print(f"total: {total}")
     return EXIT_OK

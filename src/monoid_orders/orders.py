@@ -26,13 +26,17 @@ Plus closed forms for the two published stratifications (full matrix monoid
 and the last-fundamental, omega_l, monoid of type C_l; the natural
 2l-dimensional monoid is omega_1, which has no closed form here), whose
 strata are QProducts expanded through the same expand_all, and the
-H-polynomial extraction (|M|-1)/(q-1).
+H-polynomial extraction (|M|-1)/(q-1).  The strata are checked here, where
+they are built: gl_strata raises InvariantViolation unless the matrix strata
+sum to q^{n^2}, and symplectic_order unless its total has an exact,
+palindromic H-polynomial.  Reports carry no values at any q: cli evaluates
+every printed row once per q and checks that each value is positive.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cache
 
 from .crosssection import (
@@ -43,7 +47,6 @@ from .crosssection import (
 )
 from .errors import (
     GroupTooLarge,
-    IndexOutOfRange,
     InvariantViolation,
     LatticeTooLarge,
     NotJIrreducible,
@@ -55,10 +58,10 @@ from .qpoly import (
     QPolynomial,
     QProduct,
     div_exact,
-    eval_big,
     expand,
     expand_all,
     gaussian_factors,
+    is_palindromic,
     poly_sum,
 )
 from .rootsystem import (
@@ -83,22 +86,9 @@ class OrderReport:
     total: QPolynomial
     lattice: CrossSectionLattice | None = None
     notes: tuple[str, ...] = ()
-    evaluations: dict[int, int] = field(default_factory=dict)
 
-    def evaluate(self, qs) -> "OrderReport":
-        """A copy with the total evaluated at each q0, asserting every term
-        is positive there."""
-        evaluations = dict(self.evaluations)
-        for q0 in qs:
-            for label, term in self.terms:
-                if eval_big(term, q0) <= 0:
-                    raise InvariantViolation(
-                        f"term {label!r} is not positive at q={q0}"
-                    )
-            evaluations[q0] = eval_big(self.total, q0)
-        return replace(self, evaluations=evaluations)
-
-    def to_json(self) -> dict:
+    def to_json(self, evaluations: dict[int, str]) -> dict:
+        """The report as JSON, with the total's formatted value at each q0."""
         return {
             "formula": self.formula,
             "type": str(self.cartan_type),
@@ -108,7 +98,7 @@ class OrderReport:
                 for label, term in self.terms
             ],
             "total_coeffs": self.total.to_json(),
-            "evaluations": {str(q0): str(v) for q0, v in self.evaluations.items()},
+            "evaluations": {str(q0): v for q0, v in evaluations.items()},
             "notes": list(self.notes),
         }
 
@@ -370,7 +360,9 @@ def symplectic_order(l: int) -> OrderReport:
     q^{2r+1} (q^{l-r}-1)^2 / (q^{2r+2}-1).  Stratum 0 is 1 and stratum r+1
     is (q-1) times H term r; one expand_all call steps each stratum from the
     one before, and the last must equal q^{l^2} (q-1) prod (q^{2i}-1),
-    expanded on its own.  The total is the sum of the strata.
+    expanded on its own.  The total is the sum of the strata; its
+    H-polynomial (total - 1)/(q - 1) must be exact and palindromic, or
+    InvariantViolation is raised.
     """
     if l < 2:
         raise ValueError("need l >= 2")
@@ -383,28 +375,31 @@ def symplectic_order(l: int) -> OrderReport:
     strata = expand_all(strata)
     if strata[-1] != expand(QProduct.of([1] + evens, shift=l * l)):
         raise InvariantViolation(f"C{l} ratio steps missed the top stratum")
+    total = poly_sum(strata)
+    # |M|(1) = 1 iff (total - 1)/(q - 1) is exact
+    if sum(total.coeffs) != 1 or not is_palindromic(h_polynomial(total)):
+        raise InvariantViolation(f"C{l} strata sum has no palindromic H-polynomial")
     return OrderReport(
         formula="symplectic",
         cartan_type=CartanType("C", l),
         terms=tuple((f"M^{r}", term) for r, term in enumerate(strata)),
-        total=poly_sum(strata),
+        total=total,
         notes=("type map: " + PAPER_VERIFIED,),
     )
 
 
-def gl_factors(n: int, r: int) -> QProduct:
-    """Number of n-by-n matrices of rank r over a q-element field, factored:
-    q^{r(r-1)/2} prod_{i<=r} (q^i - 1) [n, r]_q^2.  Expand every r of one n
-    in a single expand_all call to step each stratum from the one before."""
-    if r < 0 or r > n:
-        raise IndexOutOfRange(f"need 0 <= r <= n, got n={n}, r={r}")
-    term = QProduct.of(range(1, r + 1), shift=r * (r - 1) // 2)
-    return term * gaussian_factors(n, r) ** 2
-
-
-def gl_strata(n: int, r: int) -> QPolynomial:
-    """Number of n-by-n matrices of rank r over a q-element field."""
-    return expand(gl_factors(n, r))
+def gl_strata(n: int) -> list[QPolynomial]:
+    """Number of n-by-n matrices of rank r over a q-element field, for
+    r = 0..n: q^{r(r-1)/2} prod_{i<=r} (q^i - 1) [n, r]_q^2, all expanded in
+    one expand_all call, each stepped from the one before.  They must sum
+    to q^{n^2}, or InvariantViolation is raised."""
+    strata = expand_all(
+        QProduct.of(range(1, r + 1), shift=r * (r - 1) // 2) * gaussian_factors(n, r) ** 2
+        for r in range(n + 1)
+    )
+    if poly_sum(strata) != QPolynomial.monomial(n * n):
+        raise InvariantViolation(f"A{n - 1} strata sum differs from q^{n * n}")
+    return strata
 
 
 def h_polynomial(order_total: QPolynomial) -> QPolynomial:

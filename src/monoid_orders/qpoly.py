@@ -45,11 +45,11 @@ class QPolynomial:
         raise AttributeError("QPolynomial is immutable")
 
     @classmethod
-    def monomial(cls, power: int, coeff: int = 1) -> "QPolynomial":
-        """Build coeff * q^power."""
+    def monomial(cls, power: int) -> "QPolynomial":
+        """Build q^power."""
         if power < 0:
             raise ValueError("negative power")
-        return cls([0] * power + [coeff])
+        return cls([0] * power + [1])
 
     @property
     def degree(self) -> int:

@@ -116,21 +116,16 @@ def test_strata_symplectic_json(capsys):
     assert values == ["1", "225", "1350", "720"]
 
 
-def broken_stratum(monkeypatch, change):
-    """Make the strata command read symplectic_order with M^1 changed, and
-    its total, the sum of the strata, with it."""
-    symplectic_order = orders.symplectic_order
+def broken_strata(monkeypatch, changes):
+    """Make the strata producers in orders (gl_strata, symplectic_order)
+    expand their strata with changes[r] added to stratum r, so the sums
+    they check are the sums of the changed strata."""
 
-    def broken(l):
-        report = symplectic_order(l)
-        terms = list(report.terms)
-        label, stratum = terms[1]
-        terms[1] = (label, stratum + change)
-        return dataclasses.replace(
-            report, terms=tuple(terms), total=report.total + change
-        )
+    def broken(products):
+        strata = qpoly.expand_all(products)
+        return [s + changes.get(r, QPolynomial()) for r, s in enumerate(strata)]
 
-    monkeypatch.setattr(cli, "symplectic_order", broken)
+    monkeypatch.setattr(orders, "expand_all", broken)
 
 
 C3_STRATA_ERROR = "error: C3 strata sum has no palindromic H-polynomial\n"
@@ -138,7 +133,7 @@ C3_STRATA_ERROR = "error: C3 strata sum has no palindromic H-polynomial\n"
 
 def test_strata_sum_mismatch_exits_2(capsys, monkeypatch):
     # the type C sum must have an exact H-polynomial (sum - 1)/(q - 1)
-    broken_stratum(monkeypatch, ONE)
+    broken_strata(monkeypatch, {1: ONE})
     code, out, err = run(
         capsys, "strata", "--type", "C3", "--preset", "last-fundamental"
     )
@@ -147,7 +142,7 @@ def test_strata_sum_mismatch_exits_2(capsys, monkeypatch):
 
 def test_strata_asymmetric_h_polynomial_exits_2(capsys, monkeypatch):
     # (q - 1) q keeps (sum - 1)/(q - 1) exact but adds q to H alone
-    broken_stratum(monkeypatch, QPolynomial([0, -1, 1]))
+    broken_strata(monkeypatch, {1: QPolynomial([0, -1, 1])})
     code, out, err = run(
         capsys, "strata", "--type", "C3", "--preset", "last-fundamental"
     )
@@ -156,11 +151,7 @@ def test_strata_asymmetric_h_polynomial_exits_2(capsys, monkeypatch):
 
 def test_matrix_strata_sum_mismatch_exits_2(capsys, monkeypatch):
     # the strata M^0..M^n come from one expand_all call; M^1 is one too many
-    def off_by_one(products):
-        strata = qpoly.expand_all(products)
-        return [s + (ONE if r == 1 else QPolynomial()) for r, s in enumerate(strata)]
-
-    monkeypatch.setattr(cli, "expand_all", off_by_one)
+    broken_strata(monkeypatch, {1: ONE})
     code, out, err = run(
         capsys, "strata", "--type", "A3", "--preset", "first-fundamental"
     )
@@ -948,9 +939,55 @@ def test_matrix_strata_step_from_the_stratum_before(capsys, monkeypatch):
     assert steps == {"multiply": 49, "divide": 24}
 
 
+def matrix_stratum(n, r):
+    """The rank-r stratum of M_n expanded on its own, from 1:
+    q^{r(r-1)/2} prod_{i<=r} (q^i - 1) [n, r]_q^2."""
+    factored = qpoly.QProduct.of(range(1, r + 1), shift=r * (r - 1) // 2)
+    return qpoly.expand(factored * qpoly.gaussian_factors(n, r) ** 2)
+
+
 @pytest.mark.parametrize("n", range(2, 13))
 def test_stepped_matrix_strata_equal_gl_strata(n):
     args = argparse.Namespace(type=f"A{n - 1}", preset="first-fundamental")
     _, rows, total = cli._strata_rows(args)
-    assert rows == [(f"M^{r}", orders.gl_strata(n, r)) for r in range(n + 1)]
+    assert rows == [(f"M^{r}", matrix_stratum(n, r)) for r in range(n + 1)]
     assert total == QPolynomial.monomial(n * n)
+
+
+@pytest.mark.parametrize("spec, preset", [("A3", "first"), ("C3", "last")])
+def test_strata_negative_row_exits_2(capsys, monkeypatch, spec, preset):
+    # 10^6 q moved from M^1 to M^2 keeps the sum, and its check, as they
+    # were, but M^1 at q = 2 is below 2 * 10^6 in both monoids (225, 18225)
+    moved = QPolynomial([0, 10**6])
+    broken_strata(monkeypatch, {1: -moved, 2: moved})
+    code, out, err = run(
+        capsys, "strata", "--type", spec, "--preset", f"{preset}-fundamental",
+        "--q", "2,3",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: term 'M^1' is not positive at q=2\n"
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+@pytest.mark.parametrize("qs", ["2", "2,3", "5,3,2"])
+def test_order_evaluates_each_row_once_per_q(capsys, monkeypatch, fmt, qs):
+    # k terms and the total, each evaluated once at each of the m values of q
+    real = qpoly.eval_big
+    calls = Counter()
+
+    def counted(poly, q0):
+        calls[q0] += 1
+        return real(poly, q0)
+
+    for module in (cli, orders, qpoly):
+        if getattr(module, "eval_big", None) is real:
+            monkeypatch.setattr(module, "eval_big", counted)
+    code, _, _ = run(
+        capsys, "order", "--type", "B6", "--j0", "1,3", "--formula", "thm34",
+        "--q", qs, "--format", fmt,
+    )
+    k = len(j_irreducible_lattice(build(CartanType("B", 6)), frozenset({1, 3})).entries)
+    m = len(qs.split(","))
+    assert code == 0
+    assert calls == {int(q0): k + 1 for q0 in qs.split(",")}
+    assert sum(calls.values()) == (k + 1) * m

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 import time
@@ -9,7 +10,7 @@ import time
 import pytest
 
 import monoid_orders
-from monoid_orders import orders, qpoly, verify
+from monoid_orders import cli, orders, qpoly, verify
 from monoid_orders.crosssection import (
     CrossSectionLattice,
     LatticeEntry,
@@ -17,7 +18,6 @@ from monoid_orders.crosssection import (
     j_irreducible_lattice,
 )
 from monoid_orders.errors import (
-    IndexOutOfRange,
     InvariantViolation,
     LatticeTooLarge,
     MonoidOrdersError,
@@ -272,11 +272,13 @@ def test_symplectic_closed_forms_match_dense_products(l):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_gl_strata_match_dense_products(n):
+    strata = gl_strata(n)
+    assert len(strata) == n + 1
     for r in range(n + 1):
         expected = QPolynomial.monomial(r * (r - 1) // 2) * dense_gaussian(n, r) ** 2
         for i in range(1, r + 1):
             expected = expected * q_power_minus_one(i)
-        assert gl_strata(n, r).coeffs == expected.coeffs, r
+        assert strata[r].coeffs == expected.coeffs, r
 
 
 def test_symplectic_order_at_rank_40():
@@ -310,9 +312,10 @@ def test_symplectic_order_expands_each_h_term_once(monkeypatch):
     assert stepped[-2] == stepped[-1] == QProduct.of([1] + evens).phi
     # M^1 = (q-1) H_0 from 1 divides by (q^d-1)^2 for each odd d > 1 up to
     # 29, and once by q-1; each later stratum is one ratio step from the one
-    # before, with one division by q^{2r+2}-1; the top one from 1 has none
+    # before, with one division by q^{2r+2}-1; the top one from 1 has none;
+    # then the H-polynomial check divides the total minus 1 by q-1
     from_one = [d for d in range(29, 0, -2) for _ in range(1 + (d > 1))]
-    assert divisions == from_one + [2 * r + 2 for r in range(30)]
+    assert divisions == from_one + [2 * r + 2 for r in range(30)] + [1]
     monkeypatch.undo()
     # stratum r is (q-1) times H term r-1, which is the thm41 term of entry r
     lattice_route = order_thm41(fundamental_lattice(CartanType("C", 30), 30))
@@ -383,19 +386,37 @@ def test_symplectic_rejects_small_l():
 
 
 def test_gl_strata_values():
-    assert gl_strata(2, 0) == ONE
-    assert eval_big(gl_strata(2, 1), 2) == 9
-    assert eval_big(gl_strata(2, 2), 2) == 6
-    with pytest.raises(IndexOutOfRange):
-        gl_strata(2, 3)
+    strata = gl_strata(2)
+    assert len(strata) == 3  # ranks 0, 1 and 2, and no stratum 3
+    assert strata[0] == ONE
+    assert eval_big(strata[1], 2) == 9
+    assert eval_big(strata[2], 2) == 6
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_gl_strata_sum(n):
     total = QPolynomial()
-    for r in range(n + 1):
-        total = total + gl_strata(n, r)
+    for stratum in gl_strata(n):
+        total = total + stratum
     assert total == QPolynomial.monomial(n * n)
+
+
+@pytest.mark.parametrize(
+    "producer, arg, message",
+    [
+        (gl_strata, 3, "A2 strata sum differs from q^9"),
+        (symplectic_order, 3, "C3 strata sum has no palindromic H-polynomial"),
+    ],
+)
+def test_strata_producers_check_their_sums(monkeypatch, producer, arg, message):
+    # one matrix more in M^1, as the producer expands it
+    def off_by_one(products):
+        strata = qpoly.expand_all(products)
+        return [s + (ONE if r == 1 else QPolynomial()) for r, s in enumerate(strata)]
+
+    monkeypatch.setattr(orders, "expand_all", off_by_one)
+    with pytest.raises(InvariantViolation, match=re.escape(message)):
+        producer(arg)
 
 
 def test_h_polynomial_examples():
@@ -412,9 +433,10 @@ def test_h_polynomial_rejects_non_split_totals():
 def test_report_evaluate_and_json():
     # 183681 = 1 + 2 * H(3) with the frozen l=2 coefficient list
     assert 1 + 2 * sum(c * 3**i for i, c in enumerate(H_COEFFS_L2)) == 183681
-    report = order_thm34(fundamental_lattice(CartanType("C", 2), 2)).evaluate([2, 3])
-    assert report.evaluations == {2: 2296, 3: 183681}
-    payload = report.to_json()
+    report = order_thm34(fundamental_lattice(CartanType("C", 2), 2))
+    values = cli._evaluated([*report.terms, ("total", report.total)], [2, 3])
+    assert values[-1] == {2: "2296", 3: "183681"}
+    payload = report.to_json(values[-1])
     assert payload["formula"] == "thm34"
     assert payload["type"] == "C2"
     assert payload["evaluations"] == {"2": "2296", "3": "183681"}
@@ -427,10 +449,14 @@ def test_report_is_frozen():
     report = order_thm34(fundamental_lattice(CartanType("C", 2), 2))
     with pytest.raises(dataclasses.FrozenInstanceError):
         report.notes = ()
-    evaluated = report.evaluate([2])
-    assert report.evaluations == {}
-    assert evaluated.evaluations == {2: 2296}
-    assert evaluated.evaluate([3]).evaluations == {2: 2296, 3: 183681}
+    # values at q live outside the report, which serves any list of q
+    assert not hasattr(report, "evaluations")
+    total = [("total", report.total)]
+    assert cli._evaluated(total, [2]) == [{2: "2296"}]
+    [values] = cli._evaluated(total, [3, 2])
+    assert list(values.items()) == [(3, "183681"), (2, "2296")]
+    assert report.to_json({})["evaluations"] == {}
+    assert report.to_json({2: "2296"})["evaluations"] == {"2": "2296"}
 
 
 def test_thm33_notes_skipped_coset_check():
@@ -602,8 +628,8 @@ def test_report_evaluate_rejects_nonpositive_terms():
         terms=(("bad", QPolynomial([-5])),),
         total=QPolynomial([-5]),
     )
-    with pytest.raises(InvariantViolation):
-        report.evaluate([2])
+    with pytest.raises(InvariantViolation, match="term 'bad' is not positive at q=2"):
+        cli._evaluated(report.terms, [2])
 
 
 def test_every_term_positive_at_small_prime_powers():
