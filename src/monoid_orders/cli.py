@@ -270,7 +270,9 @@ def _decimal(value: int) -> str:
         ) from None
 
 
-def _evaluated(rows, qs, printed=slice(None)) -> list[dict[int, str]]:
+def _evaluated(
+    rows: list[tuple[str, QPolynomial]], qs: list[int], printed: slice = slice(None)
+) -> list[dict[int, str]]:
     """Each (label, polynomial) row evaluated once at each q0 of qs, q0 by
     q0; a value that is not positive raises InvariantViolation.  The rows
     picked by printed come back as {q0: decimal}, all formatted before the
@@ -349,11 +351,13 @@ def _print_order_table(
         print(f"{len(agreed)} formulas agree")
 
 
-def _print_csv(rows, values: list[dict[int, str]], qs) -> None:
+def _print_csv(
+    rows: list[tuple[str, QPolynomial]], values: list[dict[int, str]], qs: list[int]
+) -> None:
     writer = csv.writer(sys.stdout)
     writer.writerow(["label", "coeffs"] + [f"q={q0}" for q0 in qs])
     for (label, poly), row in zip(rows, values):
-        writer.writerow([label, " ".join(map(str, poly.coeffs)), *map(row.get, qs)])
+        writer.writerow([label, " ".join(map(str, poly.coeffs)), *(row[q0] for q0 in qs)])
 
 
 def _cmd_order(args, enum_bound: int | None) -> int:
