@@ -6,17 +6,20 @@ whose base-p digits sit in fixed-width fields, the top bit of each a guard,
 so two vectors add mod p in a few int operations.  Rank strata come from
 visiting every one of the p^(n^2) matrices in a walk over its rows: each
 node holds all p^n rows reduced against the pivot rows chosen above it and
-reduces that list once per new pivot row.  Subspace counts of every
-dimension come from one span-set closure, where each (r+1)-space
-containing a given r-space is built once from it, by skipping the vectors
-that an earlier span already covers.  Cross-checking these counts against
-the q-polynomial evaluations validates the whole formula stack with zero
-shared code.
+reduces that list once per new pivot row, and the last row is counted in
+bulk.  Subspace counts of every dimension come from one span-set closure
+by orderly generation (Read 1978; McKay 1998): a space grows only by
+vectors whose top nonzero digit lies above every digit it uses, so each
+(r+1)-space T grows from one r-space alone, T's intersection with the
+hyperplane below its top digit, and every space is built once in all.
+Cross-checking these counts against the q-polynomial evaluations validates
+the whole formula stack with zero shared code.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from itertools import accumulate
 
 from .errors import EnumerationTooLarge, NonPrimeModulus
@@ -75,7 +78,9 @@ def enumerate_rank_histogram(n: int, p: int, bound: int | None = None) -> list[i
     exhaustive enumeration of all p^(n^2) of them.
 
     The matrices are walked row by row; every matrix is one leaf of the
-    walk and is counted at the rank its rows reached.
+    walk and is counted at the rank its rows reached.  The leaves below a
+    node of the last row are counted together: the rows reduced to 0 keep
+    its rank and the others raise it by one.
     """
     _check(n, p, n * n, DEFAULT_MATRIX_BOUND if bound is None else bound, "p^(n^2)")
     if n == 0:
@@ -86,10 +91,13 @@ def enumerate_rank_histogram(n: int, p: int, bound: int | None = None) -> list[i
     def walk(depth: int, rank: int, rows: list[int]) -> None:
         # rows: every row of F_p^n reduced against the rank pivot rows
         # chosen above, so a row reduced to 0 depends on the rows above it
+        if depth == n - 1:  # the last row: one leaf per whole matrix
+            dependent = rows.count(0)
+            counts[rank] += dependent
+            counts[rank + 1] += len(rows) - dependent
+            return
         for r in rows:
-            if depth == n - 1:  # the last row: one leaf per whole matrix
-                counts[rank + (r != 0)] += 1
-            elif r:
+            if r:
                 walk(depth + 1, rank + 1, fp.reduce(rows, r))
             else:
                 walk(depth + 1, rank, rows)
@@ -103,21 +111,28 @@ def subspace_counts(n: int, p: int, bound: int | None = None) -> list[int]:
     one walk that grows each dimension once.
 
     Subspaces are frozensets of packed vectors, grown one dimension at a
-    time by span closure; a vector inside a span already built from the
-    same space would build that span again, so it is skipped.
+    time by span closure.  A space is extended only by vectors whose top
+    nonzero digit lies above every digit the space uses, which one bisect
+    finds in the sorted vectors, so each space is built from exactly one
+    space below it; a vector inside a span already built from the same
+    space would build that span again, so it is skipped.
     """
     _check(n, p, n, DEFAULT_VECTOR_BOUND if bound is None else bound, "p^n")
     fp = _Vectors(n, p)
-    vectors = [fp.pack(v) for v in itertools.product(range(p), repeat=n)]
+    # packed, a vector whose top nonzero digit is d lies in [2^(d*w), 2^((d+1)*w))
+    vectors = sorted(fp.pack(v) for v in itertools.product(range(p), repeat=n))
     level: set[frozenset] = {frozenset({0})}
     counts = [1]
     for _ in range(n):
         bigger: set[frozenset] = set()
         for space in level:
-            # the spaces one dimension up that contain this one partition
-            # the vectors outside it, so each is built from its first vector
-            covered = set(space)
-            for v in vectors:
+            # the digits a space uses are those below its largest vector's
+            # top digit + 1, and the spaces one dimension up that it grows
+            # into partition the vectors above them, so each is built from
+            # its first vector
+            above = (max(space).bit_length() + fp.w - 1) // fp.w * fp.w
+            covered: set[int] = set()
+            for v in vectors[bisect_left(vectors, 1 << above) :]:
                 if v in covered:
                     continue
                 span = frozenset(fp.add(s, m) for m in fp.multiples(v) for s in space)

@@ -15,7 +15,7 @@ from contextlib import contextmanager, redirect_stdout
 import pytest
 
 from monoid_orders import cli, verify
-from monoid_orders.oracle import enumerate_rank_histogram
+from monoid_orders.oracle import enumerate_rank_histogram, subspace_counts
 from monoid_orders.crosssection import fundamental_lattice, j_irreducible_lattice
 from monoid_orders.orders import (
     h_polynomial,
@@ -199,3 +199,14 @@ def test_criterion_15_hpoly_past_the_lattice_bound():
     with redirect_stdout(listed):
         cli._print_hpoly(order_thm34(lat), "table")
     assert hpoly_stdout("--type", "A14", "--j0", "") == listed.getvalue()
+
+
+def test_criterion_16_verify_in_process():
+    # every check of the verify subcommand in one call, then a subspace walk
+    # one dimension past verify's: each of F_3^5's 2,664 spaces built once
+    with budget("16 (verify run_all)", 0.25):
+        results = verify.run_all()
+    assert [r.ok for r in results] == [True] * 10, results
+    with budget("16 (subspace counts n=5, p=3)", 0.25):
+        counts = subspace_counts(5, 3)
+    assert counts == [1, 121, 1210, 1210, 121, 1]

@@ -28,6 +28,34 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def fresh_parser():
+    cli._build_parser.cache_clear()
+    yield
+    cli._build_parser.cache_clear()
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch, fresh_parser):
+    built = []
+
+    class CountedParser(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", CountedParser)
+    a1 = ("order", "--type", "A1", "--preset", "first-fundamental", "--formula", "thm34")
+    code, out, _ = run(capsys, *a1, "--q", "2")
+    assert code == 0 and out.endswith("q=2: 16\n")
+    assert built.count("monoid-orders") == 1
+    parsers = len(built)
+    # the second call parses with the same parser, and the first call's
+    # --q did not leak into the shared default
+    code, out, _ = run(capsys, *a1)
+    assert code == 0 and out.endswith("total: q^4\n")
+    assert len(built) == parsers
+
+
 def test_order_all_formulas_agree(capsys):
     code, out, _ = run(
         capsys,

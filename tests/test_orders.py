@@ -211,6 +211,82 @@ def test_closed_form_check_compares_each_stratum(monkeypatch):
     )
 
 
+def pascal_instance_binomials():
+    """Every (n, r, base) the Pascal check's instances use, with repeats."""
+    return [
+        key
+        for base in (1, 2)
+        for n in range(1, 9)
+        for r in range(1, n)
+        for key in ((n, r, base), (n - 1, r, base), (n - 1, r - 1, base))
+    ]
+
+
+def test_pascal_check_expands_each_binomial_once(monkeypatch):
+    calls = []
+    binomial = verify.gaussian_binomial
+
+    def counted(n, r, base_power=1):
+        calls.append((n, r, base_power))
+        return binomial(n, r, base_power)
+
+    monkeypatch.setattr(verify, "gaussian_binomial", counted)
+    assert verify.check_pascal_recurrence() == (True, "56 instances")
+    needed = pascal_instance_binomials()
+    assert len(needed) == 168
+    assert sorted(calls) == sorted(set(needed))
+
+
+# (5, 2, 2) is first the left side of n=5, r=2; (3, 3, 1) is never a left
+# side and first appears on the right of n=4, r=3
+@pytest.mark.parametrize(
+    "corrupt, detail",
+    [((5, 2, 2), "fails at n=5, r=2"), ((3, 3, 1), "fails at n=4, r=3")],
+)
+def test_pascal_check_reports_a_corrupted_binomial(monkeypatch, corrupt, detail):
+    binomial = verify.gaussian_binomial
+
+    def corrupted(n, r, base_power=1):
+        value = binomial(n, r, base_power)
+        return value + ONE if (n, r, base_power) == corrupt else value
+
+    monkeypatch.setattr(verify, "gaussian_binomial", corrupted)
+    assert verify.check_pascal_recurrence() == (False, detail)
+
+
+def counted_symplectic_orders(monkeypatch, corrupt=None):
+    """Record each l that verify asks symplectic_order for; at l = corrupt,
+    add (q - 1) q to the total, which adds q to its H-polynomial."""
+    calls = []
+
+    def counted(l):
+        calls.append(l)
+        report = symplectic_order(l)
+        if l != corrupt:
+            return report
+        bumped = report.total + Q_MINUS_ONE * QPolynomial.monomial(1)
+        return dataclasses.replace(report, total=bumped)
+
+    monkeypatch.setattr(verify, "symplectic_order", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "corrupt, result, walked",
+    [
+        (None, (True, "l=2,3 coefficients; palindromic l=2..6"), [2, 3, 4, 5, 6]),
+        (3, (False, "coefficients differ at l=3"), [2, 3]),
+        (5, (False, "not palindromic at l=5"), [2, 3, 4, 5]),
+    ],
+)
+def test_h_polynomial_check_computes_each_order_once(monkeypatch, corrupt, result, walked):
+    # each l is computed once, when first checked, so a failure stops the
+    # check before any larger l
+    calls = counted_symplectic_orders(monkeypatch, corrupt)
+    assert verify.check_h_polynomials() == result
+    assert calls == walked
+
+
 def test_agreement_check_compares_each_term(monkeypatch):
     # swapping two terms keeps the total, so only a term-by-term
     # comparison of the routes can see it
