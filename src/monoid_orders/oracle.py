@@ -112,24 +112,21 @@ def subspace_counts(n: int, p: int, bound: int | None = None) -> list[int]:
 
     Subspaces are frozensets of packed vectors, grown one dimension at a
     time by span closure.  A space is extended only by vectors whose top
-    nonzero digit lies above every digit the space uses, which one bisect
-    finds in the sorted vectors, so each space is built from exactly one
-    space below it; a vector inside a span already built from the same
-    space would build that span again, so it is skipped.
+    nonzero digit lies above every digit it uses, found by one bisect into
+    the sorted vectors, so each space grows from exactly one space below
+    it.  The spans grown from one space partition those vectors, so each
+    is built from its first vector and the vectors it covers are skipped.
     """
     _check(n, p, n, DEFAULT_VECTOR_BOUND if bound is None else bound, "p^n")
     fp = _Vectors(n, p)
-    # packed, a vector whose top nonzero digit is d lies in [2^(d*w), 2^((d+1)*w))
+    # sorted, the vectors whose top nonzero digit is d fill [2^(d*w), 2^((d+1)*w))
     vectors = sorted(fp.pack(v) for v in itertools.product(range(p), repeat=n))
     level: set[frozenset] = {frozenset({0})}
     counts = [1]
     for _ in range(n):
         bigger: set[frozenset] = set()
         for space in level:
-            # the digits a space uses are those below its largest vector's
-            # top digit + 1, and the spaces one dimension up that it grows
-            # into partition the vectors above them, so each is built from
-            # its first vector
+            # 2^above: the first vector with a digit above all the space uses
             above = (max(space).bit_length() + fp.w - 1) // fp.w * fp.w
             covered: set[int] = set()
             for v in vectors[bisect_left(vectors, 1 << above) :]:

@@ -211,17 +211,6 @@ def test_closed_form_check_compares_each_stratum(monkeypatch):
     )
 
 
-def pascal_instance_binomials():
-    """Every (n, r, base) the Pascal check's instances use, with repeats."""
-    return [
-        key
-        for base in (1, 2)
-        for n in range(1, 9)
-        for r in range(1, n)
-        for key in ((n, r, base), (n - 1, r, base), (n - 1, r - 1, base))
-    ]
-
-
 def test_pascal_check_expands_each_binomial_once(monkeypatch):
     calls = []
     binomial = verify.gaussian_binomial
@@ -232,7 +221,13 @@ def test_pascal_check_expands_each_binomial_once(monkeypatch):
 
     monkeypatch.setattr(verify, "gaussian_binomial", counted)
     assert verify.check_pascal_recurrence() == (True, "56 instances")
-    needed = pascal_instance_binomials()
+    needed = [
+        key
+        for base in (1, 2)
+        for n in range(1, 9)
+        for r in range(1, n)
+        for key in ((n, r, base), (n - 1, r, base), (n - 1, r - 1, base))
+    ]
     assert len(needed) == 168
     assert sorted(calls) == sorted(set(needed))
 
@@ -254,9 +249,17 @@ def test_pascal_check_reports_a_corrupted_binomial(monkeypatch, corrupt, detail)
     assert verify.check_pascal_recurrence() == (False, detail)
 
 
-def counted_symplectic_orders(monkeypatch, corrupt=None):
-    """Record each l that verify asks symplectic_order for; at l = corrupt,
-    add (q - 1) q to the total, which adds q to its H-polynomial."""
+@pytest.mark.parametrize(
+    "corrupt, result, walked",
+    [
+        (None, (True, "l=2,3 coefficients; palindromic l=2..6"), [2, 3, 4, 5, 6]),
+        (3, (False, "coefficients differ at l=3"), [2, 3]),
+        (5, (False, "not palindromic at l=5"), [2, 3, 4, 5]),
+    ],
+)
+def test_h_polynomial_check_computes_each_order_once(monkeypatch, corrupt, result, walked):
+    # each l is computed once, when first checked, so a failure stops the
+    # check before any larger l; adding (q - 1) q to a total adds q to its H
     calls = []
 
     def counted(l):
@@ -268,21 +271,6 @@ def counted_symplectic_orders(monkeypatch, corrupt=None):
         return dataclasses.replace(report, total=bumped)
 
     monkeypatch.setattr(verify, "symplectic_order", counted)
-    return calls
-
-
-@pytest.mark.parametrize(
-    "corrupt, result, walked",
-    [
-        (None, (True, "l=2,3 coefficients; palindromic l=2..6"), [2, 3, 4, 5, 6]),
-        (3, (False, "coefficients differ at l=3"), [2, 3]),
-        (5, (False, "not palindromic at l=5"), [2, 3, 4, 5]),
-    ],
-)
-def test_h_polynomial_check_computes_each_order_once(monkeypatch, corrupt, result, walked):
-    # each l is computed once, when first checked, so a failure stops the
-    # check before any larger l
-    calls = counted_symplectic_orders(monkeypatch, corrupt)
     assert verify.check_h_polynomials() == result
     assert calls == walked
 
