@@ -4,10 +4,11 @@ Subcommands: order, hpoly, strata, lattice, verify.  Exit codes: 0 success,
 1 usage error, 2 computation error, 3 verification failure, 141 (128 +
 SIGPIPE) when the reader closed stdout before all output was written, as
 `| head` does; that exit prints no traceback.  The environment variable
-MONOID_ORDERS_ENUM_BOUND overrides every enumeration bound, the lattice-size
-bound and the size bound of hpoly's Dynkin-chain sum included, but not
-rootsystem.BUILD_CAP, which caps the root table's memory: a larger type is a
-usage error.
+MONOID_ORDERS_ENUM_BOUND, ASCII decimal digits only as for --q, overrides
+every enumeration bound, the lattice-size bound and the size bound of
+hpoly's Dynkin-chain sum included, but not rootsystem.BUILD_CAP, which caps
+the root table's memory: a larger type is a usage error.  --lattice-file
+takes neither --preset nor --j0.
 
 order and strata evaluate each row once per q, through _evaluated: the
 order terms and total in every format (only csv prints the terms' values),
@@ -50,7 +51,6 @@ from .orders import (
     order_thm34,
     order_thm41,
     symplectic_order,
-    thm34_total,
 )
 from .qpoly import QPolynomial, eval_big, is_palindromic
 from .rootsystem import CartanType, build, parse_subset
@@ -144,14 +144,20 @@ class _UsageError(Exception):
     pass
 
 
+def _parse_digits(text: str) -> int:
+    """text as an int if it is ASCII decimal digits only, else ValueError:
+    int() alone would take "-5", "1_6", " 2" and non-ASCII digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(text)
+    return int(text)  # ValueError past Python's str-to-int digit limit
+
+
 def _parse_qs(values: list[str]) -> list[int]:
     qs: list[int] = []
     for chunk in values:
         for part in chunk.split(","):
-            try:  # int() alone would take "1_6", " 2" and non-ASCII digits
-                if not (part.isascii() and part.isdigit()):
-                    raise ValueError
-                q0 = int(part)
+            try:
+                q0 = _parse_digits(part)
             except ValueError:
                 raise _UsageError(f"bad q value {part!r}") from None
             if q0 in qs:
@@ -222,14 +228,17 @@ def _is_prime_power(n: int) -> bool:
     return _is_prime(n)  # k = 1, with n its own root
 
 
-def _resolve_support(args) -> tuple[CartanType, frozenset[int]]:
+def _resolve_support(args) -> tuple[CartanType, frozenset[int]] | None:
     """The type and weight-support set J0 named by --type with --preset or
-    --j0."""
+    --j0, or None for --lattice-file, which takes neither."""
+    preset, j0_spec = args.preset, args.j0
+    if args.lattice_file:
+        if preset or j0_spec is not None:
+            raise UnsupportedType("--lattice-file excludes --preset and --j0")
+        return None
     if not args.type:
         raise UnsupportedType("--type is required without --lattice-file")
     ct = CartanType.parse(args.type)
-    preset = getattr(args, "preset", None)
-    j0_spec = getattr(args, "j0", None)
     if preset and j0_spec:
         raise UnsupportedType("--preset and --j0 are mutually exclusive")
     if j0_spec is not None:
@@ -240,11 +249,12 @@ def _resolve_support(args) -> tuple[CartanType, frozenset[int]]:
     raise UnsupportedType("give one of --preset, --j0, or --lattice-file")
 
 
-def _resolve_lattice(args, enum_bound: int | None) -> CrossSectionLattice:
-    lattice_file = getattr(args, "lattice_file", None)
-    if lattice_file:
+def _resolve_lattice(args, enum_bound: int | None, support) -> CrossSectionLattice:
+    """The lattice of support, as _resolve_support gives it, or of the
+    --lattice-file when support is None."""
+    if support is None:
         try:
-            with open(lattice_file, encoding="utf-8") as fh:
+            with open(args.lattice_file, encoding="utf-8") as fh:
                 raw = json.load(fh)
         except OSError as exc:  # missing, a directory, unreadable
             raise MonoidOrdersError(str(exc)) from None
@@ -258,8 +268,7 @@ def _resolve_lattice(args, enum_bound: int | None) -> CrossSectionLattice:
             raise UnsupportedType("lattice file carries no type and --type not given")
         rs = build(CartanType.parse(str(type_spec)))
         return load_lattice(rs, raw)
-    ct, j0 = _resolve_support(args)
-    return j_irreducible_lattice(build(ct), j0, enum_bound)
+    return j_irreducible_lattice(build(support[0]), support[1], enum_bound)
 
 
 def _decimal(value: int) -> str:
@@ -363,7 +372,7 @@ def _print_csv(
 
 
 def _cmd_order(args, enum_bound: int | None) -> int:
-    lat = _resolve_lattice(args, enum_bound)
+    lat = _resolve_lattice(args, enum_bound, _resolve_support(args))
     qs = _parse_qs(args.q)
     selected = list(FORMULAS) if args.formula == "all" else [args.formula]
     reports: dict[str, OrderReport] = {}
@@ -419,13 +428,13 @@ def _cmd_order(args, enum_bound: int | None) -> int:
 
 
 def _cmd_hpoly(args, enum_bound: int | None) -> int:
-    # thm34's total alone: type A with J0 = {} summed along its Dynkin
-    # chain with no lattice listed, any other lattice by its thm34 keys
-    support = None if args.lattice_file else _resolve_support(args)
+    # thm34's total: type A with J0 = {} summed along its Dynkin chain with
+    # no lattice listed, any other lattice by order_thm34
+    support = _resolve_support(args)
     if support and support[0].family == "A" and not support[1]:
         report = chain_total(build(support[0]), enum_bound)
     else:
-        report = thm34_total(_resolve_lattice(args, enum_bound))
+        report = order_thm34(_resolve_lattice(args, enum_bound, support))
     _print_hpoly(report, args.format)
     return EXIT_OK
 
@@ -509,7 +518,7 @@ def _cmd_strata(args) -> int:
 
 
 def _cmd_lattice(args, enum_bound: int | None) -> int:
-    lat = _resolve_lattice(args, enum_bound)
+    lat = _resolve_lattice(args, enum_bound, _resolve_support(args))
     if args.format == "json":
         print(_json_text(lat.to_json()))
     elif args.format == "csv":
@@ -566,7 +575,7 @@ def main(argv=None) -> int:
     env = os.environ.get("MONOID_ORDERS_ENUM_BOUND")
     if env:
         try:
-            enum_bound = int(env)
+            enum_bound = _parse_digits(env)
         except ValueError:
             print(
                 f"error: MONOID_ORDERS_ENUM_BOUND={env!r} is not an integer",

@@ -16,11 +16,10 @@ only thm31 divides densely, the walked W(q) by each walked W_X(q) once per
 call.  The degree-based routes read the degrees of each parabolic subgroup
 W_X from rootsystem.subset_degrees, never from a classification of X.
 
-Two ways to thm34's total alone, with no per-entry term, serve the
-H-polynomial: thm34_total sums each thm34 key's term times the number of
-entries sharing it, and chain_total sums type A with J0 = {} along its
-Dynkin chain, listing no lattice, so it is bounded by its own product size
-and not by the lattice bound.
+The H-polynomial reads thm34's total, which order_thm34 sums once per
+thm34 key, times the number of entries sharing it; for type A with
+J0 = {}, chain_total sums it along the Dynkin chain instead, listing no
+lattice, so it is bounded by its own product size, not the lattice bound.
 
 Plus closed forms for the two published stratifications (full matrix monoid
 and the last-fundamental, omega_l, monoid of type C_l; the natural
@@ -36,7 +35,7 @@ every printed row once per q and checks that each value is positive.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 
 from .crosssection import (
@@ -123,12 +122,16 @@ def _finish(
     lat: CrossSectionLattice,
     terms: list[tuple[str, QPolynomial]],
     notes: tuple[str, ...] = (),
+    summands=None,
 ) -> OrderReport:
+    """The report whose total is the sum of summands, the terms by default."""
+    if summands is None:
+        summands = (term for _, term in terms)
     return OrderReport(
         formula=formula,
         cartan_type=lat.root_system.cartan_type,
         terms=tuple(terms),
-        total=_checked(formula, poly_sum(term for _, term in terms)),
+        total=_checked(formula, poly_sum(summands)),
         lattice=lat,
         notes=_lattice_notes(lat) + notes,
     )
@@ -209,12 +212,20 @@ def order_thm33(
     return _finish("thm33", lat, terms, tuple(skipped))
 
 
-def _thm34_keys(lat: CrossSectionLattice) -> list[tuple]:
-    """Each entry's thm34 key: the degrees of W_{lambda_*(e)} and of
-    W_{lambda*(e)}, and the torus exponent of e.  The key fixes the whole
-    term, its shift N*(e) = sum (d - 1) over the lambda* degrees included."""
+def order_thm34(lat: CrossSectionLattice) -> OrderReport:
+    """Order by invariant-degree products; no group enumeration at all.
+
+    Each term q^{N*} (q-1)^k W^2 / (W_{lambda_*}^2 W_{lambda*}) is fixed by
+    the thm34 key of its entry: the degrees of W_{lambda_*(e)} and of
+    W_{lambda*(e)}, and the torus exponent k of e, with the shift
+    N*(e) = sum (d - 1) over the lambda* degrees.  Per call, each key is
+    factored and expanded once, entries sharing a key share its term, and
+    the total adds each key's term once, times its entry count (A14 has
+    16,384 entries but 176 keys).
+    """
     rs = lat.root_system
-    return [
+    p_w_squared = poincare_factors(degrees(rs.cartan_type)) ** 2
+    keys = [
         (
             subset_degrees(rs, e.lambda_substar),
             subset_degrees(rs, e.lambda_star),
@@ -222,12 +233,7 @@ def _thm34_keys(lat: CrossSectionLattice) -> list[tuple]:
         )
         for e in lat.entries
     ]
-
-
-def _thm34_expanded(rs: RootSystemData, keys) -> dict[tuple, QPolynomial]:
-    """Each distinct key's term q^{N*} (q-1)^k W^2 / (W_{lambda_*}^2
-    W_{lambda*}), factored once and expanded in one expand_all call."""
-    p_w_squared = poincare_factors(degrees(rs.cartan_type)) ** 2
+    counts = Counter(keys)
 
     def term(key) -> QProduct:
         sub_degrees, star_degrees, k = key
@@ -235,34 +241,13 @@ def _thm34_expanded(rs: RootSystemData, keys) -> dict[tuple, QPolynomial]:
         ratio = QProduct.of([1] * k) * (p_w_squared / denom)
         return QProduct(sum(star_degrees) - len(star_degrees), ratio.phi)
 
-    distinct = list(dict.fromkeys(keys))
-    return dict(zip(distinct, expand_all(map(term, distinct))))
-
-
-def order_thm34(lat: CrossSectionLattice) -> OrderReport:
-    """Order by invariant-degree products; no group enumeration at all.
-
-    Each term is q^{N*(e)} times cyclotomic factors, all fixed by the thm34
-    key of e: per call, each key is factored and expanded once, and entries
-    sharing a key share its term (A14 has 16,384 entries but 176 keys).
-    """
-    keys = _thm34_keys(lat)
-    expanded = _thm34_expanded(lat.root_system, keys)
+    expanded = dict(zip(counts, expand_all(map(term, counts))))
+    summands = (
+        t if counts[key] == 1 else QPolynomial(map(counts[key].__mul__, t.coeffs))
+        for key, t in expanded.items()
+    )
     terms = [(e.label, expanded[key]) for e, key in zip(lat.entries, keys)]
-    return _finish("thm34", lat, terms)
-
-
-def thm34_total(lat: CrossSectionLattice) -> OrderReport:
-    """order_thm34's total with no per-entry term: the sum over thm34 keys
-    of (entries with the key) * (the key's term), each key expanded once.
-    The report's terms are empty."""
-    counts = Counter(_thm34_keys(lat))
-    weighted = []
-    for key, term in _thm34_expanded(lat.root_system, counts).items():
-        if counts[key] > 1:
-            term = QPolynomial(map(counts[key].__mul__, term.coeffs))
-        weighted.append((str(key), term))
-    return replace(_finish("thm34", lat, weighted), terms=())
+    return _finish("thm34", lat, terms, summands=summands)
 
 
 def chain_total(rs: RootSystemData, bound: int | None = None) -> OrderReport:

@@ -495,6 +495,20 @@ def test_usage_errors_exit_1(capsys):
     assert run(capsys, "nonsense")[0] == 1
 
 
+@pytest.mark.parametrize("command", ["order", "hpoly", "lattice"])
+@pytest.mark.parametrize(
+    "source",
+    [("--preset", "last-fundamental"), ("--j0", ""), ("--j0", "1")],
+    ids=["preset", "empty-j0", "j0"],
+)
+def test_lattice_file_with_preset_or_j0_exits_1(capsys, tmp_path, command, source):
+    # the file was used and the --preset or --j0 silently dropped
+    path = _c2_lattice_file(tmp_path)
+    code, out, err = run(capsys, command, "--lattice-file", str(path), *source)
+    assert (code, out) == (1, "")
+    assert err == "error: --lattice-file excludes --preset and --j0\n"
+
+
 def test_preset_and_j0_conflict(capsys):
     code, _, err = run(
         capsys,
@@ -551,6 +565,23 @@ def test_enum_bound_env_var(capsys, monkeypatch):
     assert "q=2: 16" in out
     monkeypatch.setenv("MONOID_ORDERS_ENUM_BOUND", "not-a-number")
     assert run(capsys, "verify")[0] == 1
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["-5", "+5", "1_000", " 7 ", "\u0663", "7.0", "1e3", "9" * 5000],
+    ids=["negative", "plus", "underscore", "spaces", "arabic-indic-3", "float",
+         "exponent", "past-the-digit-limit"],
+)
+def test_enum_bound_env_var_takes_ascii_digits_only(capsys, monkeypatch, value):
+    # int() took the first five: -5 became a negative bound, and an
+    # Arabic-Indic 3 a bound of 3 that made order skip thm31
+    monkeypatch.setenv("MONOID_ORDERS_ENUM_BOUND", value)
+    code, out, err = run(
+        capsys, "order", "--type", "A1", "--preset", "first-fundamental"
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: MONOID_ORDERS_ENUM_BOUND={value!r} is not an integer\n"
 
 
 # 2021 = 43 * 47 and 1373653 = 829 * 1657, a strong pseudoprime to bases 2
@@ -854,20 +885,24 @@ def raise_on_call(name):
     return fail
 
 
-def test_hpoly_needs_no_per_entry_terms(capsys, monkeypatch):
-    queries = [
-        ("hpoly", "--type", "C3", "--preset", "last-fundamental"),
-        ("hpoly", "--type", "D5", "--j0", "2,4"),
-        ("hpoly", "--type", "A5", "--j0", ""),
+def test_hpoly_prints_the_h_polynomial_of_order_thm34(capsys, tmp_path):
+    def lattice(spec, j0):
+        return j_irreducible_lattice(build(CartanType.parse(spec)), frozenset(j0))
+
+    d5 = lattice("D5", {2, 4})
+    path = tmp_path / "d5.json"
+    path.write_text(json.dumps(d5.to_json()))
+    cases = [
+        (("--type", "C3", "--preset", "last-fundamental"), lattice("C3", {1, 2})),
+        (("--type", "D5", "--j0", "2,4"), d5),
+        (("--type", "A5", "--j0", ""), lattice("A5", ())),
+        (("--lattice-file", str(path)), d5),
     ]
-    expected = [run(capsys, *argv) for argv in queries]
-    fail = raise_on_call("order_thm34")
-    monkeypatch.setattr(orders, "order_thm34", fail)
-    monkeypatch.setattr(cli, "order_thm34", fail)
-    monkeypatch.setitem(cli.FORMULAS, "thm34", fail)
-    for argv, before in zip(queries, expected):
-        assert before[0] == 0
-        assert run(capsys, *argv) == before
+    for argv, lat in cases:
+        code, out, err = run(capsys, "hpoly", *argv, "--format", "json")
+        assert (code, err) == (0, ""), argv
+        h = orders.h_polynomial(orders.order_thm34(lat).total)
+        assert json.loads(out)["h_coeffs"] == h.to_json(), argv
 
 
 def test_hpoly_chain_sum_lists_no_lattice(capsys, monkeypatch):

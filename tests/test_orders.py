@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+from math import prod
 
 import pytest
 
@@ -36,7 +37,6 @@ from monoid_orders.orders import (
     order_thm34,
     order_thm41,
     symplectic_order,
-    thm34_total,
 )
 from monoid_orders.qpoly import (
     ONE,
@@ -769,10 +769,10 @@ GROUPED_TYPES = (
 
 
 def assert_grouped_total_is_listed(lat):
-    grouped, listed = thm34_total(lat), order_thm34(lat)
-    assert grouped.total == listed.total
-    assert grouped.notes == listed.notes
-    assert grouped.terms == ()
+    # the total, summed once per thm34 key, is the sum of the listed terms
+    report = order_thm34(lat)
+    assert len(report.terms) == len(lat.entries)
+    assert report.total == qpoly.poly_sum(term for _, term in report.terms)
 
 
 @pytest.mark.parametrize("spec", GROUPED_TYPES)
@@ -803,7 +803,74 @@ def test_grouped_total_checks_the_value_at_one():
     # a second zero entry: every other term vanishes at q = 1
     doubled = dataclasses.replace(lat, entries=lat.entries + (lat.zero_entry,))
     with pytest.raises(InvariantViolation, match="thm34 total is 2 at q=1"):
-        thm34_total(doubled)
+        order_thm34(doubled)
+
+
+def test_thm34_sums_one_polynomial_per_key(monkeypatch):
+    rs = build(CartanType("A", 10))
+    lat = j_irreducible_lattice(rs, frozenset())
+    keys = {
+        (
+            subset_degrees(rs, e.lambda_substar),
+            subset_degrees(rs, e.lambda_star),
+            e.torus_index_exponent,
+        )
+        for e in lat.entries
+    }
+    summed = []
+
+    def counted_sum(polys):
+        polys = list(polys)
+        summed.append(len(polys))
+        return qpoly.poly_sum(polys)
+
+    monkeypatch.setattr(orders, "poly_sum", counted_sum)
+    total = order_thm34(lat).total
+    assert summed == [len(keys)] and len(keys) < len(lat.entries) == 1025
+    monkeypatch.undo()
+    assert total == order_thm34(lat).total
+
+
+def vertex_degree(rs, J0):
+    """Edges of the Weyl polytope conv(W lambda) at lambda, for lambda with
+    support Delta - J0: sum over i not in J0 of |W_{J0}| / |W_{J0 - N(i)}|,
+    N(i) the neighbours of i in the Dynkin diagram."""
+
+    def weyl_order(X):
+        return prod(subset_degrees(rs, frozenset(X)))
+
+    c = rs.cartan
+    degree = 0
+    for i in set(range(1, rs.rank + 1)) - J0:
+        near = {j for j in J0 if c[i - 1][j - 1]}
+        degree += weyl_order(J0) // weyl_order(J0 - near)
+    return degree
+
+
+def test_palindromic_h_iff_the_weyl_polytope_is_simple():
+    # rational smoothness, read two ways: H(q) from the thm34 total, and
+    # the vertex degree from Weyl orders alone
+    specs = (
+        [f"A{l}" for l in range(1, 7)]
+        + [f"{f}{l}" for f in "BC" for l in range(2, 7)]
+        + ["D4", "D5", "D6", "E6", "F4", "G2"]
+    )
+    lattices = palindromic = 0
+    for spec in specs:
+        rs = build(CartanType.parse(spec))
+        for mask in range(2**rs.rank - 1):  # every J0 except Delta
+            J0 = frozenset(i + 1 for i in range(rs.rank) if mask >> i & 1)
+            h = h_polynomial(order_thm34(j_irreducible_lattice(rs, J0)).total)
+            smooth = vertex_degree(rs, J0) == rs.rank
+            assert is_palindromic(h) == smooth, (spec, sorted(J0))
+            if smooth:
+                assert min(h.coeffs) >= 0, (spec, sorted(J0))
+            lattices += 1
+            palindromic += smooth
+    assert (lattices, palindromic) == (548, 150)
+    for l in range(2, 9):  # the omega_l monoids of type C_l are smooth
+        rs = build(CartanType("C", l))
+        assert vertex_degree(rs, frozenset(range(1, l))) == l
 
 
 @pytest.mark.parametrize("rank", range(1, 14))
