@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: order, hpoly, strata, lattice, verify.  Exit codes: 0 success,
-1 usage error, 2 computation error, 3 verification failure, 141 (128 +
-SIGPIPE) when the reader closed stdout before all output was written, as
-`| head` does; that exit prints no traceback.  The environment variable
+1 usage error, 2 computation error (running out of memory included), 3
+verification failure, 141 (128 + SIGPIPE) when the reader closed stdout
+before all output was written, as `| head` does; none of these exits
+prints a traceback.  The environment variable
 MONOID_ORDERS_ENUM_BOUND, ASCII decimal digits only as for --q, overrides
 every enumeration bound, the lattice-size bound and the size bound of
 hpoly's Dynkin-chain sum included, but not rootsystem.BUILD_CAP, which caps
@@ -27,7 +28,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import replace
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 from math import isqrt
@@ -239,7 +239,7 @@ def _resolve_support(args) -> tuple[CartanType, frozenset[int]] | None:
     if not args.type:
         raise UnsupportedType("--type is required without --lattice-file")
     ct = CartanType.parse(args.type)
-    if preset and j0_spec:
+    if preset and j0_spec is not None:
         raise UnsupportedType("--preset and --j0 are mutually exclusive")
     if j0_spec is not None:
         return ct, parse_subset(j0_spec, ct.rank)
@@ -410,7 +410,7 @@ def _cmd_order(args, enum_bound: int | None) -> int:
             notes.append(f"skipped {name} ({skipped[name]})")
         elif reports[name] is not primary:
             notes += [n for n in reports[name].notes if n not in notes]
-    primary = replace(primary, notes=tuple(notes))
+    primary = primary.replace(notes=tuple(notes))
     # every term is checked at every q; only csv prints the terms' values
     rows = [*primary.terms, ("total", primary.total)]
     values = _evaluated(rows, qs, slice(None if args.format == "csv" else -1, None))
@@ -598,6 +598,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except MonoidOrdersError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_COMPUTE
+    except MemoryError as exc:  # the interpreter's own carries no message
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return EXIT_COMPUTE
 
 

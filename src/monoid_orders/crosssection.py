@@ -11,11 +11,10 @@ case, or from a validated external description.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from math import prod
 
 from .errors import InvalidSupport, InvariantViolation, LatticeTooLarge, UnsupportedType
+from .qpoly import Immutable
 from .rootsystem import CartanType, RootSystemData, build
 from .weyl import DEFAULT_ENUM_BOUND
 
@@ -24,12 +23,25 @@ RULE_DERIVED = "rule-derived, not paper-verified"
 USER_SUPPLIED = "user-supplied"
 
 
-@dataclass(frozen=True)
-class LatticeEntry:
-    label: str
-    lambda_star: frozenset[int]
-    lambda_substar: frozenset[int]
-    torus_index_exponent: int
+class LatticeEntry(Immutable):
+    __slots__ = _fields = (
+        "label",
+        "lambda_star",
+        "lambda_substar",
+        "torus_index_exponent",
+    )
+
+    def __init__(
+        self,
+        label: str,
+        lambda_star: frozenset[int],
+        lambda_substar: frozenset[int],
+        torus_index_exponent: int,
+    ):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "lambda_star", lambda_star)
+        object.__setattr__(self, "lambda_substar", lambda_substar)
+        object.__setattr__(self, "torus_index_exponent", torus_index_exponent)
 
     @property
     def lambda_union(self) -> frozenset[int]:
@@ -44,20 +56,28 @@ class LatticeEntry:
         }
 
 
-@dataclass(frozen=True)
-class CrossSectionLattice:
-    root_system: RootSystemData
-    entries: tuple[LatticeEntry, ...]
-    torus_rank: int
-    provenance: str = USER_SUPPLIED
+class CrossSectionLattice(Immutable):
+    _fields = ("root_system", "entries", "torus_rank", "provenance")
+    __slots__ = _fields + ("all_simple",)
+
+    def __init__(
+        self,
+        root_system: RootSystemData,
+        entries: tuple[LatticeEntry, ...],
+        torus_rank: int,
+        provenance: str = USER_SUPPLIED,
+    ):
+        object.__setattr__(self, "root_system", root_system)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "torus_rank", torus_rank)
+        object.__setattr__(self, "provenance", provenance)
+        # derived, so left out of equality, hashing and repr
+        delta = frozenset(range(1, root_system.rank + 1))
+        object.__setattr__(self, "all_simple", delta)
 
     @property
     def rank(self) -> int:
         return self.root_system.rank
-
-    @cached_property
-    def all_simple(self) -> frozenset[int]:
-        return frozenset(range(1, self.rank + 1))
 
     def is_zero(self, entry: LatticeEntry) -> bool:
         return (

@@ -35,7 +35,6 @@ every printed row once per q and checks that each value is positive.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
 
 from .crosssection import (
@@ -54,6 +53,7 @@ from .errors import (
 from .qpoly import (
     ONE,
     Q_MINUS_ONE,
+    Immutable,
     QPolynomial,
     QProduct,
     div_exact,
@@ -77,14 +77,31 @@ from .weyl import DEFAULT_ENUM_BOUND, coset_length_poly
 BC_NOTE = "B_r/C_r component tags are interchangeable for order computations"
 
 
-@dataclass(frozen=True)
-class OrderReport:
-    formula: str
-    cartan_type: CartanType
-    terms: tuple[tuple[str, QPolynomial], ...]
-    total: QPolynomial
-    lattice: CrossSectionLattice | None = None
-    notes: tuple[str, ...] = ()
+class OrderReport(Immutable):
+    __slots__ = _fields = (
+        "formula",
+        "cartan_type",
+        "terms",
+        "total",
+        "lattice",
+        "notes",
+    )
+
+    def __init__(
+        self,
+        formula: str,
+        cartan_type: CartanType,
+        terms: tuple[tuple[str, QPolynomial], ...],
+        total: QPolynomial,
+        lattice: CrossSectionLattice | None = None,
+        notes: tuple[str, ...] = (),
+    ):
+        object.__setattr__(self, "formula", formula)
+        object.__setattr__(self, "cartan_type", cartan_type)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "notes", notes)
 
     def to_json(self, evaluations: dict[int, str]) -> dict:
         """The report as JSON, with the total's formatted value at each q0."""

@@ -19,30 +19,66 @@ are immutable; every operation returns a fresh value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from functools import lru_cache
 from itertools import accumulate, zip_longest
 from math import isqrt
-from typing import Iterable
 
 from .errors import IndexOutOfRange, NonExactDivision
 
 
-class QPolynomial:
+class Immutable:
+    """Base of the package's value classes, in place of a frozen dataclass.
+
+    A subclass lists its fields in ``_fields``, in constructor order, and
+    every slot, fields first, in ``__slots__``; slots past the fields hold
+    derived or memoized state, which equality, hashing, repr and replace
+    leave out.  Its ``__init__`` assigns each slot with object.__setattr__,
+    since assignment otherwise raises.  Equality holds between instances of
+    the same class with equal fields, and the hash is that of the field
+    tuple, as a frozen dataclass has them; importing dataclasses would cost
+    every CLI launch its inspect/ast import chain.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({shown})"
+
+    def replace(self, **changes):
+        """A copy with the named fields changed, built by the constructor."""
+        return type(self)(**dict(zip(self._fields, self._values())) | changes)
+
+
+class QPolynomial(Immutable):
     """Dense polynomial in q with arbitrary-precision integer coefficients."""
 
-    __slots__ = ("coeffs",)
-
-    coeffs: tuple[int, ...]
+    __slots__ = _fields = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
         cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QPolynomial is immutable")
 
     @classmethod
     def monomial(cls, power: int) -> "QPolynomial":
@@ -58,14 +94,6 @@ class QPolynomial:
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, QPolynomial):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __add__(self, other: "QPolynomial") -> "QPolynomial":
         a, b = self.coeffs, other.coeffs
@@ -236,8 +264,7 @@ def _over_binomial(coeffs: list[int], d: int) -> list[int]:
     return [-s for s in sums[:top]]
 
 
-@dataclass(frozen=True)
-class QProduct:
+class QProduct(Immutable):
     """q^shift * prod over n of Phi_n(q)^e_n, every e_n >= 0.
 
     Phi_n is the n-th cyclotomic polynomial.  ``phi`` holds the (n, e_n)
@@ -246,8 +273,11 @@ class QProduct:
     exact division subtracts them, and ``expand`` gives the dense form.
     """
 
-    shift: int = 0
-    phi: tuple[tuple[int, int], ...] = ()
+    __slots__ = _fields = ("shift", "phi")
+
+    def __init__(self, shift: int = 0, phi: tuple[tuple[int, int], ...] = ()):
+        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "phi", phi)
 
     @classmethod
     def of(cls, degrees: Iterable[int] = (), shift: int = 0) -> "QProduct":

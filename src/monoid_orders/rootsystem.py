@@ -17,12 +17,11 @@ from __future__ import annotations
 import re
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import prod
 
 from .errors import InvariantViolation, UnsupportedType
-from .qpoly import QPolynomial, QProduct, expand
+from .qpoly import Immutable, QPolynomial, QProduct, expand
 
 Root = tuple[int, ...]
 
@@ -37,22 +36,21 @@ _RANK_RANGE = {
 }
 
 
-@dataclass(frozen=True)
-class CartanType:
-    family: str
-    rank: int
+class CartanType(Immutable):
+    __slots__ = _fields = ("family", "rank")
 
-    def __post_init__(self):
-        fam, l = self.family, self.rank
-        if fam == "E":
-            if l not in (6, 7, 8):
-                raise UnsupportedType(f"E{l} is not a valid type")
-            return
-        if fam not in _RANK_RANGE:
-            raise UnsupportedType(f"unknown family {fam!r}")
-        lo, hi = _RANK_RANGE[fam]
-        if l < lo or (hi is not None and l > hi):
-            raise UnsupportedType(f"{fam}{l} is not a valid type")
+    def __init__(self, family: str, rank: int):
+        if family == "E":
+            if rank not in (6, 7, 8):
+                raise UnsupportedType(f"E{rank} is not a valid type")
+        elif family not in _RANK_RANGE:
+            raise UnsupportedType(f"unknown family {family!r}")
+        else:
+            lo, hi = _RANK_RANGE[family]
+            if rank < lo or (hi is not None and rank > hi):
+                raise UnsupportedType(f"{family}{rank} is not a valid type")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "rank", rank)
 
     @classmethod
     def parse(cls, spec: str) -> "CartanType":
@@ -146,17 +144,50 @@ def cartan_matrix(ct: CartanType) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in c)
 
 
-@dataclass(frozen=True)
-class RootSystemData:
-    cartan_type: CartanType
-    cartan: tuple[tuple[int, ...], ...]
-    positive_roots: tuple[Root, ...]
-    # connected mask -> (positive roots supported on it, degrees of W_mask)
-    _components: dict = field(
-        default_factory=dict, init=False, compare=False, repr=False
+class RootSystemData(Immutable):
+    """The positive roots of a Cartan type, with the tables every subset
+    query reads, derived once here, and the per-mask memos of _mask_parts;
+    neither takes part in equality, hashing or repr."""
+
+    _fields = ("cartan_type", "cartan", "positive_roots")
+    __slots__ = _fields + (
+        "_neighbors",
+        "_neighbor_masks",
+        "_node_bits",
+        "_root_supports",
+        "_root_heights",
+        "_components",
+        "_parts",
     )
-    # subset mask -> the _components entries of its Dynkin components
-    _parts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __init__(
+        self,
+        cartan_type: CartanType,
+        cartan: tuple[tuple[int, ...], ...],
+        positive_roots: tuple[Root, ...],
+    ):
+        nodes = range(1, cartan_type.rank + 1)
+        neighbors = tuple(
+            frozenset(j for j in nodes if j != i and cartan[i - 1][j - 1])
+            for i in nodes
+        )
+        # bit i-1 set when simple root i occurs in the positive root
+        supports = (sum(1 << b for b, a in enumerate(r) if a) for r in positive_roots)
+        for name, value in (
+            ("cartan_type", cartan_type),
+            ("cartan", cartan),
+            ("positive_roots", positive_roots),
+            ("_neighbors", neighbors),
+            ("_neighbor_masks", tuple(sum(1 << (j - 1) for j in n) for n in neighbors)),
+            ("_node_bits", {i: 1 << (i - 1) for i in nodes}),
+            ("_root_supports", tuple(supports)),
+            ("_root_heights", tuple(map(sum, positive_roots))),
+            # connected mask -> (positive roots supported on it, degrees of W_mask)
+            ("_components", {}),
+            # subset mask -> the _components entries of its Dynkin components
+            ("_parts", {}),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def rank(self) -> int:
@@ -169,32 +200,6 @@ class RootSystemData:
     def adjacent(self, i: int, j: int) -> bool:
         """Dynkin adjacency of simple roots i, j (1-based)."""
         return i != j and self.cartan[i - 1][j - 1] != 0
-
-    @cached_property
-    def _neighbors(self) -> tuple[frozenset[int], ...]:
-        return tuple(
-            frozenset(j for j in range(1, self.rank + 1) if self.adjacent(i, j))
-            for i in range(1, self.rank + 1)
-        )
-
-    @cached_property
-    def _root_supports(self) -> tuple[int, ...]:
-        # bit i-1 set when simple root i occurs in the positive root
-        return tuple(
-            sum(1 << b for b, a in enumerate(root) if a) for root in self.positive_roots
-        )
-
-    @cached_property
-    def _root_heights(self) -> tuple[int, ...]:
-        return tuple(map(sum, self.positive_roots))
-
-    @cached_property
-    def _neighbor_masks(self) -> tuple[int, ...]:
-        return tuple(sum(1 << (j - 1) for j in near) for near in self._neighbors)
-
-    @cached_property
-    def _node_bits(self) -> dict[int, int]:
-        return {i: 1 << (i - 1) for i in range(1, self.rank + 1)}
 
     def neighbors(self, i: int) -> frozenset[int]:
         return self._neighbors[i - 1]

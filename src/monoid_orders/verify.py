@@ -10,9 +10,7 @@ is skipped, not failed.
 from __future__ import annotations
 
 import functools
-import inspect
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
 from . import oracle
 from .crosssection import fundamental_lattice
@@ -29,6 +27,7 @@ from .orders import (
 from .qpoly import (
     ONE,
     Q_MINUS_ONE,
+    Immutable,
     QPolynomial,
     eval_big,
     gaussian_binomial,
@@ -56,15 +55,17 @@ AGREEMENT_CASES = (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str
-    skipped: bool = False
+class CheckResult(Immutable):
+    __slots__ = _fields = ("name", "ok", "detail", "skipped")
+
+    def __init__(self, name: str, ok: bool, detail: str, skipped: bool = False):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "skipped", skipped)
 
 
-def check_pascal_recurrence() -> tuple[bool, str]:
+def check_pascal_recurrence(enum_bound: int | None = None) -> tuple[bool, str]:
     # each q-binomial is on both sides of several instances: expand it once
     binomial = functools.cache(gaussian_binomial)
     cases = 0
@@ -108,9 +109,9 @@ def check_coset_identity(enum_bound: int | None = None) -> tuple[bool, str]:
     return True, f"{cases} parabolic quotients"
 
 
-def check_rank_histograms(bound: int | None = None) -> tuple[bool, str]:
+def check_rank_histograms(enum_bound: int | None = None) -> tuple[bool, str]:
     for n, p in ((2, 2), (2, 3), (3, 2), (3, 3)):
-        counts = oracle.enumerate_rank_histogram(n, p, bound)
+        counts = oracle.enumerate_rank_histogram(n, p, enum_bound)
         if sum(counts) != p ** (n * n):
             return False, f"(n={n}, p={p}) total {sum(counts)}"
         for r, (counted, stratum) in enumerate(zip(counts, gl_strata(n), strict=True)):
@@ -123,10 +124,10 @@ def check_rank_histograms(bound: int | None = None) -> tuple[bool, str]:
     return True, "(2,2) (2,3) (3,2) (3,3)"
 
 
-def check_subspace_counts(bound: int | None = None) -> tuple[bool, str]:
+def check_subspace_counts(enum_bound: int | None = None) -> tuple[bool, str]:
     for p in (2, 3):
         for n in range(5):
-            for r, counted in enumerate(oracle.subspace_counts(n, p, bound)):
+            for r, counted in enumerate(oracle.subspace_counts(n, p, enum_bound)):
                 expected = eval_big(gaussian_binomial(n, r), p)
                 if counted != expected:
                     return (
@@ -152,7 +153,7 @@ def check_formula_agreement(enum_bound: int | None = None) -> tuple[bool, str]:
     return True, ", ".join(f"{s}/{w}" for s, w in AGREEMENT_CASES)
 
 
-def check_symplectic_closed_form() -> tuple[bool, str]:
+def check_symplectic_closed_form(enum_bound: int | None = None) -> tuple[bool, str]:
     """Each stratum M^r of the closed form equals the thm41 term of entry r
     of the lattice, and the totals agree."""
     for l in range(2, 7):
@@ -166,7 +167,7 @@ def check_symplectic_closed_form() -> tuple[bool, str]:
     return True, "l = 2..6"
 
 
-def check_h_polynomials() -> tuple[bool, str]:
+def check_h_polynomials(enum_bound: int | None = None) -> tuple[bool, str]:
     # computed when first checked, so the checks and their first failure
     # keep their order
     h = functools.cache(lambda l: h_polynomial(symplectic_order(l).total))
@@ -179,7 +180,7 @@ def check_h_polynomials() -> tuple[bool, str]:
     return True, "l=2,3 coefficients; palindromic l=2..6"
 
 
-def check_structural() -> tuple[bool, str]:
+def check_structural(enum_bound: int | None = None) -> tuple[bool, str]:
     for spec, weight in AGREEMENT_CASES:
         ct = CartanType.parse(spec)
         lat = fundamental_lattice(ct, 1 if weight == "first" else ct.rank)
@@ -197,7 +198,7 @@ def check_structural() -> tuple[bool, str]:
     return True, "zero/identity terms, (total-1)/(q-1)"
 
 
-def check_gl_strata_sum() -> tuple[bool, str]:
+def check_gl_strata_sum(enum_bound: int | None = None) -> tuple[bool, str]:
     for n in range(1, 7):
         gl_strata(n)  # raises InvariantViolation unless the sum is q^{n^2}
     return True, "n = 1..6"
@@ -219,14 +220,14 @@ ALL_CHECKS: dict[str, Callable[..., tuple[bool, str]]] = {
 
 
 def run_all(enum_bound: int | None = None) -> list[CheckResult]:
-    """Run every check, passing the bound to those that take a parameter; a
-    check stopped by an enumeration or lattice bound is reported as skipped,
-    and any other crash inside a check as its failure."""
+    """Run every check with the bound, which the checks that enumerate
+    nothing ignore; a check stopped by an enumeration or lattice bound is
+    reported as skipped, and any other crash inside a check as its
+    failure."""
     results = []
     for name, check in ALL_CHECKS.items():
-        takes_bound = inspect.signature(check).parameters
         try:
-            ok, detail = check(enum_bound) if takes_bound else check()
+            ok, detail = check(enum_bound=enum_bound)
         except (GroupTooLarge, EnumerationTooLarge, LatticeTooLarge) as exc:
             reason = f"{type(exc).__name__}: {exc}"
             results.append(CheckResult(name, False, reason, skipped=True))

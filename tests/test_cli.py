@@ -1,9 +1,7 @@
 """CLI surface: subcommands, formats, round-trips, and exit codes."""
 
 import argparse
-import dataclasses
 import hashlib
-import inspect
 import json
 import os
 import subprocess
@@ -365,10 +363,10 @@ def test_nonzero_entry_with_exponent_zero_exits_2(capsys, tmp_path, argv):
 
 
 def test_verify_names_skip_and_crash_lines_from_the_table(capsys, monkeypatch):
-    def crashing_check():
+    def crashing_check(enum_bound=None):
         raise RuntimeError("injected crash")
 
-    def large_lattice_check():
+    def large_lattice_check(enum_bound=None):
         j_irreducible_lattice(build(CartanType("A", 40)), frozenset())
         return True, "unreachable"
 
@@ -399,10 +397,10 @@ def test_verify_passes(capsys):
 
 
 def test_run_all_passes_the_bound_to_checks_that_take_one(monkeypatch):
-    def bounded(bound=None):
-        return True, f"bound {bound}"
+    def bounded(enum_bound=None):
+        return True, f"bound {enum_bound}"
 
-    def unbounded():
+    def unbounded(enum_bound=None):
         return True, "no bound"
 
     monkeypatch.setattr(verify, "ALL_CHECKS", {"bounded": bounded, "unbounded": unbounded})
@@ -413,23 +411,23 @@ def test_run_all_passes_the_bound_to_checks_that_take_one(monkeypatch):
 
 
 def test_every_enumerating_check_takes_the_bound():
-    # the signatures decide which checks see the enumeration bound
-    takes_bound = {
-        name
-        for name, check in verify.ALL_CHECKS.items()
-        if inspect.signature(check).parameters
-    }
-    assert takes_bound == {
+    # every check is called with the bound; at a bound of 1 exactly the
+    # checks that enumerate are stopped by it, and the others ignore it
+    results = verify.run_all(1)
+    assert len(results) == 10
+    stopped = {r.name for r in results if r.skipped}
+    assert stopped == {
         "solomon-poincare",
         "coset-identity",
         "rank-histogram",
         "subspace-count",
         "formula-agreement",
     }
+    assert all(r.ok for r in results if r.name not in stopped)
 
 
 def test_verify_failure_exits_3(capsys, monkeypatch):
-    def broken_check():
+    def broken_check(enum_bound=None):
         return False, "injected failure"
 
     monkeypatch.setattr(verify, "ALL_CHECKS", {"broken": broken_check})
@@ -458,7 +456,7 @@ def test_verify_small_bound_skips_instead_of_failing(capsys, monkeypatch):
 
 
 def test_verify_failure_beside_skip_exits_3(capsys, monkeypatch):
-    def broken_check():
+    def broken_check(enum_bound=None):
         return False, "injected failure"
 
     monkeypatch.setattr(
@@ -510,12 +508,58 @@ def test_lattice_file_with_preset_or_j0_exits_1(capsys, tmp_path, command, sourc
 
 
 def test_preset_and_j0_conflict(capsys):
-    code, _, err = run(
-        capsys,
-        "order", "--type", "A2", "--preset", "first-fundamental", "--j0", "2",
+    # an empty --j0 names J0 = {}, so it conflicts with --preset as "2" does
+    for command in ("order", "hpoly", "lattice"):
+        for j0 in ("2", ""):
+            code, out, err = run(
+                capsys,
+                command, "--type", "A2", "--preset", "first-fundamental", "--j0", j0,
+            )
+            assert (code, out) == (1, "")
+            assert err == "error: --preset and --j0 are mutually exclusive\n"
+
+
+@pytest.mark.parametrize(
+    "raised, err",
+    [
+        (MemoryError(), "error: out of memory\n"),
+        (MemoryError("cannot allocate"), "error: out of memory: cannot allocate\n"),
+    ],
+    ids=["bare", "with-message"],
+)
+def test_memory_error_exits_2_with_one_line(capsys, monkeypatch, raised, err):
+    def exhausted(lat):
+        raise raised
+
+    def exhausted_writer(obj):
+        raise raised
+
+    argv = ["--type", "A2", "--preset", "first-fundamental"]
+    monkeypatch.setitem(cli.FORMULAS, "thm34", exhausted)
+    assert run(capsys, "order", *argv, "--formula", "thm34") == (2, "", err)
+    monkeypatch.setattr(cli, "_json_text", exhausted_writer)
+    assert run(capsys, "lattice", *argv, "--format", "json") == (2, "", err)
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # the modules a fresh interpreter adds by importing the CLI, against
+    # the ones its start-up already holds
+    code = (
+        "import sys; before = set(sys.modules); import monoid_orders.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
     )
-    assert code == 1
-    assert "mutually exclusive" in err
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    added = set(done.stdout.split())
+    assert "monoid_orders.cli" in added
+    assert not added & {"dataclasses", "inspect"}
 
 
 def test_computation_errors_exit_2(capsys, tmp_path):
@@ -788,7 +832,7 @@ def test_order_all_reports_swapped_terms_with_equal_totals(capsys, monkeypatch):
     def swapped(lat):
         report = thm41(lat)
         (a, term_a), (b, term_b), *rest = report.terms
-        return dataclasses.replace(report, terms=((a, term_b), (b, term_a), *rest))
+        return report.replace(terms=((a, term_b), (b, term_a), *rest))
 
     monkeypatch.setitem(cli.FORMULAS, "thm41", swapped)
     code, out, err = run(
@@ -813,7 +857,7 @@ def test_order_all_reports_a_formula_disagreement(capsys, monkeypatch):
 
     def off_by_one(lat):
         report = thm41(lat)
-        return dataclasses.replace(report, total=report.total + ONE)
+        return report.replace(total=report.total + ONE)
 
     monkeypatch.setitem(cli.FORMULAS, "thm41", off_by_one)
     code, out, err = run(

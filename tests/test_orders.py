@@ -1,6 +1,5 @@
 """The four order formulas, closed forms, strata, and H-polynomials."""
 
-import dataclasses
 import os
 import re
 import subprocess
@@ -50,6 +49,7 @@ from monoid_orders.qpoly import (
 )
 from monoid_orders.rootsystem import (
     CartanType,
+    RootSystemData,
     build,
     degrees,
     positive_count_of_subset,
@@ -202,7 +202,7 @@ def test_closed_form_check_compares_each_stratum(monkeypatch):
         report = symplectic_order(l)
         (a, p), (b, r) = report.terms[1:3]
         terms = report.terms[:1] + ((a, r), (b, p)) + report.terms[3:]
-        return dataclasses.replace(report, terms=terms)
+        return report.replace(terms=terms)
 
     monkeypatch.setattr(verify, "symplectic_order", swapped)
     assert verify.check_symplectic_closed_form() == (
@@ -268,7 +268,7 @@ def test_h_polynomial_check_computes_each_order_once(monkeypatch, corrupt, resul
         if l != corrupt:
             return report
         bumped = report.total + Q_MINUS_ONE * QPolynomial.monomial(1)
-        return dataclasses.replace(report, total=bumped)
+        return report.replace(total=bumped)
 
     monkeypatch.setattr(verify, "symplectic_order", counted)
     assert verify.check_h_polynomials() == result
@@ -282,7 +282,7 @@ def test_agreement_check_compares_each_term(monkeypatch):
         report = order_thm34(lat)
         (a, p), (b, r) = report.terms[1:3]
         terms = report.terms[:1] + ((a, r), (b, p)) + report.terms[3:]
-        return dataclasses.replace(report, terms=terms)
+        return report.replace(terms=terms)
 
     monkeypatch.setattr(verify, "order_thm34", swapped)
     assert verify.check_formula_agreement() == (False, "A1 (first-fundamental)")
@@ -511,8 +511,10 @@ def test_report_evaluate_and_json():
 
 def test_report_is_frozen():
     report = order_thm34(fundamental_lattice(CartanType("C", 2), 2))
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    notes = report.notes
+    with pytest.raises(AttributeError, match="immutable"):
         report.notes = ()
+    assert report.notes is notes
     # values at q live outside the report, which serves any list of q
     assert not hasattr(report, "evaluations")
     total = [("total", report.total)]
@@ -521,6 +523,34 @@ def test_report_is_frozen():
     assert list(values.items()) == [(3, "183681"), (2, "2296")]
     assert report.to_json({})["evaluations"] == {}
     assert report.to_json({2: "2296"})["evaluations"] == {"2": "2296"}
+
+
+def test_value_classes_keep_their_dataclass_behaviour():
+    ct = CartanType("C", 2)
+    assert repr(ct) == "CartanType(family='C', rank=2)"
+    assert repr(QProduct.of([2])) == "QProduct(shift=0, phi=((1, 1), (2, 1)))"
+    assert repr(verify.CheckResult("x", True, "d")) == (
+        "CheckResult(name='x', ok=True, detail='d', skipped=False)"
+    )
+    assert repr(QPolynomial([1, 2])) == "QPolynomial([1, 2])"
+    # equal fields give equal values and the field tuple's hash; a value of
+    # another class never compares equal
+    assert ct == CartanType("C", 2) and hash(ct) == hash(("C", 2))
+    assert ct != CartanType("B", 2) and ct != ("C", 2)
+    # memoized and derived slots stay out of equality, hashing and repr
+    rs = build(ct)
+    fresh = RootSystemData(rs.cartan_type, rs.cartan, rs.positive_roots)
+    assert rs._parts and not fresh._parts
+    assert fresh == rs and hash(fresh) == hash(rs) and repr(fresh) == repr(rs)
+    # replace runs the constructor, its validation included
+    assert ct.replace(rank=3) == CartanType("C", 3)
+    with pytest.raises(UnsupportedType):
+        ct.replace(family="Z")
+    with pytest.raises(TypeError):
+        ct.replace(colour=1)
+    with pytest.raises(AttributeError, match="CartanType is immutable"):
+        del ct.rank
+    assert ct.rank == 2
 
 
 def test_thm33_notes_skipped_coset_check():
@@ -679,7 +709,7 @@ def test_thm31_reads_only_the_lattice_and_the_walks(monkeypatch):
     monkeypatch.setattr(orders, "div_exact", recording_div_exact)
     monkeypatch.setattr(orders, "positive_count_of_subset", refuse)
     # the torus rank cancels, so a lattice that misstates it gives the same terms
-    for probe in (lat, dataclasses.replace(lat, torus_rank=0)):
+    for probe in (lat, lat.replace(torus_rank=0)):
         del dividends[:]
         assert order_thm31(probe).terms == expected
         assert dividends == [w] * len(subsets)
@@ -801,7 +831,7 @@ def test_grouped_total_off_the_weight_support_rule():
 def test_grouped_total_checks_the_value_at_one():
     lat = fundamental_lattice(CartanType("C", 2), 2)
     # a second zero entry: every other term vanishes at q = 1
-    doubled = dataclasses.replace(lat, entries=lat.entries + (lat.zero_entry,))
+    doubled = lat.replace(entries=lat.entries + (lat.zero_entry,))
     with pytest.raises(InvariantViolation, match="thm34 total is 2 at q=1"):
         order_thm34(doubled)
 
