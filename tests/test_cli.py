@@ -528,16 +528,13 @@ def test_preset_and_j0_conflict(capsys):
     ids=["bare", "with-message"],
 )
 def test_memory_error_exits_2_with_one_line(capsys, monkeypatch, raised, err):
-    def exhausted(lat):
-        raise raised
-
-    def exhausted_writer(obj):
+    def exhausted(*args):
         raise raised
 
     argv = ["--type", "A2", "--preset", "first-fundamental"]
     monkeypatch.setitem(cli.FORMULAS, "thm34", exhausted)
     assert run(capsys, "order", *argv, "--formula", "thm34") == (2, "", err)
-    monkeypatch.setattr(cli, "_json_text", exhausted_writer)
+    monkeypatch.setattr(cli, "_json_text", exhausted)
     assert run(capsys, "lattice", *argv, "--format", "json") == (2, "", err)
 
 
