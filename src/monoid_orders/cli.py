@@ -6,10 +6,12 @@ verification failure, 141 (128 + SIGPIPE) when the reader closed stdout
 before all output was written, as `| head` does; none of these exits
 prints a traceback.  The environment variable
 MONOID_ORDERS_ENUM_BOUND, ASCII decimal digits only as for --q, overrides
-every enumeration bound, the lattice-size bound and the size bound of
-hpoly's Dynkin-chain sum included, but not rootsystem.BUILD_CAP, which caps
-the root table's memory: a larger type is a usage error.  --lattice-file
-takes neither --preset nor --j0.
+every enumeration bound, the lattice-size bound and the size bounds of
+hpoly's Dynkin-chain sum, census and census sum included, but not
+rootsystem.BUILD_CAP, which caps the root table's memory: a larger type is
+a usage error.  --lattice-file takes neither --preset nor --j0; the rank of
+--type and the indices of --j0 are ASCII decimal digits only
+(rootsystem.parse_digits), as --q is.
 
 order and strata evaluate each row once per q, through _evaluated: the
 order terms and total in every format (only csv prints the terms' values),
@@ -43,6 +45,7 @@ from .errors import (
 )
 from .orders import (
     OrderReport,
+    census_total,
     chain_total,
     gl_strata,
     h_polynomial,
@@ -53,7 +56,7 @@ from .orders import (
     symplectic_order,
 )
 from .qpoly import QPolynomial, eval_big, is_palindromic
-from .rootsystem import CartanType, build, parse_subset
+from .rootsystem import CartanType, build, parse_digits, parse_subset
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -144,20 +147,12 @@ class _UsageError(Exception):
     pass
 
 
-def _parse_digits(text: str) -> int:
-    """text as an int if it is ASCII decimal digits only, else ValueError:
-    int() alone would take "-5", "1_6", " 2" and non-ASCII digits."""
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(text)
-    return int(text)  # ValueError past Python's str-to-int digit limit
-
-
 def _parse_qs(values: list[str]) -> list[int]:
     qs: list[int] = []
     for chunk in values:
         for part in chunk.split(","):
             try:
-                q0 = _parse_digits(part)
+                q0 = parse_digits(part)
             except ValueError:
                 raise _UsageError(f"bad q value {part!r}") from None
             if q0 in qs:
@@ -428,13 +423,16 @@ def _cmd_order(args, enum_bound: int | None) -> int:
 
 
 def _cmd_hpoly(args, enum_bound: int | None) -> int:
-    # thm34's total: type A with J0 = {} summed along its Dynkin chain with
-    # no lattice listed, any other lattice by order_thm34
+    # thm34's total, with no lattice listed for a --type support: type A
+    # with J0 = {} summed along its Dynkin chain, any other support over its
+    # census keys; a --lattice-file by order_thm34
     support = _resolve_support(args)
-    if support and support[0].family == "A" and not support[1]:
+    if support is None:
+        report = order_thm34(_resolve_lattice(args, enum_bound, support))
+    elif support[0].family == "A" and not support[1]:
         report = chain_total(build(support[0]), enum_bound)
     else:
-        report = order_thm34(_resolve_lattice(args, enum_bound, support))
+        report = census_total(build(support[0]), support[1], enum_bound)
     _print_hpoly(report, args.format)
     return EXIT_OK
 
@@ -575,7 +573,7 @@ def main(argv=None) -> int:
     env = os.environ.get("MONOID_ORDERS_ENUM_BOUND")
     if env:
         try:
-            enum_bound = _parse_digits(env)
+            enum_bound = parse_digits(env)
         except ValueError:
             print(
                 f"error: MONOID_ORDERS_ENUM_BOUND={env!r} is not an integer",

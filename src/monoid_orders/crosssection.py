@@ -6,16 +6,20 @@ with e without fixing it) and lambda_substar (those whose reflections fix e),
 plus the exponent k with [T:T(e)] = (q-1)^k.  Lattices are built two ways:
 from a weight-support set J0 (the unique-minimal-idempotent rule), of which
 the fundamental weight omega_i, J0 = Delta minus {alpha_i}, is the common
-case, or from a validated external description.
+case, or from a validated external description.  The entries of a weight
+support are also counted without listing any: lattice_size counts them,
+and thm34_census counts them per thm34 key, by one pass over the Dynkin
+tree each.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from math import prod
 
 from .errors import InvalidSupport, InvariantViolation, LatticeTooLarge, UnsupportedType
 from .qpoly import Immutable
-from .rootsystem import CartanType, RootSystemData, build
+from .rootsystem import CartanType, RootSystemData, _mask_parts, build
 from .weyl import DEFAULT_ENUM_BOUND
 
 PAPER_VERIFIED = "paper-verified"
@@ -144,6 +148,19 @@ def validate(lat: CrossSectionLattice) -> CrossSectionLattice:
     return lat
 
 
+def _post_order(rs: RootSystemData) -> list[tuple[int, list[int]]]:
+    """Each node of the Dynkin tree rooted at node 1 with its children,
+    every child before its parent."""
+    parent = {1: 0}
+    order = [1]
+    for v in order:
+        for w in rs.neighbors(v):
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+    return [(v, [w for w in rs.neighbors(v) if parent[w] == v]) for v in reversed(order)]
+
+
 def lattice_size(rs: RootSystemData, J0: frozenset[int]) -> int:
     """Number of entries of j_irreducible_lattice(rs, J0), counted without
     generating any of them.
@@ -154,16 +171,9 @@ def lattice_size(rs: RootSystemData, J0: frozenset[int]) -> int:
     X with a node outside J0 already in its component; v in X still waiting
     for one.
     """
-    parent = {1: 0}
-    order = [1]
-    for v in order:
-        for w in rs.neighbors(v):
-            if w not in parent:
-                parent[w] = v
-                order.append(w)
     counts: dict[int, tuple[int, int, int]] = {}
-    for v in reversed(order):
-        children = [counts[w] for w in rs.neighbors(v) if parent[w] == v]
+    for v, below in _post_order(rs):
+        children = [counts[w] for w in below]
         out = prod(o + m for o, m, _ in children)
         joined = prod(o + m + w for o, m, w in children)
         if v in J0:
@@ -173,6 +183,149 @@ def lattice_size(rs: RootSystemData, J0: frozenset[int]) -> int:
             counts[v] = (out, joined, 0)
     out, met, _ = counts[1]
     return out + met + 1  # plus the zero entry
+
+
+def _checked_support(rs: RootSystemData, J0: frozenset[int]) -> frozenset[int]:
+    """Delta, once J0 is known to be a proper subset of it."""
+    delta = frozenset(range(1, rs.rank + 1))
+    if not J0 <= delta:
+        raise UnsupportedType(f"J0 {sorted(J0)} outside 1..{rs.rank}")
+    if J0 == delta:
+        raise InvalidSupport("J0 = Delta admits no nonzero minimal idempotent")
+    return delta
+
+
+_UNIT = Counter({((), ()): 1})  # one empty partial key; never changed
+
+
+def _merged(a: Counter, b: Counter) -> Counter:
+    """Every pair of partial keys of a and b joined, counts multiplied; a
+    table shared with _UNIT comes back as it is, and neither is changed."""
+    if a is _UNIT:
+        return b
+    if b is _UNIT:
+        return a
+    out: Counter = Counter()
+    for (sub_a, star_a), n_a in a.items():
+        for (sub_b, star_b), n_b in b.items():
+            out[tuple(sorted(sub_a + sub_b)), tuple(sorted(star_a + star_b))] += n_a * n_b
+    return out
+
+
+def _closing(out: Counter, keys: Counter, sub: tuple = (), star: tuple = ()) -> None:
+    """Add to out every partial key of keys with the closed components sub
+    (of lambda_*) and star (of lambda*) joined to it."""
+    for (s, x), n in keys.items():
+        out[tuple(sorted(s + sub)) if sub else s, tuple(sorted(x + star)) if star else x] += n
+
+
+def _product(a: dict, b: list, join) -> dict:
+    """The states join(s, t) of every state s of a and (t, keys) pair of
+    b with keys, each with the _merged partial keys of the pair."""
+    out: dict = {}
+    for s, keys_a in a.items():
+        for t, keys_b in b:
+            if not keys_b:
+                continue
+            state, keys = join(s, t), _merged(keys_a, keys_b)
+            out[state] = out[state] + keys if state in out else keys
+    return out
+
+
+def thm34_census(
+    rs: RootSystemData, J0: frozenset[int], bound: int | None = None
+) -> Counter:
+    """The thm34 keys of j_irreducible_lattice(rs, J0), each with the number
+    of entries sharing it, counted without building any entry.
+
+    A key is (lambda_* part, lambda* part, k), each part the sorted tuple of
+    the degree tuples of that half's Dynkin components, so the key of
+    order_thm34 is the two parts flattened and sorted: the zero entry's is
+    ((degrees of W,), (), 0) and every other entry's k is |lambda*| + 1.
+
+    One pass from the leaves to node 1, rooted as lattice_size is, keeps
+    per node v a Counter of the partial keys of v's subtree, the closed
+    components of each half, per state of v: in X, with the mask of its
+    open X component; in J0 with no child in X, so in lambda_* unless its
+    parent is in X, with the mask of its open lambda_* component; or
+    neither.  Whether an X component has met Delta minus J0 is its mask
+    meeting that set.  A component closes at the first node above it that
+    is not in its half, and its degrees are read from
+    rootsystem._mask_parts; an open X component that has not met Delta
+    minus J0 is dropped once no node outside J0 is left above it, before
+    any degree is read, its own or that of a lambda_* component it closed.
+    LatticeTooLarge is raised as soon as one node's states hold more than
+    bound partial keys (default weyl.DEFAULT_ENUM_BOUND).
+    """
+    delta = _checked_support(rs, J0)
+    if bound is None:
+        bound = DEFAULT_ENUM_BOUND
+    bit = rs._node_bits
+    free = sum(bit[i] for i in delta - J0)
+
+    def closed(mask: int) -> tuple:
+        return tuple(ds for _, ds in _mask_parts(rs, mask))
+
+    subtree: dict[int, int] = {}
+    # node -> (X states {open mask: keys}, lambda_* states {open mask: keys},
+    # the keys with v in neither)
+    tables: dict[int, tuple[dict, dict, Counter]] = {}
+    for v, below in _post_order(rs):
+        subtree[v] = bit[v] + sum(subtree[w] for w in below)
+        # v in X: (its open mask, the lambda_* nodes below a child of v
+        # left to close); v not in X: (the children's open lambda_* masks,
+        # whether v is off lambda_*)
+        in_x = {(bit[v], 0): _UNIT}
+        out_x = {(0, v not in J0): _UNIT}
+        for w in below:
+            xs, ss, ns = tables.pop(w)
+            # from v in X: w is off lambda_*, and the rest of its lambda_*
+            # component is left to close
+            seen = [((mask, 0), keys) for mask, keys in xs.items()]
+            seen += [((0, mask & ~bit[w]), keys) for mask, keys in ss.items()]
+            seen.append(((0, 0), ns))
+            in_x = _product(in_x, seen, lambda s, t: (s[0] | t[0], s[1] | t[1]))
+            met = Counter()  # from v not in X: w's X component closes
+            for mask, keys in xs.items():
+                if mask & free:
+                    _closing(met, keys, star=closed(mask))
+            seen = [((mask, False), keys) for mask, keys in ss.items()]
+            seen += [((0, False), ns), ((0, True), met)]
+            out_x = _product(
+                out_x, seen, lambda s, t: (s[0] | t[0], s[1] or t[1])
+            )
+        xs = {}
+        for (mask, below_x), keys in in_x.items():
+            if not (mask & free or free & ~subtree[v]):
+                continue  # an X component left with no node outside J0 to meet
+            if below_x:
+                closing, keys = keys, Counter()
+                _closing(keys, closing, sub=closed(below_x))
+            xs[mask] = xs[mask] + keys if mask in xs else keys
+        ss, ns = {}, Counter()
+        for (mask, off), keys in out_x.items():
+            if off:
+                _closing(ns, keys, sub=closed(mask))
+            else:
+                ss[mask | bit[v]] = keys
+        size = sum(map(len, xs.values())) + sum(map(len, ss.values())) + len(ns)
+        if size > bound:
+            raise LatticeTooLarge(
+                f"the {rs.cartan_type} census for J0 = {sorted(J0)} holds {size}"
+                f" partial keys at node {v}, which exceeds the bound {bound}"
+            )
+        tables[v] = (xs, ss, ns)
+    xs, ss, ns = tables[1]
+    found = Counter(ns)
+    for mask, keys in xs.items():
+        if mask & free:
+            _closing(found, keys, star=closed(mask))
+    for mask, keys in ss.items():
+        _closing(found, keys, sub=closed(mask))
+    census = Counter({(closed(subtree[1]), (), 0): 1})  # the zero entry
+    for (sub, star), n in found.items():
+        census[sub, star, sum(map(len, star)) + 1] += n
+    return census
 
 
 def j_irreducible_lattice(
@@ -201,11 +354,7 @@ def j_irreducible_lattice(
     before any growth when more than bound nonempty lambda_star sets would
     be grown (default weyl.DEFAULT_ENUM_BOUND).
     """
-    delta = frozenset(range(1, rs.rank + 1))
-    if not J0 <= delta:
-        raise UnsupportedType(f"J0 {sorted(J0)} outside 1..{rs.rank}")
-    if J0 == delta:
-        raise InvalidSupport("J0 = Delta admits no nonzero minimal idempotent")
+    delta = _checked_support(rs, J0)
     if bound is None:
         bound = DEFAULT_ENUM_BOUND
     grown = lattice_size(rs, J0) - 2  # all but the zero entry and X = {}

@@ -17,9 +17,12 @@ call.  The degree-based routes read the degrees of each parabolic subgroup
 W_X from rootsystem.subset_degrees, never from a classification of X.
 
 The H-polynomial reads thm34's total, which order_thm34 sums once per
-thm34 key, times the number of entries sharing it; for type A with
-J0 = {}, chain_total sums it along the Dynkin chain instead, listing no
-lattice, so it is bounded by its own product size, not the lattice bound.
+thm34 key, times the number of entries sharing it.  For a weight support
+no lattice is listed: census_total sums the keys counted by
+crosssection.thm34_census, grouped by their lambda_* degrees, and for type
+A with J0 = {} chain_total sums along the Dynkin chain instead.  Both are
+bounded by their own sizes, known before any expansion, not by the lattice
+bound.
 
 Plus closed forms for the two published stratifications (full matrix monoid
 and the last-fundamental, omega_l, monoid of type C_l; the natural
@@ -42,6 +45,7 @@ from .crosssection import (
     CrossSectionLattice,
     is_j_irreducible,
     support_provenance,
+    thm34_census,
 )
 from .errors import (
     GroupTooLarge,
@@ -62,6 +66,7 @@ from .qpoly import (
     gaussian_factors,
     is_palindromic,
     poly_sum,
+    times_product,
 )
 from .rootsystem import (
     CartanType,
@@ -152,6 +157,11 @@ def _finish(
         lattice=lat,
         notes=_lattice_notes(lat) + notes,
     )
+
+
+def _scaled(n: int, term: QPolynomial) -> QPolynomial:
+    """n times a term shared by n entries; a term of one entry as it is."""
+    return term if n == 1 else QPolynomial(map(n.__mul__, term.coeffs))
 
 
 def _checked(formula: str, total: QPolynomial) -> QPolynomial:
@@ -259,10 +269,7 @@ def order_thm34(lat: CrossSectionLattice) -> OrderReport:
         return QProduct(sum(star_degrees) - len(star_degrees), ratio.phi)
 
     expanded = dict(zip(counts, expand_all(map(term, counts))))
-    summands = (
-        t if counts[key] == 1 else QPolynomial(map(counts[key].__mul__, t.coeffs))
-        for key, t in expanded.items()
-    )
+    summands = (_scaled(counts[key], t) for key, t in expanded.items())
     terms = [(e.label, expanded[key]) for e, key in zip(lat.entries, keys)]
     return _finish("thm34", lat, terms, summands=summands)
 
@@ -312,6 +319,86 @@ def chain_total(rs: RootSystemData, bound: int | None = None) -> OrderReport:
         terms=(),
         total=_checked("thm34 chain", total),
         notes=("type map: " + support_provenance(ct, frozenset()),),
+    )
+
+
+def _is_bc(ds: tuple[int, ...]) -> bool:
+    """Whether a Dynkin component with degrees ds is of type B_r/C_r, r >= 2:
+    degrees 2, 4, ..., 2r, which no other connected type has."""
+    return len(ds) >= 2 and ds == tuple(range(2, 2 * len(ds) + 1, 2))
+
+
+def census_total(
+    rs: RootSystemData, J0: frozenset[int], bound: int | None = None
+) -> OrderReport:
+    """thm34's total for weight support J0, summed over the keys that
+    crosssection.thm34_census counts: no lattice entry is built.
+
+    lambda_* is not adjacent to lambda*, so W_{lambda*} W_{lambda_*} is the
+    Poincare product of their union and each term factors as
+
+        (W/W_{lambda_*}) * q^{N*} (q-1)^k W/(W_{lambda*} W_{lambda_*}),
+
+    both factors polynomials.  The census keys are merged into thm34 keys
+    (A1 x A3 and B2 x A2 share degrees) and grouped by their lambda_*
+    degrees.  A group of more keys than the rank expands only its inner
+    products, adds them times their counts and steps the sum once by
+    W/W_{lambda_*} (qpoly.times_product); every other key expands its whole
+    term: stepping a sum takes up to 2 * rank (q^d - 1) steps over the
+    whole degree, which a few keys do not repay (the groups of C13 and E8
+    last-fundamental hold at most 4 keys, so they expand every term whole,
+    as order_thm34 does).  One expand_all call expands every product.  The degree of each product and
+    stepped sum is known from its key, so LatticeTooLarge is raised before
+    any expansion when they hold more than bound coefficients in all
+    (default weyl.DEFAULT_ENUM_BOUND), the bound the census is held to as
+    well.  The B/C note is read from the census's component degrees.
+    """
+    ct = rs.cartan_type
+    if bound is None:
+        bound = DEFAULT_ENUM_BOUND
+    counts: Counter = Counter()  # per order_thm34 key
+    bc = False
+    for (sub, star, k), n in thm34_census(rs, J0, bound).items():
+        bc = bc or any(map(_is_bc, sub + star))
+        flat = [tuple(sorted(d for ds in half for d in ds)) for half in (sub, star)]
+        counts[(*flat, k)] += n
+    # (lambda* degrees, k, count) per lambda_* degrees, sorted, so that
+    # neighbours share most factors and expand_all steps less
+    groups: dict[tuple[int, ...], list] = {}
+    for (sub_degrees, star_degrees, k), n in sorted(counts.items()):
+        groups.setdefault(sub_degrees, []).append((star_degrees, k, n))
+    p_w = poincare_factors(degrees(ct))
+    poincare = cache(poincare_factors)
+    products, plan, size = [], [], 0
+    for sub_degrees, group in groups.items():
+        up = p_w / poincare(sub_degrees)  # W/W_{lambda_*}
+        n_up = rs.num_positive - sum(sub_degrees) + len(sub_degrees)  # its degree
+        stepped = len(group) > rs.rank
+        for star_degrees, k, _ in group:
+            inner = QProduct.of([1] * k, sum(star_degrees) - len(star_degrees))
+            inner = inner * p_w / poincare(tuple(sorted(sub_degrees + star_degrees)))
+            products.append(inner if stepped else inner * up)
+            size += k + n_up * (1 if stepped else 2) + 1  # inner degree k + n_up
+        if stepped:
+            size += max(k for _, k, _ in group) + 2 * n_up + 1
+        plan.append((group, up, stepped))
+    if size > bound:
+        raise LatticeTooLarge(
+            f"the {ct} census sum for J0 = {sorted(J0)} holds {size} coefficients"
+            f" in its products, which exceeds the bound {bound}"
+        )
+    expanded = iter(expand_all(products))
+    summands = []
+    for group, up, stepped in plan:
+        scaled = [_scaled(n, t) for (_, _, n), t in zip(group, expanded)]
+        summands += [times_product(poly_sum(scaled), up)] if stepped else scaled
+    notes = ["type map: " + support_provenance(ct, J0)] + [BC_NOTE] * bc
+    return OrderReport(
+        formula="thm34",
+        cartan_type=ct,
+        terms=(),
+        total=_checked("thm34 census", poly_sum(summands)),
+        notes=tuple(notes),
     )
 
 

@@ -12,6 +12,8 @@ Phi exponent or the shift would go negative.  expand_all is the one path
 from factored to dense: it steps each distinct product from 1 or from the
 product stepped to before it, multiplying and dividing by (q^d - 1)
 factors, with a sparse division that raises on a nonzero remainder as well.
+times_product steps a dense polynomial by a factored product through the
+same loop.
 
 All coefficients are Python ints, so arithmetic is exact at any size.  Values
 are immutable; every operation returns a fresh value.
@@ -365,14 +367,29 @@ def expand_all(products: Iterable[QProduct]) -> list[QPolynomial]:
             step = {d: power.get(d, 0) - last.get(d, 0) for d in power | last}
             if sum(map(abs, step.values())) >= sum(map(abs, power.values())):
                 coeffs, step = [1], power
-        for d in sorted(step):
-            for _ in range(step[d]):
-                coeffs = _times_binomial(coeffs, d)
-        for d in sorted(step, reverse=True):
-            for _ in range(-step[d]):
-                coeffs = _over_binomial(coeffs, d)
-        expanded[phi], last = coeffs, power
+        expanded[phi] = coeffs = _stepped(coeffs, step)
+        last = power
     return [QPolynomial([0] * p.shift + expanded[p.phi]) for p in products]
+
+
+def _stepped(coeffs: list[int], step: dict[int, int]) -> list[int]:
+    """coeffs times prod (q^d - 1)^step[d]: the positive powers by
+    shift-subtract first, then the negative ones by sparse exact division,
+    so every division is exact when the whole product is a polynomial."""
+    for d in sorted(step):
+        for _ in range(step[d]):
+            coeffs = _times_binomial(coeffs, d)
+    for d in sorted(step, reverse=True):
+        for _ in range(-step[d]):
+            coeffs = _over_binomial(coeffs, d)
+    return coeffs
+
+
+def times_product(p: QPolynomial, product: QProduct) -> QPolynomial:
+    """p times a factored product, stepped from p by the product's
+    (q^d - 1) factors as expand_all steps from 1."""
+    stepped = _stepped(list(p.coeffs), _binomial_powers(product.phi))
+    return QPolynomial([0] * product.shift + stepped)
 
 
 def expand(product: QProduct) -> QPolynomial:

@@ -14,7 +14,6 @@ components' groups, each read from the roots once per root system.
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from collections.abc import Iterator
 from functools import lru_cache
@@ -54,22 +53,36 @@ class CartanType(Immutable):
 
     @classmethod
     def parse(cls, spec: str) -> "CartanType":
-        m = re.fullmatch(r"([A-Ga-g])(\d+)", spec.strip())
-        if not m:
-            raise UnsupportedType(f"cannot parse Cartan type {spec!r}")
-        return cls(m.group(1).upper(), int(m.group(2)))
+        """A family letter and a rank in ASCII decimal digits, like "C4" or
+        "e8"; nothing else, whitespace included, is read."""
+        family, digits = spec[:1], spec[1:]
+        try:
+            if not family or family not in "ABCDEFGabcdefg":
+                raise ValueError(spec)
+            rank = parse_digits(digits)
+        except ValueError:
+            raise UnsupportedType(f"cannot parse Cartan type {spec!r}") from None
+        return cls(family.upper(), rank)
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
 
 
+def parse_digits(text: str) -> int:
+    """text as an int if it is ASCII decimal digits only, else ValueError:
+    int() alone would take "-5", "1_6", " 2" and non-ASCII digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(text)
+    return int(text)  # ValueError past Python's str-to-int digit limit
+
+
 def parse_subset(spec: str, rank: int | None = None) -> frozenset[int]:
-    """Parse a simple-root index set from a comma list like "1,3,4"."""
-    spec = spec.strip()
+    """Parse a simple-root index set from a comma list like "1,3,4", each
+    index ASCII decimal digits only; the empty string is the empty set."""
     if not spec:
         return frozenset()
     try:
-        indices = [int(part) for part in spec.split(",")]
+        indices = [parse_digits(part) for part in spec.split(",")]
     except ValueError:
         raise UnsupportedType(f"cannot parse simple-root subset {spec!r}") from None
     if len(set(indices)) != len(indices):

@@ -210,3 +210,17 @@ def test_criterion_16_verify_in_process():
     with budget("16 (subspace counts n=5, p=3)", 0.25):
         counts = subspace_counts(5, 3)
     assert counts == [1, 121, 1210, 1210, 121, 1]
+
+
+def test_criterion_17_hpoly_by_census_on_long_lattices():
+    # no lattice is listed: A20 --j0 1 counts its 786,433 entries as 1,282
+    # thm34 keys, and B20 and D20 have more entries than the lattice bound
+    for spec, j0, seconds in (
+        ("A20", "1", 1.0),
+        ("C18", "", 0.5),
+        ("B20", "", 2.0),
+        ("D20", "", 2.0),
+    ):
+        with budget(f"17 (hpoly {spec} --j0 \"{j0}\")", seconds):
+            out = hpoly_stdout("--type", spec, "--j0", j0)
+        assert out.endswith("palindromic: yes\n")

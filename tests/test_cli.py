@@ -995,6 +995,123 @@ def test_hpoly_chain_bound_follows_env_var(capsys, monkeypatch):
     assert run(capsys, "hpoly", "--type", "A10", "--j0", "")[0] == 0
 
 
+# a B/C note, F4 with and without the double bond in J0, branch nodes of
+# D and E, the triple bond of G2, and type A off J0 = {}
+CENSUS_SAMPLE = [
+    ("C3", "1,2"),
+    ("B6", "1,3,5"),
+    ("F4", "1"),
+    ("F4", "2,3"),
+    ("D5", "2,4"),
+    ("E6", "1,3,5"),
+    ("G2", "2"),
+    ("A6", "1"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_hpoly_census_prints_the_listed_bytes(capsys, fmt):
+    for spec, j0 in CENSUS_SAMPLE:
+        J0 = frozenset(map(int, j0.split(",")))
+        expected = listed_hpoly(capsys, spec, J0, fmt)
+        got = run(capsys, "hpoly", "--type", spec, "--j0", j0, "--format", fmt)
+        assert got == (0, expected, ""), (spec, j0)
+
+
+def test_hpoly_census_lists_no_lattice(capsys, monkeypatch):
+    queries = [("--type", spec, "--j0", j0) for spec, j0 in CENSUS_SAMPLE]
+    queries += [("--type", "C13", "--preset", "last-fundamental")]
+    expected = [run(capsys, "hpoly", *argv) for argv in queries]
+    fail = raise_on_call("j_irreducible_lattice")
+    monkeypatch.setattr(crosssection, "j_irreducible_lattice", fail)
+    monkeypatch.setattr(cli, "j_irreducible_lattice", fail)
+    for argv, before in zip(queries, expected):
+        assert before[0] == 0
+        assert run(capsys, "hpoly", *argv) == before, argv
+
+
+@pytest.mark.parametrize("spec", ["B20", "D20"])
+def test_hpoly_census_answers_past_the_lattice_bound(capsys, spec):
+    # 1,048,577 entries, which lattice and order refuse to list
+    code, out, err = run(capsys, "hpoly", "--type", spec, "--j0", "")
+    assert (code, err) == (0, "")
+    notes = [line for line in out.splitlines() if line.startswith("note: ")]
+    assert notes == ["note: type map: " + crosssection.RULE_DERIVED] + (
+        ["note: " + orders.BC_NOTE] if spec == "B20" else []
+    )
+    assert out.endswith("palindromic: yes\n")
+
+
+def test_hpoly_census_bound_follows_env_var(capsys, monkeypatch):
+    d10 = ("hpoly", "--type", "D10", "--j0", "2,4,6,8")
+    monkeypatch.setenv("MONOID_ORDERS_ENUM_BOUND", "12960")
+    assert run(capsys, *d10) == (
+        2,
+        "",
+        "error: the D10 census sum for J0 = [2, 4, 6, 8] holds 12961 coefficients"
+        " in its products, which exceeds the bound 12960\n",
+    )
+    monkeypatch.setenv("MONOID_ORDERS_ENUM_BOUND", "12961")
+    assert run(capsys, *d10)[0] == 0
+    monkeypatch.setenv("MONOID_ORDERS_ENUM_BOUND", "137")
+    assert run(capsys, "hpoly", "--type", "A10", "--j0", "1") == (
+        2,
+        "",
+        "error: the A10 census for J0 = [1] holds 138 partial keys at node 1,"
+        " which exceeds the bound 137\n",
+    )
+
+
+def test_hpoly_census_bound_defaults_to_the_enumeration_bound(capsys):
+    code, out, err = run(capsys, "hpoly", "--type", "C22", "--j0", "")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the C22 census sum for J0 = [] holds ")
+    assert err.endswith(" coefficients in its products, which exceeds the bound 1000000\n")
+
+
+@pytest.mark.parametrize("command", ["order", "hpoly", "lattice"])
+def test_j0_equal_to_delta_keeps_its_error_line(capsys, command):
+    assert run(capsys, command, "--type", "A3", "--j0", "1,2,3") == (
+        2,
+        "",
+        "error: J0 = Delta admits no nonzero minimal idempotent\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, err_line",
+    [
+        (("hpoly", "--type", "A12", "--j0", "1_0"), "simple-root subset '1_0'"),
+        (("hpoly", "--type", "A12", "--j0", "+1"), "simple-root subset '+1'"),
+        (("hpoly", "--type", "A12", "--j0", "\uff11"), "simple-root subset '\uff11'"),
+        (("hpoly", "--type", "A12", "--j0", "1, 2"), "simple-root subset '1, 2'"),
+        (("lattice", "--type", "A12", "--j0", " 1"), "simple-root subset ' 1'"),
+        (("order", "--type", "A12", "--j0", "1,-2"), "simple-root subset '1,-2'"),
+        (("hpoly", "--type", "A\uff13", "--j0", "1"), "Cartan type 'A\uff13'"),
+        (("order", "--type", "A+3", "--preset", "last-fundamental"), "Cartan type 'A+3'"),
+        (("lattice", "--type", " C3", "--preset", "last-fundamental"), "Cartan type ' C3'"),
+    ],
+    ids=["1_0", "plus", "fullwidth-1", "space", "leading-space", "minus", "fullwidth-3",
+         "type-plus", "type-space"],
+)
+def test_j0_and_type_take_ascii_digits_only(capsys, argv, err_line):
+    assert run(capsys, *argv) == (1, "", f"error: cannot parse {err_line}\n")
+
+
+@pytest.mark.parametrize("declared", ["C\uff13", "C+3", "C 3", "C3 "])
+def test_lattice_file_type_takes_ascii_digits_only(capsys, tmp_path, declared):
+    raw = fundamental_lattice(CartanType("C", 3), 3).to_json()
+    raw["type"] = declared
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps(raw))
+    line = f"error: cannot parse Cartan type {declared!r}\n"
+    assert run(capsys, "hpoly", "--lattice-file", str(path)) == (1, "", line)
+    # with --type given, the declared type is still checked against it
+    assert run(capsys, "hpoly", "--type", "C3", "--lattice-file", str(path)) == (
+        1, "", line,
+    )
+
+
 json_scalars = (
     st.none()
     | st.booleans()

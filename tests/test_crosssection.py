@@ -3,6 +3,7 @@ validation."""
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -15,12 +16,18 @@ from monoid_orders.crosssection import (
     j_irreducible_lattice,
     lattice_size,
     load_lattice,
+    thm34_census,
     validate,
     CrossSectionLattice,
     LatticeEntry,
 )
-from monoid_orders.errors import InvalidSupport, InvariantViolation, LatticeTooLarge
-from monoid_orders.rootsystem import CartanType, build
+from monoid_orders.errors import (
+    InvalidSupport,
+    InvariantViolation,
+    LatticeTooLarge,
+    UnsupportedType,
+)
+from monoid_orders.rootsystem import CartanType, build, subset_degrees
 from subdiagrams import components
 
 
@@ -337,6 +344,106 @@ def test_lattice_too_large_under_a_small_bound():
 def test_lattice_too_large_by_default_before_any_work():
     with pytest.raises(LatticeTooLarge, match="1099511627775"):
         j_irreducible_lattice(build(CartanType("A", 40)), frozenset())
+
+
+def component_degrees(rs, X):
+    return tuple(sorted(subset_degrees(rs, comp) for comp in components(rs, X)))
+
+
+def listed_census(rs, J0):
+    """Each entry's (lambda_* components' degrees, lambda* components'
+    degrees, k), counted over the listed lattice."""
+    return Counter(
+        (
+            component_degrees(rs, e.lambda_substar),
+            component_degrees(rs, e.lambda_star),
+            e.torus_index_exponent,
+        )
+        for e in j_irreducible_lattice(rs, J0).entries
+    )
+
+
+def flattened(census):
+    """The census keyed as order_thm34 keys its entries: each half's
+    degrees in one sorted tuple."""
+    keys = Counter()
+    for (sub, star, k), count in census.items():
+        flat = [tuple(sorted(d for ds in part for d in ds)) for part in (sub, star)]
+        keys[(*flat, k)] += count
+    return keys
+
+
+def listed_thm34_keys(rs, J0):
+    return Counter(
+        (
+            subset_degrees(rs, e.lambda_substar),
+            subset_degrees(rs, e.lambda_star),
+            e.torus_index_exponent,
+        )
+        for e in j_irreducible_lattice(rs, J0).entries
+    )
+
+
+CENSUS_TYPES = (
+    [f"A{l}" for l in range(1, 7)]
+    + [f"B{l}" for l in range(2, 7)]
+    + [f"C{l}" for l in range(3, 7)]
+    + ["D4", "D5", "D6", "E6", "F4", "G2"]
+)
+
+
+def test_census_counts_the_listed_keys_on_every_support():
+    supports = 0
+    for spec in CENSUS_TYPES:
+        rs = build(CartanType.parse(spec))
+        for mask in range(2**rs.rank - 1):  # every J0 except Delta
+            J0 = frozenset(i + 1 for i in range(rs.rank) if mask >> i & 1)
+            census = thm34_census(rs, J0)
+            assert census == listed_census(rs, J0), (spec, sorted(J0))
+            assert flattened(census) == listed_thm34_keys(rs, J0), (spec, sorted(J0))
+            supports += 1
+    assert supports == 545
+
+
+@pytest.mark.parametrize("spec, j0", [("D10", {2, 4, 6, 8}), ("E8", {1, 3, 5, 7})])
+def test_census_counts_the_listed_keys_on_long_lattices(spec, j0):
+    rs = build(CartanType.parse(spec))
+    assert flattened(thm34_census(rs, frozenset(j0))) == listed_thm34_keys(
+        rs, frozenset(j0)
+    )
+
+
+@pytest.mark.parametrize(
+    "spec, j0, keys", [("A20", {1}, 1282), ("B20", set(), 2032), ("D20", set(), 1725)]
+)
+def test_census_counts_every_entry_of_lattices_past_the_bound(spec, j0, keys):
+    # 786,433 and 1,048,577 entries: more than the lattice bound would list
+    rs = build(CartanType.parse(spec))
+    census = thm34_census(rs, frozenset(j0))
+    assert sum(census.values()) == lattice_size(rs, frozenset(j0))
+    assert len(flattened(census)) == keys
+
+
+def test_census_bound_is_checked_at_every_node():
+    rs = build(CartanType("A", 10))
+    J0 = frozenset({1})
+    with pytest.raises(
+        LatticeTooLarge,
+        match=r"A10 census for J0 = \[1\] holds 138 partial keys at node 1, "
+        "which exceeds the bound 137",
+    ):
+        thm34_census(rs, J0, bound=137)
+    assert sum(thm34_census(rs, J0, bound=138).values()) == lattice_size(rs, J0)
+    with pytest.raises(LatticeTooLarge, match="holds 2 partial keys at node 10"):
+        thm34_census(rs, J0, bound=1)
+
+
+def test_census_refuses_the_supports_the_lattice_refuses():
+    rs = build(CartanType("A", 3))
+    with pytest.raises(InvalidSupport):
+        thm34_census(rs, frozenset({1, 2, 3}))
+    with pytest.raises(UnsupportedType):
+        thm34_census(rs, frozenset({4}))
 
 
 def test_symplectic_lattice_scale():

@@ -28,6 +28,7 @@ from monoid_orders.errors import (
 from monoid_orders.oracle import enumerate_rank_histogram
 from monoid_orders.orders import (
     OrderReport,
+    census_total,
     chain_total,
     gl_strata,
     h_polynomial,
@@ -859,6 +860,100 @@ def test_thm34_sums_one_polynomial_per_key(monkeypatch):
     assert summed == [len(keys)] and len(keys) < len(lat.entries) == 1025
     monkeypatch.undo()
     assert total == order_thm34(lat).total
+
+
+def assert_census_total_is_listed(rs, J0):
+    census = census_total(rs, J0)
+    listed = order_thm34(j_irreducible_lattice(rs, J0))
+    assert census.total == listed.total, (rs.cartan_type, sorted(J0))
+    assert census.notes == listed.notes, (rs.cartan_type, sorted(J0))
+    assert (census.formula, census.cartan_type) == (listed.formula, listed.cartan_type)
+    assert (census.terms, census.lattice) == ((), None)
+
+
+@pytest.mark.parametrize("spec", GROUPED_TYPES + ["E6"])
+def test_census_total_equals_the_listed_total_on_every_support(spec):
+    rs = build(CartanType.parse(spec))
+    for mask in range(2**rs.rank - 1):  # every J0 except Delta
+        assert_census_total_is_listed(
+            rs, frozenset(i + 1 for i in range(rs.rank) if mask >> i & 1)
+        )
+
+
+@pytest.mark.parametrize(
+    "spec, j0",
+    [
+        ("D10", "2,4,6,8"),
+        ("B12", "1,3,5,7,9,11"),
+        ("A10", "1"),
+        ("C13", "1,2,3,4,5,6,7,8,9,10,11,12"),
+        ("E7", "1,3,5"),
+        ("E8", "1,2,3,4,5,6,7"),
+    ],
+)
+def test_census_total_equals_the_listed_total_on_long_lattices(spec, j0):
+    rs = build(CartanType.parse(spec))
+    assert_census_total_is_listed(rs, frozenset(int(i) for i in j0.split(",")))
+
+
+def held_coefficients(monkeypatch):
+    """Count the coefficients census_total's expansions and stepped sums
+    hold, through orders.expand_all and orders.times_product."""
+    held = []
+
+    def counted_expand_all(products):
+        dense = qpoly.expand_all(products)
+        held.extend(len(p.coeffs) for p in dense)
+        return dense
+
+    def counted_times_product(p, product):
+        stepped = qpoly.times_product(p, product)
+        held.append(len(stepped.coeffs))
+        return stepped
+
+    monkeypatch.setattr(orders, "expand_all", counted_expand_all)
+    monkeypatch.setattr(orders, "times_product", counted_times_product)
+    return held
+
+
+def test_census_sum_bound_counts_the_coefficients_held(monkeypatch):
+    rs = build(CartanType("D", 10))
+    J0 = frozenset({2, 4, 6, 8})
+    held = held_coefficients(monkeypatch)
+    total = census_total(rs, J0).total
+    assert sum(held) == 12961
+    monkeypatch.undo()
+
+    def no_expansion(*args):
+        raise AssertionError("an expansion ran before the bound was checked")
+
+    monkeypatch.setattr(orders, "expand_all", no_expansion)
+    monkeypatch.setattr(orders, "times_product", no_expansion)
+    with pytest.raises(
+        LatticeTooLarge,
+        match=r"the D10 census sum for J0 = \[2, 4, 6, 8\] holds 12961 coefficients"
+        " in its products, which exceeds the bound 12960",
+    ):
+        census_total(rs, J0, bound=12960)
+    monkeypatch.undo()
+    assert census_total(rs, J0, bound=12961).total == total
+
+
+def test_census_steps_each_group_larger_than_the_rank_once(monkeypatch):
+    # D10 --j0 2,4,6,8 groups its 124 keys by lambda_* degrees into groups
+    # of 77, 28, 13, 4 and two singletons; C13 omega_13 keys are singletons
+    # but for one pair
+    stepped = []
+    monkeypatch.setattr(
+        orders,
+        "times_product",
+        lambda p, product: stepped.append(product) or qpoly.times_product(p, product),
+    )
+    census_total(build(CartanType("D", 10)), frozenset({2, 4, 6, 8}))
+    assert len(stepped) == 3
+    stepped.clear()
+    census_total(build(CartanType("C", 13)), frozenset(range(1, 13)))
+    assert stepped == []
 
 
 def vertex_degree(rs, J0):

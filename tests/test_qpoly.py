@@ -21,6 +21,7 @@ from monoid_orders.qpoly import (
     is_palindromic,
     poly_sum,
     q_power_minus_one,
+    times_product,
     _divisors,
     _over_binomial,
     _times_binomial,
@@ -385,6 +386,25 @@ def test_expand_all_divides_when_stepping_down(monkeypatch):
     # the second from the first: one division instead of four multiplications
     assert divided == [6]
     assert dense == [expand_from_one(big), expand_from_one(QProduct.of([2, 3, 4, 5]))]
+
+
+@given(polys, products)
+def test_times_product_is_the_dense_product(p, product):
+    assert times_product(p, product) == p * expand(product)
+
+
+def test_times_product_steps_as_expand_all_does(monkeypatch):
+    # (q + 1) * q (q^6 - 1)/(q^2 - 1): one shift-subtract, then one division
+    multiplied, divided = [], []
+    monkeypatch.setattr(
+        qpoly, "_times_binomial", lambda c, d: multiplied.append(d) or _times_binomial(c, d)
+    )
+    monkeypatch.setattr(
+        qpoly, "_over_binomial", lambda c, d: divided.append(d) or _over_binomial(c, d)
+    )
+    product = QProduct.of([6], shift=1) / QProduct.of([2])
+    assert times_product(QPolynomial([1, 1]), product) == QPolynomial([0] + [1] * 6)
+    assert (multiplied, divided) == ([6], [2])
 
 
 def test_poly_sum_adds_by_columns():

@@ -109,10 +109,32 @@ def test_parse_subset():
         parse_subset("1,x")
 
 
-@pytest.mark.parametrize("spec", ["2,2", "1,3,1", " 4, 4 "])
+@pytest.mark.parametrize("spec", ["2,2", "1,3,1"])
 def test_parse_subset_refuses_repeated_indices(spec):
     with pytest.raises(UnsupportedType, match="repeats an index"):
         parse_subset(spec, rank=4)
+
+
+# int() reads every one of these; "1_0" as 10, "+1" and "\uff11" as 1
+NOT_ASCII_DIGITS = ["1_0", "+1", "-1", "\uff11", "\u0663", "1, 2", " 4, 4 ", " 1", "1 ", "1,", ",1", " "]
+
+
+@pytest.mark.parametrize("spec", NOT_ASCII_DIGITS)
+def test_parse_subset_takes_ascii_digits_only(spec):
+    with pytest.raises(UnsupportedType, match="cannot parse simple-root subset"):
+        parse_subset(spec, rank=12)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["A\uff13", "A+3", "A 3", " A3", "A3 ", "A1_0", "A\u0663", "3A", ""]
+    + [pytest.param("A" + "9" * 5000, id="A-5000-digits")],
+)
+def test_cartan_type_takes_ascii_digits_only(spec):
+    # the last is past int()'s digit limit, which raised ValueError
+    with pytest.raises(UnsupportedType, match="cannot parse Cartan type"):
+        CartanType.parse(spec)
+    assert CartanType.parse("c03") == CartanType("C", 3)
 
 
 def test_subset_counts():
