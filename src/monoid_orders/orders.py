@@ -356,16 +356,19 @@ def census_total(
     ct = rs.cartan_type
     if bound is None:
         bound = DEFAULT_ENUM_BOUND
-    counts: Counter = Counter()  # per order_thm34 key
+    counts: Counter = Counter()  # per order_thm34 key, as (sub, k, star)
     bc = False
     for (sub, star, k), n in thm34_census(rs, J0, bound).items():
         bc = bc or any(map(_is_bc, sub + star))
-        flat = [tuple(sorted(d for ds in half for d in ds)) for half in (sub, star)]
-        counts[(*flat, k)] += n
-    # (lambda* degrees, k, count) per lambda_* degrees, sorted, so that
-    # neighbours share most factors and expand_all steps less
+        sub_degrees, star_degrees = (
+            tuple(sorted(d for ds in half for d in ds)) for half in (sub, star)
+        )
+        counts[sub_degrees, k, star_degrees] += n
+    # (lambda* degrees, k, count) per lambda_* degrees, sorted by k and then
+    # the lambda* degrees, so that neighbours share most factors and
+    # expand_all steps less
     groups: dict[tuple[int, ...], list] = {}
-    for (sub_degrees, star_degrees, k), n in sorted(counts.items()):
+    for (sub_degrees, k, star_degrees), n in sorted(counts.items()):
         groups.setdefault(sub_degrees, []).append((star_degrees, k, n))
     p_w = poincare_factors(degrees(ct))
     poincare = cache(poincare_factors)
