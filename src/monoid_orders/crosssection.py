@@ -158,7 +158,8 @@ def _post_order(rs: RootSystemData) -> list[tuple[int, list[int]]]:
             if w not in parent:
                 parent[w] = v
                 order.append(w)
-    return [(v, [w for w in rs.neighbors(v) if parent[w] == v]) for v in reversed(order)]
+    children = {v: [w for w in rs.neighbors(v) if parent[w] == v] for v in order}
+    return [(v, children[v]) for v in reversed(order)]
 
 
 def lattice_size(rs: RootSystemData, J0: frozenset[int]) -> int:
@@ -208,7 +209,8 @@ def _merged(a: Counter, b: Counter) -> Counter:
     out: Counter = Counter()
     for (sub_a, star_a), n_a in a.items():
         for (sub_b, star_b), n_b in b.items():
-            out[tuple(sorted(sub_a + sub_b)), tuple(sorted(star_a + star_b))] += n_a * n_b
+            key = tuple(sorted(sub_a + sub_b)), tuple(sorted(star_a + star_b))
+            out[key] += n_a * n_b
     return out
 
 
@@ -216,7 +218,8 @@ def _closing(out: Counter, keys: Counter, sub: tuple = (), star: tuple = ()) -> 
     """Add to out every partial key of keys with the closed components sub
     (of lambda_*) and star (of lambda*) joined to it."""
     for (s, x), n in keys.items():
-        out[tuple(sorted(s + sub)) if sub else s, tuple(sorted(x + star)) if star else x] += n
+        s = tuple(sorted(s + sub)) if sub else s
+        out[s, tuple(sorted(x + star)) if star else x] += n
 
 
 def _product(a: dict, b: list, join) -> dict:

@@ -347,11 +347,12 @@ def census_total(
     term: stepping a sum takes up to 2 * rank (q^d - 1) steps over the
     whole degree, which a few keys do not repay (the groups of C13 and E8
     last-fundamental hold at most 4 keys, so they expand every term whole,
-    as order_thm34 does).  One expand_all call expands every product.  The degree of each product and
-    stepped sum is known from its key, so LatticeTooLarge is raised before
-    any expansion when they hold more than bound coefficients in all
-    (default weyl.DEFAULT_ENUM_BOUND), the bound the census is held to as
-    well.  The B/C note is read from the census's component degrees.
+    as order_thm34 does).  One expand_all call expands every product.  The
+    degree of each product and stepped sum is known from its key, so
+    LatticeTooLarge is raised before any product is built when they hold
+    more than bound coefficients in all (default weyl.DEFAULT_ENUM_BOUND),
+    the bound the census is held to as well.  The B/C note is read from the
+    census's component degrees.
     """
     ct = rs.cartan_type
     if bound is None:
@@ -370,26 +371,30 @@ def census_total(
     groups: dict[tuple[int, ...], list] = {}
     for (sub_degrees, k, star_degrees), n in sorted(counts.items()):
         groups.setdefault(sub_degrees, []).append((star_degrees, k, n))
-    p_w = poincare_factors(degrees(ct))
-    poincare = cache(poincare_factors)
-    products, plan, size = [], [], 0
+    size = 0
     for sub_degrees, group in groups.items():
-        up = p_w / poincare(sub_degrees)  # W/W_{lambda_*}
-        n_up = rs.num_positive - sum(sub_degrees) + len(sub_degrees)  # its degree
+        # W/W_{lambda_*} has degree n_up, an inner product k + n_up
+        n_up = rs.num_positive - sum(sub_degrees) + len(sub_degrees)
         stepped = len(group) > rs.rank
-        for star_degrees, k, _ in group:
-            inner = QProduct.of([1] * k, sum(star_degrees) - len(star_degrees))
-            inner = inner * p_w / poincare(tuple(sorted(sub_degrees + star_degrees)))
-            products.append(inner if stepped else inner * up)
-            size += k + n_up * (1 if stepped else 2) + 1  # inner degree k + n_up
+        size += sum(k + n_up * (1 if stepped else 2) + 1 for _, k, _ in group)
         if stepped:
             size += max(k for _, k, _ in group) + 2 * n_up + 1
-        plan.append((group, up, stepped))
     if size > bound:
         raise LatticeTooLarge(
             f"the {ct} census sum for J0 = {sorted(J0)} holds {size} coefficients"
             f" in its products, which exceeds the bound {bound}"
         )
+    p_w = poincare_factors(degrees(ct))
+    poincare = cache(poincare_factors)
+    products, plan = [], []
+    for sub_degrees, group in groups.items():
+        up = p_w / poincare(sub_degrees)  # W/W_{lambda_*}
+        stepped = len(group) > rs.rank
+        for star_degrees, k, _ in group:
+            inner = QProduct.of([1] * k, sum(star_degrees) - len(star_degrees))
+            inner = inner * p_w / poincare(tuple(sorted(sub_degrees + star_degrees)))
+            products.append(inner if stepped else inner * up)
+        plan.append((group, up, stepped))
     expanded = iter(expand_all(products))
     summands = []
     for group, up, stepped in plan:

@@ -925,8 +925,9 @@ def test_census_sum_bound_counts_the_coefficients_held(monkeypatch):
     monkeypatch.undo()
 
     def no_expansion(*args):
-        raise AssertionError("an expansion ran before the bound was checked")
+        raise AssertionError("a product was built before the bound was checked")
 
+    monkeypatch.setattr(orders, "poincare_factors", no_expansion)
     monkeypatch.setattr(orders, "expand_all", no_expansion)
     monkeypatch.setattr(orders, "times_product", no_expansion)
     with pytest.raises(
