@@ -8,8 +8,8 @@ from a weight-support set J0 (the unique-minimal-idempotent rule), of which
 the fundamental weight omega_i, J0 = Delta minus {alpha_i}, is the common
 case, or from a validated external description.  The entries of a weight
 support are also counted without listing any: lattice_size counts them,
-and thm34_census counts them per thm34 key, by one pass over the Dynkin
-tree each.
+and thm34_census counts them per order_thm34 key, by one pass over the
+Dynkin tree each.
 """
 
 from __future__ import annotations
@@ -119,6 +119,8 @@ def validate(lat: CrossSectionLattice) -> CrossSectionLattice:
         where = f"entry {entry.label!r}: " if entry is not None else ""
         raise InvariantViolation(where + rule)
 
+    if lat.torus_rank < 1:
+        fail(None, f"torus_rank must be at least 1, got {lat.torus_rank}")
     labels = [e.label for e in lat.entries]
     if len(set(labels)) != len(labels):
         fail(None, "duplicate entry labels")
@@ -215,8 +217,8 @@ def _merged(a: Counter, b: Counter) -> Counter:
 
 
 def _closing(out: Counter, keys: Counter, sub: tuple = (), star: tuple = ()) -> None:
-    """Add to out every partial key of keys with the closed components sub
-    (of lambda_*) and star (of lambda*) joined to it."""
+    """Add to out every partial key of keys with the degrees sub (of closed
+    lambda_* components) and star (of closed lambda* ones) joined to it."""
     for (s, x), n in keys.items():
         s = tuple(sorted(s + sub)) if sub else s
         out[s, tuple(sorted(x + star)) if star else x] += n
@@ -241,17 +243,16 @@ def thm34_census(
     """The thm34 keys of j_irreducible_lattice(rs, J0), each with the number
     of entries sharing it, counted without building any entry.
 
-    A key is (lambda_* part, lambda* part, k), each part the sorted tuple of
-    the degree tuples of that half's Dynkin components, so the key of
-    order_thm34 is the two parts flattened and sorted: the zero entry's is
-    ((degrees of W,), (), 0) and every other entry's k is |lambda*| + 1.
+    A key is order_thm34's: (degrees of W_{lambda_*}, k, degrees of
+    W_{lambda*}), each degree tuple sorted.  The zero entry's is
+    (degrees of W, 0, ()) and every other entry's k is |lambda*| + 1.
 
     One pass from the leaves to node 1, rooted as lattice_size is, keeps
-    per node v a Counter of the partial keys of v's subtree, the closed
-    components of each half, per state of v: in X, with the mask of its
-    open X component; in J0 with no child in X, so in lambda_* unless its
-    parent is in X, with the mask of its open lambda_* component; or
-    neither.  Whether an X component has met Delta minus J0 is its mask
+    per node v a Counter of the partial keys of v's subtree, the degrees of
+    the closed components of each half, per state of v: in X, with the
+    mask of its open X component; in J0 with no child in X, so in lambda_*
+    unless its parent is in X, with the mask of its open lambda_*
+    component; or neither.  Whether an X component has met Delta minus J0 is its mask
     meeting that set.  A component closes at the first node above it that
     is not in its half, and its degrees are read from
     rootsystem._mask_parts; an open X component that has not met Delta
@@ -266,8 +267,8 @@ def thm34_census(
     bit = rs._node_bits
     free = sum(bit[i] for i in delta - J0)
 
-    def closed(mask: int) -> tuple:
-        return tuple(ds for _, ds in _mask_parts(rs, mask))
+    def closed(mask: int) -> tuple[int, ...]:
+        return tuple(sorted(d for _, ds in _mask_parts(rs, mask) for d in ds))
 
     subtree: dict[int, int] = {}
     # node -> (X states {open mask: keys}, lambda_* states {open mask: keys},
@@ -325,9 +326,9 @@ def thm34_census(
             _closing(found, keys, star=closed(mask))
     for mask, keys in ss.items():
         _closing(found, keys, sub=closed(mask))
-    census = Counter({(closed(subtree[1]), (), 0): 1})  # the zero entry
+    census = Counter({(closed(subtree[1]), 0, ()): 1})  # the zero entry
     for (sub, star), n in found.items():
-        census[sub, star, sum(map(len, star)) + 1] += n
+        census[sub, len(star) + 1, star] += n
     return census
 
 

@@ -22,7 +22,8 @@ no lattice is listed: census_total sums the keys counted by
 crosssection.thm34_census, grouped by their lambda_* degrees, and for type
 A with J0 = {} chain_total sums along the Dynkin chain instead.  Both are
 bounded by their own sizes, known before any expansion, not by the lattice
-bound.
+bound, and both give the listed lattice's notes, the B/C note read from the
+Cartan matrix.
 
 Plus closed forms for the two published stratifications (full matrix monoid
 and the last-fundamental, omega_l, monoid of type C_l; the natural
@@ -124,14 +125,19 @@ class OrderReport(Immutable):
         }
 
 
-def _lattice_notes(lat: CrossSectionLattice) -> tuple[str, ...]:
-    notes = [f"type map: {lat.provenance}"]
-    c = lat.root_system.cartan
-    # the double bond of B_l, C_l or F4: a subset of the diagram has a B/C
-    # component exactly when it holds the bond and is not the whole of F4
-    bond = {
+def _double_bond(rs: RootSystemData) -> set[int]:
+    """The two nodes of the double bond of B_l, C_l or F4; empty elsewhere."""
+    c = rs.cartan
+    return {
         i + 1 for i, row in enumerate(c) for j, x in enumerate(row) if x * c[j][i] == 2
     }
+
+
+def _lattice_notes(lat: CrossSectionLattice) -> tuple[str, ...]:
+    notes = [f"type map: {lat.provenance}"]
+    # a subset of the diagram has a B/C component exactly when it holds the
+    # double bond and is not the whole of F4
+    bond = _double_bond(lat.root_system)
     f4 = lat.all_simple if lat.root_system.cartan_type.family == "F" else None
     halves = (X for e in lat.entries for X in (e.lambda_star, e.lambda_substar))
     if bond and any(bond <= X and X != f4 for X in halves):
@@ -170,6 +176,26 @@ def _checked(formula: str, total: QPolynomial) -> QPolynomial:
     if at_one != 1:
         raise InvariantViolation(f"{formula} total is {at_one} at q=1, not 1")
     return total
+
+
+def _unlisted(
+    what: str, rs: RootSystemData, J0: frozenset[int], total: QPolynomial
+) -> OrderReport:
+    """The thm34 report of weight support J0 from a total summed without
+    listing the lattice, checked by _checked under the name what.  Its notes
+    are the listed lattice's: the B/C note is there exactly when the diagram
+    has a double bond, held in B_l and C_l by the zero entry's
+    lambda_* = Delta and in F4 by a lambda* of {2,3}, {1,2,3} or {2,3,4}
+    that meets Delta minus J0."""
+    ct = rs.cartan_type
+    notes = ("type map: " + support_provenance(ct, J0),)
+    return OrderReport(
+        formula="thm34",
+        cartan_type=ct,
+        terms=(),
+        total=_checked(what, total),
+        notes=notes + (BC_NOTE,) * bool(_double_bond(rs)),
+    )
 
 
 def order_thm31(
@@ -243,8 +269,8 @@ def order_thm34(lat: CrossSectionLattice) -> OrderReport:
     """Order by invariant-degree products; no group enumeration at all.
 
     Each term q^{N*} (q-1)^k W^2 / (W_{lambda_*}^2 W_{lambda*}) is fixed by
-    the thm34 key of its entry: the degrees of W_{lambda_*(e)} and of
-    W_{lambda*(e)}, and the torus exponent k of e, with the shift
+    the thm34 key of its entry: the degrees of W_{lambda_*(e)}, the torus
+    exponent k of e and the degrees of W_{lambda*(e)}, with the shift
     N*(e) = sum (d - 1) over the lambda* degrees.  Per call, each key is
     factored and expanded once, entries sharing a key share its term, and
     the total adds each key's term once, times its entry count (A14 has
@@ -255,15 +281,15 @@ def order_thm34(lat: CrossSectionLattice) -> OrderReport:
     keys = [
         (
             subset_degrees(rs, e.lambda_substar),
-            subset_degrees(rs, e.lambda_star),
             e.torus_index_exponent,
+            subset_degrees(rs, e.lambda_star),
         )
         for e in lat.entries
     ]
     counts = Counter(keys)
 
     def term(key) -> QProduct:
-        sub_degrees, star_degrees, k = key
+        sub_degrees, k, star_degrees = key
         denom = poincare_factors(sub_degrees) ** 2 * poincare_factors(star_degrees)
         ratio = QProduct.of([1] * k) * (p_w_squared / denom)
         return QProduct(sum(star_degrees) - len(star_degrees), ratio.phi)
@@ -313,19 +339,7 @@ def chain_total(rs: RootSystemData, bound: int | None = None) -> OrderReport:
     for j in range(1, top + 1):
         chain.append(poly_sum(chain[j - b] * factor[j, b] for b in range(1, j + 1)))
     total = ONE + Q_MINUS_ONE * poincare_product(ct) * chain[top]
-    return OrderReport(
-        formula="thm34",
-        cartan_type=ct,
-        terms=(),
-        total=_checked("thm34 chain", total),
-        notes=("type map: " + support_provenance(ct, frozenset()),),
-    )
-
-
-def _is_bc(ds: tuple[int, ...]) -> bool:
-    """Whether a Dynkin component with degrees ds is of type B_r/C_r, r >= 2:
-    degrees 2, 4, ..., 2r, which no other connected type has."""
-    return len(ds) >= 2 and ds == tuple(range(2, 2 * len(ds) + 1, 2))
+    return _unlisted("thm34 chain", rs, frozenset(), total)
 
 
 def census_total(
@@ -339,10 +353,9 @@ def census_total(
 
         (W/W_{lambda_*}) * q^{N*} (q-1)^k W/(W_{lambda*} W_{lambda_*}),
 
-    both factors polynomials.  The census keys are merged into thm34 keys
-    (A1 x A3 and B2 x A2 share degrees) and grouped by their lambda_*
-    degrees.  A group of more keys than the rank expands only its inner
-    products, adds them times their counts and steps the sum once by
+    both factors polynomials.  The census keys are grouped by their
+    lambda_* degrees.  A group of more keys than the rank expands only its
+    inner products, adds them times their counts and steps the sum once by
     W/W_{lambda_*} (qpoly.times_product); every other key expands its whole
     term: stepping a sum takes up to 2 * rank (q^d - 1) steps over the
     whole degree, which a few keys do not repay (the groups of C13 and E8
@@ -351,25 +364,17 @@ def census_total(
     degree of each product and stepped sum is known from its key, so
     LatticeTooLarge is raised before any product is built when they hold
     more than bound coefficients in all (default weyl.DEFAULT_ENUM_BOUND),
-    the bound the census is held to as well.  The B/C note is read from the
-    census's component degrees.
+    the bound the census is held to as well.
     """
     ct = rs.cartan_type
     if bound is None:
         bound = DEFAULT_ENUM_BOUND
-    counts: Counter = Counter()  # per order_thm34 key, as (sub, k, star)
-    bc = False
-    for (sub, star, k), n in thm34_census(rs, J0, bound).items():
-        bc = bc or any(map(_is_bc, sub + star))
-        sub_degrees, star_degrees = (
-            tuple(sorted(d for ds in half for d in ds)) for half in (sub, star)
-        )
-        counts[sub_degrees, k, star_degrees] += n
     # (lambda* degrees, k, count) per lambda_* degrees, sorted by k and then
     # the lambda* degrees, so that neighbours share most factors and
     # expand_all steps less
     groups: dict[tuple[int, ...], list] = {}
-    for (sub_degrees, k, star_degrees), n in sorted(counts.items()):
+    census = thm34_census(rs, J0, bound)
+    for (sub_degrees, k, star_degrees), n in sorted(census.items()):
         groups.setdefault(sub_degrees, []).append((star_degrees, k, n))
     size = 0
     for sub_degrees, group in groups.items():
@@ -400,14 +405,7 @@ def census_total(
     for group, up, stepped in plan:
         scaled = [_scaled(n, t) for (_, _, n), t in zip(group, expanded)]
         summands += [times_product(poly_sum(scaled), up)] if stepped else scaled
-    notes = ["type map: " + support_provenance(ct, J0)] + [BC_NOTE] * bc
-    return OrderReport(
-        formula="thm34",
-        cartan_type=ct,
-        terms=(),
-        total=_checked("thm34 census", poly_sum(summands)),
-        notes=tuple(notes),
-    )
+    return _unlisted("thm34 census", rs, J0, poly_sum(summands))
 
 
 def order_thm41(lat: CrossSectionLattice) -> OrderReport:

@@ -210,10 +210,6 @@ class RootSystemData(Immutable):
     def num_positive(self) -> int:
         return len(self.positive_roots)
 
-    def adjacent(self, i: int, j: int) -> bool:
-        """Dynkin adjacency of simple roots i, j (1-based)."""
-        return i != j and self.cartan[i - 1][j - 1] != 0
-
     def neighbors(self, i: int) -> frozenset[int]:
         return self._neighbors[i - 1]
 

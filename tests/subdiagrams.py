@@ -10,7 +10,7 @@ def components(rs, X):
     """X split into its Dynkin-connected components, in order of least node."""
     comps = []
     for i in sorted(X):
-        touching = [c for c in comps if any(rs.adjacent(i, j) for j in c)]
+        touching = [c for c in comps if any(j in rs.neighbors(i) for j in c)]
         comps = [c for c in comps if c not in touching]
         comps.append(frozenset({i}).union(*touching))
     return sorted(comps, key=min)

@@ -304,6 +304,20 @@ def test_malformed_lattice_file_exits_2(capsys, tmp_path, change, message):
     assert message in err
 
 
+@pytest.mark.parametrize("command", ["lattice", "order", "hpoly"])
+@pytest.mark.parametrize("torus_rank", [-1, 0])
+def test_lattice_file_torus_rank_below_one_exits_2(
+    capsys, tmp_path, command, torus_rank
+):
+    # not reported as an entry's exponent exceeding the torus rank
+    path = _c2_lattice_file(tmp_path, torus_rank=torus_rank)
+    assert run(capsys, command, "--lattice-file", str(path)) == (
+        2,
+        "",
+        f"error: torus_rank must be at least 1, got {torus_rank}\n",
+    )
+
+
 def unreadable_lattice_file(tmp_path, kind):
     if kind == "directory":
         return tmp_path

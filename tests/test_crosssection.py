@@ -346,39 +346,14 @@ def test_lattice_too_large_by_default_before_any_work():
         j_irreducible_lattice(build(CartanType("A", 40)), frozenset())
 
 
-def component_degrees(rs, X):
-    return tuple(sorted(subset_degrees(rs, comp) for comp in components(rs, X)))
-
-
-def listed_census(rs, J0):
-    """Each entry's (lambda_* components' degrees, lambda* components'
-    degrees, k), counted over the listed lattice."""
-    return Counter(
-        (
-            component_degrees(rs, e.lambda_substar),
-            component_degrees(rs, e.lambda_star),
-            e.torus_index_exponent,
-        )
-        for e in j_irreducible_lattice(rs, J0).entries
-    )
-
-
-def flattened(census):
-    """The census keyed as order_thm34 keys its entries: each half's
-    degrees in one sorted tuple."""
-    keys = Counter()
-    for (sub, star, k), count in census.items():
-        flat = [tuple(sorted(d for ds in part for d in ds)) for part in (sub, star)]
-        keys[(*flat, k)] += count
-    return keys
-
-
 def listed_thm34_keys(rs, J0):
+    """Each entry's order_thm34 key, (lambda_* degrees, k, lambda* degrees),
+    counted over the listed lattice."""
     return Counter(
         (
             subset_degrees(rs, e.lambda_substar),
-            subset_degrees(rs, e.lambda_star),
             e.torus_index_exponent,
+            subset_degrees(rs, e.lambda_star),
         )
         for e in j_irreducible_lattice(rs, J0).entries
     )
@@ -398,9 +373,7 @@ def test_census_counts_the_listed_keys_on_every_support():
         rs = build(CartanType.parse(spec))
         for mask in range(2**rs.rank - 1):  # every J0 except Delta
             J0 = frozenset(i + 1 for i in range(rs.rank) if mask >> i & 1)
-            census = thm34_census(rs, J0)
-            assert census == listed_census(rs, J0), (spec, sorted(J0))
-            assert flattened(census) == listed_thm34_keys(rs, J0), (spec, sorted(J0))
+            assert thm34_census(rs, J0) == listed_thm34_keys(rs, J0), (spec, sorted(J0))
             supports += 1
     assert supports == 545
 
@@ -408,9 +381,7 @@ def test_census_counts_the_listed_keys_on_every_support():
 @pytest.mark.parametrize("spec, j0", [("D10", {2, 4, 6, 8}), ("E8", {1, 3, 5, 7})])
 def test_census_counts_the_listed_keys_on_long_lattices(spec, j0):
     rs = build(CartanType.parse(spec))
-    assert flattened(thm34_census(rs, frozenset(j0))) == listed_thm34_keys(
-        rs, frozenset(j0)
-    )
+    assert thm34_census(rs, frozenset(j0)) == listed_thm34_keys(rs, frozenset(j0))
 
 
 @pytest.mark.parametrize(
@@ -421,7 +392,7 @@ def test_census_counts_every_entry_of_lattices_past_the_bound(spec, j0, keys):
     rs = build(CartanType.parse(spec))
     census = thm34_census(rs, frozenset(j0))
     assert sum(census.values()) == lattice_size(rs, frozenset(j0))
-    assert len(flattened(census)) == keys
+    assert len(census) == keys
 
 
 def test_census_bound_is_checked_at_every_node():

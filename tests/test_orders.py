@@ -896,6 +896,17 @@ def test_census_total_equals_the_listed_total_on_long_lattices(spec, j0):
     assert_census_total_is_listed(rs, frozenset(int(i) for i in j0.split(",")))
 
 
+@pytest.mark.parametrize("spec", ["B5", "B6", "C5", "C6"])
+def test_census_notes_are_the_listed_lattice_notes(spec):
+    # census_total reads the B/C note from the double bond alone; the
+    # listed lattice's note scans every entry's halves
+    rs = build(CartanType.parse(spec))
+    for mask in range(2**rs.rank - 1):  # every J0 except Delta
+        J0 = frozenset(i + 1 for i in range(rs.rank) if mask >> i & 1)
+        listed = orders._lattice_notes(j_irreducible_lattice(rs, J0))
+        assert census_total(rs, J0).notes == listed, (spec, sorted(J0))
+
+
 def held_coefficients(monkeypatch):
     """Count the coefficients census_total's expansions and stepped sums
     hold, through orders.expand_all and orders.times_product."""
