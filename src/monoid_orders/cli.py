@@ -19,7 +19,9 @@ and every stratum.  A value that is not positive raises InvariantViolation
 (exit 2).  The printed values are formatted before the first write, so a
 value too long to print leaves stdout empty.  The strata sums are checked
 in orders, where the strata are built.  --format json prints exactly what
-json.dumps(payload, indent=2) would, through _json_text.
+json.dumps(payload, indent=2) would, through _json_text; lattice's header
+goes through it too, and _print_lattice_json writes one string per entry
+from the entry's index text, which also gives the csv and table columns.
 """
 
 from __future__ import annotations
@@ -332,10 +334,6 @@ def _json_parts(obj, newline: str, parts: list[str]) -> None:
         parts.append(newline + "]")
 
 
-def _subset_str(indices) -> str:
-    return "{" + ",".join(str(i) for i in sorted(indices)) + "}"
-
-
 def _print_order_table(
     report: OrderReport, agreed: list[str] | None, values: dict[int, str]
 ) -> None:
@@ -345,11 +343,9 @@ def _print_order_table(
     entries = {e.label: e for e in report.lattice.entries}
     width = max(len(label) for label, _ in report.terms)
     for label, term in report.terms:
-        entry = entries[label]
-        print(
-            f"  {label:<{width}}  lambda*={_subset_str(entry.lambda_star):<12}"
-            f" lambda_*={_subset_str(entry.lambda_substar):<12}  {term}"
-        )
+        star, substar = entries[label].index_text
+        star, substar = "{" + star + "}", "{" + substar + "}"
+        print(f"  {label:<{width}}  lambda*={star:<12} lambda_*={substar:<12}  {term}")
     print(f"total: {report.total}")
     for q0, value in values.items():
         print(f"q={q0}: {value}")
@@ -518,20 +514,21 @@ def _cmd_strata(args) -> int:
 def _cmd_lattice(args, enum_bound: int | None) -> int:
     lat = _resolve_lattice(args, enum_bound, _resolve_support(args))
     if args.format == "json":
-        print(_json_text(lat.to_json()))
+        _print_lattice_json(lat)
     elif args.format == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(
             ["label", "lambda_star", "lambda_substar", "torus_index_exponent"]
         )
         for e in lat.entries:
+            star, substar = e.index_text
             writer.writerow(
-                [
+                (
                     e.label,
-                    " ".join(map(str, sorted(e.lambda_star))),
-                    " ".join(map(str, sorted(e.lambda_substar))),
+                    star.replace(",", " "),
+                    substar.replace(",", " "),
                     e.torus_index_exponent,
-                ]
+                )
             )
     else:
         print(
@@ -540,12 +537,40 @@ def _cmd_lattice(args, enum_bound: int | None) -> int:
         )
         width = max(len(e.label) for e in lat.entries)
         for e in lat.entries:
+            star, substar = e.index_text
+            star, substar = "{" + star + "}", "{" + substar + "}"
             print(
-                f"  {e.label:<{width}}  lambda*={_subset_str(e.lambda_star):<12}"
-                f" lambda_*={_subset_str(e.lambda_substar):<12}"
+                f"  {e.label:<{width}}  lambda*={star:<12} lambda_*={substar:<12}"
                 f" [T:T(e)]=(q-1)^{e.torus_index_exponent}"
             )
     return EXIT_OK
+
+
+def _json_index_list(text: str) -> str:
+    """An entry's index text as json.dumps(indent=2) lays out its list."""
+    if not text:
+        return "[]"
+    return "[\n        " + text.replace(",", ",\n        ") + "\n      ]"
+
+
+def _print_lattice_json(lat: CrossSectionLattice) -> None:
+    """Exactly json.dumps(lat.to_json(), indent=2) and a newline, as print
+    writes it: the header through _json_text, then one string per entry
+    from its label and index text, so no entry's dict or list is built."""
+    head = _json_text(lat.replace(entries=()).to_json())
+    write = sys.stdout.write
+    write(head.removesuffix("]\n}"))  # its empty entries list left open
+    sep = ""
+    for e in lat.entries:
+        star, substar = e.index_text
+        write(
+            f'{sep}\n    {{\n      "label": {encode_basestring_ascii(e.label)},'
+            f'\n      "lambda_star": {_json_index_list(star)},'
+            f'\n      "lambda_substar": {_json_index_list(substar)},'
+            f'\n      "torus_index_exponent": {e.torus_index_exponent}\n    }}'
+        )
+        sep = ","
+    write("\n  ]\n}\n")
 
 
 def _cmd_verify(enum_bound: int | None) -> int:

@@ -28,12 +28,9 @@ USER_SUPPLIED = "user-supplied"
 
 
 class LatticeEntry(Immutable):
-    __slots__ = _fields = (
-        "label",
-        "lambda_star",
-        "lambda_substar",
-        "torus_index_exponent",
-    )
+    _fields = ("label", "lambda_star", "lambda_substar", "torus_index_exponent")
+    # derived: lambda_star and lambda_substar as index text (index_text)
+    __slots__ = _fields + ("_star_text", "_substar_text")
 
     def __init__(
         self,
@@ -42,14 +39,29 @@ class LatticeEntry(Immutable):
         lambda_substar: frozenset[int],
         torus_index_exponent: int,
     ):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "lambda_star", lambda_star)
-        object.__setattr__(self, "lambda_substar", lambda_substar)
-        object.__setattr__(self, "torus_index_exponent", torus_index_exponent)
+        _set_label(self, label)
+        _set_star(self, lambda_star)
+        _set_substar(self, lambda_substar)
+        _set_exponent(self, torus_index_exponent)
 
     @property
     def lambda_union(self) -> frozenset[int]:
         return self.lambda_star | self.lambda_substar
+
+    @property
+    def index_text(self) -> tuple[str, str]:
+        """lambda_star and lambda_substar, each as its indices in increasing
+        order joined by commas ("1,9,10"; "" for the empty set).  The
+        builder stores both texts; any other entry computes them here on
+        first use."""
+        try:
+            return self._star_text, self._substar_text
+        except AttributeError:
+            star = ",".join(map(str, sorted(self.lambda_star)))
+            substar = ",".join(map(str, sorted(self.lambda_substar)))
+            _set_star_text(self, star)
+            _set_substar_text(self, substar)
+            return star, substar
 
     def to_json(self) -> dict:
         return {
@@ -58,6 +70,18 @@ class LatticeEntry(Immutable):
             "lambda_substar": sorted(self.lambda_substar),
             "torus_index_exponent": self.torus_index_exponent,
         }
+
+
+# each slot's member descriptor sets it past Immutable.__setattr__, more
+# cheaply than object.__setattr__ with the slot's name
+(
+    _set_label,
+    _set_star,
+    _set_substar,
+    _set_exponent,
+    _set_star_text,
+    _set_substar_text,
+) = (getattr(LatticeEntry, name).__set__ for name in LatticeEntry.__slots__)
 
 
 class CrossSectionLattice(Immutable):
@@ -126,7 +150,7 @@ def validate(lat: CrossSectionLattice) -> CrossSectionLattice:
         fail(None, "duplicate entry labels")
     zero_count = identity_count = 0
     for e in lat.entries:
-        if not e.lambda_union <= delta:
+        if not (e.lambda_star <= delta and e.lambda_substar <= delta):
             fail(e, f"simple-root indices outside 1..{lat.rank}")
         if e.lambda_star & e.lambda_substar:
             fail(e, "lambda_star and lambda_substar must be disjoint")
@@ -141,7 +165,7 @@ def validate(lat: CrossSectionLattice) -> CrossSectionLattice:
             zero_count += 1
         elif e.torus_index_exponent < 1:
             fail(e, "non-zero entry must have torus_index_exponent >= 1")
-        if lat.is_identity(e):
+        if e.lambda_star == delta and not e.lambda_substar:  # lat.is_identity(e)
             identity_count += 1
     if zero_count != 1:
         fail(None, f"expected exactly one zero entry, found {zero_count}")
@@ -350,13 +374,15 @@ def j_irreducible_lattice(
     descending mask order is the sorted-index order in which
     itertools.combinations lists them, and each level is emitted in it.  A
     subset's extensions are the low bits of (free | near) & ~X, one at a
-    time.  Its frozenset and label are built once, when it is first
-    reached: from a parent missing its largest node, which the descending
-    walk reaches first, the label is the parent's with the new node
-    appended.  Each lambda_substar frozenset is built once per mask.  The
-    entries are counted first (lattice_size), and LatticeTooLarge is raised
-    before any growth when more than bound nonempty lambda_star sets would
-    be grown (default weyl.DEFAULT_ENUM_BOUND).
+    time.  Its frozenset, index text and entry are built once, when it is
+    first reached: from a parent missing its largest node, which the
+    descending walk reaches first, the text is the parent's with the new
+    node appended; it gives the label and the entry's lambda_star index
+    text.  Each lambda_substar frozenset and index text is built once per
+    mask.  The entries are counted first (lattice_size), and
+    LatticeTooLarge is raised before any growth when more than bound
+    nonempty lambda_star sets would be grown (default
+    weyl.DEFAULT_ENUM_BOUND).
     """
     delta = _checked_support(rs, J0)
     if bound is None:
@@ -372,19 +398,32 @@ def j_irreducible_lattice(
     bits = [1 << (rank - i) for i in range(rank + 1)]  # node i at bit rank - i
     near_of = {bits[i]: sum(bits[j] for j in rs.neighbors(i)) for i in delta}
     free, j0_mask = sum(bits[i] for i in delta - J0), sum(bits[i] for i in J0)
-    substars: dict[int, frozenset[int]] = {}
+    # the mask of a lambda_substar -> (its frozenset, its index text)
+    substars: dict[int, tuple[frozenset[int], str]] = {}
+
+    def entry_of(mask: int, near: int, X: frozenset[int], text: str) -> LatticeEntry:
+        rest = j0_mask & ~mask & ~near
+        if rest not in substars:
+            substar = [i for i in sorted(J0) if bits[i] & rest]
+            substars[rest] = frozenset(substar), ",".join(map(str, substar))
+        substar, substar_text = substars[rest]
+        label = "1" if X == delta else "e{" + text + "}"
+        entry = LatticeEntry(label, X, substar, len(X) + 1)
+        _set_star_text(entry, text)
+        _set_substar_text(entry, substar_text)
+        return entry
+
     entries = [LatticeEntry("0", frozenset(), delta, 0)]
-    # X as a mask -> (the mask of the simple roots adjacent to X, X, its label)
-    level = {0: (0, frozenset(), "")}
+    # X as a mask -> its entry, which holds X and its index text, and the
+    # mask of the simple roots adjacent to X; no tuple per X, which the
+    # garbage collector would track
+    level, nears = {0: entry_of(0, 0, frozenset(), "")}, {0: 0}
     while level:
-        larger: dict[int, tuple[int, frozenset[int], str]] = {}
+        larger: dict[int, LatticeEntry] = {}
+        larger_nears: dict[int, int] = {}
         for mask in sorted(level, reverse=True):
-            near, X, text = level[mask]
-            rest = j0_mask & ~mask & ~near
-            if rest not in substars:
-                substars[rest] = frozenset(i for i in J0 if bits[i] & rest)
-            label = "1" if X == delta else "e{" + text + "}"
-            entries.append(LatticeEntry(label, X, substars[rest], len(X) + 1))
+            entries.append(entry := level[mask])
+            near, X, text = nears[mask], entry.lambda_star, entry._star_text
             todo = (free | near) & ~mask
             while todo:
                 low = todo & -todo
@@ -395,8 +434,10 @@ def j_irreducible_lattice(
                         joined = text + "," + str(v)
                     else:
                         joined = ",".join(map(str, sorted(X | {v})))
-                    larger[mask | low] = (near | near_of[low], X | {v}, joined)
-        level = larger
+                    wider = mask | low
+                    larger_nears[wider] = wider_near = near | near_of[low]
+                    larger[wider] = entry_of(wider, wider_near, X | {v}, joined)
+        level, nears = larger, larger_nears
 
     provenance = support_provenance(rs.cartan_type, J0)
     lat = CrossSectionLattice(
@@ -423,8 +464,11 @@ def fundamental_lattice(
 
     In the Bourbaki numbering used here, omega_1 of C_l is the natural
     2l-dimensional representation, and omega_l gives the monoid of the
-    closed form orders.symplectic_order.
+    closed form orders.symplectic_order.  An index i outside 1..rank
+    raises UnsupportedType before any work.
     """
+    if not 1 <= i <= ct.rank:
+        raise UnsupportedType(f"fundamental weight index {i} outside 1..{ct.rank}")
     rs = build(ct)
     return j_irreducible_lattice(rs, frozenset(range(1, rs.rank + 1)) - {i}, bound)
 

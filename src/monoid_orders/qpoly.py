@@ -35,11 +35,12 @@ class Immutable:
     A subclass lists its fields in ``_fields``, in constructor order, and
     every slot, fields first, in ``__slots__``; slots past the fields hold
     derived or memoized state, which equality, hashing, repr and replace
-    leave out.  Its ``__init__`` assigns each slot with object.__setattr__,
-    since assignment otherwise raises.  Equality holds between instances of
-    the same class with equal fields, and the hash is that of the field
-    tuple, as a frozen dataclass has them; importing dataclasses would cost
-    every CLI launch its inspect/ast import chain.
+    leave out.  Its ``__init__`` assigns each slot with object.__setattr__
+    or the slot's member descriptor, since assignment otherwise raises.
+    Equality holds between instances of the same class with equal fields,
+    and the hash is that of the field tuple, as a frozen dataclass has
+    them; importing dataclasses would cost every CLI launch its inspect/ast
+    import chain.
     """
 
     __slots__ = ()

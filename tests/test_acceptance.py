@@ -5,6 +5,7 @@ these lines give the per-criterion report.
 """
 
 import io
+import json
 import os
 import resource
 import subprocess
@@ -224,3 +225,18 @@ def test_criterion_17_hpoly_by_census_on_long_lattices():
         with budget(f"17 (hpoly {spec} --j0 \"{j0}\")", seconds):
             out = hpoly_stdout("--type", spec, "--j0", j0)
         assert out.endswith("palindromic: yes\n")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_criterion_18_long_lattice_listing(fmt):
+    # 65,537 entries, each printed from the index text the builder stored
+    out = io.StringIO()
+    with budget(f"18 (lattice A16 --j0 \"\" --format {fmt})", 0.5):
+        with redirect_stdout(out):
+            code = cli.main(["lattice", "--type", "A16", "--j0", "", "--format", fmt])
+    assert code == 0
+    text = out.getvalue()
+    if fmt == "json":
+        assert len(json.loads(text)["entries"]) == 65537
+    else:
+        assert len(text.splitlines()) == 1 + 65537

@@ -1,7 +1,9 @@
 """CLI surface: subcommands, formats, round-trips, and exit codes."""
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 from monoid_orders import cli, crosssection, orders, qpoly, verify
 from monoid_orders.crosssection import fundamental_lattice, j_irreducible_lattice
-from monoid_orders.rootsystem import CartanType, build
+from monoid_orders.rootsystem import CartanType, build, parse_subset
 from monoid_orders.qpoly import ONE, QPolynomial
 
 
@@ -286,11 +288,12 @@ def _c2_lattice_file(tmp_path, **changes):
         ({"lambda_substar": "12"}, "lambda_substar must be a list of integers"),
         ({"torus_index_exponent": True}, "torus_index_exponent must be an integer"),
         ({"lambda_star": [3]}, "entry 'e{}': simple-root indices outside 1..2"),
+        ({"lambda_substar": [3]}, "entry 'e{}': simple-root indices outside 1..2"),
         ({"lambda_star": [1, 1]}, "lambda_star repeats an index: [1, 1]"),
     ],
     ids=[
         "torus-rank-string", "substar-string", "exponent-bool", "index-outside-rank",
-        "repeated-index",
+        "substar-index-outside-rank", "repeated-index",
     ],
 )
 def test_malformed_lattice_file_exits_2(capsys, tmp_path, change, message):
@@ -1226,3 +1229,117 @@ def test_order_evaluates_each_row_once_per_q(capsys, monkeypatch, fmt, qs):
     assert code == 0
     assert calls == {int(q0): k + 1 for q0 in qs.split(",")}
     assert sum(calls.values()) == (k + 1) * m
+
+
+def subset_str(indices) -> str:
+    """The table's index set as the table printed it before entries kept
+    their index text."""
+    return "{" + ",".join(str(i) for i in sorted(indices)) + "}"
+
+
+def expected_lattice_outputs(lat) -> dict[str, str]:
+    """lattice's table, csv and json output built from the lattice's sets."""
+    width = max(len(e.label) for e in lat.entries)
+    table = [
+        f"type {lat.root_system.cartan_type}  torus rank {lat.torus_rank}"
+        f"  ({lat.provenance})"
+    ]
+    table += [
+        f"  {e.label:<{width}}  lambda*={subset_str(e.lambda_star):<12}"
+        f" lambda_*={subset_str(e.lambda_substar):<12}"
+        f" [T:T(e)]=(q-1)^{e.torus_index_exponent}"
+        for e in lat.entries
+    ]
+    rows = io.StringIO()
+    writer = csv.writer(rows)
+    writer.writerow(["label", "lambda_star", "lambda_substar", "torus_index_exponent"])
+    for e in lat.entries:
+        writer.writerow(
+            [
+                e.label,
+                " ".join(map(str, sorted(e.lambda_star))),
+                " ".join(map(str, sorted(e.lambda_substar))),
+                e.torus_index_exponent,
+            ]
+        )
+    return {
+        "table": "\n".join(table) + "\n",
+        "csv": rows.getvalue(),
+        "json": json.dumps(lat.to_json(), indent=2) + "\n",
+    }
+
+
+def assert_lattice_formats(capsys, lat, *source):
+    for fmt, expected in expected_lattice_outputs(lat).items():
+        code_out_err = run(capsys, "lattice", *source, "--format", fmt)
+        assert code_out_err == (0, expected, ""), fmt
+
+
+@pytest.mark.parametrize(
+    "spec", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C2", "C3", "C4", "D4"]
+)
+def test_lattice_formats_match_their_oracles_on_every_support(capsys, spec):
+    ct = CartanType.parse(spec)
+    rs = build(ct)
+    for mask in range(2**ct.rank - 1):  # every J0 except Delta
+        j0 = ",".join(str(i + 1) for i in range(ct.rank) if mask >> i & 1)
+        lat = j_irreducible_lattice(rs, parse_subset(j0, ct.rank))
+        assert_lattice_formats(capsys, lat, "--type", spec, "--j0", j0)
+
+
+@pytest.mark.parametrize(
+    "spec, j0", [("B12", "1,3,5,7,9,11"), ("E6", ""), ("E6", "1,3,5")]
+)
+def test_lattice_formats_match_their_oracles_on_long_lattices(capsys, spec, j0):
+    # B12's indices reach 10 and 11, which sort after 9
+    ct = CartanType.parse(spec)
+    lat = j_irreducible_lattice(build(ct), parse_subset(j0, ct.rank))
+    assert_lattice_formats(capsys, lat, "--type", spec, "--j0", j0)
+
+
+# labels json.dumps and csv must escape or quote, all distinct
+AWKWARD_LABELS = ['say "0"', "back\\slash", "a,b", "line\nbreak", "λ-é", "e{2,10}"]
+
+
+def awkward_lattice_file(tmp_path):
+    """C11's last-fundamental lattice with index arrays in decreasing order
+    and labels that need escaping, as a lattice file."""
+    raw = fundamental_lattice(CartanType("C", 11), 11).to_json()
+    for entry, label in zip(raw["entries"], AWKWARD_LABELS):
+        entry["label"] = label
+    for entry in raw["entries"]:
+        entry["lambda_star"].reverse()
+        entry["lambda_substar"].reverse()
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps(raw, ensure_ascii=False), encoding="utf-8")
+    return path, crosssection.load_lattice(build(CartanType("C", 11)), raw)
+
+
+def test_lattice_formats_match_their_oracles_on_a_lattice_file(capsys, tmp_path):
+    path, lat = awkward_lattice_file(tmp_path)
+    assert [e.label for e in lat.entries[: len(AWKWARD_LABELS)]] == AWKWARD_LABELS
+    assert_lattice_formats(capsys, lat, "--lattice-file", str(path))
+
+
+def test_order_table_lists_the_index_sets_as_before(capsys, tmp_path):
+    path, from_file = awkward_lattice_file(tmp_path)
+    sources = [(from_file, ["--lattice-file", str(path)])]
+    for spec, j0 in (("B12", "1,3,5,7,9,11"), ("C4", "2"), ("D4", "")):
+        ct = CartanType.parse(spec)
+        lat = j_irreducible_lattice(build(ct), parse_subset(j0, ct.rank))
+        sources.append((lat, ["--type", spec, "--j0", j0]))
+    for lat, source in sources:
+        report = orders.order_thm34(lat)
+        width = max(len(label) for label, _ in report.terms)
+        entries = {e.label: e for e in lat.entries}
+        expected = [f"type {report.cartan_type}  formula thm34"]
+        expected += [f"note: {note}" for note in report.notes]
+        expected += [
+            f"  {label:<{width}}  lambda*={subset_str(entries[label].lambda_star):<12}"
+            f" lambda_*={subset_str(entries[label].lambda_substar):<12}  {term}"
+            for label, term in report.terms
+        ]
+        expected.append(f"total: {report.total}")
+        assert run(capsys, "order", *source, "--formula", "thm34") == (
+            0, "\n".join(expected) + "\n", ""
+        )

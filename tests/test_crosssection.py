@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from monoid_orders import crosssection
 from monoid_orders.crosssection import (
     PAPER_VERIFIED,
     RULE_DERIVED,
@@ -457,3 +458,68 @@ def test_load_lattice_rejects_non_integer_torus_rank(torus_rank):
 def test_load_lattice_rejects_a_top_level_array():
     with pytest.raises(InvariantViolation, match="JSON object"):
         load_lattice(build(CartanType("C", 2)), c2_description()["entries"])
+
+
+@pytest.mark.parametrize("i", [0, 4, -1])
+def test_fundamental_lattice_refuses_an_index_outside_the_rank(monkeypatch, i):
+    # refused before the root system is built, and not as J0 = Delta
+    def no_build(ct):
+        raise AssertionError("built a root system")
+
+    monkeypatch.setattr(crosssection, "build", no_build)
+    message = rf"^fundamental weight index {i} outside 1\.\.3$"
+    with pytest.raises(UnsupportedType, match=message):
+        fundamental_lattice(CartanType("C", 3), i)
+
+
+def text_of(indices) -> str:
+    return ",".join(map(str, sorted(indices)))
+
+
+@pytest.mark.parametrize(
+    "spec, J0",
+    [
+        ("A12", frozenset()),
+        ("B12", frozenset({1, 3, 5, 7, 9, 11})),
+        ("C16", frozenset(range(1, 16))),
+        ("D14", frozenset(range(1, 14))),
+    ],
+)
+def test_builder_stores_each_entry_index_text(spec, J0):
+    lat = j_irreducible_lattice(build(CartanType.parse(spec)), J0)
+    for e in lat.entries[1:]:  # the zero entry's are computed on first use
+        stored = e._star_text, e._substar_text
+        assert stored == (text_of(e.lambda_star), text_of(e.lambda_substar)), e.label
+        assert e.index_text == stored
+    zero = lat.entries[0]
+    assert zero.index_text == ("", text_of(range(1, lat.rank + 1)))
+
+
+def test_index_text_sorts_numerically_on_first_use():
+    e = LatticeEntry("x", frozenset({10, 9, 2}), frozenset({11, 1}), 4)
+    assert e.index_text == ("2,9,10", "1,11")
+    assert LatticeEntry("y", frozenset(), frozenset(), 1).index_text == ("", "")
+
+
+def test_index_text_changes_no_equality_hash_repr_or_replace():
+    lat = j_irreducible_lattice(build(CartanType("B", 12)), LONG_SHAPES["B12"])
+    loaded = load_lattice(lat.root_system, lat.to_json())
+    for built, read in zip(lat.entries, loaded.entries):
+        assert not hasattr(read, "_star_text")  # not computed yet
+        assert built == read and hash(built) == hash(read)
+        assert repr(built) == repr(read)
+        read.index_text
+        assert built == read and hash(built) == hash(read)
+    e = lat.entries[5]
+    assert repr(e) == (
+        f"LatticeEntry(label={e.label!r}, lambda_star={e.lambda_star!r},"
+        f" lambda_substar={e.lambda_substar!r},"
+        f" torus_index_exponent={e.torus_index_exponent!r})"
+    )
+    changed = e.replace(lambda_star=frozenset({12, 3}), label="z")
+    assert (changed.label, changed.lambda_star) == ("z", frozenset({3, 12}))
+    assert changed.lambda_substar == e.lambda_substar
+    assert changed.index_text == ("3,12", e.index_text[1])
+    assert e.replace() == e
+    with pytest.raises(AttributeError):
+        e._star_text = "1"
