@@ -3,23 +3,27 @@
 A lattice entry records, for one idempotent orbit representative e, the two
 halves of its type map: lambda_star (simple roots whose reflections commute
 with e without fixing it) and lambda_substar (those whose reflections fix e),
-plus the exponent k with [T:T(e)] = (q-1)^k.  Lattices are built two ways:
-from a weight-support set J0 (the unique-minimal-idempotent rule), of which
-the fundamental weight omega_i, J0 = Delta minus {alpha_i}, is the common
-case, or from a validated external description.  The entries of a weight
-support are also counted without listing any: lattice_size counts them,
-and thm34_census counts them per order_thm34 key, by one pass over the
-Dynkin tree each.
+plus the exponent k with [T:T(e)] = (q-1)^k.  An entry keeps each half as an
+int mask, node i at bit i - 1 as rootsystem's node bits have it, and builds
+its frozenset only when that is read: validate, is_j_irreducible and the
+order routes read the masks.  Lattices are built two ways: from a
+weight-support set J0 (the unique-minimal-idempotent rule), of which the
+fundamental weight omega_i, J0 = Delta minus {alpha_i}, is the common case,
+or from a validated external description.  The entries of a weight support
+are also counted without listing any: lattice_size counts them, and
+thm34_census counts them per order_thm34 key, by one pass over the Dynkin
+tree each.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 from math import prod
 
 from .errors import InvalidSupport, InvariantViolation, LatticeTooLarge, UnsupportedType
 from .qpoly import Immutable
-from .rootsystem import CartanType, RootSystemData, _mask_parts, build
+from .rootsystem import CartanType, RootSystemData, _mask_degrees, _mask_indices, build
 from .weyl import DEFAULT_ENUM_BOUND
 
 PAPER_VERIFIED = "paper-verified"
@@ -28,9 +32,22 @@ USER_SUPPLIED = "user-supplied"
 
 
 class LatticeEntry(Immutable):
+    """One entry of a cross-section lattice.  The constructor takes
+    lambda_star and lambda_substar as frozensets and keeps them as the masks
+    star_mask and substar_mask (node i at bit i - 1); the properties of the
+    field names build the frozensets again on each read, so equality,
+    hashing, repr and replace see frozensets.  The last two slots hold both
+    halves as index text (index_text)."""
+
     _fields = ("label", "lambda_star", "lambda_substar", "torus_index_exponent")
-    # derived: lambda_star and lambda_substar as index text (index_text)
-    __slots__ = _fields + ("_star_text", "_substar_text")
+    __slots__ = (
+        "label",
+        "star_mask",
+        "substar_mask",
+        "torus_index_exponent",
+        "_star_text",
+        "_substar_text",
+    )
 
     def __init__(
         self,
@@ -40,13 +57,21 @@ class LatticeEntry(Immutable):
         torus_index_exponent: int,
     ):
         _set_label(self, label)
-        _set_star(self, lambda_star)
-        _set_substar(self, lambda_substar)
+        _set_star(self, _index_mask(lambda_star))
+        _set_substar(self, _index_mask(lambda_substar))
         _set_exponent(self, torus_index_exponent)
 
     @property
+    def lambda_star(self) -> frozenset[int]:
+        return frozenset(_mask_indices(self.star_mask))
+
+    @property
+    def lambda_substar(self) -> frozenset[int]:
+        return frozenset(_mask_indices(self.substar_mask))
+
+    @property
     def lambda_union(self) -> frozenset[int]:
-        return self.lambda_star | self.lambda_substar
+        return frozenset(_mask_indices(self.star_mask | self.substar_mask))
 
     @property
     def index_text(self) -> tuple[str, str]:
@@ -57,8 +82,8 @@ class LatticeEntry(Immutable):
         try:
             return self._star_text, self._substar_text
         except AttributeError:
-            star = ",".join(map(str, sorted(self.lambda_star)))
-            substar = ",".join(map(str, sorted(self.lambda_substar)))
+            star = ",".join(map(str, _mask_indices(self.star_mask)))
+            substar = ",".join(map(str, _mask_indices(self.substar_mask)))
             _set_star_text(self, star)
             _set_substar_text(self, substar)
             return star, substar
@@ -66,8 +91,8 @@ class LatticeEntry(Immutable):
     def to_json(self) -> dict:
         return {
             "label": self.label,
-            "lambda_star": sorted(self.lambda_star),
-            "lambda_substar": sorted(self.lambda_substar),
+            "lambda_star": _mask_indices(self.star_mask),
+            "lambda_substar": _mask_indices(self.substar_mask),
             "torus_index_exponent": self.torus_index_exponent,
         }
 
@@ -84,9 +109,20 @@ class LatticeEntry(Immutable):
 ) = (getattr(LatticeEntry, name).__set__ for name in LatticeEntry.__slots__)
 
 
+def _index_mask(indices: Iterable[int]) -> int:
+    """A set of simple-root indices as a mask with node i at bit i - 1; an
+    index below 1, which has no bit, raises InvariantViolation."""
+    mask = 0
+    for i in indices:
+        if i < 1:
+            raise InvariantViolation(f"simple-root index {i} is below 1")
+        mask |= 1 << (i - 1)
+    return mask
+
+
 class CrossSectionLattice(Immutable):
     _fields = ("root_system", "entries", "torus_rank", "provenance")
-    __slots__ = _fields + ("all_simple",)
+    __slots__ = _fields + ("all_simple", "all_mask")
 
     def __init__(
         self,
@@ -99,9 +135,11 @@ class CrossSectionLattice(Immutable):
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "torus_rank", torus_rank)
         object.__setattr__(self, "provenance", provenance)
-        # derived, so left out of equality, hashing and repr
+        # derived, so left out of equality, hashing and repr: Delta as a
+        # frozenset and as a mask
         delta = frozenset(range(1, root_system.rank + 1))
         object.__setattr__(self, "all_simple", delta)
+        object.__setattr__(self, "all_mask", (1 << root_system.rank) - 1)
 
     @property
     def rank(self) -> int:
@@ -109,13 +147,13 @@ class CrossSectionLattice(Immutable):
 
     def is_zero(self, entry: LatticeEntry) -> bool:
         return (
-            not entry.lambda_star
-            and entry.lambda_substar == self.all_simple
+            not entry.star_mask
+            and entry.substar_mask == self.all_mask
             and entry.torus_index_exponent == 0
         )
 
     def is_identity(self, entry: LatticeEntry) -> bool:
-        return entry.lambda_star == self.all_simple and not entry.lambda_substar
+        return entry.star_mask == self.all_mask and not entry.substar_mask
 
     @property
     def zero_entry(self) -> LatticeEntry:
@@ -135,9 +173,10 @@ class CrossSectionLattice(Immutable):
 
 
 def validate(lat: CrossSectionLattice) -> CrossSectionLattice:
-    """Check every structural invariant, raising InvariantViolation."""
-    rs = lat.root_system
-    delta = lat.all_simple
+    """Check every structural invariant on the entries' masks, raising
+    InvariantViolation."""
+    delta = lat.all_mask
+    neighbors = lat.root_system._neighbor_masks
 
     def fail(entry: LatticeEntry | None, rule: str):
         where = f"entry {entry.label!r}: " if entry is not None else ""
@@ -150,22 +189,26 @@ def validate(lat: CrossSectionLattice) -> CrossSectionLattice:
         fail(None, "duplicate entry labels")
     zero_count = identity_count = 0
     for e in lat.entries:
-        if not (e.lambda_star <= delta and e.lambda_substar <= delta):
+        star, substar = e.star_mask, e.substar_mask
+        if (star | substar) & ~delta:
             fail(e, f"simple-root indices outside 1..{lat.rank}")
-        if e.lambda_star & e.lambda_substar:
+        if star & substar:
             fail(e, "lambda_star and lambda_substar must be disjoint")
-        for a in e.lambda_substar:
-            if rs.neighbors(a) & e.lambda_star:
+        rest = substar
+        while rest:
+            a = (rest & -rest).bit_length()
+            rest &= rest - 1
+            if neighbors[a - 1] & star:
                 fail(e, f"root {a} in lambda_substar is adjacent to lambda_star")
         if e.torus_index_exponent > lat.torus_rank:
             fail(e, "torus_index_exponent exceeds the torus rank")
-        if not e.lambda_star and e.lambda_substar == delta:
+        if not star and substar == delta:
             if e.torus_index_exponent != 0:
                 fail(e, "zero entry must have torus_index_exponent 0")
             zero_count += 1
         elif e.torus_index_exponent < 1:
             fail(e, "non-zero entry must have torus_index_exponent >= 1")
-        if e.lambda_star == delta and not e.lambda_substar:  # lat.is_identity(e)
+        if star == delta and not substar:  # lat.is_identity(e)
             identity_count += 1
     if zero_count != 1:
         fail(None, f"expected exactly one zero entry, found {zero_count}")
@@ -278,8 +321,8 @@ def thm34_census(
     unless its parent is in X, with the mask of its open lambda_*
     component; or neither.  Whether an X component has met Delta minus J0 is its mask
     meeting that set.  A component closes at the first node above it that
-    is not in its half, and its degrees are read from
-    rootsystem._mask_parts; an open X component that has not met Delta
+    is not in its half, and its degrees are read by
+    rootsystem._mask_degrees; an open X component that has not met Delta
     minus J0 is dropped once no node outside J0 is left above it, before
     any degree is read, its own or that of a lambda_* component it closed.
     LatticeTooLarge is raised as soon as one node's states hold more than
@@ -290,9 +333,6 @@ def thm34_census(
         bound = DEFAULT_ENUM_BOUND
     bit = rs._node_bits
     free = sum(bit[i] for i in delta - J0)
-
-    def closed(mask: int) -> tuple[int, ...]:
-        return tuple(sorted(d for _, ds in _mask_parts(rs, mask) for d in ds))
 
     subtree: dict[int, int] = {}
     # node -> (X states {open mask: keys}, lambda_* states {open mask: keys},
@@ -316,7 +356,7 @@ def thm34_census(
             met = Counter()  # from v not in X: w's X component closes
             for mask, keys in xs.items():
                 if mask & free:
-                    _closing(met, keys, star=closed(mask))
+                    _closing(met, keys, star=_mask_degrees(rs, mask))
             seen = [((mask, False), keys) for mask, keys in ss.items()]
             seen += [((0, False), ns), ((0, True), met)]
             out_x = _product(
@@ -328,12 +368,12 @@ def thm34_census(
                 continue  # an X component left with no node outside J0 to meet
             if below_x:
                 closing, keys = keys, Counter()
-                _closing(keys, closing, sub=closed(below_x))
+                _closing(keys, closing, sub=_mask_degrees(rs, below_x))
             xs[mask] = xs[mask] + keys if mask in xs else keys
         ss, ns = {}, Counter()
         for (mask, off), keys in out_x.items():
             if off:
-                _closing(ns, keys, sub=closed(mask))
+                _closing(ns, keys, sub=_mask_degrees(rs, mask))
             else:
                 ss[mask | bit[v]] = keys
         size = sum(map(len, xs.values())) + sum(map(len, ss.values())) + len(ns)
@@ -347,10 +387,10 @@ def thm34_census(
     found = Counter(ns)
     for mask, keys in xs.items():
         if mask & free:
-            _closing(found, keys, star=closed(mask))
+            _closing(found, keys, star=_mask_degrees(rs, mask))
     for mask, keys in ss.items():
-        _closing(found, keys, sub=closed(mask))
-    census = Counter({(closed(subtree[1]), 0, ()): 1})  # the zero entry
+        _closing(found, keys, sub=_mask_degrees(rs, mask))
+    census = Counter({(_mask_degrees(rs, subtree[1]), 0, ()): 1})  # the zero entry
     for (sub, star), n in found.items():
         census[sub, len(star) + 1, star] += n
     return census
@@ -370,18 +410,19 @@ def j_irreducible_lattice(
     size level extends the previous one by a node outside J0 or adjacent to
     X, which keeps every component meeting Delta minus J0, and every such X
     is reached (drop a node of X farthest from Delta minus J0).  Subsets
-    are int masks with node i at bit rank - i, so within one size level
-    descending mask order is the sorted-index order in which
+    are grown as int masks with node i at bit rank - i, so within one size
+    level descending mask order is the sorted-index order in which
     itertools.combinations lists them, and each level is emitted in it.  A
     subset's extensions are the low bits of (free | near) & ~X, one at a
-    time.  Its frozenset, index text and entry are built once, when it is
-    first reached: from a parent missing its largest node, which the
-    descending walk reaches first, the text is the parent's with the new
-    node appended; it gives the label and the entry's lambda_star index
-    text.  Each lambda_substar frozenset and index text is built once per
-    mask.  The entries are counted first (lattice_size), and
-    LatticeTooLarge is raised before any growth when more than bound
-    nonempty lambda_star sets would be grown (default
+    time.  Its entry is built once, when it is first reached, from the
+    parent's: the entry's lambda_star mask (node i at bit i - 1) is the
+    parent's with the new node's bit set, and from a parent missing its
+    largest node, which the descending walk reaches first, the index text
+    is the parent's with the new node appended; the text gives the label
+    too.  No frozenset is built per entry.  Each lambda_substar mask and
+    index text is converted once per builder mask.  The entries are counted
+    first (lattice_size), and LatticeTooLarge is raised before any growth
+    when more than bound nonempty lambda_star sets would be grown (default
     weyl.DEFAULT_ENUM_BOUND).
     """
     delta = _checked_support(rs, J0)
@@ -398,45 +439,50 @@ def j_irreducible_lattice(
     bits = [1 << (rank - i) for i in range(rank + 1)]  # node i at bit rank - i
     near_of = {bits[i]: sum(bits[j] for j in rs.neighbors(i)) for i in delta}
     free, j0_mask = sum(bits[i] for i in delta - J0), sum(bits[i] for i in J0)
-    # the mask of a lambda_substar -> (its frozenset, its index text)
-    substars: dict[int, tuple[frozenset[int], str]] = {}
+    full = (1 << rank) - 1  # Delta, in either bit order
+    # a lambda_substar's builder mask -> (its entry mask, its index text)
+    substars: dict[int, tuple[int, str]] = {}
 
-    def entry_of(mask: int, near: int, X: frozenset[int], text: str) -> LatticeEntry:
+    def entry_of(mask: int, near: int, star: int, text: str) -> LatticeEntry:
         rest = j0_mask & ~mask & ~near
         if rest not in substars:
             substar = [i for i in sorted(J0) if bits[i] & rest]
-            substars[rest] = frozenset(substar), ",".join(map(str, substar))
+            substars[rest] = _index_mask(substar), ",".join(map(str, substar))
         substar, substar_text = substars[rest]
-        label = "1" if X == delta else "e{" + text + "}"
-        entry = LatticeEntry(label, X, substar, len(X) + 1)
+        entry = object.__new__(LatticeEntry)
+        _set_label(entry, "1" if mask == full else "e{" + text + "}")
+        _set_star(entry, star)
+        _set_substar(entry, substar)
+        _set_exponent(entry, mask.bit_count() + 1)
         _set_star_text(entry, text)
         _set_substar_text(entry, substar_text)
         return entry
 
     entries = [LatticeEntry("0", frozenset(), delta, 0)]
-    # X as a mask -> its entry, which holds X and its index text, and the
-    # mask of the simple roots adjacent to X; no tuple per X, which the
-    # garbage collector would track
-    level, nears = {0: entry_of(0, 0, frozenset(), "")}, {0: 0}
+    # X as a builder mask -> its entry, which holds X's entry mask and index
+    # text, and the builder mask of the simple roots adjacent to X; no tuple
+    # per X, which the garbage collector would track
+    level, nears = {0: entry_of(0, 0, 0, "")}, {0: 0}
     while level:
         larger: dict[int, LatticeEntry] = {}
         larger_nears: dict[int, int] = {}
         for mask in sorted(level, reverse=True):
             entries.append(entry := level[mask])
-            near, X, text = nears[mask], entry.lambda_star, entry._star_text
+            near, star, text = nears[mask], entry.star_mask, entry._star_text
             todo = (free | near) & ~mask
             while todo:
                 low = todo & -todo
                 todo ^= low
                 if mask | low not in larger:
                     v = rank + 1 - low.bit_length()
+                    wider_star = star | 1 << (v - 1)
                     if low < mask & -mask:  # v above every node of X
                         joined = text + "," + str(v)
                     else:
-                        joined = ",".join(map(str, sorted(X | {v})))
+                        joined = ",".join(map(str, _mask_indices(wider_star)))
                     wider = mask | low
                     larger_nears[wider] = wider_near = near | near_of[low]
-                    larger[wider] = entry_of(wider, wider_near, X | {v}, joined)
+                    larger[wider] = entry_of(wider, wider_near, wider_star, joined)
         level, nears = larger, larger_nears
 
     provenance = support_provenance(rs.cartan_type, J0)
@@ -525,6 +571,11 @@ def load_lattice(rs: RootSystemData, raw: dict) -> CrossSectionLattice:
         label = item.get("label", f"e#{i}")
         if not isinstance(label, str):
             raise InvariantViolation(f"{where}: label must be a string, got {label!r}")
+        # before any mask is built: an index of 10**9 would take a 10**9-bit int
+        if not all(1 <= a <= rs.rank for a in star | substar):
+            raise InvariantViolation(
+                f"entry {label!r}: simple-root indices outside 1..{rs.rank}"
+            )
         entries.append(LatticeEntry(label, star, substar, exponent))
     torus_rank = _json_int(raw.get("torus_rank", rs.rank + 1), "torus_rank")
     lat = CrossSectionLattice(
@@ -536,6 +587,6 @@ def load_lattice(rs: RootSystemData, raw: dict) -> CrossSectionLattice:
 def is_j_irreducible(lat: CrossSectionLattice) -> bool:
     """True when every nonzero entry has exponent |lambda_star| + 1."""
     return all(
-        lat.is_zero(e) or e.torus_index_exponent == len(e.lambda_star) + 1
+        lat.is_zero(e) or e.torus_index_exponent == e.star_mask.bit_count() + 1
         for e in lat.entries
     )

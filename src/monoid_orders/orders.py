@@ -13,8 +13,10 @@ Four independent routes to the same total, all exact polynomials in q:
 thm33, thm34 and thm41 give each term, the zero entry's included, as a
 factored QProduct, and one qpoly.expand_all call per route expands them all;
 only thm31 divides densely, the walked W(q) by each walked W_X(q) once per
-call.  The degree-based routes read the degrees of each parabolic subgroup
-W_X from rootsystem.subset_degrees, never from a classification of X.
+call.  The routes read each entry's lambda* and lambda_* as its masks, and
+the degree-based ones read the degrees and root count of each parabolic
+subgroup W_X from rootsystem's per-mask memo, never from a classification
+of X.
 
 The H-polynomial reads thm34's total, which order_thm34 sums once per
 thm34 key, times the number of entries sharing it.  For a weight support
@@ -72,11 +74,12 @@ from .qpoly import (
 from .rootsystem import (
     CartanType,
     RootSystemData,
+    _mask_count,
+    _mask_degrees,
+    _mask_indices,
     degrees,
     poincare_factors,
     poincare_product,
-    positive_count_of_subset,
-    subset_degrees,
 )
 from .weyl import DEFAULT_ENUM_BOUND, coset_length_poly
 
@@ -125,12 +128,13 @@ class OrderReport(Immutable):
         }
 
 
-def _double_bond(rs: RootSystemData) -> set[int]:
-    """The two nodes of the double bond of B_l, C_l or F4; empty elsewhere."""
+def _double_bond(rs: RootSystemData) -> int:
+    """The mask of the two nodes of the double bond of B_l, C_l or F4, node
+    i at bit i - 1; 0 elsewhere."""
     c = rs.cartan
-    return {
-        i + 1 for i, row in enumerate(c) for j, x in enumerate(row) if x * c[j][i] == 2
-    }
+    return sum(
+        1 << i for i, row in enumerate(c) for j, x in enumerate(row) if x * c[j][i] == 2
+    )
 
 
 def _lattice_notes(lat: CrossSectionLattice) -> tuple[str, ...]:
@@ -138,9 +142,9 @@ def _lattice_notes(lat: CrossSectionLattice) -> tuple[str, ...]:
     # a subset of the diagram has a B/C component exactly when it holds the
     # double bond and is not the whole of F4
     bond = _double_bond(lat.root_system)
-    f4 = lat.all_simple if lat.root_system.cartan_type.family == "F" else None
-    halves = (X for e in lat.entries for X in (e.lambda_star, e.lambda_substar))
-    if bond and any(bond <= X and X != f4 for X in halves):
+    f4 = lat.all_mask if lat.root_system.cartan_type.family == "F" else None
+    halves = (X for e in lat.entries for X in (e.star_mask, e.substar_mask))
+    if bond and any(X & bond == bond and X != f4 for X in halves):
         notes.append(BC_NOTE)
     return tuple(notes)
 
@@ -208,15 +212,21 @@ def order_thm31(
     N(X) is the degree of the walked W_X(q) and W/W_X divides the walked
     W(q) exactly by it, once per X per call.  Every factor comes from walked
     Weyl-group lengths, so this route shares no code with the
-    degree-product formulas.
+    degree-product formulas.  Both caches are keyed by the entries' masks;
+    a subset's frozenset is built once, for its walk.
     """
     rs = lat.root_system
-    walked = cache(lambda X: coset_length_poly(rs, X, frozenset(), enum_bound))
-    w = walked(lat.all_simple)
+
+    @cache
+    def walked(X: int) -> QPolynomial:
+        gens = frozenset(_mask_indices(X))
+        return coset_length_poly(rs, gens, frozenset(), enum_bound)
+
+    w = walked(lat.all_mask)
     cosets = cache(lambda X: div_exact(w, walked(X)))
     terms = []
     for entry in lat.entries:
-        lam, sub = entry.lambda_union, entry.lambda_substar
+        lam, sub = entry.star_mask | entry.substar_mask, entry.substar_mask
         shift = walked(lam).degree - walked(sub).degree
         torus = QPolynomial.monomial(shift) * Q_MINUS_ONE**entry.torus_index_exponent
         terms.append((entry.label, torus * cosets(lam) * cosets(sub)))
@@ -236,29 +246,32 @@ def order_thm33(
     Each coset sum W/W_J is an exact factored quotient of Poincare products.
     While the ambient group is small enough to walk, the expanded quotient
     must equal the sum walked over minimal coset representatives; otherwise
-    the report notes that the cross-check was skipped.
+    the report notes that the cross-check was skipped.  Coset sums are
+    kept per mask of J.
     """
     rs = lat.root_system
-    delta = frozenset(range(1, rs.rank + 1))
     p_w = poincare_factors(degrees(rs.cartan_type))
     skipped: list[str] = []
 
     @cache
-    def coset_sum(J: frozenset[int]) -> QProduct:
-        value = p_w / poincare_factors(subset_degrees(rs, J))
+    def coset_sum(J: int) -> QProduct:
+        value = p_w / poincare_factors(_mask_degrees(rs, J))
         if not skipped:
+            fixed = _mask_indices(J)
+            delta = lat.all_simple
             try:
-                walked = coset_length_poly(rs, delta, J, enum_bound)
+                walked = coset_length_poly(rs, delta, frozenset(fixed), enum_bound)
             except GroupTooLarge:
                 skipped.append("skipped thm33 coset cross-check (GroupTooLarge)")
             else:
                 if expand(value) != walked:
-                    raise InvariantViolation(f"coset sum mismatch for J={sorted(J)}")
+                    raise InvariantViolation(f"coset sum mismatch for J={fixed}")
         return value
 
     def term(entry) -> QProduct:
-        cosets = coset_sum(entry.lambda_union) * coset_sum(entry.lambda_substar)
-        n_star = positive_count_of_subset(rs, entry.lambda_star)
+        star, substar = entry.star_mask, entry.substar_mask
+        cosets = coset_sum(star | substar) * coset_sum(substar)
+        n_star = _mask_count(rs, star)
         return QProduct.of([1] * entry.torus_index_exponent, shift=n_star) * cosets
 
     terms = _factored_terms(lat, term)
@@ -280,9 +293,9 @@ def order_thm34(lat: CrossSectionLattice) -> OrderReport:
     p_w_squared = poincare_factors(degrees(rs.cartan_type)) ** 2
     keys = [
         (
-            subset_degrees(rs, e.lambda_substar),
+            _mask_degrees(rs, e.substar_mask),
             e.torus_index_exponent,
-            subset_degrees(rs, e.lambda_star),
+            _mask_degrees(rs, e.star_mask),
         )
         for e in lat.entries
     ]
@@ -426,22 +439,18 @@ def order_thm41(lat: CrossSectionLattice) -> OrderReport:
     rs = lat.root_system
     ambient = QProduct.of(degrees(rs.cartan_type)) ** 2
     torus_squared = QProduct.of([1] * (2 * rs.rank))
-    factor = cache(lambda X: QProduct.of(subset_degrees(rs, X)))
+    factor = cache(lambda X: QProduct.of(_mask_degrees(rs, X)))
 
     def term(entry) -> QProduct:
         if lat.is_zero(entry):  # the closed form assumes |lambda*| + 1
             return QProduct()
+        star, substar = entry.star_mask, entry.substar_mask
         # the (q-1)^{2(|lambda(e)|-l)+1} factor, split across both sides
         numer = ambient * QProduct.of(
-            [1] * (2 * len(entry.lambda_union) + 1),
-            shift=positive_count_of_subset(rs, entry.lambda_star),
+            [1] * (2 * (star | substar).bit_count() + 1),
+            shift=_mask_count(rs, star),
         )
-        denom = (
-            torus_squared
-            * factor(entry.lambda_substar) ** 2
-            * factor(entry.lambda_star)
-        )
-        return numer / denom
+        return numer / (torus_squared * factor(substar) ** 2 * factor(star))
 
     return _finish("thm41", lat, _factored_terms(lat, term))
 

@@ -33,14 +33,16 @@ class Immutable:
     """Base of the package's value classes, in place of a frozen dataclass.
 
     A subclass lists its fields in ``_fields``, in constructor order, and
-    every slot, fields first, in ``__slots__``; slots past the fields hold
-    derived or memoized state, which equality, hashing, repr and replace
-    leave out.  Its ``__init__`` assigns each slot with object.__setattr__
-    or the slot's member descriptor, since assignment otherwise raises.
-    Equality holds between instances of the same class with equal fields,
-    and the hash is that of the field tuple, as a frozen dataclass has
-    them; importing dataclasses would cost every CLI launch its inspect/ast
-    import chain.
+    every slot in ``__slots__``, the slots that hold the fields first; slots
+    past those hold derived or memoized state, which equality, hashing,
+    repr and replace leave out.  A field is read by its name, so it may be
+    a property over a slot that keeps it in another form (LatticeEntry
+    keeps its two index sets as int masks).  Its ``__init__`` assigns each
+    slot with object.__setattr__ or the slot's member descriptor, since
+    assignment otherwise raises.  Equality holds between instances of the
+    same class with equal fields, and the hash is that of the field tuple,
+    as a frozen dataclass has them; importing dataclasses would cost every
+    CLI launch its inspect/ast import chain.
     """
 
     __slots__ = ()

@@ -273,16 +273,22 @@ def _subset_mask(rs: RootSystemData, X: frozenset[int]) -> int:
         raise UnsupportedType(f"subset {sorted(X)} outside 1..{rs.rank}") from None
 
 
-def _subset_parts(rs: RootSystemData, X: frozenset[int]) -> tuple:
-    """(positive-root count, degrees) of each Dynkin component of X."""
-    return _mask_parts(rs, _subset_mask(rs, X))
+def _mask_indices(mask: int) -> list[int]:
+    """The nodes of a mask with node i at bit i - 1, in increasing order."""
+    nodes = []
+    while mask:
+        low = mask & -mask
+        nodes.append(low.bit_length())
+        mask ^= low
+    return nodes
 
 
 def _mask_parts(rs: RootSystemData, mask: int) -> tuple:
-    """_subset_parts of a subset mask, kept per mask; each component is read
-    from the roots the first time any subset of this root system meets it.
-    Frozenset keys would keep every subset asked for alive: thm31 on C40
-    peaked at 60 MB, not 30."""
+    """(positive-root count, degrees) of each Dynkin component of a subset
+    mask, kept per mask; each component is read from the roots the first
+    time any subset of this root system meets it.  Frozenset keys would
+    keep every subset asked for alive: thm31 on C40 peaked at 60 MB, not
+    30."""
     parts = rs._parts.get(mask)
     if parts is None:
         found = []
@@ -320,14 +326,24 @@ def _read_component(rs: RootSystemData, mask: int) -> tuple[int, tuple[int, ...]
 def positive_count_of_subset(rs: RootSystemData, X: frozenset[int]) -> int:
     """Number of positive roots supported entirely on the subset X: the sum
     over its Dynkin components of the roots counted on each."""
-    return sum(count for count, _ in _subset_parts(rs, X))
+    return _mask_count(rs, _subset_mask(rs, X))
+
+
+def _mask_count(rs: RootSystemData, mask: int) -> int:
+    """positive_count_of_subset of a subset mask."""
+    return sum(count for count, _ in _mask_parts(rs, mask))
 
 
 def subset_degrees(rs: RootSystemData, X: frozenset[int]) -> tuple[int, ...]:
     """Degrees of the basic invariants of the parabolic subgroup W_X, in
     increasing order: W_X is the direct product of its components' groups,
     so its degrees are the union of theirs."""
-    return tuple(sorted(d for _, ds in _subset_parts(rs, X) for d in ds))
+    return _mask_degrees(rs, _subset_mask(rs, X))
+
+
+def _mask_degrees(rs: RootSystemData, mask: int) -> tuple[int, ...]:
+    """subset_degrees of a subset mask."""
+    return tuple(sorted(d for _, ds in _mask_parts(rs, mask) for d in ds))
 
 
 def poincare_factors(ds: tuple[int, ...]) -> QProduct:

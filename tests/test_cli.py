@@ -288,12 +288,17 @@ def _c2_lattice_file(tmp_path, **changes):
         ({"lambda_substar": "12"}, "lambda_substar must be a list of integers"),
         ({"torus_index_exponent": True}, "torus_index_exponent must be an integer"),
         ({"lambda_star": [3]}, "entry 'e{}': simple-root indices outside 1..2"),
+        ({"lambda_star": [0]}, "entry 'e{}': simple-root indices outside 1..2"),
+        ({"lambda_star": [-1]}, "entry 'e{}': simple-root indices outside 1..2"),
+        # refused before its mask, a 10**9-bit int, is built
+        ({"lambda_star": [10**9]}, "entry 'e{}': simple-root indices outside 1..2"),
         ({"lambda_substar": [3]}, "entry 'e{}': simple-root indices outside 1..2"),
         ({"lambda_star": [1, 1]}, "lambda_star repeats an index: [1, 1]"),
     ],
     ids=[
         "torus-rank-string", "substar-string", "exponent-bool", "index-outside-rank",
-        "substar-index-outside-rank", "repeated-index",
+        "index-outside-rank-zero", "index-outside-rank-negative",
+        "index-outside-rank-huge", "substar-index-outside-rank", "repeated-index",
     ],
 )
 def test_malformed_lattice_file_exits_2(capsys, tmp_path, change, message):

@@ -3,6 +3,7 @@ validation."""
 
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -523,3 +524,66 @@ def test_index_text_changes_no_equality_hash_repr_or_replace():
     assert e.replace() == e
     with pytest.raises(AttributeError):
         e._star_text = "1"
+
+
+def bits_of(indices) -> int:
+    return sum(1 << (i - 1) for i in indices)
+
+
+@pytest.mark.parametrize("spec", ["A12", "B12", "C16", "D14", "E6", "F4"])
+def test_entries_keep_both_halves_as_masks(spec):
+    J0 = LONG_SHAPES.get(spec, frozenset({1, 3}))
+    lat = j_irreducible_lattice(build(CartanType.parse(spec)), J0)
+    loaded = load_lattice(lat.root_system, lat.to_json())
+    assert lat.all_mask == bits_of(lat.all_simple)
+    for built, read in zip(lat.entries, loaded.entries):
+        for e in (built, read):
+            assert e.star_mask == bits_of(built.lambda_star), e.label
+            assert e.substar_mask == bits_of(built.lambda_substar), e.label
+            assert e.lambda_union == built.lambda_star | built.lambda_substar
+            assert type(e.lambda_star) is frozenset
+
+
+@pytest.mark.parametrize("bad", [0, -1])
+def test_entry_index_below_one_is_an_invariant_violation(bad):
+    # no bit to set: not a ValueError from a negative shift
+    with pytest.raises(InvariantViolation, match=f"simple-root index {bad} is below 1"):
+        LatticeEntry("x", frozenset({2, bad}), frozenset(), 3)
+    with pytest.raises(InvariantViolation, match=f"simple-root index {bad} is below 1"):
+        LatticeEntry("x", frozenset(), frozenset({bad}), 1)
+
+
+def test_validate_reads_the_masks():
+    rs = build(CartanType("A", 3))
+    zero = LatticeEntry("0", frozenset(), frozenset({1, 2, 3}), 0)
+    one = LatticeEntry("1", frozenset({1, 2, 3}), frozenset(), 4)
+    cases = [
+        (LatticeEntry("x", frozenset({4}), frozenset(), 2), "outside 1..3"),
+        (LatticeEntry("x", frozenset(), frozenset({9}), 1), "outside 1..3"),
+        (LatticeEntry("x", frozenset({2}), frozenset({2}), 2), "disjoint"),
+        # the lowest offending root is named
+        (
+            LatticeEntry("x", frozenset({2}), frozenset({1, 3}), 2),
+            "root 1 in lambda_substar is adjacent to lambda_star",
+        ),
+    ]
+    for bad, message in cases:
+        lat = CrossSectionLattice(rs, (zero, bad, one), torus_rank=4)
+        with pytest.raises(InvariantViolation, match=f"entry 'x': .*{message}"):
+            validate(lat)
+    ok = LatticeEntry("x", frozenset({1}), frozenset({3}), 2)
+    assert validate(CrossSectionLattice(rs, (zero, ok, one), torus_rank=4))
+
+
+def test_a12_lattice_holds_under_400_bytes_per_entry():
+    # a frozenset per entry alone takes 216 bytes, 728 from 5 indices on
+    rs = build(CartanType("A", 12))
+    tracemalloc.start()
+    try:
+        lat = j_irreducible_lattice(rs, frozenset())
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = len(lat.entries)
+    assert n == 2**12 + 1
+    assert held <= 400 * n and peak <= 400 * n, (held / n, peak / n)

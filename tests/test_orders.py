@@ -708,7 +708,7 @@ def test_thm31_reads_only_the_lattice_and_the_walks(monkeypatch):
         raise RuntimeError("thm31 read a positive-root count")
 
     monkeypatch.setattr(orders, "div_exact", recording_div_exact)
-    monkeypatch.setattr(orders, "positive_count_of_subset", refuse)
+    monkeypatch.setattr(orders, "_mask_count", refuse)
     # the torus rank cancels, so a lattice that misstates it gives the same terms
     for probe in (lat, lat.replace(torus_rank=0)):
         del dividends[:]
@@ -749,10 +749,10 @@ def test_thm33_coset_mismatch_raises(monkeypatch):
 # a Phi_5 does not, so the exact factored quotient refuses it
 @pytest.mark.parametrize("wrong", [(2, 4), (5,)])
 def test_thm33_wrong_degrees_for_one_subset_raise(monkeypatch, wrong):
-    a2 = frozenset({1, 2})
-    real = orders.subset_degrees
+    a2 = 0b011  # nodes 1 and 2 as a subset mask
+    real = orders._mask_degrees
     monkeypatch.setattr(
-        orders, "subset_degrees", lambda rs, X: wrong if X == a2 else real(rs, X)
+        orders, "_mask_degrees", lambda rs, X: wrong if X == a2 else real(rs, X)
     )
     with pytest.raises(MonoidOrdersError):
         order_thm33(fundamental_lattice(CartanType("C", 3), 3))
