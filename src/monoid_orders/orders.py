@@ -249,7 +249,7 @@ def order_thm33(
     the report notes that the cross-check was skipped.  Coset sums are
     kept per mask of J.
     """
-    rs = lat.root_system
+    rs, delta = lat.root_system, lat.all_simple
     p_w = poincare_factors(degrees(rs.cartan_type))
     skipped: list[str] = []
 
@@ -258,7 +258,6 @@ def order_thm33(
         value = p_w / poincare_factors(_mask_degrees(rs, J))
         if not skipped:
             fixed = _mask_indices(J)
-            delta = lat.all_simple
             try:
                 walked = coset_length_poly(rs, delta, frozenset(fixed), enum_bound)
             except GroupTooLarge:
