@@ -560,7 +560,6 @@ def test_validate_reads_the_masks():
     cases = [
         (LatticeEntry("x", frozenset({4}), frozenset(), 2), "outside 1..3"),
         (LatticeEntry("x", frozenset(), frozenset({9}), 1), "outside 1..3"),
-        (LatticeEntry("x", frozenset({2}), frozenset({2}), 2), "disjoint"),
         # the lowest offending root is named
         (
             LatticeEntry("x", frozenset({2}), frozenset({1, 3}), 2),

@@ -163,8 +163,8 @@ def test_warm_subset_memo_still_refuses_bad_indices():
     # equal subsets built apart hit one memo entry
     first, second = frozenset([1, 2, 4]), frozenset(i for i in (4, 2, 1))
     assert first is not second
-    parts = [rootsystem._mask_parts(rs, rootsystem._subset_mask(rs, X)) for X in (first, second)]
-    assert parts[0] is parts[1]
+    masks = [rootsystem._subset_mask(rs, X) for X in (first, second)]
+    assert rootsystem._mask_parts(rs, masks[0]) is rootsystem._mask_parts(rs, masks[1])
     assert subset_degrees(rs, second) == (2, 2, 3)
     assert len(rs._parts) == size
 
