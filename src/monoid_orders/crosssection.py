@@ -3,10 +3,10 @@
 A lattice entry records, for one idempotent orbit representative e, the two
 halves of its type map: lambda_star (simple roots whose reflections commute
 with e without fixing it) and lambda_substar (those whose reflections fix e),
-plus the exponent k with [T:T(e)] = (q-1)^k.  An entry keeps each half as an
-int mask, node i at bit i - 1 as rootsystem's node bits have it, and builds
-its frozenset only when that is read: validate, is_j_irreducible and the
-order routes read the masks.  Lattices are built two ways: from a
+plus the exponent k with [T:T(e)] = (q-1)^k.  An entry holds each half
+only as an int mask, node i at bit i - 1 as rootsystem's node bits have it,
+and its index text; validate, is_j_irreducible and the order routes read the
+masks.  Lattices are built two ways: from a
 weight-support set J0 (the unique-minimal-idempotent rule), of which the
 fundamental weight omega_i, J0 = Delta minus {alpha_i}, is the common case,
 or from a validated external description.  The entries of a weight support
@@ -18,12 +18,18 @@ tree each.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable
 from math import prod
 
 from .errors import InvalidSupport, InvariantViolation, LatticeTooLarge, UnsupportedType
 from .qpoly import Immutable
-from .rootsystem import CartanType, RootSystemData, _mask_degrees, _mask_indices, build
+from .rootsystem import (
+    CartanType,
+    RootSystemData,
+    _mask_degrees,
+    _mask_indices,
+    _subset_mask,
+    build,
+)
 from .weyl import DEFAULT_ENUM_BOUND
 
 PAPER_VERIFIED = "paper-verified"
@@ -32,61 +38,29 @@ USER_SUPPLIED = "user-supplied"
 
 
 class LatticeEntry(Immutable):
-    """One entry of a cross-section lattice.  The constructor takes
-    lambda_star and lambda_substar as frozensets and keeps them as the masks
-    star_mask and substar_mask (node i at bit i - 1); the properties of the
-    field names build the frozensets again on each read, so equality,
-    hashing, repr and replace see frozensets.  The last two slots hold both
-    halves as index text (index_text)."""
+    """One entry of a cross-section lattice: lambda_star and lambda_substar
+    as the masks star_mask and substar_mask (node i at bit i - 1).  The
+    constructor also writes both halves as index text (index_text) into the
+    last two slots, which equality, hashing, repr and replace leave out."""
 
-    _fields = ("label", "lambda_star", "lambda_substar", "torus_index_exponent")
-    __slots__ = (
-        "label",
-        "star_mask",
-        "substar_mask",
-        "torus_index_exponent",
-        "_star_text",
-        "_substar_text",
-    )
+    _fields = ("label", "star_mask", "substar_mask", "torus_index_exponent")
+    __slots__ = _fields + ("_star_text", "_substar_text")
 
     def __init__(
-        self,
-        label: str,
-        lambda_star: frozenset[int],
-        lambda_substar: frozenset[int],
-        torus_index_exponent: int,
+        self, label: str, star_mask: int, substar_mask: int, torus_index_exponent: int
     ):
         _set_label(self, label)
-        _set_star(self, _index_mask(lambda_star))
-        _set_substar(self, _index_mask(lambda_substar))
+        _set_star(self, star_mask)
+        _set_substar(self, substar_mask)
         _set_exponent(self, torus_index_exponent)
-
-    @property
-    def lambda_star(self) -> frozenset[int]:
-        return frozenset(_mask_indices(self.star_mask))
-
-    @property
-    def lambda_substar(self) -> frozenset[int]:
-        return frozenset(_mask_indices(self.substar_mask))
-
-    @property
-    def lambda_union(self) -> frozenset[int]:
-        return frozenset(_mask_indices(self.star_mask | self.substar_mask))
+        _set_star_text(self, ",".join(map(str, _mask_indices(star_mask))))
+        _set_substar_text(self, ",".join(map(str, _mask_indices(substar_mask))))
 
     @property
     def index_text(self) -> tuple[str, str]:
         """lambda_star and lambda_substar, each as its indices in increasing
-        order joined by commas ("1,9,10"; "" for the empty set).  The
-        builder stores both texts; any other entry computes them here on
-        first use."""
-        try:
-            return self._star_text, self._substar_text
-        except AttributeError:
-            star = ",".join(map(str, _mask_indices(self.star_mask)))
-            substar = ",".join(map(str, _mask_indices(self.substar_mask)))
-            _set_star_text(self, star)
-            _set_substar_text(self, substar)
-            return star, substar
+        order joined by commas ("1,9,10"; "" for the empty set)."""
+        return self._star_text, self._substar_text
 
     def to_json(self) -> dict:
         return {
@@ -109,20 +83,9 @@ class LatticeEntry(Immutable):
 ) = (getattr(LatticeEntry, name).__set__ for name in LatticeEntry.__slots__)
 
 
-def _index_mask(indices: Iterable[int]) -> int:
-    """A set of simple-root indices as a mask with node i at bit i - 1; an
-    index below 1, which has no bit, raises InvariantViolation."""
-    mask = 0
-    for i in indices:
-        if i < 1:
-            raise InvariantViolation(f"simple-root index {i} is below 1")
-        mask |= 1 << (i - 1)
-    return mask
-
-
 class CrossSectionLattice(Immutable):
     _fields = ("root_system", "entries", "torus_rank", "provenance")
-    __slots__ = _fields + ("all_simple", "all_mask")
+    __slots__ = _fields + ("all_mask",)
 
     def __init__(
         self,
@@ -135,10 +98,7 @@ class CrossSectionLattice(Immutable):
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "torus_rank", torus_rank)
         object.__setattr__(self, "provenance", provenance)
-        # derived, so left out of equality, hashing and repr: Delta as a
-        # frozenset and as a mask
-        delta = frozenset(range(1, root_system.rank + 1))
-        object.__setattr__(self, "all_simple", delta)
+        # derived, so left out of equality, hashing and repr: Delta as a mask
         object.__setattr__(self, "all_mask", (1 << root_system.rank) - 1)
 
     @property
@@ -451,15 +411,12 @@ def j_irreducible_lattice(
     }
     j0_mask = sum(bits[i] for i in J0)
     full = (1 << rank) - 1  # Delta, in either bit order
+    entries = [LatticeEntry("0", 0, full, 0)]
+    empty = LatticeEntry("e{}", 0, _subset_mask(rs, J0), 1)
     # a lambda_substar's builder mask -> (its entry mask, its index text),
     # and its entry mask -> its builder mask
-    substars = {j0_mask: (_index_mask(J0), ",".join(map(str, sorted(J0))))}
-    rests = {substars[j0_mask][0]: j0_mask}
-
-    entries = [LatticeEntry("0", frozenset(), delta, 0)]
-    empty = LatticeEntry("e{}", frozenset(), J0, 1)
-    _set_star_text(empty, "")  # the constructor leaves the text slots unset
-    _set_substar_text(empty, substars[j0_mask][1])
+    substars = {j0_mask: (empty.substar_mask, empty._substar_text)}
+    rests = {empty.substar_mask: j0_mask}
     # X as a builder mask -> its entry, which holds X's entry masks and index
     # text; no tuple per X, which the garbage collector would track.  stuck
     # holds the Xs grown below their parent's largest node.
@@ -502,7 +459,7 @@ def j_irreducible_lattice(
                     wider_rest = rest & ~(low | near_v)
                     if wider_rest not in substars:
                         substar = [i for i in sorted(J0) if bits[i] & wider_rest]
-                        substar_mask = _index_mask(substar)
+                        substar_mask = _subset_mask(rs, substar)
                         rests[substar_mask] = wider_rest
                         substars[wider_rest] = substar_mask, ",".join(map(str, substar))
                     substar, substar_text = substars[wider_rest]
@@ -601,11 +558,12 @@ def load_lattice(rs: RootSystemData, raw: dict) -> CrossSectionLattice:
         label = item.get("label", f"e#{i}")
         if not isinstance(label, str):
             raise InvariantViolation(f"{where}: label must be a string, got {label!r}")
-        # before any mask is built: an index of 10**9 would take a 10**9-bit int
+        # an InvariantViolation, not _subset_mask's UnsupportedType
         if not all(1 <= a <= rs.rank for a in star | substar):
             raise InvariantViolation(
                 f"entry {label!r}: simple-root indices outside 1..{rs.rank}"
             )
+        star, substar = _subset_mask(rs, star), _subset_mask(rs, substar)
         entries.append(LatticeEntry(label, star, substar, exponent))
     torus_rank = _json_int(raw.get("torus_rank", rs.rank + 1), "torus_rank")
     lat = CrossSectionLattice(

@@ -212,16 +212,11 @@ def order_thm31(
     N(X) is the degree of the walked W_X(q) and W/W_X divides the walked
     W(q) exactly by it, once per X per call.  Every factor comes from walked
     Weyl-group lengths, so this route shares no code with the
-    degree-product formulas.  Both caches are keyed by the entries' masks;
-    a subset's frozenset is built once, for its walk.
+    degree-product formulas.  Both caches are keyed by the entries' masks,
+    which the walks take as they are.
     """
     rs = lat.root_system
-
-    @cache
-    def walked(X: int) -> QPolynomial:
-        gens = frozenset(_mask_indices(X))
-        return coset_length_poly(rs, gens, frozenset(), enum_bound)
-
+    walked = cache(lambda X: coset_length_poly(rs, X, 0, enum_bound))
     w = walked(lat.all_mask)
     cosets = cache(lambda X: div_exact(w, walked(X)))
     terms = []
@@ -249,7 +244,7 @@ def order_thm33(
     the report notes that the cross-check was skipped.  Coset sums are
     kept per mask of J.
     """
-    rs, delta = lat.root_system, lat.all_simple
+    rs, delta = lat.root_system, lat.all_mask
     p_w = poincare_factors(degrees(rs.cartan_type))
     skipped: list[str] = []
 
@@ -257,14 +252,15 @@ def order_thm33(
     def coset_sum(J: int) -> QProduct:
         value = p_w / poincare_factors(_mask_degrees(rs, J))
         if not skipped:
-            fixed = _mask_indices(J)
             try:
-                walked = coset_length_poly(rs, delta, frozenset(fixed), enum_bound)
+                walked = coset_length_poly(rs, delta, J, enum_bound)
             except GroupTooLarge:
                 skipped.append("skipped thm33 coset cross-check (GroupTooLarge)")
             else:
                 if expand(value) != walked:
-                    raise InvariantViolation(f"coset sum mismatch for J={fixed}")
+                    raise InvariantViolation(
+                        f"coset sum mismatch for J={_mask_indices(J)}"
+                    )
         return value
 
     def term(entry) -> QProduct:

@@ -256,7 +256,7 @@ def build(ct: CartanType) -> RootSystemData:
                     higher[root][1][i] = steps + 1
         level = higher
     rs = RootSystemData(ct, cartan, tuple(positive))
-    found = subset_degrees(rs, frozenset(range(1, l + 1)))
+    found = _mask_degrees(rs, (1 << l) - 1)
     if found != degrees(ct):
         raise InvariantViolation(
             f"{ct} root heights give degrees {found}, the table has {degrees(ct)}"
@@ -274,9 +274,10 @@ def _subset_mask(rs: RootSystemData, X: frozenset[int]) -> int:
 
 
 def _mask_indices(mask: int) -> list[int]:
-    """The nodes of a mask with node i at bit i - 1, in increasing order."""
+    """The nodes of a mask with node i at bit i - 1, in increasing order;
+    none for a negative mask, which has no finite set of bits."""
     nodes = []
-    while mask:
+    while mask > 0:
         low = mask & -mask
         nodes.append(low.bit_length())
         mask ^= low

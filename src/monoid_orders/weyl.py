@@ -17,17 +17,17 @@ only the Cartan matrix, and every length is counted as orbit depth, not
 computed from invariant degrees.  The degrees only choose the node to peel
 and check the size of each walked orbit; the index |W_K| / |W_{K - i}| is a
 quotient of degree products, each read from root heights by rootsystem's
-per-mask memo: the chain carries its subset as an int mask, so no
-candidate K - i is built as a set.
+per-mask memo.  Every subset, from the arguments to each walk, is an int
+mask with node i at bit i - 1, so no candidate K - i is built as a set.
 """
 
 from __future__ import annotations
 
 from math import prod
 
-from .errors import GroupTooLarge, InvariantViolation
+from .errors import GroupTooLarge, InvariantViolation, UnsupportedType
 from .qpoly import ONE, QPolynomial
-from .rootsystem import RootSystemData, _mask_parts, _subset_mask, weyl_order
+from .rootsystem import RootSystemData, _mask_indices, _mask_parts, weyl_order
 
 DEFAULT_ENUM_BOUND = 10**6
 
@@ -37,16 +37,14 @@ def _subgroup_order(rs: RootSystemData, mask: int) -> int:
 
 
 def coset_length_poly(
-    rs: RootSystemData,
-    gens: frozenset[int],
-    fixed: frozenset[int],
-    bound: int | None = None,
+    rs: RootSystemData, gens: int, fixed: int, bound: int | None = None
 ) -> QPolynomial:
     """Sum of q^length over the minimal coset representatives of W_fixed
-    in W_gens (1-based simple-root indices, fixed a subset of gens).
+    in W_gens, both masks with node i at bit i - 1 and fixed a subset of
+    gens (ValueError); a bit above the rank raises UnsupportedType.
 
-    W(q) is coset_length_poly(rs, Delta, {}), the parabolic W_J(q) is
-    coset_length_poly(rs, J, {}), and the coset sum W^J(q) is
+    W(q) is coset_length_poly(rs, Delta, 0), the parabolic W_J(q) is
+    coset_length_poly(rs, J, 0), and the coset sum W^J(q) is
     coset_length_poly(rs, Delta, J).  It is the product of the walks along
     the chain gens = K_0 > K_1 > ... > fixed that removes, at each step,
     the node i with the smallest index |W_K| / |W_{K - i}| (ties to the
@@ -62,30 +60,32 @@ def coset_length_poly(
         raise GroupTooLarge(
             f"|W({rs.cartan_type})| = {order} exceeds the bound {bound}"
         )
-    if not fixed <= gens:
-        raise ValueError(f"{sorted(fixed)} is not a subset of {sorted(gens)}")
-    result = ONE
-    K, mask, bit = gens, _subset_mask(rs, gens), rs._node_bits
-    while K != fixed:
-        size = _subgroup_order(rs, mask)
-        index, i = min(
-            (size // _subgroup_order(rs, mask ^ bit[i]), i) for i in K - fixed
+    if fixed & ~gens:
+        raise ValueError(
+            f"{_mask_indices(fixed)} is not a subset of {_mask_indices(gens)}"
         )
-        result = result * _walk(rs, K, K - {i}, index)
-        K, mask = K - {i}, mask ^ bit[i]
+    if gens >> rs.rank:  # negative masks too
+        raise UnsupportedType(f"subset {_mask_indices(gens)} outside 1..{rs.rank}")
+    result, K, bit = ONE, gens, rs._node_bits
+    while K != fixed:
+        size = _subgroup_order(rs, K)
+        index, i = min(
+            (size // _subgroup_order(rs, K ^ bit[i]), i)
+            for i in _mask_indices(K & ~fixed)
+        )
+        result = result * _walk(rs, K, K ^ bit[i], index)
+        K ^= bit[i]
     return result
 
 
-def _walk(
-    rs: RootSystemData, gens: frozenset[int], fixed: frozenset[int], expected: int
-) -> QPolynomial:
+def _walk(rs: RootSystemData, gens: int, fixed: int, expected: int) -> QPolynomial:
     """The coset sum of W_fixed in W_gens, walked level by level over the
     orbit, which must hold the expected index |W_gens| / |W_fixed|."""
-    index = sorted(gens)
+    index = _mask_indices(gens)
     # column i of the Cartan matrix is alpha_i in fundamental coordinates
     columns = [[rs.cartan[j - 1][i - 1] for j in index] for i in index]
     alphas = [[(b, c) for b, c in enumerate(col) if c] for col in columns]
-    level = {tuple(0 if i in fixed else 1 for i in index)}
+    level = {tuple(0 if fixed >> (i - 1) & 1 else 1 for i in index)}
     counts = []
     while level:
         counts.append(len(level))
@@ -102,7 +102,7 @@ def _walk(
     orbit = sum(counts)
     if orbit != expected:
         raise InvariantViolation(
-            f"W_{sorted(gens)}/W_{sorted(fixed)} in {rs.cartan_type} walked as "
-            f"{orbit} cosets, expected {expected}"
+            f"W_{_mask_indices(gens)}/W_{_mask_indices(fixed)} in {rs.cartan_type}"
+            f" walked as {orbit} cosets, expected {expected}"
         )
     return QPolynomial(counts)

@@ -1,9 +1,39 @@
-"""Split a set of simple roots into Dynkin-connected components.
+"""Test-side helpers for subsets of the simple roots.
 
-A test-side helper: the package reads every parabolic subgroup's degrees
-from root heights and never splits a subset, so the tests that check a
-result component by component split it here.
+The package holds every subset of a lattice entry or a Weyl walk as an int
+mask with node i at bit i - 1, reads every parabolic subgroup's degrees
+from root heights and never splits a subset.  The tests state their cases
+as index sets: these helpers turn them into masks and back, and split a
+subset into its Dynkin components for the tests that check a result
+component by component.
 """
+
+from monoid_orders.crosssection import LatticeEntry
+
+
+def mask_of(indices) -> int:
+    """A set of simple-root indices as a mask with node i at bit i - 1."""
+    return sum(1 << (i - 1) for i in set(indices))
+
+
+def nodes(mask: int) -> frozenset[int]:
+    """The simple-root indices of a nonnegative mask."""
+    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def star(e) -> frozenset[int]:
+    """lambda_star of a lattice entry as an index set."""
+    return nodes(e.star_mask)
+
+
+def substar(e) -> frozenset[int]:
+    """lambda_substar of a lattice entry as an index set."""
+    return nodes(e.substar_mask)
+
+
+def entry(label, star_set, substar_set, k) -> LatticeEntry:
+    """A lattice entry with its two halves given as index sets."""
+    return LatticeEntry(label, mask_of(star_set), mask_of(substar_set), k)
 
 
 def components(rs, X):

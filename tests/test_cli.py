@@ -20,6 +20,7 @@ from monoid_orders import cli, crosssection, orders, qpoly, verify
 from monoid_orders.crosssection import fundamental_lattice, j_irreducible_lattice
 from monoid_orders.rootsystem import CartanType, build, parse_subset
 from monoid_orders.qpoly import ONE, QPolynomial
+from subdiagrams import star, substar
 
 
 def run(capsys, *argv):
@@ -1250,8 +1251,8 @@ def expected_lattice_outputs(lat) -> dict[str, str]:
         f"  ({lat.provenance})"
     ]
     table += [
-        f"  {e.label:<{width}}  lambda*={subset_str(e.lambda_star):<12}"
-        f" lambda_*={subset_str(e.lambda_substar):<12}"
+        f"  {e.label:<{width}}  lambda*={subset_str(star(e)):<12}"
+        f" lambda_*={subset_str(substar(e)):<12}"
         f" [T:T(e)]=(q-1)^{e.torus_index_exponent}"
         for e in lat.entries
     ]
@@ -1262,8 +1263,8 @@ def expected_lattice_outputs(lat) -> dict[str, str]:
         writer.writerow(
             [
                 e.label,
-                " ".join(map(str, sorted(e.lambda_star))),
-                " ".join(map(str, sorted(e.lambda_substar))),
+                " ".join(map(str, sorted(star(e)))),
+                " ".join(map(str, sorted(substar(e)))),
                 e.torus_index_exponent,
             ]
         )
@@ -1340,8 +1341,8 @@ def test_order_table_lists_the_index_sets_as_before(capsys, tmp_path):
         expected = [f"type {report.cartan_type}  formula thm34"]
         expected += [f"note: {note}" for note in report.notes]
         expected += [
-            f"  {label:<{width}}  lambda*={subset_str(entries[label].lambda_star):<12}"
-            f" lambda_*={subset_str(entries[label].lambda_substar):<12}  {term}"
+            f"  {label:<{width}}  lambda*={subset_str(star(entries[label])):<12}"
+            f" lambda_*={subset_str(substar(entries[label])):<12}  {term}"
             for label, term in report.terms
         ]
         expected.append(f"total: {report.total}")

@@ -30,13 +30,13 @@ from monoid_orders.errors import (
     UnsupportedType,
 )
 from monoid_orders.rootsystem import CartanType, build, subset_degrees
-from subdiagrams import components
+from subdiagrams import components, entry, mask_of, star, substar
 
 
 def shape(lat):
     """(lambda_star, lambda_substar, exponent) triples, zero entry first."""
     return [
-        (sorted(e.lambda_star), sorted(e.lambda_substar), e.torus_index_exponent)
+        (sorted(star(e)), sorted(substar(e)), e.torus_index_exponent)
         for e in lat.entries
     ]
 
@@ -80,7 +80,7 @@ def test_symplectic_lattice_sizes():
     assert len(fundamental_lattice(CartanType("C", 2), 2).entries) == 4
     lat3 = fundamental_lattice(CartanType("C", 3), 3)
     assert len(lat3.entries) == 5
-    stars = [e.lambda_star for e in lat3.entries if not lat3.is_zero(e)]
+    stars = [star(e) for e in lat3.entries if not lat3.is_zero(e)]
     # chain: each lambda* contains the previous one
     for small, large in zip(stars, stars[1:]):
         assert small < large
@@ -103,7 +103,7 @@ def test_symplectic_identity_entry():
     for l in (2, 4):
         lat = fundamental_lattice(CartanType("C", l), l)
         ident = lat.identity_entry
-        assert ident.lambda_substar == frozenset()
+        assert substar(ident) == frozenset()
         assert ident.torus_index_exponent == l + 1
         assert lat.zero_entry.torus_index_exponent == 0
 
@@ -121,10 +121,10 @@ def test_generated_entries_respect_support_rule():
         for e in lat.entries:
             if lat.is_zero(e):
                 continue
-            assert e.lambda_substar <= j0
-            for comp in components(rs, e.lambda_star):
+            assert substar(e) <= j0
+            for comp in components(rs, star(e)):
                 assert not comp <= j0
-            assert e.torus_index_exponent == len(e.lambda_star) + 1
+            assert e.torus_index_exponent == len(star(e)) + 1
 
 
 def test_invalid_support():
@@ -206,23 +206,23 @@ def test_validate_rejects_nonzero_entry_with_exponent_zero():
     # a second entry with empty lambda* and lambda_* would add 1 to |M|(1)
     rs = build(CartanType("A", 1))
     entries = (
-        LatticeEntry("0", frozenset(), frozenset({1}), 0),
-        LatticeEntry("e{}", frozenset(), frozenset(), 0),
-        LatticeEntry("1", frozenset({1}), frozenset(), 1),
+        entry("0", (), {1}, 0),
+        entry("e{}", (), (), 0),
+        entry("1", {1}, (), 1),
     )
     lat = CrossSectionLattice(rs, entries, torus_rank=1)
     with pytest.raises(InvariantViolation, match="entry 'e{}': non-zero entry"):
         validate(lat)
     # with exponent 1 the same entry passes
-    middle = LatticeEntry("e{}", frozenset(), frozenset(), 1)
+    middle = entry("e{}", (), (), 1)
     validate(CrossSectionLattice(rs, (entries[0], middle, entries[2]), torus_rank=1))
 
 
 def test_validate_rejects_exponent_above_torus_rank():
     rs = build(CartanType("A", 1))
     entries = (
-        LatticeEntry("0", frozenset(), frozenset({1}), 0),
-        LatticeEntry("1", frozenset({1}), frozenset(), 5),
+        entry("0", (), {1}, 0),
+        entry("1", {1}, (), 5),
     )
     lat = CrossSectionLattice(rs, entries, torus_rank=2)
     with pytest.raises(InvariantViolation, match="torus rank"):
@@ -232,8 +232,8 @@ def test_validate_rejects_exponent_above_torus_rank():
 def test_validate_rejects_duplicate_labels():
     rs = build(CartanType("A", 1))
     entries = (
-        LatticeEntry("e", frozenset(), frozenset({1}), 0),
-        LatticeEntry("e", frozenset({1}), frozenset(), 2),
+        entry("e", (), {1}, 0),
+        entry("e", {1}, (), 2),
     )
     with pytest.raises(InvariantViolation, match="duplicate"):
         validate(CrossSectionLattice(rs, entries, torus_rank=2))
@@ -245,7 +245,7 @@ def test_is_j_irreducible_flag():
     tweaked = CrossSectionLattice(
         lat.root_system,
         tuple(
-            LatticeEntry(e.label, e.lambda_star, e.lambda_substar, e.torus_index_exponent + (1 if lat.is_identity(e) else 0))
+            LatticeEntry(e.label, e.star_mask, e.substar_mask, e.torus_index_exponent + (1 if lat.is_identity(e) else 0))
             for e in lat.entries
         ),
         torus_rank=lat.torus_rank + 1,
@@ -355,9 +355,9 @@ def listed_thm34_keys(rs, J0):
     counted over the listed lattice."""
     return Counter(
         (
-            subset_degrees(rs, e.lambda_substar),
+            subset_degrees(rs, substar(e)),
             e.torus_index_exponent,
-            subset_degrees(rs, e.lambda_star),
+            subset_degrees(rs, star(e)),
         )
         for e in j_irreducible_lattice(rs, J0).entries
     )
@@ -490,46 +490,41 @@ def text_of(indices) -> str:
 )
 def test_builder_stores_each_entry_index_text(spec, J0):
     lat = j_irreducible_lattice(build(CartanType.parse(spec)), J0)
-    for e in lat.entries[1:]:  # the zero entry's are computed on first use
+    for e in lat.entries[1:]:  # the zero entry's are written by the constructor
         stored = e._star_text, e._substar_text
-        assert stored == (text_of(e.lambda_star), text_of(e.lambda_substar)), e.label
+        assert stored == (text_of(star(e)), text_of(substar(e))), e.label
         assert e.index_text == stored
     zero = lat.entries[0]
     assert zero.index_text == ("", text_of(range(1, lat.rank + 1)))
 
 
-def test_index_text_sorts_numerically_on_first_use():
-    e = LatticeEntry("x", frozenset({10, 9, 2}), frozenset({11, 1}), 4)
+def test_index_text_sorts_numerically():
+    e = entry("x", {10, 9, 2}, {11, 1}, 4)
     assert e.index_text == ("2,9,10", "1,11")
-    assert LatticeEntry("y", frozenset(), frozenset(), 1).index_text == ("", "")
+    assert LatticeEntry("y", 0, 0, 1).index_text == ("", "")
+    assert LatticeEntry("z", -1, -2, 1).index_text == ("", "")  # no finite bits
 
 
 def test_index_text_changes_no_equality_hash_repr_or_replace():
     lat = j_irreducible_lattice(build(CartanType("B", 12)), LONG_SHAPES["B12"])
     loaded = load_lattice(lat.root_system, lat.to_json())
     for built, read in zip(lat.entries, loaded.entries):
-        assert not hasattr(read, "_star_text")  # not computed yet
         assert built == read and hash(built) == hash(read)
         assert repr(built) == repr(read)
-        read.index_text
-        assert built == read and hash(built) == hash(read)
+        assert built.index_text == read.index_text
     e = lat.entries[5]
     assert repr(e) == (
-        f"LatticeEntry(label={e.label!r}, lambda_star={e.lambda_star!r},"
-        f" lambda_substar={e.lambda_substar!r},"
+        f"LatticeEntry(label={e.label!r}, star_mask={e.star_mask!r},"
+        f" substar_mask={e.substar_mask!r},"
         f" torus_index_exponent={e.torus_index_exponent!r})"
     )
-    changed = e.replace(lambda_star=frozenset({12, 3}), label="z")
-    assert (changed.label, changed.lambda_star) == ("z", frozenset({3, 12}))
-    assert changed.lambda_substar == e.lambda_substar
+    changed = e.replace(star_mask=mask_of({12, 3}), label="z")
+    assert (changed.label, star(changed)) == ("z", frozenset({3, 12}))
+    assert changed.substar_mask == e.substar_mask
     assert changed.index_text == ("3,12", e.index_text[1])
     assert e.replace() == e
     with pytest.raises(AttributeError):
         e._star_text = "1"
-
-
-def bits_of(indices) -> int:
-    return sum(1 << (i - 1) for i in indices)
 
 
 @pytest.mark.parametrize("spec", ["A12", "B12", "C16", "D14", "E6", "F4"])
@@ -537,34 +532,26 @@ def test_entries_keep_both_halves_as_masks(spec):
     J0 = LONG_SHAPES.get(spec, frozenset({1, 3}))
     lat = j_irreducible_lattice(build(CartanType.parse(spec)), J0)
     loaded = load_lattice(lat.root_system, lat.to_json())
-    assert lat.all_mask == bits_of(lat.all_simple)
+    assert lat.all_mask == mask_of(range(1, lat.rank + 1))
     for built, read in zip(lat.entries, loaded.entries):
         for e in (built, read):
-            assert e.star_mask == bits_of(built.lambda_star), e.label
-            assert e.substar_mask == bits_of(built.lambda_substar), e.label
-            assert e.lambda_union == built.lambda_star | built.lambda_substar
-            assert type(e.lambda_star) is frozenset
-
-
-@pytest.mark.parametrize("bad", [0, -1])
-def test_entry_index_below_one_is_an_invariant_violation(bad):
-    # no bit to set: not a ValueError from a negative shift
-    with pytest.raises(InvariantViolation, match=f"simple-root index {bad} is below 1"):
-        LatticeEntry("x", frozenset({2, bad}), frozenset(), 3)
-    with pytest.raises(InvariantViolation, match=f"simple-root index {bad} is below 1"):
-        LatticeEntry("x", frozenset(), frozenset({bad}), 1)
+            assert (text_of(star(e)), text_of(substar(e))) == built.index_text
+            assert type(e.star_mask) is type(e.substar_mask) is int
 
 
 def test_validate_reads_the_masks():
     rs = build(CartanType("A", 3))
-    zero = LatticeEntry("0", frozenset(), frozenset({1, 2, 3}), 0)
-    one = LatticeEntry("1", frozenset({1, 2, 3}), frozenset(), 4)
+    zero = entry("0", (), {1, 2, 3}, 0)
+    one = entry("1", {1, 2, 3}, (), 4)
     cases = [
-        (LatticeEntry("x", frozenset({4}), frozenset(), 2), "outside 1..3"),
-        (LatticeEntry("x", frozenset(), frozenset({9}), 1), "outside 1..3"),
+        (entry("x", {4}, (), 2), "outside 1..3"),
+        (entry("x", (), {9}, 1), "outside 1..3"),
+        # a negative int has no finite set of bits
+        (LatticeEntry("x", -1, 0, 2), "outside 1..3"),
+        (LatticeEntry("x", 0, -8, 1), "outside 1..3"),
         # the lowest offending root is named
         (
-            LatticeEntry("x", frozenset({2}), frozenset({1, 3}), 2),
+            entry("x", {2}, {1, 3}, 2),
             "root 1 in lambda_substar is adjacent to lambda_star",
         ),
     ]
@@ -572,7 +559,7 @@ def test_validate_reads_the_masks():
         lat = CrossSectionLattice(rs, (zero, bad, one), torus_rank=4)
         with pytest.raises(InvariantViolation, match=f"entry 'x': .*{message}"):
             validate(lat)
-    ok = LatticeEntry("x", frozenset({1}), frozenset({3}), 2)
+    ok = entry("x", {1}, {3}, 2)
     assert validate(CrossSectionLattice(rs, (zero, ok, one), torus_rank=4))
 
 

@@ -31,7 +31,7 @@ from monoid_orders.rootsystem import (
     positive_count_of_subset,
     subset_degrees,
 )
-from subdiagrams import components
+from subdiagrams import components, star, substar
 
 SMALL_TYPES = (
     [f"A{l}" for l in range(1, 7)]
@@ -53,13 +53,13 @@ def thm34_products(lat):
             products.append((entry.label, None))
             continue
         denom = QProduct()
-        for comp in components(rs, entry.lambda_substar):
+        for comp in components(rs, substar(entry)):
             denom = denom * factors(comp) ** 2
-        for comp in components(rs, entry.lambda_star):
+        for comp in components(rs, star(entry)):
             denom = denom * factors(comp)
         torus = QProduct.of(
             [1] * entry.torus_index_exponent,
-            shift=positive_count_of_subset(rs, entry.lambda_star),
+            shift=positive_count_of_subset(rs, star(entry)),
         )
         products.append((entry.label, torus * (p_w_squared / denom)))
     return products
@@ -75,13 +75,13 @@ def thm41_products(lat):
             products.append((entry.label, None))
             continue
         numer = ambient * QProduct.of(
-            [1] * (2 * len(entry.lambda_union) + 1),
-            shift=positive_count_of_subset(rs, entry.lambda_star),
+            [1] * (2 * len(star(entry) | substar(entry)) + 1),
+            shift=positive_count_of_subset(rs, star(entry)),
         )
         denom = QProduct.of([1] * (2 * rs.rank))
-        for comp in components(rs, entry.lambda_substar):
+        for comp in components(rs, substar(entry)):
             denom = denom * QProduct.of(subset_degrees(rs, comp)) ** 2
-        for comp in components(rs, entry.lambda_star):
+        for comp in components(rs, star(entry)):
             denom = denom * QProduct.of(subset_degrees(rs, comp))
         products.append((entry.label, numer / denom))
     return products
@@ -250,10 +250,10 @@ def non_divisible_lattice():
     without validate: its denominator Phi_2^3 does not divide |W(q)|^2."""
     rs = build(CartanType("A", 1))
     entries = (
-        LatticeEntry("0", frozenset(), frozenset({1}), 0),
-        LatticeEntry("e{}", frozenset(), frozenset(), 1),
-        LatticeEntry("bad", frozenset({1}), frozenset({1}), 2),
-        LatticeEntry("1", frozenset({1}), frozenset(), 2),
+        LatticeEntry("0", 0, 0b1, 0),
+        LatticeEntry("e{}", 0, 0, 1),
+        LatticeEntry("bad", 0b1, 0b1, 2),
+        LatticeEntry("1", 0b1, 0, 2),
     )
     return CrossSectionLattice(rs, entries, torus_rank=2)
 
@@ -285,10 +285,10 @@ from monoid_orders.rootsystem import CartanType, build
 if not sys.flags.optimize:
     sys.exit("not running under -O")
 entries = (
-    LatticeEntry("0", frozenset(), frozenset({1}), 0),
-    LatticeEntry("e{}", frozenset(), frozenset(), 1),
-    LatticeEntry("bad", frozenset({1}), frozenset({1}), 2),
-    LatticeEntry("1", frozenset({1}), frozenset(), 2),
+    LatticeEntry("0", 0, 0b1, 0),
+    LatticeEntry("e{}", 0, 0, 1),
+    LatticeEntry("bad", 0b1, 0b1, 2),
+    LatticeEntry("1", 0b1, 0, 2),
 )
 lat = CrossSectionLattice(build(CartanType("A", 1)), entries, torus_rank=2)
 for route in (order_thm34, order_thm41):
