@@ -378,14 +378,11 @@ def census_total(
     if bound is None:
         bound = DEFAULT_ENUM_BOUND
     # (lambda* degrees, k, count) per lambda_* degrees, sorted by k and then
-    # the lambda* degrees from the largest down, so that neighbours share
-    # most factors and expand_all steps less (C18 J0 = {}: 3,949 steps, not
-    # the 4,889 of the degrees from the smallest up)
+    # the lambda* degrees, so that neighbours share most factors and
+    # expand_all steps less
     groups: dict[tuple[int, ...], list] = {}
     census = thm34_census(rs, J0, bound)
-    for (sub_degrees, k, star_degrees), n in sorted(
-        census.items(), key=lambda item: (item[0][:2], item[0][2][::-1])
-    ):
+    for (sub_degrees, k, star_degrees), n in sorted(census.items()):
         groups.setdefault(sub_degrees, []).append((star_degrees, k, n))
     size = 0
     for sub_degrees, group in groups.items():
@@ -407,18 +404,14 @@ def census_total(
         up = p_w / poincare(sub_degrees)  # W/W_{lambda_*}
         stepped = len(group) > rs.rank
         for star_degrees, k, _ in group:
-            inner = p_w / poincare(tuple(sorted(sub_degrees + star_degrees)))
-            inner *= QProduct.of([1] * k, sum(star_degrees) - len(star_degrees))
+            inner = QProduct.of([1] * k, sum(star_degrees) - len(star_degrees))
+            inner = inner * p_w / poincare(tuple(sorted(sub_degrees + star_degrees)))
             products.append(inner if stepped else inner * up)
         plan.append((group, up, stepped))
     expanded = iter(expand_all(products))
     summands = []
     for group, up, stepped in plan:
-        # one scaling per count, not one per term
-        by_count: dict[int, list[QPolynomial]] = {}
-        for (_, _, n), t in zip(group, expanded):
-            by_count.setdefault(n, []).append(t)
-        scaled = [_scaled(n, poly_sum(terms)) for n, terms in by_count.items()]
+        scaled = [_scaled(n, t) for (_, _, n), t in zip(group, expanded)]
         summands += [times_product(poly_sum(scaled), up)] if stepped else scaled
     return _unlisted("thm34 census", rs, J0, poly_sum(summands))
 

@@ -12,11 +12,8 @@ Phi exponent or the shift would go negative.  expand_all is the one path
 from factored to dense: it steps each distinct product from 1 or from the
 product stepped to before it, multiplying and dividing by (q^d - 1)
 factors, with a sparse division that raises on a nonzero remainder as well.
-Each value it steps through is palindromic up to sign, so it keeps only the
-low half of the coefficients.  times_product steps a dense polynomial by a
-factored product through the same divisions, on all of its coefficients.
-A dense product whose sparser factor has more than a few nonzero terms is
-one integer product of the two factors packed into big integers.
+times_product steps a dense polynomial by a factored product through the
+same loop.
 
 All coefficients are Python ints, so arithmetic is exact at any size.  Values
 are immutable; every operation returns a fresh value.
@@ -26,9 +23,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from functools import lru_cache
-from itertools import accumulate, islice, zip_longest
+from itertools import accumulate, zip_longest
 from math import isqrt
-from operator import neg, sub
 
 from .errors import IndexOutOfRange, NonExactDivision
 
@@ -126,8 +122,6 @@ class QPolynomial(Immutable):
         other_terms = [(j, c) for j, c in enumerate(b) if c]
         if len(other_terms) < len(sparse):
             sparse, b = other_terms, a
-        if len(sparse) > _SPARSE_TERMS:
-            return QPolynomial(_packed_product(self.coeffs, other.coeffs))
         # one pass over the denser operand per nonzero term of the sparser one
         width = len(b)
         for i, c in sparse:
@@ -175,39 +169,6 @@ class QPolynomial(Immutable):
     def to_json(self) -> list[int]:
         """Coefficient array, ascending powers."""
         return list(self.coeffs)
-
-
-# Past this many nonzero terms in the sparser factor, a product is taken by
-# _packed_product (A30's chain sum on a 2-vCPU host: 0.59 s in passes over
-# the denser factor, 0.10 s packed; at 8 terms or fewer the passes win).
-_SPARSE_TERMS = 8
-
-
-def _packed_product(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
-    """The coefficients of a * b from one integer product (Kronecker
-    substitution): each factor is packed as its value at q = 2^(8 * width),
-    width bytes being enough for every coefficient of the product, and the
-    product is read back width bytes at a time.  Each coefficient is offset
-    by half the digit range on the way in and out, so no digit borrows."""
-    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-    width = bound.bit_length() // 8 + 1
-    shift = 8 * width - 1
-    half = 1 << shift  # > bound, so every coefficient + half fits width bytes
-    unit = b"\x01".ljust(width, b"\x00")
-
-    def offsets(n: int) -> int:
-        return int.from_bytes(unit * n, "little") << shift
-
-    def packed(coeffs: tuple[int, ...]) -> int:
-        raw = b"".join([(c + half).to_bytes(width, "little") for c in coeffs])
-        return int.from_bytes(raw, "little") - offsets(len(coeffs))
-
-    n = len(a) + len(b) - 1
-    raw = memoryview((packed(a) * packed(b) + offsets(n)).to_bytes(n * width, "little"))
-    return [
-        int.from_bytes(raw[i : i + width], "little") - half
-        for i in range(0, n * width, width)
-    ]
 
 
 ZERO = QPolynomial()
@@ -288,30 +249,22 @@ def _times_binomial(coeffs: list[int], d: int) -> list[int]:
     return [a - b for a, b in zip([0] * d + coeffs, coeffs + [0] * d)]
 
 
-def _low_quotient(coeffs: list[int], d: int) -> list[int]:
-    """The coefficients of coeffs / (q^d - 1) below len(coeffs), the
-    division taken as exact: with coeffs = c * (q^d - 1), c_k = c_{k-d} -
-    coeffs_k, the running differences of every d-th coefficient."""
-    quotient = coeffs[:]
-    for j in range(min(d, len(coeffs))):
-        quotient[j::d] = islice(accumulate(coeffs[j::d], sub, initial=0), 1, None)
-    return quotient
-
-
 def _over_binomial(coeffs: list[int], d: int) -> list[int]:
     """coeffs / (q^d - 1), raising NonExactDivision on a nonzero remainder.
 
-    The remainder is zero iff _low_quotient's coefficients vanish on the
-    top d powers.  The zero polynomial (no coefficients) divides to zero.
+    With coeffs = c * (q^d - 1), c_k = -(coeffs_k + coeffs_{k-d} + ...), and
+    the remainder is zero iff those running sums vanish on the top d powers.
+    The zero polynomial (no coefficients) divides to zero.
     """
-    quotient = _low_quotient(coeffs, d)
+    sums = coeffs[:]
+    for j in range(d):
+        sums[j::d] = accumulate(coeffs[j::d])
     top = len(coeffs) - d
-    if (coeffs and top < 1) or any(quotient[top:]):
+    if (coeffs and top < 1) or any(sums[top:]):
         raise NonExactDivision(
             f"degree-{len(coeffs) - 1} polynomial is not divisible by (q^{d} - 1)"
         )
-    del quotient[top:]
-    return quotient
+    return [-s for s in sums[:top]]
 
 
 class QProduct(Immutable):
@@ -345,7 +298,6 @@ class QProduct(Immutable):
     def _combine(self, other: "QProduct", sign: int) -> "QProduct":
         """self * other^sign by one merge of the two n-sorted phi tuples."""
         shift = self.shift + sign * other.shift
-        exact = shift >= 0
         a = self.phi
         phi = []
         i = 0
@@ -357,14 +309,12 @@ class QProduct(Immutable):
             if i < len(a) and a[i][0] == n:
                 e += a[i][1]
                 i += 1
-            if e < 0:  # self's exponents are positive: only these can go below
-                exact = False
-                break
             if e:
                 phi.append((n, e))
-        if not exact:
+        phi += a[i:]
+        if shift < 0 or any(e < 0 for _, e in phi):
             raise NonExactDivision(f"({self}) is not divisible by ({other})")
-        return QProduct(shift, tuple(phi + list(a[i:])))
+        return QProduct(shift, tuple(phi))
 
     def __mul__(self, other: "QProduct") -> "QProduct":
         return self._combine(other, 1)
@@ -389,13 +339,12 @@ class QProduct(Immutable):
 def _binomial_powers(phi: tuple[tuple[int, int], ...]) -> dict[int, int]:
     """The (q^d - 1) exponents p_d of prod Phi_n^e_n.  Since q^d - 1 is the
     product of Phi_n over n | d, e_n is the sum of p_d over the multiples d
-    of n, solved for p_d from the largest d down; a d above half the top n
-    has no multiple left, so p_d = e_d."""
-    power = [0] * (phi[-1][0] + 1 if phi else 1)
-    for n, e in phi:
-        power[n] = e
-    for d in range(len(power) // 2, 0, -1):
-        power[d] -= sum(power[2 * d :: d])
+    of n, solved for p_d from the largest d down."""
+    exponents = dict(phi)
+    top = max(exponents, default=0)
+    power = [0] * (top + 1)
+    for d in range(top, 0, -1):
+        power[d] = exponents.get(d, 0) - sum(power[2 * d :: d])
     return {d: p for d, p in enumerate(power) if p}
 
 
@@ -407,79 +356,21 @@ def expand_all(products: Iterable[QProduct]) -> list[QPolynomial]:
     steps: the positive ones by shift-subtract, then the negative ones by
     sparse exact division, each O(degree).  After the positive steps the
     coefficients are the target times the factors still to divide out, so
-    every division is exact.  Every value stepped through is a monic
-    product of cyclotomic polynomials, so c_{degree - j} = c_0 c_j with
-    c_0 = +-1, and the steps keep only its low half (_folded_step).  Each
-    result is unfolded and shifted by its own product's power of q.
+    every division is exact.  Each result is shifted by its own product's
+    power of q.
     """
     products = list(products)
     expanded: dict[tuple[tuple[int, int], ...], list[int]] = {}
-    half, degree, last = [1], 0, {}
+    coeffs, last = [1], {}
     for phi in dict.fromkeys(product.phi for product in products):
         step = power = _binomial_powers(phi)
-        if last:  # else half is already 1
+        if last:  # else coeffs is already 1
             step = {d: power.get(d, 0) - last.get(d, 0) for d in power | last}
             if sum(map(abs, step.values())) >= sum(map(abs, power.values())):
-                half, degree, step = [1], 0, power
-        half, degree = _folded_step(half, degree, step)
-        expanded[phi] = _unfolded(half, degree, degree + 1)
+                coeffs, step = [1], power
+        expanded[phi] = coeffs = _stepped(coeffs, step)
         last = power
     return [QPolynomial([0] * p.shift + expanded[p.phi]) for p in products]
-
-
-def _unfolded(half: list[int], degree: int, n: int) -> list[int]:
-    """Coefficients 0..n-1 of the monic cyclotomic product of this degree
-    whose coefficients 0..degree // 2 are half: c_{degree - j} = c_0 c_j."""
-    coeffs = half[:n]
-    mirror = half[max(degree - n + 1, 0) : degree - len(half) + 1][::-1]
-    coeffs += mirror if half[0] > 0 else map(neg, mirror)
-    coeffs += [0] * (n - len(coeffs))
-    return coeffs
-
-
-def _folded_step(
-    half: list[int], degree: int, step: dict[int, int]
-) -> tuple[list[int], int]:
-    """_stepped on the low half of a monic cyclotomic product: the low
-    half of each step's value needs coefficients of the value before only
-    up to its own length, which a product times (q^d - 1) takes past the
-    half it keeps by d / 2, read back from the mirror."""
-    for d in sorted(step):
-        for _ in range(step[d]):
-            n = (degree + d) // 2 + 1
-            half = _times_binomial(_unfolded(half, degree, n), d)[:n]
-            degree += d
-    for d in sorted(step, reverse=True):
-        for _ in range(-step[d]):
-            half = _folded_quotient(half, degree, d)
-            degree -= d
-    return half, degree
-
-
-def _folded_quotient(half: list[int], degree: int, d: int) -> list[int]:
-    """The low half of p / (q^d - 1), for p the product of this degree
-    whose low half is half, raising NonExactDivision on a nonzero remainder.
-
-    The remainder is the sum over r < d of q^r times the sum of the p_j
-    with j = r mod d.  With p_j = s p_{degree-j} above the half (s the sign
-    of p_0), each such sum splits into one over the half and one over its
-    mirror, and both are running sums that _low_quotient returns negated:
-    as quotient_j at the last d indices j below len(half), and as
-    quotient_{degree-d-j}.  So p is divisible iff quotient_j + s
-    quotient_{degree-d-j} = 0 for each of those j, an index below 0
-    standing for a sum of no terms.
-    """
-    quotient = _low_quotient(half, d)
-
-    def at(j: int) -> int:
-        return quotient[j] if j >= 0 else 0
-
-    sign = 1 if half[0] > 0 else -1
-    if any(at(j) + sign * at(degree - d - j) for j in range(len(half) - d, len(half))):
-        raise NonExactDivision(
-            f"degree-{degree} polynomial is not divisible by (q^{d} - 1)"
-        )
-    return quotient[: (degree - d) // 2 + 1]
 
 
 def _stepped(coeffs: list[int], step: dict[int, int]) -> list[int]:

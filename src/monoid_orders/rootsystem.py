@@ -17,7 +17,6 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterator
 from functools import lru_cache
-from itertools import accumulate
 from math import prod
 
 from .errors import InvariantViolation, UnsupportedType
@@ -168,7 +167,8 @@ class RootSystemData(Immutable):
         "_neighbors",
         "_neighbor_masks",
         "_node_bits",
-        "_low_roots",
+        "_root_supports",
+        "_root_heights",
         "_components",
         "_parts",
     )
@@ -184,12 +184,8 @@ class RootSystemData(Immutable):
             frozenset(j for j in nodes if j != i and cartan[i - 1][j - 1])
             for i in nodes
         )
-        # (support, height) of each positive root, under its lowest node;
-        # bit i-1 of a support is set when simple root i occurs in the root
-        low_roots: list[list[tuple[int, int]]] = [[] for _ in nodes]
-        for r in positive_roots:
-            support = sum(1 << b for b, a in enumerate(r) if a)
-            low_roots[(support & -support).bit_length() - 1].append((support, sum(r)))
+        # bit i-1 set when simple root i occurs in the positive root
+        supports = (sum(1 << b for b, a in enumerate(r) if a) for r in positive_roots)
         for name, value in (
             ("cartan_type", cartan_type),
             ("cartan", cartan),
@@ -197,7 +193,8 @@ class RootSystemData(Immutable):
             ("_neighbors", neighbors),
             ("_neighbor_masks", tuple(sum(1 << (j - 1) for j in n) for n in neighbors)),
             ("_node_bits", {i: 1 << (i - 1) for i in nodes}),
-            ("_low_roots", tuple(map(tuple, low_roots))),
+            ("_root_supports", tuple(supports)),
+            ("_root_heights", tuple(map(sum, positive_roots))),
             # connected mask -> (positive roots supported on it, degrees of W_mask)
             ("_components", {}),
             # subset mask -> the _components entries of its Dynkin components
@@ -319,17 +316,12 @@ def _flood_fill(rs: RootSystemData, rest: int) -> Iterator[int]:
 
 def _read_component(rs: RootSystemData, mask: int) -> tuple[int, tuple[int, ...]]:
     """(count, degrees) of the n_h positive roots of each height h supported
-    on mask, looked for only among the roots whose lowest node is in mask:
-    the exponents of W_mask are the parts of the partition dual to
+    on mask: the exponents of W_mask are the parts of the partition dual to
     (n_1, n_2, ...), and each degree is an exponent plus one."""
-    heights = [
-        h for i in _mask_indices(mask) for s, h in rs._low_roots[i - 1] if s | mask == mask
-    ]
-    # tally[k]: how many heights h have n_h = k; n_1, the rank, is the largest
-    tally = [0] * (mask.bit_count() + 1)
-    for n in Counter(heights).values():
-        tally[n] += 1
-    return len(heights), tuple(accumulate(reversed(tally[1:]), initial=1))[1:]
+    heights = [h for s, h in zip(rs._root_supports, rs._root_heights) if not s & ~mask]
+    counts = Counter(heights).values()
+    ranks = range(bin(mask).count("1"), 0, -1)
+    return len(heights), tuple(1 + sum(n >= k for n in counts) for k in ranks)
 
 
 def positive_count_of_subset(rs: RootSystemData, X: frozenset[int]) -> int:
@@ -357,9 +349,8 @@ def _mask_degrees(rs: RootSystemData, mask: int) -> tuple[int, ...]:
 
 def poincare_factors(ds: tuple[int, ...]) -> QProduct:
     """Length generating polynomial of a Weyl group with degrees ds, as the
-    factored product prod (q^d - 1)/(q - 1): the Phi_n of the (q^d - 1)
-    but Phi_1, which leads the n-sorted exponents."""
-    return QProduct(0, QProduct.of(ds).phi[1:])
+    factored product prod (q^d - 1)/(q - 1)."""
+    return QProduct.of(ds) / QProduct.of([1] * len(ds))
 
 
 def poincare_product(ct: CartanType) -> QPolynomial:

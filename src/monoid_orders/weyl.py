@@ -41,7 +41,8 @@ def coset_length_poly(
 ) -> QPolynomial:
     """Sum of q^length over the minimal coset representatives of W_fixed
     in W_gens, both masks with node i at bit i - 1 and fixed a subset of
-    gens (ValueError); a bit above the rank raises UnsupportedType.
+    gens (ValueError); a bit above the rank, or a negative mask, raises
+    UnsupportedType.
 
     W(q) is coset_length_poly(rs, Delta, 0), the parabolic W_J(q) is
     coset_length_poly(rs, J, 0), and the coset sum W^J(q) is
@@ -60,11 +61,13 @@ def coset_length_poly(
         raise GroupTooLarge(
             f"|W({rs.cartan_type})| = {order} exceeds the bound {bound}"
         )
+    if min(gens, fixed) < 0:  # bits above the rank without end
+        raise UnsupportedType(f"mask {min(gens, fixed)} outside 1..{rs.rank}")
     if fixed & ~gens:
         raise ValueError(
             f"{_mask_indices(fixed)} is not a subset of {_mask_indices(gens)}"
         )
-    if gens >> rs.rank:  # negative masks too
+    if gens >> rs.rank:
         raise UnsupportedType(f"subset {_mask_indices(gens)} outside 1..{rs.rank}")
     result, K, bit = ONE, gens, rs._node_bits
     while K != fixed:

@@ -1169,12 +1169,12 @@ def test_json_text_refuses_other_types(value):
 
 def test_matrix_strata_step_from_the_stratum_before(capsys, monkeypatch):
     steps = Counter()
-    times, over = qpoly._times_binomial, qpoly._low_quotient
+    times, over = qpoly._times_binomial, qpoly._over_binomial
     monkeypatch.setattr(
         qpoly, "_times_binomial", lambda c, d: steps.update(["multiply"]) or times(c, d)
     )
     monkeypatch.setattr(
-        qpoly, "_low_quotient", lambda c, d: steps.update(["divide"]) or over(c, d)
+        qpoly, "_over_binomial", lambda c, d: steps.update(["divide"]) or over(c, d)
     )
     code, _, _ = run(capsys, "strata", "--type", "A24", "--preset", "first-fundamental")
     # 26 strata, each from 1 on its own, took 481 multiplications and 156

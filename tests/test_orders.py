@@ -359,12 +359,12 @@ def test_symplectic_order_at_rank_40():
 
 def test_symplectic_order_expands_each_h_term_once(monkeypatch):
     stepped, divisions = [], []
-    real_powers, real_over = qpoly._binomial_powers, qpoly._low_quotient
+    real_powers, real_over = qpoly._binomial_powers, qpoly._over_binomial
     monkeypatch.setattr(
         qpoly, "_binomial_powers", lambda phi: stepped.append(phi) or real_powers(phi)
     )
     monkeypatch.setattr(
-        qpoly, "_low_quotient", lambda c, d: divisions.append(d) or real_over(c, d)
+        qpoly, "_over_binomial", lambda c, d: divisions.append(d) or real_over(c, d)
     )
     report = symplectic_order(30)
     # strata M^0 .. M^31 once each, then the top stratum again, expanded on

@@ -23,8 +23,6 @@ from monoid_orders.qpoly import (
     q_power_minus_one,
     times_product,
     _divisors,
-    _folded_quotient,
-    _low_quotient,
     _over_binomial,
     _times_binomial,
 )
@@ -79,27 +77,6 @@ def test_sparse_operand_products():
         expected = QPolynomial(convolve(dense.coeffs, sparse.coeffs))
         assert dense * sparse == expected
         assert sparse * dense == expected
-
-
-# more nonzero terms than qpoly._SPARSE_TERMS, so products are packed
-packed_polys = st.builds(
-    QPolynomial, st.lists(st.integers(-(2**80), 2**80), min_size=9, max_size=40)
-)
-
-
-@given(packed_polys, packed_polys)
-def test_packed_product_agrees_with_convolution(a, b):
-    assert (a * b).coeffs == QPolynomial(convolve(a.coeffs, b.coeffs)).coeffs
-
-
-@pytest.mark.parametrize("m", [1, 127, 128, 255, 2**64 - 1])
-def test_packed_product_reaches_its_coefficient_bound(m):
-    # all coefficients +-m: the middle of the product is -m^2 times the
-    # shorter length, the bound the packing width is chosen for
-    a, b = QPolynomial([m] * 12), QPolynomial([-m] * 20)
-    product = a * b
-    assert product.coeffs == tuple(convolve(a.coeffs, b.coeffs))
-    assert min(product.coeffs) == -m * m * 12
 
 
 @given(polys, polys)
@@ -380,30 +357,13 @@ def test_expand_all_matches_expansion_from_one(sequence):
     assert expand_all(sequence) == [expand_from_one(p) for p in sequence]
 
 
-@given(products, st.integers(1, 16))
-def test_folded_quotient_agrees_with_the_whole_division(product, d):
-    # the low half of a cyclotomic product divided by q^d - 1: the product
-    # as drawn, rarely divisible, and times q^d - 1, always
-    for factor in (QProduct(), QProduct.of([d])):
-        coeffs = list(expand(QProduct(0, product.phi) * factor).coeffs)
-        degree = len(coeffs) - 1
-        half = coeffs[: degree // 2 + 1]
-        try:
-            whole = _over_binomial(coeffs, d)
-        except NonExactDivision:
-            with pytest.raises(NonExactDivision):
-                _folded_quotient(half, degree, d)
-        else:
-            assert _folded_quotient(half, degree, d) == whole[: (degree - d) // 2 + 1]
-
-
 def test_expand_all_steps_from_the_nearer_start(monkeypatch):
     multiplied, divided = [], []
     monkeypatch.setattr(
         qpoly, "_times_binomial", lambda c, d: multiplied.append(d) or _times_binomial(c, d)
     )
     monkeypatch.setattr(
-        qpoly, "_low_quotient", lambda c, d: divided.append(d) or _low_quotient(c, d)
+        qpoly, "_over_binomial", lambda c, d: divided.append(d) or _over_binomial(c, d)
     )
     near, far = QProduct.of([2, 3, 4]), QProduct.of([7], shift=2)
     dense = expand_all([near, near * QProduct.of([5]), far, QProduct(1, near.phi)])
@@ -419,7 +379,7 @@ def test_expand_all_steps_from_the_nearer_start(monkeypatch):
 def test_expand_all_divides_when_stepping_down(monkeypatch):
     divided = []
     monkeypatch.setattr(
-        qpoly, "_low_quotient", lambda c, d: divided.append(d) or _low_quotient(c, d)
+        qpoly, "_over_binomial", lambda c, d: divided.append(d) or _over_binomial(c, d)
     )
     big = QProduct.of([2, 3, 4, 5, 6])
     dense = expand_all([big, big / QProduct.of([6])])

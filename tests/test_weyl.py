@@ -3,6 +3,7 @@
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 from math import prod
@@ -176,11 +177,19 @@ def test_fixed_must_lie_in_gens():
         coset_length_poly(rs, mask_of({1}), mask_of({2}))
 
 
-@pytest.mark.parametrize("gens", [mask_of({1, 4}), mask_of({9}), -1])
-def test_walk_refuses_a_mask_above_the_rank(gens):
+@pytest.mark.parametrize(
+    "gens, fixed, text",
+    [
+        (mask_of({1, 4}), NONE, "subset [1, 4]"),
+        (mask_of({9}), NONE, "subset [9]"),
+        (-1, NONE, "mask -1"),
+        (mask_of({1, 2}), -2, "mask -2"),
+    ],
+)
+def test_walk_refuses_a_mask_above_the_rank(gens, fixed, text):
     rs = root_system("A3")
-    with pytest.raises(UnsupportedType, match=r"outside 1\.\.3"):
-        coset_length_poly(rs, gens, NONE)
+    with pytest.raises(UnsupportedType, match=f"^{re.escape(text)} outside 1\\.\\.3$"):
+        coset_length_poly(rs, gens, fixed)
     with pytest.raises(UnsupportedType, match=r"^subset \[1, 4\] outside 1\.\.3$"):
         coset_length_poly(rs, mask_of({1, 4}), mask_of({4}))
 
