@@ -1173,8 +1173,11 @@ def test_matrix_strata_step_from_the_stratum_before(capsys, monkeypatch):
     monkeypatch.setattr(
         qpoly, "_times_binomial", lambda c, d: steps.update(["multiply"]) or times(c, d)
     )
+    # expand_all divides low halves, passing their degree
     monkeypatch.setattr(
-        qpoly, "_over_binomial", lambda c, d: steps.update(["divide"]) or over(c, d)
+        qpoly,
+        "_over_binomial",
+        lambda c, d, *degree: steps.update(["divide"]) or over(c, d, *degree),
     )
     code, _, _ = run(capsys, "strata", "--type", "A24", "--preset", "first-fundamental")
     # 26 strata, each from 1 on its own, took 481 multiplications and 156

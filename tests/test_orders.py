@@ -363,8 +363,11 @@ def test_symplectic_order_expands_each_h_term_once(monkeypatch):
     monkeypatch.setattr(
         qpoly, "_binomial_powers", lambda phi: stepped.append(phi) or real_powers(phi)
     )
+    # expand_all divides low halves, passing their degree
     monkeypatch.setattr(
-        qpoly, "_over_binomial", lambda c, d: divisions.append(d) or real_over(c, d)
+        qpoly,
+        "_over_binomial",
+        lambda c, d, *degree: divisions.append(d) or real_over(c, d, *degree),
     )
     report = symplectic_order(30)
     # strata M^0 .. M^31 once each, then the top stratum again, expanded on

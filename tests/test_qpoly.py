@@ -1,7 +1,12 @@
 """Exact polynomial arithmetic: frozen examples plus algebraic properties."""
 
+import os
+import re
+import subprocess
+import sys
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from monoid_orders.errors import IndexOutOfRange, NonExactDivision
@@ -330,15 +335,35 @@ products = st.builds(
 )
 
 
+def folded(call, *args):
+    """call(*args) with expand_all stepping every product, however small,
+    on its low half."""
+    fold_degree = qpoly._FOLD_DEGREE
+    qpoly._FOLD_DEGREE = 0
+    try:
+        return call(*args)
+    finally:
+        qpoly._FOLD_DEGREE = fold_degree
+
+
 @st.composite
 def product_sequences(draw):
-    """Products, some repeating an earlier Phi tuple under another shift and
-    some a few (q^d - 1) steps from the one before."""
+    """Products as expand_all's low-half steps meet them: a new product or
+    the empty one, stepped from 1; an earlier Phi tuple again under another
+    shift; a few (q^d - 1) steps from the one before; or the one before
+    with one Phi factor fewer, a step down that divides.  Phi_1's exponent
+    sets the sign c_0, and Phi_1's and Phi_2's the parity of the degree."""
     sequence = [draw(products)]
     for _ in range(draw(st.integers(0, 6))):
-        kind = draw(st.sampled_from(["new", "repeat", "near"]))
+        kind = draw(st.sampled_from(["new", "empty", "repeat", "near", "down"]))
         if kind == "new":
             sequence.append(draw(products))
+        elif kind == "empty":
+            sequence.append(QProduct(draw(shifts)))
+        elif kind == "down":
+            before = sequence[-1]
+            n = draw(st.sampled_from([n for n, _ in before.phi] or [None]))
+            sequence.append(before / QProduct(0, ((n, 1),)) if n else before)
         elif kind == "repeat":
             sequence.append(QProduct(draw(shifts), draw(st.sampled_from(sequence)).phi))
         else:
@@ -353,8 +378,22 @@ def product_sequences(draw):
 
 
 @given(product_sequences())
+# c_0 = -1 at degrees 1 and 6, stepped up, then repeated under a shift
+@example([QProduct.of([1]), QProduct.of([1, 2, 3]), QProduct.of([1], shift=3)])
+# c_0 = -1 at degree 5, a step down to c_0 = 1, then the empty product
+@example([QProduct(0, ((1, 3), (4, 1))), QProduct(2, ((1, 2), (4, 1))), QProduct()])
+# stepped down by a division, then the first again
+@example([QProduct.of([2, 3, 4, 5, 6]), QProduct.of([2, 3, 4, 5]), QProduct.of([2, 3, 4, 5, 6])])
 def test_expand_all_matches_expansion_from_one(sequence):
-    assert expand_all(sequence) == [expand_from_one(p) for p in sequence]
+    expected = [expand_from_one(p) for p in sequence]
+    assert expand_all(sequence) == expected
+    assert folded(expand_all, sequence) == expected
+
+
+def counted_division(divided):
+    """_over_binomial recording each divisor d; expand_all passes the
+    degree of the low half it divides as a third argument."""
+    return lambda c, d, *degree: divided.append(d) or _over_binomial(c, d, *degree)
 
 
 def test_expand_all_steps_from_the_nearer_start(monkeypatch):
@@ -362,9 +401,7 @@ def test_expand_all_steps_from_the_nearer_start(monkeypatch):
     monkeypatch.setattr(
         qpoly, "_times_binomial", lambda c, d: multiplied.append(d) or _times_binomial(c, d)
     )
-    monkeypatch.setattr(
-        qpoly, "_over_binomial", lambda c, d: divided.append(d) or _over_binomial(c, d)
-    )
+    monkeypatch.setattr(qpoly, "_over_binomial", counted_division(divided))
     near, far = QProduct.of([2, 3, 4]), QProduct.of([7], shift=2)
     dense = expand_all([near, near * QProduct.of([5]), far, QProduct(1, near.phi)])
     # near from 1; near * (q^5 - 1) from near, one step instead of four; far
@@ -378,14 +415,63 @@ def test_expand_all_steps_from_the_nearer_start(monkeypatch):
 
 def test_expand_all_divides_when_stepping_down(monkeypatch):
     divided = []
-    monkeypatch.setattr(
-        qpoly, "_over_binomial", lambda c, d: divided.append(d) or _over_binomial(c, d)
-    )
+    monkeypatch.setattr(qpoly, "_over_binomial", counted_division(divided))
     big = QProduct.of([2, 3, 4, 5, 6])
     dense = expand_all([big, big / QProduct.of([6])])
     # the second from the first: one division instead of four multiplications
     assert divided == [6]
     assert dense == [expand_from_one(big), expand_from_one(QProduct.of([2, 3, 4, 5]))]
+
+
+@given(
+    st.dictionaries(st.integers(1, 15), st.integers(-2, 3).filter(bool), max_size=4)
+)
+@example({1: -1})  # 1 / (q - 1)
+# Phi_12 / (q - 1): the low half of Phi_12 = q^4 - q^2 + 1 sums to 0, so
+# only the mirror image q^4 of its constant term leaves a remainder
+@example({1: -1, 12: 1})
+def test_low_halves_raise_on_the_step_full_length_steps_raise_on(exponents):
+    product = QProduct(0, tuple(sorted(exponents.items())))
+    try:
+        expected = expand_from_one(product)
+    except NonExactDivision as full_length:
+        # the message names the degree and the divisor of the failing step
+        with pytest.raises(NonExactDivision, match=re.escape(str(full_length))):
+            folded(expand_all, [product])
+    else:
+        assert folded(expand_all, [product]) == [expected]
+
+
+OPTIMIZED_REMAINDER_CHECK = """
+import sys
+from monoid_orders.errors import NonExactDivision
+from monoid_orders import qpoly
+from monoid_orders.qpoly import QProduct, expand_all
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+qpoly._FOLD_DEGREE = 0  # step these small products on their low halves
+for phi in (((1, -1),), ((1, -1), (12, 1))):
+    try:
+        expand_all([QProduct(0, phi)])
+    except NonExactDivision:
+        continue
+    sys.exit(f"{phi} expanded to a polynomial")
+"""
+
+
+def test_remainder_check_survives_optimize():
+    # python -O strips assert statements; the low-half remainder check must
+    # survive it
+    src = os.path.dirname(os.path.dirname(qpoly.__file__))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_REMAINDER_CHECK],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 @given(polys, products)
