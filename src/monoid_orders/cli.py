@@ -13,17 +13,21 @@ a usage error.  --lattice-file takes neither --preset nor --j0; the rank of
 --type and the indices of --j0 are ASCII decimal digits only
 (rootsystem.parse_digits), as --q is.
 
-order and strata evaluate each row once per q, through _evaluated: the
-order terms and total in every format (only csv prints the terms' values),
-and every stratum.  A value that is not positive raises InvariantViolation
-(exit 2).  The printed values are formatted before the first write, so a
-value too long to print leaves stdout empty.  The strata sums are checked
-in orders, where the strata are built.  --format json prints exactly what
-json.dumps(payload, indent=2) would, through _json_text; lattice's header
-goes through it too, and _print_lattice_json writes one string per entry
-from the entry's index text, which also gives the csv and table columns.
-lattice's --format csv is exactly what csv.writer writes, one row per
-write (_print_lattice_csv), its label quoted as csv.writer would quote it.
+order and strata evaluate each distinct row polynomial once per q, through
+_evaluated: the order terms and total in every format (only csv prints the
+terms' values), and every stratum.  Rows share a polynomial object where
+their terms are equal (qpoly.expand_all gives one object per distinct
+product), and each printer builds a shared term's text once per report.
+A value that is not positive raises InvariantViolation (exit 2), naming
+the first row in row order that holds it.  The printed values are
+formatted before the first write, so a value too long to print leaves
+stdout empty.  The strata sums are checked in orders, where the strata are
+built.  --format json prints exactly what json.dumps(payload, indent=2)
+would, through _json_text; lattice's header goes through it too, and
+_print_lattice_json writes one string per entry from the entry's index
+text, which also gives the csv and table columns.  --format csv is exactly
+what csv.writer writes, one row per write (_print_csv, _print_lattice_csv),
+its label quoted as csv.writer would quote it (_csv_field).
 """
 
 from __future__ import annotations
@@ -283,30 +287,41 @@ def _decimal(value: int) -> str:
 def _evaluated(
     rows: list[tuple[str, QPolynomial]], qs: list[int], printed: slice = slice(None)
 ) -> list[dict[int, str]]:
-    """Each (label, polynomial) row evaluated once at each q0 of qs, q0 by
-    q0; a value that is not positive raises InvariantViolation.  The rows
-    picked by printed come back as {q0: decimal}, all formatted before the
-    first write, so a value too long to print leaves stdout empty."""
-    values = [{} for _ in rows]
+    """Each distinct polynomial object of the (label, polynomial) rows
+    evaluated once at each q0 of qs, q0 by q0, in row order; a value that
+    is not positive raises InvariantViolation naming the first row that
+    holds it.  The rows picked by printed come back as {q0: decimal}, one
+    dict per distinct object, all formatted before the first write, so a
+    value too long to print leaves stdout empty."""
+    first: dict[int, tuple[str, QPolynomial]] = {}
+    for label, poly in rows:
+        first.setdefault(id(poly), (label, poly))
+    values: dict[int, dict[int, int]] = {key: {} for key in first}
     for q0 in qs:
-        for (label, poly), row in zip(rows, values):
-            row[q0] = value = eval_big(poly, q0)
+        for key, (label, poly) in first.items():
+            values[key][q0] = value = eval_big(poly, q0)
             if value <= 0:
                 raise InvariantViolation(f"term {label!r} is not positive at q={q0}")
-    return [{q0: _decimal(v) for q0, v in row.items()} for row in values[printed]]
+    shown = [id(poly) for _, poly in rows[printed]]
+    texts = {
+        key: {q0: _decimal(v) for q0, v in values[key].items()}
+        for key in dict.fromkeys(shown)
+    }
+    return [texts[key] for key in shown]
 
 
 def _json_text(obj) -> str:
     """Exactly json.dumps(obj, indent=2) for the types the to_json payloads
     hold: dict with str keys, list, str, int, bool and None; any other type
     raises TypeError.  json.dumps with an indent runs the pure-Python
-    encoder, so this renders a list of ints with one join instead."""
+    encoder, so this renders a list of ints with one join instead, and a
+    list that the payload holds more than once at one depth once."""
     parts: list[str] = []
-    _json_parts(obj, "\n", parts)
+    _json_parts(obj, "\n", parts, {})
     return "".join(parts)
 
 
-def _json_parts(obj, newline: str, parts: list[str]) -> None:
+def _json_parts(obj, newline: str, parts: list[str], lists: dict) -> None:
     if isinstance(obj, str):
         parts.append(encode_basestring_ascii(obj))
     elif obj is None or isinstance(obj, bool):
@@ -323,16 +338,20 @@ def _json_parts(obj, newline: str, parts: list[str]) -> None:
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             parts.append(f"{',' if i else '{'}{inner}{encode_basestring_ascii(key)}: ")
-            _json_parts(value, inner, parts)
+            _json_parts(value, inner, parts, lists)
         parts.append(newline + "}")
+    elif (id(obj), newline) in lists:  # an int list rendered before
+        parts.append(lists[id(obj), newline])
     elif set(map(type, obj)) == {int}:
         inner = newline + "  "
-        parts.append(f"[{inner}{f',{inner}'.join(map(str, obj))}{newline}]")
+        text = f"[{inner}{f',{inner}'.join(map(str, obj))}{newline}]"
+        parts.append(text)
+        lists[id(obj), newline] = text
     else:
         inner = newline + "  "
         for i, item in enumerate(obj):
             parts.append(("," if i else "[") + inner)
-            _json_parts(item, inner, parts)
+            _json_parts(item, inner, parts, lists)
         parts.append(newline + "]")
 
 
@@ -344,10 +363,14 @@ def _print_order_table(
         print(f"note: {note}")
     entries = {e.label: e for e in report.lattice.entries}
     width = max(len(label) for label, _ in report.terms)
+    # each distinct term object rendered once
+    texts = {id(term): term for _, term in report.terms}
+    texts = {key: str(term) for key, term in texts.items()}
     for label, term in report.terms:
         star, substar = entries[label].index_text
         star, substar = "{" + star + "}", "{" + substar + "}"
-        print(f"  {label:<{width}}  lambda*={star:<12} lambda_*={substar:<12}  {term}")
+        text = texts[id(term)]
+        print(f"  {label:<{width}}  lambda*={star:<12} lambda_*={substar:<12}  {text}")
     print(f"total: {report.total}")
     for q0, value in values.items():
         print(f"q={q0}: {value}")
@@ -358,10 +381,24 @@ def _print_order_table(
 def _print_csv(
     rows: list[tuple[str, QPolynomial]], values: list[dict[int, str]], qs: list[int]
 ) -> None:
-    writer = csv.writer(sys.stdout)
-    writer.writerow(["label", "coeffs"] + [f"q={q0}" for q0 in qs])
+    """Exactly what csv.writer(sys.stdout) writes for the header and one row
+    per (label, polynomial) row, with one write per row: only the label can
+    need quoting, and each distinct polynomial object's fields are built
+    once."""
+    write = sys.stdout.write
+    write(",".join(["label", "coeffs", *(f"q={q0}" for q0 in qs)]) + "\r\n")
+    texts: dict[int, str] = {}
     for (label, poly), row in zip(rows, values):
-        writer.writerow([label, " ".join(map(str, poly.coeffs)), *(row[q0] for q0 in qs)])
+        text = texts.get(id(poly))
+        if text is None:
+            text = texts[id(poly)] = _csv_fields(poly, row, qs)
+        write(f"{_csv_field(label)},{text}")
+
+
+def _csv_fields(poly: QPolynomial, row: dict[int, str], qs: list[int]) -> str:
+    """A csv row past its label: the coefficients separated by spaces, then
+    the value at each q0 of qs, none of them needing quotes."""
+    return ",".join([" ".join(map(str, poly.coeffs)), *(row[q0] for q0 in qs)]) + "\r\n"
 
 
 def _cmd_order(args, enum_bound: int | None) -> int:

@@ -113,14 +113,16 @@ class OrderReport(Immutable):
         object.__setattr__(self, "notes", notes)
 
     def to_json(self, evaluations: dict[int, str]) -> dict:
-        """The report as JSON, with the total's formatted value at each q0."""
+        """The report as JSON, with the total's formatted value at each q0;
+        entries sharing one term object share one coefficient list."""
+        coeffs = {id(term): term for _, term in self.terms}
+        coeffs = {key: term.to_json() for key, term in coeffs.items()}
         return {
             "formula": self.formula,
             "type": str(self.cartan_type),
             "lattice": self.lattice.to_json() if self.lattice else None,
             "terms": [
-                {"label": label, "coeffs": term.to_json()}
-                for label, term in self.terms
+                {"label": label, "coeffs": coeffs[id(term)]} for label, term in self.terms
             ],
             "total_coeffs": self.total.to_json(),
             "evaluations": {str(q0): v for q0, v in evaluations.items()},

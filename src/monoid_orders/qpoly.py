@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from functools import lru_cache
-from itertools import accumulate, zip_longest
+from itertools import accumulate, compress, islice, zip_longest
 from math import isqrt
 from operator import add, mul, sub
 
@@ -154,31 +154,42 @@ class QPolynomial(Immutable):
         return f"QPolynomial({list(self.coeffs)!r})"
 
     def __str__(self) -> str:
-        # each term as "+ c*q^i" or "- c*q^i", the unit magnitude left out
-        parts = [
-            f"+ {c}*q^{i}" if c > 1 else f"- {-c}*q^{i}" if c < -1
-            else f"+ q^{i}" if c == 1 else f"- q^{i}"
-            for i, c in enumerate(self.coeffs)
+        cs = self.coeffs
+        if not cs:
+            return "0"
+        # q^0 and q^1 read as a bare number and as q, a unit magnitude left
+        # out of q's
+        terms = [f"+ {c}" if c > 0 else f"- {-c}" for c in cs[:1] if c]
+        terms += [
+            ("+ " if c > 0 else "- ") + ("q" if c in (1, -1) else f"{abs(c)}*q")
+            for c in cs[1:2]
             if c
         ]
-        if not parts:
-            return "0"
-        # q^0 and q^1 read as a bare number and as q; they can only be in
-        # the first two terms
-        for k, part in enumerate(parts[:2]):
-            if part.endswith("*q^0"):
-                parts[k] = part[:-4]  # "+ 5*q^0" -> "+ 5"
-            elif part.endswith("q^0"):
-                parts[k] = part[:-3] + "1"  # "+ q^0" -> "+ 1"
-            elif part.endswith("q^1"):
-                parts[k] = part[:-2]  # "+ 3*q^1" -> "+ 3*q"
-        first = parts[0]
-        parts[0] = first[2:] if first[0] == "+" else "-" + first[2:]
-        return " ".join(parts)
+        # every higher term by one format over the pieces "+ %s*q^i" of the
+        # nonzero exponents: a negative value's "+ -" then reads "- ", and a
+        # unit magnitude is left out
+        high = cs[2:]
+        if high:  # no trailing zero, so not all zero
+            template = " ".join(compress(islice(_term_pieces(len(cs)), 2, None), high))
+            text = template % tuple(compress(high, high))
+            terms.append(text.replace("+ -", "- ").replace(" 1*q^", " q^"))
+        text = " ".join(terms)
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def to_json(self) -> list[int]:
         """Coefficient array, ascending powers."""
         return list(self.coeffs)
+
+
+# "+ %s*q^i" at index i, grown only up to the largest exponent rendered
+_PIECES: list[str] = []
+
+
+def _term_pieces(n: int) -> list[str]:
+    """The memoized format pieces of exponents 0..n-1, and maybe more."""
+    if len(_PIECES) < n:
+        _PIECES.extend(f"+ %s*q^{i}" for i in range(len(_PIECES), n))
+    return _PIECES
 
 
 ZERO = QPolynomial()
@@ -379,7 +390,9 @@ def expand_all(products: Iterable[QProduct]) -> list[QPolynomial]:
     sparse exact division, which is exact since the coefficients are then
     the target times the factors still to divide out.  From degree 64 the
     steps keep only the low half of each value (_expanded).  Each result is
-    unfolded once and shifted by its own product's power of q.
+    unfolded once and shifted by its own product's power of q, and equal
+    products get the same QPolynomial object, so a caller can render or
+    evaluate each distinct one once.
     """
     products = list(products)
     expanded: dict[tuple[tuple[int, int], ...], tuple[int, ...]] = {}
@@ -392,8 +405,15 @@ def expand_all(products: Iterable[QProduct]) -> list[QPolynomial]:
                 coeffs, step = (1,), power
         expanded[phi] = coeffs = _expanded(coeffs, step)
         last = power
-    # the top coefficient is +-c_0, never zero: no trim
-    return [QPolynomial._of_trimmed((0,) * p.shift + expanded[p.phi]) for p in products]
+    made: dict[tuple, QPolynomial] = {}  # one value per distinct product
+    values = []
+    for p in products:
+        key = p.shift, p.phi
+        value = made.get(key)
+        if value is None:  # the top coefficient is +-c_0, never zero: no trim
+            value = made[key] = QPolynomial._of_trimmed((0,) * p.shift + expanded[p.phi])
+        values.append(value)
+    return values
 
 
 # From this product degree up, _expanded keeps low halves; below it their

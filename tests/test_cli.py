@@ -21,6 +21,7 @@ from monoid_orders.crosssection import fundamental_lattice, j_irreducible_lattic
 from monoid_orders.rootsystem import CartanType, build, parse_subset
 from monoid_orders.qpoly import ONE, QPolynomial
 from subdiagrams import star, substar
+from test_qpoly import render_by_loop
 
 
 def run(capsys, *argv):
@@ -1215,29 +1216,189 @@ def test_strata_negative_row_exits_2(capsys, monkeypatch, spec, preset):
     assert err == "error: term 'M^1' is not positive at q=2\n"
 
 
-@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
-@pytest.mark.parametrize("qs", ["2", "2,3", "5,3,2"])
-def test_order_evaluates_each_row_once_per_q(capsys, monkeypatch, fmt, qs):
-    # k terms and the total, each evaluated once at each of the m values of q
+def counted_evaluations(monkeypatch) -> Counter:
+    """Count eval_big calls by (id of the polynomial, q0)."""
     real = qpoly.eval_big
     calls = Counter()
 
     def counted(poly, q0):
-        calls[q0] += 1
+        calls[id(poly), q0] += 1
         return real(poly, q0)
 
     for module in (cli, orders, qpoly):
         if getattr(module, "eval_big", None) is real:
             monkeypatch.setattr(module, "eval_big", counted)
+    return calls
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+@pytest.mark.parametrize("qs", ["2", "2,3", "5,3,2"])
+def test_order_evaluates_each_row_once_per_q(capsys, monkeypatch, fmt, qs):
+    # the k distinct terms and the total, each evaluated once at each of
+    # the m values of q
+    calls = counted_evaluations(monkeypatch)
     code, _, _ = run(
         capsys, "order", "--type", "B6", "--j0", "1,3", "--formula", "thm34",
         "--q", qs, "--format", fmt,
     )
-    k = len(j_irreducible_lattice(build(CartanType("B", 6)), frozenset({1, 3})).entries)
+    lat = j_irreducible_lattice(build(CartanType("B", 6)), frozenset({1, 3}))
+    k = len({term for _, term in orders.order_thm34(lat).terms})
+    assert k < len(lat.entries)  # entries share terms
     m = len(qs.split(","))
     assert code == 0
-    assert calls == {int(q0): k + 1 for q0 in qs.split(",")}
-    assert sum(calls.values()) == (k + 1) * m
+    assert set(calls.values()) == {1}
+    assert Counter(q0 for _, q0 in calls) == {int(q0): k + 1 for q0 in qs.split(",")}
+    assert len(calls) == (k + 1) * m
+
+
+def order_by_rows(report, fmt, qs, agreed) -> str:
+    """order's output built row by row, as before terms were shared: each
+    term rendered by render_by_loop, each value by eval_big, csv by
+    csv.writer and json by json.dumps(indent=2)."""
+    values = {q0: str(qpoly.eval_big(report.total, q0)) for q0 in qs}
+    if fmt == "json":
+        payload = {
+            "formula": report.formula,
+            "type": str(report.cartan_type),
+            "lattice": report.lattice.to_json(),
+            "terms": [
+                {"label": label, "coeffs": list(t.coeffs)} for label, t in report.terms
+            ],
+            "total_coeffs": list(report.total.coeffs),
+            "evaluations": {str(q0): v for q0, v in values.items()},
+            "notes": list(report.notes),
+        }
+        if agreed:
+            payload["agreement"] = agreed
+        return json.dumps(payload, indent=2) + "\n"
+    if fmt == "csv":
+        out = io.StringIO()
+        writer = csv.writer(out)
+        writer.writerow(["label", "coeffs"] + [f"q={q0}" for q0 in sorted(qs)])
+        for label, term in [*report.terms, ("total", report.total)]:
+            shown = [str(qpoly.eval_big(term, q0)) for q0 in sorted(qs)]
+            writer.writerow([label, " ".join(map(str, term.coeffs)), *shown])
+        return out.getvalue()
+    entries = {e.label: e for e in report.lattice.entries}
+    width = max(len(label) for label, _ in report.terms)
+    lines = [f"type {report.cartan_type}  formula {report.formula}"]
+    lines += [f"note: {note}" for note in report.notes]
+    lines += [
+        f"  {label:<{width}}  lambda*={subset_str(star(entries[label])):<12}"
+        f" lambda_*={subset_str(substar(entries[label])):<12}  {render_by_loop(term)}"
+        for label, term in report.terms
+    ]
+    lines.append(f"total: {render_by_loop(report.total)}")
+    lines += [f"q={q0}: {v}" for q0, v in values.items()]
+    if agreed:
+        lines.append(f"{len(agreed)} formulas agree")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("formula", ["thm34", "all"])
+def test_order_renders_each_distinct_term_once(capsys, monkeypatch, fmt, formula):
+    # A8 --j0 "" has 257 entries but far fewer distinct terms
+    lat = j_irreducible_lattice(build(CartanType("A", 8)), frozenset())
+    report = (orders.order_thm41 if formula == "all" else orders.order_thm34)(lat)
+    agreed = ["thm31", "thm33", "thm34", "thm41"] if formula == "all" else None
+    expected = order_by_rows(report, fmt, [3, 2], agreed)
+    distinct = len({term for _, term in report.terms}) + 1  # and the total
+    assert distinct < len(lat.entries) / 2
+    calls = counted_evaluations(monkeypatch)
+    built = Counter()
+
+    def counting(name, real):
+        def call(poly, *args):
+            built[name, id(poly)] += 1
+            return real(poly, *args)
+
+        return call
+
+    monkeypatch.setattr(QPolynomial, "__str__", counting("str", QPolynomial.__str__))
+    monkeypatch.setattr(QPolynomial, "to_json", counting("json", QPolynomial.to_json))
+    monkeypatch.setattr(cli, "_csv_fields", counting("csv", cli._csv_fields))
+    decimals = Counter()
+    real_decimal = cli._decimal
+    monkeypatch.setattr(
+        cli, "_decimal", lambda value: decimals.update([value]) or real_decimal(value)
+    )
+    code, out, err = run(
+        capsys, "order", "--type", "A8", "--j0", "", "--formula", formula,
+        "--q", "3,2", "--format", fmt,
+    )
+    assert (code, err) == (0, "")
+    assert out == expected
+    # one evaluation per distinct term per q, plus the total's, and each
+    # printed value formatted once: csv prints every term's
+    assert set(calls.values()) == {1} and len(calls) == 2 * distinct
+    assert sum(decimals.values()) == 2 * (distinct if fmt == "csv" else 1)
+    # and each distinct term's text built once: by __str__ for the table,
+    # by its csv fields or its json list
+    name = {"table": "str", "csv": "csv", "json": "json"}[fmt]
+    assert set(built.values()) == {1}
+    assert sum(kind == name for kind, _ in built) == distinct
+
+
+def test_order_names_the_first_of_two_entries_sharing_a_non_positive_term(
+    capsys, monkeypatch, tmp_path
+):
+    # A3 --j0 "" lists entries that share a thm34 term; in a lattice file
+    # under new labels, the first two sharing one get it negated, still
+    # shared, and the error names the first of them in row order
+    raw = j_irreducible_lattice(build(CartanType("A", 3)), frozenset()).to_json()
+    for i, entry in enumerate(raw["entries"]):
+        entry["label"] = f"row {i}"
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps(raw))
+    real = orders.order_thm34
+    seen = []
+
+    def negated_shared_term(lat):
+        report = real(lat)
+        ids = [id(term) for _, term in report.terms]
+        shared = next(t for _, t in report.terms if ids.count(id(t)) > 1)
+        bad = -shared
+        terms = tuple((label, bad if t is shared else t) for label, t in report.terms)
+        seen.extend(label for label, t in terms if t is bad)
+        return report.replace(terms=terms)
+
+    monkeypatch.setitem(cli.FORMULAS, "thm34", negated_shared_term)
+    code, out, err = run(
+        capsys, "order", "--lattice-file", str(path), "--formula", "thm34", "--q", "2",
+        "--format", "csv",
+    )
+    assert len(seen) >= 2
+    line = f"error: term {seen[0]!r} is not positive at q=2\n"
+    assert (code, out, err) == (2, "", line)
+
+
+def test_order_csv_quotes_labels_as_csv_writer_does(capsys, tmp_path):
+    path, lat = awkward_lattice_file(tmp_path)
+    report = orders.order_thm34(lat)
+    assert any("," in label or '"' in label for label, _ in report.terms)
+    code, out, err = run(
+        capsys, "order", "--lattice-file", str(path), "--formula", "thm34",
+        "--q", "2,4", "--format", "csv",
+    )
+    assert (code, err) == (0, "")
+    assert out == order_by_rows(report, "csv", [2, 4], None)
+
+
+def test_json_text_renders_a_shared_int_list_once_per_depth():
+    walks = Counter()
+
+    class Walked(list):
+        def __iter__(self):
+            walks[id(self)] += 1
+            return super().__iter__()
+
+    shared = Walked([3, -1, 10**30])
+    payload = {"a": shared, "b": [shared, {"c": shared}, shared], "d": shared}
+    text = cli._json_text(payload)
+    # its type check and its join, at each of the three depths it sits at
+    assert walks == {id(shared): 2 * 3}
+    assert text == json.dumps(payload, indent=2)
 
 
 def subset_str(indices) -> str:

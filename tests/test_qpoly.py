@@ -386,8 +386,13 @@ def product_sequences(draw):
 @example([QProduct.of([2, 3, 4, 5, 6]), QProduct.of([2, 3, 4, 5]), QProduct.of([2, 3, 4, 5, 6])])
 def test_expand_all_matches_expansion_from_one(sequence):
     expected = [expand_from_one(p) for p in sequence]
-    assert expand_all(sequence) == expected
+    expanded = expand_all(sequence)
+    assert expanded == expected
     assert folded(expand_all, sequence) == expected
+    # one object per distinct product, shared by every product equal to it
+    assert len(set(map(id, expanded))) == len(set(sequence))
+    for p, value in zip(sequence, expanded):
+        assert value is expanded[sequence.index(p)]
 
 
 def counted_division(divided):
@@ -568,10 +573,41 @@ rendered_coeffs = st.one_of(
 )
 
 
-@given(st.lists(rendered_coeffs, max_size=40))
+# up to about 3,000 coefficients, a few of them nonzero
+sparse_coeff_lists = st.dictionaries(
+    st.integers(0, 3000), rendered_coeffs, max_size=30
+).map(lambda terms: [terms.get(i, 0) for i in range(max(terms, default=-1) + 1)])
+
+
+@given(st.one_of(st.lists(rendered_coeffs, max_size=40), sparse_coeff_lists))
+# +-1 at exponents 0, 1 and 2, alone and together
+@example([1])
+@example([-1])
+@example([0, 1])
+@example([0, -1])
+@example([0, 0, 1])
+@example([0, 0, -1])
+@example([1, -1, 1])
+@example([-1, 1, -1, 1])
+# a zero constant term and a negative leading coefficient
+@example([0, 3, 0, 1, 0, -21])
+@example([0, 0, -1, 0, -2])
 def test_rendering_matches_the_per_term_loop(coeffs):
     p = QPolynomial(coeffs)
-    assert str(p) == render_by_loop(p)
+    expected = render_by_loop(p)
+    assert str(p) == expected
+    assert str(p) == expected  # the same value again, from the grown pieces
+
+
+def test_rendering_grows_the_term_pieces_to_the_largest_exponent():
+    top = len(qpoly._PIECES) + 100  # past every exponent rendered so far
+    p = QPolynomial([0, 0, 5] + [0] * (top - 3) + [-1])
+    assert str(p) == render_by_loop(p) == f"5*q^2 - q^{top}"
+    assert len(qpoly._PIECES) == top + 1
+    # a lower degree renders from the pieces already there
+    low = QPolynomial([-1, 0, 1, 0, -7])
+    assert str(low) == render_by_loop(low) == "-1 + q^2 - 7*q^4"
+    assert len(qpoly._PIECES) == top + 1
 
 
 def combine_by_dict(a, b, sign):
