@@ -134,7 +134,9 @@ class CrossSectionLattice(Immutable):
 
 def validate(lat: CrossSectionLattice) -> CrossSectionLattice:
     """Check every structural invariant on the entries' masks, raising
-    InvariantViolation."""
+    InvariantViolation.  The identity entry's J-class is the unit group G,
+    whose order thm31 and thm33 give as q^N (q-1)^k W(q); that is |G| only
+    when k is the torus rank: T(1) is trivial, so [T:T(1)] = |T|."""
     delta = lat.all_mask
     neighbors = lat.root_system._neighbor_masks
 
@@ -169,6 +171,12 @@ def validate(lat: CrossSectionLattice) -> CrossSectionLattice:
         elif e.torus_index_exponent < 1:
             fail(e, "non-zero entry must have torus_index_exponent >= 1")
         if star == delta and not substar:  # lat.is_identity(e)
+            if e.torus_index_exponent != lat.torus_rank:
+                fail(
+                    e,
+                    "identity entry must have torus_index_exponent"
+                    f" {lat.torus_rank}, the torus rank",
+                )
             identity_count += 1
     if zero_count != 1:
         fail(None, f"expected exactly one zero entry, found {zero_count}")

@@ -159,8 +159,9 @@ def cartan_matrix(ct: CartanType) -> tuple[tuple[int, ...], ...]:
 
 class RootSystemData(Immutable):
     """The positive roots of a Cartan type, with the tables every subset
-    query reads, derived once here, and the per-mask memos of _mask_parts;
-    neither takes part in equality, hashing or repr."""
+    query reads, derived once here, the per-mask memos of _mask_parts, and
+    the maximal-parabolic walks of weyl._walk with their field layout; none
+    takes part in equality, hashing or repr."""
 
     _fields = ("cartan_type", "cartan", "positive_roots")
     __slots__ = _fields + (
@@ -171,6 +172,8 @@ class RootSystemData(Immutable):
         "_root_heights",
         "_components",
         "_parts",
+        "_walks",
+        "_packing",
     )
 
     def __init__(
@@ -199,6 +202,10 @@ class RootSystemData(Immutable):
             ("_components", {}),
             # subset mask -> the _components entries of its Dynkin components
             ("_parts", {}),
+            # (gens, fixed) mask pair -> the walked coset sum W_gens / W_fixed
+            ("_walks", {}),
+            # weyl._packing's field layout, set on the first walk
+            ("_packing", None),
         ):
             object.__setattr__(self, name, value)
 

@@ -328,6 +328,26 @@ def test_lattice_file_torus_rank_below_one_exits_2(
     )
 
 
+@pytest.mark.parametrize("command", ["lattice", "order", "hpoly"])
+def test_lattice_file_identity_exponent_below_torus_rank_exits_2(
+    capsys, tmp_path, command
+):
+    # [T:T(1)] = |T|; every route would agree on the wrong total, and at
+    # q = 2, where q - 1 = 1, it would even read the right one
+    raw = fundamental_lattice(CartanType("A", 2), 1).to_json()
+    identity = raw["entries"][-1]
+    assert raw["torus_rank"] == 3 and identity["lambda_star"] == [1, 2]
+    identity["torus_index_exponent"] = 1
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps(raw))
+    assert run(capsys, command, "--lattice-file", str(path)) == (
+        2,
+        "",
+        "error: entry '1': identity entry must have torus_index_exponent 3,"
+        " the torus rank\n",
+    )
+
+
 def unreadable_lattice_file(tmp_path, kind):
     if kind == "directory":
         return tmp_path

@@ -718,6 +718,89 @@ def test_thm31_reads_only_the_lattice_and_the_walks(monkeypatch):
         assert dividends == [w] * len(subsets)
 
 
+def calls_made(route, *args, **kwargs):
+    """Each (caller, callee) pair of code objects that route(*args) calls
+    into Python functions, recorded with sys.setprofile."""
+    calls = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.add((frame.f_back.f_code, frame.f_code))
+
+    sys.setprofile(profile)
+    try:
+        route(*args, **kwargs)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def codes_of(cls):
+    """The code objects of every function defined in the class body."""
+    found = set()
+    for value in vars(cls).values():
+        value = getattr(value, "__func__", getattr(value, "fget", value))
+        if hasattr(value, "__code__"):
+            found.add(value.__code__)
+    return found
+
+
+def in_module(code, module):
+    return code.co_filename == module.__file__
+
+
+ROUTE_LATTICES = [
+    ("A3", 2), ("B3", 1), ("C4", 4), ("D4", 2), ("E6", 6), ("F4", 4), ("G2", 1),
+]
+
+
+@pytest.mark.parametrize("spec, i", ROUTE_LATTICES)
+def test_routes_call_only_their_own_sources(spec, i):
+    lat = fundamental_lattice(CartanType.parse(spec), i)
+    rootsystem, weyl = monoid_orders.rootsystem, monoid_orders.weyl
+    # thm31's terms come from walked counts alone, and it reads the root
+    # system only through the walks, which plan the chain from the degrees
+    thm31 = calls_made(order_thm31, lat)
+    product_codes = codes_of(QProduct) | {
+        rootsystem.poincare_factors.__code__,
+        qpoly.expand_all.__code__,
+    }
+    assert any(in_module(callee, weyl) for _, callee in thm31)
+    assert not {callee for _, callee in thm31} & product_codes
+    for caller, callee in thm31:
+        if in_module(callee, rootsystem) and not in_module(caller, rootsystem):
+            assert in_module(caller, weyl), callee.co_name
+    # thm34 and thm41 never enter weyl
+    for route in (order_thm34, order_thm41):
+        assert not any(in_module(c, weyl) for _, c in calls_made(route, lat))
+    # thm33 enters weyl only at its cross-check, and with the check refused
+    # by the bound, only to be refused
+    thm33 = calls_made(order_thm33, lat)
+    assert {callee for _, callee in thm33} & product_codes  # the sets are live
+    entries = {
+        (caller.co_name, callee)
+        for caller, callee in thm33
+        if in_module(callee, weyl) and not in_module(caller, weyl)
+    }
+    assert entries == {("coset_sum", weyl.coset_length_poly.__code__)}
+    refused = calls_made(order_thm33, lat, enum_bound=1)
+    assert {c for _, c in refused if in_module(c, weyl)} == {
+        weyl.coset_length_poly.__code__
+    }
+
+
+def test_degree_routes_leave_the_walk_store_empty():
+    lat = fundamental_lattice(CartanType("E", 6), 6)
+    rs = lat.root_system
+    fresh = lat.replace(
+        root_system=RootSystemData(rs.cartan_type, rs.cartan, rs.positive_roots)
+    )
+    assert order_thm34(fresh).total == order_thm41(fresh).total
+    assert not fresh.root_system._walks
+    assert order_thm33(fresh).total == order_thm34(lat).total
+    assert fresh.root_system._walks
+
+
 def test_report_evaluate_rejects_nonpositive_terms():
     report = OrderReport(
         formula="thm34",

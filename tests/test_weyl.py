@@ -366,3 +366,117 @@ def test_walked_parabolics_match_the_height_degrees(spec):
         solomon = expand(QProduct.of(ds) / QProduct.of([1] * len(ds)))
         walked = coset_length_poly(rs, mask, NONE, 10**9)
         assert walked == solomon, sorted(nodes(mask))
+
+
+def fresh_root_system(spec):
+    """A root system with empty memos, the walk store included."""
+    rs = root_system(spec)
+    return rootsystem.RootSystemData(rs.cartan_type, rs.cartan, rs.positive_roots)
+
+
+def maximal_quotients(rs):
+    """Every (K, K - i, |W_K| / |W_{K - i}|) over the subsets K of Delta."""
+    for K in subsets(rs.rank):
+        for i in nodes(K):
+            sub = K ^ rs._node_bits[i]
+            index = weyl._subgroup_order(rs, K) // weyl._subgroup_order(rs, sub)
+            yield K, sub, index
+
+
+@pytest.mark.parametrize(
+    "spec, largest",
+    [("E6", None), ("E7", None), ("F4", None), ("G2", None), ("B8", None),
+     ("C8", None), ("D8", None), ("E8", 20_000)],
+)
+def test_packed_walk_matches_direct_walk_on_every_maximal_quotient(spec, largest):
+    # the packed fields must hold every coordinate of every orbit, up to
+    # h - 1 in size; a field too narrow for that wraps and miscounts
+    rs = fresh_root_system(spec)
+    walked = 0
+    for K, sub, index in maximal_quotients(rs):
+        if largest is None or index <= largest:
+            assert weyl._walk(rs, K, sub, index) == direct_walk(rs, K, sub), (
+                sorted(nodes(K)),
+                sorted(nodes(sub)),
+            )
+            walked += 1
+    assert walked == len(rs._walks) > 0
+
+
+class RecordingStore(dict):
+    """A walk store that records each walk put into it."""
+
+    def __init__(self):
+        super().__init__()
+        self.stored = []
+
+    def __setitem__(self, key, value):
+        self.stored.append(key)
+        super().__setitem__(key, value)
+
+
+def test_each_walk_is_done_once_per_root_system(walks, capsys):
+    rs = root_system("E6")
+    store = RecordingStore()
+    object.__setattr__(rs, "_walks", store)
+    try:
+        argv = ["order", "--type", "E6", "--preset", "last-fundamental"]
+        assert cli.main([*argv, "--formula", "all"]) == 0
+        first = capsys.readouterr().out
+        # the routes and each J ask for 78 factors, of 40 distinct walks
+        distinct = {(gens, fixed): n for gens, fixed, n in walks}
+        assert (len(walks), sum(n for _, _, n in walks)) == (78, 1833)
+        assert (len(distinct), sum(distinct.values())) == (40, 1461)
+        assert len(store.stored) == len(set(store.stored))
+        assert set(store) == set(store.stored) == set(distinct)
+        # a second run in the same process walks no orbit, with the same bytes
+        del store.stored[:]
+        assert cli.main([*argv, "--formula", "all"]) == 0
+        assert capsys.readouterr().out == first
+        assert store.stored == []
+    finally:
+        object.__setattr__(rs, "_walks", {})
+
+
+def test_a_kept_walk_is_checked_against_its_index(monkeypatch):
+    rs = fresh_root_system("A2")
+    w = coset_length_poly(rs, delta(rs), NONE)
+    kept = dict(rs._walks)
+    monkeypatch.setattr(weyl, "_subgroup_order", a1_order_wrong(weyl._subgroup_order))
+    with pytest.raises(InvariantViolation, match=r"walked as \d+ cosets, expected"):
+        coset_length_poly(rs, delta(rs), NONE)
+    assert rs._walks == kept  # nothing walked again, nothing replaced
+    monkeypatch.undo()
+    assert coset_length_poly(rs, delta(rs), NONE) == w
+
+
+OPTIMIZED_KEPT_WALK_CHECK = """
+import sys
+from monoid_orders import rootsystem, weyl
+from monoid_orders.errors import InvariantViolation
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+rs = rootsystem.build(rootsystem.CartanType("A", 2))
+weyl.coset_length_poly(rs, 0b11, 0)
+kept = dict(rs._walks)
+order = weyl._subgroup_order
+weyl._subgroup_order = lambda rs, m: 3 if m and not m & (m - 1) else order(rs, m)
+try:
+    weyl.coset_length_poly(rs, 0b11, 0)
+except InvariantViolation:
+    sys.exit(0 if rs._walks == kept else "a kept walk was walked again")
+sys.exit("a wrong index on a kept walk went unnoticed")
+"""
+
+
+def test_kept_walk_check_survives_optimize():
+    src = os.path.dirname(os.path.dirname(weyl.__file__))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_KEPT_WALK_CHECK],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
