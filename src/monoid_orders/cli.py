@@ -22,12 +22,14 @@ A value that is not positive raises InvariantViolation (exit 2), naming
 the first row in row order that holds it.  The printed values are
 formatted before the first write, so a value too long to print leaves
 stdout empty.  The strata sums are checked in orders, where the strata are
-built.  --format json prints exactly what json.dumps(payload, indent=2)
-would, through _json_text; lattice's header goes through it too, and
-_print_lattice_json writes one string per entry from the entry's index
-text, which also gives the csv and table columns.  --format csv is exactly
-what csv.writer writes, one row per write (_print_csv, _print_lattice_csv),
-its label quoted as csv.writer would quote it (_csv_field).
+built.  --format json is exactly json.dumps(payload, indent=2) and a
+newline, for every command, through _write_json, which writes each row (a
+lattice entry, an order term, a stratum) when it is done, an entry from
+its index text, which also gives the csv and table cells (_entry_cells).
+As every check runs first, only a MemoryError or a closed pipe can stop a
+listing midway, leaving partial output.  --format csv is exactly what
+csv.writer writes, one row per write (_print_csv, _print_lattice_csv), its
+label quoted as csv.writer would quote it (_csv_field).
 """
 
 from __future__ import annotations
@@ -43,7 +45,12 @@ from json.encoder import encode_basestring_ascii
 from math import isqrt
 
 from . import verify as verify_mod
-from .crosssection import CrossSectionLattice, j_irreducible_lattice, load_lattice
+from .crosssection import (
+    CrossSectionLattice,
+    LatticeEntry,
+    j_irreducible_lattice,
+    load_lattice,
+)
 from .errors import (
     GroupTooLarge,
     InvariantViolation,
@@ -310,49 +317,93 @@ def _evaluated(
     return [texts[key] for key in shown]
 
 
-def _json_text(obj) -> str:
-    """Exactly json.dumps(obj, indent=2) for the types the to_json payloads
-    hold: dict with str keys, list, str, int, bool and None; any other type
-    raises TypeError.  json.dumps with an indent runs the pure-Python
-    encoder, so this renders a list of ints with one join instead, and a
-    list that the payload holds more than once at one depth once."""
+def _write_json(obj, write) -> None:
+    """Write exactly json.dumps(obj, indent=2) and a newline through write,
+    for dicts with str keys, lists, str, int, bool and None, a QPolynomial as
+    its coefficient list and a list of LatticeEntry as their to_json dicts;
+    any other type raises TypeError.  Unlike json.dumps with an indent, it
+    joins a list of ints at once, renders each QPolynomial object once per
+    depth (the payload keeps each alive, so no id is reused), writes each
+    entry from its index text with one write, and writes each item of any
+    other list as soon as it is done, never holding the whole document."""
     parts: list[str] = []
-    _json_parts(obj, "\n", parts, {})
-    return "".join(parts)
+    texts: dict[tuple[int, str], str] = {}
+
+    def ints(values, newline: str) -> str:
+        inner = newline + "  "
+        return f"[{inner}{f',{inner}'.join(map(str, values))}{newline}]" if values else "[]"
+
+    def render(obj, newline: str) -> None:
+        if isinstance(obj, str):
+            parts.append(encode_basestring_ascii(obj))
+        elif isinstance(obj, QPolynomial):
+            text = texts.get((id(obj), newline))
+            if text is None:
+                text = texts[id(obj), newline] = ints(obj.coeffs, newline)
+            parts.append(text)
+        elif obj is None or isinstance(obj, bool):
+            parts.append("null" if obj is None else "true" if obj else "false")
+        elif isinstance(obj, int):
+            parts.append(int.__repr__(obj))
+        elif not isinstance(obj, (list, dict)):
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        elif not obj:
+            parts.append("[]" if isinstance(obj, list) else "{}")
+        elif isinstance(obj, dict):
+            inner = newline + "  "
+            for i, (key, value) in enumerate(obj.items()):
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                parts.append(f"{',' if i else '{'}{inner}{encode_basestring_ascii(key)}: ")
+                render(value, inner)
+            parts.append(newline + "}")
+        elif (kinds := set(map(type, obj))) == {int}:
+            parts.append(ints(obj, newline))
+        elif kinds == {LatticeEntry}:
+            write("".join(parts))
+            parts.clear()
+            inner = newline + "  "
+            field, index = inner + "  ", inner + "    "
+            comma, head = "," + index, f'{inner}{{{field}"label": '
+            star_key, sub_key, exponent_key = (
+                f',{field}"{key}": '
+                for key in ("lambda_star", "lambda_substar", "torus_index_exponent")
+            )
+            sep = "["
+            for e in obj:
+                star, sub = e.index_text
+                star = f"[{index}{star.replace(',', comma)}{field}]" if star else "[]"
+                sub = f"[{index}{sub.replace(',', comma)}{field}]" if sub else "[]"
+                write(
+                    f"{sep}{head}{encode_basestring_ascii(e.label)}{star_key}{star}"
+                    f"{sub_key}{sub}{exponent_key}{e.torus_index_exponent}{inner}}}"
+                )
+                sep = ","
+            parts.append(newline + "]")
+        else:
+            inner = newline + "  "
+            for i, item in enumerate(obj):
+                parts.append(("," if i else "[") + inner)
+                render(item, inner)
+                write("".join(parts))
+                parts.clear()
+            parts.append(newline + "]")
+
+    render(obj, "\n")
+    parts.append("\n")
+    write("".join(parts))
 
 
-def _json_parts(obj, newline: str, parts: list[str], lists: dict) -> None:
-    if isinstance(obj, str):
-        parts.append(encode_basestring_ascii(obj))
-    elif obj is None or isinstance(obj, bool):
-        parts.append("null" if obj is None else "true" if obj else "false")
-    elif isinstance(obj, int):
-        parts.append(int.__repr__(obj))
-    elif not isinstance(obj, (list, dict)):
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-    elif not obj:
-        parts.append("[]" if isinstance(obj, list) else "{}")
-    elif isinstance(obj, dict):
-        inner = newline + "  "
-        for i, (key, value) in enumerate(obj.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            parts.append(f"{',' if i else '{'}{inner}{encode_basestring_ascii(key)}: ")
-            _json_parts(value, inner, parts, lists)
-        parts.append(newline + "}")
-    elif (id(obj), newline) in lists:  # an int list rendered before
-        parts.append(lists[id(obj), newline])
-    elif set(map(type, obj)) == {int}:
-        inner = newline + "  "
-        text = f"[{inner}{f',{inner}'.join(map(str, obj))}{newline}]"
-        parts.append(text)
-        lists[id(obj), newline] = text
-    else:
-        inner = newline + "  "
-        for i, item in enumerate(obj):
-            parts.append(("," if i else "[") + inner)
-            _json_parts(item, inner, parts, lists)
-        parts.append(newline + "]")
+def _lattice_json(lat: CrossSectionLattice) -> dict:
+    """lat.to_json(), its entries left as LatticeEntry for _write_json."""
+    head = {"type": str(lat.root_system.cartan_type), "torus_rank": lat.torus_rank}
+    return head | {"provenance": lat.provenance, "entries": list(lat.entries)}
+
+
+def _entry_cells(e: LatticeEntry) -> str:
+    """An entry's lambda* and lambda_* cells in the order and lattice tables."""
+    star, substar = e.index_text
+    return f"lambda*={'{' + star + '}':<12} lambda_*={'{' + substar + '}':<12}"
 
 
 def _print_order_table(
@@ -366,11 +417,10 @@ def _print_order_table(
     # each distinct term object rendered once
     texts = {id(term): term for _, term in report.terms}
     texts = {key: str(term) for key, term in texts.items()}
+    write = sys.stdout.write  # one write per row, where print makes two
     for label, term in report.terms:
-        star, substar = entries[label].index_text
-        star, substar = "{" + star + "}", "{" + substar + "}"
-        text = texts[id(term)]
-        print(f"  {label:<{width}}  lambda*={star:<12} lambda_*={substar:<12}  {text}")
+        cells, text = _entry_cells(entries[label]), texts[id(term)]
+        write(f"  {label:<{width}}  {cells}  {text}\n")
     print(f"total: {report.total}")
     for q0, value in values.items():
         print(f"q={q0}: {value}")
@@ -446,10 +496,18 @@ def _cmd_order(args, enum_bound: int | None) -> int:
     values = _evaluated(rows, qs, slice(None if args.format == "csv" else -1, None))
     agreed = list(reports) if args.formula == "all" else None
     if args.format == "json":
-        payload = primary.to_json(values[-1])
+        payload = {
+            "formula": primary.formula,
+            "type": str(primary.cartan_type),
+            "lattice": _lattice_json(primary.lattice),
+            "terms": [{"label": label, "coeffs": term} for label, term in primary.terms],
+            "total_coeffs": primary.total,
+            "evaluations": {str(q0): v for q0, v in values[-1].items()},
+            "notes": list(primary.notes),
+        }
         if agreed is not None:
             payload["agreement"] = agreed
-        print(_json_text(payload))
+        _write_json(payload, sys.stdout.write)
     elif args.format == "csv":
         _print_csv(rows, values, sorted(qs))  # by ascending q
     else:
@@ -476,16 +534,9 @@ def _print_hpoly(report: OrderReport, fmt: str) -> None:
     h = h_polynomial(report.total)
     palindromic = is_palindromic(h)
     if fmt == "json":
-        print(
-            _json_text(
-                {
-                    "type": str(report.cartan_type),
-                    "h_coeffs": h.to_json(),
-                    "palindromic": palindromic,
-                    "notes": list(report.notes),
-                }
-            )
-        )
+        payload = {"type": str(report.cartan_type), "h_coeffs": h}
+        payload |= {"palindromic": palindromic, "notes": list(report.notes)}
+        _write_json(payload, sys.stdout.write)
     elif fmt == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(["power", "coefficient"])
@@ -524,21 +575,15 @@ def _cmd_strata(args) -> int:
     qs = _parse_qs(args.q)
     values = _evaluated(rows, qs)  # formatted before the first write
     if args.format == "json":
-        print(
-            _json_text(
-                {
-                    "strata": [
-                        {
-                            "label": label,
-                            "coeffs": term.to_json(),
-                            "evaluations": {str(q0): v for q0, v in row.items()},
-                        }
-                        for (label, term), row in zip(rows, values)
-                    ],
-                    "total_coeffs": total.to_json(),
-                }
-            )
-        )
+        strata = [
+            {
+                "label": label,
+                "coeffs": term,
+                "evaluations": {str(q0): v for q0, v in row.items()},
+            }
+            for (label, term), row in zip(rows, values)
+        ]
+        _write_json({"strata": strata, "total_coeffs": total}, sys.stdout.write)
     elif args.format == "csv":
         _print_csv(rows, values, qs)
     else:
@@ -553,7 +598,7 @@ def _cmd_strata(args) -> int:
 def _cmd_lattice(args, enum_bound: int | None) -> int:
     lat = _resolve_lattice(args, enum_bound, _resolve_support(args))
     if args.format == "json":
-        _print_lattice_json(lat)
+        _write_json(_lattice_json(lat), sys.stdout.write)
     elif args.format == "csv":
         _print_lattice_csv(lat)
     else:
@@ -562,12 +607,11 @@ def _cmd_lattice(args, enum_bound: int | None) -> int:
             f"torus rank {lat.torus_rank}  ({lat.provenance})"
         )
         width = max(len(e.label) for e in lat.entries)
+        write = sys.stdout.write  # one write per row, where print makes two
         for e in lat.entries:
-            star, substar = e.index_text
-            star, substar = "{" + star + "}", "{" + substar + "}"
-            print(
-                f"  {e.label:<{width}}  lambda*={star:<12} lambda_*={substar:<12}"
-                f" [T:T(e)]=(q-1)^{e.torus_index_exponent}"
+            write(
+                f"  {e.label:<{width}}  {_entry_cells(e)}"
+                f" [T:T(e)]=(q-1)^{e.torus_index_exponent}\n"
             )
     return EXIT_OK
 
@@ -593,33 +637,6 @@ def _print_lattice_csv(lat: CrossSectionLattice) -> None:
             f"{_csv_field(e.label)},{star.replace(',', ' ')},"
             f"{substar.replace(',', ' ')},{e.torus_index_exponent}\r\n"
         )
-
-
-def _json_index_list(text: str) -> str:
-    """An entry's index text as json.dumps(indent=2) lays out its list."""
-    if not text:
-        return "[]"
-    return "[\n        " + text.replace(",", ",\n        ") + "\n      ]"
-
-
-def _print_lattice_json(lat: CrossSectionLattice) -> None:
-    """Exactly json.dumps(lat.to_json(), indent=2) and a newline, as print
-    writes it: the header through _json_text, then one string per entry
-    from its label and index text, so no entry's dict or list is built."""
-    head = _json_text(lat.replace(entries=()).to_json())
-    write = sys.stdout.write
-    write(head.removesuffix("]\n}"))  # its empty entries list left open
-    sep = ""
-    for e in lat.entries:
-        star, substar = e.index_text
-        write(
-            f'{sep}\n    {{\n      "label": {encode_basestring_ascii(e.label)},'
-            f'\n      "lambda_star": {_json_index_list(star)},'
-            f'\n      "lambda_substar": {_json_index_list(substar)},'
-            f'\n      "torus_index_exponent": {e.torus_index_exponent}\n    }}'
-        )
-        sep = ","
-    write("\n  ]\n}\n")
 
 
 def _cmd_verify(enum_bound: int | None) -> int:

@@ -112,23 +112,6 @@ class OrderReport(Immutable):
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "notes", notes)
 
-    def to_json(self, evaluations: dict[int, str]) -> dict:
-        """The report as JSON, with the total's formatted value at each q0;
-        entries sharing one term object share one coefficient list."""
-        coeffs = {id(term): term for _, term in self.terms}
-        coeffs = {key: term.to_json() for key, term in coeffs.items()}
-        return {
-            "formula": self.formula,
-            "type": str(self.cartan_type),
-            "lattice": self.lattice.to_json() if self.lattice else None,
-            "terms": [
-                {"label": label, "coeffs": coeffs[id(term)]} for label, term in self.terms
-            ],
-            "total_coeffs": self.total.to_json(),
-            "evaluations": {str(q0): v for q0, v in evaluations.items()},
-            "notes": list(self.notes),
-        }
-
 
 def _double_bond(rs: RootSystemData) -> int:
     """The mask of the two nodes of the double bond of B_l, C_l or F4, node

@@ -176,10 +176,6 @@ class QPolynomial(Immutable):
         text = " ".join(terms)
         return text[2:] if text[0] == "+" else "-" + text[2:]
 
-    def to_json(self) -> list[int]:
-        """Coefficient array, ascending powers."""
-        return list(self.coeffs)
-
 
 # "+ %s*q^i" at index i, grown only up to the largest exponent rendered
 _PIECES: list[str] = []

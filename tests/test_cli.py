@@ -17,7 +17,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from monoid_orders import cli, crosssection, orders, qpoly, verify
-from monoid_orders.crosssection import fundamental_lattice, j_irreducible_lattice
+from monoid_orders.crosssection import (
+    LatticeEntry,
+    fundamental_lattice,
+    j_irreducible_lattice,
+)
 from monoid_orders.rootsystem import CartanType, build, parse_subset
 from monoid_orders.qpoly import ONE, QPolynomial
 from subdiagrams import star, substar
@@ -578,7 +582,7 @@ def test_memory_error_exits_2_with_one_line(capsys, monkeypatch, raised, err):
     argv = ["--type", "A2", "--preset", "first-fundamental"]
     monkeypatch.setitem(cli.FORMULAS, "thm34", exhausted)
     assert run(capsys, "order", *argv, "--formula", "thm34") == (2, "", err)
-    monkeypatch.setattr(cli, "_json_text", exhausted)
+    monkeypatch.setattr(cli, "_write_json", exhausted)
     assert run(capsys, "lattice", *argv, "--format", "json") == (2, "", err)
 
 
@@ -987,7 +991,7 @@ def test_hpoly_prints_the_h_polynomial_of_order_thm34(capsys, tmp_path):
         code, out, err = run(capsys, "hpoly", *argv, "--format", "json")
         assert (code, err) == (0, ""), argv
         h = orders.h_polynomial(orders.order_thm34(lat).total)
-        assert json.loads(out)["h_coeffs"] == h.to_json(), argv
+        assert json.loads(out)["h_coeffs"] == list(h.coeffs), argv
 
 
 def test_hpoly_chain_sum_lists_no_lattice(capsys, monkeypatch):
@@ -1164,28 +1168,66 @@ json_scalars = (
     | st.text()
     | st.sampled_from(['"', "\\", "\x00\t\n\x1f\x7f", "é ☃ 😀", " ", ""])
 )
+# entries as a lattice file may hold them: any label, empty index sets
+lattice_entries = st.builds(
+    LatticeEntry,
+    st.text() | st.sampled_from(['"', "\\", "a,b", "\x00\n", "é ☃ 😀", ""]),
+    st.integers(0, 2**12 - 1),
+    st.integers(0, 2**12 - 1),
+    st.integers(0, 12),
+)
 json_values = st.recursive(
-    json_scalars,
+    json_scalars | st.builds(QPolynomial, st.lists(st.integers(-(10**60), 10**60))),
     lambda children: st.lists(children)
     | st.lists(st.integers(-(10**60), 10**60))  # the one-join path
+    | st.lists(lattice_entries, min_size=1)  # the one-write-per-entry path
     | st.dictionaries(st.text(), children),
     max_leaves=40,
 )
 
 
+def plain(value):
+    """value with each QPolynomial as its coefficient list and each lattice
+    entry as its to_json dict, as json.dumps takes it."""
+    if isinstance(value, QPolynomial):
+        return list(value.coeffs)
+    if isinstance(value, LatticeEntry):
+        return value.to_json()
+    if isinstance(value, list):
+        return [plain(item) for item in value]
+    if isinstance(value, dict):
+        return {key: plain(item) for key, item in value.items()}
+    return value
+
+
+def written_json(value) -> list[str]:
+    sink: list[str] = []
+    cli._write_json(value, sink.append)
+    return sink
+
+
 @given(json_values)
 def test_json_text_is_json_dumps_indent_2(value):
-    assert cli._json_text(value) == json.dumps(value, indent=2)
+    assert "".join(written_json(value)) == json.dumps(plain(value), indent=2) + "\n"
+
+
+A_ENTRY = LatticeEntry("e", 1, 2, 0)
 
 
 @pytest.mark.parametrize(
     "value",
-    [1.5, (1, 2), {3}, [1, 2.0], {"a": (1,)}, [[{"b": {4}}]], {1: "a"}],
-    ids=["float", "tuple", "set", "float-in-list", "tuple-in-dict", "nested-set", "int-key"],
+    [
+        1.5, (1, 2), {3}, [1, 2.0], {"a": (1,)}, [[{"b": {4}}]], {1: "a"},
+        A_ENTRY, [A_ENTRY, 1], (A_ENTRY,), [ONE, 1.5],
+    ],
+    ids=[
+        "float", "tuple", "set", "float-in-list", "tuple-in-dict", "nested-set", "int-key",
+        "bare-entry", "entry-in-mixed-list", "entry-tuple", "float-after-term",
+    ],
 )
 def test_json_text_refuses_other_types(value):
     with pytest.raises(TypeError):
-        cli._json_text(value)
+        written_json(value)
 
 
 def test_matrix_strata_step_from_the_stratum_before(capsys, monkeypatch):
@@ -1336,7 +1378,7 @@ def test_order_renders_each_distinct_term_once(capsys, monkeypatch, fmt, formula
         return call
 
     monkeypatch.setattr(QPolynomial, "__str__", counting("str", QPolynomial.__str__))
-    monkeypatch.setattr(QPolynomial, "to_json", counting("json", QPolynomial.to_json))
+    renders = counting_term_renders(monkeypatch)
     monkeypatch.setattr(cli, "_csv_fields", counting("csv", cli._csv_fields))
     decimals = Counter()
     real_decimal = cli._decimal
@@ -1349,6 +1391,7 @@ def test_order_renders_each_distinct_term_once(capsys, monkeypatch, fmt, formula
     )
     assert (code, err) == (0, "")
     assert out == expected
+    built.update({("json", key): n for key, n in renders.items()})
     # one evaluation per distinct term per q, plus the total's, and each
     # printed value formatted once: csv prints every term's
     assert set(calls.values()) == {1} and len(calls) == 2 * distinct
@@ -1405,20 +1448,64 @@ def test_order_csv_quotes_labels_as_csv_writer_does(capsys, tmp_path):
     assert out == order_by_rows(report, "csv", [2, 4], None)
 
 
-def test_json_text_renders_a_shared_int_list_once_per_depth():
-    walks = Counter()
+def counting_term_renders(monkeypatch) -> Counter:
+    """Reads of each QPolynomial's coefficients, by object, while
+    _write_json runs: the writer reads them once per rendering."""
+    reads: Counter = Counter()
+    writing = []
+    slot = QPolynomial.coeffs
 
-    class Walked(list):
-        def __iter__(self):
-            walks[id(self)] += 1
-            return super().__iter__()
+    def read(poly):
+        if writing:
+            reads[id(poly)] += 1
+        return slot.__get__(poly)
 
-    shared = Walked([3, -1, 10**30])
+    monkeypatch.setattr(QPolynomial, "coeffs", property(read, slot.__set__))
+    write_json = cli._write_json
+
+    def flagged(obj, write):
+        writing.append(True)
+        try:
+            write_json(obj, write)
+        finally:
+            writing.clear()
+
+    monkeypatch.setattr(cli, "_write_json", flagged)
+    return reads
+
+
+def test_json_text_renders_a_shared_term_once_per_depth(monkeypatch):
+    shared = QPolynomial([3, -1, 10**30])
     payload = {"a": shared, "b": [shared, {"c": shared}, shared], "d": shared}
-    text = cli._json_text(payload)
-    # its type check and its join, at each of the three depths it sits at
-    assert walks == {id(shared): 2 * 3}
-    assert text == json.dumps(payload, indent=2)
+    reads = counting_term_renders(monkeypatch)
+    text = "".join(written_json(payload))
+    # once at each of the three depths it sits at
+    assert reads == {id(shared): 3}
+    assert text == json.dumps(plain(payload), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("command", ["order", "lattice"])
+def test_json_rows_reach_stdout_as_they_are_written(monkeypatch, command):
+    # A8 --j0= lists 257 entries, and order writes a term row for each
+    writes: list[str] = []
+
+    class Sink:
+        def write(self, text):
+            writes.append(text)
+            return len(text)
+
+    monkeypatch.setattr(sys, "stdout", Sink())
+    extra = ["--formula", "thm34"] if command == "order" else []
+    code = cli.main([command, "--type", "A8", "--j0=", *extra, "--format", "json"])
+    out = "".join(writes)
+    lat = j_irreducible_lattice(build(CartanType("A", 8)), frozenset())
+    if command == "order":
+        expected = order_by_rows(orders.order_thm34(lat), "json", [], None)
+    else:
+        expected = json.dumps(lat.to_json(), indent=2) + "\n"
+    assert (code, out) == (0, expected)
+    assert len(writes) > len(lat.entries)
+    assert max(map(len, writes)) <= len(out) / 10
 
 
 def subset_str(indices) -> str:

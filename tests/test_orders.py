@@ -1,5 +1,6 @@
 """The four order formulas, closed forms, strata, and H-polynomials."""
 
+import json
 import os
 import re
 import subprocess
@@ -497,23 +498,36 @@ def test_h_polynomial_rejects_non_split_totals():
         h_polynomial(QPolynomial([0, 1, 0, 0, 1]))  # (total-1)(1) = 1 != 0
 
 
-def test_report_evaluate_and_json():
+def cli_order_json(capsys, tmp_path, lat, *qs) -> dict:
+    """order --formula thm34 --format json on lat, given as a lattice file."""
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps(lat.to_json()))
+    argv = ["order", "--lattice-file", str(path), "--formula", "thm34", "--format", "json"]
+    code = cli.main(argv + [f"--q={q0}" for q0 in qs])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    return json.loads(out)
+
+
+def test_report_evaluate_and_json(capsys, tmp_path):
     # 183681 = 1 + 2 * H(3) with the frozen l=2 coefficient list
     assert 1 + 2 * sum(c * 3**i for i, c in enumerate(H_COEFFS_L2)) == 183681
-    report = order_thm34(fundamental_lattice(CartanType("C", 2), 2))
+    lat = fundamental_lattice(CartanType("C", 2), 2)
+    report = order_thm34(lat)
     values = cli._evaluated([*report.terms, ("total", report.total)], [2, 3])
     assert values[-1] == {2: "2296", 3: "183681"}
-    payload = report.to_json(values[-1])
+    payload = cli_order_json(capsys, tmp_path, lat, 2, 3)
     assert payload["formula"] == "thm34"
     assert payload["type"] == "C2"
     assert payload["evaluations"] == {"2": "2296", "3": "183681"}
-    assert payload["total_coeffs"] == report.total.to_json()
+    assert payload["total_coeffs"] == list(report.total.coeffs)
     assert payload["lattice"]["entries"][0]["label"] == "0"
     assert [t["label"] for t in payload["terms"]] == ["0", "e{}", "e{2}", "1"]
 
 
-def test_report_is_frozen():
-    report = order_thm34(fundamental_lattice(CartanType("C", 2), 2))
+def test_report_is_frozen(capsys, tmp_path):
+    lat = fundamental_lattice(CartanType("C", 2), 2)
+    report = order_thm34(lat)
     notes = report.notes
     with pytest.raises(AttributeError, match="immutable"):
         report.notes = ()
@@ -524,8 +538,8 @@ def test_report_is_frozen():
     assert cli._evaluated(total, [2]) == [{2: "2296"}]
     [values] = cli._evaluated(total, [3, 2])
     assert list(values.items()) == [(3, "183681"), (2, "2296")]
-    assert report.to_json({})["evaluations"] == {}
-    assert report.to_json({2: "2296"})["evaluations"] == {"2": "2296"}
+    assert cli_order_json(capsys, tmp_path, lat)["evaluations"] == {}
+    assert cli_order_json(capsys, tmp_path, lat, 2)["evaluations"] == {"2": "2296"}
 
 
 def test_value_classes_keep_their_dataclass_behaviour():

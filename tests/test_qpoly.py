@@ -243,7 +243,6 @@ def test_rendering():
     assert str(ZERO) == "0"
     assert str(QPolynomial([1, 2, 2, 1])) == "1 + 2*q + 2*q^2 + q^3"
     assert str(QPolynomial([-1, 0, 1])) == "-1 + q^2"
-    assert QPolynomial([1, 0, 3]).to_json() == [1, 0, 3]
 
 
 def test_immutability():
