@@ -5,13 +5,15 @@ Both oracles share one encoding of F_p^n (_Vectors): a vector is one int
 whose base-p digits sit in fixed-width fields, the top bit of each a guard,
 so two vectors add mod p in a few int operations.  Rank strata come from
 visiting every one of the p^(n^2) matrices in a walk over its rows: each
-node holds all p^n rows reduced against the pivot rows chosen above it and
-reduces that list once per new pivot row, and the last row is counted in
-bulk.  Subspace counts of every dimension come from one span-set closure
-by orderly generation (Read 1978; McKay 1998): a space grows only by
-vectors whose top nonzero digit lies above every digit it uses, so each
-(r+1)-space T grows from one r-space alone, T's intersection with the
-hyperplane below its top digit, and every space is built once in all.
+node holds all p^n rows reduced against the pivot rows chosen above it, in
+which each distinct row repeats p^rank times; it reduces that list once
+per distinct pivot row, each distinct row once, and walks on once per
+copy, and the last row is counted in bulk.  Subspace counts of every
+dimension come from one span-set closure by orderly generation (Read
+1978; McKay 1998): a space grows only by vectors whose top nonzero digit
+lies above every digit it uses, so each (r+1)-space T grows from one
+r-space alone, T's intersection with the hyperplane below its top digit,
+and every space is built once in all.
 Cross-checking these counts against the q-polynomial evaluations validates
 the whole formula stack with zero shared code.
 """
@@ -19,7 +21,9 @@ the whole formula stack with zero shared code.
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_left
+from collections import Counter
 from itertools import accumulate
 
 from .errors import EnumerationTooLarge, NonPrimeModulus
@@ -29,13 +33,23 @@ DEFAULT_VECTOR_BOUND = 2**16
 
 
 def _check(n: int, p: int, exponent: int, bound: int, what: str) -> None:
-    """Refuse a negative n, a non-prime p or p^exponent over the bound."""
+    """Refuse a negative n, a p below 2, p^exponent over the bound or a
+    non-prime p, in that order, so no refusal costs more than trial
+    division up to the square root of a p within the bound."""
     if n < 0:
         raise ValueError(f"n = {n} is negative")
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+    if p < 2:
         raise NonPrimeModulus(f"{p} is not prime")
+    # p^exponent >= 2^((bits - 1) exponent): over 2^64 times the bound, the
+    # power is neither built nor printed
+    if (p.bit_length() - 1) * exponent > bound.bit_length() + 64:
+        raise EnumerationTooLarge(
+            f"{what} exceeds the bound {bound} by a factor over 2^64"
+        )
     if p**exponent > bound:
         raise EnumerationTooLarge(f"{what} = {p**exponent} exceeds the bound {bound}")
+    if any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        raise NonPrimeModulus(f"{p} is not prime")
 
 
 class _Vectors:
@@ -48,6 +62,9 @@ class _Vectors:
         # adding 2^(w-1) - p to a field sets its guard bit exactly when the
         # digit sum there has reached p
         self.guard = ((1 << (w - 1)) - p) * self.ones
+        # pivot row -> (the shift of its lowest nonzero digit, for each
+        # digit value f there the multiple of the pivot that clears f)
+        self.clearing: dict[int, tuple[int, list[int]]] = {}
 
     def pack(self, digits) -> int:
         return sum(d << (i * self.w) for i, d in enumerate(digits))
@@ -61,16 +78,21 @@ class _Vectors:
         return list(accumulate([v] * (self.p - 1), self.add, initial=0))
 
     def reduce(self, rows: list[int], r: int) -> list[int]:
-        """Each row minus the multiple of r that clears r's lowest nonzero digit."""
+        """Each row minus the multiple of r that clears r's lowest nonzero
+        digit, computed once per distinct row and mapped to its copies; r's
+        clearing multiples are made on its first reduction."""
         p, w1, guard, ones, mask = self.p, self.w - 1, self.guard, self.ones, self.mask
-        shift = ((r & -r).bit_length() - 1) // self.w * self.w
-        inv = pow((r >> shift) & mask, -1, p)
-        mults = self.multiples(r)
-        neg = [mults[-f * inv % p] for f in range(p)]
-        return [
-            (s := x + neg[(x >> shift) & mask]) - p * (((s + guard) >> w1) & ones)
-            for x in rows
-        ]
+        if r not in self.clearing:
+            shift = ((r & -r).bit_length() - 1) // self.w * self.w
+            inv = pow((r >> shift) & mask, -1, p)
+            mults = self.multiples(r)
+            self.clearing[r] = shift, [mults[-f * inv % p] for f in range(p)]
+        shift, neg = self.clearing[r]
+        table = {
+            x: (s := x + neg[(x >> shift) & mask]) - p * (((s + guard) >> w1) & ones)
+            for x in set(rows)
+        }
+        return list(map(table.__getitem__, rows))
 
 
 def enumerate_rank_histogram(n: int, p: int, bound: int | None = None) -> list[int]:
@@ -78,9 +100,11 @@ def enumerate_rank_histogram(n: int, p: int, bound: int | None = None) -> list[i
     exhaustive enumeration of all p^(n^2) of them.
 
     The matrices are walked row by row; every matrix is one leaf of the
-    walk and is counted at the rank its rows reached.  The leaves below a
-    node of the last row are counted together: the rows reduced to 0 keep
-    its rank and the others raise it by one.
+    walk and is counted at the rank its rows reached.  A node reduces its
+    rows once per distinct pivot row and walks that one list once per copy
+    of the pivot, so each depth holds at most one reduced list at a time.
+    The leaves below a node of the last row are counted together: the rows
+    reduced to 0 keep its rank and the others raise it by one.
     """
     _check(n, p, n * n, DEFAULT_MATRIX_BOUND if bound is None else bound, "p^(n^2)")
     if n == 0:
@@ -96,11 +120,12 @@ def enumerate_rank_histogram(n: int, p: int, bound: int | None = None) -> list[i
             counts[rank] += dependent
             counts[rank + 1] += len(rows) - dependent
             return
-        for r in rows:
-            if r:
-                walk(depth + 1, rank + 1, fp.reduce(rows, r))
-            else:
-                walk(depth + 1, rank, rows)
+        # below a pivot, equal rows lead to equal nodes: reduce once per
+        # distinct row, and walk once per copy so each matrix is one leaf
+        for r, copies in Counter(rows).items():
+            below, raised = (fp.reduce(rows, r), rank + 1) if r else (rows, rank)
+            for _ in range(copies):
+                walk(depth + 1, raised, below)
 
     walk(0, 0, [fp.pack(v) for v in itertools.product(range(p), repeat=n)])
     return counts
@@ -119,6 +144,7 @@ def subspace_counts(n: int, p: int, bound: int | None = None) -> list[int]:
     """
     _check(n, p, n, DEFAULT_VECTOR_BOUND if bound is None else bound, "p^n")
     fp = _Vectors(n, p)
+    w1, guard, ones = fp.w - 1, fp.guard, fp.ones  # fp.add, inlined in the closure
     # sorted, the vectors whose top nonzero digit is d fill [2^(d*w), 2^((d+1)*w))
     vectors = sorted(fp.pack(v) for v in itertools.product(range(p), repeat=n))
     level: set[frozenset] = {frozenset({0})}
@@ -132,7 +158,11 @@ def subspace_counts(n: int, p: int, bound: int | None = None) -> list[int]:
             for v in vectors[bisect_left(vectors, 1 << above) :]:
                 if v in covered:
                     continue
-                span = frozenset(fp.add(s, m) for m in fp.multiples(v) for s in space)
+                span = frozenset(
+                    (t := s + m) - p * (((t + guard) >> w1) & ones)
+                    for m in fp.multiples(v)
+                    for s in space
+                )
                 covered |= span
                 bigger.add(span)
         level = bigger

@@ -4,7 +4,12 @@ Each check pits a formula against an independent oracle (brute-force
 enumeration, exhaustive identity testing, or a second formula route) and
 returns whether it passed with a short detail line; run_all names it from
 the ALL_CHECKS table.  A check that an enumeration or lattice bound stops
-is skipped, not failed.
+is skipped, not failed.  Values that two checks compute from the same
+arguments (q-binomials, GL strata, symplectic orders, the agreement
+lattices and their thm34 and thm41 reports) are computed once per run_all
+call, through one cache per producer; a check called on its own computes
+each value it needs once.  formula-agreement passes its bound to the
+lattice builder, so it shares lattices only in a run without a bound.
 """
 
 from __future__ import annotations
@@ -55,6 +60,17 @@ AGREEMENT_CASES = (
 )
 
 
+_run_caches: dict | None = None  # one cache per shared producer while run_all runs
+
+
+def _shared(fn: Callable) -> Callable:
+    """fn behind a cache kept for the rest of the run_all call, or, outside
+    run_all, for the calling check alone."""
+    if _run_caches is None:
+        return functools.cache(fn)
+    return _run_caches.setdefault(fn, functools.cache(fn))
+
+
 class CheckResult(Immutable):
     __slots__ = _fields = ("name", "ok", "detail", "skipped")
 
@@ -67,7 +83,7 @@ class CheckResult(Immutable):
 
 def check_pascal_recurrence(enum_bound: int | None = None) -> tuple[bool, str]:
     # each q-binomial is on both sides of several instances: expand it once
-    binomial = functools.cache(gaussian_binomial)
+    binomial = _shared(gaussian_binomial)
     cases = 0
     for base_power in (1, 2):
         for n in range(1, 9):
@@ -107,11 +123,12 @@ def check_coset_identity(enum_bound: int | None = None) -> tuple[bool, str]:
 
 
 def check_rank_histograms(enum_bound: int | None = None) -> tuple[bool, str]:
+    strata = _shared(gl_strata)
     for n, p in ((2, 2), (2, 3), (3, 2), (3, 3)):
         counts = oracle.enumerate_rank_histogram(n, p, enum_bound)
         if sum(counts) != p ** (n * n):
             return False, f"(n={n}, p={p}) total {sum(counts)}"
-        for r, (counted, stratum) in enumerate(zip(counts, gl_strata(n), strict=True)):
+        for r, (counted, stratum) in enumerate(zip(counts, strata(n), strict=True)):
             expected = eval_big(stratum, p)
             if counted != expected:
                 return (
@@ -122,10 +139,12 @@ def check_rank_histograms(enum_bound: int | None = None) -> tuple[bool, str]:
 
 
 def check_subspace_counts(enum_bound: int | None = None) -> tuple[bool, str]:
+    binomial = _shared(gaussian_binomial)
     for p in (2, 3):
         for n in range(5):
             for r, counted in enumerate(oracle.subspace_counts(n, p, enum_bound)):
-                expected = eval_big(gaussian_binomial(n, r), p)
+                # base power 1 passed as pascal-recurrence passes it: one key
+                expected = eval_big(binomial(n, r, 1), p)
                 if counted != expected:
                     return (
                         False,
@@ -135,14 +154,16 @@ def check_subspace_counts(enum_bound: int | None = None) -> tuple[bool, str]:
 
 
 def check_formula_agreement(enum_bound: int | None = None) -> tuple[bool, str]:
+    lattice, thm34 = _shared(fundamental_lattice), _shared(order_thm34)
+    thm41 = _shared(order_thm41)
     for spec, weight in AGREEMENT_CASES:
         ct = CartanType.parse(spec)
-        lat = fundamental_lattice(ct, 1 if weight == "first" else ct.rank, enum_bound)
+        lat = lattice(ct, 1 if weight == "first" else ct.rank, enum_bound)
         reports = (
             order_thm31(lat, enum_bound=enum_bound),
             order_thm33(lat, enum_bound=enum_bound),
-            order_thm34(lat),
-            order_thm41(lat),
+            thm34(lat),
+            thm41(lat),
         )
         # per-entry terms, not only totals: swapped terms keep the total
         if len({report.terms for report in reports}) != 1:
@@ -153,9 +174,12 @@ def check_formula_agreement(enum_bound: int | None = None) -> tuple[bool, str]:
 def check_symplectic_closed_form(enum_bound: int | None = None) -> tuple[bool, str]:
     """Each stratum M^r of the closed form equals the thm41 term of entry r
     of the lattice, and the totals agree."""
+    order, lattice = _shared(symplectic_order), _shared(fundamental_lattice)
+    thm41 = _shared(order_thm41)
     for l in range(2, 7):
-        closed = symplectic_order(l)
-        lattice_route = order_thm41(fundamental_lattice(CartanType("C", l), l))
+        closed = order(l)
+        # no bound, the key of formula-agreement's C2-C4 in a run without one
+        lattice_route = thm41(lattice(CartanType("C", l), l, None))
         if closed.total != lattice_route.total:
             return False, f"l={l}"
         strata = [term for _, term in closed.terms]
@@ -165,23 +189,27 @@ def check_symplectic_closed_form(enum_bound: int | None = None) -> tuple[bool, s
 
 
 def check_h_polynomials(enum_bound: int | None = None) -> tuple[bool, str]:
-    # computed when first checked, so the checks and their first failure
-    # keep their order
-    h = functools.cache(lambda l: h_polynomial(symplectic_order(l).total))
-    for l, expected in ((2, H_COEFFS_L2), (3, H_COEFFS_L3)):
-        if h(l).coeffs != expected:
-            return False, f"coefficients differ at l={l}"
+    order = _shared(symplectic_order)
+    frozen = {2: H_COEFFS_L2, 3: H_COEFFS_L3}
+    # each l computed when checked, so a failure stops before any larger l;
+    # the frozen lists are palindromes, so no coefficient failure can come
+    # after a palindrome failure
     for l in range(2, 7):
-        if not is_palindromic(h(l)):
+        h = h_polynomial(order(l).total)
+        if l in frozen and h.coeffs != frozen[l]:
+            return False, f"coefficients differ at l={l}"
+        if not is_palindromic(h):
             return False, f"not palindromic at l={l}"
     return True, "l=2,3 coefficients; palindromic l=2..6"
 
 
 def check_structural(enum_bound: int | None = None) -> tuple[bool, str]:
+    lattice, thm34 = _shared(fundamental_lattice), _shared(order_thm34)
     for spec, weight in AGREEMENT_CASES:
         ct = CartanType.parse(spec)
-        lat = fundamental_lattice(ct, 1 if weight == "first" else ct.rank)
-        report = order_thm34(lat)
+        # no bound, the key of formula-agreement's lattice in a run without one
+        lat = lattice(ct, 1 if weight == "first" else ct.rank, None)
+        report = thm34(lat)
         terms = dict(report.terms)
         rs = lat.root_system
         if terms[lat.zero_entry.label] != ONE:
@@ -196,8 +224,9 @@ def check_structural(enum_bound: int | None = None) -> tuple[bool, str]:
 
 
 def check_gl_strata_sum(enum_bound: int | None = None) -> tuple[bool, str]:
+    strata = _shared(gl_strata)
     for n in range(1, 7):
-        gl_strata(n)  # raises InvariantViolation unless the sum is q^{n^2}
+        strata(n)  # raises InvariantViolation unless the sum is q^{n^2}
     return True, "n = 1..6"
 
 
@@ -220,16 +249,21 @@ def run_all(enum_bound: int | None = None) -> list[CheckResult]:
     """Run every check with the bound, which the checks that enumerate
     nothing ignore; a check stopped by an enumeration or lattice bound is
     reported as skipped, and any other crash inside a check as its
-    failure."""
+    failure.  The checks share one cache per producer for this call alone."""
+    global _run_caches
+    _run_caches = {}
     results = []
-    for name, check in ALL_CHECKS.items():
-        try:
-            ok, detail = check(enum_bound=enum_bound)
-        except (GroupTooLarge, EnumerationTooLarge, LatticeTooLarge) as exc:
-            reason = f"{type(exc).__name__}: {exc}"
-            results.append(CheckResult(name, False, reason, skipped=True))
-        except Exception as exc:  # a crashed check is a failed check
-            results.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))
-        else:
-            results.append(CheckResult(name, ok, detail))
+    try:
+        for name, check in ALL_CHECKS.items():
+            try:
+                ok, detail = check(enum_bound=enum_bound)
+            except (GroupTooLarge, EnumerationTooLarge, LatticeTooLarge) as exc:
+                reason = f"{type(exc).__name__}: {exc}"
+                results.append(CheckResult(name, False, reason, skipped=True))
+            except Exception as exc:  # a crashed check is a failed check
+                results.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))
+            else:
+                results.append(CheckResult(name, ok, detail))
+    finally:
+        _run_caches = None
     return results

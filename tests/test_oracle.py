@@ -1,6 +1,7 @@
 """Brute-force matrix and subspace oracles, cross-checked against formulas."""
 
 import itertools
+import tracemalloc
 import types
 
 import pytest
@@ -266,10 +267,67 @@ def test_packed_arithmetic_matches_digit_tuples(data):
     assert len(multiples) == p
     assert unpack(fp, multiples[c], n) == [c * x % p for x in a]
     if any(b):
+        # reduce maps each distinct row once: a list with repeated rows and
+        # the zero row must come back row for row, in its order
         i = next(i for i, y in enumerate(b) if y)
-        reduced = fp.reduce([u], v)[0]
-        f = a[i] * pow(b[i], -1, p)
-        assert unpack(fp, reduced, n) == [(x - f * y) % p for x, y in zip(a, b)]
+        rows = data.draw(st.lists(digits, max_size=6)) + [a, [0] * n]
+        rows += data.draw(st.lists(st.sampled_from(rows), max_size=6))
+        reduced = fp.reduce([fp.pack(x) for x in rows], v)
+        assert len(reduced) == len(rows)
+        for x, r in zip(rows, reduced):
+            f = x[i] * pow(b[i], -1, p)
+            assert unpack(fp, r, n) == [(d - f * y) % p for d, y in zip(x, b)]
+
+
+def test_rank_walk_reduces_once_per_distinct_pivot(monkeypatch):
+    # (3, 3): the 26 nonzero first rows, then below each the 8 distinct
+    # nonzero rows of its 27 reduced ones, and the 26 below the zero row;
+    # one reduction per row of the list would make 676
+    pivots = []
+    reduce = oracle._Vectors.reduce
+
+    def counted(self, rows, r):
+        pivots.append(r)
+        return reduce(self, rows, r)
+
+    monkeypatch.setattr(oracle._Vectors, "reduce", counted)
+    assert enumerate_rank_histogram(3, 3) == reference_rank_histogram(3, 3)
+    assert len(pivots) == 26 + 26 * 8 + 26
+    pivots.clear()
+    for n, p in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        enumerate_rank_histogram(n, p)
+    assert len(pivots) == 306  # 743 with one reduction per row
+
+
+def test_rank_walk_keeps_one_reduced_list_per_depth():
+    # (2, 17) has 289 rows and 288 nonzero pivots at its first row: holding
+    # every reduced list of that node at once would take over 1 MB
+    tracemalloc.start()
+    try:
+        counts = enumerate_rank_histogram(2, 17)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == [eval_big(stratum, 17) for stratum in gl_strata(2)]
+    assert peak < 2**20
+
+
+def test_far_oversize_and_huge_moduli_are_refused_at_once(monkeypatch):
+    # p^exponent far past the bound is neither built nor printed, and the
+    # size is checked before the trial division that tests p for primality
+    def refuse(*args, **kwargs):
+        raise AssertionError("trial division started")
+
+    monkeypatch.setattr(oracle, "math", types.SimpleNamespace(isqrt=refuse))
+    with pytest.raises(EnumerationTooLarge, match="p\\^n exceeds the bound 65536"):
+        subspace_counts(1, 2**1100 + 1)
+    with pytest.raises(EnumerationTooLarge, match="p\\^n = 100000000000031 exceeds"):
+        subspace_counts(1, 100000000000031)
+    for n in (2000, 20000):
+        with pytest.raises(EnumerationTooLarge, match="exceeds the bound 100000000"):
+            enumerate_rank_histogram(n, 3)
+    with pytest.raises(NonPrimeModulus):
+        subspace_counts(1, 1)
 
 
 def test_bounds_raise_before_any_enumeration(monkeypatch):

@@ -289,6 +289,68 @@ def test_agreement_check_compares_each_term(monkeypatch):
     assert verify.check_formula_agreement() == (False, "A1 (first-fundamental)")
 
 
+SHARED_PRODUCERS = (
+    "gaussian_binomial",
+    "gl_strata",
+    "symplectic_order",
+    "fundamental_lattice",
+    "order_thm34",
+    "order_thm41",
+)
+
+
+def count_shared_producers(monkeypatch):
+    calls = []
+    for name in SHARED_PRODUCERS:
+        producer = getattr(verify, name)
+
+        def counted(*args, _name=name, _producer=producer, **bound):
+            calls.append((_name, args))
+            return _producer(*args, **bound)
+
+        monkeypatch.setattr(verify, name, counted)
+    return calls
+
+
+def test_run_all_computes_each_shared_value_once(monkeypatch):
+    # the checks that share a producer's value, in ALL_CHECKS order:
+    # q-binomials (pascal-recurrence, subspace-count), GL strata
+    # (rank-histogram, gl-strata-sum), lattices and thm34/thm41 reports
+    # (formula-agreement, symplectic-closed-form, structural) and
+    # symplectic orders (symplectic-closed-form, h-polynomial)
+    calls = count_shared_producers(monkeypatch)
+    assert all(result.ok for result in verify.run_all())
+    assert verify._run_caches is None
+    assert len(calls) == len(set(calls))
+    made = {name: [args for n, args in calls if n == name] for name in SHARED_PRODUCERS}
+    assert made["gl_strata"] == [(2,), (3,), (1,), (4,), (5,), (6,)]
+    assert made["symplectic_order"] == [(l,) for l in range(2, 7)]
+    # six agreement lattices, and C5, C6 for the closed form alone
+    assert len(made["fundamental_lattice"]) == 8
+    assert len(made["order_thm34"]) == 6
+    assert len(made["order_thm41"]) == 8
+    assert (0, 0, 1) in made["gaussian_binomial"]  # subspace-count's alone
+    # a second call shares nothing with the first
+    first = list(calls)
+    assert all(result.ok for result in verify.run_all())
+    assert calls == first + first
+
+
+def test_checks_called_alone_compute_their_own_values(monkeypatch):
+    # outside run_all no value outlives its check: structural builds the
+    # lattices and reports that formula-agreement built before it
+    calls = count_shared_producers(monkeypatch)
+    assert verify.check_formula_agreement()[0]
+    built = list(calls)
+    calls.clear()
+    assert verify.check_structural()[0]
+    assert calls == [c for c in built if c[0] in ("fundamental_lattice", "order_thm34")]
+    calls.clear()
+    assert verify.check_rank_histograms()[0]
+    assert verify.check_gl_strata_sum()[0]
+    assert calls == [("gl_strata", (n,)) for n in (2, 3, 1, 2, 3, 4, 5, 6)]
+
+
 @pytest.mark.parametrize("l", range(2, 7))
 def test_symplectic_strata_partition(l):
     report = symplectic_order(l)
