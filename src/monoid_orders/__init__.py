@@ -29,6 +29,7 @@ from .errors import (
 from .oracle import enumerate_rank_histogram, subspace_counts
 from .orders import (
     OrderReport,
+    all_orders,
     gl_strata,
     h_polynomial,
     order_thm31,

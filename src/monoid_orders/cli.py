@@ -51,15 +51,10 @@ from .crosssection import (
     j_irreducible_lattice,
     load_lattice,
 )
-from .errors import (
-    GroupTooLarge,
-    InvariantViolation,
-    MonoidOrdersError,
-    NotJIrreducible,
-    UnsupportedType,
-)
+from .errors import InvariantViolation, MonoidOrdersError, UnsupportedType
 from .orders import (
     OrderReport,
+    all_orders,
     census_total,
     chain_total,
     gl_strata,
@@ -454,42 +449,37 @@ def _csv_fields(poly: QPolynomial, row: dict[int, str], qs: list[int]) -> str:
 def _cmd_order(args, enum_bound: int | None) -> int:
     lat = _resolve_lattice(args, enum_bound, _resolve_support(args))
     qs = _parse_qs(args.q)
-    selected = list(FORMULAS) if args.formula == "all" else [args.formula]
-    reports: dict[str, OrderReport] = {}
-    skipped: dict[str, str] = {}
-    for name in selected:
-        fn = FORMULAS[name]
-        try:
-            if name in ("thm31", "thm33"):
-                reports[name] = fn(lat, enum_bound=enum_bound)
-            else:
-                reports[name] = fn(lat)
-        except (NotJIrreducible, GroupTooLarge) as exc:
-            # thm34 needs neither enumeration nor the weight-support rule,
-            # so 'all' can still cross-check whatever routes remain
-            if args.formula == "all":
-                skipped[name] = type(exc).__name__
-            else:
-                raise
+    if args.formula == "all":
+        # a route the bound or the weight-support rule stops maps to its
+        # exception: thm34 needs neither, so 'all' still cross-checks what
+        # remains
+        results = all_orders(lat, enum_bound=enum_bound)
+    elif args.formula in ("thm31", "thm33"):
+        results = {args.formula: FORMULAS[args.formula](lat, enum_bound=enum_bound)}
+    else:
+        results = {args.formula: FORMULAS[args.formula](lat)}
+    reports = {n: r for n, r in results.items() if isinstance(r, OrderReport)}
     # the totals, then each entry's terms, as verify compares them: swapped
-    # terms keep the total
-    checks = [("", [r.total for r in reports.values()])]
+    # terms keep the total; the routes that share all_orders' expansion hold
+    # one object per term, equal without hashing its coefficients
+    checks = [(None, [r.total for r in reports.values()])]
     for row in zip(*(r.terms for r in reports.values())):
-        checks.append((f" at entry {row[0][0]!r}", [term for _, term in row]))
-    for where, values in checks:
-        if len(set(values)) > 1:
+        checks.append((row[0][0], [term for _, term in row]))
+    for label, values in checks:
+        if len(set(map(id, values))) > 1 and len(set(values)) > 1:
+            where = "" if label is None else f" at entry {label!r}"
             print(f"formula disagreement{where}:", file=sys.stderr)
             for name, value in zip(reports, values):
                 print(f"  {name}: {value}", file=sys.stderr)
             return EXIT_VERIFY
-    primary = reports[[name for name in selected if name in reports][-1]]
+    primary = list(reports.values())[-1]
     # the printed report also carries what the other routes skipped
     notes = list(primary.notes)
-    for name in selected:
-        if name in skipped:
-            notes.append(f"skipped {name} ({skipped[name]})")
-        elif reports[name] is not primary:
-            notes += [n for n in reports[name].notes if n not in notes]
+    for name, result in results.items():
+        if name not in reports:
+            notes.append(f"skipped {name} ({type(result).__name__})")
+        elif result is not primary:
+            notes += [n for n in result.notes if n not in notes]
     primary = primary.replace(notes=tuple(notes))
     # every term is checked at every q; only csv prints the terms' values
     rows = [*primary.terms, ("total", primary.total)]

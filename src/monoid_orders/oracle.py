@@ -33,9 +33,10 @@ DEFAULT_VECTOR_BOUND = 2**16
 
 
 def _check(n: int, p: int, exponent: int, bound: int, what: str) -> None:
-    """Refuse a negative n, a p below 2, p^exponent over the bound or a
-    non-prime p, in that order, so no refusal costs more than trial
-    division up to the square root of a p within the bound."""
+    """Refuse a negative n, a p below 2, p^exponent over the bound, a p
+    whose square root is over the bound's or a non-prime p, in that order,
+    so no refusal costs more than trial division up to the square root of
+    the bound."""
     if n < 0:
         raise ValueError(f"n = {n} is negative")
     if p < 2:
@@ -48,6 +49,8 @@ def _check(n: int, p: int, exponent: int, bound: int, what: str) -> None:
         )
     if p**exponent > bound:
         raise EnumerationTooLarge(f"{what} = {p**exponent} exceeds the bound {bound}")
+    if math.isqrt(p) > math.isqrt(bound):  # only when n = 0, as p^0 = 1
+        raise EnumerationTooLarge(f"the modulus {p} exceeds the bound {bound}")
     if any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
         raise NonPrimeModulus(f"{p} is not prime")
 

@@ -11,15 +11,20 @@ Four independent routes to the same total, all exact polynomials in q:
   order_thm41  the closed form for weight-support (J-irreducible) lattices.
 
 thm33, thm34 and thm41 give each term, the zero entry's included, as a
-factored QProduct, and one qpoly.expand_all call per route expands them all;
-only thm31 divides densely, the walked W(q) by each walked W_X(q) once per
-call.  The routes read each entry's lambda* and lambda_* as its masks, and
-the degree-based ones read the degrees and root count of each parabolic
-subgroup W_X from rootsystem's per-mask memo, never from a classification
-of X.
+factored QProduct (thm33_products, thm34_products, thm41_products), and
+order_thm* expands a route's terms in one qpoly.expand_all call.  For
+`order --formula all` and verify, all_orders compares the three routes'
+products entry by entry, which is exact since a product's (shift, phi) is
+canonical, and expands the ones they agree on once; each expansion still
+meets a dense check that shares none of it, thm31's walked terms or
+thm33's walked coset sums.  Only thm31 divides densely, the walked W(q) by
+each walked W_X(q) once per call.  The routes read each entry's lambda*
+and lambda_* as its masks, and the degree-based ones read the degrees and
+root count of each parabolic subgroup W_X from rootsystem's per-mask memo,
+never from a classification of X.
 
-The H-polynomial reads thm34's total, which order_thm34 sums once per
-thm34 key, times the number of entries sharing it.  For a weight support
+The H-polynomial reads thm34's total, which adds each distinct term once,
+times the number of entries sharing it.  For a weight support
 no lattice is listed: census_total sums the keys counted by
 crosssection.thm34_census, grouped by their lambda_* degrees, and for type
 A with J0 = {} chain_total sums along the Dynkin chain instead.  Both are
@@ -137,18 +142,19 @@ def _lattice_notes(lat: CrossSectionLattice) -> tuple[str, ...]:
 def _finish(
     formula: str,
     lat: CrossSectionLattice,
-    terms: list[tuple[str, QPolynomial]],
+    values: list[QPolynomial],
     notes: tuple[str, ...] = (),
-    summands=None,
+    total: QPolynomial | None = None,
 ) -> OrderReport:
-    """The report whose total is the sum of summands, the terms by default."""
-    if summands is None:
-        summands = (term for _, term in terms)
+    """The report whose terms are the entries' values, in entry order, and
+    whose total, the sum of the values by default, must pass _checked."""
+    if total is None:
+        total = poly_sum(values)
     return OrderReport(
         formula=formula,
         cartan_type=lat.root_system.cartan_type,
-        terms=tuple(terms),
-        total=_checked(formula, poly_sum(summands)),
+        terms=tuple(zip((e.label for e in lat.entries), values)),
+        total=_checked(formula, total),
         lattice=lat,
         notes=_lattice_notes(lat) + notes,
     )
@@ -157,6 +163,14 @@ def _finish(
 def _scaled(n: int, term: QPolynomial) -> QPolynomial:
     """n times a term shared by n entries; a term of one entry as it is."""
     return term if n == 1 else QPolynomial(map(n.__mul__, term.coeffs))
+
+
+def _weighted_total(values: list[QPolynomial]) -> QPolynomial:
+    """thm34's total: each distinct value once, times the number of entries
+    that hold it (expand_all gives equal products one object)."""
+    counts = Counter(map(id, values))
+    distinct = dict(zip(map(id, values), values))
+    return poly_sum(_scaled(n, distinct[key]) for key, n in counts.items())
 
 
 def _checked(formula: str, total: QPolynomial) -> QPolynomial:
@@ -204,93 +218,102 @@ def order_thm31(
     walked = cache(lambda X: coset_length_poly(rs, X, 0, enum_bound))
     w = walked(lat.all_mask)
     cosets = cache(lambda X: div_exact(w, walked(X)))
-    terms = []
+    values = []
     for entry in lat.entries:
         lam, sub = entry.star_mask | entry.substar_mask, entry.substar_mask
         shift = walked(lam).degree - walked(sub).degree
         torus = QPolynomial.monomial(shift) * Q_MINUS_ONE**entry.torus_index_exponent
-        terms.append((entry.label, torus * cosets(lam) * cosets(sub)))
-    return _finish("thm31", lat, terms)
+        values.append(torus * cosets(lam) * cosets(sub))
+    return _finish("thm31", lat, values)
 
 
-def _factored_terms(lat: CrossSectionLattice, term) -> list[tuple[str, QPolynomial]]:
-    """Each entry's QProduct term(entry), expanded in one expand_all call."""
-    return list(zip((e.label for e in lat.entries), expand_all(map(term, lat.entries))))
+def thm33_products(
+    lat: CrossSectionLattice, *, enum_bound: int | None = None
+) -> tuple[list[QProduct], tuple[str, ...]]:
+    """thm33's term of each entry, q^{N*} (q-1)^k (W/W_lambda)(W/W_lambda_*)
+    with each coset sum W/W_J an exact factored quotient of Poincare
+    products, divided once per degree tuple of W_J and kept per mask of J;
+    and the route's notes.
+
+    While the ambient group is small enough to walk, the coset sums are
+    expanded in one expand_all call, in first-use order, and each must equal
+    the sum walked over its minimal coset representatives; the first that
+    differs raises InvariantViolation.  Otherwise the notes say that the
+    cross-check was skipped.
+    """
+    rs, delta = lat.root_system, lat.all_mask
+    p_w = poincare_factors(degrees(rs.cartan_type))
+    quotient = cache(lambda ds: p_w / poincare_factors(ds))
+    cosets: dict[int, QProduct] = {}
+
+    def coset_sum(J: int) -> QProduct:
+        value = cosets.get(J)
+        if value is None:
+            value = cosets[J] = quotient(_mask_degrees(rs, J))
+        return value
+
+    products = []
+    for entry in lat.entries:
+        star, substar = entry.star_mask, entry.substar_mask
+        torus = QProduct.of([1] * entry.torus_index_exponent, shift=_mask_count(rs, star))
+        products.append(torus * coset_sum(star | substar) * coset_sum(substar))
+    walks = []
+    try:
+        for J in cosets:
+            walks.append(coset_length_poly(rs, delta, J, enum_bound))
+    except GroupTooLarge:  # raised by the first walk, from |W| alone
+        return products, ("skipped thm33 coset cross-check (GroupTooLarge)",)
+    for J, value, walked in zip(cosets, expand_all(cosets.values()), walks):
+        if value != walked:
+            raise InvariantViolation(f"coset sum mismatch for J={_mask_indices(J)}")
+    return products, ()
 
 
 def order_thm33(
     lat: CrossSectionLattice, *, enum_bound: int | None = None
 ) -> OrderReport:
-    """Order by coset-representative length sums.
-
-    Each coset sum W/W_J is an exact factored quotient of Poincare products.
-    While the ambient group is small enough to walk, the expanded quotient
-    must equal the sum walked over minimal coset representatives; otherwise
-    the report notes that the cross-check was skipped.  Coset sums are
-    kept per mask of J.
-    """
-    rs, delta = lat.root_system, lat.all_mask
-    p_w = poincare_factors(degrees(rs.cartan_type))
-    skipped: list[str] = []
-
-    @cache
-    def coset_sum(J: int) -> QProduct:
-        value = p_w / poincare_factors(_mask_degrees(rs, J))
-        if not skipped:
-            try:
-                walked = coset_length_poly(rs, delta, J, enum_bound)
-            except GroupTooLarge:
-                skipped.append("skipped thm33 coset cross-check (GroupTooLarge)")
-            else:
-                if expand(value) != walked:
-                    raise InvariantViolation(
-                        f"coset sum mismatch for J={_mask_indices(J)}"
-                    )
-        return value
-
-    def term(entry) -> QProduct:
-        star, substar = entry.star_mask, entry.substar_mask
-        cosets = coset_sum(star | substar) * coset_sum(substar)
-        n_star = _mask_count(rs, star)
-        return QProduct.of([1] * entry.torus_index_exponent, shift=n_star) * cosets
-
-    terms = _factored_terms(lat, term)
-    return _finish("thm33", lat, terms, tuple(skipped))
+    """Order by coset-representative length sums (thm33_products), each
+    entry's term expanded in one expand_all call."""
+    products, notes = thm33_products(lat, enum_bound=enum_bound)
+    return _finish("thm33", lat, expand_all(products), notes)
 
 
-def order_thm34(lat: CrossSectionLattice) -> OrderReport:
-    """Order by invariant-degree products; no group enumeration at all.
+def thm34_products(lat: CrossSectionLattice) -> list[QProduct]:
+    """thm34's term of each entry, by invariant-degree products alone: no
+    group enumeration at all.
 
     Each term q^{N*} (q-1)^k W^2 / (W_{lambda_*}^2 W_{lambda*}) is fixed by
     the thm34 key of its entry: the degrees of W_{lambda_*(e)}, the torus
     exponent k of e and the degrees of W_{lambda*(e)}, with the shift
-    N*(e) = sum (d - 1) over the lambda* degrees.  Per call, each key is
-    factored and expanded once, entries sharing a key share its term, and
-    the total adds each key's term once, times its entry count (A14 has
+    N*(e) = sum (d - 1) over the lambda* degrees.  Each key is factored
+    once per call, and entries sharing a key share its product (A14 has
     16,384 entries but 176 keys).
     """
     rs = lat.root_system
     p_w_squared = poincare_factors(degrees(rs.cartan_type)) ** 2
-    keys = [
-        (
+
+    @cache
+    def term(sub_degrees, k, star_degrees) -> QProduct:
+        denom = poincare_factors(sub_degrees) ** 2 * poincare_factors(star_degrees)
+        ratio = QProduct.of([1] * k) * (p_w_squared / denom)
+        return QProduct(sum(star_degrees) - len(star_degrees), ratio.phi)
+
+    return [
+        term(
             _mask_degrees(rs, e.substar_mask),
             e.torus_index_exponent,
             _mask_degrees(rs, e.star_mask),
         )
         for e in lat.entries
     ]
-    counts = Counter(keys)
 
-    def term(key) -> QProduct:
-        sub_degrees, k, star_degrees = key
-        denom = poincare_factors(sub_degrees) ** 2 * poincare_factors(star_degrees)
-        ratio = QProduct.of([1] * k) * (p_w_squared / denom)
-        return QProduct(sum(star_degrees) - len(star_degrees), ratio.phi)
 
-    expanded = dict(zip(counts, expand_all(map(term, counts))))
-    summands = (_scaled(counts[key], t) for key, t in expanded.items())
-    terms = [(e.label, expanded[key]) for e, key in zip(lat.entries, keys)]
-    return _finish("thm34", lat, terms, summands=summands)
+def order_thm34(lat: CrossSectionLattice) -> OrderReport:
+    """Order by invariant-degree products (thm34_products), expanded in one
+    expand_all call; the total adds each distinct term once, times the
+    number of entries that share it."""
+    values = expand_all(thm34_products(lat))
+    return _finish("thm34", lat, values, total=_weighted_total(values))
 
 
 def chain_total(rs: RootSystemData, bound: int | None = None) -> OrderReport:
@@ -401,16 +424,18 @@ def census_total(
     return _unlisted("thm34 census", rs, J0, poly_sum(summands))
 
 
-def order_thm41(lat: CrossSectionLattice) -> OrderReport:
-    """Closed form for weight-support lattices.
+def thm41_products(lat: CrossSectionLattice) -> list[QProduct]:
+    """thm41's term of each entry: the closed form for weight-support
+    lattices.
 
     Valid only when [T:T(e)] = (q-1)^(|lambda_star|+1) throughout, which the
-    weight-support construction guarantees; the nonzero term is
+    weight-support construction guarantees (NotJIrreducible otherwise); the
+    nonzero term is
 
         q^{N*(e)} (q-1)^{2(|lambda(e)|-l)+1} prod (q^{d_i}-1)^2 / denominator
 
     with the denominator built from the degrees of the type map's parabolic
-    subgroups, each subset's degrees factored once per call.
+    subgroups, each degree tuple factored once per call.
     """
     if not is_j_irreducible(lat):
         raise NotJIrreducible(
@@ -419,7 +444,7 @@ def order_thm41(lat: CrossSectionLattice) -> OrderReport:
     rs = lat.root_system
     ambient = QProduct.of(degrees(rs.cartan_type)) ** 2
     torus_squared = QProduct.of([1] * (2 * rs.rank))
-    factor = cache(lambda X: QProduct.of(_mask_degrees(rs, X)))
+    factor = cache(QProduct.of)  # per parabolic subgroup's degrees
 
     def term(entry) -> QProduct:
         if lat.is_zero(entry):  # the closed form assumes |lambda*| + 1
@@ -430,23 +455,67 @@ def order_thm41(lat: CrossSectionLattice) -> OrderReport:
             [1] * (2 * (star | substar).bit_count() + 1),
             shift=_mask_count(rs, star),
         )
-        return numer / (torus_squared * factor(substar) ** 2 * factor(star))
+        denom = factor(_mask_degrees(rs, substar)) ** 2 * factor(_mask_degrees(rs, star))
+        return numer / (torus_squared * denom)
 
-    return _finish("thm41", lat, _factored_terms(lat, term))
+    return list(map(term, lat.entries))
 
 
-def symplectic_order(l: int) -> OrderReport:
-    """Closed-form order of the omega_l monoid of type C_l, l >= 2, with its
-    strata.
+def order_thm41(lat: CrossSectionLattice) -> OrderReport:
+    """Order by the weight-support closed form (thm41_products), expanded in
+    one expand_all call."""
+    return _finish("thm41", lat, expand_all(thm41_products(lat)))
+
+
+def all_orders(
+    lat: CrossSectionLattice, *, enum_bound: int | None = None
+) -> dict[str, OrderReport | GroupTooLarge | NotJIrreducible]:
+    """The four reports of `order --formula all`, by route name in route
+    order; a route that the enumeration bound or the weight-support rule
+    stops maps to its exception (thm31 to GroupTooLarge, thm41 to
+    NotJIrreducible).
+
+    thm31 runs as order_thm31 does.  thm34's and thm41's factored terms are
+    compared with thm33's, entry by entry: a product's (shift, phi) is
+    canonical, so the comparison is exact.  Where they agree they take
+    thm33's values, expanded in one expand_all call, and thm41 its total,
+    summed once; thm34 keeps its own weighted total.  A route that differs
+    is expanded on its own, as its order_thm* does.  The shared expansion
+    still meets dense checks that share none of it: thm31's walked terms,
+    and the walked coset sums of thm33_products.  Every error comes from
+    the same route, in the same order, as from the order_thm* calls.
+    """
+    reports: dict = {}
+    try:
+        reports["thm31"] = order_thm31(lat, enum_bound=enum_bound)
+    except GroupTooLarge as exc:
+        reports["thm31"] = exc
+    products, notes = thm33_products(lat, enum_bound=enum_bound)
+    values = expand_all(products)
+    reports["thm33"] = thm33 = _finish("thm33", lat, values, notes)
+    own = thm34_products(lat)
+    own_values = values if own == products else expand_all(own)
+    reports["thm34"] = _finish("thm34", lat, own_values, total=_weighted_total(own_values))
+    try:
+        own = thm41_products(lat)
+    except NotJIrreducible as exc:
+        reports["thm41"] = exc
+    else:
+        if own == products:
+            reports["thm41"] = _finish("thm41", lat, values, total=thm33.total)
+        else:
+            reports["thm41"] = _finish("thm41", lat, expand_all(own))
+    return reports
+
+
+def symplectic_strata(l: int) -> list[QProduct]:
+    """The strata M^0 .. M^{l+1} of the omega_l monoid of type C_l, l >= 2,
+    as factored products.
 
     H term r is q^{r^2} [l, r]_{q^2}^2 prod_{i<=r} (q^{2i}-1) prod_{i<=l-r}
     (q^i+1)^2, and term r+1 is term r times the exact factored quotient
     q^{2r+1} (q^{l-r}-1)^2 / (q^{2r+2}-1).  Stratum 0 is 1 and stratum r+1
-    is (q-1) times H term r; one expand_all call steps each stratum from the
-    one before, and the last must equal q^{l^2} (q-1) prod (q^{2i}-1),
-    expanded on its own.  The total is the sum of the strata; its
-    H-polynomial (total - 1)/(q - 1) must be exact and palindromic, or
-    InvariantViolation is raised.
+    is (q-1) times H term r.
     """
     if l < 2:
         raise ValueError("need l >= 2")
@@ -456,8 +525,21 @@ def symplectic_order(l: int) -> OrderReport:
     for r in range(l):  # M^{r+2} = M^{r+1} H_{r+1} / H_r
         up = QProduct.of([l - r] * 2, shift=2 * r + 1)
         strata.append(strata[-1] * up / QProduct.of([2 * r + 2]))
-    strata = expand_all(strata)
-    if strata[-1] != expand(QProduct.of([1] + evens, shift=l * l)):
+    return strata
+
+
+def symplectic_order(l: int) -> OrderReport:
+    """Closed-form order of the omega_l monoid of type C_l, l >= 2, with its
+    strata (symplectic_strata).
+
+    One expand_all call steps each stratum from the one before, and the
+    last must equal q^{l^2} (q-1) prod (q^{2i}-1), expanded on its own.  The
+    total is the sum of the strata; its H-polynomial (total - 1)/(q - 1)
+    must be exact and palindromic, or InvariantViolation is raised.
+    """
+    strata = expand_all(symplectic_strata(l))
+    top = QProduct.of([1] + [2 * i for i in range(1, l + 1)], shift=l * l)
+    if strata[-1] != expand(top):
         raise InvariantViolation(f"C{l} ratio steps missed the top stratum")
     total = poly_sum(strata)
     # |M|(1) = 1 iff (total - 1)/(q - 1) is exact

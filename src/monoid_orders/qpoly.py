@@ -329,7 +329,7 @@ class QProduct(Immutable):
         shift = self.shift + sign * other.shift
         a = self.phi
         phi = []
-        i = 0
+        i, negative = 0, False
         for n, e in other.phi:
             while i < len(a) and a[i][0] < n:
                 phi.append(a[i])
@@ -338,10 +338,12 @@ class QProduct(Immutable):
             if i < len(a) and a[i][0] == n:
                 e += a[i][1]
                 i += 1
-            if e:
+            if e > 0:
                 phi.append((n, e))
+            elif e:  # only the exponents other changes can fall below 0
+                negative = True
         phi += a[i:]
-        if shift < 0 or any(e < 0 for _, e in phi):
+        if shift < 0 or negative:
             raise NonExactDivision(f"({self}) is not divisible by ({other})")
         return QProduct(shift, tuple(phi))
 

@@ -5,11 +5,12 @@ enumeration, exhaustive identity testing, or a second formula route) and
 returns whether it passed with a short detail line; run_all names it from
 the ALL_CHECKS table.  A check that an enumeration or lattice bound stops
 is skipped, not failed.  Values that two checks compute from the same
-arguments (q-binomials, GL strata, symplectic orders, the agreement
-lattices and their thm34 and thm41 reports) are computed once per run_all
-call, through one cache per producer; a check called on its own computes
-each value it needs once.  formula-agreement passes its bound to the
-lattice builder, so it shares lattices only in a run without a bound.
+arguments (the q-binomials of each base power, GL strata, symplectic
+orders, the agreement lattices and their all_orders reports) are computed
+once per run_all call, through one cache per producer; a check called on
+its own computes each value it needs once.  formula-agreement passes its
+bound to the lattice builder, so it shares lattices and reports with
+structural only in a run without a bound.
 """
 
 from __future__ import annotations
@@ -21,13 +22,12 @@ from . import oracle
 from .crosssection import fundamental_lattice
 from .errors import EnumerationTooLarge, GroupTooLarge, LatticeTooLarge
 from .orders import (
+    all_orders,
     gl_strata,
     h_polynomial,
-    order_thm31,
-    order_thm33,
-    order_thm34,
-    order_thm41,
     symplectic_order,
+    symplectic_strata,
+    thm41_products,
 )
 from .qpoly import (
     ONE,
@@ -35,7 +35,8 @@ from .qpoly import (
     Immutable,
     QPolynomial,
     eval_big,
-    gaussian_binomial,
+    expand_all,
+    gaussian_factors,
     is_palindromic,
     q_power_minus_one,
 )
@@ -81,17 +82,27 @@ class CheckResult(Immutable):
         object.__setattr__(self, "skipped", skipped)
 
 
+def q_binomials(base_power: int) -> dict[tuple[int, int], QPolynomial]:
+    """[n, r] in the variable q^base_power for 0 <= r <= n <= 8, by (n, r),
+    all expanded in one expand_all call."""
+    keys = [(n, r) for n in range(9) for r in range(n + 1)]
+    products = (gaussian_factors(n, r, base_power) for n, r in keys)
+    return dict(zip(keys, expand_all(products)))
+
+
 def check_pascal_recurrence(enum_bound: int | None = None) -> tuple[bool, str]:
     # each q-binomial is on both sides of several instances: expand it once
-    binomial = _shared(gaussian_binomial)
+    binomials = _shared(q_binomials)
     cases = 0
     for base_power in (1, 2):
+        binomial = binomials(base_power)
         for n in range(1, 9):
             for r in range(1, n):
-                lhs = binomial(n, r, base_power)
-                rhs = QPolynomial.monomial(base_power * r) * binomial(
-                    n - 1, r, base_power
-                ) + binomial(n - 1, r - 1, base_power)
+                lhs = binomial[n, r]
+                rhs = (
+                    QPolynomial.monomial(base_power * r) * binomial[n - 1, r]
+                    + binomial[n - 1, r - 1]
+                )
                 if lhs != rhs:
                     return False, f"fails at n={n}, r={r}"
                 cases += 1
@@ -139,12 +150,11 @@ def check_rank_histograms(enum_bound: int | None = None) -> tuple[bool, str]:
 
 
 def check_subspace_counts(enum_bound: int | None = None) -> tuple[bool, str]:
-    binomial = _shared(gaussian_binomial)
+    binomial = _shared(q_binomials)(1)
     for p in (2, 3):
         for n in range(5):
             for r, counted in enumerate(oracle.subspace_counts(n, p, enum_bound)):
-                # base power 1 passed as pascal-recurrence passes it: one key
-                expected = eval_big(binomial(n, r, 1), p)
+                expected = eval_big(binomial[n, r], p)
                 if counted != expected:
                     return (
                         False,
@@ -154,17 +164,14 @@ def check_subspace_counts(enum_bound: int | None = None) -> tuple[bool, str]:
 
 
 def check_formula_agreement(enum_bound: int | None = None) -> tuple[bool, str]:
-    lattice, thm34 = _shared(fundamental_lattice), _shared(order_thm34)
-    thm41 = _shared(order_thm41)
+    lattice, orders = _shared(fundamental_lattice), _shared(all_orders)
     for spec, weight in AGREEMENT_CASES:
         ct = CartanType.parse(spec)
         lat = lattice(ct, 1 if weight == "first" else ct.rank, enum_bound)
-        reports = (
-            order_thm31(lat, enum_bound=enum_bound),
-            order_thm33(lat, enum_bound=enum_bound),
-            thm34(lat),
-            thm41(lat),
-        )
+        reports = orders(lat, enum_bound=enum_bound).values()
+        for report in reports:
+            if isinstance(report, Exception):  # a bound stops the check
+                raise report
         # per-entry terms, not only totals: swapped terms keep the total
         if len({report.terms for report in reports}) != 1:
             return False, f"{spec} ({weight}-fundamental)"
@@ -172,18 +179,15 @@ def check_formula_agreement(enum_bound: int | None = None) -> tuple[bool, str]:
 
 
 def check_symplectic_closed_form(enum_bound: int | None = None) -> tuple[bool, str]:
-    """Each stratum M^r of the closed form equals the thm41 term of entry r
-    of the lattice, and the totals agree."""
+    """Each stratum M^r of the closed form, whose expansion symplectic_order
+    checks, equals the thm41 term of entry r of the lattice as a factored
+    product; expand_all expands equal product lists alike, so the totals
+    agree too."""
     order, lattice = _shared(symplectic_order), _shared(fundamental_lattice)
-    thm41 = _shared(order_thm41)
     for l in range(2, 7):
-        closed = order(l)
+        order(l)  # raises InvariantViolation unless its strata check out
         # no bound, the key of formula-agreement's C2-C4 in a run without one
-        lattice_route = thm41(lattice(CartanType("C", l), l, None))
-        if closed.total != lattice_route.total:
-            return False, f"l={l}"
-        strata = [term for _, term in closed.terms]
-        if strata != [term for _, term in lattice_route.terms]:
+        if symplectic_strata(l) != thm41_products(lattice(CartanType("C", l), l, None)):
             return False, f"strata differ from the thm41 terms, l={l}"
     return True, "l = 2..6"
 
@@ -204,12 +208,12 @@ def check_h_polynomials(enum_bound: int | None = None) -> tuple[bool, str]:
 
 
 def check_structural(enum_bound: int | None = None) -> tuple[bool, str]:
-    lattice, thm34 = _shared(fundamental_lattice), _shared(order_thm34)
+    lattice, orders = _shared(fundamental_lattice), _shared(all_orders)
     for spec, weight in AGREEMENT_CASES:
         ct = CartanType.parse(spec)
         # no bound, the key of formula-agreement's lattice in a run without one
         lat = lattice(ct, 1 if weight == "first" else ct.rank, None)
-        report = thm34(lat)
+        report = orders(lat, enum_bound=enum_bound)["thm34"]
         terms = dict(report.terms)
         rs = lat.root_system
         if terms[lat.zero_entry.label] != ONE:

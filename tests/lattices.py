@@ -27,7 +27,8 @@ def validated_lattices(draw) -> CrossSectionLattice:
     delta = frozenset(range(1, rs.rank + 1))
     torus_rank = draw(st.just(rs.rank + 1) | st.integers(1, rs.rank + 2))
     # one drawn label, made distinct by a numeral past the first
-    names = [draw(labels) + (str(i) if i else "") for i in range(6)]
+    label = draw(labels)
+    names = [label + (str(i) if i else "") for i in range(6)]
     entries = [
         entry(names[0], (), delta, 0),
         entry(names[1], delta, (), torus_rank),

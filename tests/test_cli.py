@@ -872,14 +872,15 @@ def test_usage_error_bytes_are_pinned(capsys, argv, err_line):
 
 
 def test_order_all_reports_swapped_terms_with_equal_totals(capsys, monkeypatch):
-    thm41 = cli.FORMULAS["thm41"]
+    # the swap is in thm41's factored terms, so all_orders expands thm41 on
+    # its own
+    thm41 = orders.thm41_products
 
     def swapped(lat):
-        report = thm41(lat)
-        (a, term_a), (b, term_b), *rest = report.terms
-        return report.replace(terms=((a, term_b), (b, term_a), *rest))
+        first, second, *rest = thm41(lat)
+        return [second, first, *rest]
 
-    monkeypatch.setitem(cli.FORMULAS, "thm41", swapped)
+    monkeypatch.setattr(orders, "thm41_products", swapped)
     code, out, err = run(
         capsys, "order", "--type", "C2", "--preset", "last-fundamental",
         "--formula", "all",
@@ -898,13 +899,15 @@ def test_order_all_reports_swapped_terms_with_equal_totals(capsys, monkeypatch):
 
 
 def test_order_all_reports_a_formula_disagreement(capsys, monkeypatch):
-    thm41 = cli.FORMULAS["thm41"]
+    # a total one too high has |M|(1) = 2, which _checked refuses inside the
+    # route, so the fault goes into thm41's report after its check
+    finish = orders._finish
 
-    def off_by_one(lat):
-        report = thm41(lat)
-        return report.replace(total=report.total + ONE)
+    def off_by_one(formula, *args, **kwargs):
+        report = finish(formula, *args, **kwargs)
+        return report.replace(total=report.total + ONE) if formula == "thm41" else report
 
-    monkeypatch.setitem(cli.FORMULAS, "thm41", off_by_one)
+    monkeypatch.setattr(orders, "_finish", off_by_one)
     code, out, err = run(
         capsys, "order", "--type", "C2", "--preset", "last-fundamental",
         "--formula", "all",
@@ -918,6 +921,18 @@ def test_order_all_reports_a_formula_disagreement(capsys, monkeypatch):
         f"  thm34: {total}",
         f"  thm41: {total + ONE}",
     ]
+
+
+def test_order_all_names_the_route_of_an_extra_factored_term(capsys, monkeypatch):
+    # one more factored term, 1, past the last entry: thm41 is expanded on
+    # its own, and its total is refused under its own name
+    thm41 = orders.thm41_products
+    monkeypatch.setattr(orders, "thm41_products", lambda lat: [*thm41(lat), qpoly.QProduct()])
+    code, out, err = run(
+        capsys, "order", "--type", "C2", "--preset", "last-fundamental",
+        "--formula", "all",
+    )
+    assert (code, out, err) == (2, "", "error: thm41 total is 2 at q=1, not 1\n")
 
 
 @pytest.mark.parametrize(
@@ -1620,3 +1635,65 @@ def test_order_table_lists_the_index_sets_as_before(capsys, tmp_path):
         assert run(capsys, "order", *source, "--formula", "thm34") == (
             0, "\n".join(expected) + "\n", ""
         )
+
+
+# order --type E6 --preset last-fundamental --formula all, table format:
+# the bytes that expanding each route's terms on its own gave
+E6_ALL_DIGEST = "ca10ec5aa2908feed814fa9b4ba6ccec314100a783e2cb4bf5d302a6f3d24e95"
+
+
+def test_order_all_expands_the_agreed_terms_once(capsys, monkeypatch):
+    # thm33's walked coset sums in one expand_all call, the terms thm33,
+    # thm34 and thm41 agree on in one more; each route on its own made 16
+    calls = []
+    for module in (qpoly, orders):
+        real = module.expand_all
+
+        def counted(products, _real=real):
+            calls.append(1)
+            return _real(products)
+
+        monkeypatch.setattr(module, "expand_all", counted)
+    code, out, err = run(
+        capsys, "order", "--type", "E6", "--preset", "last-fundamental", "--formula", "all"
+    )
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == E6_ALL_DIGEST
+    assert len(calls) == 2
+
+
+def test_order_all_reports_a_broken_coset_step(capsys, monkeypatch):
+    # doubling every multiply step keeps each step divisible; the first
+    # walked coset sum that differs is named, as when each was expanded alone
+    real = qpoly._times_binomial
+    monkeypatch.setattr(qpoly, "_times_binomial", lambda c, d: [2 * x for x in real(c, d)])
+    assert run(
+        capsys, "order", "--type", "C3", "--preset", "last-fundamental", "--formula", "all"
+    ) == (2, "", "error: coset sum mismatch for J=[1, 2]\n")
+
+
+def test_order_all_checks_the_shared_expansion_against_thm31(capsys, monkeypatch):
+    # a fault in the one expansion the degree routes share reaches all
+    # three, and (q - 1) q^0 keeps |M|(1) = 1; thm31's walked terms differ
+    real = orders.expand_all
+
+    def corrupted(products):
+        values = real(products)
+        if sys._getframe(1).f_code is orders.all_orders.__code__:
+            values[-1] = values[-1] + qpoly.Q_MINUS_ONE
+        return values
+
+    monkeypatch.setattr(orders, "expand_all", corrupted)
+    code, out, err = run(
+        capsys, "order", "--type", "C3", "--preset", "last-fundamental", "--formula", "all"
+    )
+    assert (code, out) == (3, "")
+    total = orders.order_thm31(fundamental_lattice(CartanType("C", 3), 3)).total
+    wrong = total + qpoly.Q_MINUS_ONE
+    assert err.splitlines() == [
+        "formula disagreement:",
+        f"  thm31: {total}",
+        f"  thm33: {wrong}",
+        f"  thm34: {wrong}",
+        f"  thm41: {wrong}",
+    ]

@@ -1,6 +1,7 @@
 """Brute-force matrix and subspace oracles, cross-checked against formulas."""
 
 import itertools
+import time
 import tracemalloc
 import types
 
@@ -344,3 +345,21 @@ def test_bounds_raise_before_any_enumeration(monkeypatch):
         enumerate_rank_histogram(30, 2)
     with pytest.raises(NonPrimeModulus):
         enumerate_rank_histogram(3, 4)
+
+
+def test_zero_size_with_a_huge_modulus_is_refused_at_once():
+    # p^0 = 1 meets any size bound, so the modulus itself is held to it
+    # before trial division, which would run to isqrt(p), about 1.5e9
+    for oracle_fn, bound in ((enumerate_rank_histogram, 100000000), (subspace_counts, 65536)):
+        start = time.perf_counter()
+        with pytest.raises(EnumerationTooLarge) as refused:
+            oracle_fn(0, 2**61 - 1)
+        assert time.perf_counter() - start < 0.1
+        assert str(refused.value) == (
+            f"the modulus {2**61 - 1} exceeds the bound {bound}"
+        )
+    assert enumerate_rank_histogram(0, 7) == [1]
+    with pytest.raises(NonPrimeModulus):
+        enumerate_rank_histogram(0, 4)
+    # trial division up to isqrt(3) = isqrt(1) tests nothing past the bound
+    assert subspace_counts(0, 2, bound=1) == subspace_counts(0, 3, bound=1) == [1]

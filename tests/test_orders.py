@@ -9,6 +9,7 @@ import time
 from math import prod
 
 import pytest
+from hypothesis import given, settings
 
 import monoid_orders
 from monoid_orders import cli, orders, qpoly, verify
@@ -19,6 +20,7 @@ from monoid_orders.crosssection import (
     j_irreducible_lattice,
 )
 from monoid_orders.errors import (
+    GroupTooLarge,
     InvariantViolation,
     LatticeTooLarge,
     MonoidOrdersError,
@@ -58,6 +60,7 @@ from monoid_orders.rootsystem import (
     subset_degrees,
 )
 from monoid_orders.weyl import coset_length_poly
+from lattices import validated_lattices
 from subdiagrams import components, mask_of, nodes, star, substar
 
 H_COEFFS_L2 = (1, 1, 1, 2, 2, 2, 2, 2, 1, 1, 1)
@@ -200,12 +203,10 @@ def test_closed_form_check_compares_each_stratum(monkeypatch):
     # swapping two strata keeps the total and every sum of strata, so only
     # a stratum-by-stratum comparison with the thm41 terms can see it
     def swapped(l):
-        report = symplectic_order(l)
-        (a, p), (b, r) = report.terms[1:3]
-        terms = report.terms[:1] + ((a, r), (b, p)) + report.terms[3:]
-        return report.replace(terms=terms)
+        zero, a, b, *rest = orders.symplectic_strata(l)
+        return [zero, b, a, *rest]
 
-    monkeypatch.setattr(verify, "symplectic_order", swapped)
+    monkeypatch.setattr(verify, "symplectic_strata", swapped)
     assert verify.check_symplectic_closed_form() == (
         False,
         "strata differ from the thm41 terms, l=2",
@@ -213,14 +214,19 @@ def test_closed_form_check_compares_each_stratum(monkeypatch):
 
 
 def test_pascal_check_expands_each_binomial_once(monkeypatch):
-    calls = []
-    binomial = verify.gaussian_binomial
+    factored, expansions = [], []
+    factors, expand_all = verify.gaussian_factors, verify.expand_all
 
     def counted(n, r, base_power=1):
-        calls.append((n, r, base_power))
-        return binomial(n, r, base_power)
+        factored.append((n, r, base_power))
+        return factors(n, r, base_power)
 
-    monkeypatch.setattr(verify, "gaussian_binomial", counted)
+    def counted_expand_all(products):
+        expansions.append(1)
+        return expand_all(products)
+
+    monkeypatch.setattr(verify, "gaussian_factors", counted)
+    monkeypatch.setattr(verify, "expand_all", counted_expand_all)
     assert verify.check_pascal_recurrence() == (True, "56 instances")
     needed = [
         key
@@ -230,7 +236,10 @@ def test_pascal_check_expands_each_binomial_once(monkeypatch):
         for key in ((n, r, base), (n - 1, r, base), (n - 1, r - 1, base))
     ]
     assert len(needed) == 168
-    assert sorted(calls) == sorted(set(needed))
+    # each q-binomial factored once, and each base power's expanded in one call
+    assert len(factored) == len(set(factored))
+    assert set(needed) <= set(factored)
+    assert len(expansions) == 2
 
 
 # (5, 2, 2) is first the left side of n=5, r=2; (3, 3, 1) is never a left
@@ -240,13 +249,16 @@ def test_pascal_check_expands_each_binomial_once(monkeypatch):
     [((5, 2, 2), "fails at n=5, r=2"), ((3, 3, 1), "fails at n=4, r=3")],
 )
 def test_pascal_check_reports_a_corrupted_binomial(monkeypatch, corrupt, detail):
-    binomial = verify.gaussian_binomial
+    binomials = verify.q_binomials
 
-    def corrupted(n, r, base_power=1):
-        value = binomial(n, r, base_power)
-        return value + ONE if (n, r, base_power) == corrupt else value
+    def corrupted(base_power):
+        table = dict(binomials(base_power))
+        n, r, base = corrupt
+        if base == base_power:
+            table[n, r] = table[n, r] + ONE
+        return table
 
-    monkeypatch.setattr(verify, "gaussian_binomial", corrupted)
+    monkeypatch.setattr(verify, "q_binomials", corrupted)
     assert verify.check_pascal_recurrence() == (False, detail)
 
 
@@ -278,24 +290,24 @@ def test_h_polynomial_check_computes_each_order_once(monkeypatch, corrupt, resul
 
 def test_agreement_check_compares_each_term(monkeypatch):
     # swapping two terms keeps the total, so only a term-by-term
-    # comparison of the routes can see it
-    def swapped(lat):
-        report = order_thm34(lat)
-        (a, p), (b, r) = report.terms[1:3]
-        terms = report.terms[:1] + ((a, r), (b, p)) + report.terms[3:]
-        return report.replace(terms=terms)
+    # comparison of the routes can see it; the swap is in thm34's factored
+    # terms, so all_orders expands thm34 on its own
+    thm34 = orders.thm34_products
 
-    monkeypatch.setattr(verify, "order_thm34", swapped)
+    def swapped(lat):
+        zero, a, b, *rest = thm34(lat)
+        return [zero, b, a, *rest]
+
+    monkeypatch.setattr(orders, "thm34_products", swapped)
     assert verify.check_formula_agreement() == (False, "A1 (first-fundamental)")
 
 
 SHARED_PRODUCERS = (
-    "gaussian_binomial",
+    "q_binomials",
     "gl_strata",
     "symplectic_order",
     "fundamental_lattice",
-    "order_thm34",
-    "order_thm41",
+    "all_orders",
 )
 
 
@@ -315,9 +327,10 @@ def count_shared_producers(monkeypatch):
 def test_run_all_computes_each_shared_value_once(monkeypatch):
     # the checks that share a producer's value, in ALL_CHECKS order:
     # q-binomials (pascal-recurrence, subspace-count), GL strata
-    # (rank-histogram, gl-strata-sum), lattices and thm34/thm41 reports
-    # (formula-agreement, symplectic-closed-form, structural) and
-    # symplectic orders (symplectic-closed-form, h-polynomial)
+    # (rank-histogram, gl-strata-sum), lattices (formula-agreement,
+    # symplectic-closed-form, structural), their all_orders reports
+    # (formula-agreement, structural) and symplectic orders
+    # (symplectic-closed-form, h-polynomial)
     calls = count_shared_producers(monkeypatch)
     assert all(result.ok for result in verify.run_all())
     assert verify._run_caches is None
@@ -327,9 +340,9 @@ def test_run_all_computes_each_shared_value_once(monkeypatch):
     assert made["symplectic_order"] == [(l,) for l in range(2, 7)]
     # six agreement lattices, and C5, C6 for the closed form alone
     assert len(made["fundamental_lattice"]) == 8
-    assert len(made["order_thm34"]) == 6
-    assert len(made["order_thm41"]) == 8
-    assert (0, 0, 1) in made["gaussian_binomial"]  # subspace-count's alone
+    assert len(made["all_orders"]) == 6
+    # base power 1 for pascal-recurrence and subspace-count, 2 for the first
+    assert made["q_binomials"] == [(1,), (2,)]
     # a second call shares nothing with the first
     first = list(calls)
     assert all(result.ok for result in verify.run_all())
@@ -344,7 +357,7 @@ def test_checks_called_alone_compute_their_own_values(monkeypatch):
     built = list(calls)
     calls.clear()
     assert verify.check_structural()[0]
-    assert calls == [c for c in built if c[0] in ("fundamental_lattice", "order_thm34")]
+    assert calls == [c for c in built if c[0] in ("fundamental_lattice", "all_orders")]
     calls.clear()
     assert verify.check_rank_histograms()[0]
     assert verify.check_gl_strata_sum()[0]
@@ -858,7 +871,7 @@ def test_routes_call_only_their_own_sources(spec, i):
         for caller, callee in thm33
         if in_module(callee, weyl) and not in_module(caller, weyl)
     }
-    assert entries == {("coset_sum", weyl.coset_length_poly.__code__)}
+    assert entries == {("thm33_products", weyl.coset_length_poly.__code__)}
     refused = calls_made(order_thm33, lat, enum_bound=1)
     assert {c for _, c in refused if in_module(c, weyl)} == {
         weyl.coset_length_poly.__code__
@@ -1198,3 +1211,90 @@ def test_chain_bound_is_checked_before_any_product(monkeypatch):
 def test_chain_total_covers_type_a_only():
     with pytest.raises(UnsupportedType):
         chain_total(build(CartanType("B", 3)))
+
+
+# every proper weight support of rank <= 4, C2 left to its twin B2
+SMALL_TYPES = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "F4", "G2")
+SMALL_SUPPORTS = [
+    (spec, frozenset(i for i in range(1, rank + 1) if mask >> (i - 1) & 1))
+    for spec in SMALL_TYPES
+    for rank in [CartanType.parse(spec).rank]
+    for mask in range((1 << rank) - 1)
+]
+
+
+def expansions_handed(route, lat):
+    """The distinct products, in first-use order, of the last expand_all
+    call that route(lat) makes: the call that expands its terms."""
+    handed = []
+
+    def recording(products):
+        handed.append(products := list(products))
+        return qpoly.expand_all(products)
+
+    real = orders.expand_all
+    orders.expand_all = recording
+    try:
+        route(lat)
+    finally:
+        orders.expand_all = real
+    return list(dict.fromkeys(handed[-1]))
+
+
+def assert_factored_routes_agree(lat):
+    products, _ = orders.thm33_products(lat)
+    assert len(products) == len(lat.entries)
+    assert orders.thm34_products(lat) == products
+    handed = expansions_handed(order_thm33, lat)
+    assert handed == list(dict.fromkeys(products))
+    assert expansions_handed(order_thm34, lat) == handed
+    if orders.is_j_irreducible(lat):
+        assert orders.thm41_products(lat) == products
+        assert expansions_handed(order_thm41, lat) == handed
+
+
+def test_factored_routes_agree_on_every_small_weight_support():
+    # all_orders expands thm33's terms once for the routes that agree with
+    # it; on weight supports thm33, thm34 and thm41 always do, entry by
+    # entry, and each hands expand_all the same distinct products in order
+    assert len(SMALL_SUPPORTS) == 106
+    for spec, J0 in SMALL_SUPPORTS:
+        lat = j_irreducible_lattice(build(CartanType.parse(spec)), J0)
+        assert_factored_routes_agree(lat)
+
+
+@settings(deadline=None, max_examples=60)
+@given(validated_lattices())
+def test_factored_routes_agree_on_drawn_lattices(lat):
+    assert_factored_routes_agree(lat)
+
+
+@pytest.mark.parametrize("spec, i", [("C3", 3), ("E6", 6), ("A5", 1)])
+def test_all_orders_gives_each_route_report(spec, i):
+    lat = fundamental_lattice(CartanType.parse(spec), i)
+    reports = orders.all_orders(lat)
+    assert list(reports) == ["thm31", "thm33", "thm34", "thm41"]
+    assert reports["thm31"] == order_thm31(lat)
+    assert reports["thm33"] == order_thm33(lat)
+    assert reports["thm34"] == order_thm34(lat)
+    assert reports["thm41"] == order_thm41(lat)
+
+
+def test_all_orders_maps_a_stopped_route_to_its_exception():
+    lat = fundamental_lattice(CartanType("E", 6), 6)
+    reports = orders.all_orders(lat, enum_bound=100)
+    assert isinstance(reports["thm31"], GroupTooLarge)
+    assert reports["thm33"].notes[-1] == "skipped thm33 coset cross-check (GroupTooLarge)"
+    assert reports["thm34"].total == reports["thm41"].total
+    raised = orders.all_orders(raised_exponents(fundamental_lattice(CartanType("C", 2), 2)))
+    assert isinstance(raised["thm41"], NotJIrreducible)
+    assert raised["thm33"].terms == raised["thm34"].terms
+
+
+def test_broken_coset_step_fails_formula_agreement(monkeypatch):
+    # thm33's coset sums are expanded in one call; doubling every multiply
+    # step still gives the first walked coset that differs
+    monkeypatch.setattr(qpoly, "_times_binomial", doubled_times_binomial)
+    result = {r.name: r for r in verify.run_all()}["formula-agreement"]
+    assert (result.ok, result.skipped) == (False, False)
+    assert result.detail == "InvariantViolation: coset sum mismatch for J=[]"
