@@ -45,7 +45,6 @@ from .qpoly import (
     eval_big,
     expand,
     expand_all,
-    gaussian_binomial,
     is_palindromic,
 )
 from .rootsystem import (
@@ -55,8 +54,6 @@ from .rootsystem import (
     degrees,
     parse_subset,
     poincare_product,
-    positive_count_of_subset,
-    subset_degrees,
 )
 from .weyl import coset_length_poly
 

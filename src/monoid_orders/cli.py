@@ -276,14 +276,14 @@ def _resolve_lattice(args, enum_bound: int | None, support) -> CrossSectionLatti
     return j_irreducible_lattice(build(support[0]), support[1], enum_bound)
 
 
-def _decimal(value: int) -> str:
+def _decimal(value: int, q0: int) -> str:
     try:
         return str(value)
     except ValueError:  # past Python's int-to-str digit limit
-        raise _UsageError(
-            f"an evaluation has more than {sys.get_int_max_str_digits()} digits;"
-            " use a smaller --q"
-        ) from None
+        digits = f"an evaluation has more than {sys.get_int_max_str_digits()} digits"
+        if q0 == 2:  # no smaller q to advise
+            raise _UsageError(f"{digits} at q=2, the smallest q") from None
+        raise _UsageError(f"{digits}; use a smaller --q") from None
 
 
 def _evaluated(
@@ -306,7 +306,7 @@ def _evaluated(
                 raise InvariantViolation(f"term {label!r} is not positive at q={q0}")
     shown = [id(poly) for _, poly in rows[printed]]
     texts = {
-        key: {q0: _decimal(v) for q0, v in values[key].items()}
+        key: {q0: _decimal(v, q0) for q0, v in values[key].items()}
         for key in dict.fromkeys(shown)
     }
     return [texts[key] for key in shown]

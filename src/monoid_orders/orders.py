@@ -47,6 +47,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache
+from math import comb
 
 from .crosssection import (
     PAPER_VERIFIED,
@@ -222,7 +223,10 @@ def order_thm31(
     for entry in lat.entries:
         lam, sub = entry.star_mask | entry.substar_mask, entry.substar_mask
         shift = walked(lam).degree - walked(sub).degree
-        torus = QPolynomial.monomial(shift) * Q_MINUS_ONE**entry.torus_index_exponent
+        # q^shift (q-1)^k, its coefficients from the binomial theorem
+        k = entry.torus_index_exponent
+        signed = [(-1) ** (k - j) * comb(k, j) for j in range(k + 1)]
+        torus = QPolynomial([0] * shift + signed)
         values.append(torus * cosets(lam) * cosets(sub))
     return _finish("thm31", lat, values)
 

@@ -497,16 +497,6 @@ def gaussian_factors(n: int, r: int, base_power: int = 1) -> QProduct:
     return top / QProduct.of(base_power * i for i in range(1, r + 1))
 
 
-def gaussian_binomial(n: int, r: int, base_power: int = 1) -> QPolynomial:
-    """q-binomial [n, r] in the variable q^base_power.
-
-    Counts r-dimensional subspaces of an n-dimensional space over a field
-    with q^base_power elements; the result always has nonnegative
-    coefficients.
-    """
-    return expand(gaussian_factors(n, r, base_power))
-
-
 def is_palindromic(p: QPolynomial) -> bool:
     """True iff the coefficient sequence reads the same in both directions."""
     return p.coeffs == tuple(reversed(p.coeffs))

@@ -10,6 +10,12 @@ parabolic subgroup W_X, read from the heights of the roots supported on X
 (Kostant 1959; Humphreys, Reflection Groups and Coxeter Groups, 3.20), so no
 sub-diagram is ever classified.  W_X is the direct product of its Dynkin
 components' groups, each read from the roots once per root system.
+
+build packs a root, its coroot pairings (biased by 64) and its steps down
+the alpha_i-strings into one int each, an 8-bit field per node with node 1
+the most significant, so int order is tuple order.  8 bits hold a
+coefficient (at most 6, E8's highest root), a pairing (-3..3) and a
+string's steps down (at most 3, G2) with room to spare.
 """
 
 from __future__ import annotations
@@ -187,8 +193,10 @@ class RootSystemData(Immutable):
             frozenset(j for j in nodes if j != i and cartan[i - 1][j - 1])
             for i in nodes
         )
-        # bit i-1 set when simple root i occurs in the positive root
-        supports = (sum(1 << b for b, a in enumerate(r) if a) for r in positive_roots)
+        # bit i-1 set when simple root i occurs in the positive root: its
+        # coefficients as bytes, node l first, each read as one binary digit
+        digits = b"0" + b"1" * 255
+        supports = (int(bytes(r).translate(digits)[::-1], 2) for r in positive_roots)
         for name, value in (
             ("cartan_type", cartan_type),
             ("cartan", cartan),
@@ -231,8 +239,11 @@ def build(ct: CartanType) -> RootSystemData:
 
     beta + alpha_i is a root exactly when p - <beta, alpha_i^vee> > 0, with
     p the steps down the alpha_i-string through beta (Humphreys, Lie
-    Algebras, 9.4); each root carries its coroot pairings and its steps
-    down, updated as it is extended.  A type whose |Phi+| * rank exceeds
+    Algebras, 9.4).  On the module's packed fields, field i of
+    down - pairings + 191 is p - <beta, alpha_i^vee> + 127, with no borrow
+    between fields, so its top bit says whether beta grows along alpha_i;
+    only those bits are visited, and beta + alpha_i, its pairings and its
+    steps down are one add each.  A type whose |Phi+| * rank exceeds
     BUILD_CAP is refused with UnsupportedType before anything is allocated.
     The heights of the roots must give back the hand-entered degree table,
     or InvariantViolation: the table and the construction check each other.
@@ -245,24 +256,32 @@ def build(ct: CartanType) -> RootSystemData:
             f" table of {size} entries exceeds the cap {BUILD_CAP}"
         )
     cartan = cartan_matrix(ct)
-    columns = list(zip(*cartan))  # column i: the pairings of alpha_i
-    # root -> (its pairings <beta, alpha_k^vee>, {i: steps down along alpha_i})
-    level = {tuple(int(j == i) for j in range(l)): (columns[i], {}) for i in range(l)}
-    positive: list[Root] = []
+    units = [1 << 8 * (l - 1 - i) for i in range(l)]
+    ones = sum(units)
+    # alpha_i's (unit, field mask, packed Cartan column) at l - i (0-based
+    # i), the bit length of its field's top bit over 8
+    simple = [()] * (l + 1)
+    for i, unit in enumerate(units):
+        column = sum(row[i] * u for row, u in zip(cartan, units))
+        simple[l - i] = (unit, 255 * unit, column)
+    tops, grows = 128 * ones, 191 * ones
+    # root -> [its biased pairings, its steps down]
+    level = {unit: [column + 64 * ones, 0] for unit, _, column in simple[1:]}
+    positive: list[int] = []
     while level:
         positive += sorted(level)
-        higher: dict[Root, tuple[tuple[int, ...], dict[int, int]]] = {}
+        higher: dict[int, list[int]] = {}
         for beta, (pairings, down) in level.items():
-            for i, pairing in enumerate(pairings):
-                steps = down.get(i, 0)
-                if steps > pairing:
-                    root = beta[:i] + (beta[i] + 1,) + beta[i + 1 :]
-                    if root not in higher:
-                        up = tuple(p + c for p, c in zip(pairings, columns[i]))
-                        higher[root] = (up, {})
-                    higher[root][1][i] = steps + 1
+            grows_along = (down - pairings + grows) & tops
+            while grows_along:
+                top = grows_along & -grows_along
+                grows_along ^= top
+                unit, field, column = simple[top.bit_length() >> 3]
+                further = (down & field) + unit  # one more step down alpha_i
+                higher.setdefault(beta + unit, [pairings + column, 0])[1] += further
         level = higher
-    rs = RootSystemData(ct, cartan, tuple(positive))
+    roots = tuple(tuple(beta.to_bytes(l, "big")) for beta in positive)
+    rs = RootSystemData(ct, cartan, roots)
     found = _mask_degrees(rs, (1 << l) - 1)
     if found != degrees(ct):
         raise InvariantViolation(
@@ -331,26 +350,15 @@ def _read_component(rs: RootSystemData, mask: int) -> tuple[int, tuple[int, ...]
     return len(heights), tuple(1 + sum(n >= k for n in counts) for k in ranks)
 
 
-def positive_count_of_subset(rs: RootSystemData, X: frozenset[int]) -> int:
-    """Number of positive roots supported entirely on the subset X: the sum
-    over its Dynkin components of the roots counted on each."""
-    return _mask_count(rs, _subset_mask(rs, X))
-
-
 def _mask_count(rs: RootSystemData, mask: int) -> int:
-    """positive_count_of_subset of a subset mask."""
+    """Number of positive roots supported entirely on a subset mask: the
+    sum over its Dynkin components of the roots counted on each."""
     return sum(count for count, _ in _mask_parts(rs, mask))
 
 
-def subset_degrees(rs: RootSystemData, X: frozenset[int]) -> tuple[int, ...]:
-    """Degrees of the basic invariants of the parabolic subgroup W_X, in
-    increasing order: W_X is the direct product of its components' groups,
-    so its degrees are the union of theirs."""
-    return _mask_degrees(rs, _subset_mask(rs, X))
-
-
 def _mask_degrees(rs: RootSystemData, mask: int) -> tuple[int, ...]:
-    """subset_degrees of a subset mask."""
+    """Degrees of the parabolic subgroup W_mask, in increasing order: the
+    union of its Dynkin components' degrees."""
     return tuple(sorted(d for _, ds in _mask_parts(rs, mask) for d in ds))
 
 

@@ -5,10 +5,12 @@ mask with node i at bit i - 1, reads every parabolic subgroup's degrees
 from root heights and never splits a subset.  The tests state their cases
 as index sets: these helpers turn them into masks and back, and split a
 subset into its Dynkin components for the tests that check a result
-component by component.
+component by component, and read the root count and degrees of an index
+set through the package's mask readers.
 """
 
 from monoid_orders.crosssection import LatticeEntry
+from monoid_orders.rootsystem import _mask_count, _mask_degrees, _subset_mask
 
 
 def mask_of(indices) -> int:
@@ -34,6 +36,18 @@ def substar(e) -> frozenset[int]:
 def entry(label, star_set, substar_set, k) -> LatticeEntry:
     """A lattice entry with its two halves given as index sets."""
     return LatticeEntry(label, mask_of(star_set), mask_of(substar_set), k)
+
+
+def subset_count(rs, X) -> int:
+    """Positive roots supported on the index set X; an index outside
+    1..rank raises UnsupportedType."""
+    return _mask_count(rs, _subset_mask(rs, X))
+
+
+def subset_degrees(rs, X) -> tuple[int, ...]:
+    """Degrees of the parabolic subgroup W_X of the index set X, in
+    increasing order; an index outside 1..rank raises UnsupportedType."""
+    return _mask_degrees(rs, _subset_mask(rs, X))
 
 
 def components(rs, X):

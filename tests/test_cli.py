@@ -732,6 +732,22 @@ def test_evaluation_past_the_digit_limit_exits_1(capsys, fmt):
         )
 
 
+def test_evaluation_past_the_digit_limit_at_q_2_names_the_smallest_q(capsys):
+    # |M|(2) of C36 has about 790 digits; no smaller q exists to advise
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        result = run(capsys, "strata", "--type", "C36", "--preset", "last-fundamental",
+                     "--q", "2")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert result == (
+        1,
+        "",
+        "error: an evaluation has more than 640 digits at q=2, the smallest q\n",
+    )
+
+
 MERSENNE_61 = 2**61 - 1
 
 
@@ -1398,7 +1414,9 @@ def test_order_renders_each_distinct_term_once(capsys, monkeypatch, fmt, formula
     decimals = Counter()
     real_decimal = cli._decimal
     monkeypatch.setattr(
-        cli, "_decimal", lambda value: decimals.update([value]) or real_decimal(value)
+        cli,
+        "_decimal",
+        lambda value, q0: decimals.update([value]) or real_decimal(value, q0),
     )
     code, out, err = run(
         capsys, "order", "--type", "A8", "--j0", "", "--formula", formula,

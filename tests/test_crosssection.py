@@ -29,8 +29,8 @@ from monoid_orders.errors import (
     LatticeTooLarge,
     UnsupportedType,
 )
-from monoid_orders.rootsystem import CartanType, build, subset_degrees
-from subdiagrams import components, entry, mask_of, star, substar
+from monoid_orders.rootsystem import CartanType, build
+from subdiagrams import components, entry, mask_of, star, subset_degrees, substar
 
 
 def shape(lat):

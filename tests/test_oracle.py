@@ -13,7 +13,7 @@ from monoid_orders import oracle, verify
 from monoid_orders.errors import EnumerationTooLarge, NonPrimeModulus
 from monoid_orders.oracle import enumerate_rank_histogram, subspace_counts
 from monoid_orders.orders import gl_strata
-from monoid_orders.qpoly import eval_big, gaussian_binomial
+from monoid_orders.qpoly import eval_big, expand, gaussian_factors
 
 
 def test_rank_examples():
@@ -77,7 +77,7 @@ def test_count_subspaces_matches_gaussian_binomial(p):
         counts = subspace_counts(n, p)
         assert len(counts) == n + 1
         for r, counted in enumerate(counts):
-            assert counted == eval_big(gaussian_binomial(n, r), p)
+            assert counted == eval_big(expand(gaussian_factors(n, r)), p)
 
 
 # Reference oracles: the per-matrix elimination and the span closure that
@@ -185,7 +185,7 @@ def test_orderly_growth_builds_each_space_once(n, p, top, monkeypatch):
     counts = subspace_counts(n, p)
     assert len(built) == sum(counts[1:])
     assert counts[: top + 1] == reference_count_subspaces(n, top, p)
-    assert counts == [eval_big(gaussian_binomial(n, r), p) for r in range(n + 1)]
+    assert counts == [eval_big(expand(gaussian_factors(n, r)), p) for r in range(n + 1)]
 
 
 @pytest.mark.parametrize("n,p", SUBSPACE_CASES)

@@ -56,12 +56,18 @@ from monoid_orders.rootsystem import (
     RootSystemData,
     build,
     degrees,
-    positive_count_of_subset,
-    subset_degrees,
 )
 from monoid_orders.weyl import coset_length_poly
 from lattices import validated_lattices
-from subdiagrams import components, mask_of, nodes, star, substar
+from subdiagrams import (
+    components,
+    mask_of,
+    nodes,
+    star,
+    subset_count,
+    subset_degrees,
+    substar,
+)
 
 H_COEFFS_L2 = (1, 1, 1, 2, 2, 2, 2, 2, 1, 1, 1)
 H_COEFFS_L3 = (1, 1, 1, 2, 2, 3, 4, 4, 4, 5, 5, 5, 5, 4, 4, 4, 3, 2, 2, 1, 1, 1)
@@ -739,9 +745,9 @@ def literal_thm31_terms(lat):
             continue
         lam, sub = entry.star_mask | entry.substar_mask, entry.substar_mask
         size_P = q_n_torus * walked(lam)
-        size_U = QPolynomial.monomial(N - positive_count_of_subset(rs, nodes(lam)))
+        size_U = QPolynomial.monomial(N - subset_count(rs, nodes(lam)))
         size_K = (
-            QPolynomial.monomial(positive_count_of_subset(rs, nodes(sub)))
+            QPolynomial.monomial(subset_count(rs, nodes(sub)))
             * Q_MINUS_ONE ** (rho - entry.torus_index_exponent)
             * walked(sub)
         )

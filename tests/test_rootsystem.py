@@ -17,11 +17,9 @@ from monoid_orders.rootsystem import (
     parse_subset,
     poincare_factors,
     poincare_product,
-    positive_count_of_subset,
-    subset_degrees,
     weyl_order,
 )
-from subdiagrams import components
+from subdiagrams import components, subset_count, subset_degrees
 
 ALL_TYPES = (
     [CartanType("A", l) for l in range(1, 6)]
@@ -81,7 +79,7 @@ def test_subset_count_matches_root_coordinates(ct):
             for root in rs.positive_roots
             if all(root[i - 1] == 0 for i in delta(rs) - X)
         ]
-        assert positive_count_of_subset(rs, X) == len(inside)
+        assert subset_count(rs, X) == len(inside)
 
 
 def test_parse_and_aliases():
@@ -139,15 +137,15 @@ def test_cartan_type_takes_ascii_digits_only(spec):
 
 def test_subset_counts():
     rs = build(CartanType("C", 3))
-    assert positive_count_of_subset(rs, frozenset()) == 0
-    assert positive_count_of_subset(rs, delta(rs)) == 9
-    assert positive_count_of_subset(rs, frozenset({2, 3})) == 4
+    assert subset_count(rs, frozenset()) == 0
+    assert subset_count(rs, delta(rs)) == 9
+    assert subset_count(rs, frozenset({2, 3})) == 4
 
 
 def test_subset_count_rejects_bad_indices():
     rs = build(CartanType("A", 2))
     with pytest.raises(UnsupportedType):
-        positive_count_of_subset(rs, frozenset({3}))
+        subset_count(rs, frozenset({3}))
     with pytest.raises(UnsupportedType):
         subset_degrees(rs, frozenset({3}))
 
@@ -215,7 +213,7 @@ def test_subset_count_equals_component_sum(ct):
         by_components = sum(
             d - 1 for comp in components(rs, X) for d in subset_degrees(rs, comp)
         )
-        assert positive_count_of_subset(rs, X) == by_components
+        assert subset_count(rs, X) == by_components
         assert sorted(
             d for comp in components(rs, X) for d in subset_degrees(rs, comp)
         ) == list(subset_degrees(rs, X))
@@ -336,6 +334,58 @@ def test_build_by_height_matches_reflection_closure(ct):
     assert build(ct).positive_roots == reflection_closure(build(ct))
 
 
+def tuple_roots(ct):
+    """(positive roots, the largest coefficient, pairing and steps down met)
+    by the alpha-string rule on coefficient tuples, trying every direction
+    of every root: the reference for build's packed byte fields."""
+    l = ct.rank
+    columns = list(zip(*rootsystem.cartan_matrix(ct)))
+    level = {tuple(int(j == i) for j in range(l)): (columns[i], {}) for i in range(l)}
+    positive, pairings_met, steps_met = [], set(), set()
+    while level:
+        positive += sorted(level)
+        higher = {}
+        for beta, (pairings, down) in level.items():
+            pairings_met.update(pairings)
+            steps_met.update(down.values())
+            for i, pairing in enumerate(pairings):
+                steps = down.get(i, 0)
+                if steps > pairing:
+                    root = beta[:i] + (beta[i] + 1,) + beta[i + 1 :]
+                    if root not in higher:
+                        up = tuple(p + c for p, c in zip(pairings, columns[i]))
+                        higher[root] = (up, {})
+                    higher[root][1][i] = steps + 1
+        level = higher
+    return tuple(positive), pairings_met, steps_met
+
+
+PACKED_BUILD_TYPES = (
+    [CartanType("A", l) for l in range(1, 21)]
+    + [CartanType("B", l) for l in range(2, 17)]
+    + [CartanType("C", l) for l in range(2, 17)]
+    + [CartanType("D", l) for l in range(4, 17)]
+    + [CartanType("E", l) for l in (6, 7, 8)]
+    + [CartanType("F", 4), CartanType("G", 2)]
+    + [CartanType("C", 100), CartanType("D", 100)]  # |Phi+| * rank near the cap
+)
+
+
+@pytest.mark.parametrize("ct", PACKED_BUILD_TYPES, ids=str)
+def test_packed_build_matches_tuple_roots(ct):
+    roots, pairings_met, steps_met = tuple_roots(ct)
+    rs = build(ct)
+    assert rs.positive_roots == roots
+    assert rs._root_supports == tuple(
+        sum(1 << b for b, a in enumerate(r) if a) for r in roots
+    )
+    assert rs._root_heights == tuple(sum(r) for r in roots)
+    # the 8-bit fields' headroom: no borrow or carry between fields
+    assert max(max(r) for r in roots) <= 6
+    assert pairings_met <= set(range(-3, 4))
+    assert max(steps_met, default=0) <= 3
+
+
 def direct_pass(rs, X):
     """(count, degrees) of W_X from one pass over every positive root."""
     inside = [
@@ -359,7 +409,7 @@ def test_component_memo_equals_a_direct_pass(ct):
     for X in all_subsets(rs):
         expected = direct_pass(rs, X)
         for _ in range(2):  # read from the roots, then from the memo
-            assert positive_count_of_subset(rs, X) == expected[0], sorted(X)
+            assert subset_count(rs, X) == expected[0], sorted(X)
             assert subset_degrees(rs, X) == expected[1], sorted(X)
 
 
@@ -379,7 +429,7 @@ def test_each_component_read_once_per_root_system(monkeypatch, spec):
     rs = build.__wrapped__(CartanType.parse(spec))
     for X in list(all_subsets(rs)) * 2:
         subset_degrees(rs, X)
-        positive_count_of_subset(rs, X)
+        subset_count(rs, X)
     connected = [X for X in all_subsets(rs) if X and is_connected(rs, X)]
     assert len(reads) == len(set(reads)) == len(connected)
     assert sorted(reads) == sorted(sum(1 << (i - 1) for i in X) for X in connected)
@@ -391,7 +441,7 @@ def test_interleaved_root_systems_keep_their_own_memo():
     a4, b4 = build(CartanType("A", 4)), build(CartanType("B", 4))
     for X in all_subsets(a4):
         for rs in (a4, b4, a4):
-            assert (positive_count_of_subset(rs, X), subset_degrees(rs, X)) == direct_pass(rs, X)
+            assert (subset_count(rs, X), subset_degrees(rs, X)) == direct_pass(rs, X)
     assert subset_degrees(a4, frozenset({3, 4})) == (2, 3)
     assert subset_degrees(b4, frozenset({3, 4})) == (2, 4)
 

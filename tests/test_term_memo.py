@@ -28,10 +28,8 @@ from monoid_orders.rootsystem import (
     build,
     degrees,
     poincare_factors,
-    positive_count_of_subset,
-    subset_degrees,
 )
-from subdiagrams import components, star, substar
+from subdiagrams import components, star, subset_count, subset_degrees, substar
 
 SMALL_TYPES = (
     [f"A{l}" for l in range(1, 7)]
@@ -59,7 +57,7 @@ def thm34_products(lat):
             denom = denom * factors(comp)
         torus = QProduct.of(
             [1] * entry.torus_index_exponent,
-            shift=positive_count_of_subset(rs, star(entry)),
+            shift=subset_count(rs, star(entry)),
         )
         products.append((entry.label, torus * (p_w_squared / denom)))
     return products
@@ -76,7 +74,7 @@ def thm41_products(lat):
             continue
         numer = ambient * QProduct.of(
             [1] * (2 * len(star(entry) | substar(entry)) + 1),
-            shift=positive_count_of_subset(rs, star(entry)),
+            shift=subset_count(rs, star(entry)),
         )
         denom = QProduct.of([1] * (2 * rs.rank))
         for comp in components(rs, substar(entry)):

@@ -18,11 +18,10 @@ from monoid_orders.rootsystem import (
     build,
     poincare_factors,
     poincare_product,
-    subset_degrees,
     weyl_order,
 )
 from monoid_orders.weyl import coset_length_poly
-from subdiagrams import components, mask_of, nodes
+from subdiagrams import components, mask_of, nodes, subset_degrees
 
 NONE = 0  # the empty subset
 
