@@ -223,8 +223,7 @@ def order_thm31(
     for entry in lat.entries:
         lam, sub = entry.star_mask | entry.substar_mask, entry.substar_mask
         shift = walked(lam).degree - walked(sub).degree
-        # q^shift (q-1)^k, its coefficients from the binomial theorem
-        k = entry.torus_index_exponent
+        k = entry.torus_index_exponent  # q^shift (q-1)^k by the binomial theorem
         signed = [(-1) ** (k - j) * comb(k, j) for j in range(k + 1)]
         torus = QPolynomial([0] * shift + signed)
         values.append(torus * cosets(lam) * cosets(sub))

@@ -20,9 +20,11 @@ string's steps down (at most 3, G2) with room to spare.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
+from itertools import compress
 from math import prod
 
 from .errors import InvariantViolation, UnsupportedType
@@ -186,26 +188,26 @@ class RootSystemData(Immutable):
         self,
         cartan_type: CartanType,
         cartan: tuple[tuple[int, ...], ...],
-        positive_roots: tuple[Root, ...],
+        positive_roots: Iterable[Root | bytes],
     ):
+        """Each positive root's coefficients as a tuple or bytes, kept as tuples."""
         nodes = range(1, cartan_type.rank + 1)
         neighbors = tuple(
-            frozenset(j for j in nodes if j != i and cartan[i - 1][j - 1])
-            for i in nodes
+            frozenset(compress(nodes, row)) - {i} for i, row in zip(nodes, cartan)
         )
-        # bit i-1 set when simple root i occurs in the positive root: its
-        # coefficients as bytes, node l first, each read as one binary digit
+        raw = list(map(bytes, positive_roots))
+        # bit i-1 set when simple root i occurs: nonzero bytes as binary digits
         digits = b"0" + b"1" * 255
-        supports = (int(bytes(r).translate(digits)[::-1], 2) for r in positive_roots)
+        supports = [int(r.translate(digits)[::-1], 2) for r in raw]
         for name, value in (
             ("cartan_type", cartan_type),
             ("cartan", cartan),
-            ("positive_roots", positive_roots),
+            ("positive_roots", tuple(map(tuple, raw))),
             ("_neighbors", neighbors),
             ("_neighbor_masks", tuple(sum(1 << (j - 1) for j in n) for n in neighbors)),
             ("_node_bits", {i: 1 << (i - 1) for i in nodes}),
             ("_root_supports", tuple(supports)),
-            ("_root_heights", tuple(map(sum, positive_roots))),
+            ("_root_heights", tuple(map(sum, raw))),
             # connected mask -> (positive roots supported on it, degrees of W_mask)
             ("_components", {}),
             # subset mask -> the _components entries of its Dynkin components
@@ -280,8 +282,7 @@ def build(ct: CartanType) -> RootSystemData:
                 further = (down & field) + unit  # one more step down alpha_i
                 higher.setdefault(beta + unit, [pairings + column, 0])[1] += further
         level = higher
-    roots = tuple(tuple(beta.to_bytes(l, "big")) for beta in positive)
-    rs = RootSystemData(ct, cartan, roots)
+    rs = RootSystemData(ct, cartan, [beta.to_bytes(l, "big") for beta in positive])
     found = _mask_degrees(rs, (1 << l) - 1)
     if found != degrees(ct):
         raise InvariantViolation(
@@ -345,9 +346,9 @@ def _read_component(rs: RootSystemData, mask: int) -> tuple[int, tuple[int, ...]
     on mask: the exponents of W_mask are the parts of the partition dual to
     (n_1, n_2, ...), and each degree is an exponent plus one."""
     heights = [h for s, h in zip(rs._root_supports, rs._root_heights) if not s & ~mask]
-    counts = Counter(heights).values()
+    counts = sorted(Counter(heights).values())
     ranks = range(bin(mask).count("1"), 0, -1)
-    return len(heights), tuple(1 + sum(n >= k for n in counts) for k in ranks)
+    return len(heights), tuple(1 + len(counts) - bisect_left(counts, k) for k in ranks)
 
 
 def _mask_count(rs: RootSystemData, mask: int) -> int:
