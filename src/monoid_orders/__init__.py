@@ -28,14 +28,11 @@ from .errors import (
 )
 from .oracle import enumerate_rank_histogram, subspace_counts
 from .orders import (
+    ROUTES,
     OrderReport,
     all_orders,
     gl_strata,
     h_polynomial,
-    order_thm31,
-    order_thm33,
-    order_thm34,
-    order_thm41,
     symplectic_order,
 )
 from .qpoly import (

@@ -53,16 +53,13 @@ from .crosssection import (
 )
 from .errors import InvariantViolation, MonoidOrdersError, UnsupportedType
 from .orders import (
+    ROUTES,
     OrderReport,
     all_orders,
     census_total,
     chain_total,
     gl_strata,
     h_polynomial,
-    order_thm31,
-    order_thm33,
-    order_thm34,
-    order_thm41,
     symplectic_order,
 )
 from .qpoly import QPolynomial, eval_big, is_palindromic
@@ -73,13 +70,6 @@ EXIT_USAGE = 1
 EXIT_COMPUTE = 2
 EXIT_VERIFY = 3
 EXIT_PIPE = 141  # what a shell reports for a tool that SIGPIPE killed
-
-FORMULAS = {
-    "thm31": order_thm31,
-    "thm33": order_thm33,
-    "thm34": order_thm34,
-    "thm41": order_thm41,
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -125,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_q(p_order)
     p_order.add_argument(
         "--formula",
-        choices=[*FORMULAS, "all"],
+        choices=[*ROUTES, "all"],
         default="all",
         help="which order formula to use; 'all' cross-checks every route",
     )
@@ -292,8 +282,9 @@ def _evaluated(
     """Each distinct polynomial object of the (label, polynomial) rows
     evaluated once at each q0 of qs, q0 by q0, in row order; a value that
     is not positive raises InvariantViolation naming the first row that
-    holds it.  The rows picked by printed come back as {q0: decimal}, one
-    dict per distinct object, all formatted before the first write, so a
+    holds it.  The rows picked by printed come back as {q0: decimal} in qs
+    order, one dict per distinct object, formatted in ascending q0 (so a
+    value too long at q = 2 is named as such) before the first write, so a
     value too long to print leaves stdout empty."""
     first: dict[int, tuple[str, QPolynomial]] = {}
     for label, poly in rows:
@@ -305,10 +296,10 @@ def _evaluated(
             if value <= 0:
                 raise InvariantViolation(f"term {label!r} is not positive at q={q0}")
     shown = [id(poly) for _, poly in rows[printed]]
-    texts = {
-        key: {q0: _decimal(v, q0) for q0, v in values[key].items()}
-        for key in dict.fromkeys(shown)
-    }
+    texts = {key: dict.fromkeys(qs) for key in dict.fromkeys(shown)}
+    for q0 in sorted(qs):
+        for key, text in texts.items():
+            text[q0] = _decimal(values[key][q0], q0)
     return [texts[key] for key in shown]
 
 
@@ -449,16 +440,14 @@ def _csv_fields(poly: QPolynomial, row: dict[int, str], qs: list[int]) -> str:
 def _cmd_order(args, enum_bound: int | None) -> int:
     lat = _resolve_lattice(args, enum_bound, _resolve_support(args))
     qs = _parse_qs(args.q)
-    if args.formula == "all":
-        # a route the bound or the weight-support rule stops maps to its
-        # exception: thm34 needs neither, so 'all' still cross-checks what
-        # remains
-        results = all_orders(lat, enum_bound=enum_bound)
-    elif args.formula in ("thm31", "thm33"):
-        results = {args.formula: FORMULAS[args.formula](lat, enum_bound=enum_bound)}
-    else:
-        results = {args.formula: FORMULAS[args.formula](lat)}
+    # a route the bound or the weight-support rule stops maps to its
+    # exception: thm34 needs neither, so 'all' still cross-checks what
+    # remains, and a route asked for alone raises it
+    routes = ROUTES if args.formula == "all" else (args.formula,)
+    results = all_orders(lat, enum_bound=enum_bound, routes=routes)
     reports = {n: r for n, r in results.items() if isinstance(r, OrderReport)}
+    if not reports:
+        raise results[args.formula]
     # the totals, then each entry's terms, as verify compares them: swapped
     # terms keep the total; the routes that share all_orders' expansion hold
     # one object per term, equal without hashing its coefficients
@@ -508,10 +497,11 @@ def _cmd_order(args, enum_bound: int | None) -> int:
 def _cmd_hpoly(args, enum_bound: int | None) -> int:
     # thm34's total, with no lattice listed for a --type support: type A
     # with J0 = {} summed along its Dynkin chain, any other support over its
-    # census keys; a --lattice-file by order_thm34
+    # census keys; a --lattice-file by the listed thm34 route
     support = _resolve_support(args)
     if support is None:
-        report = order_thm34(_resolve_lattice(args, enum_bound, support))
+        lat = _resolve_lattice(args, enum_bound, support)
+        report = all_orders(lat, routes=("thm34",))["thm34"]
     elif support[0].family == "A" and not support[1]:
         report = chain_total(build(support[0]), enum_bound)
     else:

@@ -11,7 +11,7 @@ weight-support set J0 (the unique-minimal-idempotent rule), of which the
 fundamental weight omega_i, J0 = Delta minus {alpha_i}, is the common case,
 or from a validated external description.  The entries of a weight support
 are also counted without listing any: lattice_size counts them, and
-thm34_census counts them per order_thm34 key, by one pass over the Dynkin
+thm34_census counts them per thm34 key, by one pass over the Dynkin
 tree each.
 """
 
@@ -278,7 +278,7 @@ def thm34_census(
     """The thm34 keys of j_irreducible_lattice(rs, J0), each with the number
     of entries sharing it, counted without building any entry.
 
-    A key is order_thm34's: (degrees of W_{lambda_*}, k, degrees of
+    A key is thm34's: (degrees of W_{lambda_*}, k, degrees of
     W_{lambda*}), each degree tuple sorted.  The zero entry's is
     (degrees of W, 0, ()) and every other entry's k is |lambda*| + 1.
 

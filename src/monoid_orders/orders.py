@@ -2,25 +2,25 @@
 
 Four independent routes to the same total, all exact polynomials in q:
 
-  order_thm31  orbit sizes |G|^2 / (|P(e)||K(e)||U(e)|) with the torus and
-               unipotent factors cancelled, every Weyl-group factor counted
-               by the chained descent walks in weyl.py;
-  order_thm33  coset-representative length sums [T:T(e)] q^{N*} D(e) D_*(e),
-               cross-checking walked sums against exact factored quotients;
-  order_thm34  invariant-degree products only, no enumeration;
-  order_thm41  the closed form for weight-support (J-irreducible) lattices.
+  thm31  orbit sizes |G|^2 / (|P(e)||K(e)||U(e)|) with the torus and
+         unipotent factors cancelled, every Weyl-group factor counted by
+         the chained descent walks in weyl.py (thm31_terms);
+  thm33  coset-representative length sums [T:T(e)] q^{N*} D(e) D_*(e),
+         cross-checking walked sums against exact factored quotients;
+  thm34  invariant-degree products only, no enumeration;
+  thm41  the closed form for weight-support (J-irreducible) lattices.
 
 thm33, thm34 and thm41 give each term, the zero entry's included, as a
-factored QProduct (thm33_products, thm34_products, thm41_products), and
-order_thm* expands a route's terms in one qpoly.expand_all call.  For
-`order --formula all` and verify, all_orders compares the three routes'
-products entry by entry, which is exact since a product's (shift, phi) is
-canonical, and expands the ones they agree on once; each expansion still
-meets a dense check that shares none of it, thm31's walked terms or
-thm33's walked coset sums.  Only thm31 divides densely, the walked W(q) by
-each walked W_X(q) once per call.  The routes read each entry's lambda*
-and lambda_* as its masks, and the degree-based ones read the degrees and
-root count of each parabolic subgroup W_X from rootsystem's per-mask memo,
+factored QProduct (thm33_products, thm34_products, thm41_products).
+all_orders runs any of the routes named in ROUTES, for `order` and verify:
+it compares the routes' products entry by entry, which is exact since a
+product's (shift, phi) is canonical, and expands each distinct list of
+them once, in one qpoly.expand_all call; each expansion still meets a
+dense check that shares none of it, thm31's walked terms or thm33's
+walked coset sums.  Only thm31 divides densely, the walked W(q) by each
+walked W_X(q) once per call.  The routes read each entry's lambda* and
+lambda_* as its masks, and the degree-based ones read the degrees and root
+count of each parabolic subgroup W_X from rootsystem's per-mask memo,
 never from a classification of X.
 
 The H-polynomial reads thm34's total, which adds each distinct term once,
@@ -202,10 +202,10 @@ def _unlisted(
     )
 
 
-def order_thm31(
+def thm31_terms(
     lat: CrossSectionLattice, *, enum_bound: int | None = None
-) -> OrderReport:
-    """Order by orbit sizes: sum over entries of |G|^2 / (|P(e)||U(e)||K(e)|).
+) -> list[QPolynomial]:
+    """thm31's term of each entry: its orbit size |G|^2 / (|P(e)||U(e)||K(e)|).
 
     The torus and unipotent factors cancel, leaving
     q^{N(lambda) - N(lambda_*)} (q-1)^k (W/W_lambda)(W/W_lambda_*), where
@@ -227,7 +227,7 @@ def order_thm31(
         signed = [(-1) ** (k - j) * comb(k, j) for j in range(k + 1)]
         torus = QPolynomial([0] * shift + signed)
         values.append(torus * cosets(lam) * cosets(sub))
-    return _finish("thm31", lat, values)
+    return values
 
 
 def thm33_products(
@@ -272,15 +272,6 @@ def thm33_products(
     return products, ()
 
 
-def order_thm33(
-    lat: CrossSectionLattice, *, enum_bound: int | None = None
-) -> OrderReport:
-    """Order by coset-representative length sums (thm33_products), each
-    entry's term expanded in one expand_all call."""
-    products, notes = thm33_products(lat, enum_bound=enum_bound)
-    return _finish("thm33", lat, expand_all(products), notes)
-
-
 def thm34_products(lat: CrossSectionLattice) -> list[QProduct]:
     """thm34's term of each entry, by invariant-degree products alone: no
     group enumeration at all.
@@ -309,14 +300,6 @@ def thm34_products(lat: CrossSectionLattice) -> list[QProduct]:
         )
         for e in lat.entries
     ]
-
-
-def order_thm34(lat: CrossSectionLattice) -> OrderReport:
-    """Order by invariant-degree products (thm34_products), expanded in one
-    expand_all call; the total adds each distinct term once, times the
-    number of entries that share it."""
-    values = expand_all(thm34_products(lat))
-    return _finish("thm34", lat, values, total=_weighted_total(values))
 
 
 def chain_total(rs: RootSystemData, bound: int | None = None) -> OrderReport:
@@ -379,11 +362,11 @@ def census_total(
     term: stepping a sum takes up to 2 * rank (q^d - 1) steps over the
     whole degree, which a few keys do not repay (the groups of C13 and E8
     last-fundamental hold at most 4 keys, so they expand every term whole,
-    as order_thm34 does).  One expand_all call expands every product.  The
-    degree of each product and stepped sum is known from its key, so
-    LatticeTooLarge is raised before any product is built when they hold
-    more than bound coefficients in all (default weyl.DEFAULT_ENUM_BOUND),
-    the bound the census is held to as well.
+    as the listed thm34 route does).  One expand_all call expands every
+    product.  The degree of each product and stepped sum is known from its
+    key, so LatticeTooLarge is raised before any product is built when
+    they hold more than bound coefficients in all (default
+    weyl.DEFAULT_ENUM_BOUND), the bound the census is held to as well.
     """
     ct = rs.cartan_type
     if bound is None:
@@ -464,51 +447,51 @@ def thm41_products(lat: CrossSectionLattice) -> list[QProduct]:
     return list(map(term, lat.entries))
 
 
-def order_thm41(lat: CrossSectionLattice) -> OrderReport:
-    """Order by the weight-support closed form (thm41_products), expanded in
-    one expand_all call."""
-    return _finish("thm41", lat, expand_all(thm41_products(lat)))
+ROUTES = ("thm31", "thm33", "thm34", "thm41")
 
 
 def all_orders(
-    lat: CrossSectionLattice, *, enum_bound: int | None = None
+    lat: CrossSectionLattice, *, enum_bound: int | None = None, routes=ROUTES
 ) -> dict[str, OrderReport | GroupTooLarge | NotJIrreducible]:
-    """The four reports of `order --formula all`, by route name in route
-    order; a route that the enumeration bound or the weight-support rule
-    stops maps to its exception (thm31 to GroupTooLarge, thm41 to
-    NotJIrreducible).
+    """The reports of the routes named in routes, by name in ROUTES order; a
+    route that the enumeration bound or the weight-support rule stops maps
+    to its exception (thm31 to GroupTooLarge, thm41 to NotJIrreducible).
 
-    thm31 runs as order_thm31 does.  thm34's and thm41's factored terms are
-    compared with thm33's, entry by entry: a product's (shift, phi) is
-    canonical, so the comparison is exact.  Where they agree they take
-    thm33's values, expanded in one expand_all call, and thm41 its total,
-    summed once; thm34 keeps its own weighted total.  A route that differs
-    is expanded on its own, as its order_thm* does.  The shared expansion
-    still meets dense checks that share none of it: thm31's walked terms,
-    and the walked coset sums of thm33_products.  Every error comes from
-    the same route, in the same order, as from the order_thm* calls.
+    thm33's, thm34's and thm41's factored terms are compared with each
+    earlier route's, entry by entry: a product's (shift, phi) is canonical,
+    so the comparison is exact.  A route whose products equal an earlier
+    route's takes its values and total, any other expands its own in one
+    expand_all call; thm34 keeps its own weighted total.  A shared
+    expansion still meets dense checks that share none of it: thm31's
+    walked terms, and the walked coset sums of thm33_products.
     """
-    reports: dict = {}
-    try:
-        reports["thm31"] = order_thm31(lat, enum_bound=enum_bound)
-    except GroupTooLarge as exc:
-        reports["thm31"] = exc
-    products, notes = thm33_products(lat, enum_bound=enum_bound)
-    values = expand_all(products)
-    reports["thm33"] = thm33 = _finish("thm33", lat, values, notes)
-    own = thm34_products(lat)
-    own_values = values if own == products else expand_all(own)
-    reports["thm34"] = _finish("thm34", lat, own_values, total=_weighted_total(own_values))
-    try:
-        own = thm41_products(lat)
-    except NotJIrreducible as exc:
-        reports["thm41"] = exc
-    else:
-        if own == products:
-            reports["thm41"] = _finish("thm41", lat, values, total=thm33.total)
+    results: dict = {}
+    expanded = []  # (products, values, total) of each route expanded so far
+    for name in (r for r in ROUTES if r in routes):
+        notes = ()
+        if name == "thm31":
+            try:
+                results[name] = _finish(name, lat, thm31_terms(lat, enum_bound=enum_bound))
+            except GroupTooLarge as exc:
+                results[name] = exc
+            continue
+        if name == "thm33":
+            products, notes = thm33_products(lat, enum_bound=enum_bound)
+        elif name == "thm34":
+            products = thm34_products(lat)
         else:
-            reports["thm41"] = _finish("thm41", lat, expand_all(own))
-    return reports
+            try:
+                products = thm41_products(lat)
+            except NotJIrreducible as exc:
+                results[name] = exc
+                continue
+        shared = next(((v, t) for p, v, t in expanded if p == products), None)
+        values, total = shared or (expand_all(products), None)
+        if name == "thm34":
+            total = _weighted_total(values)
+        results[name] = report = _finish(name, lat, values, notes, total)
+        expanded.append((products, values, report.total))
+    return results
 
 
 def symplectic_strata(l: int) -> list[QProduct]:

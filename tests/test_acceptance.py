@@ -18,14 +18,7 @@ import pytest
 from monoid_orders import cli, verify
 from monoid_orders.oracle import enumerate_rank_histogram, subspace_counts
 from monoid_orders.crosssection import fundamental_lattice, j_irreducible_lattice
-from monoid_orders.orders import (
-    h_polynomial,
-    order_thm31,
-    order_thm33,
-    order_thm34,
-    order_thm41,
-    symplectic_order,
-)
+from monoid_orders.orders import h_polynomial, symplectic_order
 from monoid_orders.qpoly import (
     ONE,
     Q_MINUS_ONE,
@@ -34,6 +27,7 @@ from monoid_orders.qpoly import (
     q_power_minus_one,
 )
 from monoid_orders.rootsystem import CartanType, build, degrees
+from routes import route
 
 H_COEFFS_L2 = [1, 1, 1, 2, 2, 2, 2, 2, 1, 1, 1]
 H_COEFFS_L3 = [1, 1, 1, 2, 2, 3, 4, 4, 4, 5, 5, 5, 5, 4, 4, 4, 3, 2, 2, 1, 1, 1]
@@ -105,8 +99,8 @@ def test_criterion_8_structural_sanity():
     with budget("8 (structural sanity)", 30.0):
         for spec, i in cases:
             lat = fundamental_lattice(CartanType.parse(spec), i)
-            for report in (order_thm31(lat), order_thm33(lat),
-                           order_thm34(lat), order_thm41(lat)):
+            for report in (route(lat, "thm31"), route(lat, "thm33"),
+                           route(lat, "thm34"), route(lat, "thm41")):
                 terms = dict(report.terms)
                 assert terms[lat.zero_entry.label] == ONE
                 rs = lat.root_system
@@ -175,9 +169,9 @@ def test_criterion_13_rank_walk_over_f5():
 def test_criterion_14_symplectic_routes_at_rank_60():
     lat = fundamental_lattice(CartanType("C", 60), 60)
     strata = symplectic_order(60).terms
-    for route in (order_thm41, order_thm34):
-        with budget(f"14 ({route.__name__} C60)", 0.3):
-            report = route(lat)
+    for name in ("thm41", "thm34"):
+        with budget(f"14 ({name} C60)", 0.3):
+            report = route(lat, name)
         assert [term for _, term in report.terms] == [term for _, term in strata]
 
 
@@ -198,7 +192,7 @@ def test_criterion_15_hpoly_past_the_lattice_bound():
     lat = j_irreducible_lattice(build(CartanType("A", 14)), frozenset())
     listed = io.StringIO()
     with redirect_stdout(listed):
-        cli._print_hpoly(order_thm34(lat), "table")
+        cli._print_hpoly(route(lat, "thm34"), "table")
     assert hpoly_stdout("--type", "A14", "--j0", "") == listed.getvalue()
 
 

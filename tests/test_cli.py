@@ -24,6 +24,7 @@ from monoid_orders.crosssection import (
 )
 from monoid_orders.rootsystem import CartanType, build, parse_subset
 from monoid_orders.qpoly import ONE, QPolynomial
+from routes import route
 from subdiagrams import star, substar
 from test_qpoly import render_by_loop
 
@@ -576,11 +577,11 @@ def test_preset_and_j0_conflict(capsys):
     ids=["bare", "with-message"],
 )
 def test_memory_error_exits_2_with_one_line(capsys, monkeypatch, raised, err):
-    def exhausted(*args):
+    def exhausted(*args, **kwargs):
         raise raised
 
     argv = ["--type", "A2", "--preset", "first-fundamental"]
-    monkeypatch.setitem(cli.FORMULAS, "thm34", exhausted)
+    monkeypatch.setattr(cli, "all_orders", exhausted)
     assert run(capsys, "order", *argv, "--formula", "thm34") == (2, "", err)
     monkeypatch.setattr(cli, "_write_json", exhausted)
     assert run(capsys, "lattice", *argv, "--format", "json") == (2, "", err)
@@ -748,6 +749,24 @@ def test_evaluation_past_the_digit_limit_at_q_2_names_the_smallest_q(capsys):
     )
 
 
+def test_evaluation_past_the_digit_limit_is_found_at_the_smallest_q_first(capsys):
+    # |M|(2) of C33 has about 666 digits, and strata rows before the total
+    # pass 640 digits at q = 3 already: the values are formatted q by q in
+    # ascending q over all rows, so q = 2 is named, not a smaller --q advised
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        results = [
+            run(capsys, "strata", "--type", "C33", "--preset", "last-fundamental",
+                "--q", qs)
+            for qs in ("2,3", "3,2")
+        ]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    line = "error: an evaluation has more than 640 digits at q=2, the smallest q\n"
+    assert results == [(1, "", line)] * 2
+
+
 MERSENNE_61 = 2**61 - 1
 
 
@@ -902,7 +921,7 @@ def test_order_all_reports_swapped_terms_with_equal_totals(capsys, monkeypatch):
         "--formula", "all",
     )
     assert (code, out) == (3, "")
-    terms = orders.order_thm34(fundamental_lattice(CartanType("C", 2), 2)).terms
+    terms = route(fundamental_lattice(CartanType("C", 2), 2), "thm34").terms
     (label, first), (_, second) = terms[:2]
     assert first != second
     assert err.splitlines() == [
@@ -929,7 +948,7 @@ def test_order_all_reports_a_formula_disagreement(capsys, monkeypatch):
         "--formula", "all",
     )
     assert (code, out) == (3, "")
-    total = orders.order_thm34(fundamental_lattice(CartanType("C", 2), 2)).total
+    total = route(fundamental_lattice(CartanType("C", 2), 2), "thm34").total
     assert err.splitlines() == [
         "formula disagreement:",
         f"  thm31: {total}",
@@ -984,9 +1003,9 @@ def test_explicit_j0_equal_to_a_preset_keeps_its_provenance(capsys):
 
 
 def listed_hpoly(capsys, spec, j0, fmt):
-    """hpoly's bytes from order_thm34 on the listed lattice."""
+    """hpoly's bytes from the thm34 route on the listed lattice."""
     rs = build(CartanType.parse(spec))
-    cli._print_hpoly(orders.order_thm34(j_irreducible_lattice(rs, j0)), fmt)
+    cli._print_hpoly(route(j_irreducible_lattice(rs, j0), "thm34"), fmt)
     return capsys.readouterr().out
 
 
@@ -1021,7 +1040,7 @@ def test_hpoly_prints_the_h_polynomial_of_order_thm34(capsys, tmp_path):
     for argv, lat in cases:
         code, out, err = run(capsys, "hpoly", *argv, "--format", "json")
         assert (code, err) == (0, ""), argv
-        h = orders.h_polynomial(orders.order_thm34(lat).total)
+        h = orders.h_polynomial(route(lat, "thm34").total)
         assert json.loads(out)["h_coeffs"] == list(h.coeffs), argv
 
 
@@ -1335,7 +1354,7 @@ def test_order_evaluates_each_row_once_per_q(capsys, monkeypatch, fmt, qs):
         "--q", qs, "--format", fmt,
     )
     lat = j_irreducible_lattice(build(CartanType("B", 6)), frozenset({1, 3}))
-    k = len({term for _, term in orders.order_thm34(lat).terms})
+    k = len({term for _, term in route(lat, "thm34").terms})
     assert k < len(lat.entries)  # entries share terms
     m = len(qs.split(","))
     assert code == 0
@@ -1393,7 +1412,7 @@ def order_by_rows(report, fmt, qs, agreed) -> str:
 def test_order_renders_each_distinct_term_once(capsys, monkeypatch, fmt, formula):
     # A8 --j0 "" has 257 entries but far fewer distinct terms
     lat = j_irreducible_lattice(build(CartanType("A", 8)), frozenset())
-    report = (orders.order_thm41 if formula == "all" else orders.order_thm34)(lat)
+    report = route(lat, "thm41" if formula == "all" else "thm34")
     agreed = ["thm31", "thm33", "thm34", "thm41"] if formula == "all" else None
     expected = order_by_rows(report, fmt, [3, 2], agreed)
     distinct = len({term for _, term in report.terms}) + 1  # and the total
@@ -1447,19 +1466,19 @@ def test_order_names_the_first_of_two_entries_sharing_a_non_positive_term(
         entry["label"] = f"row {i}"
     path = tmp_path / "lattice.json"
     path.write_text(json.dumps(raw))
-    real = orders.order_thm34
+    real = cli.all_orders
     seen = []
 
-    def negated_shared_term(lat):
-        report = real(lat)
+    def negated_shared_term(lat, **kwargs):
+        report = real(lat, **kwargs)["thm34"]
         ids = [id(term) for _, term in report.terms]
         shared = next(t for _, t in report.terms if ids.count(id(t)) > 1)
         bad = -shared
         terms = tuple((label, bad if t is shared else t) for label, t in report.terms)
         seen.extend(label for label, t in terms if t is bad)
-        return report.replace(terms=terms)
+        return {"thm34": report.replace(terms=terms)}
 
-    monkeypatch.setitem(cli.FORMULAS, "thm34", negated_shared_term)
+    monkeypatch.setattr(cli, "all_orders", negated_shared_term)
     code, out, err = run(
         capsys, "order", "--lattice-file", str(path), "--formula", "thm34", "--q", "2",
         "--format", "csv",
@@ -1471,7 +1490,7 @@ def test_order_names_the_first_of_two_entries_sharing_a_non_positive_term(
 
 def test_order_csv_quotes_labels_as_csv_writer_does(capsys, tmp_path):
     path, lat = awkward_lattice_file(tmp_path)
-    report = orders.order_thm34(lat)
+    report = route(lat, "thm34")
     assert any("," in label or '"' in label for label, _ in report.terms)
     code, out, err = run(
         capsys, "order", "--lattice-file", str(path), "--formula", "thm34",
@@ -1533,7 +1552,7 @@ def test_json_rows_reach_stdout_as_they_are_written(monkeypatch, command):
     out = "".join(writes)
     lat = j_irreducible_lattice(build(CartanType("A", 8)), frozenset())
     if command == "order":
-        expected = order_by_rows(orders.order_thm34(lat), "json", [], None)
+        expected = order_by_rows(route(lat, "thm34"), "json", [], None)
     else:
         expected = json.dumps(lat.to_json(), indent=2) + "\n"
     assert (code, out) == (0, expected)
@@ -1639,7 +1658,7 @@ def test_order_table_lists_the_index_sets_as_before(capsys, tmp_path):
         lat = j_irreducible_lattice(build(ct), parse_subset(j0, ct.rank))
         sources.append((lat, ["--type", spec, "--j0", j0]))
     for lat, source in sources:
-        report = orders.order_thm34(lat)
+        report = route(lat, "thm34")
         width = max(len(label) for label, _ in report.terms)
         entries = {e.label: e for e in lat.entries}
         expected = [f"type {report.cartan_type}  formula thm34"]
@@ -1706,7 +1725,7 @@ def test_order_all_checks_the_shared_expansion_against_thm31(capsys, monkeypatch
         capsys, "order", "--type", "C3", "--preset", "last-fundamental", "--formula", "all"
     )
     assert (code, out) == (3, "")
-    total = orders.order_thm31(fundamental_lattice(CartanType("C", 3), 3)).total
+    total = route(fundamental_lattice(CartanType("C", 3), 3), "thm31").total
     wrong = total + qpoly.Q_MINUS_ONE
     assert err.splitlines() == [
         "formula disagreement:",

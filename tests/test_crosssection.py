@@ -351,7 +351,7 @@ def test_lattice_too_large_by_default_before_any_work():
 
 
 def listed_thm34_keys(rs, J0):
-    """Each entry's order_thm34 key, (lambda_* degrees, k, lambda* degrees),
+    """Each entry's thm34_products key, (lambda_* degrees, k, lambda* degrees),
     counted over the listed lattice."""
     return Counter(
         (

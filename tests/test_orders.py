@@ -35,10 +35,6 @@ from monoid_orders.orders import (
     chain_total,
     gl_strata,
     h_polynomial,
-    order_thm31,
-    order_thm33,
-    order_thm34,
-    order_thm41,
     symplectic_order,
 )
 from monoid_orders.qpoly import (
@@ -59,6 +55,7 @@ from monoid_orders.rootsystem import (
 )
 from monoid_orders.weyl import coset_length_poly
 from lattices import validated_lattices
+from routes import route
 from subdiagrams import (
     components,
     mask_of,
@@ -94,7 +91,7 @@ def unit_group_order(lat):
 
 def test_matrix_monoid_rank1_total():
     lat = fundamental_lattice(CartanType("A", 1), 1)
-    report = order_thm41(lat)
+    report = route(lat, "thm41")
     terms = dict(report.terms)
     assert terms["0"] == ONE
     assert terms["e{}"] == Q_MINUS_ONE * QPolynomial([1, 1]) ** 2
@@ -106,7 +103,7 @@ def test_matrix_monoid_terms_match_rank_enumeration():
     # per-entry orbit sizes equal brute-force rank counts over small fields
     for n, p in ((2, 2), (2, 3), (3, 2)):
         lat = fundamental_lattice(CartanType("A", n - 1), 1)
-        report = order_thm31(lat)
+        report = route(lat, "thm31")
         counts = enumerate_rank_histogram(n, p)
         # entries are ordered zero, then by growing lambda*: rank 0, 1, ..., n
         assert [eval_big(term, p) for _, term in report.terms] == counts
@@ -114,15 +111,15 @@ def test_matrix_monoid_terms_match_rank_enumeration():
 
 def test_a2_total_is_q_to_nine():
     lat = fundamental_lattice(CartanType("A", 2), 1)
-    assert order_thm34(lat).total == QPolynomial.monomial(9)
+    assert route(lat, "thm34").total == QPolynomial.monomial(9)
 
 
 @pytest.mark.parametrize("lat", AGREEMENT_LATTICES, ids=lambda l: str(l.root_system.cartan_type))
 def test_four_formulas_agree(lat):
-    r31 = order_thm31(lat)
-    r33 = order_thm33(lat)
-    r34 = order_thm34(lat)
-    r41 = order_thm41(lat)
+    r31 = route(lat, "thm31")
+    r33 = route(lat, "thm33")
+    r34 = route(lat, "thm34")
+    r41 = route(lat, "thm41")
     assert r31.total == r33.total == r34.total == r41.total
     # per-entry terms agree too, not just the totals
     assert r31.terms == r33.terms == r34.terms == r41.terms
@@ -130,7 +127,7 @@ def test_four_formulas_agree(lat):
 
 @pytest.mark.parametrize("lat", AGREEMENT_LATTICES, ids=lambda l: str(l.root_system.cartan_type))
 def test_zero_and_identity_terms(lat):
-    report = order_thm34(lat)
+    report = route(lat, "thm34")
     terms = dict(report.terms)
     assert terms[lat.zero_entry.label] == ONE
     assert terms[lat.identity_entry.label] == unit_group_order(lat)
@@ -139,8 +136,8 @@ def test_zero_and_identity_terms(lat):
 
 def test_symplectic_l2_at_q2():
     lat = fundamental_lattice(CartanType("C", 2), 2)
-    for fn in (order_thm31, order_thm33, order_thm34, order_thm41):
-        assert eval_big(fn(lat).total, 2) == 2296
+    for name in orders.ROUTES:
+        assert eval_big(route(lat, name).total, 2) == 2296
 
 
 def test_middle_orbit_size_of_2x2_matrices():
@@ -149,7 +146,7 @@ def test_middle_orbit_size_of_2x2_matrices():
     middle = next(
         e for e in lat.entries if not lat.is_zero(e) and not lat.is_identity(e)
     )
-    orbit = dict(order_thm31(lat).terms)[middle.label]
+    orbit = dict(route(lat, "thm31").terms)[middle.label]
     assert eval_big(orbit, 2) == 9
 
 
@@ -170,7 +167,7 @@ def test_thm31_walks_each_subset_once_per_call(monkeypatch):
     monkeypatch.setattr(orders, "coset_length_poly", counting_walk)
     for _ in range(2):
         del walked[:]
-        order_thm31(lat)
+        route(lat, "thm31")
         assert sorted(walked) == sorted(subsets)
 
 
@@ -195,14 +192,14 @@ def raised_exponents(lat):
 def test_thm41_requires_weight_support_exponents():
     tweaked = raised_exponents(fundamental_lattice(CartanType("C", 2), 2))
     with pytest.raises(NotJIrreducible):
-        order_thm41(tweaked)
+        route(tweaked, "thm41")
     # the general formulas still run on it
-    order_thm34(tweaked)
+    route(tweaked, "thm34")
 
 
 @pytest.mark.parametrize("l", range(2, 7))
 def test_symplectic_closed_form_matches_lattice_route(l):
-    assert symplectic_order(l).total == order_thm41(fundamental_lattice(CartanType("C", l), l)).total
+    assert symplectic_order(l).total == route(fundamental_lattice(CartanType("C", l), l), "thm41").total
 
 
 def test_closed_form_check_compares_each_stratum(monkeypatch):
@@ -379,7 +376,7 @@ def test_symplectic_strata_partition(l):
     assert total == report.total
     # top stratum is the unit group of the symplectic monoid
     top = dict(report.terms)[f"M^{l + 1}"]
-    lattice_terms = dict(order_thm41(fundamental_lattice(CartanType("C", l), l)).terms)
+    lattice_terms = dict(route(fundamental_lattice(CartanType("C", l), l), "thm41").terms)
     assert top == lattice_terms["1"]
 
 
@@ -467,7 +464,7 @@ def test_symplectic_order_expands_each_h_term_once(monkeypatch):
     assert divisions == from_one + [2 * r + 2 for r in range(30)] + [1]
     monkeypatch.undo()
     # stratum r is (q-1) times H term r-1, which is the thm41 term of entry r
-    lattice_route = order_thm41(fundamental_lattice(CartanType("C", 30), 30))
+    lattice_route = route(fundamental_lattice(CartanType("C", 30), 30), "thm41")
     assert [term for _, term in report.terms] == [
         term for _, term in lattice_route.terms
     ]
@@ -594,7 +591,7 @@ def test_report_evaluate_and_json(capsys, tmp_path):
     # 183681 = 1 + 2 * H(3) with the frozen l=2 coefficient list
     assert 1 + 2 * sum(c * 3**i for i, c in enumerate(H_COEFFS_L2)) == 183681
     lat = fundamental_lattice(CartanType("C", 2), 2)
-    report = order_thm34(lat)
+    report = route(lat, "thm34")
     values = cli._evaluated([*report.terms, ("total", report.total)], [2, 3])
     assert values[-1] == {2: "2296", 3: "183681"}
     payload = cli_order_json(capsys, tmp_path, lat, 2, 3)
@@ -608,7 +605,7 @@ def test_report_evaluate_and_json(capsys, tmp_path):
 
 def test_report_is_frozen(capsys, tmp_path):
     lat = fundamental_lattice(CartanType("C", 2), 2)
-    report = order_thm34(lat)
+    report = route(lat, "thm34")
     notes = report.notes
     with pytest.raises(AttributeError, match="immutable"):
         report.notes = ()
@@ -653,10 +650,10 @@ def test_value_classes_keep_their_dataclass_behaviour():
 
 def test_thm33_notes_skipped_coset_check():
     lat = fundamental_lattice(CartanType("C", 3), 3)
-    assert not any("skipped" in note for note in order_thm33(lat).notes)
-    bounded = order_thm33(lat, enum_bound=10)
+    assert not any("skipped" in note for note in route(lat, "thm33").notes)
+    bounded = route(lat, "thm33", enum_bound=10)
     assert bounded.notes[-1] == "skipped thm33 coset cross-check (GroupTooLarge)"
-    assert bounded.total == order_thm33(lat).total
+    assert bounded.total == route(lat, "thm33").total
 
 
 def test_every_route_checks_the_total_at_q_equal_1():
@@ -668,9 +665,9 @@ def test_every_route_checks_the_total_at_q_equal_1():
         LatticeEntry("1", mask_of({1}), 0, 1),
     )
     lat = CrossSectionLattice(rs, entries, torus_rank=1)
-    for route in (order_thm31, order_thm33, order_thm34):
+    for name in ("thm31", "thm33", "thm34"):
         with pytest.raises(InvariantViolation, match="at q=1, not 1"):
-            route(lat)
+            route(lat, name)
 
 
 def is_bc(ds):
@@ -767,7 +764,7 @@ def literal_thm31_terms(lat):
 def test_thm31_matches_the_literal_orbit_sizes(spec, j0):
     rs = build(CartanType.parse(spec))
     lat = j_irreducible_lattice(rs, frozenset(int(i) for i in j0.split(",") if i))
-    assert order_thm31(lat).terms == literal_thm31_terms(lat)
+    assert route(lat, "thm31").terms == literal_thm31_terms(lat)
 
 
 def test_thm31_matches_the_literal_orbit_sizes_off_the_weight_support_rule():
@@ -776,12 +773,12 @@ def test_thm31_matches_the_literal_orbit_sizes_off_the_weight_support_rule():
     for e in lat.entries:
         if not lat.is_zero(e):
             assert e.torus_index_exponent == len(star(e)) + 2
-    assert order_thm31(lat).terms == literal_thm31_terms(lat)
+    assert route(lat, "thm31").terms == literal_thm31_terms(lat)
 
 
 def test_thm31_matches_thm34_on_c20_with_the_bound_lifted():
     lat = fundamental_lattice(CartanType("C", 20), 20)
-    assert order_thm31(lat, enum_bound=10**60).terms == order_thm34(lat).terms
+    assert route(lat, "thm31", enum_bound=10**60).terms == route(lat, "thm34").terms
 
 
 def test_thm31_reads_only_the_lattice_and_the_walks(monkeypatch):
@@ -809,7 +806,7 @@ def test_thm31_reads_only_the_lattice_and_the_walks(monkeypatch):
     # the torus rank cancels, so a lattice that misstates it gives the same terms
     for probe in (lat, lat.replace(torus_rank=0)):
         del dividends[:]
-        assert order_thm31(probe).terms == expected
+        assert route(probe, "thm31").terms == expected
         assert dividends == [w] * len(subsets)
 
 
@@ -855,7 +852,7 @@ def test_routes_call_only_their_own_sources(spec, i):
     rootsystem, weyl = monoid_orders.rootsystem, monoid_orders.weyl
     # thm31's terms come from walked counts alone, and it reads the root
     # system only through the walks, which plan the chain from the degrees
-    thm31 = calls_made(order_thm31, lat)
+    thm31 = calls_made(route, lat, "thm31")
     product_codes = codes_of(QProduct) | {
         rootsystem.poincare_factors.__code__,
         qpoly.expand_all.__code__,
@@ -866,11 +863,11 @@ def test_routes_call_only_their_own_sources(spec, i):
         if in_module(callee, rootsystem) and not in_module(caller, rootsystem):
             assert in_module(caller, weyl), callee.co_name
     # thm34 and thm41 never enter weyl
-    for route in (order_thm34, order_thm41):
-        assert not any(in_module(c, weyl) for _, c in calls_made(route, lat))
+    for name in ("thm34", "thm41"):
+        assert not any(in_module(c, weyl) for _, c in calls_made(route, lat, name))
     # thm33 enters weyl only at its cross-check, and with the check refused
     # by the bound, only to be refused
-    thm33 = calls_made(order_thm33, lat)
+    thm33 = calls_made(route, lat, "thm33")
     assert {callee for _, callee in thm33} & product_codes  # the sets are live
     entries = {
         (caller.co_name, callee)
@@ -878,10 +875,25 @@ def test_routes_call_only_their_own_sources(spec, i):
         if in_module(callee, weyl) and not in_module(caller, weyl)
     }
     assert entries == {("thm33_products", weyl.coset_length_poly.__code__)}
-    refused = calls_made(order_thm33, lat, enum_bound=1)
+    refused = calls_made(route, lat, "thm33", enum_bound=1)
     assert {c for _, c in refused if in_module(c, weyl)} == {
         weyl.coset_length_poly.__code__
     }
+
+
+def test_a_one_route_run_does_none_of_the_other_routes_work():
+    # order --formula thm41 runs thm41 alone: no walk, and no product of
+    # another route
+    lat = fundamental_lattice(CartanType("E", 6), 6)
+    called = {c for _, c in calls_made(orders.all_orders, lat, routes=("thm41",))}
+    assert orders.thm41_products.__code__ in called
+    others = (
+        orders.thm31_terms,
+        orders.thm33_products,
+        orders.thm34_products,
+        monoid_orders.weyl.coset_length_poly,
+    )
+    assert not called & {f.__code__ for f in others}
 
 
 def test_degree_routes_leave_the_walk_store_empty():
@@ -890,9 +902,9 @@ def test_degree_routes_leave_the_walk_store_empty():
     fresh = lat.replace(
         root_system=RootSystemData(rs.cartan_type, rs.cartan, rs.positive_roots)
     )
-    assert order_thm34(fresh).total == order_thm41(fresh).total
+    assert route(fresh, "thm34").total == route(fresh, "thm41").total
     assert not fresh.root_system._walks
-    assert order_thm33(fresh).total == order_thm34(lat).total
+    assert route(fresh, "thm33").total == route(lat, "thm34").total
     assert fresh.root_system._walks
 
 
@@ -909,7 +921,7 @@ def test_report_evaluate_rejects_nonpositive_terms():
 
 def test_every_term_positive_at_small_prime_powers():
     for lat in AGREEMENT_LATTICES:
-        report = order_thm34(lat)
+        report = route(lat, "thm34")
         for q0 in (2, 3, 4, 5):
             for _, term in report.terms:
                 assert eval_big(term, q0) > 0
@@ -922,7 +934,7 @@ def wrong_coset_poly(rs, gens, fixed, bound=None):
 def test_thm33_coset_mismatch_raises(monkeypatch):
     monkeypatch.setattr(orders, "coset_length_poly", wrong_coset_poly)
     with pytest.raises(InvariantViolation):
-        order_thm33(fundamental_lattice(CartanType("C", 2), 2))
+        route(fundamental_lattice(CartanType("C", 2), 2), "thm33")
 
 
 # B2's degrees divide |W(C3)|'s, so only the walked cross-check sees them;
@@ -935,7 +947,7 @@ def test_thm33_wrong_degrees_for_one_subset_raise(monkeypatch, wrong):
         orders, "_mask_degrees", lambda rs, X: wrong if X == a2 else real(rs, X)
     )
     with pytest.raises(MonoidOrdersError):
-        order_thm33(fundamental_lattice(CartanType("C", 3), 3))
+        route(fundamental_lattice(CartanType("C", 3), 3), "thm33")
 
 
 OPTIMIZED_COSET_CHECK = """
@@ -950,7 +962,7 @@ if not sys.flags.optimize:
     sys.exit("not running under -O")
 orders.coset_length_poly = lambda rs, gens, fixed, bound=None: ONE
 try:
-    orders.order_thm33(fundamental_lattice(CartanType("C", 2), 2))
+    orders.all_orders(fundamental_lattice(CartanType("C", 2), 2), routes=("thm33",))
 except InvariantViolation:
     sys.exit(0)
 sys.exit("coset mismatch went unnoticed")
@@ -981,7 +993,7 @@ GROUPED_TYPES = (
 
 def assert_grouped_total_is_listed(lat):
     # the total, summed once per thm34 key, is the sum of the listed terms
-    report = order_thm34(lat)
+    report = route(lat, "thm34")
     assert len(report.terms) == len(lat.entries)
     assert report.total == qpoly.poly_sum(term for _, term in report.terms)
 
@@ -1014,7 +1026,7 @@ def test_grouped_total_checks_the_value_at_one():
     # a second zero entry: every other term vanishes at q = 1
     doubled = lat.replace(entries=lat.entries + (lat.zero_entry,))
     with pytest.raises(InvariantViolation, match="thm34 total is 2 at q=1"):
-        order_thm34(doubled)
+        route(doubled, "thm34")
 
 
 def test_thm34_sums_one_polynomial_per_key(monkeypatch):
@@ -1036,15 +1048,15 @@ def test_thm34_sums_one_polynomial_per_key(monkeypatch):
         return qpoly.poly_sum(polys)
 
     monkeypatch.setattr(orders, "poly_sum", counted_sum)
-    total = order_thm34(lat).total
+    total = route(lat, "thm34").total
     assert summed == [len(keys)] and len(keys) < len(lat.entries) == 1025
     monkeypatch.undo()
-    assert total == order_thm34(lat).total
+    assert total == route(lat, "thm34").total
 
 
 def assert_census_total_is_listed(rs, J0):
     census = census_total(rs, J0)
-    listed = order_thm34(j_irreducible_lattice(rs, J0))
+    listed = route(j_irreducible_lattice(rs, J0), "thm34")
     assert census.total == listed.total, (rs.cartan_type, sorted(J0))
     assert census.notes == listed.notes, (rs.cartan_type, sorted(J0))
     assert (census.formula, census.cartan_type) == (listed.formula, listed.cartan_type)
@@ -1177,7 +1189,7 @@ def test_palindromic_h_iff_the_weyl_polytope_is_simple():
         rs = build(CartanType.parse(spec))
         for mask in range(2**rs.rank - 1):  # every J0 except Delta
             J0 = frozenset(i + 1 for i in range(rs.rank) if mask >> i & 1)
-            h = h_polynomial(order_thm34(j_irreducible_lattice(rs, J0)).total)
+            h = h_polynomial(route(j_irreducible_lattice(rs, J0), "thm34").total)
             smooth = vertex_degree(rs, J0) == rs.rank
             assert is_palindromic(h) == smooth, (spec, sorted(J0))
             if smooth:
@@ -1193,7 +1205,7 @@ def test_palindromic_h_iff_the_weyl_polytope_is_simple():
 @pytest.mark.parametrize("rank", range(1, 14))
 def test_chain_total_equals_the_listed_total(rank):
     rs = build(CartanType("A", rank))
-    listed = order_thm34(j_irreducible_lattice(rs, frozenset()))
+    listed = route(j_irreducible_lattice(rs, frozenset()), "thm34")
     chained = chain_total(rs)
     assert chained.total == listed.total
     assert chained.notes == listed.notes
@@ -1229,9 +1241,10 @@ SMALL_SUPPORTS = [
 ]
 
 
-def expansions_handed(route, lat):
+def expansions_handed(name, lat):
     """The distinct products, in first-use order, of the last expand_all
-    call that route(lat) makes: the call that expands its terms."""
+    call that route name makes on lat alone: the call that expands its
+    terms."""
     handed = []
 
     def recording(products):
@@ -1241,7 +1254,7 @@ def expansions_handed(route, lat):
     real = orders.expand_all
     orders.expand_all = recording
     try:
-        route(lat)
+        route(lat, name)
     finally:
         orders.expand_all = real
     return list(dict.fromkeys(handed[-1]))
@@ -1251,12 +1264,12 @@ def assert_factored_routes_agree(lat):
     products, _ = orders.thm33_products(lat)
     assert len(products) == len(lat.entries)
     assert orders.thm34_products(lat) == products
-    handed = expansions_handed(order_thm33, lat)
+    handed = expansions_handed("thm33", lat)
     assert handed == list(dict.fromkeys(products))
-    assert expansions_handed(order_thm34, lat) == handed
+    assert expansions_handed("thm34", lat) == handed
     if orders.is_j_irreducible(lat):
         assert orders.thm41_products(lat) == products
-        assert expansions_handed(order_thm41, lat) == handed
+        assert expansions_handed("thm41", lat) == handed
 
 
 def test_factored_routes_agree_on_every_small_weight_support():
@@ -1280,10 +1293,10 @@ def test_all_orders_gives_each_route_report(spec, i):
     lat = fundamental_lattice(CartanType.parse(spec), i)
     reports = orders.all_orders(lat)
     assert list(reports) == ["thm31", "thm33", "thm34", "thm41"]
-    assert reports["thm31"] == order_thm31(lat)
-    assert reports["thm33"] == order_thm33(lat)
-    assert reports["thm34"] == order_thm34(lat)
-    assert reports["thm41"] == order_thm41(lat)
+    assert reports["thm31"] == route(lat, "thm31")
+    assert reports["thm33"] == route(lat, "thm33")
+    assert reports["thm34"] == route(lat, "thm34")
+    assert reports["thm41"] == route(lat, "thm41")
 
 
 def test_all_orders_maps_a_stopped_route_to_its_exception():

@@ -21,7 +21,6 @@ from monoid_orders.crosssection import (
     load_lattice,
 )
 from monoid_orders.errors import NonExactDivision
-from monoid_orders.orders import order_thm34, order_thm41
 from monoid_orders.qpoly import ONE, QPolynomial, QProduct, expand
 from monoid_orders.rootsystem import (
     CartanType,
@@ -29,6 +28,7 @@ from monoid_orders.rootsystem import (
     degrees,
     poincare_factors,
 )
+from routes import route
 from subdiagrams import components, star, subset_count, subset_degrees, substar
 
 SMALL_TYPES = (
@@ -128,10 +128,10 @@ def test_memoized_terms_equal_per_entry_expansion(spec):
     for mask in range(2**rs.rank - 1):  # every J0 except Delta
         J0 = frozenset(i + 1 for i in range(rs.rank) if mask >> i & 1)
         lat = j_irreducible_lattice(rs, J0)
-        for route, products in ((order_thm34, thm34_products), (order_thm41, thm41_products)):
+        for name, products in (("thm34", thm34_products), ("thm41", thm41_products)):
             expected = reference_terms(products(lat))
-            report = route(lat)
-            assert report.terms == expected, (spec, sorted(J0), route.__name__)
+            report = route(lat, name)
+            assert report.terms == expected, (spec, sorted(J0), name)
             assert report.total == reference_total(expected)
 
 
@@ -161,7 +161,7 @@ def test_entries_sharing_phi_keep_their_own_shift(monkeypatch, tmp_path):
     assert products["c"].phi != products["b"].phi
 
     calls = count_expands(monkeypatch)
-    report = order_thm34(lat)
+    report = route(lat, "thm34")
     # the zero entry's empty product, then a (b's as well), c and the identity
     assert len(calls) == len(set(calls)) == 1 + distinct_phi(products.items()) == 4
     expected = reference_terms(products.items())
@@ -221,13 +221,13 @@ def test_each_distinct_phi_expanded_once_per_call(monkeypatch, spec, j0, entries
     assert len(lat.entries) == entries
     assert distinct_phi(thm34_products(lat)) == expansions
     calls = count_expands(monkeypatch)
-    for route in (order_thm34, order_thm41):
+    for name in ("thm34", "thm41"):
         del calls[:]
-        route(lat)
+        route(lat, name)
         # plus the zero entry's empty product
-        assert len(calls) == 1 + expansions, route.__name__
+        assert len(calls) == 1 + expansions, name
         # each tuple is stepped to once, its q-shift split off
-        assert len(set(calls)) == len(calls), route.__name__
+        assert len(set(calls)) == len(calls), name
 
 
 def test_no_memo_outlives_its_call(monkeypatch):
@@ -237,10 +237,10 @@ def test_no_memo_outlives_its_call(monkeypatch):
     lat = lattice("A10", "")
     assert distinct_phi(thm41_products(lat)) == 56
     calls = count_expands(monkeypatch)
-    for route in (order_thm34, order_thm34, order_thm41):
+    for name in ("thm34", "thm34", "thm41"):
         del calls[:]
-        route(lat)
-        assert len(calls) == 1 + 56, route.__name__
+        route(lat, name)
+        assert len(calls) == 1 + 56, name
 
 
 def non_divisible_lattice():
@@ -258,9 +258,9 @@ def non_divisible_lattice():
 
 def test_non_divisible_entry_still_raises():
     lat = non_divisible_lattice()
-    for route in (order_thm34, order_thm41):
+    for name in ("thm34", "thm41"):
         with pytest.raises(NonExactDivision):
-            route(lat)
+            route(lat, name)
 
 
 A1_EXPONENT_ZERO = {
@@ -277,7 +277,7 @@ OPTIMIZED_EXACTNESS_CHECK = """
 import sys
 from monoid_orders.crosssection import CrossSectionLattice, LatticeEntry
 from monoid_orders.errors import NonExactDivision
-from monoid_orders.orders import order_thm34, order_thm41
+from monoid_orders.orders import all_orders
 from monoid_orders.rootsystem import CartanType, build
 
 if not sys.flags.optimize:
@@ -289,12 +289,12 @@ entries = (
     LatticeEntry("1", 0b1, 0, 2),
 )
 lat = CrossSectionLattice(build(CartanType("A", 1)), entries, torus_rank=2)
-for route in (order_thm34, order_thm41):
+for name in ("thm34", "thm41"):
     try:
-        route(lat)
+        all_orders(lat, routes=(name,))
     except NonExactDivision:
         continue
-    sys.exit(route.__name__ + " accepted a non-divisible entry")
+    sys.exit(name + " accepted a non-divisible entry")
 """
 
 
