@@ -18,24 +18,28 @@ _evaluated: the order terms and total in every format (only csv prints the
 terms' values), and every stratum.  Rows share a polynomial object where
 their terms are equal (qpoly.expand_all gives one object per distinct
 product), and each printer builds a shared term's text once per report.
-A value that is not positive raises InvariantViolation (exit 2), naming
-the first row in row order that holds it.  The printed values are
-formatted before the first write, so a value too long to print leaves
-stdout empty.  The strata sums are checked in orders, where the strata are
+A term or stratum is evaluated from the factored product it was expanded
+from, the total by Horner over its coefficients, and at each q the rows'
+values must sum to the total's: this ties the printed values to the
+printed coefficients.  A value that is not positive, or a sum that
+differs, raises InvariantViolation (exit 2), naming the first row in row
+order that holds the value, or the q.  The printed values are formatted
+before the first write, so a value too long to print leaves stdout empty.
+The strata sums as polynomials are checked in orders, where the strata are
 built.  --format json is exactly json.dumps(payload, indent=2) and a
 newline, for every command, through _write_json, which writes each row (a
 lattice entry, an order term, a stratum) when it is done, an entry from
 its index text, which also gives the csv and table cells (_entry_cells).
 As every check runs first, only a MemoryError or a closed pipe can stop a
 listing midway, leaving partial output.  --format csv is exactly what
-csv.writer writes, one row per write (_print_csv, _print_lattice_csv), its
-label quoted as csv.writer would quote it (_csv_field).
+csv.writer writes, one row per write (_print_csv, _print_lattice_csv and
+hpoly's rows of ints), its label quoted as csv.writer would quote it
+(_csv_field).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import os
@@ -282,19 +286,28 @@ def _evaluated(
     """Each distinct polynomial object of the (label, polynomial) rows
     evaluated once at each q0 of qs, q0 by q0, in row order; a value that
     is not positive raises InvariantViolation naming the first row that
-    holds it.  The rows picked by printed come back as {q0: decimal} in qs
-    order, one dict per distinct object, formatted in ascending q0 (so a
-    value too long at q = 2 is named as such) before the first write, so a
-    value too long to print leaves stdout empty."""
+    holds it.  The last row is the total, a sum that carries no product,
+    so eval_big takes its value by Horner over its coefficients: at each
+    q0 it must equal the sum of the other rows' values, one per row, or
+    InvariantViolation names the q0.  The rows picked by printed come back
+    as {q0: decimal} in qs order, one dict per distinct object, formatted
+    in ascending q0 (so a value too long at q = 2 is named as such) before
+    the first write, so a value too long to print leaves stdout empty."""
     first: dict[int, tuple[str, QPolynomial]] = {}
     for label, poly in rows:
         first.setdefault(id(poly), (label, poly))
     values: dict[int, dict[int, int]] = {key: {} for key in first}
+    summands, total = [id(poly) for _, poly in rows[:-1]], id(rows[-1][1])
     for q0 in qs:
         for key, (label, poly) in first.items():
             values[key][q0] = value = eval_big(poly, q0)
             if value <= 0:
                 raise InvariantViolation(f"term {label!r} is not positive at q={q0}")
+        if sum(values[key][q0] for key in summands) != values[total][q0]:
+            raise InvariantViolation(
+                f"the rows' values do not sum to the value of the total's"
+                f" coefficients at q={q0}"
+            )
     shown = [id(poly) for _, poly in rows[printed]]
     texts = {key: dict.fromkeys(qs) for key in dict.fromkeys(shown)}
     for q0 in sorted(qs):
@@ -470,7 +483,8 @@ def _cmd_order(args, enum_bound: int | None) -> int:
         elif result is not primary:
             notes += [n for n in result.notes if n not in notes]
     primary = primary.replace(notes=tuple(notes))
-    # every term is checked at every q; only csv prints the terms' values
+    # every term is checked at every q, and their sum against the total;
+    # only csv prints the terms' values
     rows = [*primary.terms, ("total", primary.total)]
     values = _evaluated(rows, qs, slice(None if args.format == "csv" else -1, None))
     agreed = list(reports) if args.formula == "all" else None
@@ -517,10 +531,11 @@ def _print_hpoly(report: OrderReport, fmt: str) -> None:
         payload = {"type": str(report.cartan_type), "h_coeffs": h}
         payload |= {"palindromic": palindromic, "notes": list(report.notes)}
         _write_json(payload, sys.stdout.write)
-    elif fmt == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["power", "coefficient"])
-        writer.writerows(enumerate(h.coeffs))
+    elif fmt == "csv":  # as csv.writer writes it: no field needs quotes
+        write = sys.stdout.write
+        write("power,coefficient\r\n")
+        for power, c in enumerate(h.coeffs):
+            write(f"{power},{c}\r\n")
     else:
         print(f"type {report.cartan_type}  H-polynomial of the order")
         for note in report.notes:
@@ -553,7 +568,8 @@ def _strata_rows(args) -> tuple[str, list[tuple[str, QPolynomial]], QPolynomial]
 def _cmd_strata(args) -> int:
     title, rows, total = _strata_rows(args)
     qs = _parse_qs(args.q)
-    values = _evaluated(rows, qs)  # formatted before the first write
+    # the total is checked at every q and not printed
+    values = _evaluated([*rows, ("total", total)], qs, slice(None, -1))
     if args.format == "json":
         strata = [
             {

@@ -17,6 +17,12 @@ a small degree it keeps only the low half and unfolds each result once.
 times_product steps a dense polynomial by a factored product through the
 same multiplications and divisions, on all of its coefficients.
 
+Each value expand_all returns records the product it was expanded from,
+and eval_big evaluates it from that product's cyclotomic factors,
+q0^shift * prod Phi_n(q0)^e_n, each Phi_n(q0) divided out of q0^n - 1
+once per (n, q0); every other polynomial, a sum among them, is evaluated
+by Horner over its coefficients.
+
 All coefficients are Python ints, so arithmetic is exact at any size.  Values
 are immutable; every operation returns a fresh value.
 """
@@ -26,7 +32,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from functools import lru_cache
 from itertools import accumulate, compress, islice, zip_longest
-from math import isqrt
+from math import isqrt, prod
 from operator import add, mul, sub
 
 from .errors import IndexOutOfRange, NonExactDivision
@@ -76,21 +82,30 @@ class Immutable:
 
 
 class QPolynomial(Immutable):
-    """Dense polynomial in q with arbitrary-precision integer coefficients."""
+    """Dense polynomial in q with arbitrary-precision integer coefficients.
 
-    __slots__ = _fields = ("coeffs",)
+    A value expand_all returns also holds the QProduct it was expanded from
+    in its last slot, which eval_big reads and equality, hashing, repr and
+    replace leave out; every other constructor leaves that slot None.
+    """
+
+    _fields = ("coeffs",)
+    __slots__ = _fields + ("_product",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
         cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        _set_coeffs(self, tuple(cs))
+        _set_product(self, None)
 
     @classmethod
-    def _of_trimmed(cls, coeffs: tuple[int, ...]) -> "QPolynomial":
-        """A coefficient tuple with no trailing zero, taken as it is."""
+    def _of_trimmed(cls, coeffs: tuple[int, ...], product: "QProduct") -> "QPolynomial":
+        """The expansion of product, a coefficient tuple with no trailing
+        zero taken as it is."""
         p = object.__new__(cls)
-        object.__setattr__(p, "coeffs", coeffs)
+        _set_coeffs(p, coeffs)
+        _set_product(p, product)
         return p
 
     @classmethod
@@ -177,6 +192,13 @@ class QPolynomial(Immutable):
         return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
+# each slot's member descriptor sets it past Immutable.__setattr__, more
+# cheaply than object.__setattr__ with the slot's name
+_set_coeffs, _set_product = (
+    getattr(QPolynomial, name).__set__ for name in QPolynomial.__slots__
+)
+
+
 # "+ %s*q^i" at index i, grown only up to the largest exponent rendered
 _PIECES: list[str] = []
 
@@ -232,14 +254,41 @@ def div_exact(a: QPolynomial, b: QPolynomial) -> QPolynomial:
 def eval_big(p: QPolynomial, q0: int) -> int:
     """Exact value p(q0) for an integer q0 >= 2.
 
-    Horner within each block of 64 coefficients, then the block values are
-    combined pairwise, v_2i + v_2i+1 * q0^(64 * 2^level), so the large
-    products have operands of equal size, where CPython's Karatsuba
-    multiply beats Horner's one small factor per coefficient.
+    A value expand_all returned is q0^shift times prod Phi_n(q0)^e_n of the
+    product it was expanded from, each Phi_n(q0) computed once per (n, q0)
+    (_cyclotomic_value); any other by Horner over its coefficients
+    (_horner).
     """
     if q0 < 2:
         raise ValueError("evaluation point must be >= 2")
-    cs = p.coeffs
+    product = p._product
+    if product is None:
+        return _horner(p.coeffs, q0)
+    value = q0**product.shift
+    for n, e in product.phi:
+        value *= _cyclotomic_value(n, q0) ** e
+    return value
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_value(n: int, q0: int) -> int:
+    """Phi_n(q0): q0^n - 1 divided by Phi_d(q0) over the divisors d < n of n,
+    as q^n - 1 = prod over d | n of Phi_d, raising NonExactDivision on a
+    nonzero remainder."""
+    divisor = prod(_cyclotomic_value(d, q0) for d in _divisors(n)[:-1])
+    value, remainder = divmod(q0**n - 1, divisor)
+    if remainder:
+        raise NonExactDivision(
+            f"q^{n} - 1 is not divisible by its Phi_d, d < {n}, at q={q0}"
+        )
+    return value
+
+
+def _horner(cs: tuple[int, ...], q0: int) -> int:
+    """sum cs[i] q0^i by Horner within each block of 64 coefficients; the
+    block values are then combined pairwise, v_2i + v_2i+1 * q0^(64 * 2^level),
+    so the large products have operands of equal size, where CPython's
+    Karatsuba multiply beats Horner's one small factor per coefficient."""
     values = []
     for start in range(0, len(cs), 64):
         acc = 0
@@ -390,7 +439,8 @@ def expand_all(products: Iterable[QProduct]) -> list[QPolynomial]:
     steps keep only the low half of each value (_expanded).  Each result is
     unfolded once and shifted by its own product's power of q, and equal
     products get the same QPolynomial object, so a caller can render or
-    evaluate each distinct one once.
+    evaluate each distinct one once.  Each object records its product,
+    from which eval_big evaluates it.
     """
     products = list(products)
     expanded: dict[tuple[tuple[int, int], ...], tuple[int, ...]] = {}
@@ -409,7 +459,8 @@ def expand_all(products: Iterable[QProduct]) -> list[QPolynomial]:
         key = p.shift, p.phi
         value = made.get(key)
         if value is None:  # the top coefficient is +-c_0, never zero: no trim
-            value = made[key] = QPolynomial._of_trimmed((0,) * p.shift + expanded[p.phi])
+            coeffs = (0,) * p.shift + expanded[p.phi]
+            value = made[key] = QPolynomial._of_trimmed(coeffs, p)
         values.append(value)
     return values
 

@@ -196,6 +196,58 @@ def test_matrix_strata_sum_mismatch_exits_2(capsys, monkeypatch):
     assert "strata sum" in err
 
 
+def corrupted_expansion(monkeypatch, index, change):
+    """Make the expand_all of orders add change to the coefficients of the
+    value at index of each call and keep the product that value records:
+    eval_big still reads the value from its product, while its printed
+    coefficients, and the total summed from them, carry the change."""
+
+    def corrupted(products):
+        values = qpoly.expand_all(products)
+        value = values[index]
+        coeffs = (QPolynomial(value.coeffs) + change).coeffs
+        values[index] = QPolynomial._of_trimmed(coeffs, value._product)
+        return values
+
+    monkeypatch.setattr(orders, "expand_all", corrupted)
+
+
+SUM_ERROR = (
+    "error: the rows' values do not sum to the value of the total's coefficients"
+    " at q={}\n"
+)
+
+
+@pytest.mark.parametrize("formula", ["thm34", "thm41"])
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("qs", ["2,3", "3,2"])
+def test_order_terms_must_sum_to_the_total_at_each_q(capsys, monkeypatch, formula, fmt, qs):
+    # q - q^2 is 0 at q = 1, so the total passes its |M|(1) = 1 check
+    corrupted_expansion(monkeypatch, 1, QPolynomial([0, 1, -1]))
+    code, out, err = run(
+        capsys, "order", "--type", "C3", "--preset", "last-fundamental",
+        "--formula", formula, "--q", qs, "--format", fmt,
+    )
+    assert (code, out, err) == (2, "", SUM_ERROR.format(qs.split(",")[0]))
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_strata_must_sum_to_the_total_at_each_q(capsys, monkeypatch, fmt):
+    # the C3 total has degree 22 and its H degree 21; q^12 - q^10 adds
+    # q^10 + q^11 to H, which keeps it palindromic, and M^1 is not the top
+    # stratum checked against its own expansion
+    assert orders.symplectic_order(3).total.degree == 22
+    corrupted_expansion(monkeypatch, 1, QPolynomial([0] * 10 + [-1, 0, 1]))
+    code, out, err = run(
+        capsys, "strata", "--type", "C3", "--preset", "last-fundamental",
+        "--q", "5,2", "--format", fmt,
+    )
+    assert (code, out, err) == (2, "", SUM_ERROR.format(5))
+    # with no q, nothing is evaluated and nothing checked
+    code, out, _ = run(capsys, "strata", "--type", "C3", "--preset", "last-fundamental")
+    assert code == 0 and out
+
+
 def test_strata_unsupported_family(capsys):
     code, _, err = run(
         capsys, "strata", "--type", "G2", "--preset", "last-fundamental"
@@ -1000,6 +1052,20 @@ def test_explicit_j0_equal_to_a_preset_keeps_its_provenance(capsys):
     explicit = run(capsys, "lattice", "--type", "C3", "--j0", "1,2")
     assert preset == explicit
     assert "(paper-verified)" in explicit[1]
+
+
+@pytest.mark.parametrize("spec", ["E8", "C13"])
+def test_hpoly_csv_is_what_csv_writer_writes(capsys, spec):
+    argv = ("hpoly", "--type", spec, "--preset", "last-fundamental")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(["power", "coefficient"])
+    writer.writerows(enumerate(json.loads(out)["h_coeffs"]))
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert out.encode() == expected.getvalue().encode()
 
 
 def listed_hpoly(capsys, spec, j0, fmt):

@@ -612,9 +612,10 @@ def test_report_is_frozen(capsys, tmp_path):
     assert report.notes is notes
     # values at q live outside the report, which serves any list of q
     assert not hasattr(report, "evaluations")
-    total = [("total", report.total)]
-    assert cli._evaluated(total, [2]) == [{2: "2296"}]
-    [values] = cli._evaluated(total, [3, 2])
+    rows = [*report.terms, ("total", report.total)]
+    total = slice(-1, None)
+    assert cli._evaluated(rows, [2], total) == [{2: "2296"}]
+    [values] = cli._evaluated(rows, [3, 2], total)
     assert list(values.items()) == [(3, "183681"), (2, "2296")]
     assert cli_order_json(capsys, tmp_path, lat)["evaluations"] == {}
     assert cli_order_json(capsys, tmp_path, lat, 2)["evaluations"] == {"2": "2296"}

@@ -26,6 +26,7 @@ from monoid_orders.qpoly import (
     poly_sum,
     q_power_minus_one,
     times_product,
+    _cyclotomic_value,
     _divisors,
     _over_binomial,
     _times_binomial,
@@ -631,3 +632,65 @@ def test_factored_multiply_and_divide_match_dict_merge(a, b):
     else:
         assert a / b == expected
         assert (a / b) * b == a
+
+
+# the small prime powers and 2^61 - 1, a Mersenne prime
+EVALUATION_POINTS = (2, 3, 4, 5, 7, 8, 9, 2**61 - 1)
+
+
+@given(product_sequences())
+# past several 64-coefficient Horner blocks
+@example([QProduct.of([2 * i for i in range(1, 13)] * 2, shift=40)])
+def test_factored_values_match_horner(sequence):
+    # each expansion evaluated from its recorded product, against the same
+    # coefficients evaluated by Horner
+    for product, value in zip(sequence, expand_all(sequence)):
+        dense = QPolynomial(value.coeffs)
+        assert value._product == product and dense._product is None
+        for q0 in EVALUATION_POINTS:
+            assert eval_big(value, q0) == eval_big(dense, q0)
+
+
+def test_recorded_product_is_left_out_of_equality_hash_repr_and_replace():
+    product = QProduct.of([2, 3], shift=1)
+    [value] = expand_all([product])
+    dense = QPolynomial(value.coeffs)
+    assert value._product == product
+    assert value == dense and hash(value) == hash(dense)
+    assert repr(value) == repr(dense) == "QPolynomial([0, 1, 0, -1, -1, 0, 1])"
+    assert value.replace()._product is None
+    assert value.replace(coeffs=value.coeffs) == value
+    # arithmetic builds values of no recorded product
+    assert (value + ZERO)._product is None and (value * ONE)._product is None
+
+
+def test_factored_values_run_no_horner_block(monkeypatch):
+    sequence = [QProduct.of(range(1, 20), shift=3), QProduct.of([4, 6]) / QProduct.of([2])]
+    values = expand_all(sequence)
+    expected = [[eval_big(QPolynomial(v.coeffs), q0) for q0 in EVALUATION_POINTS] for v in values]
+    blocks = []
+    monkeypatch.setattr(qpoly, "_horner", lambda cs, q0: blocks.append(len(cs)))
+    assert [[eval_big(v, q0) for q0 in EVALUATION_POINTS] for v in values] == expected
+    assert blocks == []
+    eval_big(QPolynomial(values[0].coeffs), 2)  # no product: Horner
+    assert blocks == [len(values[0].coeffs)]
+
+
+def test_cyclotomic_values():
+    # Phi_1, Phi_2, Phi_4, Phi_6 and Phi_12 at 2 and at 2^61 - 1
+    assert [_cyclotomic_value(n, 2) for n in (1, 2, 4, 6, 12)] == [1, 3, 5, 3, 13]
+    m = 2**61 - 1
+    assert _cyclotomic_value(12, m) == m**4 - m**2 + 1
+
+
+def test_cyclotomic_value_raises_on_a_remainder(monkeypatch):
+    # with 2 left out of the divisors of 4, (2^4 - 1) / (Phi_1(2) Phi_3(2))
+    # = 15 / 7 leaves a remainder, raised as an error, not asserted
+    real = qpoly._divisors
+    monkeypatch.setattr(qpoly, "_divisors", lambda n: (1, 3, 4) if n == 4 else real(n))
+    _cyclotomic_value.cache_clear()
+    try:
+        with pytest.raises(NonExactDivision, match="q=2"):
+            _cyclotomic_value(4, 2)
+    finally:
+        _cyclotomic_value.cache_clear()
