@@ -29,12 +29,14 @@ The strata sums as polynomials are checked in orders, where the strata are
 built.  --format json is exactly json.dumps(payload, indent=2) and a
 newline, for every command, through _write_json, which writes each row (a
 lattice entry, an order term, a stratum) when it is done, an entry from
-its index text, which also gives the csv and table cells (_entry_cells).
-As every check runs first, only a MemoryError or a closed pipe can stop a
-listing midway, leaving partial output.  --format csv is exactly what
-csv.writer writes, one row per write (_print_csv, _print_lattice_csv and
-hpoly's rows of ints), its label quoted as csv.writer would quote it
-(_csv_field).
+its index text, which also gives the csv and table cells.  As every check
+runs first, only a MemoryError or a closed pipe can stop a listing
+midway, leaving partial output.  --format csv is exactly what csv.writer
+writes, for every command, through _write_csv, which takes each row as
+its label and the rest of its fields already joined (_term_fields for a
+polynomial row, built once per distinct polynomial) and writes it with
+one write, its label quoted as csv.writer would quote it.  The order and
+lattice tables write their entry rows through _write_entry_rows.
 """
 
 from __future__ import annotations
@@ -399,55 +401,52 @@ def _lattice_json(lat: CrossSectionLattice) -> dict:
     return head | {"provenance": lat.provenance, "entries": list(lat.entries)}
 
 
-def _entry_cells(e: LatticeEntry) -> str:
-    """An entry's lambda* and lambda_* cells in the order and lattice tables."""
-    star, substar = e.index_text
-    return f"lambda*={'{' + star + '}':<12} lambda_*={'{' + substar + '}':<12}"
-
-
-def _print_order_table(
-    report: OrderReport, agreed: list[str] | None, values: dict[int, str]
-) -> None:
-    print(f"type {report.cartan_type}  formula {report.formula}")
-    for note in report.notes:
-        print(f"note: {note}")
-    entries = {e.label: e for e in report.lattice.entries}
-    width = max(len(label) for label, _ in report.terms)
-    # each distinct term object rendered once
-    texts = {id(term): term for _, term in report.terms}
-    texts = {key: str(term) for key, term in texts.items()}
-    write = sys.stdout.write  # one write per row, where print makes two
-    for label, term in report.terms:
-        cells, text = _entry_cells(entries[label]), texts[id(term)]
-        write(f"  {label:<{width}}  {cells}  {text}\n")
-    print(f"total: {report.total}")
-    for q0, value in values.items():
-        print(f"q={q0}: {value}")
-    if agreed is not None:
-        print(f"{len(agreed)} formulas agree")
-
-
-def _print_csv(
-    rows: list[tuple[str, QPolynomial]], values: list[dict[int, str]], qs: list[int]
-) -> None:
-    """Exactly what csv.writer(sys.stdout) writes for the header and one row
-    per (label, polynomial) row, with one write per row: only the label can
-    need quoting, and each distinct polynomial object's fields are built
-    once."""
+def _write_csv(header: list[str], rows) -> None:
+    """Exactly what csv.writer(sys.stdout) writes for header and one row per
+    (label, rest) pair, rest being the row's other fields already joined,
+    none of which needs quotes: one write per row, the label quoted, its
+    quotes doubled, when it holds a comma, a quote or a line break."""
     write = sys.stdout.write
-    write(",".join(["label", "coeffs", *(f"q={q0}" for q0 in qs)]) + "\r\n")
+    write(",".join(header) + "\r\n")
+    for label, rest in rows:
+        if "," in label or '"' in label or "\n" in label or "\r" in label:
+            quoted = label.replace('"', '""')
+            write(f'"{quoted}",{rest}\r\n')
+        else:
+            write(f"{label},{rest}\r\n")
+
+
+def _term_csv(rows, values: list[dict[int, str]], qs: list[int]):
+    """The (label, polynomial) rows and their values as _write_csv's
+    (label, rest) pairs, each distinct polynomial object's rest built once
+    by _term_fields."""
     texts: dict[int, str] = {}
     for (label, poly), row in zip(rows, values):
         text = texts.get(id(poly))
         if text is None:
-            text = texts[id(poly)] = _csv_fields(poly, row, qs)
-        write(f"{_csv_field(label)},{text}")
+            text = texts[id(poly)] = _term_fields(poly, row, qs)
+        yield label, text
 
 
-def _csv_fields(poly: QPolynomial, row: dict[int, str], qs: list[int]) -> str:
-    """A csv row past its label: the coefficients separated by spaces, then
-    the value at each q0 of qs, none of them needing quotes."""
-    return ",".join([" ".join(map(str, poly.coeffs)), *(row[q0] for q0 in qs)]) + "\r\n"
+def _term_fields(poly: QPolynomial, row: dict[int, str], qs: list[int]) -> str:
+    """The coefficients separated by spaces, then the value at each q0 of qs."""
+    return ",".join([" ".join(map(str, poly.coeffs)), *(row[q0] for q0 in qs)])
+
+
+def _write_entry_rows(entries: tuple[LatticeEntry, ...], rests) -> None:
+    """The order and lattice tables' rows, one write per (entry, rest) pair
+    of entries and rests: the entry's label padded to the longest, its
+    lambda* and lambda_* cells, then rest.  The pairs come as two sequences,
+    since a list of a long lattice's pairs costs the collector more than
+    writing them."""
+    width = max(len(e.label) for e in entries)
+    write = sys.stdout.write  # one write per row, where print makes two
+    for e, rest in zip(entries, rests):
+        star, substar = e.index_text
+        write(
+            f"  {e.label:<{width}}  lambda*={'{' + star + '}':<12}"
+            f" lambda_*={'{' + substar + '}':<12}{rest}\n"
+        )
 
 
 def _cmd_order(args, enum_bound: int | None) -> int:
@@ -502,9 +501,23 @@ def _cmd_order(args, enum_bound: int | None) -> int:
             payload["agreement"] = agreed
         _write_json(payload, sys.stdout.write)
     elif args.format == "csv":
-        _print_csv(rows, values, sorted(qs))  # by ascending q
+        qs = sorted(qs)  # by ascending q
+        header = ["label", "coeffs", *(f"q={q0}" for q0 in qs)]
+        _write_csv(header, _term_csv(rows, values, qs))
     else:
-        _print_order_table(primary, agreed, values[-1])
+        print(f"type {primary.cartan_type}  formula {primary.formula}")
+        for note in primary.notes:
+            print(f"note: {note}")
+        # each distinct term object rendered once, its cells' gap included
+        texts = {id(term): term for _, term in primary.terms}
+        texts = {key: f"  {term}" for key, term in texts.items()}
+        rests = (texts[id(term)] for _, term in primary.terms)
+        _write_entry_rows(primary.lattice.entries, rests)
+        print(f"total: {primary.total}")
+        for q0, value in values[-1].items():
+            print(f"q={q0}: {value}")
+        if agreed is not None:
+            print(f"{len(agreed)} formulas agree")
     return EXIT_OK
 
 
@@ -531,11 +544,9 @@ def _print_hpoly(report: OrderReport, fmt: str) -> None:
         payload = {"type": str(report.cartan_type), "h_coeffs": h}
         payload |= {"palindromic": palindromic, "notes": list(report.notes)}
         _write_json(payload, sys.stdout.write)
-    elif fmt == "csv":  # as csv.writer writes it: no field needs quotes
-        write = sys.stdout.write
-        write("power,coefficient\r\n")
-        for power, c in enumerate(h.coeffs):
-            write(f"{power},{c}\r\n")
+    elif fmt == "csv":
+        rows = ((str(power), str(c)) for power, c in enumerate(h.coeffs))
+        _write_csv(["power", "coefficient"], rows)
     else:
         print(f"type {report.cartan_type}  H-polynomial of the order")
         for note in report.notes:
@@ -580,8 +591,9 @@ def _cmd_strata(args) -> int:
             for (label, term), row in zip(rows, values)
         ]
         _write_json({"strata": strata, "total_coeffs": total}, sys.stdout.write)
-    elif args.format == "csv":
-        _print_csv(rows, values, qs)
+    elif args.format == "csv":  # in --q order
+        header = ["label", "coeffs", *(f"q={q0}" for q0 in qs)]
+        _write_csv(header, _term_csv(rows, values, qs))
     else:
         print(title)
         for (label, term), row in zip(rows, values):
@@ -595,44 +607,23 @@ def _cmd_lattice(args, enum_bound: int | None) -> int:
     lat = _resolve_lattice(args, enum_bound, _resolve_support(args))
     if args.format == "json":
         _write_json(_lattice_json(lat), sys.stdout.write)
-    elif args.format == "csv":
-        _print_lattice_csv(lat)
+    elif args.format == "csv":  # the index texts print their commas as spaces
+        header = ["label", "lambda_star", "lambda_substar", "torus_index_exponent"]
+        rows = (
+            (e.label, f"{star.replace(',', ' ')},{substar.replace(',', ' ')},"
+             f"{e.torus_index_exponent}")
+            for e in lat.entries
+            for star, substar in (e.index_text,)
+        )
+        _write_csv(header, rows)
     else:
         print(
             f"type {lat.root_system.cartan_type}  "
             f"torus rank {lat.torus_rank}  ({lat.provenance})"
         )
-        width = max(len(e.label) for e in lat.entries)
-        write = sys.stdout.write  # one write per row, where print makes two
-        for e in lat.entries:
-            write(
-                f"  {e.label:<{width}}  {_entry_cells(e)}"
-                f" [T:T(e)]=(q-1)^{e.torus_index_exponent}\n"
-            )
+        tails = (f" [T:T(e)]=(q-1)^{e.torus_index_exponent}" for e in lat.entries)
+        _write_entry_rows(lat.entries, tails)
     return EXIT_OK
-
-
-def _csv_field(text: str) -> str:
-    """text as csv.writer's default dialect writes it in a row of several
-    fields: quoted, its quotes doubled, when it holds a comma, a quote or a
-    line break."""
-    if "," in text or '"' in text or "\n" in text or "\r" in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
-def _print_lattice_csv(lat: CrossSectionLattice) -> None:
-    """Exactly what csv.writer(sys.stdout) writes for the header and one row
-    per entry, with one write per row: of the four fields only the label
-    can need quoting, and the index texts print their commas as spaces."""
-    write = sys.stdout.write
-    write("label,lambda_star,lambda_substar,torus_index_exponent\r\n")
-    for e in lat.entries:
-        star, substar = e.index_text
-        write(
-            f"{_csv_field(e.label)},{star.replace(',', ' ')},"
-            f"{substar.replace(',', ' ')},{e.torus_index_exponent}\r\n"
-        )
 
 
 def _cmd_verify(enum_bound: int | None) -> int:

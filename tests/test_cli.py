@@ -657,7 +657,8 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert done.returncode == 0, done.stderr
     added = set(done.stdout.split())
     assert "monoid_orders.cli" in added
-    assert not added & {"dataclasses", "inspect"}
+    # csv rows are written directly, so csv is not loaded either
+    assert not added & {"dataclasses", "inspect", "csv"}
 
 
 def test_computation_errors_exit_2(capsys, tmp_path):
@@ -1495,7 +1496,7 @@ def test_order_renders_each_distinct_term_once(capsys, monkeypatch, fmt, formula
 
     monkeypatch.setattr(QPolynomial, "__str__", counting("str", QPolynomial.__str__))
     renders = counting_term_renders(monkeypatch)
-    monkeypatch.setattr(cli, "_csv_fields", counting("csv", cli._csv_fields))
+    monkeypatch.setattr(cli, "_term_fields", counting("csv", cli._term_fields))
     decimals = Counter()
     real_decimal = cli._decimal
     monkeypatch.setattr(
@@ -1564,6 +1565,37 @@ def test_order_csv_quotes_labels_as_csv_writer_does(capsys, tmp_path):
     )
     assert (code, err) == (0, "")
     assert out == order_by_rows(report, "csv", [2, 4], None)
+
+
+def test_csv_q_columns_keep_each_command_s_order(capsys):
+    # strata writes its q columns in --q order and order sorts them; both
+    # against csv.writer over rows built from the library
+    def oracle(header, rows, qs):
+        out = io.StringIO()
+        writer = csv.writer(out)
+        writer.writerow(header)
+        for label, term in rows:
+            values = [qpoly.eval_big(term, q0) for q0 in qs]
+            writer.writerow([label, " ".join(map(str, term.coeffs)), *values])
+        return out.getvalue()
+
+    strata = orders.symplectic_order(8).terms
+    code, out, err = run(
+        capsys, "strata", "--type", "C8", "--preset", "last-fundamental",
+        "--q", "3,2", "--format", "csv",
+    )
+    assert (code, err) == (0, "")
+    assert out.startswith("label,coeffs,q=3,q=2\r\n")
+    assert out == oracle(["label", "coeffs", "q=3", "q=2"], strata, [3, 2])
+    report = route(j_irreducible_lattice(build(CartanType("A", 8)), frozenset()), "thm34")
+    code, out, err = run(
+        capsys, "order", "--type", "A8", "--j0=", "--formula", "thm34",
+        "--q", "3,2", "--format", "csv",
+    )
+    assert (code, err) == (0, "")
+    assert out.startswith("label,coeffs,q=2,q=3\r\n")
+    rows = [*report.terms, ("total", report.total)]
+    assert out == oracle(["label", "coeffs", "q=2", "q=3"], rows, [2, 3])
 
 
 def counting_term_renders(monkeypatch) -> Counter:
