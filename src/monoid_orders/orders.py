@@ -23,14 +23,14 @@ lambda_* as its masks, and the degree-based ones read the degrees and root
 count of each parabolic subgroup W_X from rootsystem's per-mask memo,
 never from a classification of X.
 
-The H-polynomial reads thm34's total, which adds each distinct term once,
-times the number of entries sharing it.  For a weight support
-no lattice is listed: census_total sums the keys counted by
-crosssection.thm34_census, grouped by their lambda_* degrees, and for type
-A with J0 = {} chain_total sums along the Dynkin chain instead.  Both are
-bounded by their own sizes, known before any expansion, not by the lattice
-bound, and both give the listed lattice's notes, the B/C note read from the
-Cartan matrix.
+Every route's report is totalled by one rule (_finish): each distinct term
+object once, times the number of entries holding it.  The H-polynomial
+reads thm34's total.  For a weight support no lattice is listed:
+census_total sums the keys counted by crosssection.thm34_census, grouped by
+their lambda_* degrees, and for type A with J0 = {} chain_total sums along
+the Dynkin chain instead.  Both are bounded by their own sizes, known
+before any expansion, not by the lattice bound, and both give the listed
+lattice's notes, the B/C note read from the Cartan matrix.
 
 Plus closed forms for the two published stratifications (full matrix monoid
 and the last-fundamental, omega_l, monoid of type C_l; the natural
@@ -93,6 +93,12 @@ BC_NOTE = "B_r/C_r component tags are interchangeable for order computations"
 
 
 class OrderReport(Immutable):
+    """One order: the formula that gave it (a name in ROUTES, or
+    "symplectic"), the Cartan type, the (label, polynomial) terms in entry
+    or stratum order, the total, which is 1 at q = 1, the lattice (None
+    when none is listed) and the notes.  A route's total adds each distinct
+    term object once, times the number of entries holding it (_finish)."""
+
     __slots__ = _fields = (
         "formula",
         "cartan_type",
@@ -144,34 +150,28 @@ def _finish(
     formula: str,
     lat: CrossSectionLattice,
     values: list[QPolynomial],
-    notes: tuple[str, ...] = (),
-    total: QPolynomial | None = None,
+    notes: tuple[str, ...],
 ) -> OrderReport:
     """The report whose terms are the entries' values, in entry order, and
-    whose total, the sum of the values by default, must pass _checked."""
-    if total is None:
-        total = poly_sum(values)
+    whose total, which must pass _checked, adds each distinct value object
+    once, times the number of entries holding it: expand_all gives equal
+    products one object (thm34's 65,537 terms on A16, J0 = {}, are 298)."""
+    counts = Counter(map(id, values))
+    distinct = {id(value): value for value in values}
+    total = poly_sum(_scaled(counts[key], value) for key, value in distinct.items())
     return OrderReport(
         formula=formula,
         cartan_type=lat.root_system.cartan_type,
         terms=tuple(zip((e.label for e in lat.entries), values)),
         total=_checked(formula, total),
         lattice=lat,
-        notes=_lattice_notes(lat) + notes,
+        notes=notes,
     )
 
 
 def _scaled(n: int, term: QPolynomial) -> QPolynomial:
     """n times a term shared by n entries; a term of one entry as it is."""
     return term if n == 1 else QPolynomial(map(n.__mul__, term.coeffs))
-
-
-def _weighted_total(values: list[QPolynomial]) -> QPolynomial:
-    """thm34's total: each distinct value once, times the number of entries
-    that hold it (expand_all gives equal products one object)."""
-    counts = Counter(map(id, values))
-    distinct = dict(zip(map(id, values), values))
-    return poly_sum(_scaled(n, distinct[key]) for key, n in counts.items())
 
 
 def _checked(formula: str, total: QPolynomial) -> QPolynomial:
@@ -460,37 +460,33 @@ def all_orders(
     thm33's, thm34's and thm41's factored terms are compared with each
     earlier route's, entry by entry: a product's (shift, phi) is canonical,
     so the comparison is exact.  A route whose products equal an earlier
-    route's takes its values and total, any other expands its own in one
-    expand_all call; thm34 keeps its own weighted total.  A shared
-    expansion still meets dense checks that share none of it: thm31's
-    walked terms, and the walked coset sums of thm33_products.
+    route's takes its value objects, any other expands its own in one
+    expand_all call; every route totals its own values by _finish's one
+    rule.  A shared expansion still meets dense checks that share none of
+    it: thm31's walked terms, and the walked coset sums of thm33_products.
     """
     results: dict = {}
-    expanded = []  # (products, values, total) of each route expanded so far
+    lattice_notes = _lattice_notes(lat)
+    expanded = []  # (products, values) of each route expanded so far
     for name in (r for r in ROUTES if r in routes):
-        notes = ()
-        if name == "thm31":
-            try:
-                results[name] = _finish(name, lat, thm31_terms(lat, enum_bound=enum_bound))
-            except GroupTooLarge as exc:
-                results[name] = exc
-            continue
-        if name == "thm33":
-            products, notes = thm33_products(lat, enum_bound=enum_bound)
-        elif name == "thm34":
-            products = thm34_products(lat)
-        else:
-            try:
+        notes, products = (), None
+        try:
+            if name == "thm31":
+                values = thm31_terms(lat, enum_bound=enum_bound)
+            elif name == "thm33":
+                products, notes = thm33_products(lat, enum_bound=enum_bound)
+            elif name == "thm34":
+                products = thm34_products(lat)
+            else:
                 products = thm41_products(lat)
-            except NotJIrreducible as exc:
-                results[name] = exc
-                continue
-        shared = next(((v, t) for p, v, t in expanded if p == products), None)
-        values, total = shared or (expand_all(products), None)
-        if name == "thm34":
-            total = _weighted_total(values)
-        results[name] = report = _finish(name, lat, values, notes, total)
-        expanded.append((products, values, report.total))
+        except (GroupTooLarge, NotJIrreducible) as exc:
+            results[name] = exc
+            continue
+        if products is not None:
+            values = next((v for p, v in expanded if p == products), None)
+            values = values or expand_all(products)
+            expanded.append((products, values))
+        results[name] = _finish(name, lat, values, lattice_notes + notes)
     return results
 
 
