@@ -290,7 +290,7 @@ def thm34_products(lat: CrossSectionLattice) -> list[QProduct]:
     def term(sub_degrees, k, star_degrees) -> QProduct:
         denom = poincare_factors(sub_degrees) ** 2 * poincare_factors(star_degrees)
         ratio = QProduct.of([1] * k) * (p_w_squared / denom)
-        return QProduct(sum(star_degrees) - len(star_degrees), ratio.phi)
+        return ratio * QProduct(sum(star_degrees) - len(star_degrees))
 
     return [
         term(

@@ -4,14 +4,16 @@ Two representations.  QPolynomial is dense: coeffs[i] is the coefficient of
 q^i, with no trailing zero (the zero polynomial has an empty coefficient
 tuple).  QProduct is factored: q^shift times a product of cyclotomic
 polynomials Phi_n with exponents e_n, which covers every closed form built
-from (q^d - 1) factors, since q^d - 1 = prod over n | d of Phi_n.
+from (q^d - 1) factors, since q^d - 1 = prod over n | d of Phi_n.  It is
+one int of 32-bit fields, the shift in field 0 and e_n in field n.
 
 Exactness is checked literally in both.  Dense division raises on a nonzero
-remainder.  Factored division subtracts exponents and raises as soon as a
-Phi exponent or the shift would go negative.  expand_all is the one path
-from factored to dense: it steps each distinct product from 1 or from the
-product stepped to before it, multiplying and dividing by (q^d - 1)
-factors, with a sparse division that raises on a nonzero remainder as well.
+remainder.  Factored division is one int subtraction under each field's
+top bit, and raises if a Phi exponent or the shift would go negative; a
+product is one int addition.  expand_all is the one path from factored to
+dense: it steps each distinct product from 1 or from the product stepped
+to before it, multiplying and dividing by (q^d - 1) factors, with a
+sparse division that raises on a nonzero remainder as well.
 Each value it steps through has c_{degree-j} = c_0 c_j, c_0 = +-1, so past
 a small degree it keeps only the low half and unfolds each result once.
 times_product steps a dense polynomial by a factored product through the
@@ -31,11 +33,12 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from functools import lru_cache
-from itertools import accumulate, compress, islice, zip_longest
+from itertools import accumulate, compress, count, islice, zip_longest
 from math import isqrt, prod
 from operator import add, mul, sub
+from sys import byteorder
 
-from .errors import IndexOutOfRange, NonExactDivision
+from .errors import IndexOutOfRange, InvariantViolation, NonExactDivision
 
 
 class Immutable:
@@ -44,12 +47,13 @@ class Immutable:
     A subclass lists its fields in ``_fields``, in constructor order, and
     every slot in ``__slots__``, the slots that hold the fields first; slots
     past those hold derived or memoized state, which equality, hashing,
-    repr and replace leave out.  Its ``__init__`` assigns each slot with
-    object.__setattr__ or the slot's member descriptor, since assignment
-    otherwise raises.  Equality holds between instances of the same class
-    with equal fields, and the hash is that of the field tuple, as a frozen
-    dataclass has them; importing dataclasses would cost every CLI launch
-    its inspect/ast import chain.
+    repr and replace leave out (QProduct's fields are views of its one
+    slot, which it compares and hashes itself).  Its constructor assigns
+    each slot with object.__setattr__ or the slot's member descriptor,
+    since assignment otherwise raises.  Equality holds between instances of
+    the same class with equal fields, and the hash is that of the field
+    tuple, as a frozen dataclass has them; importing dataclasses would cost
+    every CLI launch its inspect/ast import chain.
     """
 
     __slots__ = ()
@@ -264,10 +268,9 @@ def eval_big(p: QPolynomial, q0: int) -> int:
     product = p._product
     if product is None:
         return _horner(p.coeffs, q0)
-    value = q0**product.shift
-    for n, e in product.phi:
-        value *= _cyclotomic_value(n, q0) ** e
-    return value
+    shift, *phi = _fields(product._packed)
+    factors = compress(enumerate(phi, 1), phi)  # the n with e_n > 0
+    return q0**shift * prod(_cyclotomic_value(n, q0) ** e for n, e in factors)
 
 
 @lru_cache(maxsize=None)
@@ -348,67 +351,67 @@ def _over_binomial(coeffs: list[int], d: int, degree: int | None = None) -> list
 class QProduct(Immutable):
     """q^shift * prod over n of Phi_n(q)^e_n, every e_n >= 0.
 
-    Phi_n is the n-th cyclotomic polynomial.  ``phi`` holds the (n, e_n)
-    pairs with e_n > 0 in increasing n, so equal products compare equal.
-    Build values with ``QProduct.of``; multiplication adds exponents,
-    exact division subtracts them, and ``expand`` gives the dense form.
+    Phi_n is the n-th cyclotomic polynomial.  The one slot holds an int of
+    32-bit fields below 2^31, the shift in field 0 and e_n in field n, as
+    many as the largest n (the package's products have n <= 2 * rank);
+    ``shift`` and ``phi``, the (n, e_n) pairs with e_n > 0 in increasing n,
+    are read-only views of it.  Build values with ``QProduct.of``;
+    ``expand`` gives the dense form.
     """
 
-    __slots__ = _fields = ("shift", "phi")
+    _fields = ("shift", "phi")
+    __slots__ = ("_packed",)
 
-    def __init__(self, shift: int = 0, phi: tuple[tuple[int, int], ...] = ()):
-        object.__setattr__(self, "shift", shift)
-        object.__setattr__(self, "phi", phi)
+    def __new__(cls, shift: int = 0, phi: Iterable[tuple[int, int]] = ()):
+        packed = cls.of((), shift)._packed
+        for n, e in phi:  # the pairs add, in any order
+            if n < 1 or not 0 <= e < _LIMIT:
+                raise ValueError(f"Phi_{n}^{e} needs n >= 1 and 0 <= e < 2^31")
+            packed += e << _WIDTH * n
+        return _product(packed)
 
     @classmethod
     def of(cls, degrees: Iterable[int] = (), shift: int = 0) -> "QProduct":
         """q^shift * prod of (q^d - 1) over the multiset ``degrees``."""
-        if shift < 0:
-            raise ValueError("negative power")
-        phi: dict[int, int] = {}
-        for d in degrees:
-            if d < 1:
-                raise ValueError(f"q^{d} - 1 is not a cyclotomic product")
-            for n in _divisors(d):
-                phi[n] = phi.get(n, 0) + 1
-        return cls(shift, tuple(sorted(phi.items())))
+        if not 0 <= shift < _LIMIT:
+            raise ValueError(f"q^{shift} needs 0 <= shift < 2^31")
+        return _product(sum(map(_divisor_mask, degrees), shift))
 
-    def _combine(self, other: "QProduct", sign: int) -> "QProduct":
-        """self * other^sign by one merge of the two n-sorted phi tuples."""
-        shift = self.shift + sign * other.shift
-        a = self.phi
-        phi = []
-        i, negative = 0, False
-        for n, e in other.phi:
-            while i < len(a) and a[i][0] < n:
-                phi.append(a[i])
-                i += 1
-            e *= sign
-            if i < len(a) and a[i][0] == n:
-                e += a[i][1]
-                i += 1
-            if e > 0:
-                phi.append((n, e))
-            elif e:  # only the exponents other changes can fall below 0
-                negative = True
-        phi += a[i:]
-        if shift < 0 or negative:
-            raise NonExactDivision(f"({self}) is not divisible by ({other})")
-        return QProduct(shift, tuple(phi))
+    @property
+    def shift(self) -> int:
+        return self._packed & _LOW
+
+    @property
+    def phi(self) -> tuple[tuple[int, int], ...]:
+        return tuple((n, e) for n, e in enumerate(_fields(self._packed)) if n and e)
+
+    def __eq__(self, other) -> bool:
+        same = other.__class__ is QProduct
+        return self._packed == other._packed if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._packed)
 
     def __mul__(self, other: "QProduct") -> "QProduct":
-        return self._combine(other, 1)
+        return _product(self._packed + other._packed)
 
     def __truediv__(self, other: "QProduct") -> "QProduct":
-        """Exact quotient; NonExactDivision unless every exponent stays >= 0."""
-        return self._combine(other, -1)
+        """Exact quotient; NonExactDivision unless every exponent stays >= 0:
+        a field of a | guard is its exponent plus 2^31, so subtracting b's
+        keeps its top bit iff the quotient's exponent is >= 0, no borrow."""
+        a, b = self._packed, other._packed
+        guard = _guard(max(a, b).bit_length() // _WIDTH + 1)
+        quotient = (a | guard) - b
+        if quotient & guard != guard:
+            raise NonExactDivision(f"({self}) is not divisible by ({other})")
+        return _product(quotient ^ guard)
 
     def __pow__(self, k: int) -> "QProduct":
         if k < 0:
             raise ValueError("negative exponent")
-        if k == 0:
-            return QProduct()
-        return QProduct(self.shift * k, tuple((n, e * k) for n, e in self.phi))
+        if k * max(_fields(self._packed)) >= _LIMIT:
+            raise InvariantViolation(f"({self})^{k} has an exponent of 2^31 or more")
+        return _product(self._packed * k)
 
     def __str__(self) -> str:
         factors = [f"q^{self.shift}"] if self.shift else []
@@ -416,50 +419,88 @@ class QProduct(Immutable):
         return " * ".join(factors) or "1"
 
 
-def _binomial_powers(phi: tuple[tuple[int, int], ...]) -> dict[int, int]:
-    """The (q^d - 1) exponents p_d of prod Phi_n^e_n.  Since q^d - 1 is the
-    product of Phi_n over n | d, e_n is the sum of p_d over the multiples d
-    of n, solved for p_d from the largest d down."""
-    exponents = dict(phi)
-    top = max(exponents, default=0)
-    power = [0] * (top + 1)
-    for d in range(top, 0, -1):
-        power[d] = exponents.get(d, 0) - sum(power[2 * d :: d])
-    return {d: p for d, p in enumerate(power) if p}
+_WIDTH = 32  # bits per QProduct field
+_LIMIT, _LOW = 1 << _WIDTH - 1, (1 << _WIDTH) - 1  # each field's top bit; field 0
+_ORDER = 1 if byteorder == "little" else -1  # _fields' step
+_set_packed = QProduct._packed.__set__
+
+
+def _product(packed: int) -> QProduct:
+    """The QProduct of packed; a field summed to 2^31 or more sets its top
+    bit, carrying into no other field, and raises InvariantViolation."""
+    if packed & _guard(packed.bit_length() // _WIDTH + 1):
+        raise InvariantViolation("a QProduct exponent or shift reached 2^31")
+    product = object.__new__(QProduct)
+    _set_packed(product, packed)
+    return product
+
+
+@lru_cache(maxsize=None)
+def _guard(k: int) -> int:
+    """The top bit of each of fields 0..k-1."""
+    return int.from_bytes(b"\0\0\0\x80" * k, "little")
+
+
+def _fields(packed: int) -> tuple[int, ...]:
+    """Every field of packed, field 0 first: its bytes in the host's order
+    read as 4-byte unsigned ints, the top field first on a big-endian host."""
+    k = packed.bit_length() // _WIDTH + 1
+    return tuple(memoryview(packed.to_bytes(4 * k, byteorder)).cast("I")[::_ORDER])
+
+
+@lru_cache(maxsize=None)
+def _divisor_mask(d: int) -> int:
+    """One in field n for each n | d: q^d - 1 = prod over n | d of Phi_n."""
+    if d < 1:
+        raise ValueError(f"q^{d} - 1 is not a cyclotomic product")
+    return sum(1 << _WIDTH * n for n in _divisors(d))
+
+
+def _binomial_powers(exponents: tuple[int, ...]) -> list[int]:
+    """The (q^d - 1) exponents p_d of prod Phi_n^e_n, e_n = exponents[n], n >= 1,
+    as a list indexed by d, p_0 = 0.  Since q^d - 1 is the product of Phi_n
+    over n | d, e_n is the sum of p_d over the multiples d of n, solved for
+    p_d from the largest d down."""
+    power = list(exponents)
+    power[0] = 0
+    for d in range(len(power) // 2, 0, -1):
+        power[d] -= sum(power[2 * d :: d])
+    return power
 
 
 def expand_all(products: Iterable[QProduct]) -> list[QPolynomial]:
     """Dense coefficients of each factored product.
 
-    Each distinct Phi-exponent tuple is stepped to once per call, from 1 or
-    from the tuple stepped to just before, whichever takes fewer (q^d - 1)
-    steps: the positive ones by shift-subtract, then the negative ones by
-    sparse exact division, which is exact since the coefficients are then
-    the target times the factors still to divide out.  From degree 64 the
-    steps keep only the low half of each value (_expanded).  Each result is
-    unfolded once and shifted by its own product's power of q, and equal
-    products get the same QPolynomial object, so a caller can render or
-    evaluate each distinct one once.  Each object records its product,
-    from which eval_big evaluates it.
+    Each distinct Phi-exponent int (field 0 cleared) is stepped to once per
+    call, from 1 or from the int stepped to just before, whichever takes
+    fewer (q^d - 1) steps: the positive ones by shift-subtract, then the
+    negative ones by sparse exact division, which is exact since the
+    coefficients are then the target times the factors still to divide
+    out.  From degree 64 the steps keep only the low half of each value
+    (_expanded).  Each result is unfolded once and shifted by its own
+    product's power of q, and equal products get the same QPolynomial
+    object, so a caller can render or evaluate each distinct one once.
+    Each object records its product, from which eval_big evaluates it.
     """
     products = list(products)
-    expanded: dict[tuple[tuple[int, int], ...], tuple[int, ...]] = {}
-    coeffs, last = (1,), {}
-    for phi in dict.fromkeys(product.phi for product in products):
-        step = power = _binomial_powers(phi)
+    expanded: dict[int, tuple[int, ...]] = {}
+    coeffs, last = (1,), []
+    for phi in dict.fromkeys(p._packed >> _WIDTH << _WIDTH for p in products):
+        step = power = _binomial_powers(_fields(phi))
         if last:  # else coeffs is already 1
-            step = {d: power.get(d, 0) - last.get(d, 0) for d in power | last}
-            if sum(map(abs, step.values())) >= sum(map(abs, power.values())):
+            step = [a - b for a, b in zip_longest(power, last, fillvalue=0)]
+            if sum(map(abs, step)) >= sum(map(abs, power)):
                 coeffs, step = (1,), power
         expanded[phi] = coeffs = _expanded(coeffs, step)
         last = power
-    made: dict[tuple, QPolynomial] = {}  # one value per distinct product
+    made: dict[int, QPolynomial] = {}  # one value per distinct product
     values = []
     for p in products:
-        key = p.shift, p.phi
+        key = p._packed
         value = made.get(key)
         if value is None:  # the top coefficient is +-c_0, never zero: no trim
-            coeffs = (0,) * p.shift + expanded[p.phi]
+            shift = key & _LOW
+            coeffs = (0,) * shift + expanded[key - shift]
             value = made[key] = QPolynomial._of_trimmed(coeffs, p)
         values.append(value)
     return values
@@ -472,23 +513,23 @@ def expand_all(products: Iterable[QProduct]) -> list[QPolynomial]:
 _FOLD_DEGREE = 64
 
 
-def _expanded(coeffs: tuple[int, ...], step: dict[int, int]) -> tuple[int, ...]:
+def _expanded(coeffs: tuple[int, ...], step: list[int]) -> tuple[int, ...]:
     """The cyclotomic product coeffs times prod (q^d - 1)^step[d], stepped
     as _stepped steps; from _FOLD_DEGREE up on coefficients 0..degree // 2
     alone, as c_{degree-j} = c_0 c_j, c_0 = +-1, reading the coefficients
     past the half from their mirror images (_mirrored, _over_binomial)."""
     degree = len(coeffs) - 1
-    if degree + sum(map(mul, step, step.values())) < _FOLD_DEGREE:
+    if degree + sum(map(mul, count(), step)) < _FOLD_DEGREE:
         return tuple(_stepped(list(coeffs), step))
     half = list(coeffs[: degree // 2 + 1])
-    for d in sorted(step):
-        for _ in range(step[d]):
+    for d, k in enumerate(step):
+        for _ in range(k):
             n = (degree + d) // 2 + 1
             half += _mirrored(half, degree, n)
             half = _times_binomial(half, d)
             del half[n:]
             degree += d
-    for d in sorted(step, reverse=True):
+    for d in range(len(step) - 1, 0, -1):
         for _ in range(-step[d]):
             half = _over_binomial(half, d, degree)
             degree -= d
@@ -502,14 +543,15 @@ def _mirrored(half: list[int], degree: int, n: int) -> list[int]:
     return mirror if half[0] > 0 else [-c for c in mirror]
 
 
-def _stepped(coeffs: list[int], step: dict[int, int]) -> list[int]:
-    """coeffs times prod (q^d - 1)^step[d]: the positive powers by
-    shift-subtract first, then the negative ones by sparse exact division,
-    so every division is exact when the whole product is a polynomial."""
-    for d in sorted(step):
-        for _ in range(step[d]):
+def _stepped(coeffs: list[int], step: list[int]) -> list[int]:
+    """coeffs times prod (q^d - 1)^step[d] over d >= 1 (step[0] = 0): the
+    positive powers by shift-subtract first, then the negative ones by
+    sparse exact division, so every division is exact when the whole
+    product is a polynomial."""
+    for d, k in enumerate(step):
+        for _ in range(k):
             coeffs = _times_binomial(coeffs, d)
-    for d in sorted(step, reverse=True):
+    for d in range(len(step) - 1, 0, -1):
         for _ in range(-step[d]):
             coeffs = _over_binomial(coeffs, d)
     return coeffs
@@ -518,8 +560,9 @@ def _stepped(coeffs: list[int], step: dict[int, int]) -> list[int]:
 def times_product(p: QPolynomial, product: QProduct) -> QPolynomial:
     """p times a factored product, stepped from p by the product's
     (q^d - 1) factors as expand_all steps from 1."""
-    stepped = _stepped(list(p.coeffs), _binomial_powers(product.phi))
-    return QPolynomial([0] * product.shift + stepped)
+    fields = _fields(product._packed)
+    stepped = _stepped(list(p.coeffs), _binomial_powers(fields))
+    return QPolynomial([0] * fields[0] + stepped)
 
 
 def expand(product: QProduct) -> QPolynomial:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from monoid_orders.errors import IndexOutOfRange, NonExactDivision
+from monoid_orders.errors import IndexOutOfRange, InvariantViolation, NonExactDivision
 from monoid_orders import qpoly
 from monoid_orders.qpoly import (
     ONE,
@@ -307,13 +307,21 @@ def mobius(n):
     return -sign if n > 1 else sign
 
 
+def binomial_steps(exponents):
+    """The (q^d - 1) exponents of prod Phi_n^e_n over the (n, e_n) pairs,
+    by Moebius inversion of q^d - 1 = prod over n | d of Phi_n; an e_n may
+    be negative.  A list indexed by d, as expand_all steps them."""
+    power = {}
+    for n, e in exponents:
+        for d in _divisors(n):
+            power[d] = power.get(d, 0) + mobius(n // d) * e
+    return [power.get(d, 0) for d in range(max(power, default=0) + 1)]
+
+
 def expand_from_one(product):
     """Reference oracle: each product expanded on its own from 1, as before
     expand_all stepped from the product expanded just before."""
-    power = {}
-    for n, e in product.phi:
-        for d in _divisors(n):
-            power[d] = power.get(d, 0) + mobius(n // d) * e
+    power = dict(enumerate(binomial_steps(product.phi)))
     coeffs = [1]
     for d in sorted(power):
         for _ in range(power[d]):
@@ -435,41 +443,42 @@ def test_expand_all_divides_when_stepping_down(monkeypatch):
 # only the mirror image q^4 of its constant term leaves a remainder
 @example({1: -1, 12: 1})
 def test_low_halves_raise_on_the_step_full_length_steps_raise_on(exponents):
-    product = QProduct(0, tuple(sorted(exponents.items())))
+    # a QProduct holds no negative exponent, so step from 1 as expand_all does
+    step = binomial_steps(exponents.items())
     try:
-        expected = expand_from_one(product)
+        expected = qpoly._stepped([1], step)
     except NonExactDivision as full_length:
         # the message names the degree and the divisor of the failing step
         with pytest.raises(NonExactDivision, match=re.escape(str(full_length))):
-            folded(expand_all, [product])
+            folded(qpoly._expanded, (1,), step)
     else:
-        assert folded(expand_all, [product]) == [expected]
+        assert folded(qpoly._expanded, (1,), step) == tuple(expected)
 
 
 OPTIMIZED_REMAINDER_CHECK = """
 import sys
 from monoid_orders.errors import NonExactDivision
 from monoid_orders import qpoly
-from monoid_orders.qpoly import QProduct, expand_all
 
 if not sys.flags.optimize:
     sys.exit("not running under -O")
 qpoly._FOLD_DEGREE = 0  # step these small products on their low halves
-for phi in (((1, -1),), ((1, -1), (12, 1))):
+for step in {steps!r}:
     try:
-        expand_all([QProduct(0, phi)])
+        qpoly._expanded((1,), step)
     except NonExactDivision:
         continue
-    sys.exit(f"{phi} expanded to a polynomial")
+    sys.exit(f"{{step}} expanded to a polynomial")
 """
 
 
 def test_remainder_check_survives_optimize():
     # python -O strips assert statements; the low-half remainder check must
-    # survive it
+    # survive it: 1 / (q - 1) and Phi_12 / (q - 1)
+    steps = [binomial_steps(phi) for phi in (((1, -1),), ((1, -1), (12, 1)))]
     src = os.path.dirname(os.path.dirname(qpoly.__file__))
     result = subprocess.run(
-        [sys.executable, "-O", "-c", OPTIMIZED_REMAINDER_CHECK],
+        [sys.executable, "-O", "-c", OPTIMIZED_REMAINDER_CHECK.format(steps=steps)],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
@@ -506,12 +515,75 @@ def test_poly_sum_adds_by_columns():
 def test_factored_division_rejects_non_divisors():
     with pytest.raises(NonExactDivision):
         QProduct.of([2]) / QProduct.of([3])  # (q^2 - 1)/(q^3 - 1)
+    # a shift going negative, read from field 0's guard bit
     with pytest.raises(NonExactDivision):
         QProduct.of([6], shift=1) / QProduct.of([], shift=2)
+    with pytest.raises(NonExactDivision, match=re.escape("(q^1) is not divisible by (q^2)")):
+        QProduct(1) / QProduct(2)
     with pytest.raises(NonExactDivision):
         QProduct.of([4]) / QProduct.of([1, 1])  # (q - 1)^2 does not divide q^4 - 1
     a, b = QProduct.of([6, 4], shift=2), QProduct.of([2, 3], shift=1)
     assert (a / b) * b == a
+
+
+def test_a_zero_exponent_vanishes():
+    assert QProduct(0, ((3, 0),)) == QProduct()
+    assert hash(QProduct(0, ((3, 0),))) == hash(QProduct())
+    assert str(QProduct(0, ((3, 0),))) == "1"
+
+
+def test_pairs_in_any_order_give_the_sorted_product():
+    unsorted = QProduct(0, ((5, 1), (2, 1)))
+    assert unsorted == QProduct(0, ((2, 1), (5, 1)))
+    assert unsorted.phi == ((2, 1), (5, 1))
+    assert str(unsorted * QProduct.of([2])) == "Phi_1 * Phi_2^2 * Phi_5"
+
+
+def test_a_repeated_n_adds_its_exponents():
+    assert QProduct(0, ((2, 1), (2, 1))) == QProduct(0, ((2, 2),))
+    assert expand(QProduct(0, ((2, 1), (2, 1)))) == QPolynomial([1, 2, 1])
+
+
+@pytest.mark.parametrize(
+    "shift, phi",
+    [(-2, ()), (0, ((2, -1),)), (0, ((0, 1),)), (0, ((-3, 1),)), (2**31, ())],
+)
+def test_a_negative_or_out_of_range_field_raises_before_packing(shift, phi):
+    with pytest.raises(ValueError):
+        QProduct(shift, phi)
+
+
+def test_a_repeated_n_summed_past_the_field_raises():
+    with pytest.raises(InvariantViolation):
+        QProduct(0, ((2, 2**30), (2, 2**30)))
+
+
+@given(products)
+def test_fields_round_trip(p):
+    again = QProduct(p.shift, p.phi)
+    assert again == p and hash(again) == hash(p)
+    assert p.replace() == p and p.replace(shift=7) == QProduct(7, p.phi)
+
+
+def test_a_field_reaching_two_to_the_31_raises_and_leaves_its_neighbours():
+    top = 2**31 - 1
+    a = QProduct(5, ((1, top), (2, 7), (3, top)))
+    # the neighbours of a full field add as before, with no carry
+    assert (a * QProduct(0, ((2, 1),))).phi == ((1, top), (2, 8), (3, top))
+    assert (a * QProduct(top - 5)).shift == top
+    for other in (QProduct(0, ((1, 1),)), QProduct(0, ((3, 1),)), QProduct(top - 4)):
+        with pytest.raises(InvariantViolation):
+            a * other
+    assert a == QProduct(5, ((1, top), (2, 7), (3, top)))
+    # k * the largest field must stay below 2^31, the shift included
+    assert (QProduct(1, ((2, 2**30 - 1), (3, 1))) ** 2).phi == ((2, 2**31 - 2), (3, 2))
+    for base in (QProduct(0, ((3, 2**30),)), QProduct(2**30, ((1, 1),))):
+        with pytest.raises(InvariantViolation):
+            base ** 2
+    # 2^30 * 4 would carry exactly into Phi_4's field, leaving no top bit set
+    for k in (2**30, 4):
+        with pytest.raises(InvariantViolation):
+            QProduct(0, ((3, 2**30),)) ** k
 
 
 def test_factored_values_and_rendering():
@@ -610,20 +682,45 @@ def test_rendering_grows_the_term_pieces_to_the_largest_exponent():
 
 def combine_by_dict(a, b, sign):
     """Reference: the exponents summed in a dict and sorted, as QProduct
-    combined them before the one-pass merge."""
+    combined them before its packed int; a field of 2^31 or more raises
+    InvariantViolation, as a packed field holds less."""
     phi = dict(a.phi)
     for n, e in b.phi:
         phi[n] = phi.get(n, 0) + sign * e
     shift = a.shift + sign * b.shift
     if shift < 0 or any(e < 0 for e in phi.values()):
         raise NonExactDivision("negative exponent")
+    if max([shift, *phi.values()]) >= 2**31:
+        raise InvariantViolation("exponent of 2^31 or more")
     return QProduct(shift, tuple(sorted((n, e) for n, e in phi.items() if e)))
 
 
-@given(products, products)
+TOP = 2**31 - 1
+# exponents and shifts up to the largest a field holds
+wide_products = st.builds(
+    QProduct,
+    st.sampled_from([0, 1, 4, TOP - 1, TOP]),
+    st.dictionaries(st.integers(1, 15), st.sampled_from([1, 3, TOP - 1, TOP]), max_size=5).map(
+        lambda phi: tuple(sorted(phi.items()))
+    ),
+)
+
+
+@given(st.one_of(products, wide_products), st.one_of(products, wide_products))
+@example(QProduct(0, ((1, TOP), (3, TOP))), QProduct(0, ((2, 1),)))
+@example(QProduct(TOP, ((1, TOP),)), QProduct(0, ((1, TOP),)))
+# a Phi_n above the dividend's top field
+@example(QProduct.of([2]), QProduct(0, ((7, 1),)))
+@example(QProduct(0, ((3, TOP),)), QProduct(0, ((3, TOP), (16, 1))))
 def test_factored_multiply_and_divide_match_dict_merge(a, b):
-    assert a * b == combine_by_dict(a, b, 1)
-    assert (a * b) / b == a
+    try:
+        expected = combine_by_dict(a, b, 1)
+    except InvariantViolation:
+        with pytest.raises(InvariantViolation):
+            a * b
+    else:
+        assert a * b == expected
+        assert (a * b) / b == a
     try:
         expected = combine_by_dict(a, b, -1)
     except NonExactDivision:

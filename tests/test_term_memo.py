@@ -110,13 +110,13 @@ def lattice(spec, j0):
 
 
 def count_expands(monkeypatch):
-    """The Phi-exponent tuples that expand_all steps to, in order."""
+    """The Phi-exponent field tuples that expand_all steps to, in order."""
     calls = []
     real = qpoly._binomial_powers
 
-    def counting_powers(phi):
-        calls.append(phi)
-        return real(phi)
+    def counting_powers(fields):
+        calls.append(fields)
+        return real(fields)
 
     monkeypatch.setattr(qpoly, "_binomial_powers", counting_powers)
     return calls
