@@ -46,15 +46,10 @@ class LatticeEntry(Immutable):
     _fields = ("label", "star_mask", "substar_mask", "torus_index_exponent")
     __slots__ = _fields + ("_star_text", "_substar_text")
 
-    def __init__(
-        self, label: str, star_mask: int, substar_mask: int, torus_index_exponent: int
-    ):
-        _set_label(self, label)
-        _set_star(self, star_mask)
-        _set_substar(self, substar_mask)
-        _set_exponent(self, torus_index_exponent)
-        _set_star_text(self, ",".join(map(str, _mask_indices(star_mask))))
-        _set_substar_text(self, ",".join(map(str, _mask_indices(substar_mask))))
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        _set_star_text(self, ",".join(map(str, _mask_indices(self.star_mask))))
+        _set_substar_text(self, ",".join(map(str, _mask_indices(self.substar_mask))))
 
     @property
     def index_text(self) -> tuple[str, str]:
@@ -84,26 +79,18 @@ class LatticeEntry(Immutable):
 
 
 class CrossSectionLattice(Immutable):
-    _fields = ("root_system", "entries", "torus_rank", "provenance")
-    __slots__ = _fields + ("all_mask",)
-
-    def __init__(
-        self,
-        root_system: RootSystemData,
-        entries: tuple[LatticeEntry, ...],
-        torus_rank: int,
-        provenance: str = USER_SUPPLIED,
-    ):
-        object.__setattr__(self, "root_system", root_system)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "torus_rank", torus_rank)
-        object.__setattr__(self, "provenance", provenance)
-        # derived, so left out of equality, hashing and repr: Delta as a mask
-        object.__setattr__(self, "all_mask", (1 << root_system.rank) - 1)
+    __slots__ = _fields = ("root_system", "entries", "torus_rank", "provenance")
+    _defaults = {"provenance": USER_SUPPLIED}
 
     @property
     def rank(self) -> int:
         return self.root_system.rank
+
+    @property
+    def all_mask(self) -> int:
+        """Delta as a mask, read from the type's rank slot, so that thm31
+        calls no rootsystem code outside its walks."""
+        return (1 << self.root_system.cartan_type.rank) - 1
 
     def is_zero(self, entry: LatticeEntry) -> bool:
         return (

@@ -107,22 +107,7 @@ class OrderReport(Immutable):
         "lattice",
         "notes",
     )
-
-    def __init__(
-        self,
-        formula: str,
-        cartan_type: CartanType,
-        terms: tuple[tuple[str, QPolynomial], ...],
-        total: QPolynomial,
-        lattice: CrossSectionLattice | None = None,
-        notes: tuple[str, ...] = (),
-    ):
-        object.__setattr__(self, "formula", formula)
-        object.__setattr__(self, "cartan_type", cartan_type)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "notes", notes)
+    _defaults = {"lattice": None, "notes": ()}
 
 
 def _double_bond(rs: RootSystemData) -> int:
@@ -235,8 +220,7 @@ def thm33_products(
 ) -> tuple[list[QProduct], tuple[str, ...]]:
     """thm33's term of each entry, q^{N*} (q-1)^k (W/W_lambda)(W/W_lambda_*)
     with each coset sum W/W_J an exact factored quotient of Poincare
-    products, divided once per degree tuple of W_J and kept per mask of J;
-    and the route's notes.
+    products, kept per mask of J; and the route's notes.
 
     While the ambient group is small enough to walk, the coset sums are
     expanded in one expand_all call, in first-use order, and each must equal
@@ -246,14 +230,12 @@ def thm33_products(
     """
     rs, delta = lat.root_system, lat.all_mask
     p_w = poincare_factors(degrees(rs.cartan_type))
-    quotient = cache(lambda ds: p_w / poincare_factors(ds))
     cosets: dict[int, QProduct] = {}
 
     def coset_sum(J: int) -> QProduct:
-        value = cosets.get(J)
-        if value is None:
-            value = cosets[J] = quotient(_mask_degrees(rs, J))
-        return value
+        if J not in cosets:
+            cosets[J] = p_w / poincare_factors(_mask_degrees(rs, J))
+        return cosets[J]
 
     products = []
     for entry in lat.entries:
@@ -392,14 +374,13 @@ def census_total(
             f" in its products, which exceeds the bound {bound}"
         )
     p_w = poincare_factors(degrees(ct))
-    poincare = cache(poincare_factors)
     products, plan = [], []
     for sub_degrees, group in groups.items():
-        up = p_w / poincare(sub_degrees)  # W/W_{lambda_*}
+        up = p_w / poincare_factors(sub_degrees)  # W/W_{lambda_*}
         stepped = len(group) > rs.rank
         for star_degrees, k, _ in group:
-            inner = QProduct.of([1] * k, sum(star_degrees) - len(star_degrees))
-            inner = inner * p_w / poincare(tuple(sorted(sub_degrees + star_degrees)))
+            inner = QProduct.of([1] * k, sum(star_degrees) - len(star_degrees)) * p_w
+            inner /= poincare_factors(tuple(sorted(sub_degrees + star_degrees)))
             products.append(inner if stepped else inner * up)
         plan.append((group, up, stepped))
     expanded = iter(expand_all(products))

@@ -44,20 +44,38 @@ from .errors import IndexOutOfRange, InvariantViolation, NonExactDivision
 class Immutable:
     """Base of the package's value classes, in place of a frozen dataclass.
 
-    A subclass lists its fields in ``_fields``, in constructor order, and
-    every slot in ``__slots__``, the slots that hold the fields first; slots
-    past those hold derived or memoized state, which equality, hashing,
-    repr and replace leave out (QProduct's fields are views of its one
-    slot, which it compares and hashes itself).  Its constructor assigns
-    each slot with object.__setattr__ or the slot's member descriptor,
-    since assignment otherwise raises.  Equality holds between instances of
-    the same class with equal fields, and the hash is that of the field
-    tuple, as a frozen dataclass has them; importing dataclasses would cost
-    every CLI launch its inspect/ast import chain.
+    A subclass lists its fields in ``_fields``, in constructor order, their
+    defaults in ``_defaults`` and every slot in ``__slots__``, the fields
+    first; slots past those hold derived or memoized state, which equality,
+    hashing, repr and replace leave out (QProduct's fields are views of its
+    one slot, which it compares and hashes itself).  The constructor sets
+    the fields, since assignment otherwise raises; a subclass deriving more
+    calls it and sets the rest by object.__setattr__ or member descriptor.
+    Equality holds between instances of the same class with equal fields,
+    and the hash is that of the field tuple, as a frozen dataclass has
+    them; importing dataclasses would cost every CLI launch its inspect/ast
+    import chain.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        """Each field from args in order, then from kwargs, then from
+        _defaults; TypeError names a field missing, unknown or given twice."""
+        name, fields = type(self).__name__, self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name} takes {len(fields)} fields, {len(args)} given")
+        for key in kwargs:
+            if key not in fields[len(args) :]:
+                wrong = "a repeated" if key in fields else "an unknown"
+                raise TypeError(f"{name} got {wrong} field {key!r}")
+        values = self._defaults | dict(zip(fields, args)) | kwargs
+        for field in fields:
+            if field not in values:
+                raise TypeError(f"{name} is missing the field {field!r}")
+            object.__setattr__(self, field, values[field])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -361,6 +379,7 @@ class QProduct(Immutable):
 
     _fields = ("shift", "phi")
     __slots__ = ("_packed",)
+    __init__ = object.__init__  # __new__ builds the value
 
     def __new__(cls, shift: int = 0, phi: Iterable[tuple[int, int]] = ()):
         packed = cls.of((), shift)._packed

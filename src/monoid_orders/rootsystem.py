@@ -56,8 +56,7 @@ class CartanType(Immutable):
             lo, hi = _RANK_RANGE[family]
             if rank < lo or (hi is not None and rank > hi):
                 raise UnsupportedType(f"{family}{rank} is not a valid type")
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "rank", rank)
+        super().__init__(family, rank)
 
     @classmethod
     def parse(cls, spec: str) -> "CartanType":
@@ -199,10 +198,8 @@ class RootSystemData(Immutable):
         # bit i-1 set when simple root i occurs: nonzero bytes as binary digits
         digits = b"0" + b"1" * 255
         supports = [int(r.translate(digits)[::-1], 2) for r in raw]
+        super().__init__(cartan_type, cartan, tuple(map(tuple, raw)))
         for name, value in (
-            ("cartan_type", cartan_type),
-            ("cartan", cartan),
-            ("positive_roots", tuple(map(tuple, raw))),
             ("_neighbors", neighbors),
             ("_neighbor_masks", tuple(sum(1 << (j - 1) for j in n) for n in neighbors)),
             ("_node_bits", {i: 1 << (i - 1) for i in nodes}),
@@ -363,9 +360,10 @@ def _mask_degrees(rs: RootSystemData, mask: int) -> tuple[int, ...]:
     return tuple(sorted(d for _, ds in _mask_parts(rs, mask) for d in ds))
 
 
+@lru_cache(maxsize=None)
 def poincare_factors(ds: tuple[int, ...]) -> QProduct:
     """Length generating polynomial of a Weyl group with degrees ds, as the
-    factored product prod (q^d - 1)/(q - 1)."""
+    factored product prod (q^d - 1)/(q - 1), kept per degree tuple."""
     return QProduct.of(ds) / QProduct.of([1] * len(ds))
 
 

@@ -74,12 +74,7 @@ def _shared(fn: Callable) -> Callable:
 
 class CheckResult(Immutable):
     __slots__ = _fields = ("name", "ok", "detail", "skipped")
-
-    def __init__(self, name: str, ok: bool, detail: str, skipped: bool = False):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "detail", detail)
-        object.__setattr__(self, "skipped", skipped)
+    _defaults = {"skipped": False}
 
 
 def q_binomials(base_power: int) -> dict[tuple[int, int], QPolynomial]:

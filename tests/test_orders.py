@@ -660,6 +660,101 @@ def test_value_classes_keep_their_dataclass_behaviour():
     assert ct.rank == 2
 
 
+A1 = build(CartanType("A", 1))
+A1_ENTRIES = (LatticeEntry("0", 0, 1, 0), LatticeEntry("1", 1, 0, 1))
+# class, the fields without a default, the defaults, the repr, and a field
+# with another value that the round trip through replace sets and undoes
+CONSTRUCTED = [
+    (
+        OrderReport,
+        ("thm34", A1.cartan_type, (("1", ONE),), ONE),
+        {"lattice": None, "notes": ()},
+        "OrderReport(formula='thm34', cartan_type=CartanType(family='A', rank=1),"
+        " terms=(('1', QPolynomial([1])),), total=QPolynomial([1]), lattice=None,"
+        " notes=())",
+        ("notes", ("n",)),
+    ),
+    (
+        verify.CheckResult,
+        ("x", True, "d"),
+        {"skipped": False},
+        "CheckResult(name='x', ok=True, detail='d', skipped=False)",
+        ("skipped", True),
+    ),
+    (
+        CrossSectionLattice,
+        (A1, A1_ENTRIES, 1),
+        {"provenance": "user-supplied"},
+        f"CrossSectionLattice(root_system={A1!r}, entries={A1_ENTRIES!r},"
+        " torus_rank=1, provenance='user-supplied')",
+        ("provenance", "x"),
+    ),
+    (
+        CartanType,
+        ("C", 2),
+        {},
+        "CartanType(family='C', rank=2)",
+        ("rank", 3),
+    ),
+    (
+        RootSystemData,
+        (A1.cartan_type, A1.cartan, A1.positive_roots),
+        {},
+        "RootSystemData(cartan_type=CartanType(family='A', rank=1),"
+        " cartan=((2,),), positive_roots=((1,),))",
+        ("positive_roots", ()),
+    ),
+    (
+        LatticeEntry,
+        ("e{1}", 1, 0, 1),
+        {},
+        "LatticeEntry(label='e{1}', star_mask=1, substar_mask=0,"
+        " torus_index_exponent=1)",
+        ("star_mask", 3),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, args, defaults, shown, change",
+    CONSTRUCTED,
+    ids=[case[0].__name__ for case in CONSTRUCTED],
+)
+def test_one_constructor_builds_every_value_class(cls, args, defaults, shown, change):
+    name, fields = cls.__name__, cls._fields
+    value = cls(*args)
+    built = [
+        cls(**dict(zip(fields, args))),
+        cls(*args, *defaults.values()),
+        cls(*args, **defaults),
+        cls(*args[:1], **dict(zip(fields[1:], args[1:]))),
+    ]
+    for other in built:
+        assert other == value and hash(other) == hash(value)
+        assert repr(other) == shown
+    # equality, hashing and repr read the fields alone
+    assert repr(value) == shown
+    assert hash(value) == hash(tuple(getattr(value, f) for f in fields))
+    if cls is CrossSectionLattice:  # all_mask is derived, not a field
+        assert value.all_mask == 1 and "all_mask" not in fields
+    # replace builds through the same constructor and round-trips
+    field, new = change
+    changed = value.replace(**{field: new})
+    assert getattr(changed, field) == new and changed != value
+    assert changed.replace(**{field: getattr(value, field)}) == value
+    assert value.replace() == value and repr(value.replace()) == shown
+    # a field missing, unknown or given twice raises TypeError naming the class
+    for wrong in (
+        lambda: cls(*args[:-1]),
+        lambda: cls(*args, colour=1),
+        lambda: cls(*args, *defaults.values(), None),
+        lambda: cls(*args, **{fields[0]: args[0]}),
+        lambda: value.replace(colour=1),
+    ):
+        with pytest.raises(TypeError, match=name):
+            wrong()
+
+
 def test_thm33_notes_skipped_coset_check():
     lat = fundamental_lattice(CartanType("C", 3), 3)
     assert not any("skipped" in note for note in route(lat, "thm33").notes)
@@ -864,10 +959,12 @@ def test_routes_call_only_their_own_sources(spec, i):
     lat = fundamental_lattice(CartanType.parse(spec), i)
     rootsystem, weyl = monoid_orders.rootsystem, monoid_orders.weyl
     # thm31's terms come from walked counts alone, and it reads the root
-    # system only through the walks, which plan the chain from the degrees
+    # system only through the walks, which plan the chain from the degrees;
+    # with the Poincare memo emptied, any call to it runs its Python code
+    rootsystem.poincare_factors.cache_clear()
     thm31 = calls_made(route, lat, "thm31")
     product_codes = codes_of(QProduct) | {
-        rootsystem.poincare_factors.__code__,
+        rootsystem.poincare_factors.__wrapped__.__code__,
         qpoly.expand_all.__code__,
     }
     assert any(in_module(callee, weyl) for _, callee in thm31)

@@ -274,6 +274,15 @@ def test_poincare_products():
     assert poincare_product(CartanType("B", 2)) == QPolynomial([1, 2, 2, 2, 1])
 
 
+def test_poincare_factors_are_kept_per_degree_tuple():
+    # equal degree tuples, however built, give the one product object
+    first = poincare_factors((2, 4, 6))
+    assert poincare_factors(tuple(range(2, 7, 2))) is first
+    assert poincare_factors(degrees(CartanType("C", 3))) is first
+    assert poincare_factors((2, 3, 4)) is not first
+    assert expand(first) == poincare_product(CartanType("C", 3))
+
+
 @pytest.mark.parametrize("ct", ALL_TYPES, ids=str)
 def test_poincare_coefficient_sum_is_group_order(ct):
     assert sum(poincare_product(ct).coeffs) == weyl_order(ct)
