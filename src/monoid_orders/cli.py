@@ -23,8 +23,8 @@ from, the total by Horner over its coefficients, and at each q the rows'
 values must sum to the total's: this ties the printed values to the
 printed coefficients.  A value that is not positive, or a sum that
 differs, raises InvariantViolation (exit 2), naming the first row in row
-order that holds the value, or the q.  The printed values are formatted
-before the first write, so a value too long to print leaves stdout empty.
+order that holds the value, or the q.  Values and coefficients are
+formatted before the first write, so one too long to print leaves stdout empty.
 The strata sums as polynomials are checked in orders, where the strata are
 built.  --format json is exactly json.dumps(payload, indent=2) and a
 newline, for every command, through _write_json, which writes each row (a
@@ -272,14 +272,20 @@ def _resolve_lattice(args, enum_bound: int | None, support) -> CrossSectionLatti
     return j_irreducible_lattice(build(support[0]), support[1], enum_bound)
 
 
-def _decimal(value: int, q0: int) -> str:
+def _printed(render, *args, what: str = "a coefficient", hint: str = ""):
+    """render(*args), which renders ints; one past Python's int-to-str digit
+    limit raises _UsageError (exit 1) naming what, the limit and hint."""
     try:
-        return str(value)
-    except ValueError:  # past Python's int-to-str digit limit
-        digits = f"an evaluation has more than {sys.get_int_max_str_digits()} digits"
-        if q0 == 2:  # no smaller q to advise
-            raise _UsageError(f"{digits} at q=2, the smallest q") from None
-        raise _UsageError(f"{digits}; use a smaller --q") from None
+        return render(*args)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise _UsageError(f"{what} has more than {limit} digits{hint}") from None
+
+
+def _decimal(value: int, q0: int) -> str:
+    # at q = 2 there is no smaller q to advise
+    hint = " at q=2, the smallest q" if q0 == 2 else "; use a smaller --q"
+    return _printed(str, value, what="an evaluation", hint=hint)
 
 
 def _evaluated(
@@ -323,10 +329,10 @@ def _write_json(obj, write) -> None:
     for dicts with str keys, lists, str, int, bool and None, a QPolynomial as
     its coefficient list and a list of LatticeEntry as their to_json dicts;
     any other type raises TypeError.  Unlike json.dumps with an indent, it
-    joins a list of ints at once, renders each QPolynomial object once per
-    depth (the payload keeps each alive, so no id is reused), writes each
-    entry from its index text with one write, and writes each item of any
-    other list as soon as it is done, never holding the whole document."""
+    joins a list of ints at once, renders each QPolynomial once per depth
+    before any write (the payload keeps each alive, so no id is reused),
+    writes each entry from its index text with one write, and writes each item
+    of any other list when it is done, never holding the whole document."""
     parts: list[str] = []
     texts: dict[tuple[int, str], str] = {}
 
@@ -334,14 +340,19 @@ def _write_json(obj, write) -> None:
         inner = newline + "  "
         return f"[{inner}{f',{inner}'.join(map(str, values))}{newline}]" if values else "[]"
 
+    def rendered(obj, newline: str) -> None:
+        if isinstance(obj, QPolynomial):
+            if (id(obj), newline) not in texts:
+                texts[id(obj), newline] = _printed(ints, obj.coeffs, newline)
+        elif isinstance(obj, (dict, list)) and set(map(type, obj)) != {LatticeEntry}:
+            for item in obj.values() if isinstance(obj, dict) else obj:
+                rendered(item, newline + "  ")
+
     def render(obj, newline: str) -> None:
         if isinstance(obj, str):
             parts.append(encode_basestring_ascii(obj))
         elif isinstance(obj, QPolynomial):
-            text = texts.get((id(obj), newline))
-            if text is None:
-                text = texts[id(obj), newline] = ints(obj.coeffs, newline)
-            parts.append(text)
+            parts.append(texts[id(obj), newline])
         elif obj is None or isinstance(obj, bool):
             parts.append("null" if obj is None else "true" if obj else "false")
         elif isinstance(obj, int):
@@ -390,6 +401,7 @@ def _write_json(obj, write) -> None:
                 parts.clear()
             parts.append(newline + "]")
 
+    rendered(obj, "\n")
     render(obj, "\n")
     parts.append("\n")
     write("".join(parts))
@@ -419,13 +431,12 @@ def _write_csv(header: list[str], rows) -> None:
 def _term_csv(rows, values: list[dict[int, str]], qs: list[int]):
     """The (label, polynomial) rows and their values as _write_csv's
     (label, rest) pairs, each distinct polynomial object's rest built once
-    by _term_fields."""
+    by _term_fields, all before the first pair is taken."""
     texts: dict[int, str] = {}
     for (label, poly), row in zip(rows, values):
-        text = texts.get(id(poly))
-        if text is None:
-            text = texts[id(poly)] = _term_fields(poly, row, qs)
-        yield label, text
+        if id(poly) not in texts:
+            texts[id(poly)] = _printed(_term_fields, poly, row, qs)
+    return ((label, texts[id(poly)]) for label, poly in rows)
 
 
 def _term_fields(poly: QPolynomial, row: dict[int, str], qs: list[int]) -> str:
@@ -505,15 +516,16 @@ def _cmd_order(args, enum_bound: int | None) -> int:
         header = ["label", "coeffs", *(f"q={q0}" for q0 in qs)]
         _write_csv(header, _term_csv(rows, values, qs))
     else:
+        # each distinct term (its cells' gap included) and the total, rendered first
+        texts = {id(term): term for _, term in primary.terms}
+        texts = {key: f"  {_printed(str, term)}" for key, term in texts.items()}
+        total = _printed(str, primary.total)
         print(f"type {primary.cartan_type}  formula {primary.formula}")
         for note in primary.notes:
             print(f"note: {note}")
-        # each distinct term object rendered once, its cells' gap included
-        texts = {id(term): term for _, term in primary.terms}
-        texts = {key: f"  {term}" for key, term in texts.items()}
         rests = (texts[id(term)] for _, term in primary.terms)
         _write_entry_rows(primary.lattice.entries, rests)
-        print(f"total: {primary.total}")
+        print(f"total: {total}")
         for q0, value in values[-1].items():
             print(f"q={q0}: {value}")
         if agreed is not None:
@@ -545,14 +557,15 @@ def _print_hpoly(report: OrderReport, fmt: str) -> None:
         payload |= {"palindromic": palindromic, "notes": list(report.notes)}
         _write_json(payload, sys.stdout.write)
     elif fmt == "csv":
-        rows = ((str(power), str(c)) for power, c in enumerate(h.coeffs))
+        rows = _printed(list, ((str(p), str(c)) for p, c in enumerate(h.coeffs)))
         _write_csv(["power", "coefficient"], rows)
     else:
+        coeffs, text = _printed(" ".join, map(str, h.coeffs)), _printed(str, h)
         print(f"type {report.cartan_type}  H-polynomial of the order")
         for note in report.notes:
             print(f"note: {note}")
-        print(f"coefficients ({len(h.coeffs)}): {' '.join(map(str, h.coeffs))}")
-        print(f"H(q) = {h}")
+        print(f"coefficients ({len(h.coeffs)}): {coeffs}")
+        print(f"H(q) = {text}")
         print(f"palindromic: {'yes' if palindromic else 'no'}")
 
 
@@ -595,11 +608,12 @@ def _cmd_strata(args) -> int:
         header = ["label", "coeffs", *(f"q={q0}" for q0 in qs)]
         _write_csv(header, _term_csv(rows, values, qs))
     else:
+        texts = [_printed(str, term) for _, term in [*rows, ("total", total)]]
         print(title)
-        for (label, term), row in zip(rows, values):
+        for (label, _), text, row in zip(rows, texts, values):
             shown = "".join(f"  q={q0}: {v}" for q0, v in row.items())
-            print(f"  {label:<8} {term}{shown}")
-        print(f"total: {total}")
+            print(f"  {label:<8} {text}{shown}")
+        print(f"total: {texts[-1]}")
     return EXIT_OK
 
 

@@ -174,15 +174,13 @@ def validate(lat: CrossSectionLattice) -> CrossSectionLattice:
 
 def _post_order(rs: RootSystemData) -> list[tuple[int, list[int]]]:
     """Each node of the Dynkin tree rooted at node 1 with its children,
-    every child before its parent."""
-    parent = {1: 0}
-    order = [1]
+    every child before its parent: in a tree, the neighbours of a node not
+    yet reached are its children."""
+    order, children = [1], {}
     for v in order:
-        for w in rs.neighbors(v):
-            if w not in parent:
-                parent[w] = v
-                order.append(w)
-    children = {v: [w for w in rs.neighbors(v) if parent[w] == v] for v in order}
+        near = _mask_indices(rs._neighbor_masks[v - 1])
+        children[v] = [w for w in near if w not in children]
+        order += children[v]
     return [(v, children[v]) for v in reversed(order)]
 
 
@@ -364,29 +362,29 @@ def j_irreducible_lattice(
     The subsets X are grown, not filtered out of all 2^rank subsets: each
     size level extends the previous one by a node outside J0 or adjacent to
     X, that is in neither X nor its lambda_substar, which keeps every
-    component meeting Delta minus J0.  Subsets are grown as int masks with
-    node i at bit rank - i, so within one size level descending mask order
-    is the sorted-index order in which itertools.combinations lists them,
-    and each level is emitted in it.  X grows by each such node v above its
-    largest node m, and by a node v below m only when X is stuck (X - {m}
-    has a component inside J0) or when v is in J0 and touches no node of X
-    but m.  Any other X + {v} is also X' + {m}, grown from the valid
-    X' = (X - {m}) + {v}; so every X is still reached (a valid parent drops
-    a node of X farthest from Delta minus J0), and with J0 empty each X is
-    tried once.  A subset grown below its parent's largest node is kept as
-    stuck, which at worst costs work; it may be reached twice, so each
-    subset's entry is built once, when it is first reached, from the
-    parent's: the entry's lambda_star mask (node i at bit i - 1) is the
-    parent's with the new node's bit set, and the index text is the
-    parent's with v appended when v is above m, else written out; the text
-    gives the label too.  No frozenset is built per entry.  Each
-    lambda_substar mask and index text is converted once per builder mask,
-    and back once per entry mask.  The entries are counted first
-    (lattice_size), and LatticeTooLarge is raised before any growth when
-    more than bound nonempty lambda_star sets would be grown (default
-    weyl.DEFAULT_ENUM_BOUND).
+    component meeting Delta minus J0.  X, lambda_substar, J0 and adjacency
+    are masks with node i at bit i - 1, as entries hold them; only X's key
+    in its level's dict puts node i at bit rank - i.  A child's key is its
+    parent's with one more bit, so descending key order is the sorted-index
+    order in which itertools.combinations lists a level, and each level is
+    emitted by one int sort.  X grows by each such node v above its largest
+    node m, and by a node v below m only when X is stuck (X - {m} has a
+    component inside J0) or when v is in J0 and touches no node of X but m.
+    Any other X + {v} is also X' + {m}, grown from the valid X' = (X - {m})
+    + {v}; so every X is still reached (a valid parent drops a node of X
+    farthest from Delta minus J0), and with J0 empty each X is tried once.
+    A subset grown below its parent's largest node is kept as stuck, which
+    at worst costs work; it may be reached twice, so each subset's entry is
+    built once, when it is first reached, from the parent's: lambda_star
+    gains v, lambda_substar loses v and its neighbours, and the index text
+    is the parent's with v appended when v is above m, else written out; the
+    text gives the label too.  No frozenset is built per entry, and each
+    lambda_substar's index text is written once per mask.  The entries are
+    counted first (lattice_size), and LatticeTooLarge is raised before any
+    growth when more than bound nonempty lambda_star sets would be grown
+    (default weyl.DEFAULT_ENUM_BOUND).
     """
-    delta = _checked_support(rs, J0)
+    _checked_support(rs, J0)
     if bound is None:
         bound = DEFAULT_ENUM_BOUND
     grown = lattice_size(rs, J0) - 2  # all but the zero entry and X = {}
@@ -396,75 +394,63 @@ def j_irreducible_lattice(
             f"nonempty lambda_star sets, which exceeds the bound {bound}"
         )
 
-    rank = rs.rank
-    bits = [1 << (rank - i) for i in range(rank + 1)]  # node i at bit rank - i
-    # a node's builder bit -> its entry bit, its text after a comma, and the
-    # builder mask of its neighbours
-    steps = {
-        bits[i]: (1 << (i - 1), f",{i}", sum(bits[j] for j in rs.neighbors(i)))
-        for i in delta
-    }
-    j0_mask = sum(bits[i] for i in J0)
-    full = (1 << rank) - 1  # Delta, in either bit order
+    near = (0, *rs._neighbor_masks)  # node i's neighbours at index i
+    high = 1 << rs.rank  # high >> i: node i's bit in a sort key
+    commas = [f",{i}" for i in range(rs.rank + 1)]
+    j0_mask = _subset_mask(rs, J0)
+    full = high - 1  # Delta, as a mask and as a key
     entries = [LatticeEntry("0", 0, full, 0)]
-    empty = LatticeEntry("e{}", 0, _subset_mask(rs, J0), 1)
-    # a lambda_substar's builder mask -> (its entry mask, its index text),
-    # and its entry mask -> its builder mask
-    substars = {j0_mask: (empty.substar_mask, empty._substar_text)}
-    rests = {empty.substar_mask: j0_mask}
-    # X as a builder mask -> its entry, which holds X's entry masks and index
-    # text; no tuple per X, which the garbage collector would track.  stuck
-    # holds the Xs grown below their parent's largest node.
+    empty = LatticeEntry("e{}", 0, j0_mask, 1)
+    substars = {j0_mask: empty._substar_text}  # a lambda_substar's index text
+    # X's sort key -> its entry, which holds X's masks and index text; no
+    # tuple per X, which the garbage collector would track.  stuck holds
+    # the keys of the Xs grown below their parent's largest node.
     level, stuck = {0: empty}, set()
     exponent = 1  # |X| + 1 for the Xs of level
     while level:
         exponent += 1  # for the Xs grown from it
-        larger: dict[int, LatticeEntry] = {}
-        larger_stuck: set[int] = set()
-        for mask in sorted(level, reverse=True):
-            entries.append(entry := level[mask])
-            star, text = entry.star_mask, entry._star_text
-            rest = rests[entry.substar_mask]  # lambda_*, builder bits
+        larger, larger_stuck = {}, set()
+        for key in sorted(level, reverse=True):
+            entries.append(entry := level[key])
+            star, rest, text = entry.star_mask, entry.substar_mask, entry._star_text
             # the nodes outside J0 or adjacent to X, not in X
-            todo = full ^ (mask | rest)
-            top = mask & -mask  # X's largest node m; 0 for X = {}
-            if top and mask not in stuck:
+            todo = full ^ (star | rest)
+            m = star.bit_length()  # X's largest node; 0 for X = {}
+            top = 1 << m >> 1
+            if top and key not in stuck:
                 # X + {v} for v below m is grown from (X - {m}) + {v}, unless
                 # v is in J0 and m is all it touches in X
-                below = steps[top][2] & j0_mask & ~mask & -top
-                todo &= top - 1
+                below = near[m] & j0_mask & ~star & (top - 1)
+                todo &= -top
                 while below:
                     low = below & -below
                     below ^= low
-                    if steps[low][2] & mask == top:
+                    if near[low.bit_length()] & star == top:
                         todo |= low
             while todo:
                 low = todo & -todo
                 todo ^= low
-                wider = mask | low
+                v = low.bit_length()
+                wider = key | high >> v
                 if wider not in larger:
-                    bit, comma_v, near_v = steps[low]
-                    wider_star = star | bit
-                    if low < top:  # v above every node of X
-                        joined = text + comma_v
+                    wider_star = star | low
+                    if low > top > 0:  # v above every node of X
+                        joined = text + commas[v]
                     else:
                         joined = ",".join(map(str, _mask_indices(wider_star)))
                         if top:
                             larger_stuck.add(wider)
-                    wider_rest = rest & ~(low | near_v)
+                    wider_rest = rest & ~(low | near[v])
                     if wider_rest not in substars:
-                        substar = [i for i in sorted(J0) if bits[i] & wider_rest]
-                        substar_mask = _subset_mask(rs, substar)
-                        rests[substar_mask] = wider_rest
-                        substars[wider_rest] = substar_mask, ",".join(map(str, substar))
-                    substar, substar_text = substars[wider_rest]
+                        indices = map(str, _mask_indices(wider_rest))
+                        substars[wider_rest] = ",".join(indices)
                     larger[wider] = child = object.__new__(LatticeEntry)
                     _set_label(child, "1" if wider == full else f"e{{{joined}}}")
                     _set_star(child, wider_star)
-                    _set_substar(child, substar)
+                    _set_substar(child, wider_rest)
                     _set_exponent(child, exponent)
                     _set_star_text(child, joined)
-                    _set_substar_text(child, substar_text)
+                    _set_substar_text(child, substars[wider_rest])
         level, stuck = larger, larger_stuck
 
     provenance = support_provenance(rs.cartan_type, J0)

@@ -166,13 +166,13 @@ def cartan_matrix(ct: CartanType) -> tuple[tuple[int, ...], ...]:
 
 class RootSystemData(Immutable):
     """The positive roots of a Cartan type, with the tables every subset
-    query reads, derived once here, the per-mask memos of _mask_parts, and
+    query reads, derived once here as masks with node i at bit i - 1 (node
+    bits, neighbours, root supports), the per-mask memos of _mask_parts, and
     the maximal-parabolic walks of weyl._walk with their field layout; none
     takes part in equality, hashing or repr."""
 
     _fields = ("cartan_type", "cartan", "positive_roots")
     __slots__ = _fields + (
-        "_neighbors",
         "_neighbor_masks",
         "_node_bits",
         "_root_supports",
@@ -190,19 +190,17 @@ class RootSystemData(Immutable):
         positive_roots: Iterable[Root | bytes],
     ):
         """Each positive root's coefficients as a tuple or bytes, kept as tuples."""
-        nodes = range(1, cartan_type.rank + 1)
-        neighbors = tuple(
-            frozenset(compress(nodes, row)) - {i} for i, row in zip(nodes, cartan)
-        )
+        bits = [1 << i for i in range(cartan_type.rank)]  # node i + 1's bit
+        # each node's neighbours: the nonzero off-diagonal entries of its row
+        near = [sum(compress(bits, row)) - bit for bit, row in zip(bits, cartan)]
         raw = list(map(bytes, positive_roots))
         # bit i-1 set when simple root i occurs: nonzero bytes as binary digits
         digits = b"0" + b"1" * 255
         supports = [int(r.translate(digits)[::-1], 2) for r in raw]
         super().__init__(cartan_type, cartan, tuple(map(tuple, raw)))
         for name, value in (
-            ("_neighbors", neighbors),
-            ("_neighbor_masks", tuple(sum(1 << (j - 1) for j in n) for n in neighbors)),
-            ("_node_bits", {i: 1 << (i - 1) for i in nodes}),
+            ("_neighbor_masks", tuple(near)),
+            ("_node_bits", dict(enumerate(bits, 1))),
             ("_root_supports", tuple(supports)),
             ("_root_heights", tuple(map(sum, raw))),
             # connected mask -> (positive roots supported on it, degrees of W_mask)
@@ -225,7 +223,7 @@ class RootSystemData(Immutable):
         return len(self.positive_roots)
 
     def neighbors(self, i: int) -> frozenset[int]:
-        return self._neighbors[i - 1]
+        return frozenset(_mask_indices(self._neighbor_masks[i - 1]))
 
 
 # Largest |Phi+| * rank build accepts: a memory cap, not an enumeration bound.

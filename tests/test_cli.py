@@ -820,6 +820,52 @@ def test_evaluation_past_the_digit_limit_is_found_at_the_smallest_q_first(capsys
     assert results == [(1, "", line)] * 2
 
 
+@pytest.fixture
+def digit_limit_640():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+COEFFICIENT_TOO_LONG = (1, "", "error: a coefficient has more than 640 digits\n")
+
+
+def _wide_torus_file(tmp_path, k: int) -> str:
+    """An A1 lattice file whose identity entry and torus rank are k, so its
+    thm34 total holds the binomial coefficients of (q - 1)^k."""
+    entries = [
+        {"label": "0", "lambda_star": [], "lambda_substar": [1], "torus_index_exponent": 0},
+        {"label": "1", "lambda_star": [1], "lambda_substar": [], "torus_index_exponent": k},
+    ]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"type": "A1", "torus_rank": k, "entries": entries}))
+    return str(path)
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("command", [["order", "--formula", "thm34"], ["hpoly"]])
+def test_coefficient_past_the_digit_limit_exits_1(
+    capsys, tmp_path, digit_limit_640, command, fmt
+):
+    # C(2200, 1100) has 661 digits, while every value at q = 2 is small
+    path = _wide_torus_file(tmp_path, 2200)
+    argv = [*command, "--lattice-file", path, "--format", fmt]
+    assert run(capsys, *argv) == COEFFICIENT_TOO_LONG
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_stratum_coefficient_past_the_digit_limit_exits_1(
+    capsys, monkeypatch, digit_limit_640, fmt
+):
+    # no stratum of the two presets has a coefficient this long before its
+    # value at q = 2 is too long to print, so one is put in their place
+    wide = qpoly.expand(qpoly.QProduct(0, ((1, 2200),)))  # (q - 1)^2200
+    monkeypatch.setattr(cli, "_strata_rows", lambda args: ("wide", [("W", wide)], wide))
+    argv = ["strata", "--type", "C2", "--preset", "last-fundamental", "--format", fmt]
+    assert run(capsys, *argv) == COEFFICIENT_TOO_LONG
+
+
 MERSENNE_61 = 2**61 - 1
 
 

@@ -285,8 +285,10 @@ SMALL_TYPES = (
 
 
 # E7's node 2 hangs off node 4: with J0 = {2, 4}, X = {2, 4, 5} has one
-# valid parent, {4, 5}, which grows it below its largest node
-@pytest.mark.parametrize("spec", SMALL_TYPES + ["E7"])
+# valid parent, {4, 5}, which grows it below its largest node.  Rank 7
+# gives the stuck rule longer chains, and E8 arms of 1, 2 and 4 nodes off
+# its branch node 4
+@pytest.mark.parametrize("spec", SMALL_TYPES + ["E7", "A7", "B7", "C7", "D7", "E8"])
 def test_grown_lattice_matches_subset_scan_for_every_support(spec):
     rs = build(CartanType.parse(spec))
     for mask in range(2**rs.rank - 1):  # every J0 except Delta
