@@ -23,20 +23,20 @@ from, the total by Horner over its coefficients, and at each q the rows'
 values must sum to the total's: this ties the printed values to the
 printed coefficients.  A value that is not positive, or a sum that
 differs, raises InvariantViolation (exit 2), naming the first row in row
-order that holds the value, or the q.  Values and coefficients are
-formatted before the first write, so one too long to print leaves stdout empty.
+order that holds the value, or the q.  Values are formatted and printed
+coefficients checked (_check_digits) before the first write, so one too long
+to print leaves stdout empty; each row is then rendered as it is written.
 The strata sums as polynomials are checked in orders, where the strata are
-built.  --format json is exactly json.dumps(payload, indent=2) and a
-newline, for every command, through _write_json, which writes each row (a
-lattice entry, an order term, a stratum) when it is done, an entry from
-its index text, which also gives the csv and table cells.  As every check
-runs first, only a MemoryError or a closed pipe can stop a listing
-midway, leaving partial output.  --format csv is exactly what csv.writer
-writes, for every command, through _write_csv, which takes each row as
-its label and the rest of its fields already joined (_term_fields for a
-polynomial row, built once per distinct polynomial) and writes it with
-one write, its label quoted as csv.writer would quote it.  The order and
-lattice tables write their entry rows through _write_entry_rows.
+built.  --format json is exactly json.dumps(payload, indent=2) and a newline,
+for every command, through _write_json, which writes each row (a lattice
+entry, an order term, a stratum) when it is done, an entry from its index
+text, which also gives the csv and table cells.  As every check runs first,
+only a MemoryError or a closed pipe can stop a listing midway, leaving
+partial output.  --format csv is exactly what csv.writer writes, for every
+command, through _write_csv, which takes each row as its label and the rest
+of its fields already joined (_term_fields for a polynomial row) and writes
+it with one write, its label quoted as csv.writer would quote it.  The order
+and lattice tables write their entry rows through _write_entry_rows.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ import functools
 import json
 import os
 import sys
+from collections import Counter
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 from math import isqrt
@@ -57,7 +58,7 @@ from .crosssection import (
     j_irreducible_lattice,
     load_lattice,
 )
-from .errors import InvariantViolation, MonoidOrdersError, UnsupportedType
+from .errors import InvariantViolation, MonoidOrdersError, NotJIrreducible, UnsupportedType
 from .orders import (
     ROUTES,
     OrderReport,
@@ -282,6 +283,18 @@ def _printed(render, *args, what: str = "a coefficient", hint: str = ""):
         raise _UsageError(f"{what} has more than {limit} digits{hint}") from None
 
 
+def _check_digits(polys) -> None:
+    """Refuse through _printed a coefficient of polys past Python's digit limit
+    (0: none).  The sign is not counted, so one str of each distinct object's
+    largest magnitude decides; an expanded QProduct has Mahler measure 1, so
+    |c_i| <= C(d, i) < 2^d, and below degree 3.3 times the limit needs none."""
+    limit = sys.get_int_max_str_digits()
+    for poly in {id(poly): poly for poly in polys}.values() if limit else ():
+        cs = poly.coeffs
+        if cs and (poly._product is None or poly.degree >= 3.3 * limit):
+            _printed(str, max(max(cs), -min(cs)))
+
+
 def _decimal(value: int, q0: int) -> str:
     # at q = 2 there is no smaller q to advise
     hint = " at q=2, the smallest q" if q0 == 2 else "; use a smaller --q"
@@ -299,8 +312,9 @@ def _evaluated(
     q0 it must equal the sum of the other rows' values, one per row, or
     InvariantViolation names the q0.  The rows picked by printed come back
     as {q0: decimal} in qs order, one dict per distinct object, formatted
-    in ascending q0 (so a value too long at q = 2 is named as such) before
-    the first write, so a value too long to print leaves stdout empty."""
+    in ascending q0 (so a value too long at q = 2 is named as such); each
+    command calls it, and then _check_digits, before its first write, so a
+    value or coefficient too long to print leaves stdout empty."""
     first: dict[int, tuple[str, QPolynomial]] = {}
     for label, poly in rows:
         first.setdefault(id(poly), (label, poly))
@@ -330,9 +344,9 @@ def _write_json(obj, write) -> None:
     its coefficient list and a list of LatticeEntry as their to_json dicts;
     any other type raises TypeError.  Unlike json.dumps with an indent, it
     joins a list of ints at once, renders each QPolynomial once per depth
-    before any write (the payload keeps each alive, so no id is reused),
-    writes each entry from its index text with one write, and writes each item
-    of any other list when it is done, never holding the whole document."""
+    where it first meets it (the payload keeps each alive, so no id is
+    reused), writes each entry from its index text with one write, and each
+    item of any other list when it is done, never holding the whole document."""
     parts: list[str] = []
     texts: dict[tuple[int, str], str] = {}
 
@@ -340,19 +354,12 @@ def _write_json(obj, write) -> None:
         inner = newline + "  "
         return f"[{inner}{f',{inner}'.join(map(str, values))}{newline}]" if values else "[]"
 
-    def rendered(obj, newline: str) -> None:
-        if isinstance(obj, QPolynomial):
-            if (id(obj), newline) not in texts:
-                texts[id(obj), newline] = _printed(ints, obj.coeffs, newline)
-        elif isinstance(obj, (dict, list)) and set(map(type, obj)) != {LatticeEntry}:
-            for item in obj.values() if isinstance(obj, dict) else obj:
-                rendered(item, newline + "  ")
-
     def render(obj, newline: str) -> None:
         if isinstance(obj, str):
             parts.append(encode_basestring_ascii(obj))
         elif isinstance(obj, QPolynomial):
-            parts.append(texts[id(obj), newline])
+            key = id(obj), newline
+            parts.append(texts.get(key) or texts.setdefault(key, ints(obj.coeffs, newline)))
         elif obj is None or isinstance(obj, bool):
             parts.append("null" if obj is None else "true" if obj else "false")
         elif isinstance(obj, int):
@@ -401,7 +408,6 @@ def _write_json(obj, write) -> None:
                 parts.clear()
             parts.append(newline + "]")
 
-    rendered(obj, "\n")
     render(obj, "\n")
     parts.append("\n")
     write("".join(parts))
@@ -430,13 +436,14 @@ def _write_csv(header: list[str], rows) -> None:
 
 def _term_csv(rows, values: list[dict[int, str]], qs: list[int]):
     """The (label, polynomial) rows and their values as _write_csv's
-    (label, rest) pairs, each distinct polynomial object's rest built once
-    by _term_fields, all before the first pair is taken."""
-    texts: dict[int, str] = {}
+    (label, rest) pairs, rest built by _term_fields as each is taken, once per
+    distinct object: kept only for an object that more than one row holds."""
+    held, kept = Counter(id(poly) for _, poly in rows), {}
     for (label, poly), row in zip(rows, values):
-        if id(poly) not in texts:
-            texts[id(poly)] = _printed(_term_fields, poly, row, qs)
-    return ((label, texts[id(poly)]) for label, poly in rows)
+        rest = kept.get(id(poly)) or _term_fields(poly, row, qs)
+        if held[id(poly)] > 1:
+            kept[id(poly)] = rest
+        yield label, rest
 
 
 def _term_fields(poly: QPolynomial, row: dict[int, str], qs: list[int]) -> str:
@@ -461,13 +468,17 @@ def _write_entry_rows(entries: tuple[LatticeEntry, ...], rests) -> None:
 
 
 def _cmd_order(args, enum_bound: int | None) -> int:
-    lat = _resolve_lattice(args, enum_bound, _resolve_support(args))
+    support = _resolve_support(args)
+    lat = _resolve_lattice(args, enum_bound, support)
     qs = _parse_qs(args.q)
     # a route the bound or the weight-support rule stops maps to its
     # exception: thm34 needs neither, so 'all' still cross-checks what
     # remains, and a route asked for alone raises it
     routes = ROUTES if args.formula == "all" else (args.formula,)
     results = all_orders(lat, enum_bound=enum_bound, routes=routes)
+    # a weight-support lattice keeps thm41's rule by construction; a file need not
+    if support is not None and isinstance(thm41 := results.get("thm41"), NotJIrreducible):
+        raise InvariantViolation(f"the weight-support lattice of {support[0]}: {thm41}")
     reports = {n: r for n, r in results.items() if isinstance(r, OrderReport)}
     if not reports:
         raise results[args.formula]
@@ -497,6 +508,7 @@ def _cmd_order(args, enum_bound: int | None) -> int:
     # only csv prints the terms' values
     rows = [*primary.terms, ("total", primary.total)]
     values = _evaluated(rows, qs, slice(None if args.format == "csv" else -1, None))
+    _check_digits(poly for _, poly in rows)
     agreed = list(reports) if args.formula == "all" else None
     if args.format == "json":
         payload = {
@@ -516,16 +528,13 @@ def _cmd_order(args, enum_bound: int | None) -> int:
         header = ["label", "coeffs", *(f"q={q0}" for q0 in qs)]
         _write_csv(header, _term_csv(rows, values, qs))
     else:
-        # each distinct term (its cells' gap included) and the total, rendered first
-        texts = {id(term): term for _, term in primary.terms}
-        texts = {key: f"  {_printed(str, term)}" for key, term in texts.items()}
-        total = _printed(str, primary.total)
         print(f"type {primary.cartan_type}  formula {primary.formula}")
         for note in primary.notes:
             print(f"note: {note}")
-        rests = (texts[id(term)] for _, term in primary.terms)
+        kept: dict[int, str] = {}  # each distinct term's text, its cells' gap included
+        rests = (kept.get(id(t)) or kept.setdefault(id(t), f"  {t}") for _, t in rows[:-1])
         _write_entry_rows(primary.lattice.entries, rests)
-        print(f"total: {total}")
+        print(f"total: {primary.total}")
         for q0, value in values[-1].items():
             print(f"q={q0}: {value}")
         if agreed is not None:
@@ -552,20 +561,20 @@ def _cmd_hpoly(args, enum_bound: int | None) -> int:
 def _print_hpoly(report: OrderReport, fmt: str) -> None:
     h = h_polynomial(report.total)
     palindromic = is_palindromic(h)
+    _check_digits([h])
     if fmt == "json":
         payload = {"type": str(report.cartan_type), "h_coeffs": h}
         payload |= {"palindromic": palindromic, "notes": list(report.notes)}
         _write_json(payload, sys.stdout.write)
     elif fmt == "csv":
-        rows = _printed(list, ((str(p), str(c)) for p, c in enumerate(h.coeffs)))
+        rows = ((str(p), str(c)) for p, c in enumerate(h.coeffs))
         _write_csv(["power", "coefficient"], rows)
     else:
-        coeffs, text = _printed(" ".join, map(str, h.coeffs)), _printed(str, h)
         print(f"type {report.cartan_type}  H-polynomial of the order")
         for note in report.notes:
             print(f"note: {note}")
-        print(f"coefficients ({len(h.coeffs)}): {coeffs}")
-        print(f"H(q) = {text}")
+        print(f"coefficients ({len(h.coeffs)}): {' '.join(map(str, h.coeffs))}")
+        print(f"H(q) = {h}")
         print(f"palindromic: {'yes' if palindromic else 'no'}")
 
 
@@ -592,8 +601,9 @@ def _strata_rows(args) -> tuple[str, list[tuple[str, QPolynomial]], QPolynomial]
 def _cmd_strata(args) -> int:
     title, rows, total = _strata_rows(args)
     qs = _parse_qs(args.q)
-    # the total is checked at every q and not printed
+    # the total's values are checked at every q and not printed, nor its csv row
     values = _evaluated([*rows, ("total", total)], qs, slice(None, -1))
+    _check_digits([term for _, term in rows] + ([] if args.format == "csv" else [total]))
     if args.format == "json":
         strata = [
             {
@@ -608,12 +618,11 @@ def _cmd_strata(args) -> int:
         header = ["label", "coeffs", *(f"q={q0}" for q0 in qs)]
         _write_csv(header, _term_csv(rows, values, qs))
     else:
-        texts = [_printed(str, term) for _, term in [*rows, ("total", total)]]
         print(title)
-        for (label, _), text, row in zip(rows, texts, values):
+        for (label, term), row in zip(rows, values):
             shown = "".join(f"  q={q0}: {v}" for q0, v in row.items())
-            print(f"  {label:<8} {text}{shown}")
-        print(f"total: {texts[-1]}")
+            print(f"  {label:<8} {term}{shown}")
+        print(f"total: {total}")
     return EXIT_OK
 
 

@@ -866,6 +866,108 @@ def test_stratum_coefficient_past_the_digit_limit_exits_1(
     assert run(capsys, *argv) == COEFFICIENT_TOO_LONG
 
 
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_coefficient_of_the_limit_s_length_prints_and_one_digit_more_does_not(
+    capsys, monkeypatch, digit_limit_640, fmt
+):
+    # the sign does not count against the limit: -(10^640 - 1), 640 digits
+    # and a sign, prints; -10^640, 641 digits, does not
+    argv = ["strata", "--type", "C2", "--preset", "last-fundamental", "--format", fmt]
+    for magnitude in (10**640 - 1, 10**640):
+        edge = QPolynomial([-magnitude, 1])
+        monkeypatch.setattr(cli, "_strata_rows", lambda args: ("edge", [("E", edge)], edge))
+        code, out, err = run(capsys, *argv)
+        if magnitude < 10**640:
+            assert (code, err) == (0, "")
+            assert str(magnitude) in out
+        else:
+            assert (code, out, err) == COEFFICIENT_TOO_LONG
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_a_wide_strata_total_refuses_only_the_formats_that_print_it(
+    capsys, monkeypatch, digit_limit_640, fmt
+):
+    narrow, wide = QPolynomial([1, 1]), QPolynomial([-(10**640), 1])
+    monkeypatch.setattr(cli, "_strata_rows", lambda args: ("wide", [("N", narrow)], wide))
+    result = run(capsys, "strata", "--type", "C2", "--preset", "last-fundamental",
+                 "--format", fmt)
+    # the csv prints no total
+    assert result == ((0, "label,coeffs\r\nN,1 1\r\n", "") if fmt == "csv"
+                      else COEFFICIENT_TOO_LONG)
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["strata", "--type", "C30", "--preset", "last-fundamental"],
+        ["order", "--type", "A8", "--j0=", "--formula", "thm34"],
+    ],
+    ids=["strata-C30", "order-A8"],
+)
+def test_rows_are_rendered_as_they_are_written(monkeypatch, argv, fmt):
+    # no polynomial text is built before the first write, but the first
+    # stratum's json item, which is written when it is done
+    built = Counter()
+    renders = counting_term_renders(monkeypatch)  # the json lists' texts
+    first_write = []
+
+    class Sink:
+        def write(self, text):
+            if not first_write:
+                first_write.append(built.total() + renders.total())
+            return len(text)
+
+    def counted(real):
+        def call(*args):
+            built[real.__name__] += 1
+            return real(*args)
+
+        return call
+
+    monkeypatch.setattr(QPolynomial, "__str__", counted(QPolynomial.__str__))
+    monkeypatch.setattr(cli, "_term_fields", counted(cli._term_fields))
+    monkeypatch.setattr(sys, "stdout", Sink())
+    code = cli.main([*argv, "--format", fmt])
+    assert code == 0
+    assert built.total() + renders.total() > 30  # every row's text, in the end
+    assert first_write == [1 if fmt == "json" and argv[0] == "strata" else 0]
+
+
+def test_thm41_refusing_a_type_support_is_a_lattice_fault(capsys, monkeypatch, tmp_path):
+    # a weight-support lattice keeps thm41's |lambda*| + 1 rule by
+    # construction; with the torus exponent of X = {1,2,3} raised, thm31,
+    # thm33 and thm34 still agree, and only thm41's refusal shows the fault
+    real = cli.j_irreducible_lattice
+
+    def faulty(rs, j0, bound=None):
+        lat = real(rs, j0, bound)
+        raised = [
+            e.replace(torus_index_exponent=e.torus_index_exponent + 1)
+            if e.star_mask == 0b111 else e
+            for e in lat.entries
+        ]
+        return lat.replace(entries=tuple(raised))
+
+    monkeypatch.setattr(cli, "j_irreducible_lattice", faulty)
+    argv = ["order", "--type", "A5", "--preset", "first-fundamental", "--q", "2,3"]
+    assert run(capsys, *argv) == (
+        2,
+        "",
+        "error: the weight-support lattice of A5: lattice torus-index exponents"
+        " do not follow the |lambda*|+1 rule\n",
+    )
+    # the same lattice from a file is no weight-support lattice: thm41 is skipped
+    path = tmp_path / "raised.json"
+    lat = faulty(build(CartanType("A", 5)), frozenset({2, 3, 4, 5}))
+    path.write_text(json.dumps(lat.to_json()))
+    code, out, err = run(capsys, "order", "--lattice-file", str(path), "--q", "2,3")
+    assert (code, err) == (0, "")
+    assert "note: skipped thm41 (NotJIrreducible)\n" in out
+    assert out.endswith("3 formulas agree\n")
+
+
 MERSENNE_61 = 2**61 - 1
 
 

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from math import comb
 
 import pytest
 from hypothesis import example, given
@@ -11,6 +12,13 @@ from hypothesis import strategies as st
 
 from monoid_orders.errors import IndexOutOfRange, InvariantViolation, NonExactDivision
 from monoid_orders import qpoly
+from monoid_orders.crosssection import j_irreducible_lattice
+from monoid_orders.orders import (
+    gl_strata,
+    symplectic_strata,
+    thm34_products,
+    thm41_products,
+)
 from monoid_orders.qpoly import (
     ONE,
     Q,
@@ -31,6 +39,7 @@ from monoid_orders.qpoly import (
     _over_binomial,
     _times_binomial,
 )
+from monoid_orders.rootsystem import CartanType, build, parse_subset
 
 polys = st.builds(QPolynomial, st.lists(st.integers(-50, 50), max_size=12))
 nonzero_polys = polys.filter(bool)
@@ -485,6 +494,46 @@ def test_remainder_check_survives_optimize():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def keeps_the_mahler_bound(poly: QPolynomial) -> bool:
+    """Every |c_i| <= C(d, d // 2) for the degree d: q^s times cyclotomic
+    polynomials has Mahler measure 1, so |c_i| <= C(d, i).  The CLI's digit
+    check skips an expanded product on this bound."""
+    return max(map(abs, poly.coeffs)) <= comb(poly.degree, poly.degree // 2)
+
+
+wide_products = st.builds(
+    QProduct,
+    shifts,
+    st.dictionaries(st.integers(1, 40), st.integers(1, 9), max_size=6).map(
+        lambda phi: tuple(sorted(phi.items()))
+    ),
+)
+
+
+@given(st.lists(st.one_of(products, wide_products), min_size=1, max_size=4))
+# (q - 1)^9 meets the bound: its largest |c| is C(9, 4) = 126
+@example([QProduct(0, ((1, 9),))])
+def test_every_expanded_product_keeps_the_mahler_bound(sequence):
+    assert all(map(keeps_the_mahler_bound, expand_all(sequence)))
+
+
+@pytest.mark.parametrize(
+    "spec, j0",
+    [("A8", ""), ("B6", "1,3,5"), ("C6", "1,2,3,4,5"), ("D6", "2,4"), ("E6", "1,2,3,4,5"),
+     ("E7", "1,3,5"), ("F4", "1")],
+)
+def test_the_package_s_products_keep_the_mahler_bound(spec, j0):
+    ct = CartanType.parse(spec)
+    lat = j_irreducible_lattice(build(ct), parse_subset(j0, ct.rank))
+    for products in (thm34_products(lat), thm41_products(lat)):
+        assert all(map(keeps_the_mahler_bound, expand_all(products)))
+    if spec == "A8":  # and the strata of both presets
+        for l in range(2, 41):
+            assert all(map(keeps_the_mahler_bound, expand_all(symplectic_strata(l))))
+        for n in range(1, 31):
+            assert all(map(keeps_the_mahler_bound, gl_strata(n)))
 
 
 @given(polys, products)
