@@ -9,8 +9,9 @@ MONOID_ORDERS_ENUM_BOUND, ASCII decimal digits only as for --q, overrides
 every enumeration bound, the lattice-size bound and the size bounds of
 hpoly's Dynkin-chain sum, census and census sum included, but not
 rootsystem.BUILD_CAP, which caps the root table's memory: a larger type is
-a usage error.  --lattice-file takes neither --preset nor --j0; the rank of
---type and the indices of --j0 are ASCII decimal digits only
+a usage error, from lattice too, though lattice enumerates no root
+(rootsystem.diagram).  --lattice-file takes neither --preset nor --j0;
+the rank of --type and the indices of --j0 are ASCII decimal digits only
 (rootsystem.parse_digits), as --q is.
 
 order and strata evaluate each distinct row polynomial once per q, through
@@ -70,7 +71,7 @@ from .orders import (
     symplectic_order,
 )
 from .qpoly import QPolynomial, eval_big, is_palindromic
-from .rootsystem import CartanType, build, parse_digits, parse_subset
+from .rootsystem import CartanType, build, diagram, parse_digits, parse_subset
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -251,9 +252,9 @@ def _resolve_support(args) -> tuple[CartanType, frozenset[int]] | None:
     raise UnsupportedType("give one of --preset, --j0, or --lattice-file")
 
 
-def _resolve_lattice(args, enum_bound: int | None, support) -> CrossSectionLattice:
+def _resolve_lattice(args, enum_bound: int | None, support, root_system=build):
     """The lattice of support, as _resolve_support gives it, or of the
-    --lattice-file when support is None."""
+    --lattice-file when support is None, on root_system(its type)."""
     if support is None:
         try:
             with open(args.lattice_file, encoding="utf-8") as fh:
@@ -268,9 +269,8 @@ def _resolve_lattice(args, enum_bound: int | None, support) -> CrossSectionLatti
         type_spec = args.type or raw.get("type")
         if not type_spec:
             raise UnsupportedType("lattice file carries no type and --type not given")
-        rs = build(CartanType.parse(str(type_spec)))
-        return load_lattice(rs, raw)
-    return j_irreducible_lattice(build(support[0]), support[1], enum_bound)
+        return load_lattice(root_system(CartanType.parse(str(type_spec))), raw)
+    return j_irreducible_lattice(root_system(support[0]), support[1], enum_bound)
 
 
 def _printed(render, *args, what: str = "a coefficient", hint: str = ""):
@@ -343,12 +343,22 @@ def _write_json(obj, write) -> None:
     for dicts with str keys, lists, str, int, bool and None, a QPolynomial as
     its coefficient list and a list of LatticeEntry as their to_json dicts;
     any other type raises TypeError.  Unlike json.dumps with an indent, it
-    joins a list of ints at once, renders each QPolynomial once per depth
-    where it first meets it (the payload keeps each alive, so no id is
-    reused), writes each entry from its index text with one write, and each
-    item of any other list when it is done, never holding the whole document."""
+    joins a list of ints at once, renders once per depth a QPolynomial the
+    payload holds twice or more (counted by id first; the payload keeps each
+    alive, so no id is reused), writes each entry from its index text with
+    one write, and each item of any other list when it is done, never
+    holding the whole document."""
     parts: list[str] = []
     texts: dict[tuple[int, str], str] = {}
+    held, todo = Counter(), [obj]  # QPolynomial ids; int and entry lists hold none
+    for item in todo:
+        if isinstance(item, QPolynomial):
+            held[id(item)] += 1
+        elif isinstance(item, dict):
+            todo += item.values()
+        elif isinstance(item, list) and item:
+            if not isinstance(item[0], (int, LatticeEntry)):
+                todo += item
 
     def ints(values, newline: str) -> str:
         inner = newline + "  "
@@ -359,7 +369,9 @@ def _write_json(obj, write) -> None:
             parts.append(encode_basestring_ascii(obj))
         elif isinstance(obj, QPolynomial):
             key = id(obj), newline
-            parts.append(texts.get(key) or texts.setdefault(key, ints(obj.coeffs, newline)))
+            parts.append(texts.get(key) or ints(obj.coeffs, newline))
+            if held[id(obj)] > 1:
+                texts[key] = parts[-1]
         elif obj is None or isinstance(obj, bool):
             parts.append("null" if obj is None else "true" if obj else "false")
         elif isinstance(obj, int):
@@ -496,6 +508,10 @@ def _cmd_order(args, enum_bound: int | None) -> int:
                 print(f"  {name}: {value}", file=sys.stderr)
             return EXIT_VERIFY
     primary = list(reports.values())[-1]
+    # A_{n-1} with J0 = Delta - {1} is the matrix monoid M_n, of order q^(n^2)
+    n = support[0].rank + 1 if support and support[0].family == "A" else 0
+    if n and support[1] == {*range(2, n)} and primary.total != QPolynomial.monomial(n * n):
+        raise InvariantViolation(f"the A{n - 1} omega_1 total is not |M_{n}| = q^{n * n}")
     # the printed report also carries what the other routes skipped
     notes = list(primary.notes)
     for name, result in results.items():
@@ -627,7 +643,7 @@ def _cmd_strata(args) -> int:
 
 
 def _cmd_lattice(args, enum_bound: int | None) -> int:
-    lat = _resolve_lattice(args, enum_bound, _resolve_support(args))
+    lat = _resolve_lattice(args, enum_bound, _resolve_support(args), diagram)
     if args.format == "json":
         _write_json(_lattice_json(lat), sys.stdout.write)
     elif args.format == "csv":  # the index texts print their commas as spaces

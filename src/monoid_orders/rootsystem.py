@@ -9,11 +9,14 @@ Dynkin adjacency, and the degrees of the basic polynomial invariants of every
 parabolic subgroup W_X, read from the heights of the roots supported on X
 (Kostant 1959; Humphreys, Reflection Groups and Coxeter Groups, 3.20), so no
 sub-diagram is ever classified.  W_X is the direct product of its Dynkin
-components' groups, each read from the roots once per root system.
+components' groups, each read from the roots once per root system.  The
+Dynkin diagram alone (diagram) gives the adjacency masks the lattices read;
+the roots are enumerated on the first read of the root table, which build
+makes at once.
 
-build packs a root, its coroot pairings (biased by 64) and its steps down
-the alpha_i-strings into one int each, an 8-bit field per node with node 1
-the most significant, so int order is tuple order.  8 bits hold a
+_enumerate packs a root, its coroot pairings (biased by 64) and its steps
+down the alpha_i-strings into one int each, an 8-bit field per node with
+node 1 the most significant, so int order is tuple order.  8 bits hold a
 coefficient (at most 6, E8's highest root), a pairing (-3..3) and a
 string's steps down (at most 3, G2) with room to spare.
 """
@@ -166,13 +169,16 @@ def cartan_matrix(ct: CartanType) -> tuple[tuple[int, ...], ...]:
 
 class RootSystemData(Immutable):
     """The positive roots of a Cartan type, with the tables every subset
-    query reads, derived once here as masks with node i at bit i - 1 (node
-    bits, neighbours, root supports), the per-mask memos of _mask_parts, and
-    the maximal-parabolic walks of weyl._walk with their field layout; none
-    takes part in equality, hashing or repr."""
+    query reads, derived as masks with node i at bit i - 1 (node bits and
+    neighbours here, root supports with the roots), the per-mask memos of
+    _mask_parts, and the maximal-parabolic walks of weyl._walk with their
+    field layout; none takes part in equality, hashing or repr.  Given no
+    roots, the root table (_roots, _root_supports, _root_heights) is None
+    until its first read, through positive_roots or _read_component."""
 
     _fields = ("cartan_type", "cartan", "positive_roots")
-    __slots__ = _fields + (
+    __slots__ = _fields[:2] + (
+        "_roots",
         "_neighbor_masks",
         "_node_bits",
         "_root_supports",
@@ -187,22 +193,16 @@ class RootSystemData(Immutable):
         self,
         cartan_type: CartanType,
         cartan: tuple[tuple[int, ...], ...],
-        positive_roots: Iterable[Root | bytes],
+        positive_roots: Iterable[Root | bytes] | None,
     ):
-        """Each positive root's coefficients as a tuple or bytes, kept as tuples."""
+        """Each root's coefficients as a tuple or bytes, kept as tuples; None: unread."""
         bits = [1 << i for i in range(cartan_type.rank)]  # node i + 1's bit
         # each node's neighbours: the nonzero off-diagonal entries of its row
         near = [sum(compress(bits, row)) - bit for bit, row in zip(bits, cartan)]
-        raw = list(map(bytes, positive_roots))
-        # bit i-1 set when simple root i occurs: nonzero bytes as binary digits
-        digits = b"0" + b"1" * 255
-        supports = [int(r.translate(digits)[::-1], 2) for r in raw]
-        super().__init__(cartan_type, cartan, tuple(map(tuple, raw)))
+        super().__init__(cartan_type, cartan, positive_roots)
         for name, value in (
             ("_neighbor_masks", tuple(near)),
             ("_node_bits", dict(enumerate(bits, 1))),
-            ("_root_supports", tuple(supports)),
-            ("_root_heights", tuple(map(sum, raw))),
             # connected mask -> (positive roots supported on it, degrees of W_mask)
             ("_components", {}),
             # subset mask -> the _components entries of its Dynkin components
@@ -212,6 +212,23 @@ class RootSystemData(Immutable):
             # weyl._packing's field layout, set on the first walk
             ("_packing", None),
         ):
+            object.__setattr__(self, name, value)
+
+    @property
+    def positive_roots(self) -> tuple[Root, ...]:
+        """Each positive root's coefficients, enumerated on the first read."""
+        return _enumerate(self)._roots if self._roots is None else self._roots
+
+    @positive_roots.setter
+    def positive_roots(self, positive_roots: Iterable[Root | bytes] | None) -> None:
+        """The root table from each root's coefficients, or None throughout."""
+        table = None, None, None
+        if positive_roots is not None:
+            raw = list(map(bytes, positive_roots))
+            # bit i-1 set when simple root i occurs: nonzero bytes as binary digits
+            supports = [int(r.translate(b"0" + b"1" * 255)[::-1], 2) for r in raw]
+            table = tuple(map(tuple, raw)), tuple(supports), tuple(map(sum, raw))
+        for name, value in zip(("_roots", "_root_supports", "_root_heights"), table):
             object.__setattr__(self, name, value)
 
     @property
@@ -226,25 +243,13 @@ class RootSystemData(Immutable):
         return frozenset(_mask_indices(self._neighbor_masks[i - 1]))
 
 
-# Largest |Phi+| * rank build accepts: a memory cap, not an enumeration bound.
+# Largest |Phi+| * rank diagram accepts: a memory cap, not an enumeration bound.
 BUILD_CAP = 10**6
 
 
-@lru_cache(maxsize=None)
-def build(ct: CartanType) -> RootSystemData:
-    """Construct the positive roots one height at a time.
-
-    beta + alpha_i is a root exactly when p - <beta, alpha_i^vee> > 0, with
-    p the steps down the alpha_i-string through beta (Humphreys, Lie
-    Algebras, 9.4).  On the module's packed fields, field i of
-    down - pairings + 191 is p - <beta, alpha_i^vee> + 127, with no borrow
-    between fields, so its top bit says whether beta grows along alpha_i;
-    only those bits are visited, and beta + alpha_i, its pairings and its
-    steps down are one add each.  A type whose |Phi+| * rank exceeds
-    BUILD_CAP is refused with UnsupportedType before anything is allocated.
-    The heights of the roots must give back the hand-entered degree table,
-    or InvariantViolation: the table and the construction check each other.
-    """
+def diagram(ct: CartanType) -> RootSystemData:
+    """ct's root system in O(rank^2), kept nowhere, its root table unread;
+    UnsupportedType first if |Phi+| * rank exceeds BUILD_CAP."""
     l = ct.rank
     size = _root_count(ct) * l
     if size > BUILD_CAP:
@@ -252,14 +257,36 @@ def build(ct: CartanType) -> RootSystemData:
             f"{ct} has {_root_count(ct)} positive roots of rank {l}: a root"
             f" table of {size} entries exceeds the cap {BUILD_CAP}"
         )
-    cartan = cartan_matrix(ct)
+    return RootSystemData(ct, cartan_matrix(ct), None)
+
+
+@lru_cache(maxsize=None)
+def build(ct: CartanType) -> RootSystemData:
+    """diagram(ct) with its root table read at once (_enumerate), kept per type."""
+    return _enumerate(diagram(ct))
+
+
+def _enumerate(rs: RootSystemData) -> RootSystemData:
+    """rs with its root table set: the positive roots one height at a time.
+
+    beta + alpha_i is a root exactly when p - <beta, alpha_i^vee> > 0, with
+    p the steps down the alpha_i-string through beta (Humphreys, Lie
+    Algebras, 9.4).  On the module's packed fields, field i of
+    down - pairings + 191 is p - <beta, alpha_i^vee> + 127, with no borrow
+    between fields, so its top bit says whether beta grows along alpha_i;
+    only those bits are visited, and beta + alpha_i, its pairings and its
+    steps down are one add each.  The heights of the roots must give back
+    the hand-entered degree table, or InvariantViolation leaves rs unread:
+    the table and the construction check each other.
+    """
+    ct, l = rs.cartan_type, rs.rank
     units = [1 << 8 * (l - 1 - i) for i in range(l)]
     ones = sum(units)
     # alpha_i's (unit, field mask, packed Cartan column) at l - i (0-based
     # i), the bit length of its field's top bit over 8
     simple = [()] * (l + 1)
     for i, unit in enumerate(units):
-        column = sum(row[i] * u for row, u in zip(cartan, units))
+        column = sum(row[i] * u for row, u in zip(rs.cartan, units))
         simple[l - i] = (unit, 255 * unit, column)
     tops, grows = 128 * ones, 191 * ones
     # root -> [its biased pairings, its steps down]
@@ -277,12 +304,16 @@ def build(ct: CartanType) -> RootSystemData:
                 further = (down & field) + unit  # one more step down alpha_i
                 higher.setdefault(beta + unit, [pairings + column, 0])[1] += further
         level = higher
-    rs = RootSystemData(ct, cartan, [beta.to_bytes(l, "big") for beta in positive])
-    found = _mask_degrees(rs, (1 << l) - 1)
-    if found != degrees(ct):
+    roots = [beta.to_bytes(l, "big") for beta in positive]
+    object.__setattr__(rs, "positive_roots", roots)  # its setter writes the table
+    full = (1 << l) - 1
+    part = _read_component(rs, full)  # the diagram is connected
+    if part[1] != degrees(ct):
+        object.__setattr__(rs, "positive_roots", None)
         raise InvariantViolation(
-            f"{ct} root heights give degrees {found}, the table has {degrees(ct)}"
+            f"{ct} root heights give degrees {part[1]}, the table has {degrees(ct)}"
         )
+    rs._parts[full] = (rs._components.setdefault(full, part),)
     return rs
 
 
@@ -340,6 +371,8 @@ def _read_component(rs: RootSystemData, mask: int) -> tuple[int, tuple[int, ...]
     """(count, degrees) of the n_h positive roots of each height h supported
     on mask: the exponents of W_mask are the parts of the partition dual to
     (n_1, n_2, ...), and each degree is an exponent plus one."""
+    if rs._root_supports is None:  # the table's first read
+        _enumerate(rs)
     heights = [h for s, h in zip(rs._root_supports, rs._root_heights) if not s & ~mask]
     counts = sorted(Counter(heights).values())
     ranks = range(bin(mask).count("1"), 0, -1)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from monoid_orders import cli, crosssection, orders, qpoly, verify
+from monoid_orders import cli, crosssection, orders, qpoly, rootsystem, verify
 from monoid_orders.crosssection import (
     LatticeEntry,
     fundamental_lattice,
@@ -27,6 +27,7 @@ from monoid_orders.qpoly import ONE, QPolynomial
 from routes import route
 from subdiagrams import star, substar
 from test_qpoly import render_by_loop
+from test_rootsystem import table
 
 
 def run(capsys, *argv):
@@ -966,6 +967,119 @@ def test_thm41_refusing_a_type_support_is_a_lattice_fault(capsys, monkeypatch, t
     assert (code, err) == (0, "")
     assert "note: skipped thm41 (NotJIrreducible)\n" in out
     assert out.endswith("3 formulas agree\n")
+
+
+def raise_exponent_of_123(real):
+    """real, a lattice builder, with the torus exponent of X = {1,2,3} raised
+    by one: a fault that thm31, thm33 and thm34 agree on."""
+
+    def faulty(rs, j0, bound=None):
+        lat = real(rs, j0, bound)
+        raised = [
+            e.replace(torus_index_exponent=e.torus_index_exponent + 1)
+            if e.star_mask == 0b111 else e
+            for e in lat.entries
+        ]
+        return lat.replace(entries=tuple(raised))
+
+    return faulty
+
+
+@pytest.mark.parametrize("support", [("--preset", "first-fundamental"), ("--j0", "2,3,4,5")])
+def test_a_omega_1_total_must_be_the_matrix_monoid_order(capsys, monkeypatch, support):
+    # A5 with J0 = Delta - {1} is the matrix monoid M_6, of order q^36; thm34
+    # alone meets no rule of its own under the fault, and its q = 2 value is
+    # still 2^36, since every (q - 1)^k is 1 there
+    faulty = raise_exponent_of_123(cli.j_irreducible_lattice)
+    monkeypatch.setattr(cli, "j_irreducible_lattice", faulty)
+    argv = ["order", "--type", "A5", *support, "--formula", "thm34", "--q", "2,3"]
+    assert run(capsys, *argv) == (2, "", "error: the A5 omega_1 total is not |M_6| = q^36\n")
+    # another support of A5 has no closed form to meet, and the fault passes
+    code, out, err = run(capsys, "order", "--type", "A5", "--j0", "1,2,3,4", "--formula", "thm34")
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_a_omega_1_totals_are_matrix_monoid_orders(capsys, n):
+    for formula in ("thm34", "thm41"):
+        argv = ["order", "--type", f"A{n}", "--preset", "first-fundamental"]
+        code, out, err = run(capsys, *argv, "--formula", formula)
+        assert (code, err) == (0, "")
+        assert f"\ntotal: q^{(n + 1) ** 2}\n" in out
+
+
+ROOT_FREE_LATTICES = [
+    ("C16", ("--preset", "last-fundamental"), ()),
+    ("D14", ("--preset", "last-fundamental"), ()),
+    ("A12", ("--j0", ""), ("--format", "csv")),
+    ("B12", ("--j0", "1,3,5,7,9,11"), ("--format", "json")),
+]
+
+
+def spy_on(monkeypatch, *names):
+    """The root systems that cli's names (lattice builders, hpoly's sums)
+    are called with, each call still made."""
+    seen = []
+
+    def spied(real):
+        def call(rs, *args, **kwargs):
+            seen.append(rs)
+            return real(rs, *args, **kwargs)
+
+        return call
+
+    for name in names:
+        monkeypatch.setattr(cli, name, spied(getattr(cli, name)))
+    return seen
+
+
+@pytest.mark.parametrize("spec, support, fmt", ROOT_FREE_LATTICES)
+def test_lattice_enumerates_no_root(capsys, monkeypatch, spec, support, fmt):
+    # the lattice reads the Dynkin diagram alone, so the root table of the
+    # root system it is built on is never read
+    def refuse(rs):
+        raise AssertionError(f"{rs.cartan_type}'s roots were enumerated")
+
+    expected = run(capsys, "lattice", "--type", spec, *support, *fmt)
+    seen = spy_on(monkeypatch, "j_irreducible_lattice")
+    monkeypatch.setattr(rootsystem, "_enumerate", refuse)
+    assert run(capsys, "lattice", "--type", spec, *support, *fmt) == expected
+    assert expected[0] == 0 and len(seen) == 1 and table(seen[0]) == (None, None, None)
+
+
+@pytest.mark.parametrize("spec, support, fmt", ROOT_FREE_LATTICES)
+def test_order_and_hpoly_read_the_root_table(capsys, monkeypatch, spec, support, fmt):
+    # both read parabolic degrees, so they run on built root systems
+    seen = spy_on(monkeypatch, "j_irreducible_lattice", "census_total", "chain_total")
+    assert run(capsys, "order", "--type", spec, *support, "--formula", "thm34")[0] == 0
+    assert run(capsys, "hpoly", "--type", spec, *support)[0] == 0
+    assert len(seen) == 2
+    assert all(None not in table(rs) for rs in seen)
+
+
+def test_lattice_file_enumerates_no_root(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "c5.json"
+    path.write_text(json.dumps(fundamental_lattice(CartanType("C", 5), 5).to_json()))
+    seen = spy_on(monkeypatch, "load_lattice")
+    code, out, err = run(capsys, "lattice", "--lattice-file", str(path))
+    assert (code, err) == (0, "") and out.startswith("type C5  torus rank 6  (user-supplied)")
+    assert len(seen) == 1 and table(seen[0]) == (None, None, None)
+    # order on the same file reads degrees, on a built root system
+    assert run(capsys, "order", "--lattice-file", str(path), "--formula", "thm34")[0] == 0
+    assert len(seen) == 2 and None not in table(seen[1])
+
+
+def test_lattice_keeps_the_build_cap(capsys):
+    # no root table is built, but a type whose table would exceed the cap
+    # is still refused, with the same line and exit code as order's
+    for command in ("lattice", "order"):
+        argv = [command, "--type", "A2000", "--preset", "last-fundamental"]
+        assert run(capsys, *argv) == (
+            1,
+            "",
+            "error: A2000 has 2001000 positive roots of rank 2000: a root table"
+            " of 4002000000 entries exceeds the cap 1000000\n",
+        )
 
 
 MERSENNE_61 = 2**61 - 1

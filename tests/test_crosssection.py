@@ -29,8 +29,9 @@ from monoid_orders.errors import (
     LatticeTooLarge,
     UnsupportedType,
 )
-from monoid_orders.rootsystem import CartanType, build
+from monoid_orders.rootsystem import CartanType, build, diagram
 from subdiagrams import components, entry, mask_of, star, subset_degrees, substar
+from test_rootsystem import table
 
 
 def shape(lat):
@@ -577,3 +578,32 @@ def test_a12_lattice_holds_under_400_bytes_per_entry():
     n = len(lat.entries)
     assert n == 2**12 + 1
     assert held <= 400 * n and peak <= 400 * n, (held / n, peak / n)
+
+
+def root_free_supports():
+    """Every J0 properly inside Delta of the small types, and both presets of
+    E6-E8."""
+    specs = [f"A{l}" for l in range(1, 7)] + [f"B{l}" for l in range(2, 6)]
+    specs += [f"C{l}" for l in range(3, 6)] + [f"D{l}" for l in range(4, 7)] + ["F4", "G2"]
+    for spec in specs:
+        rank = CartanType.parse(spec).rank
+        for mask in range(2**rank - 1):
+            yield spec, frozenset(i + 1 for i in range(rank) if mask >> i & 1)
+    for spec in ("E6", "E7", "E8"):
+        rank = CartanType.parse(spec).rank
+        for i in (1, rank):
+            yield spec, frozenset(range(1, rank + 1)) - {i}
+
+
+def test_lattices_on_the_diagram_equal_those_on_built_root_systems():
+    supports = list(root_free_supports())
+    assert len(supports) == 362
+    for spec, J0 in supports:
+        ct = CartanType.parse(spec)
+        rs = diagram(ct)
+        lat = j_irreducible_lattice(rs, J0)
+        built = j_irreducible_lattice(build(ct), J0)
+        assert lat.entries == built.entries, (spec, sorted(J0))
+        assert (lat.torus_rank, lat.provenance) == (built.torus_rank, built.provenance)
+        assert [e.index_text for e in lat.entries] == [e.index_text for e in built.entries]
+        assert table(rs) == (None, None, None)

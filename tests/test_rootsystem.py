@@ -261,6 +261,96 @@ def test_table_check_survives_optimize():
     assert result.returncode == 0, result.stderr
 
 
+def table(rs):
+    """The root table's three slots, read as they stand: None throughout
+    while the table is unread."""
+    return rs._roots, rs._root_supports, rs._root_heights
+
+
+@pytest.mark.parametrize("ct", ALL_TYPES, ids=str)
+def test_diagram_enumerates_its_table_on_first_read(ct):
+    rs = rootsystem.diagram(ct)
+    assert table(rs) == (None, None, None) and rs.rank == ct.rank
+    assert rs._neighbor_masks == build(ct)._neighbor_masks
+    # the first read sets the whole table, as build has it
+    assert rs.positive_roots == build(ct).positive_roots
+    assert table(rs) == table(build(ct))
+    # so does the first read of the supports, by a degree query
+    rs = rootsystem.diagram(ct)
+    assert rootsystem._mask_degrees(rs, 1) == (2,)
+    assert table(rs) == table(build(ct))
+    # the fields alone still give equality, hashing, repr and replace
+    fresh = rootsystem.diagram(ct)
+    assert fresh == build(ct) and hash(fresh) == hash(build(ct))
+    assert repr(rootsystem.diagram(ct)) == repr(build(ct))
+    assert rootsystem.diagram(ct).replace() == build(ct)
+
+
+def test_diagram_reads_no_table_for_its_masks(monkeypatch):
+    def refuse(rs):
+        raise AssertionError(f"{rs.cartan_type}'s roots were enumerated")
+
+    monkeypatch.setattr(rootsystem, "_enumerate", refuse)
+    rs = rootsystem.diagram(CartanType("D", 100))
+    assert rs.rank == 100 and rs.neighbors(98) == {97, 99, 100}
+    assert rootsystem._subset_mask(rs, frozenset({1, 100})) == 1 | 1 << 99
+    assert table(rs) == (None, None, None)
+
+
+def test_diagram_checks_the_degree_table_on_first_read(monkeypatch):
+    monkeypatch.setattr(rootsystem, "degrees", wrong_g2(rootsystem.degrees))
+    g2 = CartanType("G", 2)
+    rs = rootsystem.diagram(g2)  # the diagram alone reads no degree
+    # a failed check leaves the table unset, so the next read fails too
+    for _ in range(2):
+        with pytest.raises(InvariantViolation, match="G2"):
+            rs.positive_roots
+        assert table(rs) == (None, None, None) and not rs._parts
+    with pytest.raises(InvariantViolation, match="G2"):
+        rootsystem._mask_degrees(rootsystem.diagram(g2), 0b11)
+    # and build, which reads the table at once, refuses the type
+    with pytest.raises(InvariantViolation, match="G2"):
+        build.__wrapped__(g2)
+
+
+OPTIMIZED_FIRST_READ_CHECK = """
+import sys
+from monoid_orders import rootsystem
+from monoid_orders.errors import InvariantViolation
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+degrees = rootsystem.degrees
+rootsystem.degrees = lambda ct: (3, 5) if str(ct) == "G2" else degrees(ct)
+g2 = rootsystem.CartanType("G", 2)
+reads = {
+    "positive_roots": lambda rs: rs.positive_roots,
+    "_mask_degrees": lambda rs: rootsystem._mask_degrees(rs, 0b11),
+}
+for name, read in reads.items():
+    try:
+        read(rootsystem.diagram(g2))
+    except InvariantViolation as exc:
+        if "G2" not in str(exc):
+            sys.exit(f"{name}: the error does not name G2: {exc}")
+    else:
+        sys.exit(f"{name}: a wrong degree table went unnoticed")
+"""
+
+
+def test_first_read_check_survives_optimize():
+    # python -O strips assert statements; the check on first read must survive it
+    src = os.path.dirname(os.path.dirname(rootsystem.__file__))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_FIRST_READ_CHECK],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_degree_tables():
     assert degrees(CartanType("A", 3)) == (2, 3, 4)
     assert degrees(CartanType("C", 3)) == (2, 4, 6)
@@ -475,3 +565,5 @@ def test_oversize_type_refused_before_any_allocation(monkeypatch, spec, size):
     monkeypatch.setattr(rootsystem, "degrees", untouchable)
     with pytest.raises(UnsupportedType, match=f"table of {size} entries exceeds the cap"):
         build.__wrapped__(CartanType.parse(spec))
+    with pytest.raises(UnsupportedType, match=f"table of {size} entries exceeds the cap"):
+        rootsystem.diagram(CartanType.parse(spec))
