@@ -18,26 +18,28 @@ order and strata evaluate each distinct row polynomial once per q, through
 _evaluated: the order terms and total in every format (only csv prints the
 terms' values), and every stratum.  Rows share a polynomial object where
 their terms are equal (qpoly.expand_all gives one object per distinct
-product), and each printer builds a shared term's text once per report.
-A term or stratum is evaluated from the factored product it was expanded
-from, the total by Horner over its coefficients, and at each q the rows'
-values must sum to the total's: this ties the printed values to the
-printed coefficients.  A value that is not positive, or a sum that
-differs, raises InvariantViolation (exit 2), naming the first row in row
-order that holds the value, or the q.  Values are formatted and printed
-coefficients checked (_check_digits) before the first write, so one too long
-to print leaves stdout empty; each row is then rendered as it is written.
-The strata sums as polynomials are checked in orders, where the strata are
-built.  --format json is exactly json.dumps(payload, indent=2) and a newline,
-for every command, through _write_json, which writes each row (a lattice
-entry, an order term, a stratum) when it is done, an entry from its index
-text, which also gives the csv and table cells.  As every check runs first,
-only a MemoryError or a closed pipe can stop a listing midway, leaving
-partial output.  --format csv is exactly what csv.writer writes, for every
-command, through _write_csv, which takes each row as its label and the rest
-of its fields already joined (_term_fields for a polynomial row) and writes
-it with one write, its label quoted as csv.writer would quote it.  The order
-and lattice tables write their entry rows through _write_entry_rows.
+product).  A term or stratum is evaluated from the factored product it was
+expanded from, the total by Horner over its coefficients, and at each q the
+rows' values must sum to the total's: this ties the printed values to the
+printed coefficients.  A value that is not positive, or a sum that differs,
+raises InvariantViolation (exit 2), naming the first row in row order that
+holds the value, or the q.  Values are formatted and printed coefficients
+checked (_check_digits) before the first write, so one too long to print
+leaves stdout empty.  One rule renders every format: each row is rendered as
+it is written, each polynomial object's text once, and the text is kept only
+for an object that two rows or more hold, as counted once per report (by
+_evaluated for _rendered, the order table's and csv's helper, and by
+_write_json).  The strata sums as polynomials are checked in orders, where
+the strata are built.  --format json is exactly json.dumps(payload, indent=2)
+and a newline, for every command, through _write_json, which writes each row
+(a lattice entry, an order term, a stratum) when it is done, an entry from
+its index text, which also gives the csv and table cells.  As every check
+runs first, only a MemoryError or a closed pipe can stop a listing midway,
+leaving partial output.  --format csv is exactly what csv.writer writes, for
+every command, through _write_csv, which takes each row as its label and the
+rest of its fields already joined (_term_fields for a polynomial row) and
+writes it with one write, its label quoted as csv.writer would quote it.  The
+order and lattice tables write their entry rows through _write_entry_rows.
 """
 
 from __future__ import annotations
@@ -273,11 +275,11 @@ def _resolve_lattice(args, enum_bound: int | None, support, root_system=build):
     return j_irreducible_lattice(root_system(support[0]), support[1], enum_bound)
 
 
-def _printed(render, *args, what: str = "a coefficient", hint: str = ""):
-    """render(*args), which renders ints; one past Python's int-to-str digit
-    limit raises _UsageError (exit 1) naming what, the limit and hint."""
+def _printed(value: int, what: str = "a coefficient", hint: str = "") -> str:
+    """str(value); one past Python's int-to-str digit limit raises
+    _UsageError (exit 1) naming what, the limit and hint."""
     try:
-        return render(*args)
+        return str(value)
     except ValueError:
         limit = sys.get_int_max_str_digits()
         raise _UsageError(f"{what} has more than {limit} digits{hint}") from None
@@ -285,57 +287,70 @@ def _printed(render, *args, what: str = "a coefficient", hint: str = ""):
 
 def _check_digits(polys) -> None:
     """Refuse through _printed a coefficient of polys past Python's digit limit
-    (0: none).  The sign is not counted, so one str of each distinct object's
-    largest magnitude decides; an expanded QProduct has Mahler measure 1, so
+    (0: none).  The sign is not counted, so one str of each object's largest
+    magnitude decides; an expanded QProduct has Mahler measure 1, so
     |c_i| <= C(d, i) < 2^d, and below degree 3.3 times the limit needs none."""
     limit = sys.get_int_max_str_digits()
-    for poly in {id(poly): poly for poly in polys}.values() if limit else ():
+    for poly in polys if limit else ():
         cs = poly.coeffs
         if cs and (poly._product is None or poly.degree >= 3.3 * limit):
-            _printed(str, max(max(cs), -min(cs)))
+            _printed(max(max(cs), -min(cs)))
 
 
 def _decimal(value: int, q0: int) -> str:
     # at q = 2 there is no smaller q to advise
     hint = " at q=2, the smallest q" if q0 == 2 else "; use a smaller --q"
-    return _printed(str, value, what="an evaluation", hint=hint)
+    return _printed(value, what="an evaluation", hint=hint)
 
 
-def _evaluated(
-    rows: list[tuple[str, QPolynomial]], qs: list[int], printed: slice = slice(None)
-) -> list[dict[int, str]]:
+def _evaluated(rows, qs: list[int], printed=slice(None), total_coeffs=True) -> tuple:
     """Each distinct polynomial object of the (label, polynomial) rows
     evaluated once at each q0 of qs, q0 by q0, in row order; a value that
     is not positive raises InvariantViolation naming the first row that
     holds it.  The last row is the total, a sum that carries no product,
     so eval_big takes its value by Horner over its coefficients: at each
     q0 it must equal the sum of the other rows' values, one per row, or
-    InvariantViolation names the q0.  The rows picked by printed come back
-    as {q0: decimal} in qs order, one dict per distinct object, formatted
-    in ascending q0 (so a value too long at q = 2 is named as such); each
-    command calls it, and then _check_digits, before its first write, so a
-    value or coefficient too long to print leaves stdout empty."""
-    first: dict[int, tuple[str, QPolynomial]] = {}
-    for label, poly in rows:
-        first.setdefault(id(poly), (label, poly))
-    values: dict[int, dict[int, int]] = {key: {} for key in first}
-    summands, total = [id(poly) for _, poly in rows[:-1]], id(rows[-1][1])
+    InvariantViolation names the q0.  Then the values of the rows picked by
+    printed are formatted in ascending q0 (one too long at q = 2 is named as
+    such), and _check_digits checks every row, the total only if
+    total_coeffs.  Returns how many rows hold each object and the printed
+    values, {q0: decimal} in qs order, both by id."""
+    polys = [poly for _, poly in rows]  # the total last
+    held, distinct = Counter(map(id, polys)), dict(zip(map(id, polys), polys))
+    values: dict[int, dict[int, int]] = {key: {} for key in held}
     for q0 in qs:
-        for key, (label, poly) in first.items():
+        for key, poly in distinct.items():
             values[key][q0] = value = eval_big(poly, q0)
             if value <= 0:
+                label = next(label for label, row in rows if row is poly)
                 raise InvariantViolation(f"term {label!r} is not positive at q={q0}")
-        if sum(values[key][q0] for key in summands) != values[total][q0]:
+        # every row's value, the total's included, sums to twice the total's
+        if sum(values[k][q0] * n for k, n in held.items()) != 2 * values[id(polys[-1])][q0]:
             raise InvariantViolation(
                 f"the rows' values do not sum to the value of the total's"
                 f" coefficients at q={q0}"
             )
-    shown = [id(poly) for _, poly in rows[printed]]
-    texts = {key: dict.fromkeys(qs) for key in dict.fromkeys(shown)}
+    texts = {key: dict.fromkeys(qs) for key in dict.fromkeys(map(id, polys[printed]))}
     for q0 in sorted(qs):
         for key, text in texts.items():
             text[q0] = _decimal(values[key][q0], q0)
-    return [texts[key] for key in shown]
+    _check_digits(distinct.values() if total_coeffs else polys[:-1])
+    return held, texts
+
+
+def _rendered(rows, held: Counter, render):
+    """(label, render(poly)) for each (label, poly) of rows, rendered at the
+    first row that holds the object and kept for the later rows only when
+    held counts it more than once: no other text outlives its row."""
+    kept: dict[int, str] = {}
+    for label, poly in rows:
+        key = id(poly)
+        if key in kept:
+            yield label, kept[key]
+        elif held[key] > 1:
+            yield label, kept.setdefault(key, render(poly))
+        else:
+            yield label, render(poly)
 
 
 def _write_json(obj, write) -> None:
@@ -446,32 +461,19 @@ def _write_csv(header: list[str], rows) -> None:
             write(f"{label},{rest}\r\n")
 
 
-def _term_csv(rows, values: list[dict[int, str]], qs: list[int]):
-    """The (label, polynomial) rows and their values as _write_csv's
-    (label, rest) pairs, rest built by _term_fields as each is taken, once per
-    distinct object: kept only for an object that more than one row holds."""
-    held, kept = Counter(id(poly) for _, poly in rows), {}
-    for (label, poly), row in zip(rows, values):
-        rest = kept.get(id(poly)) or _term_fields(poly, row, qs)
-        if held[id(poly)] > 1:
-            kept[id(poly)] = rest
-        yield label, rest
+def _term_fields(poly: QPolynomial, values: dict, qs: list[int]) -> str:
+    """The coefficients separated by spaces, then the values at qs (by id in values)."""
+    return ",".join([" ".join(map(str, poly.coeffs)), *(values[id(poly)][q0] for q0 in qs)])
 
 
-def _term_fields(poly: QPolynomial, row: dict[int, str], qs: list[int]) -> str:
-    """The coefficients separated by spaces, then the value at each q0 of qs."""
-    return ",".join([" ".join(map(str, poly.coeffs)), *(row[q0] for q0 in qs)])
-
-
-def _write_entry_rows(entries: tuple[LatticeEntry, ...], rests) -> None:
-    """The order and lattice tables' rows, one write per (entry, rest) pair
-    of entries and rests: the entry's label padded to the longest, its
-    lambda* and lambda_* cells, then rest.  The pairs come as two sequences,
-    since a list of a long lattice's pairs costs the collector more than
-    writing them."""
+def _write_entry_rows(entries: tuple[LatticeEntry, ...], rows) -> None:
+    """The order and lattice tables' rows, one write per entry of entries and
+    (label, rest) pair of rows, two sequences since a list of a long lattice's
+    pairs costs the collector more than writing them: the entry's label padded
+    to the longest, its lambda* and lambda_* cells, then rest."""
     width = max(len(e.label) for e in entries)
     write = sys.stdout.write  # one write per row, where print makes two
-    for e, rest in zip(entries, rests):
+    for e, (_, rest) in zip(entries, rows):
         star, substar = e.index_text
         write(
             f"  {e.label:<{width}}  lambda*={'{' + star + '}':<12}"
@@ -523,8 +525,7 @@ def _cmd_order(args, enum_bound: int | None) -> int:
     # every term is checked at every q, and their sum against the total;
     # only csv prints the terms' values
     rows = [*primary.terms, ("total", primary.total)]
-    values = _evaluated(rows, qs, slice(None if args.format == "csv" else -1, None))
-    _check_digits(poly for _, poly in rows)
+    held, values = _evaluated(rows, qs, slice(None if args.format == "csv" else -1, None))
     agreed = list(reports) if args.formula == "all" else None
     if args.format == "json":
         payload = {
@@ -533,7 +534,7 @@ def _cmd_order(args, enum_bound: int | None) -> int:
             "lattice": _lattice_json(primary.lattice),
             "terms": [{"label": label, "coeffs": term} for label, term in primary.terms],
             "total_coeffs": primary.total,
-            "evaluations": {str(q0): v for q0, v in values[-1].items()},
+            "evaluations": {str(q0): v for q0, v in values[id(primary.total)].items()},
             "notes": list(primary.notes),
         }
         if agreed is not None:
@@ -542,16 +543,15 @@ def _cmd_order(args, enum_bound: int | None) -> int:
     elif args.format == "csv":
         qs = sorted(qs)  # by ascending q
         header = ["label", "coeffs", *(f"q={q0}" for q0 in qs)]
-        _write_csv(header, _term_csv(rows, values, qs))
+        _write_csv(header, _rendered(rows, held, lambda t: _term_fields(t, values, qs)))
     else:
         print(f"type {primary.cartan_type}  formula {primary.formula}")
         for note in primary.notes:
             print(f"note: {note}")
-        kept: dict[int, str] = {}  # each distinct term's text, its cells' gap included
-        rests = (kept.get(id(t)) or kept.setdefault(id(t), f"  {t}") for _, t in rows[:-1])
-        _write_entry_rows(primary.lattice.entries, rests)
+        # each term's text and its cells' gap; the total, past the last entry, is not taken
+        _write_entry_rows(primary.lattice.entries, _rendered(rows, held, lambda t: f"  {t}"))
         print(f"total: {primary.total}")
-        for q0, value in values[-1].items():
+        for q0, value in values[id(primary.total)].items():
             print(f"q={q0}: {value}")
         if agreed is not None:
             print(f"{len(agreed)} formulas agree")
@@ -617,26 +617,25 @@ def _strata_rows(args) -> tuple[str, list[tuple[str, QPolynomial]], QPolynomial]
 def _cmd_strata(args) -> int:
     title, rows, total = _strata_rows(args)
     qs = _parse_qs(args.q)
-    # the total's values are checked at every q and not printed, nor its csv row
-    values = _evaluated([*rows, ("total", total)], qs, slice(None, -1))
-    _check_digits([term for _, term in rows] + ([] if args.format == "csv" else [total]))
+    # the total's values are checked at every q, not printed; nor is its csv row
+    held, values = _evaluated([*rows, ("total", total)], qs, slice(-1), args.format != "csv")
     if args.format == "json":
         strata = [
             {
                 "label": label,
                 "coeffs": term,
-                "evaluations": {str(q0): v for q0, v in row.items()},
+                "evaluations": {str(q0): v for q0, v in values[id(term)].items()},
             }
-            for (label, term), row in zip(rows, values)
+            for label, term in rows
         ]
         _write_json({"strata": strata, "total_coeffs": total}, sys.stdout.write)
     elif args.format == "csv":  # in --q order
         header = ["label", "coeffs", *(f"q={q0}" for q0 in qs)]
-        _write_csv(header, _term_csv(rows, values, qs))
+        _write_csv(header, _rendered(rows, held, lambda t: _term_fields(t, values, qs)))
     else:
         print(title)
-        for (label, term), row in zip(rows, values):
-            shown = "".join(f"  q={q0}: {v}" for q0, v in row.items())
+        for label, term in rows:
+            shown = "".join(f"  q={q0}: {v}" for q0, v in values[id(term)].items())
             print(f"  {label:<8} {term}{shown}")
         print(f"total: {total}")
     return EXIT_OK
@@ -660,7 +659,7 @@ def _cmd_lattice(args, enum_bound: int | None) -> int:
             f"type {lat.root_system.cartan_type}  "
             f"torus rank {lat.torus_rank}  ({lat.provenance})"
         )
-        tails = (f" [T:T(e)]=(q-1)^{e.torus_index_exponent}" for e in lat.entries)
+        tails = ((e.label, f" [T:T(e)]=(q-1)^{e.torus_index_exponent}") for e in lat.entries)
         _write_entry_rows(lat.entries, tails)
     return EXIT_OK
 

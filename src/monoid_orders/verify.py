@@ -69,7 +69,7 @@ def _shared(fn: Callable) -> Callable:
     run_all, for the calling check alone."""
     if _run_caches is None:
         return functools.cache(fn)
-    return _run_caches.setdefault(fn, functools.cache(fn))
+    return _run_caches.get(fn) or _run_caches.setdefault(fn, functools.cache(fn))
 
 
 class CheckResult(Immutable):

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -934,6 +935,63 @@ def test_rows_are_rendered_as_they_are_written(monkeypatch, argv, fmt):
     assert code == 0
     assert built.total() + renders.total() > 30  # every row's text, in the end
     assert first_write == [1 if fmt == "json" and argv[0] == "strata" else 0]
+
+
+class _Text(str):
+    """A text that takes weak references, as a plain str does not."""
+
+
+def test_rendered_keeps_only_the_texts_of_objects_two_rows_hold():
+    # once a row is taken and let go, its text is gone unless a later row
+    # holds the same object; each object is rendered once, at its first row
+    shared, *once = (QPolynomial([1, i]) for i in range(1, 6))
+    rows = [("a", once[0]), ("b", shared), ("c", once[1]), ("d", shared),
+            ("e", once[2]), ("f", once[3]), ("g", shared)]
+    held = Counter(id(poly) for _, poly in rows)
+    renders = Counter()
+
+    def render(poly):
+        renders[id(poly)] += 1
+        return _Text(poly)
+
+    texts = cli._rendered(rows, held, render)
+    refs = []
+    for i, (label, poly) in enumerate(rows):
+        taken, text = next(texts)
+        assert (taken, text) == (label, str(poly))
+        refs.append(weakref.ref(text))
+        del text
+        alive = [label for (label, _), ref in zip(rows, refs) if ref() is not None]
+        assert alive == [label for label, poly in rows[: i + 1] if poly is shared]
+    assert next(texts, None) is None
+    assert not [ref for ref in refs if ref() is not None]
+    assert renders == dict.fromkeys(map(id, [shared, *once]), 1)
+
+
+def test_order_table_rows_come_through_the_render_once_helper(capsys, monkeypatch):
+    # C12 thm41 has one distinct term object per entry: each row's text is
+    # gone once the table has written it, so the table keeps no text
+    lat = j_irreducible_lattice(build(CartanType("C", 12)), frozenset(range(1, 12)))
+    real, taken = cli._rendered, []
+
+    def spy(rows, held, render):
+        assert set(held.values()) == {1}
+        refs = []
+        for label, text in real(rows, held, lambda poly: _Text(render(poly))):
+            # the row before the one just written is gone
+            assert [ref() for ref in refs[:-1]] == [None] * len(refs[:-1])
+            refs.append(weakref.ref(text))
+            taken.append(label)
+            yield label, text
+
+    monkeypatch.setattr(cli, "_rendered", spy)
+    argv = ["order", "--type", "C12", "--preset", "last-fundamental", "--formula", "thm41"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert taken == [e.label for e in lat.entries]
+    rows = [line for line in out.splitlines() if line.startswith("  ")]
+    terms = [f"  {term}" for _, term in route(lat, "thm41").terms]
+    assert [row[-len(term):] for row, term in zip(rows, terms)] == terms
 
 
 def test_thm41_refusing_a_type_support_is_a_lattice_fault(capsys, monkeypatch, tmp_path):

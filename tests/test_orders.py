@@ -1,11 +1,13 @@
 """The four order formulas, closed forms, strata, and H-polynomials."""
 
+import functools
 import json
 import os
 import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from math import prod
 
 import pytest
@@ -353,6 +355,21 @@ def test_run_all_computes_each_shared_value_once(monkeypatch):
     assert calls == first + first
 
 
+def test_run_all_builds_one_cache_per_shared_producer(monkeypatch):
+    # the first check that asks for a producer builds its cache; the later
+    # ones get that cache, with no wrapper built only to be dropped
+    built = Counter()
+    real = functools.cache
+
+    def counted(fn):
+        built[fn.__name__] += 1
+        return real(fn)
+
+    monkeypatch.setattr(verify.functools, "cache", counted)
+    assert all(result.ok for result in verify.run_all())
+    assert built == dict.fromkeys(SHARED_PRODUCERS, 1)
+
+
 def test_checks_called_alone_compute_their_own_values(monkeypatch):
     # outside run_all no value outlives its check: structural builds the
     # lattices and reports that formula-agreement built before it
@@ -603,8 +620,8 @@ def test_report_evaluate_and_json(capsys, tmp_path):
     assert 1 + 2 * sum(c * 3**i for i, c in enumerate(H_COEFFS_L2)) == 183681
     lat = fundamental_lattice(CartanType("C", 2), 2)
     report = route(lat, "thm34")
-    values = cli._evaluated([*report.terms, ("total", report.total)], [2, 3])
-    assert values[-1] == {2: "2296", 3: "183681"}
+    _, values = cli._evaluated([*report.terms, ("total", report.total)], [2, 3])
+    assert values[id(report.total)] == {2: "2296", 3: "183681"}
     payload = cli_order_json(capsys, tmp_path, lat, 2, 3)
     assert payload["formula"] == "thm34"
     assert payload["type"] == "C2"
@@ -625,8 +642,8 @@ def test_report_is_frozen(capsys, tmp_path):
     assert not hasattr(report, "evaluations")
     rows = [*report.terms, ("total", report.total)]
     total = slice(-1, None)
-    assert cli._evaluated(rows, [2], total) == [{2: "2296"}]
-    [values] = cli._evaluated(rows, [3, 2], total)
+    assert cli._evaluated(rows, [2], total)[1] == {id(report.total): {2: "2296"}}
+    [values] = cli._evaluated(rows, [3, 2], total)[1].values()
     assert list(values.items()) == [(3, "183681"), (2, "2296")]
     assert cli_order_json(capsys, tmp_path, lat)["evaluations"] == {}
     assert cli_order_json(capsys, tmp_path, lat, 2)["evaluations"] == {"2": "2296"}
