@@ -9,8 +9,8 @@ MONOID_ORDERS_ENUM_BOUND, ASCII decimal digits only as for --q, overrides
 every enumeration bound, the lattice-size bound and the size bounds of
 hpoly's Dynkin-chain sum, census and census sum included, but not
 rootsystem.BUILD_CAP, which caps the root table's memory: a larger type is
-a usage error, from lattice too, though lattice enumerates no root
-(rootsystem.diagram).  --lattice-file takes neither --preset nor --j0;
+a usage error, from lattice too, though lattice reads no root (rootsystem
+enumerates on the first read).  --lattice-file takes neither --preset nor --j0;
 the rank of --type and the indices of --j0 are ASCII decimal digits only
 (rootsystem.parse_digits), as --q is.
 
@@ -73,7 +73,7 @@ from .orders import (
     symplectic_order,
 )
 from .qpoly import QPolynomial, eval_big, is_palindromic
-from .rootsystem import CartanType, build, diagram, parse_digits, parse_subset
+from .rootsystem import CartanType, build, parse_digits, parse_subset
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -254,9 +254,9 @@ def _resolve_support(args) -> tuple[CartanType, frozenset[int]] | None:
     raise UnsupportedType("give one of --preset, --j0, or --lattice-file")
 
 
-def _resolve_lattice(args, enum_bound: int | None, support, root_system=build):
+def _resolve_lattice(args, enum_bound: int | None, support):
     """The lattice of support, as _resolve_support gives it, or of the
-    --lattice-file when support is None, on root_system(its type)."""
+    --lattice-file when support is None, on build(its type)."""
     if support is None:
         try:
             with open(args.lattice_file, encoding="utf-8") as fh:
@@ -271,8 +271,8 @@ def _resolve_lattice(args, enum_bound: int | None, support, root_system=build):
         type_spec = args.type or raw.get("type")
         if not type_spec:
             raise UnsupportedType("lattice file carries no type and --type not given")
-        return load_lattice(root_system(CartanType.parse(str(type_spec))), raw)
-    return j_irreducible_lattice(root_system(support[0]), support[1], enum_bound)
+        return load_lattice(build(CartanType.parse(str(type_spec))), raw)
+    return j_irreducible_lattice(build(support[0]), support[1], enum_bound)
 
 
 def _printed(value: int, what: str = "a coefficient", hint: str = "") -> str:
@@ -642,7 +642,7 @@ def _cmd_strata(args) -> int:
 
 
 def _cmd_lattice(args, enum_bound: int | None) -> int:
-    lat = _resolve_lattice(args, enum_bound, _resolve_support(args), diagram)
+    lat = _resolve_lattice(args, enum_bound, _resolve_support(args))
     if args.format == "json":
         _write_json(_lattice_json(lat), sys.stdout.write)
     elif args.format == "csv":  # the index texts print their commas as spaces

@@ -9,10 +9,10 @@ Dynkin adjacency, and the degrees of the basic polynomial invariants of every
 parabolic subgroup W_X, read from the heights of the roots supported on X
 (Kostant 1959; Humphreys, Reflection Groups and Coxeter Groups, 3.20), so no
 sub-diagram is ever classified.  W_X is the direct product of its Dynkin
-components' groups, each read from the roots once per root system.  The
-Dynkin diagram alone (diagram) gives the adjacency masks the lattices read;
-the roots are enumerated on the first read of the root table, which build
-makes at once.
+components' groups, each read from the roots once per root system.  A root
+system is its Cartan type: build keeps one per type, with the adjacency
+masks the lattices read from the Dynkin diagram alone, and enumerates the
+roots on the first read of the root table.
 
 _enumerate packs a root, its coroot pairings (biased by 64) and its steps
 down the alpha_i-strings into one int each, an 8-bit field per node with
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from functools import lru_cache
 from itertools import compress
 from math import prod
@@ -167,17 +167,24 @@ def cartan_matrix(ct: CartanType) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in c)
 
 
-class RootSystemData(Immutable):
-    """The positive roots of a Cartan type, with the tables every subset
-    query reads, derived as masks with node i at bit i - 1 (node bits and
-    neighbours here, root supports with the roots), the per-mask memos of
-    _mask_parts, and the maximal-parabolic walks of weyl._walk with their
-    field layout; none takes part in equality, hashing or repr.  Given no
-    roots, the root table (_roots, _root_supports, _root_heights) is None
-    until its first read, through positive_roots or _read_component."""
+# Largest |Phi+| * rank of a root system: a memory cap, not an enumeration bound.
+BUILD_CAP = 10**6
 
-    _fields = ("cartan_type", "cartan", "positive_roots")
-    __slots__ = _fields[:2] + (
+
+class RootSystemData(Immutable):
+    """The root system of a Cartan type, its one field, which alone takes
+    part in equality, hashing, repr and replace: the roots are a function
+    of the type, so no comparison reads them.  Derived slots hold the
+    Cartan matrix, the tables every subset query reads as masks with node
+    i at bit i - 1 (node bits and neighbours; root supports with the
+    roots), the per-mask memos of _mask_parts, and the maximal-parabolic
+    walks of weyl._walk with their field layout.  The root table (_roots,
+    _root_supports, _root_heights) is None until its first read, through
+    positive_roots or _read_component."""
+
+    _fields = ("cartan_type",)
+    __slots__ = _fields + (
+        "cartan",
         "_roots",
         "_neighbor_masks",
         "_node_bits",
@@ -189,18 +196,23 @@ class RootSystemData(Immutable):
         "_packing",
     )
 
-    def __init__(
-        self,
-        cartan_type: CartanType,
-        cartan: tuple[tuple[int, ...], ...],
-        positive_roots: Iterable[Root | bytes] | None,
-    ):
-        """Each root's coefficients as a tuple or bytes, kept as tuples; None: unread."""
-        bits = [1 << i for i in range(cartan_type.rank)]  # node i + 1's bit
+    def __init__(self, cartan_type: CartanType):
+        """UnsupportedType first if |Phi+| * rank exceeds BUILD_CAP, before
+        the O(rank^2) Cartan matrix; then the diagram's tables, no root."""
+        count, l = _root_count(cartan_type), cartan_type.rank
+        if count * l > BUILD_CAP:
+            raise UnsupportedType(
+                f"{cartan_type} has {count} positive roots of rank {l}: a root"
+                f" table of {count * l} entries exceeds the cap {BUILD_CAP}"
+            )
+        cartan = cartan_matrix(cartan_type)
+        bits = [1 << i for i in range(l)]  # node i + 1's bit
         # each node's neighbours: the nonzero off-diagonal entries of its row
         near = [sum(compress(bits, row)) - bit for bit, row in zip(bits, cartan)]
-        super().__init__(cartan_type, cartan, positive_roots)
+        super().__init__(cartan_type)
+        _write_table(self, None, None, None)
         for name, value in (
+            ("cartan", cartan),
             ("_neighbor_masks", tuple(near)),
             ("_node_bits", dict(enumerate(bits, 1))),
             # connected mask -> (positive roots supported on it, degrees of W_mask)
@@ -219,18 +231,6 @@ class RootSystemData(Immutable):
         """Each positive root's coefficients, enumerated on the first read."""
         return _enumerate(self)._roots if self._roots is None else self._roots
 
-    @positive_roots.setter
-    def positive_roots(self, positive_roots: Iterable[Root | bytes] | None) -> None:
-        """The root table from each root's coefficients, or None throughout."""
-        table = None, None, None
-        if positive_roots is not None:
-            raw = list(map(bytes, positive_roots))
-            # bit i-1 set when simple root i occurs: nonzero bytes as binary digits
-            supports = [int(r.translate(b"0" + b"1" * 255)[::-1], 2) for r in raw]
-            table = tuple(map(tuple, raw)), tuple(supports), tuple(map(sum, raw))
-        for name, value in zip(("_roots", "_root_supports", "_root_heights"), table):
-            object.__setattr__(self, name, value)
-
     @property
     def rank(self) -> int:
         return self.cartan_type.rank
@@ -239,31 +239,18 @@ class RootSystemData(Immutable):
     def num_positive(self) -> int:
         return len(self.positive_roots)
 
-    def neighbors(self, i: int) -> frozenset[int]:
-        return frozenset(_mask_indices(self._neighbor_masks[i - 1]))
-
-
-# Largest |Phi+| * rank diagram accepts: a memory cap, not an enumeration bound.
-BUILD_CAP = 10**6
-
-
-def diagram(ct: CartanType) -> RootSystemData:
-    """ct's root system in O(rank^2), kept nowhere, its root table unread;
-    UnsupportedType first if |Phi+| * rank exceeds BUILD_CAP."""
-    l = ct.rank
-    size = _root_count(ct) * l
-    if size > BUILD_CAP:
-        raise UnsupportedType(
-            f"{ct} has {_root_count(ct)} positive roots of rank {l}: a root"
-            f" table of {size} entries exceeds the cap {BUILD_CAP}"
-        )
-    return RootSystemData(ct, cartan_matrix(ct), None)
-
 
 @lru_cache(maxsize=None)
 def build(ct: CartanType) -> RootSystemData:
-    """diagram(ct) with its root table read at once (_enumerate), kept per type."""
-    return _enumerate(diagram(ct))
+    """ct's root system, kept per type, its root table read on first use."""
+    return RootSystemData(ct)
+
+
+def _write_table(rs: RootSystemData, *table) -> None:
+    """Set rs's root table (_roots, _root_supports, _root_heights), each a
+    tuple in root order, or None throughout."""
+    for name, value in zip(("_roots", "_root_supports", "_root_heights"), table):
+        object.__setattr__(rs, name, value)
 
 
 def _enumerate(rs: RootSystemData) -> RootSystemData:
@@ -304,12 +291,14 @@ def _enumerate(rs: RootSystemData) -> RootSystemData:
                 further = (down & field) + unit  # one more step down alpha_i
                 higher.setdefault(beta + unit, [pairings + column, 0])[1] += further
         level = higher
-    roots = [beta.to_bytes(l, "big") for beta in positive]
-    object.__setattr__(rs, "positive_roots", roots)  # its setter writes the table
+    raw = [beta.to_bytes(l, "big") for beta in positive]
+    # bit i-1 set when simple root i occurs: nonzero bytes as binary digits
+    supports = [int(r.translate(b"0" + b"1" * 255)[::-1], 2) for r in raw]
+    _write_table(rs, tuple(map(tuple, raw)), tuple(supports), tuple(map(sum, raw)))
     full = (1 << l) - 1
     part = _read_component(rs, full)  # the diagram is connected
     if part[1] != degrees(ct):
-        object.__setattr__(rs, "positive_roots", None)
+        _write_table(rs, None, None, None)
         raise InvariantViolation(
             f"{ct} root heights give degrees {part[1]}, the table has {degrees(ct)}"
         )

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from monoid_orders.crosssection import CrossSectionLattice, validate
 from monoid_orders.rootsystem import CartanType, build
-from subdiagrams import entry, mask_of, nodes
+from subdiagrams import entry, mask_of, neighbors, nodes
 
 TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "F4", "G2"]
 
@@ -35,7 +35,7 @@ def validated_lattices(draw) -> CrossSectionLattice:
     ]
     for label in names[2 : 2 + draw(st.integers(0, 4))]:
         star = nodes(draw(st.integers(0, mask_of(delta))))
-        free = sorted(delta - star - {j for i in star for j in rs.neighbors(i)})
+        free = sorted(delta - star - {j for i in star for j in neighbors(rs, i)})
         substar = draw(st.sets(st.sampled_from(free))) if free else frozenset()
         if not star and substar == delta or star == delta:
             continue  # a second zero or identity entry

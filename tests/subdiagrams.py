@@ -10,7 +10,7 @@ set through the package's mask readers.
 """
 
 from monoid_orders.crosssection import LatticeEntry
-from monoid_orders.rootsystem import _mask_count, _mask_degrees, _subset_mask
+from monoid_orders.rootsystem import _mask_count, _mask_degrees, _mask_indices, _subset_mask
 
 
 def mask_of(indices) -> int:
@@ -21,6 +21,11 @@ def mask_of(indices) -> int:
 def nodes(mask: int) -> frozenset[int]:
     """The simple-root indices of a nonnegative mask."""
     return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def neighbors(rs, i) -> frozenset[int]:
+    """The Dynkin neighbours of node i, read from the neighbour masks."""
+    return frozenset(_mask_indices(rs._neighbor_masks[i - 1]))
 
 
 def star(e) -> frozenset[int]:
@@ -54,7 +59,7 @@ def components(rs, X):
     """X split into its Dynkin-connected components, in order of least node."""
     comps = []
     for i in sorted(X):
-        touching = [c for c in comps if any(j in rs.neighbors(i) for j in c)]
+        touching = [c for c in comps if any(j in neighbors(rs, i) for j in c)]
         comps = [c for c in comps if c not in touching]
         comps.append(frozenset({i}).union(*touching))
     return sorted(comps, key=min)

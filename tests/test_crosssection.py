@@ -29,8 +29,16 @@ from monoid_orders.errors import (
     LatticeTooLarge,
     UnsupportedType,
 )
-from monoid_orders.rootsystem import CartanType, build, diagram
-from subdiagrams import components, entry, mask_of, star, subset_degrees, substar
+from monoid_orders.rootsystem import CartanType, build
+from subdiagrams import (
+    components,
+    entry,
+    mask_of,
+    neighbors,
+    star,
+    subset_degrees,
+    substar,
+)
 from test_rootsystem import table
 
 
@@ -264,7 +272,7 @@ def scanned_shape(rs, J0):
             X = frozenset(combo)
             if any(comp <= J0 for comp in components(rs, X)):
                 continue
-            near = frozenset().union(*(rs.neighbors(i) for i in X))
+            near = frozenset().union(*(neighbors(rs, i) for i in X))
             out.append((list(combo), sorted(J0 - X - near), len(X) + 1))
     return out
 
@@ -600,8 +608,9 @@ def test_lattices_on_the_diagram_equal_those_on_built_root_systems():
     assert len(supports) == 362
     for spec, J0 in supports:
         ct = CartanType.parse(spec)
-        rs = diagram(ct)
+        rs = build.__wrapped__(ct)  # past build's cache: a table never read
         lat = j_irreducible_lattice(rs, J0)
+        assert build(ct).positive_roots  # the cached one's table read
         built = j_irreducible_lattice(build(ct), J0)
         assert lat.entries == built.entries, (spec, sorted(J0))
         assert (lat.torus_rank, lat.provenance) == (built.torus_rank, built.provenance)

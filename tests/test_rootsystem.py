@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 
 from monoid_orders import rootsystem
+from monoid_orders.crosssection import j_irreducible_lattice
 from monoid_orders.errors import InvariantViolation, UnsupportedType
 from monoid_orders.qpoly import QPolynomial, expand
 from monoid_orders.rootsystem import (
@@ -19,7 +20,7 @@ from monoid_orders.rootsystem import (
     poincare_product,
     weyl_order,
 )
-from subdiagrams import components, subset_count, subset_degrees
+from subdiagrams import components, neighbors, subset_count, subset_degrees
 
 ALL_TYPES = (
     [CartanType("A", l) for l in range(1, 6)]
@@ -56,9 +57,9 @@ def test_positive_roots_are_nonnegative_combinations(ct):
 
 def test_adjacency_matches_cartan_entries():
     rs = build(CartanType("C", 3))
-    assert 2 in rs.neighbors(1) and 3 in rs.neighbors(2)
-    assert 3 not in rs.neighbors(1)
-    assert 2 not in rs.neighbors(2)
+    assert 2 in neighbors(rs, 1) and 3 in neighbors(rs, 2)
+    assert 3 not in neighbors(rs, 1)
+    assert 2 not in neighbors(rs, 2)
 
 
 @pytest.mark.parametrize("ct", ALL_TYPES, ids=str)
@@ -66,7 +67,7 @@ def test_neighbors_match_cartan_entries(ct):
     rs = build(ct)
     for i in delta(rs):
         expected = {j for j in delta(rs) if j != i and rs.cartan[i - 1][j - 1] != 0}
-        assert rs.neighbors(i) == expected
+        assert neighbors(rs, i) == expected
 
 
 @pytest.mark.parametrize("ct", [CartanType("E", 6), CartanType("G", 2)], ids=str)
@@ -221,14 +222,14 @@ def test_subset_count_equals_component_sum(ct):
 
 def wrong_g2(degrees):
     """The degree table with G2 given (3, 5): still 6 positive roots, so
-    only the degree check in build sees the error."""
+    only the degree check on the table's first read sees the error."""
     return lambda ct: (3, 5) if ct == CartanType("G", 2) else degrees(ct)
 
 
 def test_build_checks_the_degree_table(monkeypatch):
     monkeypatch.setattr(rootsystem, "degrees", wrong_g2(rootsystem.degrees))
     with pytest.raises(InvariantViolation, match="G2"):
-        build.__wrapped__(CartanType("G", 2))  # past the cache of build
+        build.__wrapped__(CartanType("G", 2)).positive_roots  # past the cache of build
 
 
 OPTIMIZED_TABLE_CHECK = """
@@ -241,7 +242,7 @@ if not sys.flags.optimize:
 degrees = rootsystem.degrees
 rootsystem.degrees = lambda ct: (3, 5) if str(ct) == "G2" else degrees(ct)
 try:
-    rootsystem.build(rootsystem.CartanType("G", 2))
+    rootsystem.build(rootsystem.CartanType("G", 2)).positive_roots
 except InvariantViolation:
     sys.exit(0)
 sys.exit("a wrong degree table went unnoticed")
@@ -249,7 +250,7 @@ sys.exit("a wrong degree table went unnoticed")
 
 
 def test_table_check_survives_optimize():
-    # python -O strips assert statements; the check in build must survive it
+    # python -O strips assert statements; the table check must survive it
     src = os.path.dirname(os.path.dirname(rootsystem.__file__))
     result = subprocess.run(
         [sys.executable, "-O", "-c", OPTIMIZED_TABLE_CHECK],
@@ -269,21 +270,24 @@ def table(rs):
 
 @pytest.mark.parametrize("ct", ALL_TYPES, ids=str)
 def test_diagram_enumerates_its_table_on_first_read(ct):
-    rs = rootsystem.diagram(ct)
+    # build's body, past its cache, gives a root system never read
+    rs = build.__wrapped__(ct)
     assert table(rs) == (None, None, None) and rs.rank == ct.rank
     assert rs._neighbor_masks == build(ct)._neighbor_masks
-    # the first read sets the whole table, as build has it
+    # the first read sets the whole table, as the cached build has it
     assert rs.positive_roots == build(ct).positive_roots
     assert table(rs) == table(build(ct))
     # so does the first read of the supports, by a degree query
-    rs = rootsystem.diagram(ct)
+    rs = build.__wrapped__(ct)
     assert rootsystem._mask_degrees(rs, 1) == (2,)
     assert table(rs) == table(build(ct))
-    # the fields alone still give equality, hashing, repr and replace
-    fresh = rootsystem.diagram(ct)
+    # the type alone gives equality, hashing, repr and replace, which read
+    # no root, against a root system whose table is read
+    fresh = build.__wrapped__(ct)
     assert fresh == build(ct) and hash(fresh) == hash(build(ct))
-    assert repr(rootsystem.diagram(ct)) == repr(build(ct))
-    assert rootsystem.diagram(ct).replace() == build(ct)
+    assert repr(fresh) == repr(build(ct))
+    assert fresh.replace() == build(ct)
+    assert table(fresh) == (None, None, None)
 
 
 def test_diagram_reads_no_table_for_its_masks(monkeypatch):
@@ -291,26 +295,46 @@ def test_diagram_reads_no_table_for_its_masks(monkeypatch):
         raise AssertionError(f"{rs.cartan_type}'s roots were enumerated")
 
     monkeypatch.setattr(rootsystem, "_enumerate", refuse)
-    rs = rootsystem.diagram(CartanType("D", 100))
-    assert rs.rank == 100 and rs.neighbors(98) == {97, 99, 100}
+    rs = build.__wrapped__(CartanType("D", 100))
+    assert rs.rank == 100 and neighbors(rs, 98) == {97, 99, 100}
     assert rootsystem._subset_mask(rs, frozenset({1, 100})) == 1 | 1 << 99
     assert table(rs) == (None, None, None)
+
+
+def test_equality_hash_and_repr_read_no_root(monkeypatch):
+    # C99's 9,801 roots: comparing two root systems or two lattices on them
+    # compares their types, and enumerates none
+    def refuse(rs):
+        raise AssertionError(f"{rs.cartan_type}'s roots were enumerated")
+
+    monkeypatch.setattr(rootsystem, "_enumerate", refuse)
+    c99 = CartanType("C", 99)
+    # build's body, past its cache, twice: two root systems never read
+    rs, other = build.__wrapped__(c99), build.__wrapped__(c99)
+    last = frozenset(range(1, 99))
+    lat, other_lat = j_irreducible_lattice(rs, last), j_irreducible_lattice(other, last)
+    assert rs == other and hash(rs) == hash(other) and repr(rs) == repr(other)
+    assert repr(rs) == "RootSystemData(cartan_type=CartanType(family='C', rank=99))"
+    assert rs != build.__wrapped__(CartanType("B", 99)) and rs == build(c99)
+    assert lat == other_lat and hash(lat) == hash(other_lat)
+    assert repr(lat) == repr(other_lat)
+    assert table(rs) == table(other) == (None, None, None)
 
 
 def test_diagram_checks_the_degree_table_on_first_read(monkeypatch):
     monkeypatch.setattr(rootsystem, "degrees", wrong_g2(rootsystem.degrees))
     g2 = CartanType("G", 2)
-    rs = rootsystem.diagram(g2)  # the diagram alone reads no degree
+    rs = build.__wrapped__(g2)  # the construction alone reads no degree
     # a failed check leaves the table unset, so the next read fails too
     for _ in range(2):
         with pytest.raises(InvariantViolation, match="G2"):
             rs.positive_roots
         assert table(rs) == (None, None, None) and not rs._parts
     with pytest.raises(InvariantViolation, match="G2"):
-        rootsystem._mask_degrees(rootsystem.diagram(g2), 0b11)
-    # and build, which reads the table at once, refuses the type
+        rootsystem._mask_degrees(build.__wrapped__(g2), 0b11)
+    # and the root count, read from the table too
     with pytest.raises(InvariantViolation, match="G2"):
-        build.__wrapped__(g2)
+        build.__wrapped__(g2).num_positive
 
 
 OPTIMIZED_FIRST_READ_CHECK = """
@@ -329,7 +353,7 @@ reads = {
 }
 for name, read in reads.items():
     try:
-        read(rootsystem.diagram(g2))
+        read(rootsystem.build.__wrapped__(g2))
     except InvariantViolation as exc:
         if "G2" not in str(exc):
             sys.exit(f"{name}: the error does not name G2: {exc}")
@@ -566,4 +590,4 @@ def test_oversize_type_refused_before_any_allocation(monkeypatch, spec, size):
     with pytest.raises(UnsupportedType, match=f"table of {size} entries exceeds the cap"):
         build.__wrapped__(CartanType.parse(spec))
     with pytest.raises(UnsupportedType, match=f"table of {size} entries exceeds the cap"):
-        rootsystem.diagram(CartanType.parse(spec))
+        rootsystem.RootSystemData(CartanType.parse(spec))

@@ -369,8 +369,7 @@ def test_walked_parabolics_match_the_height_degrees(spec):
 
 def fresh_root_system(spec):
     """A root system with empty memos, the walk store included."""
-    rs = root_system(spec)
-    return rootsystem.RootSystemData(rs.cartan_type, rs.cartan, rs.positive_roots)
+    return rootsystem.RootSystemData(CartanType.parse(spec))
 
 
 def maximal_quotients(rs):
