@@ -23,23 +23,25 @@ expanded from, the total by Horner over its coefficients, and at each q the
 rows' values must sum to the total's: this ties the printed values to the
 printed coefficients.  A value that is not positive, or a sum that differs,
 raises InvariantViolation (exit 2), naming the first row in row order that
-holds the value, or the q.  Values are formatted and printed coefficients
-checked (_check_digits) before the first write, so one too long to print
-leaves stdout empty.  One rule renders every format: each row is rendered as
-it is written, each polynomial object's text once, and the text is kept only
-for an object that two rows or more hold, as counted once per report (by
-_evaluated for _rendered, the order table's and csv's helper, and by
-_write_json).  The strata sums as polynomials are checked in orders, where
-the strata are built.  --format json is exactly json.dumps(payload, indent=2)
-and a newline, for every command, through _write_json, which writes each row
-(a lattice entry, an order term, a stratum) when it is done, an entry from
-its index text, which also gives the csv and table cells.  As every check
-runs first, only a MemoryError or a closed pipe can stop a listing midway,
-leaving partial output.  --format csv is exactly what csv.writer writes, for
-every command, through _write_csv, which takes each row as its label and the
-rest of its fields already joined (_term_fields for a polynomial row) and
-writes it with one write, its label quoted as csv.writer would quote it.  The
-order and lattice tables write their entry rows through _write_entry_rows.
+holds the value, or the q.  Printed values and coefficients are checked by
+magnitude against Python's int-to-str digit limit (_check_magnitude) before
+the first write, so one too long to print leaves stdout empty, and each
+value is rendered by the writer that prints it.  One rule renders every
+format: each row is rendered as it is written, each polynomial object's
+text once, and the text is kept only for an object that two rows or more
+hold, as _evaluated counts them once per report for _rendered, the order
+table's and csv's helper, and for _write_json.  The strata sums as
+polynomials are checked in orders, where the strata are built.  --format
+json is exactly json.dumps(payload, indent=2) and a newline, for every
+command, through _write_json, which writes each row (a lattice entry, an
+order term, a stratum) when it is done, an entry from its index text, which
+also gives the csv and table cells.  As every check runs first, only a
+MemoryError or a closed pipe can stop a listing midway, leaving partial
+output.  --format csv is exactly what csv.writer writes, for every command,
+through _write_csv, which takes each row as its label and the rest of its
+fields already joined (_term_fields for a polynomial row) and writes it with
+one write, its label quoted as csv.writer would quote it.  The order and
+lattice tables write their entry rows through _write_entry_rows.
 """
 
 from __future__ import annotations
@@ -275,32 +277,30 @@ def _resolve_lattice(args, enum_bound: int | None, support):
     return j_irreducible_lattice(build(support[0]), support[1], enum_bound)
 
 
-def _printed(value: int, what: str = "a coefficient", hint: str = "") -> str:
-    """str(value); one past Python's int-to-str digit limit raises
-    _UsageError (exit 1) naming what, the limit and hint."""
-    try:
-        return str(value)
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise _UsageError(f"{what} has more than {limit} digits{hint}") from None
+@functools.cache  # one power per limit
+def _digit_bound(limit: int) -> int:
+    return 10**limit
+
+
+def _check_magnitude(magnitude: int, what: str, hint: str = "") -> None:
+    """Raise _UsageError (exit 1) naming what, the limit and hint when str()
+    of magnitude would pass Python's int-to-str digit limit (0: none), that
+    is when it is at least 10^limit; the sign of a value is not counted."""
+    limit = sys.get_int_max_str_digits()
+    if limit and magnitude >= _digit_bound(limit):
+        raise _UsageError(f"{what} has more than {limit} digits{hint}")
 
 
 def _check_digits(polys) -> None:
-    """Refuse through _printed a coefficient of polys past Python's digit limit
-    (0: none).  The sign is not counted, so one str of each object's largest
-    magnitude decides; an expanded QProduct has Mahler measure 1, so
-    |c_i| <= C(d, i) < 2^d, and below degree 3.3 times the limit needs none."""
+    """Refuse a coefficient of polys past Python's digit limit (0: none)
+    through _check_magnitude.  The largest magnitude of each object decides;
+    an expanded QProduct has Mahler measure 1, so |c_i| <= C(d, i) < 2^d,
+    and below degree 3.3 times the limit needs no scan."""
     limit = sys.get_int_max_str_digits()
     for poly in polys if limit else ():
         cs = poly.coeffs
         if cs and (poly._product is None or poly.degree >= 3.3 * limit):
-            _printed(max(max(cs), -min(cs)))
-
-
-def _decimal(value: int, q0: int) -> str:
-    # at q = 2 there is no smaller q to advise
-    hint = " at q=2, the smallest q" if q0 == 2 else "; use a smaller --q"
-    return _printed(value, what="an evaluation", hint=hint)
+            _check_magnitude(max(max(cs), -min(cs)), "a coefficient")
 
 
 def _evaluated(rows, qs: list[int], printed=slice(None), total_coeffs=True) -> tuple:
@@ -311,10 +311,10 @@ def _evaluated(rows, qs: list[int], printed=slice(None), total_coeffs=True) -> t
     so eval_big takes its value by Horner over its coefficients: at each
     q0 it must equal the sum of the other rows' values, one per row, or
     InvariantViolation names the q0.  Then the values of the rows picked by
-    printed are formatted in ascending q0 (one too long at q = 2 is named as
-    such), and _check_digits checks every row, the total only if
-    total_coeffs.  Returns how many rows hold each object and the printed
-    values, {q0: decimal} in qs order, both by id."""
+    printed are checked against the digit limit in ascending q0 (one too
+    long at q = 2 is named as such), and _check_digits checks every row,
+    the total only if total_coeffs.  Returns how many rows hold each
+    object and the values, {q0: value} in qs order, both by id."""
     polys = [poly for _, poly in rows]  # the total last
     held, distinct = Counter(map(id, polys)), dict(zip(map(id, polys), polys))
     values: dict[int, dict[int, int]] = {key: {} for key in held}
@@ -330,12 +330,13 @@ def _evaluated(rows, qs: list[int], printed=slice(None), total_coeffs=True) -> t
                 f"the rows' values do not sum to the value of the total's"
                 f" coefficients at q={q0}"
             )
-    texts = {key: dict.fromkeys(qs) for key in dict.fromkeys(map(id, polys[printed]))}
+    shown = [values[key] for key in dict.fromkeys(map(id, polys[printed]))]
     for q0 in sorted(qs):
-        for key, text in texts.items():
-            text[q0] = _decimal(values[key][q0], q0)
+        # at q = 2 there is no smaller q to advise
+        hint = " at q=2, the smallest q" if q0 == 2 else "; use a smaller --q"
+        _check_magnitude(max(value[q0] for value in shown), "an evaluation", hint)
     _check_digits(distinct.values() if total_coeffs else polys[:-1])
-    return held, texts
+    return held, values
 
 
 def _rendered(rows, held: Counter, render):
@@ -353,27 +354,19 @@ def _rendered(rows, held: Counter, render):
             yield label, render(poly)
 
 
-def _write_json(obj, write) -> None:
+def _write_json(obj, held: Counter, write) -> None:
     """Write exactly json.dumps(obj, indent=2) and a newline through write,
     for dicts with str keys, lists, str, int, bool and None, a QPolynomial as
     its coefficient list and a list of LatticeEntry as their to_json dicts;
     any other type raises TypeError.  Unlike json.dumps with an indent, it
-    joins a list of ints at once, renders once per depth a QPolynomial the
-    payload holds twice or more (counted by id first; the payload keeps each
-    alive, so no id is reused), writes each entry from its index text with
-    one write, and each item of any other list when it is done, never
+    joins a list of ints at once, renders once per depth a QPolynomial that
+    held, the report's count of rows by id, counts twice or more (the
+    payload keeps each alive, so no id is reused; a wrong count costs
+    renders or memory, never bytes), writes each entry from its index text
+    with one write, and each item of any other list when it is done, never
     holding the whole document."""
     parts: list[str] = []
     texts: dict[tuple[int, str], str] = {}
-    held, todo = Counter(), [obj]  # QPolynomial ids; int and entry lists hold none
-    for item in todo:
-        if isinstance(item, QPolynomial):
-            held[id(item)] += 1
-        elif isinstance(item, dict):
-            todo += item.values()
-        elif isinstance(item, list) and item:
-            if not isinstance(item[0], (int, LatticeEntry)):
-                todo += item
 
     def ints(values, newline: str) -> str:
         inner = newline + "  "
@@ -463,7 +456,8 @@ def _write_csv(header: list[str], rows) -> None:
 
 def _term_fields(poly: QPolynomial, values: dict, qs: list[int]) -> str:
     """The coefficients separated by spaces, then the values at qs (by id in values)."""
-    return ",".join([" ".join(map(str, poly.coeffs)), *(values[id(poly)][q0] for q0 in qs)])
+    at = values[id(poly)]
+    return ",".join([" ".join(map(str, poly.coeffs)), *(str(at[q0]) for q0 in qs)])
 
 
 def _write_entry_rows(entries: tuple[LatticeEntry, ...], rows) -> None:
@@ -522,10 +516,11 @@ def _cmd_order(args, enum_bound: int | None) -> int:
         elif result is not primary:
             notes += [n for n in result.notes if n not in notes]
     primary = primary.replace(notes=tuple(notes))
-    # every term is checked at every q, and their sum against the total;
-    # only csv prints the terms' values
+    # every term is checked at every q, and their sum against the total; the
+    # digit check of every row's value refuses what the total's alone would,
+    # as positive terms that sum to the total are never longer than it
     rows = [*primary.terms, ("total", primary.total)]
-    held, values = _evaluated(rows, qs, slice(None if args.format == "csv" else -1, None))
+    held, values = _evaluated(rows, qs)
     agreed = list(reports) if args.formula == "all" else None
     if args.format == "json":
         payload = {
@@ -534,12 +529,12 @@ def _cmd_order(args, enum_bound: int | None) -> int:
             "lattice": _lattice_json(primary.lattice),
             "terms": [{"label": label, "coeffs": term} for label, term in primary.terms],
             "total_coeffs": primary.total,
-            "evaluations": {str(q0): v for q0, v in values[id(primary.total)].items()},
+            "evaluations": {str(q0): str(v) for q0, v in values[id(primary.total)].items()},
             "notes": list(primary.notes),
         }
         if agreed is not None:
             payload["agreement"] = agreed
-        _write_json(payload, sys.stdout.write)
+        _write_json(payload, held, sys.stdout.write)
     elif args.format == "csv":
         qs = sorted(qs)  # by ascending q
         header = ["label", "coeffs", *(f"q={q0}" for q0 in qs)]
@@ -581,7 +576,7 @@ def _print_hpoly(report: OrderReport, fmt: str) -> None:
     if fmt == "json":
         payload = {"type": str(report.cartan_type), "h_coeffs": h}
         payload |= {"palindromic": palindromic, "notes": list(report.notes)}
-        _write_json(payload, sys.stdout.write)
+        _write_json(payload, Counter(), sys.stdout.write)
     elif fmt == "csv":
         rows = ((str(p), str(c)) for p, c in enumerate(h.coeffs))
         _write_csv(["power", "coefficient"], rows)
@@ -624,11 +619,11 @@ def _cmd_strata(args) -> int:
             {
                 "label": label,
                 "coeffs": term,
-                "evaluations": {str(q0): v for q0, v in values[id(term)].items()},
+                "evaluations": {str(q0): str(v) for q0, v in values[id(term)].items()},
             }
             for label, term in rows
         ]
-        _write_json({"strata": strata, "total_coeffs": total}, sys.stdout.write)
+        _write_json({"strata": strata, "total_coeffs": total}, held, sys.stdout.write)
     elif args.format == "csv":  # in --q order
         header = ["label", "coeffs", *(f"q={q0}" for q0 in qs)]
         _write_csv(header, _rendered(rows, held, lambda t: _term_fields(t, values, qs)))
@@ -644,7 +639,7 @@ def _cmd_strata(args) -> int:
 def _cmd_lattice(args, enum_bound: int | None) -> int:
     lat = _resolve_lattice(args, enum_bound, _resolve_support(args))
     if args.format == "json":
-        _write_json(_lattice_json(lat), sys.stdout.write)
+        _write_json(_lattice_json(lat), Counter(), sys.stdout.write)
     elif args.format == "csv":  # the index texts print their commas as spaces
         header = ["label", "lambda_star", "lambda_substar", "torus_index_exponent"]
         rows = (

@@ -806,7 +806,7 @@ def test_evaluation_past_the_digit_limit_at_q_2_names_the_smallest_q(capsys):
 
 def test_evaluation_past_the_digit_limit_is_found_at_the_smallest_q_first(capsys):
     # |M|(2) of C33 has about 666 digits, and strata rows before the total
-    # pass 640 digits at q = 3 already: the values are formatted q by q in
+    # pass 640 digits at q = 3 already: the values are checked q by q in
     # ascending q over all rows, so q = 2 is named, not a smaller --q advised
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
@@ -884,6 +884,27 @@ def test_coefficient_of_the_limit_s_length_prints_and_one_digit_more_does_not(
             assert str(magnitude) in out
         else:
             assert (code, out, err) == COEFFICIENT_TOO_LONG
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_value_of_the_limit_s_length_prints_and_one_digit_more_does_not(
+    capsys, monkeypatch, digit_limit_640, fmt
+):
+    # a row whose 0/1 coefficients are the binary digits of its value at
+    # q = 2: 10^640 - 1, 640 digits, prints; 10^640, 641 digits, does not,
+    # as str() of either decides under the same limit
+    argv = ["strata", "--type", "C2", "--preset", "last-fundamental", "--q", "2",
+            "--format", fmt]
+    for value in (10**640 - 1, 10**640):
+        edge = QPolynomial([int(bit) for bit in reversed(f"{value:b}")])
+        monkeypatch.setattr(cli, "_strata_rows", lambda args: ("edge", [("E", edge)], edge))
+        code, out, err = run(capsys, *argv)
+        if value < 10**640:
+            assert (code, err) == (0, "")
+            assert str(value) in out
+        else:
+            line = "error: an evaluation has more than 640 digits at q=2, the smallest q\n"
+            assert (code, out, err) == (1, "", line)
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
@@ -1638,15 +1659,30 @@ def plain(value):
     return value
 
 
-def written_json(value) -> list[str]:
+def written_json(value, held=Counter()) -> list[str]:
     sink: list[str] = []
-    cli._write_json(value, sink.append)
+    cli._write_json(value, held, sink.append)
     return sink
 
 
-@given(json_values)
-def test_json_text_is_json_dumps_indent_2(value):
-    assert "".join(written_json(value)) == json.dumps(plain(value), indent=2) + "\n"
+def polynomials(value) -> list:
+    """The QPolynomials value holds, each once per place it sits at."""
+    if isinstance(value, QPolynomial):
+        return [value]
+    items = value.values() if isinstance(value, dict) else value if isinstance(value, list) else []
+    return [poly for item in items for poly in polynomials(item)]
+
+
+@given(json_values, st.data())
+def test_json_text_is_json_dumps_indent_2(value, data):
+    # the count of shared polynomials only decides which texts the writer
+    # keeps: exact, too high, too low or empty, the bytes are json.dumps's
+    payload = [value, {"again": value}, value]  # every polynomial shared
+    exact = Counter(map(id, polynomials(payload)))
+    drawn = Counter({key: data.draw(st.integers(0, 5)) for key in exact})
+    for held in (Counter(), exact, drawn):
+        for obj in (value, payload):
+            assert "".join(written_json(obj, held)) == json.dumps(plain(obj), indent=2) + "\n"
 
 
 A_ENTRY = LatticeEntry("e", 1, 2, 0)
@@ -1819,12 +1855,21 @@ def test_order_renders_each_distinct_term_once(capsys, monkeypatch, fmt, formula
     renders = counting_term_renders(monkeypatch)
     monkeypatch.setattr(cli, "_term_fields", counting("csv", cli._term_fields))
     decimals = Counter()
-    real_decimal = cli._decimal
-    monkeypatch.setattr(
-        cli,
-        "_decimal",
-        lambda value, q0: decimals.update([value]) or real_decimal(value, q0),
-    )
+
+    class Value(int):
+        """A value that counts its decimal renders: str() and f-strings."""
+
+        def __str__(self):
+            decimals[int(self)] += 1
+            return int.__repr__(self)
+
+    real_evaluated = cli._evaluated
+
+    def counted_values(*args):
+        held, values = real_evaluated(*args)
+        return held, {key: {q0: Value(v) for q0, v in at.items()} for key, at in values.items()}
+
+    monkeypatch.setattr(cli, "_evaluated", counted_values)
     code, out, err = run(
         capsys, "order", "--type", "A8", "--j0", "", "--formula", formula,
         "--q", "3,2", "--format", fmt,
@@ -1833,7 +1878,7 @@ def test_order_renders_each_distinct_term_once(capsys, monkeypatch, fmt, formula
     assert out == expected
     built.update({("json", key): n for key, n in renders.items()})
     # one evaluation per distinct term per q, plus the total's, and each
-    # printed value formatted once: csv prints every term's
+    # printed value rendered once: csv prints every term's
     assert set(calls.values()) == {1} and len(calls) == 2 * distinct
     assert sum(decimals.values()) == 2 * (distinct if fmt == "csv" else 1)
     # and each distinct term's text built once: by __str__ for the table,
@@ -1934,10 +1979,10 @@ def counting_term_renders(monkeypatch) -> Counter:
     monkeypatch.setattr(QPolynomial, "coeffs", property(read, slot.__set__))
     write_json = cli._write_json
 
-    def flagged(obj, write):
+    def flagged(obj, held, write):
         writing.append(True)
         try:
-            write_json(obj, write)
+            write_json(obj, held, write)
         finally:
             writing.clear()
 
@@ -1949,10 +1994,14 @@ def test_json_text_renders_a_shared_term_once_per_depth(monkeypatch):
     shared = QPolynomial([3, -1, 10**30])
     payload = {"a": shared, "b": [shared, {"c": shared}, shared], "d": shared}
     reads = counting_term_renders(monkeypatch)
-    text = "".join(written_json(payload))
+    text = "".join(written_json(payload, Counter({id(shared): 5})))
     # once at each of the three depths it sits at
     assert reads == {id(shared): 3}
     assert text == json.dumps(plain(payload), indent=2) + "\n"
+    # counted once, as an unshared row is, it is rendered at each of its places
+    reads.clear()
+    assert "".join(written_json(payload, Counter({id(shared): 1}))) == text
+    assert reads == {id(shared): 5}
 
 
 @pytest.mark.parametrize("command", ["order", "lattice"])
