@@ -85,7 +85,6 @@ from .rootsystem import (
     _mask_indices,
     degrees,
     poincare_factors,
-    poincare_product,
 )
 from .weyl import DEFAULT_ENUM_BOUND, coset_length_poly
 
@@ -295,9 +294,10 @@ def chain_total(rs: RootSystemData, bound: int | None = None) -> OrderReport:
 
         F_j = sum_{b=1..j} F_{j-b} [j choose b]_q q^{b(b-1)/2} (q-1)^{b-1}.
 
-    deg F_j = j(j+1)/2 - 1 for j >= 1, so the size of every product is
-    known first: LatticeTooLarge is raised before any product when they
-    hold more than bound coefficients in all (default
+    qpoly.times_product steps F_{j-b} by each factor, and F_{n+1} by
+    (q-1) W(q), as QProducts, raising NonExactDivision on a remainder.  As
+    deg F_j = j(j+1)/2 - 1 for j >= 1, LatticeTooLarge is raised before any
+    product when they hold more than bound coefficients in all (default
     weyl.DEFAULT_ENUM_BOUND; A30 holds 127,751, A52 over 10^6).
     """
     ct = rs.cartan_type
@@ -314,16 +314,15 @@ def chain_total(rs: RootSystemData, bound: int | None = None) -> OrderReport:
             f"the {ct} chain sum for J0 = [] holds {size} coefficients in its"
             f" products, which exceeds the bound {bound}"
         )
-    factors = expand_all(
-        gaussian_factors(j, b) * QProduct.of([1] * (b - 1), shift=b * (b - 1) // 2)
-        for j, b in steps
-    )
-    factor = dict(zip(steps, factors))
-    chain = [ONE]
+    chain = [ONE]  # F_0 .. F_{j-1}; reversed, F_{j-b} for b = 1..j
     for j in range(1, top + 1):
-        chain.append(poly_sum(chain[j - b] * factor[j, b] for b in range(1, j + 1)))
-    total = ONE + Q_MINUS_ONE * poincare_product(ct) * chain[top]
-    return _unlisted("thm34 chain", rs, frozenset(), total)
+        factors = (
+            gaussian_factors(j, b) * QProduct.of([1] * (b - 1), shift=b * (b - 1) // 2)
+            for b in range(1, j + 1)
+        )
+        chain.append(poly_sum(map(times_product, reversed(chain), factors)))
+    w = QProduct.of([1]) * poincare_factors(degrees(ct))  # (q - 1) W(q)
+    return _unlisted("thm34 chain", rs, frozenset(), ONE + times_product(chain[top], w))
 
 
 def census_total(

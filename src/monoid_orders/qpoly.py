@@ -16,8 +16,8 @@ to before it, multiplying and dividing by (q^d - 1) factors, with a
 sparse division that raises on a nonzero remainder as well.
 Each value it steps through has c_{degree-j} = c_0 c_j, c_0 = +-1, so past
 a small degree it keeps only the low half and unfolds each result once.
-times_product steps a dense polynomial by a factored product through the
-same multiplications and divisions, on all of its coefficients.
+times_product steps a dense polynomial, on all of its coefficients, by a
+factored product through the same steps: orders' chain and census sums.
 
 Each value expand_all returns records the product it was expanded from,
 and eval_big evaluates it from that product's cyclotomic factors,

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 
 import monoid_orders
-from monoid_orders import cli, orders, qpoly, verify
+from monoid_orders import cli, oracle, orders, qpoly, verify
 from monoid_orders.crosssection import (
     CrossSectionLattice,
     LatticeEntry,
@@ -217,6 +217,101 @@ def test_closed_form_check_compares_each_stratum(monkeypatch):
         False,
         "strata differ from the thm41 terms, l=2",
     )
+
+
+def _coset_walk_off_by_one(rs, X, J, bound):
+    """coset_length_poly with the walked coset sum for J = {1} one too large."""
+    walked = coset_length_poly(rs, X, J, bound)
+    return walked + ONE if J == 1 else walked
+
+
+def _first_count_off_by_one(count):
+    """An oracle count whose first count is one too large."""
+
+    def counted(n, p, bound=None):
+        first, *rest = count(n, p, bound)
+        return [first + 1, *rest]
+
+    return counted
+
+
+def _first_stratum_off_by_one(n):
+    first, *rest = gl_strata(n)
+    return [first + ONE, *rest]
+
+
+def _thm34_term_off_by_one(entry):
+    """all_orders with thm34's term of entry(lat) one too large."""
+
+    def reports(lat, **kwargs):
+        report = orders.all_orders(lat, **kwargs)["thm34"]
+        label = entry(lat).label
+        terms = tuple((l, t + ONE if l == label else t) for l, t in report.terms)
+        return {"thm34": report.replace(terms=terms)}
+
+    return reports
+
+
+# each FAIL line of verify that no other test reaches: the check, the name
+# patched, its replacement and the (False, detail) pair the check returns
+@pytest.mark.parametrize(
+    "check, module, name, off_by_one, detail",
+    [
+        pytest.param(
+            verify.check_coset_identity,
+            verify,
+            "coset_length_poly",
+            _coset_walk_off_by_one,
+            "A3, J=[1]",
+            id="coset-identity",
+        ),
+        pytest.param(
+            verify.check_rank_histograms,
+            oracle,
+            "enumerate_rank_histogram",
+            _first_count_off_by_one(oracle.enumerate_rank_histogram),
+            "(n=2, p=2) total 17",
+            id="rank-histogram-total",
+        ),
+        pytest.param(
+            verify.check_rank_histograms,
+            verify,
+            "gl_strata",
+            _first_stratum_off_by_one,
+            "(n=2, p=2, r=0) counted 1, formula 2",
+            id="rank-histogram-stratum",
+        ),
+        pytest.param(
+            verify.check_subspace_counts,
+            oracle,
+            "subspace_counts",
+            _first_count_off_by_one(oracle.subspace_counts),
+            "(n=0, r=0, p=2) counted 2, formula 1",
+            id="subspace-count",
+        ),
+        pytest.param(
+            verify.check_structural,
+            verify,
+            "all_orders",
+            _thm34_term_off_by_one(lambda lat: lat.zero_entry),
+            "A1: zero term != 1",
+            id="structural-zero-term",
+        ),
+        pytest.param(
+            verify.check_structural,
+            verify,
+            "all_orders",
+            _thm34_term_off_by_one(lambda lat: lat.identity_entry),
+            "A1: identity term != |G|",
+            id="structural-identity-term",
+        ),
+    ],
+)
+def test_verify_check_fails_on_an_oracle_or_producer_off_by_one(
+    monkeypatch, check, module, name, off_by_one, detail
+):
+    monkeypatch.setattr(module, name, off_by_one)
+    assert check() == (False, detail)
 
 
 def test_pascal_check_expands_each_binomial_once(monkeypatch):
@@ -1340,6 +1435,21 @@ def test_chain_total_equals_the_listed_total(rank):
     assert (chained.cartan_type, chained.terms) == (listed.cartan_type, ())
 
 
+@pytest.mark.parametrize("rank", [1, 12])
+def test_chain_total_steps_factored_products_alone(monkeypatch, rank):
+    # every chain term and (q - 1) W(q) is stepped by times_product from its
+    # QProduct: no dense product and no expansion of a factor
+    rs = build(CartanType("A", rank))
+    listed = route(j_irreducible_lattice(rs, frozenset()), "thm34").total
+
+    def no_dense(*args):
+        raise AssertionError("the chain sum expanded or multiplied densely")
+
+    monkeypatch.setattr(orders, "expand_all", no_dense)
+    monkeypatch.setattr(QPolynomial, "__mul__", no_dense)
+    assert chain_total(rs).total == listed
+
+
 def test_chain_bound_is_checked_before_any_product(monkeypatch):
     rs = build(CartanType("A", 30))
 
@@ -1347,6 +1457,7 @@ def test_chain_bound_is_checked_before_any_product(monkeypatch):
         raise AssertionError("a product ran before the bound was checked")
 
     monkeypatch.setattr(orders, "expand_all", no_product)
+    monkeypatch.setattr(orders, "times_product", no_product)
     monkeypatch.setattr(QPolynomial, "__mul__", no_product)
     with pytest.raises(LatticeTooLarge, match="holds 127751 coefficients"):
         chain_total(rs, bound=127_750)
